@@ -8,27 +8,43 @@ same layer, so the number of Lloyd iterations is capped by a fitted cost
 model.  This module provides the clustering primitive with an explicit
 ``max_iter`` knob; the cost model lives in :mod:`repro.core.adaptive`.
 
+Batched layout
+--------------
+Every entry point takes either one problem — ``(n, d)`` points — or a stack of
+``J`` equally-shaped problems ``(J, n, d)``; a 2-D call *is* the ``J = 1``
+call of the same code.  A layer's PQ construction is one call over all
+``h_kv * m`` (head, sub-space) problems.  A problem's result is a function of
+its own points, its own random draws and the arguments alone: it does not
+depend on which other problems share the batch (tests compare a problem
+solved alone with its row of a batch exactly).
+
 Implementation notes
 --------------------
-* k-means++ seeding, Lloyd iterations, empty-cluster re-seeding from the
-  points furthest from their centroid (distances taken against the *updated*
-  centroids of the same iteration, not the stale pre-update ones).
+* k-means++ seeding in GEMV form: ``||x||^2`` once per problem, then
+  ``||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2`` per pick; the pick itself is
+  ``Generator.choice(n, p=...)`` spelled out (``cumsum`` + ``searchsorted`` on
+  one uniform), so the generator is consumed exactly as a scalar run would.
+* Lloyd iterations with a row-blocked assignment (:func:`nearest_centroid`),
+  ``bincount`` centroid sums, empty-cluster re-seeding from the points
+  furthest from their centroid (distances taken against the *updated*
+  centroids of the same iteration, not the stale pre-update ones), and a
+  per-problem convergence mask: a converged problem drops out of the batch.
 * Convergence is declared only on stable labels or a *non-negative* inertia
   improvement below ``tol`` — a transient inertia increase (possible right
   after reseeding) keeps iterating instead of freezing a worse solution.
 * Deterministic for a given ``seed``.
-* Handles ``n_points < n_clusters`` gracefully (duplicates centroids), which
+* Handles ``n_points <= n_clusters`` gracefully (duplicates centroids), which
   happens for very short prompts or tiny sub-spaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..utils import as_rng, check_2d
+from ..errors import ConfigurationError, DimensionError
+from ..utils import as_rng
 
 __all__ = [
     "KMeansResult",
@@ -36,20 +52,29 @@ __all__ = [
     "kmeans_refine",
     "kmeans_assign",
     "kmeans_plus_plus_init",
+    "nearest_centroid",
 ]
 
+#: float64 elements of the assignment's ``(problems, rows, clusters)`` distance
+#: block — 512 KiB, so a block is produced, reduced and overwritten inside L2
+#: instead of streaming ``n * 2**b`` distances through memory three times.
+_BLOCK_ELEMS = 1 << 16
+#: (point, coordinate) pairs one centroid-sum ``bincount`` takes at a time: its
+#: int64 bin-index temporary stays at 4 MiB however long the sequence is.
+_SCATTER_ELEMS = 1 << 19
 
-def _converged(labels_stable: bool, improved: float, inertia: float, tol: float) -> bool:
-    """Lloyd stopping rule.
+
+def _converged(labels_stable, improved, inertia, tol):
+    """Lloyd stopping rule (elementwise over problems).
 
     Convergence requires either stable labels or a *non-negative* inertia
     improvement below the tolerance.  A negative ``improved`` (inertia went
     up, which empty-cluster reseeding can cause transiently) must keep
     iterating — treating it as converged would freeze a worse solution.
     """
-    if labels_stable:
-        return True
-    return 0.0 <= improved <= tol * max(inertia, 1e-12)
+    return labels_stable | (
+        (improved >= 0.0) & (improved <= tol * np.maximum(inertia, 1e-12))
+    )
 
 
 def _reseed_targets(
@@ -58,10 +83,10 @@ def _reseed_targets(
     labels: np.ndarray,
     num_empty: int,
 ) -> np.ndarray:
-    """Points that should seed empty clusters: the ones farthest from their
-    assigned centroid, with distances measured against the *updated*
-    centroids (stale pre-update distances can nominate points that the mean
-    update has already pulled close, wasting the reseed)."""
+    """Points of one problem that should seed its empty clusters: the ones
+    farthest from their assigned centroid, with distances measured against
+    the *updated* centroids (stale pre-update distances can nominate points
+    that the mean update has already pulled close, wasting the reseed)."""
     diffs = points - centroids[labels]
     dist_sq = np.einsum("ij,ij->i", diffs, diffs)
     return np.argsort(-dist_sq, kind="stable")[:num_empty]
@@ -69,7 +94,11 @@ def _reseed_targets(
 
 @dataclass
 class KMeansResult:
-    """Outcome of a K-Means run.
+    """Outcome of a K-Means run over one problem, or over a batch of ``J``.
+
+    Shapes below are for one problem; a batched call adds a leading ``J``
+    axis to every field (``inertia`` / ``n_iter`` / ``converged`` become
+    ``(J,)`` arrays).
 
     Attributes:
         centroids: ``(n_clusters, dim)`` cluster centres.
@@ -82,69 +111,161 @@ class KMeansResult:
 
     centroids: np.ndarray
     labels: np.ndarray
-    inertia: float
-    n_iter: int
-    converged: bool
+    inertia: "float | np.ndarray"
+    n_iter: "int | np.ndarray"
+    converged: "bool | np.ndarray"
 
     @property
     def n_clusters(self) -> int:
-        return int(self.centroids.shape[0])
+        return int(self.centroids.shape[-2])
 
     @property
     def dim(self) -> int:
-        return int(self.centroids.shape[1])
+        return int(self.centroids.shape[-1])
+
+    def _first(self) -> "KMeansResult":
+        """The single problem of a ``J = 1`` batch, with scalar fields."""
+        return KMeansResult(
+            self.centroids[0], self.labels[0], float(self.inertia[0]),
+            int(self.n_iter[0]), bool(self.converged[0]),
+        )
 
 
-def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape ``(n_points, n_clusters)``."""
-    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 ; computed blockwise-free since
-    # PQ sub-spaces are small (dim <= 64, clusters <= 256).
-    x_sq = np.einsum("ij,ij->i", points, points)[:, None]
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    cross = points @ centroids.T
-    dists = x_sq - 2.0 * cross + c_sq
-    np.maximum(dists, 0.0, out=dists)
-    return dists
+def _as_batch(array: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
+    """``(J, n, d)`` float64 view of a 2-D or 3-D operand, and whether it was
+    a single 2-D problem (whose result the caller unwraps again)."""
+    arr = np.asarray(array, dtype=np.float64)
+    if arr.ndim not in (2, 3):
+        raise DimensionError(f"{name} must be 2-D or 3-D, got shape {arr.shape}")
+    if 0 in arr.shape:
+        raise DimensionError(f"{name} must be non-empty, got shape {arr.shape}")
+    return (arr[None], True) if arr.ndim == 2 else (arr, False)
+
+
+def nearest_centroid(
+    points: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid of every point, for a stack of problems.
+
+    The one distance kernel of the library: Lloyd's assignment step,
+    :func:`kmeans_assign` and ``ProductQuantizer.encode_batch`` all call it.
+
+    Args:
+        points: ``(J, n, d)`` float64.
+        centroids: ``(J, k, d)`` float64.
+
+    Returns:
+        ``(labels, partial)``: ``(J, n)`` int64 argmin over centroids (lowest
+        index on ties) and ``(J, n)`` minima of ``||c||^2 - 2 x.c`` — the
+        squared distance *minus* ``||x||^2``, which does not move the argmin;
+        callers that need distances add it to the minima only.
+
+    ``-2 X C^T + ||c||^2`` is formed and reduced in a reused cache-sized block.
+    Rows per block depend on ``k`` alone and several problems share a block
+    only when each fits whole, so the GEMM shapes a problem sees — and with
+    them its results, bit for bit — do not depend on its batch-mates.
+    """
+    num, n, _ = points.shape
+    k = centroids.shape[1]
+    scaled_t = (-2.0 * centroids).transpose(0, 2, 1)  # exact: a power of two
+    c_sq = np.einsum("jkd,jkd->jk", centroids, centroids)[:, None, :]
+    labels = np.empty((num, n), dtype=np.int64)
+    partial = np.empty((num, n), dtype=np.float64)
+    rows = max(1, min(n, _BLOCK_ELEMS // k))
+    group = min(num, max(1, _BLOCK_ELEMS // (rows * k)))
+    block = np.empty((group, rows, k), dtype=np.float64)
+    flat = block.reshape(-1)
+    row_start = np.arange(group * rows).reshape(group, rows) * k
+    for j0 in range(0, num, group):
+        j1 = min(j0 + group, num)
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            dists = block[: j1 - j0, : r1 - r0]
+            np.matmul(points[j0:j1, r0:r1], scaled_t[j0:j1], out=dists)
+            dists += c_sq[j0:j1]
+            found = labels[j0:j1, r0:r1]
+            np.argmin(dists, axis=2, out=found)
+            # the minimum is the entry argmin found: a flat gather, several
+            # times cheaper than a second reduction over the block
+            partial[j0:j1, r0:r1] = flat.take(found + row_start[: j1 - j0, : r1 - r0])
+    return labels, partial
+
+
+def _seed_rngs(seed, num_problems: int) -> list[np.random.Generator]:
+    """One generator per *group* of consecutive problems (see kmeans_fit)."""
+    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    if not seeds or num_problems % len(seeds) != 0:
+        raise ConfigurationError(
+            f"{len(seeds)} seeds cannot be shared evenly by {num_problems} problems"
+        )
+    return [as_rng(s) for s in seeds]
+
+
+def _draw(rng: np.random.Generator, closest_sq: np.ndarray) -> int:
+    """One k-means++ pick: a point index with probability proportional to
+    its squared distance from the centres chosen so far."""
+    total = float(closest_sq.sum())
+    if total <= 1e-12:
+        # No centre yet, or every point coincides with one: uniform choice.
+        return int(rng.integers(closest_sq.size))
+    # rng.choice(n, p=closest_sq / total) spelled out — same single uniform,
+    # same arithmetic, so the generator and the pick match a scalar run.
+    cdf = np.cumsum(closest_sq / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def kmeans_plus_plus_init(
     points: np.ndarray,
     n_clusters: int,
-    rng: np.random.Generator,
+    rng: "np.random.Generator | list[np.random.Generator]",
 ) -> np.ndarray:
     """k-means++ seeding: spread initial centroids proportional to squared
-    distance from already-chosen centres."""
-    points = check_2d(points, "points")
-    n_points = points.shape[0]
+    distance from already-chosen centres.
+
+    ``points`` is ``(n, d)`` or ``(J, n, d)``; ``rng`` is one generator or a
+    list of ``G`` (``G`` dividing ``J``).  Problem ``j`` draws from generator
+    ``j // (J // G)`` after the problems before it in that group have taken
+    all their draws; the groups advance pick by pick in lockstep.
+    """
+    points, single = _as_batch(points, "points")
+    num, n_points, dim = points.shape
+    rngs = _seed_rngs(rng, num)
+    per_group = num // len(rngs)
     n_clusters = min(n_clusters, n_points)
+    groups = np.arange(len(rngs))
 
-    centroids = np.empty((n_clusters, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n_points))
-    centroids[0] = points[first]
-    closest_sq = np.einsum("ij,ij->i", points - centroids[0], points - centroids[0])
-
-    for idx in range(1, n_clusters):
-        total = float(closest_sq.sum())
-        if total <= 1e-12:
-            # All remaining points coincide with an existing centroid;
-            # fall back to uniform choice.
-            choice = int(rng.integers(n_points))
-        else:
-            probs = closest_sq / total
-            choice = int(rng.choice(n_points, p=probs))
-        centroids[idx] = points[choice]
-        diff = points - centroids[idx]
-        new_sq = np.einsum("ij,ij->i", diff, diff)
-        np.minimum(closest_sq, new_sq, out=closest_sq)
-    return centroids
+    centroids = np.empty((num, n_clusters, dim), dtype=np.float64)
+    x_sq_all = np.einsum("jnd,jnd->jn", points, points)
+    for turn in range(per_group):
+        # One problem of every group: (G, n, d) views, no copies.
+        pts = points[turn::per_group]
+        x_sq = x_sq_all[turn::per_group]
+        closest_sq = np.zeros_like(x_sq)
+        for idx in range(n_clusters):
+            choice = [_draw(r, closest_sq[g]) for g, r in enumerate(rngs)]
+            picked = pts[groups, choice]  # (G, d)
+            centroids[turn::per_group, idx] = picked
+            # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2: one GEMV per problem
+            # instead of two (n, d) difference temporaries per pick.
+            new_sq = np.matmul(pts, -2.0 * picked[:, :, None])[:, :, 0]
+            new_sq += x_sq
+            new_sq += x_sq[groups, choice][:, None]
+            np.maximum(new_sq, 0.0, out=new_sq)
+            closest_sq = np.minimum(closest_sq, new_sq, out=new_sq) if idx else new_sq
+    return centroids[0] if single else centroids
 
 
 def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Assign each point to its nearest centroid (labels only)."""
-    points = check_2d(points, "points")
-    centroids = check_2d(centroids, "centroids")
-    dists = _pairwise_sq_dists(points, centroids)
-    return np.argmin(dists, axis=1).astype(np.int64)
+    """Assign each point to its nearest centroid (labels only).
+
+    ``(n, d)`` points with ``(k, d)`` centroids, or stacks ``(J, n, d)`` /
+    ``(J, k, d)``.
+    """
+    points, single = _as_batch(points, "points")
+    centroids, _ = _as_batch(centroids, "centroids")
+    labels, _ = nearest_centroid(points, centroids)
+    return labels[0] if single else labels
 
 
 def kmeans_fit(
@@ -152,42 +273,49 @@ def kmeans_fit(
     n_clusters: int,
     max_iter: int = 25,
     tol: float = 1e-6,
-    seed: int | np.random.Generator | None = 0,
+    seed: "int | np.random.Generator | None | list" = 0,
 ) -> KMeansResult:
     """Run k-means++ initialised Lloyd iterations.
 
     Args:
-        points: ``(n_points, dim)`` training vectors.
+        points: ``(n_points, dim)`` training vectors, or ``(J, n_points,
+            dim)`` for ``J`` independent problems solved in one call.
         n_clusters: number of centroids (``2**b`` in PQ terms).
         max_iter: maximum number of Lloyd iterations.  ``0`` returns the
             k-means++ seeding directly, which is what the adaptive budget
             degenerates to for very short prompts.
         tol: relative inertia improvement below which we declare convergence.
-        seed: RNG seed or generator.
+        seed: RNG seed or generator.  A batch may pass a list of ``G`` of
+            them (``G`` dividing ``J``): consecutive runs of ``J // G``
+            problems share one generator and are seeded one after another
+            from it — one stream per head, consumed sub-space by sub-space,
+            is what :class:`~repro.core.pq.ProductQuantizer` asks for.
 
     Returns:
-        A :class:`KMeansResult`.
+        A :class:`KMeansResult` (batched fields for 3-D ``points``).
     """
-    points = check_2d(points, "points")
+    points, single = _as_batch(points, "points")
     if n_clusters <= 0:
         raise ConfigurationError("n_clusters must be positive")
     if max_iter < 0:
         raise ConfigurationError("max_iter must be >= 0")
-
-    rng = as_rng(seed)
-    n_points, dim = points.shape
+    num, n_points, _ = points.shape
+    rngs = _seed_rngs(seed, num)
 
     if n_points <= n_clusters:
         # Degenerate case: every point is its own centroid, remaining slots
         # are filled by repeating points so downstream code always sees
         # exactly ``n_clusters`` rows.
         reps = int(np.ceil(n_clusters / n_points))
-        centroids = np.tile(points, (reps, 1))[:n_clusters].copy()
-        labels = np.arange(n_points, dtype=np.int64) % n_clusters
-        return KMeansResult(centroids, labels, 0.0, 0, True)
-
-    centroids = kmeans_plus_plus_init(points, n_clusters, rng)
-    return _lloyd(points, centroids, max_iter, tol)
+        result = KMeansResult(
+            np.tile(points, (1, reps, 1))[:, :n_clusters].copy(),
+            np.tile(np.arange(n_points, dtype=np.int64) % n_clusters, (num, 1)),
+            np.zeros(num), np.zeros(num, dtype=np.int64), np.ones(num, dtype=bool),
+        )
+    else:
+        centroids = kmeans_plus_plus_init(points, n_clusters, rngs)
+        result = _lloyd(points, centroids, max_iter, tol)
+    return result._first() if single else result
 
 
 def kmeans_refine(
@@ -204,9 +332,11 @@ def kmeans_refine(
     build's cluster structure is reused instead of thrown away.
 
     Args:
-        points: ``(n_points, dim)`` training vectors (the full set).
+        points: ``(n_points, dim)`` training vectors (the full set), or a
+            ``(J, n_points, dim)`` stack of problems.
         centroids: ``(n_clusters, dim)`` starting centroids (e.g. from a
-            sketch-based :func:`kmeans_fit`); not mutated.
+            sketch-based :func:`kmeans_fit`), ``(J, n_clusters, dim)`` for a
+            stack; not mutated.
         max_iter: maximum number of additional Lloyd iterations.  ``0``
             returns the assignment under the given centroids unchanged.
         tol: relative inertia improvement below which we declare convergence.
@@ -214,16 +344,55 @@ def kmeans_refine(
     Returns:
         A :class:`KMeansResult` (``n_iter`` counts only refinement iterations).
     """
-    points = check_2d(points, "points")
-    centroids = check_2d(centroids, "centroids").copy()
-    if points.shape[1] != centroids.shape[1]:
+    points, single = _as_batch(points, "points")
+    centroids, _ = _as_batch(centroids, "centroids")
+    if points.shape[0] != centroids.shape[0]:
         raise ConfigurationError(
-            f"points dim {points.shape[1]} does not match centroids dim "
-            f"{centroids.shape[1]}"
+            f"{points.shape[0]} point sets but {centroids.shape[0]} centroid sets"
+        )
+    if points.shape[2] != centroids.shape[2]:
+        raise ConfigurationError(
+            f"points dim {points.shape[2]} does not match centroids dim "
+            f"{centroids.shape[2]}"
         )
     if max_iter < 0:
         raise ConfigurationError("max_iter must be >= 0")
-    return _lloyd(points, centroids, max_iter, tol)
+    result = _lloyd(points, centroids.copy(), max_iter, tol)
+    return result._first() if single else result
+
+
+def _update_centroids(
+    points: np.ndarray, centroids: np.ndarray, labels: np.ndarray
+) -> None:
+    """Lloyd update step for a stack of problems (mutates ``centroids``):
+    mean of the assigned points; empty clusters re-seeded from the points
+    currently worst represented.
+
+    Cluster sums are one ``bincount`` over (problem, cluster, coordinate)
+    bins for as many problems as fit ``_SCATTER_ELEMS``; ``bincount`` adds in
+    point order, exactly like the ``np.add.at`` scatter it replaces.
+    """
+    num, n_points, dim = points.shape
+    k = centroids.shape[1]
+    counts = np.empty((num, k), dtype=np.int64)
+    sums = np.empty((num, k, dim), dtype=np.float64)
+    group = max(1, _SCATTER_ELEMS // (n_points * dim))
+    for j0 in range(0, num, group):
+        j1 = min(j0 + group, num)
+        size = (j1 - j0) * k
+        bins = labels[j0:j1] + (np.arange(j1 - j0) * k)[:, None]
+        counts[j0:j1] = np.bincount(bins.ravel(), minlength=size).reshape(-1, k)
+        sums[j0:j1] = np.bincount(
+            (bins[:, :, None] * dim + np.arange(dim)).ravel(),
+            weights=points[j0:j1].ravel(),
+            minlength=size * dim,
+        ).reshape(-1, k, dim)
+    nonempty = counts > 0
+    centroids[nonempty] = sums[nonempty] / counts[nonempty][:, None]
+    for j in np.flatnonzero(~nonempty.all(axis=1)):
+        empty = np.flatnonzero(~nonempty[j])
+        worst = _reseed_targets(points[j], centroids[j], labels[j], empty.size)
+        centroids[j, empty[: worst.size]] = points[j, worst]
 
 
 def _lloyd(
@@ -232,45 +401,43 @@ def _lloyd(
     max_iter: int,
     tol: float,
 ) -> KMeansResult:
-    """Lloyd iterations from given starting centroids (mutates ``centroids``)."""
-    n_points = points.shape[0]
-    n_clusters = centroids.shape[0]
-    dists = _pairwise_sq_dists(points, centroids)
-    labels = np.argmin(dists, axis=1)
-    inertia = float(dists[np.arange(n_points), labels].sum())
+    """Lloyd iterations over a stack of problems from given starting
+    centroids (mutates ``centroids``); a problem leaves the batch the
+    iteration it converges."""
+    num = points.shape[0]
+    x_sq = np.einsum("jnd,jnd->jn", points, points)
 
-    n_iter = 0
-    converged = max_iter == 0
-    for n_iter in range(1, max_iter + 1):
-        # Update step: mean of assigned points; empty clusters re-seeded from
-        # the points currently worst represented.
-        counts = np.bincount(labels, minlength=n_clusters).astype(np.float64)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, labels, points)
-        nonempty = counts > 0
-        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+    def assign(pts, cents, pts_sq):
+        labels, partial = nearest_centroid(pts, cents)
+        partial += pts_sq
+        np.maximum(partial, 0.0, out=partial)
+        return labels, partial.sum(axis=1)
 
-        empty = np.flatnonzero(~nonempty)
-        if empty.size:
-            worst = _reseed_targets(points, centroids, labels, empty.size)
-            centroids[empty[: worst.size]] = points[worst]
+    labels, inertia = assign(points, centroids, x_sq)
+    n_iter = np.zeros(num, dtype=np.int64)
+    converged = np.full(num, max_iter == 0)
+    active = np.arange(num)  # problems still iterating
+    for iteration in range(1, max_iter + 1):
+        # While nobody has converged the stacks are used as they are; after
+        # that the survivors are gathered (a copy) and scattered back.
+        everyone = active.size == num
+        pts = points if everyone else points[active]
+        cents = centroids if everyone else centroids[active]
+        _update_centroids(pts, cents, labels[active])
+        new_labels, new_inertia = assign(pts, cents, x_sq[active])
 
-        dists = _pairwise_sq_dists(points, centroids)
-        new_labels = np.argmin(dists, axis=1)
-        new_inertia = float(dists[np.arange(n_points), new_labels].sum())
-
-        labels_stable = bool(np.array_equal(new_labels, labels))
-        labels = new_labels
-        improved = inertia - new_inertia
-        inertia = new_inertia
-        if _converged(labels_stable, improved, inertia, tol):
-            converged = True
+        done = _converged(
+            (new_labels == labels[active]).all(axis=1),
+            inertia[active] - new_inertia, new_inertia, tol,
+        )
+        if not everyone:
+            centroids[active] = cents
+        labels[active] = new_labels
+        inertia[active] = new_inertia
+        n_iter[active] = iteration
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
             break
 
-    return KMeansResult(
-        centroids=centroids,
-        labels=labels.astype(np.int64),
-        inertia=inertia,
-        n_iter=n_iter,
-        converged=converged,
-    )
+    return KMeansResult(centroids, labels, inertia, n_iter, converged)

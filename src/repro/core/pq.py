@@ -27,9 +27,13 @@ with :func:`stack_codebooks`):
   codes against those tables in one fancy-indexing pass → ``(h, n)`` scores.
 * :meth:`ProductQuantizer.encode_batch` — nearest-centroid assignment of
   ``(h, n, dim)`` vectors → ``(h, n, m)`` codes via one batched ``matmul``.
+* :meth:`ProductQuantizer.fit_batch` / :meth:`ProductQuantizer.refine_batch`
+  — codebook training for all heads of a layer as one K-Means call over the
+  ``h * m`` (head, sub-space) problems.
 
 The per-head methods (:meth:`~ProductQuantizer.lookup_table`,
-:meth:`~ProductQuantizer.score`, :meth:`~ProductQuantizer.encode`) are thin
+:meth:`~ProductQuantizer.score`, :meth:`~ProductQuantizer.encode`,
+:meth:`~ProductQuantizer.fit`, :meth:`~ProductQuantizer.refine`) are thin
 ``h == 1`` wrappers over the batched kernels, and the formulations are chosen
 so batched and per-head results are *bitwise identical* (same einsum
 contraction per output element, same ``matmul`` BLAS path, same reduction
@@ -45,9 +49,9 @@ import numpy as np
 
 from ..errors import ConfigurationError, DimensionError, NotFittedError
 from ..utils import as_rng, check_2d
-from .kmeans import kmeans_fit, kmeans_refine
+from .kmeans import KMeansResult, kmeans_fit, kmeans_refine, nearest_centroid
 
-__all__ = ["PQConfig", "ProductQuantizer", "stack_codebooks"]
+__all__ = ["PQConfig", "ProductQuantizer", "stack_codebooks", "unstack_codebooks"]
 
 
 def stack_codebooks(quantizers: "Sequence[ProductQuantizer]") -> np.ndarray:
@@ -64,6 +68,28 @@ def stack_codebooks(quantizers: "Sequence[ProductQuantizer]") -> np.ndarray:
             f"cannot stack codebooks with mixed shapes: {sorted(shapes)}"
         )
     return np.stack([pq.centroids for pq in quantizers], axis=0)
+
+
+def unstack_codebooks(
+    config: "PQConfig", codebooks: np.ndarray
+) -> "list[ProductQuantizer]":
+    """Per-head quantizers over one ``(h, m, 2**b, sub_dim)`` codebook tensor.
+
+    The inverse of :func:`stack_codebooks`, without copying: quantizer ``i``
+    *views* ``codebooks[i]``.
+    """
+    expected = (config.num_partitions, config.num_centroids, config.sub_dim)
+    if codebooks.ndim != 4 or codebooks.shape[1:] != expected:
+        raise DimensionError(
+            f"codebooks must have shape (h, {expected[0]}, {expected[1]}, "
+            f"{expected[2]}), got {codebooks.shape}"
+        )
+    quantizers = []
+    for head_codebooks in codebooks:
+        pq = ProductQuantizer(config)
+        pq._centroids = head_codebooks
+        quantizers.append(pq)
+    return quantizers
 
 
 @dataclass(frozen=True)
@@ -131,6 +157,10 @@ class ProductQuantizer:
     def __init__(self, config: PQConfig) -> None:
         self.config = config
         self._centroids: np.ndarray | None = None  # (m, 2**b, d_m)
+        #: Lloyd iterations of the last :meth:`fit` / :meth:`refine`, summed
+        #: over the sub-spaces (0 until the first call)
+        self.last_fit_iterations = 0
+        self.last_refine_iterations = 0
 
     # ------------------------------------------------------------------ fit
 
@@ -148,6 +178,8 @@ class ProductQuantizer:
         other = ProductQuantizer(self.config)
         if self._centroids is not None:
             other._centroids = self._centroids.copy()
+        other.last_fit_iterations = self.last_fit_iterations
+        other.last_refine_iterations = self.last_refine_iterations
         return other
 
     @property
@@ -157,20 +189,14 @@ class ProductQuantizer:
             raise NotFittedError("ProductQuantizer has not been fitted")
         return self._centroids
 
-    def _split(self, vectors: np.ndarray) -> np.ndarray:
-        """Reshape ``(n, dim)`` into ``(m, n, sub_dim)`` sub-vectors."""
-        cfg = self.config
-        vectors = check_2d(vectors, "vectors")
-        if vectors.shape[1] != cfg.dim:
+    def _check_keys(self, keys: np.ndarray) -> np.ndarray:
+        """``(n, dim)`` float64 vectors of this quantizer's dimensionality."""
+        keys = check_2d(keys, "vectors")
+        if keys.shape[1] != self.config.dim:
             raise DimensionError(
-                f"vectors must have dim {cfg.dim}, got {vectors.shape[1]}"
+                f"vectors must have dim {self.config.dim}, got {keys.shape[1]}"
             )
-        n = vectors.shape[0]
-        return (
-            vectors.reshape(n, cfg.num_partitions, cfg.sub_dim)
-            .transpose(1, 0, 2)
-            .copy()
-        )
+        return keys
 
     def fit(
         self,
@@ -178,6 +204,8 @@ class ProductQuantizer:
         max_iters: int | None = None,
     ) -> np.ndarray:
         """Train codebooks on ``keys`` and return their codes.
+
+        Thin ``h == 1`` wrapper over :meth:`fit_batch`.
 
         Args:
             keys: ``(n, dim)`` key vectors from the prefilling phase.
@@ -187,30 +215,12 @@ class ProductQuantizer:
         Returns:
             ``(n, m)`` array of integer codes (dtype ``uint16``).
         """
-        cfg = self.config
-        iters = cfg.max_kmeans_iters if max_iters is None else int(max_iters)
-        rng = as_rng(cfg.seed)
-        sub_vectors = self._split(keys)
-
-        centroids = np.empty(
-            (cfg.num_partitions, cfg.num_centroids, cfg.sub_dim), dtype=np.float64
+        codebooks, codes, n_iter = self.fit_batch(
+            self.config, self._check_keys(keys)[None], max_iters
         )
-        codes = np.empty((keys.shape[0], cfg.num_partitions), dtype=np.uint16)
-        total_iters = 0
-        for part in range(cfg.num_partitions):
-            result = kmeans_fit(
-                sub_vectors[part],
-                n_clusters=cfg.num_centroids,
-                max_iter=iters,
-                seed=rng,
-            )
-            centroids[part] = result.centroids
-            codes[:, part] = result.labels.astype(np.uint16)
-            total_iters += result.n_iter
-
-        self._centroids = centroids
-        self.last_fit_iterations = total_iters
-        return codes
+        self._centroids = codebooks[0]
+        self.last_fit_iterations = int(n_iter.sum())
+        return codes[0]
 
     def refine(
         self,
@@ -225,6 +235,7 @@ class ProductQuantizer:
         earliest chunk(s), stream-encodes later chunks as they arrive, and
         finally refines the codebooks over the full key set — reusing the
         sketch's cluster structure instead of re-seeding from scratch.
+        Thin ``h == 1`` wrapper over :meth:`refine_batch`.
 
         Args:
             keys: ``(n, dim)`` key vectors to refine over (typically every
@@ -237,24 +248,13 @@ class ProductQuantizer:
             codebooks (dtype ``uint16``).
         """
         centroids = self.centroids  # raises NotFittedError when unfitted
-        cfg = self.config
-        iters = cfg.max_kmeans_iters if max_iters is None else int(max_iters)
-        sub_vectors = self._split(keys)
-
-        updated = np.empty_like(centroids)
-        codes = np.empty((keys.shape[0], cfg.num_partitions), dtype=np.uint16)
-        total_iters = 0
-        for part in range(cfg.num_partitions):
-            result = kmeans_refine(
-                sub_vectors[part], centroids[part], max_iter=iters, tol=tol
-            )
-            updated[part] = result.centroids
-            codes[:, part] = result.labels.astype(np.uint16)
-            total_iters += result.n_iter
-
-        self._centroids = updated
-        self.last_refine_iterations = total_iters
-        return codes
+        iters = self.config.max_kmeans_iters if max_iters is None else int(max_iters)
+        codebooks, codes, n_iter = self.refine_batch(
+            centroids[None], self._check_keys(keys)[None], iters, tol
+        )
+        self._centroids = codebooks[0]
+        self.last_refine_iterations = int(n_iter.sum())
+        return codes[0]
 
     # ------------------------------------------------------ batched kernels
 
@@ -344,6 +344,94 @@ class ProductQuantizer:
         return gathered.sum(axis=2)
 
     @staticmethod
+    def _split_batch(vectors: np.ndarray, h: int, m: int, sub_dim: int) -> np.ndarray:
+        """``(h, n, dim)`` vectors as the ``(h * m, n, sub_dim)`` stack of
+        (head, sub-space) problems the K-Means kernels take (a copy)."""
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 3 or vectors.shape[0] != h or vectors.shape[2] != m * sub_dim:
+            raise DimensionError(
+                f"vectors must have shape ({h}, n, {m * sub_dim}), "
+                f"got {vectors.shape}"
+            )
+        n = vectors.shape[1]
+        return (
+            vectors.reshape(h, n, m, sub_dim)
+            .transpose(0, 2, 1, 3)
+            .reshape(h * m, n, sub_dim)
+        )
+
+    @staticmethod
+    def _to_codes(labels: np.ndarray, h: int, m: int) -> np.ndarray:
+        """``(h * m, n)`` per-problem labels as ``(h, n, m)`` uint16 codes."""
+        n = labels.shape[1]
+        return labels.reshape(h, m, n).transpose(0, 2, 1).astype(np.uint16, order="C")
+
+    @staticmethod
+    def _trained(
+        result: KMeansResult, h: int, m: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(codebooks, codes, n_iter)`` of a batched K-Means result."""
+        return (
+            result.centroids.reshape((h, m) + result.centroids.shape[1:]),
+            ProductQuantizer._to_codes(result.labels, h, m),
+            result.n_iter.reshape(h, m),
+        )
+
+    @staticmethod
+    def fit_batch(
+        config: PQConfig, keys: np.ndarray, max_iters: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Train the codebooks of all heads of a layer in one K-Means call.
+
+        Every head draws from its own ``config.seed`` generator, sub-space
+        after sub-space, so a head's codebooks are the ones a lone
+        :meth:`fit` of that head produces — whatever else is in the batch.
+
+        Args:
+            config: PQ geometry, iteration budget and seed shared by the heads.
+            keys: ``(h, n, dim)`` key vectors.
+            max_iters: optional override of the Lloyd iteration budget.
+
+        Returns:
+            ``(h, m, 2**b, sub_dim)`` codebooks, ``(h, n, m)`` uint16 codes of
+            ``keys`` and the ``(h, m)`` Lloyd iterations each problem ran.
+        """
+        h, m = len(keys), config.num_partitions
+        result = kmeans_fit(
+            ProductQuantizer._split_batch(keys, h, m, config.sub_dim),
+            n_clusters=config.num_centroids,
+            max_iter=config.max_kmeans_iters if max_iters is None else int(max_iters),
+            seed=[as_rng(config.seed) for _ in range(h)],
+        )
+        return ProductQuantizer._trained(result, h, m)
+
+    @staticmethod
+    def refine_batch(
+        codebooks: np.ndarray, keys: np.ndarray, max_iters: int, tol: float = 1e-6
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Continue Lloyd iterations for all heads of a layer in one call.
+
+        Args:
+            codebooks: ``(h, m, 2**b, sub_dim)`` starting codebooks (not
+                mutated).
+            keys: ``(h, n, dim)`` key vectors to refine over.
+            max_iters: Lloyd iteration budget.
+            tol: relative inertia-improvement convergence tolerance.
+
+        Returns:
+            The same triple as :meth:`fit_batch`.
+        """
+        codebooks = ProductQuantizer._check_codebooks(codebooks)
+        h, m, num_centroids, sub_dim = codebooks.shape
+        result = kmeans_refine(
+            ProductQuantizer._split_batch(keys, h, m, sub_dim),
+            codebooks.reshape(h * m, num_centroids, sub_dim),
+            max_iter=max_iters,
+            tol=tol,
+        )
+        return ProductQuantizer._trained(result, h, m)
+
+    @staticmethod
     def encode_batch(codebooks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Nearest-centroid codes for all heads' vectors in one pass.
 
@@ -353,28 +441,16 @@ class ProductQuantizer:
 
         Returns:
             ``(h, n, m)`` uint16 codes, identical to running
-            :func:`~repro.core.kmeans.kmeans_assign` per head and sub-space.
+            :func:`~repro.core.kmeans.kmeans_assign` per head and sub-space
+            (it is the same kernel).
         """
         codebooks = ProductQuantizer._check_codebooks(codebooks)
-        h, m, _, sub_dim = codebooks.shape
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 3 or vectors.shape[0] != h or vectors.shape[2] != m * sub_dim:
-            raise DimensionError(
-                f"vectors must have shape ({h}, n, {m * sub_dim}), "
-                f"got {vectors.shape}"
-            )
-        n = vectors.shape[1]
-        sub = vectors.reshape(h, n, m, sub_dim).transpose(0, 2, 1, 3)
-        # Same ||x||^2 - 2 x.c + ||c||^2 expansion as kmeans_assign, with the
-        # cross term as a batched matmul so results stay bitwise identical to
-        # the per-head BLAS path.
-        x_sq = np.einsum("hmnd,hmnd->hmn", sub, sub)[..., None]
-        c_sq = np.einsum("hmcd,hmcd->hmc", codebooks, codebooks)[:, :, None, :]
-        dists = x_sq - 2.0 * (sub @ codebooks.transpose(0, 1, 3, 2)) + c_sq
-        np.maximum(dists, 0.0, out=dists)
-        return (
-            dists.argmin(axis=3).transpose(0, 2, 1).astype(np.uint16)
-        )  # (h, n, m)
+        h, m, num_centroids, sub_dim = codebooks.shape
+        labels, _ = nearest_centroid(
+            ProductQuantizer._split_batch(vectors, h, m, sub_dim),
+            codebooks.reshape(h * m, num_centroids, sub_dim),
+        )
+        return ProductQuantizer._to_codes(labels, h, m)
 
     # --------------------------------------------------------------- encode
 
@@ -387,12 +463,7 @@ class ProductQuantizer:
         :meth:`encode_batch`.
         """
         centroids = self.centroids
-        vectors = check_2d(vectors, "vectors")
-        if vectors.shape[1] != self.config.dim:
-            raise DimensionError(
-                f"vectors must have dim {self.config.dim}, got {vectors.shape[1]}"
-            )
-        return self.encode_batch(centroids[None], vectors[None])[0]
+        return self.encode_batch(centroids[None], self._check_keys(vectors)[None])[0]
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Reconstruct approximate vectors from codes, shape ``(n, dim)``."""

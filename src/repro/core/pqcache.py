@@ -44,9 +44,10 @@ The serving engine's shared-prefix cache reuses PQ artifacts across requests
 so a cache-hit prompt never re-clusters what an earlier request already
 fitted: :meth:`PQCacheManager.snapshot` captures the *pre-refine* state
 (sketch-fitted codebooks + every code assigned so far) **by reference** —
-nothing is copied; instead the manager flips into copy-on-write mode so a
-later :meth:`refine` clones the shared quantizers and a later
-:meth:`append_tokens` copies the shared code buffer before mutating.
+nothing is copied; :meth:`refine` never writes in place (it rebuilds the
+per-layer quantizers, codebooks and codes from fresh arrays) and the code
+buffers flip into copy-on-write mode so a later :meth:`append_tokens` copies
+the shared buffer before mutating.
 :meth:`PQCacheManager.attach` seeds a fresh manager from such a snapshot
 (sliced to the matched prefix length), likewise copy-on-write.  Snapshots
 are refcounted (``attach_count``/``release``; the serving engine balances
@@ -67,7 +68,7 @@ from ..llm.config import ModelConfig
 from ..llm.kvcache import KVCache, TokenSegments
 from ..utils import as_rng, topk_indices
 from .gpu_cache import BlockGpuCache
-from .pq import PQConfig, ProductQuantizer, stack_codebooks
+from .pq import PQConfig, ProductQuantizer, unstack_codebooks
 
 __all__ = [
     "PQCacheConfig",
@@ -199,7 +200,7 @@ class PQSnapshot:
     Everything is held *by reference*: the producing manager flips into
     copy-on-write mode when the snapshot is taken, and consumers attach the
     arrays copy-on-write too, so no codes or centroids are duplicated until
-    someone actually mutates them (``refine`` clones the quantizers,
+    someone actually mutates them (``refine`` builds new codebooks,
     ``append_tokens`` copies the code buffer).
 
     Attributes:
@@ -299,14 +300,14 @@ class PQCacheManager:
                 f"head_dim {head_dim} not divisible by num_partitions "
                 f"{self.config.num_partitions}"
             )
+        self._pq_config = self.config.pq_config(head_dim)
+        #: per-layer, per-head quantizers — views of the stacked codebooks
         self._quantizers: list[list[ProductQuantizer]] = []
         #: per-layer stacked codebooks, each ``(h_kv, m, 2**b, sub_dim)``
         self._codebooks: list[np.ndarray] = []
         #: per-layer shared code buffers, each backing ``(capacity, h_kv, m)``
         self._codes: list[_LayerCodeBuffer] = []
         self._built = False
-        #: quantizers are shared with a snapshot — clone before refining
-        self._cow_quantizers = False
         #: prompt tokens the codebook fit saw (0 = one-shot full build)
         self.sketch_upto = 0
         self.total_kmeans_iterations = 0
@@ -329,6 +330,26 @@ class PQCacheManager:
         if not self._built:
             raise NotFittedError("PQCacheManager.build must be called first")
 
+    def _reset(self, sketch_upto: int) -> None:
+        """Drop any previous index ahead of a (re)build; the lists are
+        rebound, never cleared — a snapshot may still hold the old ones."""
+        self._quantizers = []
+        self._codebooks = []
+        self._codes = []
+        self.sketch_upto = sketch_upto
+        self.total_kmeans_iterations = 0
+
+    def _adopt(
+        self, codebooks: np.ndarray, codes: np.ndarray, n_iter: np.ndarray
+    ) -> None:
+        """Append one layer's batched training output — ``(h_kv, m, 2**b,
+        sub_dim)`` codebooks, ``(h_kv, n, m)`` codes, per-problem Lloyd
+        iterations — in the batched decode layout."""
+        self._quantizers.append(unstack_codebooks(self._pq_config, codebooks))
+        self._codebooks.append(codebooks)
+        self._codes.append(_LayerCodeBuffer(codes.transpose(1, 0, 2)))
+        self.total_kmeans_iterations += int(n_iter.sum())
+
     def build(self, kvcache: KVCache, max_iters: int | None = None) -> None:
         """Train PQ codebooks on every layer/head's prefilled keys.
 
@@ -337,32 +358,15 @@ class PQCacheManager:
             max_iters: optional Lloyd iteration cap (e.g. from the adaptive
                 planner); defaults to the config's ``max_kmeans_iters``.
         """
-        cfg = self.config
-        model = self.model_config
-        self._quantizers = []
-        self._codebooks = []
-        self._codes = []
-        self._cow_quantizers = False
-        self.sketch_upto = 0
-        self.total_kmeans_iterations = 0
-        iters = cfg.max_kmeans_iters if max_iters is None else int(max_iters)
-
-        for layer_index in range(model.num_layers):
-            layer_cache = kvcache[layer_index]
-            layer_q: list[ProductQuantizer] = []
-            head_codes: list[np.ndarray] = []
-            for head in range(model.num_kv_heads):
-                pq = ProductQuantizer(cfg.pq_config(model.head_dim))
-                codes = pq.fit(layer_cache.keys[head], max_iters=iters)
-                self.total_kmeans_iterations += pq.last_fit_iterations
-                layer_q.append(pq)
-                head_codes.append(codes)
-            self._quantizers.append(layer_q)
-            # Stack per-head state into the batched decode layout: one
-            # (h_kv, m, 2**b, sub_dim) codebook tensor and one shared
-            # (capacity, h_kv, m) code buffer per layer.
-            self._codebooks.append(stack_codebooks(layer_q))
-            self._codes.append(_LayerCodeBuffer(np.stack(head_codes, axis=1)))
+        self._reset(sketch_upto=0)
+        for layer_index in range(self.model_config.num_layers):
+            # One K-Means call over the layer's h_kv * m (head, sub-space)
+            # problems; its outputs are already in the batched decode layout.
+            self._adopt(
+                *ProductQuantizer.fit_batch(
+                    self._pq_config, kvcache[layer_index].keys, max_iters
+                )
+            )
         self._built = True
 
     def build_incremental(
@@ -388,42 +392,30 @@ class PQCacheManager:
             sample_tokens: sketch size; ``None`` or values >= ``upto`` use
                 every available token.
         """
-        cfg = self.config
-        model = self.model_config
         if upto <= 0:
             raise ConfigurationError("upto must be positive")
         if len(kvcache[0]) < upto:
             raise ConfigurationError(
                 f"kvcache holds {len(kvcache[0])} tokens, need {upto}"
             )
-        self._quantizers = []
-        self._codebooks = []
-        self._codes = []
-        self._cow_quantizers = False
-        self.sketch_upto = int(upto)
-        self.total_kmeans_iterations = 0
-        iters = cfg.max_kmeans_iters if max_iters is None else int(max_iters)
-        rng = as_rng(cfg.seed)
+        self._reset(sketch_upto=int(upto))
         sketch: np.ndarray | None = None
         if sample_tokens is not None and sample_tokens < upto:
             # One shared token sample across layers/heads: deterministic for
             # the config seed, sorted to keep gathers cache-friendly.
+            rng = as_rng(self.config.seed)
             sketch = np.sort(rng.choice(upto, size=int(sample_tokens), replace=False))
 
-        for layer_index in range(model.num_layers):
+        for layer_index in range(self.model_config.num_layers):
             keys = kvcache[layer_index].keys[:, :upto, :]
-            layer_q: list[ProductQuantizer] = []
-            for head in range(model.num_kv_heads):
-                pq = ProductQuantizer(cfg.pq_config(model.head_dim))
-                training = keys[head] if sketch is None else keys[head][sketch]
-                pq.fit(training, max_iters=iters)
-                self.total_kmeans_iterations += pq.last_fit_iterations
-                layer_q.append(pq)
-            self._quantizers.append(layer_q)
-            codebooks = stack_codebooks(layer_q)
-            self._codebooks.append(codebooks)
-            codes = ProductQuantizer.encode_batch(codebooks, keys)  # (h, n, m)
-            self._codes.append(_LayerCodeBuffer(codes.transpose(1, 0, 2)))
+            codebooks, _, n_iter = ProductQuantizer.fit_batch(
+                self._pq_config,
+                keys if sketch is None else keys[:, sketch],
+                max_iters,
+            )
+            self._adopt(
+                codebooks, ProductQuantizer.encode_batch(codebooks, keys), n_iter
+            )
         self._built = True
 
     def refine(
@@ -447,31 +439,24 @@ class PQCacheManager:
             tol: relative inertia-improvement convergence tolerance.
         """
         self._require_built()
-        model = self.model_config
-        if self._cow_quantizers:
-            # The quantizers are shared with a prefix-cache snapshot (or came
-            # from one): refine mutates centroids in place, so clone first.
-            self._quantizers = [
-                [pq.clone() for pq in layer] for layer in self._quantizers
-            ]
-            self._cow_quantizers = False
-        for layer_index in range(model.num_layers):
-            n = len(self._codes[layer_index])
+        counts = [len(buf) for buf in self._codes]
+        for layer_index, n in enumerate(counts):
             if len(kvcache[layer_index]) < n:
                 raise ConfigurationError(
                     f"kvcache layer {layer_index} holds "
                     f"{len(kvcache[layer_index])} tokens, {n} are encoded"
                 )
-            keys = kvcache[layer_index].keys[:, :n, :]
-            head_codes: list[np.ndarray] = []
-            for head, pq in enumerate(self._quantizers[layer_index]):
-                head_codes.append(pq.refine(keys[head], max_iters=max_iters, tol=tol))
-                self.total_kmeans_iterations += pq.last_refine_iterations
-            self._codebooks[layer_index] = stack_codebooks(
-                self._quantizers[layer_index]
-            )
-            self._codes[layer_index] = _LayerCodeBuffer(
-                np.stack(head_codes, axis=1)
+        iters = self.config.max_kmeans_iters if max_iters is None else int(max_iters)
+        # Nothing is refined in place — the per-layer lists are rebuilt from
+        # fresh arrays — so a prefix-cache snapshot that shares the old
+        # quantizers, codebooks or codes keeps seeing exactly what it captured.
+        previous = self._codebooks
+        self._quantizers, self._codebooks, self._codes = [], [], []
+        for layer_index, n in enumerate(counts):
+            self._adopt(
+                *ProductQuantizer.refine_batch(
+                    previous[layer_index], kvcache[layer_index].keys[:, :n, :], iters, tol
+                )
             )
 
     # ------------------------------------------------------- prefix reuse
@@ -484,14 +469,13 @@ class PQCacheManager:
         function of the prompt prefix and the PQ configuration, so any later
         request sharing the prefix reproduces it bit-for-bit by attaching
         instead of re-clustering.  The manager flips into copy-on-write mode:
-        a subsequent :meth:`refine` clones the quantizers and a subsequent
+        a subsequent :meth:`refine` replaces the quantizers and a subsequent
         :meth:`append_tokens` copies the shared code buffer, leaving the
         snapshot's arrays untouched.
         """
         self._require_built()
         for buf in self._codes:
             buf.mark_shared()
-        self._cow_quantizers = True
         return PQSnapshot(
             quantizers=self._quantizers,
             codebooks=list(self._codebooks),
@@ -535,7 +519,6 @@ class PQCacheManager:
         ):
             raise ConfigurationError("snapshot geometry does not match model")
         self._quantizers = snapshot.quantizers
-        self._cow_quantizers = True
         self._codebooks = list(snapshot.codebooks)
         self._codes = [
             _LayerCodeBuffer(codes[:upto], shared=True) for codes in snapshot.codes
@@ -716,7 +699,7 @@ class PQCacheManager:
         centroid_bytes = (
             model.num_layers
             * model.num_kv_heads
-            * cfg.pq_config(model.head_dim).centroid_bytes(model.dtype_bytes)
+            * self._pq_config.centroid_bytes(model.dtype_bytes)
         )
         raw_kv_bytes = model.kvcache_bytes(seq_len)
         return {

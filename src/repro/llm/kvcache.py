@@ -149,11 +149,23 @@ class LayerKVCache:
         capacity = self._keys.shape[1]
         if needed <= capacity:
             return
-        new_capacity = max(needed, capacity + self._GROWTH, capacity * 2)
-        grow = new_capacity - capacity
-        pad = np.zeros((self.num_kv_heads, grow, self.head_dim), dtype=np.float64)
-        self._keys = np.concatenate([self._keys, pad], axis=1)
-        self._values = np.concatenate([self._values, pad.copy()], axis=1)
+        # Doubling, with ``_GROWTH`` rows to spare past what is asked for: a
+        # prefilled cache (one bulk append) would otherwise sit exactly full
+        # and copy itself whole for the first decoded token.
+        new_capacity = max(needed + self._GROWTH, capacity * 2)
+        # Uninitialised storage, live rows copied: rows past ``_length`` are
+        # never read (``keys`` / ``values`` slice to it) and, never touched,
+        # cost address space only; zero-filling them would touch every page
+        # of a buffer twice the live size.
+        self._keys = self._regrown(self._keys, new_capacity)
+        self._values = self._regrown(self._values, new_capacity)
+
+    def _regrown(self, buffer: np.ndarray, capacity: int) -> np.ndarray:
+        grown = np.empty(
+            (self.num_kv_heads, capacity, self.head_dim), dtype=np.float64
+        )
+        grown[:, : self._length] = buffer[:, : self._length]
+        return grown
 
     # -------------------------------------------------------------- append
 

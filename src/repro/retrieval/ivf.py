@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.kmeans import kmeans_fit
+from ..core.kmeans import kmeans_assign, kmeans_fit
 from ..errors import ConfigurationError, DimensionError, NotFittedError
 from ..utils import check_2d, topk_indices
 
@@ -64,12 +64,7 @@ class IVFIndex:
         if self._centroids is None:
             raise NotFittedError("train must be called before add")
         vectors = check_2d(vectors, "vectors")
-        dists = (
-            np.sum(vectors ** 2, axis=1, keepdims=True)
-            - 2.0 * vectors @ self._centroids.T
-            + np.sum(self._centroids ** 2, axis=1)[None, :]
-        )
-        cells = np.argmin(dists, axis=1)
+        cells = kmeans_assign(vectors, self._centroids)
         for offset, cell in enumerate(cells):
             vector_id = self._size + offset
             self._lists[cell] = np.concatenate(

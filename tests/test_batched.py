@@ -15,9 +15,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kmeans_oracle as oracle
 from repro.core import PQCacheConfig, PQCacheManager
 from repro.core.kmeans import kmeans_assign
-from repro.core.pq import PQConfig, ProductQuantizer, stack_codebooks
+from repro.core.pq import (
+    PQConfig,
+    ProductQuantizer,
+    stack_codebooks,
+    unstack_codebooks,
+)
 from repro.errors import ConfigurationError, DimensionError
 from repro.llm import KVCache, ModelConfig
 from repro.llm.attention import decode_attention
@@ -62,11 +68,12 @@ def _legacy_score(pq, query, codes):
 
 
 def _legacy_encode(pq, vectors):
-    sub_vectors = pq._split(vectors)
-    out = np.empty((vectors.shape[0], pq.config.num_partitions), dtype=np.uint16)
-    for part in range(pq.config.num_partitions):
+    cfg = pq.config
+    out = np.empty((vectors.shape[0], cfg.num_partitions), dtype=np.uint16)
+    for part in range(cfg.num_partitions):
+        sub_vectors = vectors[:, part * cfg.sub_dim:(part + 1) * cfg.sub_dim]
         out[:, part] = kmeans_assign(
-            sub_vectors[part], pq.centroids[part]
+            sub_vectors, pq.centroids[part]
         ).astype(np.uint16)
     return out
 
@@ -161,6 +168,63 @@ class TestBatchedKernelsMatchPerHeadLoops:
             assert np.array_equal(batched[head], legacy)
             assert np.array_equal(pq.encode(vectors[head]), legacy)
 
+    @pytest.mark.parametrize("h,m,bits,sub_dim,n", SHAPES)
+    def test_fit_batch_and_refine_batch(self, rng, h, m, bits, sub_dim, n):
+        """One K-Means call over all (head, sub-space) problems equals the
+        per-head wrappers exactly, and the scalar oracle's per-sub-space
+        loop (one generator per head, shared by its sub-spaces)."""
+        config = PQConfig(dim=m * sub_dim, num_partitions=m, num_bits=bits,
+                          max_kmeans_iters=4, seed=11)
+        keys = rng.normal(size=(h, n, m * sub_dim))
+        codebooks, codes, n_iter = ProductQuantizer.fit_batch(config, keys)
+        assert codebooks.shape == (h, m, 1 << bits, sub_dim)
+        assert codes.shape == (h, n, m) and codes.dtype == np.uint16
+        assert n_iter.shape == (h, m)
+        more = rng.normal(size=(h, n + 9, m * sub_dim))
+        refined = ProductQuantizer.refine_batch(codebooks, more, 3)
+        for head in range(h):
+            pq = ProductQuantizer(config)
+            assert np.array_equal(pq.fit(keys[head]), codes[head])
+            assert np.array_equal(pq.centroids, codebooks[head])
+            assert pq.last_fit_iterations == n_iter[head].sum()
+            shared = np.random.default_rng(config.seed)
+            for part in range(m):
+                sub = keys[head][:, part * sub_dim:(part + 1) * sub_dim]
+                want = oracle.fit(sub, 1 << bits, 4, seed=shared)
+                assert np.array_equal(codes[head][:, part], want.labels)
+                assert n_iter[head, part] == want.n_iter
+                assert_allclose(codebooks[head, part], want.centroids,
+                                rtol=0, atol=1e-12)
+            assert np.array_equal(pq.refine(more[head], max_iters=3),
+                                  refined[1][head])
+            assert np.array_equal(pq.centroids, refined[0][head])
+            assert pq.last_refine_iterations == refined[2][head].sum()
+
+    def test_fit_batch_max_iters_override_and_input_untouched(self, rng):
+        config = PQConfig(dim=8, num_partitions=2, num_bits=3, seed=0)
+        keys = rng.normal(size=(2, 60, 8))
+        frozen = keys.copy()
+        codebooks, _, n_iter = ProductQuantizer.fit_batch(config, keys, max_iters=0)
+        assert not n_iter.any()
+        start = codebooks.copy()
+        ProductQuantizer.refine_batch(codebooks, keys, 5)
+        assert np.array_equal(codebooks, start)  # not mutated
+        assert np.array_equal(keys, frozen)
+
+    def test_unstack_codebooks_round_trip(self, rng):
+        quantizers, _ = _fit_quantizers(rng, 3, 2, 4, 8, 50)
+        with pytest.raises(DimensionError):
+            unstack_codebooks(quantizers[0].config, quantizers[0].centroids)
+        # same geometry, one shared config
+        config = PQConfig(dim=16, num_partitions=2, num_bits=4)
+        stacked = stack_codebooks(quantizers)
+        views = unstack_codebooks(config, stacked)
+        assert len(views) == 3 and all(pq.is_fitted for pq in views)
+        assert np.array_equal(stack_codebooks(views), stacked)
+        assert np.shares_memory(views[1].centroids, stacked)
+        with pytest.raises(DimensionError):
+            unstack_codebooks(PQConfig(dim=16, num_partitions=4, num_bits=4), stacked)
+
     def test_batched_shape_validation(self, rng):
         quantizers, codes = _fit_quantizers(rng, 2, 2, 3, 4, 20)
         codebooks = stack_codebooks(quantizers)
@@ -173,6 +237,10 @@ class TestBatchedKernelsMatchPerHeadLoops:
             ProductQuantizer.encode_batch(codebooks, rng.normal(size=(2, 5, 7)))
         with pytest.raises(DimensionError):
             ProductQuantizer.score_batch(codebooks[0], queries, codes)
+        with pytest.raises(DimensionError):
+            ProductQuantizer.fit_batch(quantizers[0].config, rng.normal(size=(2, 20, 7)))
+        with pytest.raises(DimensionError):
+            ProductQuantizer.refine_batch(codebooks, rng.normal(size=(3, 20, 8)), 2)
 
 
 class TestVectorizedDecodeAttention:

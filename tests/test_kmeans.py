@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kmeans_oracle as oracle
+from repro.core import kmeans as kmeans_module
 from repro.core.kmeans import (
+    KMeansResult,
     _converged,
     _reseed_targets,
     kmeans_assign,
@@ -238,3 +241,177 @@ class TestKMeansRefine:
             kmeans_refine(points[:0], rng.normal(size=(4, 3)))  # no points
         with pytest.raises(ConfigurationError):
             kmeans_refine(points, rng.normal(size=(4, 3)), max_iter=-1)
+
+
+def _rows(result, j):
+    """Problem ``j`` of a batched result, as a 2-D call returns it."""
+    return (result.centroids[j], result.labels[j], float(result.inertia[j]),
+            int(result.n_iter[j]), bool(result.converged[j]))
+
+
+def _fields(result):
+    return (result.centroids, result.labels, result.inertia, result.n_iter,
+            result.converged)
+
+
+def _assert_identical(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+class TestOracleEquivalence:
+    """The batched kernel against the scalar implementation it replaced
+    (``tests/kmeans_oracle.py``): same draws, same update order, so labels,
+    iteration counts and convergence flags are identical and centroids agree
+    to rounding."""
+
+    SHAPES = [(256, 4, 16), (1300, 4, 64), (4096, 16, 64), (16271, 32, 64)]
+
+    @pytest.mark.parametrize("n,d,k", SHAPES)
+    @pytest.mark.parametrize("iters", [0, 2, 8])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fit_and_refine_match_the_scalar_oracle(self, n, d, k, iters, seed):
+        points = np.random.default_rng([seed, n, d]).normal(size=(n, d))
+        want = oracle.fit(points, k, iters, seed=seed)
+        oracle.assert_same(kmeans_fit(points, k, max_iter=iters, seed=seed), want)
+
+        # refine from a sketch fit, as the chunked-prefill pipeline does
+        start = oracle.fit(points[::8], k, 2, seed=seed).centroids
+        oracle.assert_same(
+            kmeans_refine(points, start, max_iter=iters),
+            oracle.lloyd(points, start, iters),
+        )
+
+    def test_shared_generator_is_consumed_like_consecutive_scalar_fits(self):
+        """``ProductQuantizer`` seeds a head's sub-spaces one after another
+        from one generator; a batch with one generator per head must leave
+        every problem with the draws the scalar loop gave it."""
+        heads, parts = 3, 2
+        points = np.random.default_rng(3).normal(size=(heads * parts, 700, 8))
+        batch = kmeans_fit(points, 32, max_iter=4,
+                           seed=[np.random.default_rng(9) for _ in range(heads)])
+        for head in range(heads):
+            shared = np.random.default_rng(9)
+            for part in range(parts):
+                j = head * parts + part
+                want = oracle.fit(points[j], 32, 4, seed=shared)
+                oracle.assert_same(KMeansResult(*_rows(batch, j)), want)
+
+    def test_assign_matches_the_scalar_oracle(self, rng):
+        points, centroids = rng.normal(size=(5000, 16)), rng.normal(size=(64, 16))
+        assert np.array_equal(kmeans_assign(points, centroids),
+                              oracle.assign(points, centroids))
+
+
+class TestBatchInvariance:
+    """A problem's result must not depend on its batch-mates: solved alone it
+    equals its row of a ``J = 8`` batch *exactly*."""
+
+    @pytest.mark.parametrize("n,d,k", [(90, 4, 16), (1500, 8, 64), (5000, 16, 64)])
+    def test_alone_equals_row_of_batch(self, n, d, k):
+        points = np.random.default_rng(n).normal(size=(8, n, d))
+        batch = kmeans_fit(points, k, max_iter=6, seed=list(range(8)))
+        start = points[:, :k] + 0.5
+        refined = kmeans_refine(points, start, max_iter=6)
+        assigned = kmeans_assign(points, start)
+        for j in range(8):
+            alone = kmeans_fit(points[j], k, max_iter=6, seed=j)
+            _assert_identical(_fields(alone), _rows(batch, j))
+            alone = kmeans_refine(points[j], start[j], max_iter=6)
+            _assert_identical(_fields(alone), _rows(refined, j))
+            assert np.array_equal(kmeans_assign(points[j], start[j]), assigned[j])
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        """Row blocking is an execution detail: shrinking the block so that
+        every problem spans many blocks (with a ragged tail) changes nothing."""
+        points = np.random.default_rng(0).normal(size=(3, 1000, 8))
+        want = kmeans_fit(points, 16, max_iter=5, seed=[0, 1, 2])
+        monkeypatch.setattr(kmeans_module, "_BLOCK_ELEMS", 16 * 37)
+        monkeypatch.setattr(kmeans_module, "_SCATTER_ELEMS", 1)
+        got = kmeans_fit(points, 16, max_iter=5, seed=[0, 1, 2])
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.n_iter, want.n_iter)
+        np.testing.assert_allclose(got.centroids, want.centroids, rtol=0, atol=1e-12)
+
+
+class TestHeterogeneousBatches:
+    def test_problems_converge_at_different_iterations(self, rng):
+        """Converged problems leave the batch; the rest keep iterating with
+        unchanged results."""
+        tight = _blobs(rng, np.array([[0.0, 0.0], [9.0, 9.0], [-9.0, 9.0], [9.0, -9.0]]),
+                       points_per_center=50)
+        loose = rng.normal(size=(3, 200, 2))
+        points = np.concatenate([tight[None], loose], axis=0)
+        batch = kmeans_fit(points, 4, max_iter=40, seed=[5, 6, 7, 8])
+        assert len(set(batch.n_iter.tolist())) > 1
+        assert batch.converged.all()
+        for j in range(4):
+            alone = kmeans_fit(points[j], 4, max_iter=40, seed=5 + j)
+            _assert_identical(_fields(alone), _rows(batch, j))
+            oracle.assert_same(alone, oracle.fit(points[j], 4, 40, seed=5 + j))
+
+    def test_only_some_problems_reseed_empty_clusters(self, rng, monkeypatch):
+        points = rng.normal(size=(4, 300, 3))
+        start = points[:, :8].copy()
+        start[1] = 100.0 + rng.normal(size=(8, 3))  # far away: 7 clusters empty
+        start[3, 2:] = -50.0                        # 6 coincident, far away
+        reseeded = []
+        real = kmeans_module._reseed_targets
+
+        def spy(pts, centroids, labels, num_empty):
+            reseeded.append(int(np.flatnonzero((points == pts).all(axis=(1, 2)))[0]))
+            return real(pts, centroids, labels, num_empty)
+
+        monkeypatch.setattr(kmeans_module, "_reseed_targets", spy)
+        batch = kmeans_refine(points, start, max_iter=10)
+        assert set(reseeded) == {1, 3}
+        monkeypatch.undo()
+        for j in range(4):
+            alone = kmeans_refine(points[j], start[j], max_iter=10)
+            _assert_identical(_fields(alone), _rows(batch, j))
+            oracle.assert_same(alone, oracle.lloyd(points[j], start[j], 10))
+
+    def test_fewer_points_than_clusters_in_a_batch(self, rng):
+        points = rng.normal(size=(5, 3, 4))
+        batch = kmeans_fit(points, 8, max_iter=10, seed=[0, 1, 2, 3, 4])
+        assert batch.centroids.shape == (5, 8, 4)
+        assert batch.labels.shape == (5, 3)
+        assert not batch.n_iter.any() and batch.converged.all()
+        for j in range(5):
+            _assert_identical(_fields(oracle.fit(points[j], 8, 10, seed=j)),
+                              _rows(batch, j))
+
+    def test_an_all_identical_points_problem_among_ordinary_ones(self, rng):
+        points = rng.normal(size=(3, 120, 4))
+        points[1] = 2.5
+        batch = kmeans_fit(points, 8, max_iter=10, seed=[0, 1, 2])
+        assert np.all(batch.centroids[1] == 2.5)
+        assert batch.inertia[1] == pytest.approx(0.0, abs=1e-9) and batch.converged[1]
+        assert np.isfinite(batch.inertia).all()
+        for j in range(3):
+            alone = kmeans_fit(points[j], 8, max_iter=10, seed=j)
+            _assert_identical(_fields(alone), _rows(batch, j))
+        for j in (0, 2):
+            oracle.assert_same(kmeans_fit(points[j], 8, max_iter=10, seed=j),
+                               oracle.fit(points[j], 8, 10, seed=j))
+
+
+class TestTwoDimensionalCallers:
+    def test_scalar_fields_and_2d_shapes(self, rng):
+        points = rng.normal(size=(64, 6))
+        for result in (kmeans_fit(points, 8, max_iter=5, seed=0),
+                       kmeans_refine(points, points[:8], max_iter=5)):
+            assert result.centroids.shape == (8, 6)
+            assert result.labels.shape == (64,) and result.labels.dtype == np.int64
+            assert type(result.inertia) is float
+            assert type(result.n_iter) is int
+            assert type(result.converged) is bool
+
+    def test_batch_validation(self, rng):
+        points = rng.normal(size=(4, 30, 3))
+        with pytest.raises(ConfigurationError):
+            kmeans_fit(points, 4, seed=[0, 1, 2])  # 3 seeds, 4 problems
+        with pytest.raises(ConfigurationError):
+            kmeans_refine(points, rng.normal(size=(3, 4, 3)))  # 3 centroid sets
+        with pytest.raises(DimensionError):
+            kmeans_fit(rng.normal(size=(2, 2, 30, 3)), 4)

@@ -32,6 +32,50 @@ class TestLayerKVCache:
         assert np.allclose(cache.keys[:, 0, :], first_key)
         assert len(cache) == 601
 
+    def test_growth_is_bitwise_and_hides_uninitialised_rows(self, rng):
+        """Growth allocates without zero-filling and copies the live rows
+        only: what was appended must read back bit for bit through ``keys``,
+        ``values`` and ``gather``, and the uninitialised tail past
+        ``len(cache)`` must never be reachable through any of them."""
+        cache = LayerKVCache(2, 4)
+        keys, values = [], []
+        # single tokens, a chunk that overshoots the doubling rule, an exact
+        # fill to the new capacity, then one more token
+        for t in (1, 1, 300, 1, 700, 45, 1):
+            k, v = rng.normal(size=(2, t, 4)), rng.normal(size=(2, t, 4))
+            cache.append(k, v)
+            keys.append(k)
+            values.append(v)
+            n = sum(len_.shape[1] for len_ in keys)
+            assert len(cache) == n
+            assert cache.keys.shape == cache.values.shape == (2, n, 4)
+            assert np.array_equal(cache.keys, np.concatenate(keys, axis=1))
+            assert np.array_equal(cache.values, np.concatenate(values, axis=1))
+            got_k, got_v = cache.gather(np.array([0, n - 1]))
+            assert np.array_equal(got_k, cache.keys[:, [0, n - 1]])
+            assert np.array_equal(got_v, cache.values[:, [0, n - 1]])
+            with pytest.raises(DimensionError):
+                cache.gather(np.array([n]))  # first row of the spare capacity
+
+    def test_growth_stays_amortised(self, rng):
+        def token():
+            return rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+
+        cache = LayerKVCache(1, 4)
+        cache.append(rng.normal(size=(1, 1000, 4)), rng.normal(size=(1, 1000, 4)))
+        prefilled = cache.keys.base
+        # a bulk append leaves room: decoding does not copy the prefill whole
+        # for its first token
+        for _ in range(LayerKVCache._GROWTH):
+            cache.append(*token())
+        assert cache.keys.base is prefilled
+        cache.append(*token())
+        doubled = cache.keys.base
+        assert doubled is not prefilled
+        for _ in range(2 * (1000 + LayerKVCache._GROWTH) - len(cache)):
+            cache.append(*token())  # up to twice the old buffer: no new one
+        assert cache.keys.base is doubled
+
     def test_shape_mismatch_rejected(self, rng):
         cache = LayerKVCache(2, 8)
         with pytest.raises(DimensionError):

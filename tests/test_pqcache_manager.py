@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PQCacheConfig, PQCacheManager
+from repro.core import PQCacheConfig, PQCacheManager, ProductQuantizer
 from repro.errors import ConfigurationError, NotFittedError
 from repro.llm import KVCache, ModelConfig
 
@@ -53,6 +53,23 @@ class TestBuild:
         for layer in range(tiny_config.num_layers):
             for head in range(tiny_config.num_kv_heads):
                 assert manager.codes(layer, head).shape == (200, 2)
+
+    def test_build_equals_per_head_fit(self, manager, tiny_config, kvcache):
+        """The layer-wide batched construction is the per-head
+        ``ProductQuantizer.fit`` loop it replaced — codebooks, codes and the
+        iteration total billed to ``_maybe_refresh`` — exactly."""
+        iterations = 0
+        for layer in range(tiny_config.num_layers):
+            for head in range(tiny_config.num_kv_heads):
+                pq = ProductQuantizer(manager.config.pq_config(tiny_config.head_dim))
+                codes = pq.fit(kvcache[layer].keys[head])
+                iterations += pq.last_fit_iterations
+                assert np.array_equal(manager.codes(layer, head), codes)
+                assert np.array_equal(manager.codebooks(layer)[head], pq.centroids)
+                assert np.array_equal(
+                    manager.quantizer(layer, head).centroids, pq.centroids
+                )
+        assert manager.total_kmeans_iterations == iterations
 
     def test_iteration_budget_respected(self, tiny_config, kvcache):
         mgr = PQCacheManager(tiny_config, PQCacheConfig(num_partitions=2, num_bits=4))
@@ -226,6 +243,68 @@ class TestIncrementalConstruction:
         incremental.refine(kvcache)
         after = self._reconstruction_error(incremental, kvcache, tiny_config)
         assert after <= before + 1e-12
+
+    def test_incremental_and_refine_equal_per_head_loops(self, tiny_config, kvcache):
+        """Sketch fit, full encode and the final refine, layer-wide, against
+        per-head quantizers doing the same three steps."""
+        mgr = PQCacheManager(tiny_config, self.CFG)
+        mgr.build_incremental(kvcache, upto=160, sample_tokens=64)
+        sketch = np.sort(np.random.default_rng(self.CFG.seed).choice(
+            160, size=64, replace=False))
+        heads = {}
+        fit_iterations = 0
+        for layer in range(tiny_config.num_layers):
+            for head in range(tiny_config.num_kv_heads):
+                pq = ProductQuantizer(self.CFG.pq_config(tiny_config.head_dim))
+                keys = kvcache[layer].keys[head, :160]
+                pq.fit(keys[sketch])
+                fit_iterations += pq.last_fit_iterations
+                assert np.array_equal(mgr.codes(layer, head), pq.encode(keys))
+                heads[layer, head] = pq
+        assert mgr.total_kmeans_iterations == fit_iterations
+        before = [mgr.codebooks(layer) for layer in range(tiny_config.num_layers)]
+        frozen = [codebooks.copy() for codebooks in before]
+
+        mgr.refine(kvcache, max_iters=4)
+        refine_iterations = 0
+        for (layer, head), pq in heads.items():
+            codes = pq.refine(kvcache[layer].keys[head, :160], max_iters=4)
+            refine_iterations += pq.last_refine_iterations
+            assert np.array_equal(mgr.codes(layer, head), codes)
+            assert np.array_equal(mgr.codebooks(layer)[head], pq.centroids)
+            assert np.array_equal(mgr.quantizer(layer, head).centroids, pq.centroids)
+        assert mgr.total_kmeans_iterations == fit_iterations + refine_iterations
+        # refine wrote new arrays: what a snapshot captured is untouched
+        for old, copy in zip(before, frozen):
+            assert np.array_equal(old, copy)
+
+    def test_refine_leaves_a_snapshot_untouched(self, tiny_config, kvcache):
+        mgr = self._incremental(tiny_config, kvcache)
+        snap = mgr.snapshot()
+        centroids = [[pq.centroids.copy() for pq in layer] for layer in snap.quantizers]
+        codebooks = [c.copy() for c in snap.codebooks]
+        codes = [c.copy() for c in snap.codes]
+        mgr.refine(kvcache)
+        for layer, layer_centroids in zip(snap.quantizers, centroids):
+            for pq, want in zip(layer, layer_centroids):
+                assert np.array_equal(pq.centroids, want)
+        for got, want in zip(snap.codebooks, codebooks):
+            assert np.array_equal(got, want)
+        for got, want in zip(snap.codes, codes):
+            assert np.array_equal(got, want)
+        assert not np.array_equal(mgr.codebooks(0), snap.codebooks[0])
+
+    def test_refine_validates_before_touching_state(self, tiny_config, kvcache):
+        mgr = self._incremental(tiny_config, kvcache)
+        short = KVCache(tiny_config.num_layers, tiny_config.num_kv_heads,
+                        tiny_config.head_dim)
+        for layer in range(tiny_config.num_layers):
+            short[layer].append(kvcache[layer].keys[:, :10], kvcache[layer].values[:, :10])
+        before = mgr.layer_codes(0).copy()
+        with pytest.raises(ConfigurationError):
+            mgr.refine(short)
+        assert np.array_equal(mgr.layer_codes(0), before)
+        assert mgr.quantizer(0, 0).is_fitted
 
     def test_refine_then_decode_append_keeps_alignment(self, tiny_config, kvcache, rng):
         mgr = self._incremental(tiny_config, kvcache)
