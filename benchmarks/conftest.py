@@ -2,7 +2,8 @@
 
 Every benchmark module regenerates one table or figure of the paper.  The
 quality benchmarks run the full evaluation pipeline on scaled-down synthetic
-suites (see DESIGN.md for the substitution rationale); the efficiency
+suites (no pretrained weights or LongBench data exist offline, so a coupled
+random-initialised model and planted-evidence tasks stand in); the efficiency
 benchmarks use the analytical latency/memory models.  Each module prints the
 rows/series it reproduces so `pytest benchmarks/ --benchmark-only -s` yields a
 report alongside the timing numbers.

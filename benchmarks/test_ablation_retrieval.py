@@ -3,8 +3,8 @@
 The paper chooses PQ over other ANNS structures because of its negligible
 construction cost; §5 lists IVF/HNSW as future extensions.  This ablation
 compares retrieval recall and (modelled) construction cost of flat, IVF and
-PQ indexes over real per-head key matrices from the substrate, supporting the
-design-choice discussion in DESIGN.md.
+PQ indexes over real per-head key matrices from the substrate — the paper's
+case for PQ is what it costs to build during prefill, not a recall advantage.
 """
 
 import numpy as np

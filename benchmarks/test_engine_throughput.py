@@ -321,7 +321,7 @@ def test_chunked_prefill_ttft(benchmark):
     # The unchunked baseline charges the same simulated makespan whether the
     # prefill tensor math reruns or not, so share one precomputed prefill to
     # halve the benchmark's NumPy wall-clock.
-    baseline_prefill = model.prefill(long_prompt, query_block=1024)
+    baseline_prefill = model.prefill(long_prompt)
 
     def serve(chunk_tokens, reuse_prefill):
         engine = InferenceEngine(

@@ -1,7 +1,13 @@
 """Transformer inference substrate: configs, layers, KVCache, model,
 generation loop and tokenizer."""
 
-from .attention import causal_attention, decode_attention, expand_kv_heads
+from .attention import (
+    PREFILL_TILE,
+    causal_attention,
+    decode_attention,
+    expand_kv_heads,
+    prefill_attention,
+)
 from .config import ModelConfig
 from .generation import GenerationResult, StepSelections, greedy_generate
 from .kvcache import (
@@ -39,9 +45,11 @@ from .rope import apply_rope, rope_frequencies
 from .tokenizer import SimpleTokenizer
 
 __all__ = [
+    "PREFILL_TILE",
     "causal_attention",
     "decode_attention",
     "expand_kv_heads",
+    "prefill_attention",
     "ModelConfig",
     "GenerationResult",
     "StepSelections",

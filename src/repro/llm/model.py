@@ -28,19 +28,27 @@ Chunk-size invariance
 ---------------------
 Chunked prefilling is **bitwise identical** to single-shot prefilling: any
 partition of the prompt into chunks produces the same KVCache contents,
-aggregates and logits, bit for bit.  Every floating-point reduction in the
-prefill path is therefore written to be independent of how rows are batched:
+aggregates and logits, bit for bit.  The rule that buys this is one sentence:
+*the shape of every BLAS operand a token meets is a function of its absolute
+position; only the aggregate fold is sequential.*
 
-* dense projections run on a fixed global row-block grid
+* Dense projections run on a fixed global row-block grid
   (:data:`PREFILL_ROW_BLOCK` rows, zero-padded), because BLAS ``matmul``
-  results for one row change with the operand's row count;
-* attention logits and weighted sums use non-optimized ``einsum``
-  contractions, whose per-element accumulation over the contracted axis does
-  not depend on how the other axes are sliced;
-* softmax denominators and the accumulated/windowed score statistics use
-  strictly sequential reductions (``np.add.accumulate``), which are invariant
-  to trailing masked-out zeros and to chunk boundaries (unlike NumPy's
-  pairwise ``sum``).
+  results for one row change with the operand's row count — but within one
+  operand shape GEMM computes each output row from its own input row only.
+* Attention runs on a second fixed grid
+  (:func:`~repro.llm.attention.prefill_attention`,
+  :data:`~repro.llm.attention.PREFILL_TILE` query rows per tile): tile ``i``
+  is always the same two GEMMs over keys/values ``[0, (i + 1) * T)``,
+  zero-padded where the chunk does not cover the tile's rows or the cache
+  does not yet hold its keys.  Masked scores are exact zeros and ``0 * v``
+  adds nothing, so a row's logits, its fixed-width softmax denominator (a
+  plain ``sum``) and its output do not depend on what else is in the tile.
+* The accumulated/windowed per-key score statistics are the one reduction
+  *across* queries, and a tile can be split between two chunks, so they fold
+  strictly sequentially, one query row at a time
+  (:meth:`TransformerLM._fold_scores`); NumPy's pairwise ``sum`` over a
+  tile's rows would depend on where the chunk boundary fell.
 
 Row-wise operations (RMSNorm, SiLU, RoPE, residual adds) only reduce along
 the fixed feature axis and are invariant as-is.
@@ -67,7 +75,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DimensionError
 from ..utils import as_rng, softmax
-from .attention import decode_attention, expand_kv_heads
+from .attention import decode_attention, prefill_attention
 from .config import ModelConfig
 from .kvcache import KVCache
 from .layers import Linear, RMSNorm, SwiGLU
@@ -156,36 +164,6 @@ def _decode_rows(fn, rows: np.ndarray) -> np.ndarray:
     if len(pieces) == 1:
         return pieces[0]
     return np.concatenate(pieces, axis=0)
-
-
-def _accumulate_rows(
-    totals: np.ndarray,
-    scores: np.ndarray,
-    capture_rows: "list[tuple[int, int]] | None" = None,
-) -> "list[np.ndarray] | None":
-    """Fold per-query score rows into running per-key totals sequentially.
-
-    ``totals`` is ``(h, >=width)`` and ``scores`` is ``(h, q, width)``; the
-    update is the strictly sequential scan
-    ``totals = (...((totals + s_0) + s_1)... + s_{q-1})``, so the result does
-    not depend on how queries were grouped into blocks or chunks (NumPy's
-    pairwise ``sum(axis=1)`` would).
-
-    ``capture_rows`` requests mid-scan snapshots: each ``(j, width_j)`` entry
-    yields a copy of the totals *after folding the first ``j`` score rows*,
-    restricted to the first ``width_j`` keys.  Because the scan is strictly
-    sequential, such a snapshot is bitwise identical to the totals a prefill
-    that *stopped* after those queries would hold — which is what lets the
-    prefix cache resume a prefill mid-prompt without perturbing a single bit
-    of the accumulated aggregates.
-    """
-    width = scores.shape[2]
-    stacked = np.concatenate([totals[:, None, :width], scores], axis=1)
-    scan = np.add.accumulate(stacked, axis=1)
-    totals[:, :width] = scan[:, -1, :]
-    if not capture_rows:
-        return None
-    return [scan[:, j, :w].copy() for j, w in capture_rows]
 
 
 @dataclass
@@ -286,7 +264,6 @@ class PrefillState:
             *when* tokens are processed, not what the prompt is).
         observation_window: effective trailing-query window
             (``min(requested, seq_len)``) for the SnapKV-style aggregate.
-        query_block: query-block size of the streaming attention loop.
         kvcache: cache being filled; after chunk ``i`` it holds exactly the
             tokens processed so far, for every layer.
         next_pos: index of the first unprocessed token.
@@ -309,7 +286,6 @@ class PrefillState:
 
     token_ids: np.ndarray
     observation_window: int
-    query_block: int
     kvcache: KVCache
     acc_scores: list[np.ndarray]
     window_scores: list[np.ndarray]
@@ -370,7 +346,8 @@ class TransformerLM:
             random-initialised model has no such alignment, so the synthetic
             evaluation harness uses a non-zero coupling to recover the
             "matching tokens attend to each other" behaviour that makes
-            planted evidence retrievable (see DESIGN.md substitutions).
+            planted evidence retrievable — the substitution that stands in
+            for pretrained weights, which do not exist offline.
         rope_base: RoPE theta base; larger values weaken the positional
             rotation, which the evaluation harness uses so that evidence far
             from the question is not positionally suppressed.
@@ -471,7 +448,6 @@ class TransformerLM:
         token_ids: Sequence[int],
         observation_window: int = 32,
         collect_queries: bool = False,
-        query_block: int = 256,
         kvcache: KVCache | None = None,
         prefix_len: int = 0,
         prefix_acc_scores: "list[np.ndarray] | None" = None,
@@ -485,7 +461,6 @@ class TransformerLM:
                 window aggregate.
             collect_queries: also collect per-layer prompt queries (needed by
                 the Oracle policy's offline analysis and by tests).
-            query_block: block size for the streaming attention aggregation.
             kvcache: cache to fill; defaults to a fresh monolithic
                 :class:`~repro.llm.kvcache.KVCache`.  The serving engine
                 passes a :class:`~repro.llm.kvcache.PagedKVCache` here.
@@ -510,8 +485,6 @@ class TransformerLM:
             raise ConfigurationError("prompt must contain at least one token")
         if observation_window <= 0:
             raise ConfigurationError("observation_window must be positive")
-        if query_block <= 0:
-            raise ConfigurationError("query_block must be positive")
         cfg = self.config
         s = int(token_ids.size)
         prefix_len = int(prefix_len)
@@ -575,7 +548,6 @@ class TransformerLM:
         return PrefillState(
             token_ids=token_ids,
             observation_window=min(observation_window, s),
-            query_block=int(query_block),
             kvcache=kvcache,
             acc_scores=acc_scores,
             window_scores=[
@@ -589,7 +561,12 @@ class TransformerLM:
             acc_snapshot_boundaries=boundaries,
         )
 
-    def prefill_chunk(self, state: PrefillState, num_tokens: int) -> int:
+    def prefill_chunk(
+        self,
+        state: PrefillState,
+        num_tokens: int,
+        timings: "dict[str, float] | None" = None,
+    ) -> int:
         """Process the next ``num_tokens`` prompt tokens through every layer.
 
         Appends the chunk's keys/values to the state's KVCache, accumulates
@@ -601,6 +578,11 @@ class TransformerLM:
             state: prefill state from :meth:`begin_prefill`.
             num_tokens: chunk-size budget; the chunk is clipped to the
                 remaining prompt.
+            timings: optional accumulator for host wall-clock stage seconds —
+                ``"projection"`` (norm, Q/K/V/O projections, RoPE, cache
+                append), ``"attention"`` (the tiled GEMMs and softmax),
+                ``"aggregates"`` (the per-key score folds) and ``"ffn"`` are
+                added into it.
 
         Returns:
             The number of tokens actually processed.
@@ -613,13 +595,12 @@ class TransformerLM:
         start = state.next_pos
         stop = min(start + num_tokens, state.seq_len)
         t = stop - start
-        group = cfg.gqa_group_size
         positions = np.arange(start, stop)
         hidden = self.embedding[state.token_ids[start:stop]]
-        # First prompt query that counts towards the windowed aggregate.
-        window_start = state.seq_len - state.observation_window
+        stages = dict.fromkeys(("projection", "attention", "aggregates", "ffn"), 0.0)
 
         for layer_index, layer in enumerate(self.layers):
+            tick = perf_counter()
             normed = layer.attn_norm(hidden)
             q = _blocked_rows(layer.q_proj, normed, start)
             k = _blocked_rows(layer.k_proj, normed, start)
@@ -633,71 +614,80 @@ class TransformerLM:
             layer_cache.append(k, v)
             if state.chunk_queries is not None:
                 state.chunk_queries[layer_index].append(q)
+            stages["projection"] += perf_counter() - tick
 
-            # Streaming causal attention of the chunk's queries over every
-            # key cached so far (earlier chunks + this one), with O(t * block)
-            # extra memory, while accumulating the column-sum statistics the
-            # baselines need.  Each query block attends only keys up to its
-            # own last row — later keys are causally masked for every query
-            # in the block, and all reductions here are width-stable, so
-            # skipping them is bitwise-free (and halves the work).
-            k_exp = expand_kv_heads(layer_cache.keys, group)
-            v_exp = expand_kv_heads(layer_cache.values, group)
-            acc = state.acc_scores[layer_index]
-            win = state.window_scores[layer_index]
-            outputs = np.empty((cfg.num_heads, t, cfg.head_dim))
-            for b0 in range(0, t, state.query_block):
-                b1 = min(b0 + state.query_block, t)
-                width = start + b1
-                q_blk = q[:, b0:b1, :]
-                logits = np.einsum(
-                    "hqd,hkd->hqk", q_blk, k_exp[:, :width, :]
-                ) / np.sqrt(cfg.head_dim)
-                cols = np.arange(width)[None, :]
-                rows = np.arange(start + b0, start + b1)[:, None]
-                logits = np.where(cols > rows, -np.inf, logits)
-                # Width-stable softmax: the max ignores the -inf mask and the
-                # denominator is a strictly sequential scan, so a row's
-                # weights do not depend on how many masked future keys the
-                # block happens to carry.
-                peak = np.max(logits, axis=-1, keepdims=True)
-                scores = np.exp(logits - peak)
-                scores /= np.add.accumulate(scores, axis=-1)[..., -1:]
-                outputs[:, b0:b1, :] = np.einsum(
-                    "hqk,hkd->hqd", scores, v_exp[:, :width, :]
-                )
-                # Accumulated-score snapshot boundaries that fall inside this
-                # query block are captured mid-scan: the totals after query
-                # L-1, restricted to keys [0, L), are exactly what a prefill
-                # resumed at L needs as its accumulated-score init.
-                captures = [
-                    (boundary - (start + b0), boundary)
-                    for boundary in state.acc_snapshot_boundaries
-                    if start + b0 < boundary <= start + b1
-                ]
-                captured = _accumulate_rows(acc, scores, captures or None)
-                if captured:
-                    for (_, boundary), snapshot in zip(captures, captured):
-                        sink = state.acc_snapshots.setdefault(
-                            boundary, [None] * cfg.num_layers
-                        )
-                        sink[layer_index] = snapshot
-                w0 = max(start + b0, window_start)
-                if w0 < start + b1:
-                    _accumulate_rows(win, scores[:, w0 - (start + b0):, :])
+            # Causal attention of the chunk's queries over every key cached
+            # so far (earlier chunks + this one); the per-key statistics the
+            # baselines need are folded in tile by tile.
+            def fold(position: int, scores: np.ndarray) -> None:
+                began = perf_counter()
+                self._fold_scores(state, layer_index, position, scores)
+                stages["aggregates"] += perf_counter() - began
 
+            tick = perf_counter()
+            outputs = prefill_attention(
+                q, layer_cache.keys, layer_cache.values, on_scores=fold
+            )
+            stages["attention"] += perf_counter() - tick  # folds taken out below
+
+            tick = perf_counter()
             attn_out = outputs.transpose(1, 0, 2).reshape(t, cfg.hidden_dim)
             hidden = hidden + _blocked_rows(layer.o_proj, attn_out, start)
+            stages["projection"] += perf_counter() - tick
+            tick = perf_counter()
             hidden = hidden + _blocked_rows(
                 layer.ffn, layer.ffn_norm(hidden), start
             )
+            stages["ffn"] += perf_counter() - tick
 
         state.next_pos = stop
         if state.is_complete:
             state.last_hidden = hidden[-1]
             final = self.final_norm(hidden[-1])
             state.logits = self.lm_head @ final
+        stages["attention"] -= stages["aggregates"]
+        if timings is not None:
+            for stage, seconds in stages.items():
+                timings[stage] = timings.get(stage, 0.0) + seconds
         return t
+
+    def _fold_scores(
+        self,
+        state: PrefillState,
+        layer_index: int,
+        position: int,
+        scores: np.ndarray,
+    ) -> None:
+        """Fold consecutive queries' score rows into the per-key aggregates.
+
+        ``scores`` is ``(h, rows, >= position + rows)``: the post-softmax
+        rows of the queries at ``position, position + 1, ...``.  Each total is
+        the strictly sequential fold ``(...((acc + s_0) + s_1)...)`` over
+        queries, one row at a time.  A tile's column sum would not do: a tile
+        can be split between two chunks, and NumPy's pairwise ``sum`` of the
+        two halves differs from the sum of the whole.
+
+        Because the fold is sequential, the totals after query ``L - 1``
+        restricted to keys ``[0, L)`` are bitwise what a prefill that
+        *stopped* there would hold — captured at the requested snapshot
+        boundaries, that is what lets the prefix cache resume a prefill
+        mid-prompt without perturbing a single bit of the aggregates.
+        """
+        acc = state.acc_scores[layer_index]
+        win = state.window_scores[layer_index]
+        # First prompt query that counts towards the windowed aggregate.
+        window_start = state.seq_len - state.observation_window
+        for j in range(scores.shape[1]):
+            seen = position + j + 1
+            row = scores[:, j, :seen]
+            acc[:, :seen] += row
+            if seen > window_start:
+                win[:, :seen] += row
+            if seen in state.acc_snapshot_boundaries:
+                sink = state.acc_snapshots.setdefault(
+                    seen, [None] * self.config.num_layers
+                )
+                sink[layer_index] = acc[:, :seen].copy()
 
     def finish_prefill(self, state: PrefillState) -> PrefillResult:
         """Package a completed :class:`PrefillState` as a :class:`PrefillResult`."""
@@ -745,8 +735,8 @@ class TransformerLM:
         token_ids: Sequence[int],
         observation_window: int = 32,
         collect_queries: bool = False,
-        query_block: int = 256,
         chunk_size: int | None = None,
+        timings: "dict[str, float] | None" = None,
     ) -> PrefillResult:
         """Run the prompt through the model and fill the KVCache.
 
@@ -760,8 +750,9 @@ class TransformerLM:
                 window aggregate.
             collect_queries: also return per-layer prompt queries (needed by
                 the Oracle policy's offline analysis and by tests).
-            query_block: block size for the streaming attention aggregation.
             chunk_size: tokens per prefill chunk.
+            timings: optional host wall-clock stage accumulator, passed to
+                every :meth:`prefill_chunk` call.
 
         Returns:
             A :class:`PrefillResult`.
@@ -770,11 +761,10 @@ class TransformerLM:
             token_ids,
             observation_window=observation_window,
             collect_queries=collect_queries,
-            query_block=query_block,
         )
         step = state.seq_len if chunk_size is None else int(chunk_size)
         while not state.is_complete:
-            self.prefill_chunk(state, step)
+            self.prefill_chunk(state, step, timings)
         return self.finish_prefill(state)
 
     # -------------------------------------------------------------- decode

@@ -846,11 +846,21 @@ class InferenceEngine(PoolPressureMixin):
             )
             return
         else:
+            timings: dict[str, float] = {}
             prefill = self.model.prefill(
                 request.prompt_ids,
                 observation_window=request.sampling.observation_window,
+                timings=timings,
             )
+            self._record_prefill_timings(timings)
         self._complete_prefill(state, prefill, new_tokens)
+
+    def _record_prefill_timings(self, timings: dict[str, float]) -> None:
+        """Sum one prefill call's host wall-clock stage seconds into the metrics."""
+        self.metrics.prefill_projection_seconds += timings.get("projection", 0.0)
+        self.metrics.prefill_attention_seconds += timings.get("attention", 0.0)
+        self.metrics.prefill_aggregates_seconds += timings.get("aggregates", 0.0)
+        self.metrics.prefill_ffn_seconds += timings.get("ffn", 0.0)
 
     def _run_prefill_chunk(
         self, state: RequestState, num_tokens: int, new_tokens: dict[str, list[int]]
@@ -870,7 +880,11 @@ class InferenceEngine(PoolPressureMixin):
             if not self._ensure_blocks(state, self._append_blocks_needed(state, take)):
                 self._preempt_victim(state)
                 return
-        processed = self.model.prefill_chunk(state.prefill_state, num_tokens)
+        timings: dict[str, float] = {}
+        processed = self.model.prefill_chunk(
+            state.prefill_state, num_tokens, timings
+        )
+        self._record_prefill_timings(timings)
         state.chunk_lens.append(processed)
         state.metrics.prefill_chunks += 1
         self.metrics.prefill_chunks += 1

@@ -532,6 +532,14 @@ class EngineMetrics:
     decode_maintenance_seconds: float = 0.0
     pq_refreshes: int = 0
     pq_refresh_seconds: float = 0.0
+    #: host wall-clock stage breakdown of every model prefill chunk
+    #: (``TransformerLM.prefill_chunk(timings=...)``): norm + Q/K/V/O
+    #: projections + RoPE + cache append, tiled causal attention, the
+    #: per-key score folds the dropping baselines read, and the FFN.
+    prefill_projection_seconds: float = 0.0
+    prefill_attention_seconds: float = 0.0
+    prefill_aggregates_seconds: float = 0.0
+    prefill_ffn_seconds: float = 0.0
 
     def observe_decode_batch(self, batch_size: int) -> None:
         """Record one fused decode round over ``batch_size`` requests."""
@@ -730,4 +738,8 @@ class EngineMetrics:
             "decode_maintenance_seconds": self.decode_maintenance_seconds,
             "pq_refreshes": self.pq_refreshes,
             "pq_refresh_seconds": self.pq_refresh_seconds,
+            "prefill_projection_seconds": self.prefill_projection_seconds,
+            "prefill_attention_seconds": self.prefill_attention_seconds,
+            "prefill_aggregates_seconds": self.prefill_aggregates_seconds,
+            "prefill_ffn_seconds": self.prefill_ffn_seconds,
         }

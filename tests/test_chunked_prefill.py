@@ -9,10 +9,11 @@ these tests drive both the convenience wrapper and the raw
 check every registered policy's decode-time selections on top.
 
 A faithful copy of the seed's original monolithic implementation is kept
-here as a reference: the rewritten kernel uses chunk-invariant reductions
-(sequential scans instead of pairwise sums), so it matches the seed to tight
-floating-point tolerance rather than bitwise — while remaining *exactly*
-equal across chunkings.
+here as a reference: the model's kernel runs on a fixed tile grid of GEMMs
+and folds its aggregates one query row at a time, so it matches the seed to
+tight floating-point tolerance rather than bitwise — while remaining
+*exactly* equal across chunkings.  ``TestTileGrid`` repeats the contract on
+prompts long enough to leave the first attention tile and projection block.
 """
 
 import numpy as np
@@ -20,7 +21,15 @@ import pytest
 
 from repro.baselines import POLICY_NAMES, SelectionBudget, build_policy
 from repro.errors import ConfigurationError
-from repro.llm import KVCache, ModelConfig, TransformerLM, expand_kv_heads
+from repro.llm import (
+    PREFILL_TILE,
+    KVCache,
+    ModelConfig,
+    TransformerLM,
+    causal_attention,
+    expand_kv_heads,
+    prefill_attention,
+)
 from repro.llm.rope import apply_rope
 from repro.utils import softmax
 
@@ -145,9 +154,9 @@ class TestBitwiseChunkInvariance:
         ):
             assert np.array_equal(ref_q, chunk_q)
 
-    def test_query_block_size_is_bitwise_irrelevant(self, chunk_model, chunk_prompt):
-        a = chunk_model.prefill(chunk_prompt, query_block=5)
-        b = chunk_model.prefill(chunk_prompt, query_block=4096)
+    def test_chunks_off_the_tile_grid_same_bits(self, chunk_model, chunk_prompt):
+        a = chunk_model.prefill(chunk_prompt, chunk_size=5)
+        b = chunk_model.prefill(chunk_prompt, chunk_size=4096)
         assert np.array_equal(a.logits, b.logits)
 
     def test_uneven_manual_chunking(self, chunk_model, chunk_prompt, prefill_variants):
@@ -190,6 +199,195 @@ class TestAgainstSeedImplementation:
                 np.testing.assert_allclose(
                     chunk_agg.window_scores, win, rtol=1e-9, atol=1e-12
                 )
+
+
+# ------------------------------------------------------------ the tile grid
+
+T = PREFILL_TILE
+#: > 3 attention tiles and > 2 projection row blocks, plus a ragged tail.
+LONG_LEN = max(3 * T, 528) + 3
+LONG_CHUNKS = (1, 7, T - 1, T, T + 1, 300, 512)
+RAGGED_SCHEDULE = (3, T, 1, 2 * T + 5, T - 2, 40, 1, 1, 129, LONG_LEN)
+WINDOW = 24
+
+
+def _grid_model(kv_heads):
+    config = ModelConfig(
+        num_layers=2, hidden_dim=32, num_heads=4, num_kv_heads=kv_heads,
+        ffn_dim=64, vocab_size=64, name=f"grid-{kv_heads}",
+    )
+    return TransformerLM(config, seed=5)
+
+
+def _run_schedule(model, prompt, schedule, **begin_kwargs):
+    """Hand-driven prefill; the schedule's last entry repeats to the end."""
+    state = model.begin_prefill(prompt, observation_window=WINDOW, **begin_kwargs)
+    sizes = list(schedule)
+    while not state.is_complete:
+        model.prefill_chunk(state, sizes.pop(0) if len(sizes) > 1 else sizes[0])
+    return model.finish_prefill(state)
+
+
+def _assert_prefills_identical(result, reference, num_layers):
+    assert np.array_equal(result.logits, reference.logits)
+    assert np.array_equal(result.last_hidden, reference.last_hidden)
+    for layer in range(num_layers):
+        assert np.array_equal(
+            result.kvcache[layer].keys, reference.kvcache[layer].keys
+        )
+        assert np.array_equal(
+            result.kvcache[layer].values, reference.kvcache[layer].values
+        )
+        got, want = result.aggregates[layer], reference.aggregates[layer]
+        assert np.array_equal(got.accumulated_scores, want.accumulated_scores)
+        assert np.array_equal(got.window_scores, want.window_scores)
+
+
+@pytest.fixture(scope="module", params=(4, 2, 1), ids=("gqa1", "gqa2", "gqa4"))
+def grid_case(request):
+    """(model, prompt, single-shot prefill) for one GQA group size."""
+    model = _grid_model(request.param)
+    rng = np.random.default_rng(33)
+    prompt = rng.integers(4, model.config.vocab_size, size=LONG_LEN).tolist()
+    return model, prompt, _run_schedule(model, prompt, (LONG_LEN,))
+
+
+class TestTileGrid:
+    """Bitwise chunk invariance beyond the first tile, per GQA group size."""
+
+    @pytest.mark.parametrize("chunk_size", LONG_CHUNKS)
+    def test_every_chunk_size_matches_single_shot(self, grid_case, chunk_size):
+        model, prompt, reference = grid_case
+        chunked = _run_schedule(model, prompt, (chunk_size,))
+        _assert_prefills_identical(chunked, reference, model.config.num_layers)
+
+    def test_ragged_schedule_matches_single_shot(self, grid_case):
+        model, prompt, reference = grid_case
+        ragged = _run_schedule(model, prompt, RAGGED_SCHEDULE)
+        _assert_prefills_identical(ragged, reference, model.config.num_layers)
+
+    def test_matches_seed_monolithic_to_tolerance(self, grid_case):
+        model, prompt, reference = grid_case
+        cache, logits, aggregates = seed_monolithic_prefill(
+            model, prompt, observation_window=WINDOW
+        )
+        np.testing.assert_allclose(reference.logits, logits, rtol=1e-10, atol=1e-12)
+        for layer, (acc, win) in enumerate(aggregates):
+            np.testing.assert_allclose(
+                reference.kvcache[layer].keys, cache[layer].keys,
+                rtol=1e-10, atol=1e-12,
+            )
+            got = reference.aggregates[layer]
+            np.testing.assert_allclose(got.accumulated_scores, acc,
+                                       rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(got.window_scores, win,
+                                       rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("boundary", (2 * T + 5, 3 * T), ids=("mid", "edge"))
+    @pytest.mark.parametrize("chunk_size", (7, LONG_LEN))
+    def test_acc_snapshot_equals_a_prefill_that_stopped_there(
+        self, grid_case, boundary, chunk_size
+    ):
+        model, prompt, _ = grid_case
+        result = _run_schedule(
+            model, prompt, (chunk_size,), acc_snapshot_boundaries=[boundary]
+        )
+        stopped = model.begin_prefill(prompt[:boundary], observation_window=WINDOW)
+        model.prefill_chunk(stopped, boundary)
+        for layer in range(model.config.num_layers):
+            assert np.array_equal(
+                result.acc_snapshots[boundary][layer], stopped.acc_scores[layer]
+            )
+
+    @pytest.mark.parametrize("chunk_size", (1, T, 300))
+    def test_prefix_resume_equals_cold_prefill(self, grid_case, chunk_size):
+        model, prompt, reference = grid_case
+        cfg = model.config
+        prefix_len = 4 * T + 7  # off the tile grid
+        cold = _run_schedule(
+            model, prompt, (LONG_LEN,), acc_snapshot_boundaries=[prefix_len]
+        )
+        cache = KVCache(cfg.num_layers, cfg.num_kv_heads, cfg.head_dim)
+        for layer in range(cfg.num_layers):
+            cache[layer].append(
+                cold.kvcache[layer].keys[:, :prefix_len],
+                cold.kvcache[layer].values[:, :prefix_len],
+            )
+        resumed = _run_schedule(
+            model, prompt, (chunk_size,), kvcache=cache, prefix_len=prefix_len,
+            prefix_acc_scores=cold.acc_snapshots[prefix_len],
+        )
+        assert resumed.cached_prefix_len == prefix_len
+        _assert_prefills_identical(resumed, reference, cfg.num_layers)
+
+    def test_stage_timings_cover_the_chunk(self, grid_case):
+        model, prompt, _ = grid_case
+        timings = {"attention": 1.0}
+        state = model.begin_prefill(prompt)
+        model.prefill_chunk(state, 100, timings)
+        assert set(timings) == {"projection", "attention", "aggregates", "ffn"}
+        assert timings["attention"] > 1.0  # added into, not overwritten
+        assert all(seconds > 0.0 for seconds in timings.values())
+
+
+class TestPrefillAttentionKernel:
+    """``prefill_attention`` against the readable ``causal_attention`` oracle."""
+
+    @pytest.fixture(scope="class", params=(1, 2, 4), ids=("gqa1", "gqa2", "gqa4"))
+    def qkv(self, request):
+        rng = np.random.default_rng(request.param)
+        h_kv, n, d_h = 2, 5 * T + 9, 8
+        return (
+            rng.normal(size=(h_kv * request.param, n, d_h)),
+            rng.normal(size=(h_kv, n, d_h)),
+            rng.normal(size=(h_kv, n, d_h)),
+        )
+
+    @staticmethod
+    def _chunked(qkv, bounds):
+        """Outputs and score rows of the kernel driven over ``bounds``."""
+        q, k, v = qkv
+        outputs, rows = [], {}
+
+        def keep(position, scores):
+            for j in range(scores.shape[1]):
+                rows[position + j] = scores[:, j, : position + j + 1].copy()
+                assert not scores[:, j, position + j + 1:].any()  # exact zeros
+
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            outputs.append(prefill_attention(q[:, lo:hi], k[:, :hi], v[:, :hi], keep))
+        return np.concatenate(outputs, axis=1), rows
+
+    def test_agrees_with_the_oracle(self, qkv):
+        n = qkv[0].shape[1]
+        want, want_scores = causal_attention(*qkv, return_scores=True)
+        got, rows = self._chunked(qkv, (0, n))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for position, row in rows.items():
+            np.testing.assert_allclose(
+                row, want_scores[:, position, : position + 1], rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0, 1, 2, 3, T, T + 1), (0, T - 1, 3 * T + 2), (0, 2 * T, 2 * T + 5, 5 * T)],
+    )
+    def test_partition_is_bitwise_irrelevant(self, qkv, bounds):
+        n = qkv[0].shape[1]
+        whole, whole_rows = self._chunked(qkv, (0, n))
+        parts, part_rows = self._chunked(qkv, bounds + (n,))
+        assert np.array_equal(parts, whole)
+        assert all(np.array_equal(part_rows[p], whole_rows[p]) for p in whole_rows)
+
+    def test_zero_padded_tile_equals_cached_tile(self, qkv):
+        """Rows ``[lo, mid)`` of a tile see the same bits whether the tile's
+        later keys are zero padding (chunk ends at ``mid``) or real, already
+        cached rows (chunk runs on to ``hi``)."""
+        q, k, v = qkv
+        lo, mid, hi = 2 * T + 1, 2 * T + 6, 3 * T
+        padded = prefill_attention(q[:, lo:mid], k[:, :mid], v[:, :mid])
+        cached = prefill_attention(q[:, lo:hi], k[:, :hi], v[:, :hi])
+        assert np.array_equal(padded, cached[:, : mid - lo])
 
 
 class TestDownstreamDecodePerPolicy:

@@ -111,6 +111,22 @@ class TestChunkedScheduler:
 
 
 class TestChunkedEngineEquivalence:
+    @pytest.mark.parametrize("chunk_tokens", (None, 40))
+    def test_prefill_stage_seconds_reach_engine_metrics(
+        self, model, tiny_config, chunk_tokens
+    ):
+        """Both prefill modes sum the model's host stage timers."""
+        engine = InferenceEngine(
+            model,
+            scheduler_config=SchedulerConfig(max_prefill_chunk_tokens=chunk_tokens),
+        )
+        prompt = make_prompts(tiny_config, (96,))[0]
+        engine.run([Request(prompt_ids=prompt,
+                            sampling=SamplingParams(max_new_tokens=1))])
+        report = engine.metrics.as_dict()
+        for stage in ("projection", "attention", "aggregates", "ffn"):
+            assert report[f"prefill_{stage}_seconds"] > 0.0
+
     @pytest.mark.parametrize("policy_name", [n for n in POLICY_NAMES if n != "pqcache"])
     def test_chunked_matches_unchunked_bytewise(self, model, tiny_config, policy_name):
         """Chunked prefill is transparent: byte-identical tokens and logits

@@ -114,6 +114,8 @@ _MODE_DEPENDENT_METRICS = {
     "decode_select_seconds", "decode_score_seconds", "decode_topk_seconds",
     "decode_gather_seconds", "decode_attention_seconds",
     "decode_maintenance_seconds",
+    "prefill_projection_seconds", "prefill_attention_seconds",
+    "prefill_aggregates_seconds", "prefill_ffn_seconds",
 }
 
 

@@ -37,9 +37,9 @@ class TestPrefill:
         win = prefill.aggregates[0].window_scores
         assert np.allclose(win.sum(axis=-1), 16, rtol=1e-6)
 
-    def test_query_block_size_does_not_change_results(self, model, prompt_ids):
-        small = model.prefill(prompt_ids[:64], query_block=16)
-        large = model.prefill(prompt_ids[:64], query_block=1024)
+    def test_chunk_size_does_not_change_results(self, model, prompt_ids):
+        small = model.prefill(prompt_ids[:64], chunk_size=16)
+        large = model.prefill(prompt_ids[:64], chunk_size=1024)
         assert np.allclose(small.logits, large.logits)
         assert np.allclose(small.aggregates[0].accumulated_scores,
                            large.aggregates[0].accumulated_scores)
