@@ -236,8 +236,10 @@ def _bench_decode_config(h_kv, seq_len, rng):
         legacy = _legacy_topk_middle(
             manager, head_codes, kv_queries[step], middle, k
         )
+        # the same tokens per head; the batched path returns them as an
+        # ascending index set, the seed returned them in score order
         for got, want in zip(batched, legacy):
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, np.sort(want))
         selections.append(batched)
 
     retrieval_batched = _time_per_step(

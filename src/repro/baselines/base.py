@@ -117,9 +117,6 @@ class KVCachePolicy(abc.ABC):
         self.budget = budget
         self.config: ModelConfig | None = None
         self.prompt_len: int = 0
-        #: per-step record of the middle-token indices each KV head selected
-        #: in the *last* layer processed, useful for cache-trace replay.
-        self.last_selected_middle: list[np.ndarray] | None = None
         #: maintenance descriptor set by :meth:`on_decode_step` overrides and
         #: drained by the engine via :meth:`consume_maintenance`.
         self._pending_maintenance: dict | None = None
@@ -252,11 +249,12 @@ class KVCachePolicy(abc.ABC):
         PQCache's grouped ADC scoring).  Overrides MUST return, per item,
         exactly what that item's :meth:`select` would return — the fused
         decode path's byte-identity guarantee rests on it — including side
-        effects (``last_selected_middle``, GPU-cache accounting).
+        effects (GPU-cache accounting).
 
         ``timings`` is an optional accumulator for host wall-clock stage
-        seconds (keys ``"score"`` / ``"topk"``); overrides with separable
-        scoring stages add into it, the default loop leaves it untouched.
+        seconds (keys ``"score"`` / ``"topk"`` / ``"assemble"``); overrides
+        with separable stages add into it, the default loop leaves it
+        untouched.
         """
         return [
             policy.select(layer_index, query, cache)
@@ -311,9 +309,6 @@ class KVCachePolicy(abc.ABC):
             middle = np.asarray(middle_per_head[head], dtype=np.int64)
             indices = np.concatenate([init, middle, local])
             assembled.append(np.unique(indices))
-        self.last_selected_middle = [
-            np.asarray(m, dtype=np.int64) for m in middle_per_head
-        ]
         return assembled
 
     @staticmethod
@@ -328,7 +323,7 @@ class KVCachePolicy(abc.ABC):
         length group; duplicates are then masked out per row — exactly the
         sort + adjacent-difference mask ``np.unique`` applies to a 1-D
         array, so each entry is bitwise identical to what that policy's own
-        :meth:`_assemble` would produce (``last_selected_middle`` included).
+        :meth:`_assemble` would produce.
         """
         results: "list[list[np.ndarray] | None]" = [None] * len(items)
         entries: "list[tuple[int, int]]" = []
@@ -342,9 +337,6 @@ class KVCachePolicy(abc.ABC):
                 entries.append((pos, head))
                 concatenated.append(np.concatenate([init, middle, local]))
             results[pos] = [None] * config.num_kv_heads  # type: ignore[list-item]
-            policy.last_selected_middle = [
-                np.asarray(m, dtype=np.int64) for m in middle_per_head
-            ]
         lengths = np.array([row.size for row in concatenated], dtype=np.int64)
         for t in np.unique(lengths):
             rows = np.flatnonzero(lengths == t)

@@ -25,7 +25,6 @@ class FullAttentionPolicy(KVCachePolicy):
 
     def select(self, layer_index: int, query: np.ndarray, cache: KVCache):
         # None signals the attention kernel to use all tokens.
-        self.last_selected_middle = None
         return None
 
 

@@ -34,6 +34,8 @@ for the next request.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
 from ..core.adaptive import AdaptiveIterationPlanner
@@ -284,11 +286,8 @@ class PQCachePolicy(KVCachePolicy):
 
     def _pending_encode_range(self, cache: KVCache) -> tuple[int, int]:
         """Token range ``[start, middle_end)`` awaiting PQ codes, if any."""
-        segments = self.budget.segments(cache.seq_len)
-        middle_end = (
-            int(segments.middle_indices[-1]) + 1 if segments.middle_indices.size else 0
-        )
-        return self._encoded_until, middle_end
+        start, stop = self.budget.segments(cache.seq_len).middle_range
+        return self._encoded_until, stop if stop > start else 0
 
     def _maybe_refresh(self, cache: KVCache) -> None:
         """Count one decode step and re-refine codebooks every N steps."""
@@ -317,69 +316,51 @@ class PQCachePolicy(KVCachePolicy):
     # ----------------------------------------------------------- selection
 
     def select(self, layer_index: int, query: np.ndarray, cache: KVCache):
-        config = self._require_config()
-        assert self.manager is not None, "on_prefill must run before select"
-        layer_cache = cache[layer_index]
-        seq_len = len(layer_cache)
-        segments = self.budget.segments(seq_len)
-        k = self.budget.middle_budget(self.prompt_len)
-
-        kv_queries = self._kv_queries(query)
-        selected = self.manager.topk_middle(layer_index, kv_queries, segments, k)
-
-        # Register the union of per-head fetches with the GPU block cache so
-        # hit-rate statistics reflect real traffic.  Layer 0 opens a new
-        # decode step: the per-step hit rate aggregates every layer's access
-        # of the current step (see CacheStats.step_hit_rate).
-        if self.manager.gpu_cache is not None and selected:
-            if layer_index == 0:
-                self.manager.gpu_cache.begin_step()
-            union = (
-                np.unique(np.concatenate([s for s in selected if s.size]))
-                if any(s.size for s in selected)
-                else np.empty(0, dtype=np.int64)
-            )
-            self.manager.record_fetch(union)
-        return self._assemble(selected, segments)
+        """Per KV head, the ascending token indices this layer attends to —
+        :meth:`select_batch` on a batch of one."""
+        return self.select_batch(layer_index, [(self, query, cache)])[0]
 
     # ------------------------------------------------------ batch selection
 
     @classmethod
     def select_batch(cls, layer_index, items, timings=None):
-        """Cross-request ADC scoring + top-k for one fused decode round.
+        """ADC scoring + top-k + cache accounting for one fused decode round.
 
-        All requests' ``(h_kv, n_middle)`` scoring problems are handed to
-        :func:`~repro.core.pqcache.topk_middle_grouped`, which concatenates
-        same-shape requests along the head axis and scores each group with
-        one vectorized gather — bitwise identical to looping
-        :meth:`select`, including the per-request GPU-cache bookkeeping and
-        ``last_selected_middle`` side effects.
+        :func:`~repro.core.pqcache.topk_middle_grouped` hands back each
+        head's picks as an ascending index set; the head's attended set is
+        ``concatenate([initial, picked, local])`` —
+        :class:`~repro.llm.kvcache.TokenSegments` makes the three disjoint
+        and ordered, so it is sorted and duplicate-free without an
+        ``np.unique``.  The union of the heads' picks is registered with the
+        request's GPU block cache so hit-rate statistics reflect real
+        traffic; layer 0 opens a new decode step (the per-step hit rate
+        aggregates every layer's access, see ``CacheStats.step_hit_rate``).
+        ``timings`` gains ``"score"`` / ``"topk"`` from the grouped kernel
+        and ``"assemble"`` for the accounting and concatenation here.
         """
         jobs = []
-        metas = []
         for policy, query, cache in items:
             policy._require_config()
             assert policy.manager is not None, "on_prefill must run before select"
-            seq_len = len(cache[layer_index])
-            segments = policy.budget.segments(seq_len)
+            segments = policy.budget.segments(len(cache[layer_index]))
             k = policy.budget.middle_budget(policy.prompt_len)
-            kv_queries = policy._kv_queries(query)
-            jobs.append((policy.manager, layer_index, kv_queries, segments, k))
-            metas.append((policy, segments))
+            jobs.append(
+                (policy.manager, layer_index, policy._kv_queries(query), segments, k)
+            )
         grouped = topk_middle_grouped(jobs, timings=timings)
+        start = perf_counter()
         results = []
-        for (policy, segments), selected in zip(metas, grouped):
-            manager = policy.manager
-            if manager.gpu_cache is not None and selected:
+        for (manager, _, _, segments, _), (picked, union) in zip(jobs, grouped):
+            if manager.gpu_cache is not None:
                 if layer_index == 0:
                     manager.gpu_cache.begin_step()
-                union = (
-                    np.unique(np.concatenate([s for s in selected if s.size]))
-                    if any(s.size for s in selected)
-                    else np.empty(0, dtype=np.int64)
-                )
                 manager.record_fetch(union)
-            results.append(policy._assemble(selected, segments))
+            initial, local = segments.initial_indices, segments.local_indices
+            results.append([np.concatenate([initial, row, local]) for row in picked])
+        if timings is not None:
+            timings["assemble"] = (
+                timings.get("assemble", 0.0) + perf_counter() - start
+            )
         return results
 
     @classmethod

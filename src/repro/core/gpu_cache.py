@@ -111,7 +111,6 @@ class BlockGpuCache:
         # LRU order is maintained by OrderedDict insertion order; LFU uses
         # the frequency counter with LRU tie-breaking via the same ordering.
         self._blocks: OrderedDict[int, int] = OrderedDict()  # block id -> freq
-        self._clock = 0
         self.stats = CacheStats()
 
     # ----------------------------------------------------------- inspection
@@ -138,28 +137,37 @@ class BlockGpuCache:
 
     # -------------------------------------------------------------- lookups
 
+    def _split(self, token_indices: np.ndarray) -> tuple[dict, np.ndarray]:
+        """Hit/miss split of a request against the current residency.
+
+        Returns the :meth:`lookup` dict and the per-block requested-token
+        counts (``counts[b]`` tokens fall in block ``b``): one ``np.bincount``
+        serves the missing-block list and :meth:`access`'s update ranking,
+        and residency is a boolean table scattered from the (at most
+        ``capacity_blocks``) resident ids, not a dict probe per token.
+        """
+        token_indices = np.asarray(token_indices, dtype=np.int64)
+        blocks = token_indices // self.block_size
+        counts = np.bincount(blocks)
+        resident = np.zeros(counts.size, dtype=bool)
+        ids = np.fromiter(self._blocks, dtype=np.int64, count=len(self._blocks))
+        # A resident block past the table holds none of the requested tokens.
+        resident[ids[ids < counts.size]] = True
+        hit = resident[blocks]
+        return {
+            "hit_tokens": token_indices[hit],
+            "miss_tokens": token_indices[~hit],
+            "miss_blocks": np.flatnonzero((counts > 0) & ~resident),
+        }, counts
+
     def lookup(self, token_indices: np.ndarray) -> dict:
         """Check which requested tokens are cached, without updating.
 
         Returns a dict with ``hit_tokens``, ``miss_tokens`` (arrays of token
-        indices) and ``miss_blocks`` (block ids that would need fetching).
+        indices, in request order) and ``miss_blocks`` (ascending block ids
+        that would need fetching).
         """
-        token_indices = np.asarray(token_indices, dtype=np.int64)
-        if token_indices.size == 0:
-            return {
-                "hit_tokens": token_indices,
-                "miss_tokens": token_indices,
-                "miss_blocks": np.empty(0, dtype=np.int64),
-            }
-        blocks = token_indices // self.block_size
-        resident = np.array(
-            [int(b) in self._blocks for b in blocks], dtype=bool
-        )
-        return {
-            "hit_tokens": token_indices[resident],
-            "miss_tokens": token_indices[~resident],
-            "miss_blocks": np.unique(blocks[~resident]),
-        }
+        return self._split(token_indices)[0]
 
     def access(self, token_indices: np.ndarray) -> dict:
         """Serve a top-k retrieval and update the cache.
@@ -170,29 +178,23 @@ class BlockGpuCache:
         computed *before* the update, so miss counts reflect actual PCIe
         traffic for this step.
         """
-        self._clock += 1
-        self.stats.lookups += 1
-        result = self.lookup(token_indices)
+        result, counts = self._split(token_indices)
         hits = int(result["hit_tokens"].size)
         misses = int(result["miss_tokens"].size)
+        self.stats.lookups += 1
         self.stats.token_hits += hits
         self.stats.token_misses += misses
         self.stats.step_hits += hits
         self.stats.step_misses += misses
 
-        token_indices = np.asarray(token_indices, dtype=np.int64)
-        if token_indices.size == 0 or self.capacity_blocks == 0:
+        if self.capacity_blocks == 0:
             return result
 
-        # Rank blocks by how many of the requested tokens they contain and
-        # keep the k_cache most useful ones for the update.
-        blocks, counts = np.unique(
-            token_indices // self.block_size, return_counts=True
-        )
-        order = np.argsort(-counts, kind="stable")
-        update_blocks = blocks[order][: self.k_cache_blocks]
-
-        for block_id in update_blocks:
+        # Rank blocks by how many of the requested tokens they contain (ties:
+        # lowest block id first) and keep the k_cache most useful ones.
+        requested = np.flatnonzero(counts)
+        order = np.argsort(-counts[requested], kind="stable")
+        for block_id in requested[order][: self.k_cache_blocks]:
             self._touch(int(block_id))
         return result
 

@@ -17,7 +17,7 @@ against the *middle* tokens during decoding (paper §3.1 steps ❷-❺):
   re-clustering).
 * :meth:`PQCacheManager.approximate_scores` / :meth:`topk_middle` — ADC
   scoring of a decode query against the PQ codes and selection of the top-k
-  candidate tokens per head.
+  candidate tokens per head, as an ascending token index set.
 
 Batched decode-path layout
 --------------------------
@@ -29,8 +29,20 @@ and stores all heads' codes in one shared amortised-growth
 :meth:`topk_middle` and :meth:`append_tokens` each issue a single
 einsum/gather (:meth:`ProductQuantizer.score_batch` /
 :meth:`ProductQuantizer.encode_batch`) instead of ``h_kv`` Python-level PQ
-calls.  Top-k ties are broken deterministically by lowest token index (the
-same ``(-score, index)`` order as :func:`repro.utils.topk_indices`).
+calls.
+
+Selections are ascending index sets
+-----------------------------------
+A selection is only ever gathered, so :meth:`topk_middle` /
+:func:`topk_middle_grouped` return each head's top-k in **ascending token
+order**, not score order: one ``np.partition`` over all KV heads finds the
+k-th scores, a boolean mask marks what beats them — ties at the k-th score
+go to the lowest token indices, exactly the set
+:func:`repro.utils.topk_indices` picks — and the indices are read off the
+mask, sorted and duplicate-free by construction.  Because
+:class:`~repro.llm.kvcache.TokenSegments` keeps initial, middle and local
+disjoint and in token order, ``concatenate([initial, picked, local])`` is
+the attended set as is: no ``argsort`` of the k, no ``np.unique`` after.
 
 It also tracks the communication/bookkeeping quantities the system section
 cares about: PQ code bytes, centroid bytes, and the GPU block cache that
@@ -628,48 +640,18 @@ class PQCacheManager:
         segments: TokenSegments,
         k: int,
     ) -> list[np.ndarray]:
-        """Approximate top-k middle-token indices per KV head.
+        """Approximate top-k middle tokens per KV head, as ascending index sets.
 
         Tokens outside the middle segment (initial and local tokens) are
         excluded — they are always attended to anyway and never retrieved.
-        All heads are scored with one batched ADC gather; ties at the k-th
-        score are broken by lowest token index (matching
-        :func:`repro.utils.topk_indices`).
+        Each head's array holds the tokens of its ``k`` best ADC scores in
+        **ascending token order**, ties at the k-th score to the lowest
+        token indices: :func:`topk_middle_grouped` on a batch of one.
         """
-        self._require_built()
-        middle = segments.middle_indices
-        model = self.model_config
-        if middle.size == 0 or k <= 0:
-            return [np.empty(0, dtype=np.int64) for _ in range(model.num_kv_heads)]
-
-        codes = self._codes[layer_index].view()  # (n, h_kv, m)
-        # Only score codes that correspond to middle tokens; codes are
-        # aligned with absolute token positions by construction.
-        valid = middle[middle < codes.shape[0]]
-        if valid.size == 0:
-            return [np.empty(0, dtype=np.int64) for _ in range(model.num_kv_heads)]
-
-        kv_queries = np.asarray(kv_queries, dtype=np.float64)
-        # The middle segment is a contiguous token range by construction, so
-        # the common case is a zero-copy slice of the shared buffer; the
-        # fancy-indexed gather only runs for non-contiguous index sets.
-        if int(valid[-1]) - int(valid[0]) + 1 == valid.size:
-            middle_codes = codes[int(valid[0]) : int(valid[-1]) + 1]
-        else:
-            middle_codes = codes[valid]
-        scores = ProductQuantizer.score_batch(
-            self._codebooks[layer_index],
-            kv_queries,
-            middle_codes.transpose(1, 0, 2),
-        )  # (h_kv, n_valid)
-        k_eff = min(int(k), valid.size)
-        # topk_indices is O(n + k log k) per head (argpartition + stable sort
-        # of the boundary candidates) and breaks ties by lowest candidate
-        # position, i.e. lowest token index.
-        return [
-            valid[topk_indices(scores[head], k_eff)]
-            for head in range(model.num_kv_heads)
-        ]
+        ((picked, _),) = topk_middle_grouped(
+            [(self, layer_index, kv_queries, segments, k)]
+        )
+        return list(picked)
 
     def record_fetch(self, token_indices: np.ndarray) -> dict | None:
         """Register a top-k key/value fetch with the GPU block cache.
@@ -732,69 +714,94 @@ class PQCacheManager:
 #
 # One engine decode round serves many RUNNING requests, each with its own
 # PQCacheManager.  The collectives below are the batch entry points the
-# fused decode round dispatches to, and both are bitwise identical to
-# looping the per-manager methods.  ``append_tokens_grouped`` concatenates
-# same-geometry requests along the *head* axis and issues one compute-bound
-# encode kernel per group (stacking heads only adds independent rows —
-# encode's batched matmul runs one identically-shaped BLAS call per
-# (head, sub-space) slice).  ``topk_middle_grouped`` keeps scoring and top-k
-# per member: ADC scoring is a memory-bound table gather whose cost does not
-# shrink by stacking heads, so the fused win there is cache locality (top-k
-# runs on freshly scored rows) and the shared stage-timing accounting.
+# fused decode round dispatches to; a per-manager call is the batch of one.
+# ``append_tokens_grouped`` concatenates same-geometry requests along the
+# *head* axis and issues one compute-bound encode kernel per group (stacking
+# heads only adds independent rows — encode's batched matmul runs one
+# identically-shaped BLAS call per (head, sub-space) slice).
+# ``topk_middle_grouped`` scores and picks member by member: ADC scoring is
+# a memory-bound table gather whose cost does not shrink by stacking heads.
+
+
+def _topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise top-``k`` of an ``(h, n)`` score matrix as a boolean mask.
+
+    Row ``i`` marks exactly the set ``topk_indices(scores[i], k)`` picks
+    (``1 <= k <= n``): everything strictly better than the row's k-th score
+    plus the lowest-index ties at it.  One ``np.partition`` over all rows
+    finds the k-th scores; no row is sorted.
+    """
+    n = scores.shape[1]
+    kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
+    mask = scores >= kth
+    for row, (row_scores, row_mask) in enumerate(zip(scores, mask)):
+        surplus = np.count_nonzero(row_mask) - k
+        if surplus > 0:
+            # Ties straddle the k-th score: drop the highest-index ones.
+            ties = np.flatnonzero(row_scores == kth[row])
+            row_mask[ties[ties.size - surplus:]] = False
+        elif surplus < 0:
+            # NaN scores (partition orders them last, comparisons with them
+            # are false) leave the row short: defer to the reference.
+            row_mask[:] = False
+            row_mask[topk_indices(row_scores, k)] = True
+    return mask
 
 
 def topk_middle_grouped(
     items: "list[tuple[PQCacheManager, int, np.ndarray, TokenSegments, int]]",
     timings: "dict[str, float] | None" = None,
-) -> "list[list[np.ndarray]]":
-    """Batched :meth:`PQCacheManager.topk_middle` across requests.
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Approximate top-k middle tokens per KV head for a batch of requests.
 
     Args:
         items: one ``(manager, layer_index, kv_queries, segments, k)`` tuple
-            per request, in engine batch order.
+            per request, in engine batch order; ``kv_queries`` is
+            ``(num_kv_heads, head_dim)``.
         timings: optional accumulator for host wall-clock stage seconds —
-            ``"score"`` (grouped ADC table lookups) and ``"topk"``
-            (per-head top-k index extraction) are added into it.
+            ``"score"`` (ADC table lookups) and ``"topk"`` (partition, mask
+            and index read-out) are added into it.
 
     Returns:
-        Per item, exactly what ``manager.topk_middle(layer_index,
-        kv_queries, segments, k)`` would return (bitwise).
+        Per item ``(picked, union)``.  ``picked`` is ``(h_kv, k_eff)`` int64:
+        row ``h`` is head ``h``'s selection as an **ascending** token index
+        set (see the module docstring), ``k_eff`` the smaller of ``k`` and
+        the number of encoded middle tokens.  ``union`` is the ascending
+        union of the rows — what one fetch has to bring in.
     """
-    results: "list[list[np.ndarray] | None]" = [None] * len(items)
-    for pos, (manager, layer_index, kv_queries, segments, k) in enumerate(items):
+    results = []
+    for manager, layer_index, kv_queries, segments, k in items:
         manager._require_built()
-        h_kv = manager.model_config.num_kv_heads
-        middle = segments.middle_indices
-        if middle.size == 0 or k <= 0:
-            results[pos] = [np.empty(0, dtype=np.int64) for _ in range(h_kv)]
-            continue
         codes = manager._codes[layer_index].view()  # (n, h_kv, m)
-        valid = middle[middle < codes.shape[0]]
-        if valid.size == 0:
-            results[pos] = [np.empty(0, dtype=np.int64) for _ in range(h_kv)]
+        # Codes are aligned with absolute token positions, so the encoded
+        # part of the (contiguous) middle segment is a zero-copy slice.
+        start, stop = segments.middle_range
+        stop = min(stop, codes.shape[0])
+        k_eff = min(int(k), stop - start)
+        if k_eff <= 0:
+            h_kv = manager.model_config.num_kv_heads
+            results.append(
+                (np.empty((h_kv, 0), dtype=np.int64), np.empty(0, dtype=np.int64))
+            )
             continue
-        # Same contiguous-slice fast path as topk_middle.
-        if int(valid[-1]) - int(valid[0]) + 1 == valid.size:
-            middle_codes = codes[int(valid[0]) : int(valid[-1]) + 1]
-        else:
-            middle_codes = codes[valid]
-        # Score per member with the per-head 1-D ``take`` kernel, top-k while
-        # the member's score rows are still cache-hot.  Concatenating the
-        # batch's heads into one ``score_batch_grouped`` call was measured
-        # slower at long contexts: the gather is memory-bound either way, and
-        # the concatenation adds a multi-megabyte copy of the transposed code
-        # views plus strided 2-D gathers over it.
+        # (Concatenating the batch's heads into one scoring call measured
+        # slower at long contexts: a multi-megabyte copy of the transposed
+        # code views, then strided 2-D gathers over it.)
         score_start = perf_counter()
         scores = ProductQuantizer.score_batch(
             manager._codebooks[layer_index],
             np.asarray(kv_queries, dtype=np.float64),
-            middle_codes.transpose(1, 0, 2),
-        )  # (h_kv, n_valid)
+            codes[start:stop].transpose(1, 0, 2),
+        )  # (h_kv, stop - start)
         topk_start = perf_counter()
-        k_eff = min(int(k), valid.size)
-        results[pos] = [
-            valid[topk_indices(scores[head], k_eff)] for head in range(h_kv)
-        ]
+        mask = _topk_mask(scores, k_eff)
+        # Row-major flat positions of the set bits, k_eff per row; taking
+        # each row's offset out leaves token indices.  (``np.nonzero`` on the
+        # 2-D mask measured 5x slower than this.)
+        picked = np.flatnonzero(mask).reshape(-1, k_eff)
+        picked += start - mask.shape[1] * np.arange(mask.shape[0])[:, None]
+        union = np.flatnonzero(mask.any(axis=0)) + start
+        results.append((picked, union))
         if timings is not None:
             timings["score"] = (
                 timings.get("score", 0.0) + topk_start - score_start
@@ -802,7 +809,7 @@ def topk_middle_grouped(
             timings["topk"] = (
                 timings.get("topk", 0.0) + perf_counter() - topk_start
             )
-    return results  # type: ignore[return-value]
+    return results
 
 
 def append_tokens_grouped(

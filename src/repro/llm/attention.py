@@ -5,9 +5,10 @@ Two kernels mirror the paper's two phases, next to a readable reference:
 * :func:`prefill_attention` — causal attention of one prefill chunk's
   queries over every key cached so far, on a fixed global tile grid of BLAS
   GEMMs; the one prefill kernel :class:`~repro.llm.model.TransformerLM` runs.
-* :func:`decode_attention` — single-query attention for a decode step,
-  optionally restricted to a subset of token indices per key/value head;
-  this is the "selective attention" kernel every KVCache policy feeds.
+* :class:`GroupedDecodeAttention` — single-query attention for the decode
+  steps of a batch of requests, each optionally restricted to a subset of
+  token indices per key/value head; this is the "selective attention" kernel
+  every KVCache policy feeds.  :func:`decode_attention` is the batch of one.
 * :func:`causal_attention` — full causal self-attention written the obvious
   way (one einsum, one mask, one softmax); the oracle the tests compare
   :func:`prefill_attention` against.
@@ -16,18 +17,12 @@ Grouped-Query Attention is handled by mapping each query head to its
 key/value head (``kv_head = q_head // group_size``); query-head counts that
 are not a multiple of the KV-head count raise :class:`DimensionError` instead
 of silently mis-grouping.
-
-:func:`decode_attention` is vectorized across KV heads: per-head selections
-are gathered into dense ``(heads, tokens, d_h)`` tensors (heads with equal
-selection lengths are batched together, so no padding enters any softmax
-reduction and results stay bitwise identical to a per-head einsum loop) and
-scored with one einsum + softmax per length group instead of a Python loop
-over every ``kv_head x group`` pair.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from time import perf_counter
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,6 +30,7 @@ from ..errors import DimensionError
 from ..utils import softmax
 
 __all__ = [
+    "GroupedDecodeAttention",
     "PREFILL_TILE",
     "causal_attention",
     "decode_attention",
@@ -216,67 +212,147 @@ def attention_scores_single_query(
     return np.einsum("hd,hsd->hs", query, k_exp) / np.sqrt(d_h)
 
 
+def _per_head_indices(selected, h_kv: int, length: int) -> list[np.ndarray]:
+    """One int64 index array per KV head from a selection in any accepted
+    form: ``None`` (all ``length`` tokens), one 1-D array shared by all KV
+    heads, or a list/tuple of ``h_kv`` per-head arrays."""
+    if selected is None:
+        return [np.arange(length, dtype=np.int64)] * h_kv
+    if not isinstance(selected, (list, tuple)):
+        return [_checked_indices(selected, length)] * h_kv
+    if len(selected) != h_kv:
+        raise DimensionError(
+            f"need {h_kv} per-head index arrays, got {len(selected)}"
+        )
+    return [_checked_indices(idx, length) for idx in selected]
+
+
+def _checked_indices(indices, length: int) -> np.ndarray:
+    """``indices`` as int64, every entry a valid (possibly negative) index
+    into an axis of ``length``.  The gather runs ``np.take(mode="wrap")`` —
+    ``mode="raise"`` buffers its ``out`` and measured 25-30 % slower — so the
+    bounds fancy indexing would have enforced are checked here."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and not (-length <= indices.min() and indices.max() < length):
+        bad = indices[(indices < -length) | (indices >= length)][0]
+        raise IndexError(
+            f"index {bad} is out of bounds for axis 0 with size {length}"
+        )
+    return indices
+
+
+class GroupedDecodeAttention:
+    """Decode attention of a batch of requests, one query each, optionally
+    over a token subset per request and KV head.
+
+    The ``(request, kv_head)`` entries are grouped by selection length; each
+    group is gathered into dense ``(entries, tokens, d_h)`` tensors and scored
+    with one einsum + softmax + einsum.  The non-optimised einsum accumulates
+    per output element over the contracted axis only, so an entry's result is
+    bitwise independent of its group-mates: a request gets the same bits
+    alone (:func:`decode_attention`) and in any batch.  Every selected
+    key/value row is copied exactly once, by ``np.take(..., out=...)`` into
+    the group's slot of a workspace the instance keeps between calls (grown
+    on demand, left at its high-water mark); nothing in it outlives a call.
+    """
+
+    def __init__(self) -> None:
+        #: gathered keys (row 0) and values (row 1) of the group in flight
+        self._workspace = np.empty((2, 0), dtype=np.float64)
+
+    def _buffers(self, shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """C-contiguous key and value buffers of ``shape`` over the workspace."""
+        need = shape[0] * shape[1] * shape[2]
+        if self._workspace.shape[1] < need:
+            # Head-room so a selection that grows by a token per step does
+            # not reallocate per step.
+            self._workspace = np.empty((2, need + need // 2), dtype=np.float64)
+        keys, values = self._workspace[:, :need]
+        return keys.reshape(shape), values.reshape(shape)
+
+    def __call__(
+        self,
+        queries: "Sequence[np.ndarray]",
+        keys: "Sequence[np.ndarray]",
+        values: "Sequence[np.ndarray]",
+        selections: "Sequence[np.ndarray | list[np.ndarray] | None]",
+        timings: "dict[str, float] | None" = None,
+    ) -> list[np.ndarray]:
+        """Attention outputs, one ``(h, d_h)`` array per request.
+
+        Args:
+            queries: per request, the ``(h, d_h)`` query of its last token.
+            keys: per request, its ``(h_kv, s, d_h)`` cached keys.
+            values: per request, its ``(h_kv, s, d_h)`` cached values.
+            selections: per request, the token indices to attend to — ``None``
+                (all tokens), one 1-D index array shared by all KV heads, or
+                a list of per-KV-head index arrays (PQCache retrieves per
+                head).  Negative indices count from the end; an index outside
+                ``[-s, s)`` raises :class:`IndexError`.
+            timings: optional accumulator for host wall-clock stage seconds —
+                ``"gather"`` (the key/value copies) and ``"attention"``
+                (einsums + softmax) are added into it.
+        """
+        outputs: list[np.ndarray] = []
+        # One entry per (request, kv_head): the head's output rows (a view
+        # into ``outputs``), its query group, key rows, value rows, indices.
+        entries: list[tuple[np.ndarray, ...]] = []
+        for query, k_all, v_all, selected in zip(queries, keys, values, selections):
+            query = np.asarray(query, dtype=np.float64)
+            k_all = np.asarray(k_all, dtype=np.float64)
+            v_all = np.asarray(v_all, dtype=np.float64)
+            h, d_h = query.shape
+            h_kv, s, _ = k_all.shape
+            if h % h_kv != 0:
+                raise DimensionError(
+                    f"query heads ({h}) must be a multiple of kv heads ({h_kv})"
+                )
+            output = np.zeros((h, d_h), dtype=np.float64)
+            outputs.append(output)
+            per_head = _per_head_indices(selected, h_kv, s)
+            for kv, (out_rows, q_group) in enumerate(zip(
+                output.reshape(h_kv, h // h_kv, d_h),
+                query.reshape(h_kv, h // h_kv, d_h),
+            )):
+                entries.append((out_rows, q_group, k_all[kv], v_all[kv], per_head[kv]))
+
+        # Grouping by exact length (instead of padding to the max and
+        # masking) keeps every softmax reduction at its true length.
+        lengths = np.array([idx.size for *_, idx in entries], dtype=np.int64)
+        for t in np.unique(lengths):
+            if t == 0:
+                continue  # empty selection: the head's output stays zero
+            gather_start = perf_counter()
+            members = [entries[r] for r in np.flatnonzero(lengths == t)]
+            q_sel = np.stack([q_group for _, q_group, *_ in members])
+            d_h = q_sel.shape[-1]
+            k_sel, v_sel = self._buffers((len(members), int(t), d_h))
+            for slot, (_, _, k_rows, v_rows, idx) in enumerate(members):
+                np.take(k_rows, idx, axis=0, out=k_sel[slot], mode="wrap")
+                np.take(v_rows, idx, axis=0, out=v_sel[slot], mode="wrap")
+            attn_start = perf_counter()
+            logits = np.einsum("ngd,ntd->ngt", q_sel, k_sel) / np.sqrt(d_h)
+            weights = softmax(logits, axis=-1)
+            out = np.einsum("ngt,ntd->ngd", weights, v_sel)  # (n, group, d_h)
+            for (out_rows, *_), rows in zip(members, out):
+                out_rows[:] = rows
+            if timings is not None:
+                timings["gather"] = (
+                    timings.get("gather", 0.0) + attn_start - gather_start
+                )
+                timings["attention"] = (
+                    timings.get("attention", 0.0) + perf_counter() - attn_start
+                )
+        return outputs
+
+
 def decode_attention(
     query: np.ndarray,
     keys: np.ndarray,
     values: np.ndarray,
     selected: np.ndarray | list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Attention output of one decode step, optionally over a token subset.
-
-    Args:
-        query: ``(h, d_h)`` query of the last token.
-        keys: ``(h_kv, s, d_h)`` cached keys.
-        values: ``(h_kv, s, d_h)`` cached values.
-        selected: token indices to attend to.  Either ``None`` (all tokens),
-            a single 1-D index array shared by all KV heads, or a list of
-            per-KV-head index arrays (PQCache retrieves per head).
-
-    Returns:
-        ``(h, d_h)`` attention output.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    h, d_h = query.shape
-    h_kv, s, _ = keys.shape
-    if h % h_kv != 0:
-        raise DimensionError(
-            f"query heads ({h}) must be a multiple of kv heads ({h_kv})"
-        )
-    group = h // h_kv
-
-    if selected is None:
-        per_head_indices = [np.arange(s, dtype=np.int64)] * h_kv
-    elif isinstance(selected, (list, tuple)):
-        if len(selected) != h_kv:
-            raise DimensionError(
-                f"need {h_kv} per-head index arrays, got {len(selected)}"
-            )
-        per_head_indices = [np.asarray(idx, dtype=np.int64) for idx in selected]
-    else:
-        shared = np.asarray(selected, dtype=np.int64)
-        per_head_indices = [shared] * h_kv
-
-    # Vectorized across KV heads: heads whose selections have the same
-    # length are gathered and scored together with one einsum + softmax.
-    # Grouping by exact length (instead of padding to the max and masking)
-    # keeps every softmax reduction at its true length, so the result is
-    # bitwise identical to scoring each head separately.
-    output = np.zeros((h, d_h), dtype=np.float64)
-    lengths = np.array([idx.size for idx in per_head_indices], dtype=np.int64)
-    q_grouped = query.reshape(h_kv, group, d_h)
-    scale = np.sqrt(d_h)
-    for t in np.unique(lengths):
-        if t == 0:
-            continue  # empty selection: the head's output stays zero
-        heads = np.flatnonzero(lengths == t)
-        indices = np.stack([per_head_indices[kv] for kv in heads])  # (n, t)
-        k_sel = keys[heads[:, None], indices]    # (n, t, d_h)
-        v_sel = values[heads[:, None], indices]  # (n, t, d_h)
-        logits = np.einsum("ngd,ntd->ngt", q_grouped[heads], k_sel) / scale
-        weights = softmax(logits, axis=-1)
-        out = np.einsum("ngt,ntd->ngd", weights, v_sel)  # (n, group, d_h)
-        q_heads = (heads[:, None] * group + np.arange(group)[None, :]).ravel()
-        output[q_heads] = out.reshape(-1, d_h)
-    return output
+    """``(h, d_h)`` attention output of one decode step, optionally over a
+    token subset: :class:`GroupedDecodeAttention` on a batch of one (same
+    argument forms, unbatched) with a fresh workspace."""
+    return GroupedDecodeAttention()([query], [keys], [values], [selected])[0]

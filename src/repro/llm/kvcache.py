@@ -77,31 +77,36 @@ class TokenSegments:
             raise ConfigurationError("segment sizes must be >= 0")
 
     @property
+    def middle_range(self) -> tuple[int, int]:
+        """The middle segment as a half-open ``(start, stop)`` token range;
+        initial is ``[0, start)`` and local ``[stop, seq_len)``."""
+        start = min(self.num_initial, self.seq_len)
+        return start, max(self.seq_len - self.num_local, start)
+
+    @property
     def initial_indices(self) -> np.ndarray:
-        end = min(self.num_initial, self.seq_len)
-        return np.arange(0, end, dtype=np.int64)
+        return np.arange(0, self.middle_range[0], dtype=np.int64)
 
     @property
     def local_indices(self) -> np.ndarray:
-        start = max(self.seq_len - self.num_local, min(self.num_initial, self.seq_len))
-        return np.arange(start, self.seq_len, dtype=np.int64)
+        return np.arange(self.middle_range[1], self.seq_len, dtype=np.int64)
 
     @property
     def middle_indices(self) -> np.ndarray:
-        start = min(self.num_initial, self.seq_len)
-        end = max(self.seq_len - self.num_local, start)
-        return np.arange(start, end, dtype=np.int64)
+        return np.arange(*self.middle_range, dtype=np.int64)
 
     @property
     def num_middle(self) -> int:
-        return int(self.middle_indices.size)
+        start, stop = self.middle_range
+        return stop - start
 
     def describe(self) -> dict:
+        start, stop = self.middle_range
         return {
             "seq_len": self.seq_len,
-            "initial": int(self.initial_indices.size),
-            "middle": self.num_middle,
-            "local": int(self.local_indices.size),
+            "initial": start,
+            "middle": stop - start,
+            "local": self.seq_len - stop,
         }
 
 

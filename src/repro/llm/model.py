@@ -74,8 +74,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, DimensionError
-from ..utils import as_rng, softmax
-from .attention import decode_attention, prefill_attention
+from ..utils import as_rng
+from .attention import GroupedDecodeAttention, prefill_attention
 from .config import ModelConfig
 from .kvcache import KVCache
 from .layers import Linear, RMSNorm, SwiGLU
@@ -385,6 +385,8 @@ class TransformerLM:
         # Weight tying keeps the classifier consistent with planted embeddings,
         # which is what makes retrieval tasks decodable by argmax.
         self.lm_head = self.embedding
+        #: both decode paths' attention kernel; its only state is a workspace
+        self._decode_attention = GroupedDecodeAttention()
 
     # ------------------------------------------------------------- helpers
 
@@ -804,8 +806,8 @@ class TransformerLM:
             if selector is not None:
                 selected = selector(layer_index, query, cache)
 
-            attn_out = decode_attention(
-                query, layer_cache.keys, layer_cache.values, selected
+            (attn_out,) = self._decode_attention(
+                [query], [layer_cache.keys], [layer_cache.values], [selected]
             )
 
             hidden = hidden + _decode_rows(
@@ -830,11 +832,11 @@ class TransformerLM:
         rows into the same fixed-shape :func:`_decode_rows` blocks the
         per-request path pads with zeros — each row's result is independent
         of its block-mates — norms/RoPE/lm_head reduce along per-request axes
-        only, and attention extends
-        :func:`~repro.llm.attention.decode_attention`'s length-grouping across
-        ``(request, kv_head)`` entries — the non-optimized einsum contraction
-        makes each entry's result independent of which other entries share its
-        group.  The win is weight reuse: one padded GEMM per dense op per
+        only, and attention is the same
+        :class:`~repro.llm.attention.GroupedDecodeAttention` kernel, whose
+        length-grouping across ``(request, kv_head)`` entries makes each
+        entry's result independent of which other entries share its group.
+        The win is weight reuse: one padded GEMM per dense op per
         layer streams each weight matrix once per *round* instead of once per
         request, plus one einsum per distinct selection length per layer
         instead of one per request per layer.
@@ -846,8 +848,7 @@ class TransformerLM:
                 and caches for a layer at once and returns one per-request
                 selection (each in :data:`Selector` return format).
             timings: optional accumulator for host wall-clock stage seconds —
-                ``"gather"`` (selected key/value stacking) and ``"attention"``
-                (grouped einsum + softmax) are added into it.
+                the attention kernel adds ``"gather"`` and ``"attention"``.
 
         Returns:
             One ``(vocab,)`` logits array per request.
@@ -860,9 +861,6 @@ class TransformerLM:
             )
         if n == 0:
             return []
-        h_kv = cfg.num_kv_heads
-        group = cfg.gqa_group_size
-        scale = np.sqrt(cfg.head_dim)
         # Positions are captured before any appends, matching the per-request
         # path where each request reads its own pre-append seq_len.
         positions = [np.asarray([cache.seq_len]) for cache in caches]
@@ -881,82 +879,18 @@ class TransformerLM:
                 values_all.append(layer_cache.values)
 
             if selector is not None:
-                raw = selector(layer_index, queries, list(caches))
-                if len(raw) != n:
+                selections = selector(layer_index, queries, list(caches))
+                if len(selections) != n:
                     raise DimensionError(
-                        f"batch selector returned {len(raw)} selections "
+                        f"batch selector returned {len(selections)} selections "
                         f"for {n} requests"
                     )
             else:
-                raw = [None] * n
+                selections = [None] * n
 
-            # Per-request normalization, same semantics as decode_step /
-            # decode_attention: None attends to everything, a list/tuple is
-            # per-KV-head, anything else is shared across KV heads.
-            per_request: list[list[np.ndarray]] = []
-            for i in range(n):
-                selected = raw[i]
-                if selected is None:
-                    seq = keys_all[i].shape[1]
-                    per_head = [np.arange(seq, dtype=np.int64)] * h_kv
-                elif isinstance(selected, (list, tuple)):
-                    if len(selected) != h_kv:
-                        raise DimensionError(
-                            f"request {i}: selected has {len(selected)} "
-                            f"entries, expected {h_kv} KV heads"
-                        )
-                    per_head = [np.asarray(idx, dtype=np.int64) for idx in selected]
-                else:
-                    shared = np.asarray(selected, dtype=np.int64)
-                    per_head = [shared] * h_kv
-                per_request.append(per_head)
-
-            # Length-grouped attention over (request, kv_head) entries: one
-            # einsum per distinct selection length.  Gathers are exact copies
-            # and einsum accumulates per output element over the contracted
-            # axis only, so each entry's rows are bitwise independent of its
-            # group-mates.
-            attn_outs = [
-                np.zeros((cfg.num_heads, cfg.head_dim), dtype=np.float64)
-                for _ in range(n)
-            ]
-            entries = [(i, kv) for i in range(n) for kv in range(h_kv)]
-            lengths = np.array(
-                [per_request[i][kv].size for i, kv in entries], dtype=np.int64
+            attn_outs = self._decode_attention(
+                queries, keys_all, values_all, selections, timings
             )
-            q_grouped = [query.reshape(h_kv, group, cfg.head_dim) for query in queries]
-            for t in np.unique(lengths):
-                if t == 0:
-                    continue
-                gather_start = perf_counter()
-                rows = np.flatnonzero(lengths == t)
-                k_sel = np.stack(
-                    [keys_all[entries[r][0]][entries[r][1], per_request[entries[r][0]][entries[r][1]], :]
-                     for r in rows]
-                )
-                v_sel = np.stack(
-                    [values_all[entries[r][0]][entries[r][1], per_request[entries[r][0]][entries[r][1]], :]
-                     for r in rows]
-                )
-                q_sel = np.stack(
-                    [q_grouped[entries[r][0]][entries[r][1]] for r in rows]
-                )
-                attn_start = perf_counter()
-                logits = np.einsum("ngd,ntd->ngt", q_sel, k_sel) / scale
-                weights = softmax(logits, axis=-1)
-                out = np.einsum("ngt,ntd->ngd", weights, v_sel)
-                for row_pos, r in enumerate(rows):
-                    i, kv = entries[r]
-                    attn_outs[i][kv * group: (kv + 1) * group] = out[row_pos]
-                if timings is not None:
-                    timings["gather"] = (
-                        timings.get("gather", 0.0) + attn_start - gather_start
-                    )
-                    timings["attention"] = (
-                        timings.get("attention", 0.0)
-                        + perf_counter() - attn_start
-                    )
-
             attn_rows = np.stack(
                 [attn_outs[i].reshape(cfg.hidden_dim) for i in range(n)]
             )

@@ -30,8 +30,8 @@ class's ``select_batch`` / ``on_decode_step_batch`` override sees every
 same-class request at once — that is where the cross-request kernel fusion
 (grouped ADC scoring, grouped sort-dedup assembly, grouped PQ encoding)
 happens.  Stage wall-clock seconds accumulate into :attr:`DecodeBatch.timings`
-(keys ``"select"``, ``"score"``, ``"topk"``, ``"gather"``, ``"attention"``,
-``"maintenance"``) for :class:`~repro.serve.EngineMetrics`'s decode-round
+(keys ``"select"``, ``"score"``, ``"topk"``, ``"assemble"``, ``"gather"``,
+``"attention"``, ``"maintenance"``) for :class:`~repro.serve.EngineMetrics`'s decode-round
 breakdown.
 """
 

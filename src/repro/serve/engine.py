@@ -24,7 +24,8 @@ policy selection dispatches per policy class to cross-request batch kernels:
 ADC scoring/top-k (:func:`~repro.core.pqcache.topk_middle_grouped`), grouped
 PQ encoding (:func:`~repro.core.pqcache.append_tokens_grouped`), grouped
 sort-dedup assembly for the dropping baselines, and length-grouped einsum
-attention over ``(request, kv_head)`` entries.  The fused round is
+attention over ``(request, kv_head)`` entries
+(:class:`~repro.llm.attention.GroupedDecodeAttention`).  The fused round is
 byte-identical to the per-request loop
 (tokens, logits, selections, simulated clock and counters);
 ``decode_batching=False`` keeps the per-request loop as an escape hatch,
@@ -1239,6 +1240,7 @@ class InferenceEngine(PoolPressureMixin):
         self.metrics.decode_select_seconds += timings.get("select", 0.0)
         self.metrics.decode_score_seconds += timings.get("score", 0.0)
         self.metrics.decode_topk_seconds += timings.get("topk", 0.0)
+        self.metrics.decode_assemble_seconds += timings.get("assemble", 0.0)
         self.metrics.decode_gather_seconds += timings.get("gather", 0.0)
         self.metrics.decode_attention_seconds += timings.get("attention", 0.0)
         self.metrics.decode_maintenance_seconds += timings.get("maintenance", 0.0)

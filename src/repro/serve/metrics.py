@@ -527,6 +527,7 @@ class EngineMetrics:
     decode_select_seconds: float = 0.0
     decode_score_seconds: float = 0.0
     decode_topk_seconds: float = 0.0
+    decode_assemble_seconds: float = 0.0
     decode_gather_seconds: float = 0.0
     decode_attention_seconds: float = 0.0
     decode_maintenance_seconds: float = 0.0
@@ -733,6 +734,7 @@ class EngineMetrics:
             "decode_select_seconds": self.decode_select_seconds,
             "decode_score_seconds": self.decode_score_seconds,
             "decode_topk_seconds": self.decode_topk_seconds,
+            "decode_assemble_seconds": self.decode_assemble_seconds,
             "decode_gather_seconds": self.decode_gather_seconds,
             "decode_attention_seconds": self.decode_attention_seconds,
             "decode_maintenance_seconds": self.decode_maintenance_seconds,

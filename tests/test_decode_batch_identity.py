@@ -112,7 +112,8 @@ _MODE_DEPENDENT_METRICS = {
     "decode_batch_size_1", "decode_batch_size_2_4", "decode_batch_size_5_8",
     "decode_batch_size_9_16", "decode_batch_size_17_plus",
     "decode_select_seconds", "decode_score_seconds", "decode_topk_seconds",
-    "decode_gather_seconds", "decode_attention_seconds",
+    "decode_assemble_seconds", "decode_gather_seconds",
+    "decode_attention_seconds",
     "decode_maintenance_seconds",
     "prefill_projection_seconds", "prefill_attention_seconds",
     "prefill_aggregates_seconds", "prefill_ffn_seconds",
