@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -130,6 +131,9 @@ class _Node:
 
     def end_pos(self, block_size: int) -> int:
         return self.depth * block_size
+
+
+_last_used = attrgetter("last_used")
 
 
 @dataclass
@@ -870,8 +874,13 @@ class PrefixCache:
         # One LRU-sorted snapshot per call; chains are walked tail-first by
         # re-passing over it (freeing a leaf exposes its parent, which sits
         # nearby in LRU order since a chain is touched as a unit), instead
-        # of a full fresh scan per freed block.
-        candidates = sorted(self._nodes.values(), key=lambda n: n.last_used)
+        # of a full fresh scan per freed block.  Only resident nodes go in:
+        # nothing inside this call makes a spilled node resident again.
+        candidates = sorted(
+            (node for node in self._nodes.values() if node.spill_handle is None),
+            key=_last_used,
+        )
+        whole_index = None
         progressed = True
         spill_full = self.spill_store is None
         while freed < num_blocks and progressed:
@@ -903,8 +912,13 @@ class PrefixCache:
                 # *spilled* descendant blocking its hard removal.  Drop the
                 # coldest spilled leaf permanently — that frees disk room
                 # (spilling works again next pass) and exposes its parent —
-                # rather than wedging the pool on cold disk data.
-                for node in candidates:
+                # rather than wedging the pool on cold disk data.  This is
+                # the one place the spilled nodes' LRU order matters, so the
+                # whole index is sorted here, once, and not on every call
+                # (a resident node may yet spill and become that leaf).
+                if whole_index is None:
+                    whole_index = sorted(self._nodes.values(), key=_last_used)
+                for node in whole_index:
                     if (
                         node.key in self._nodes
                         and node.spilled

@@ -7,8 +7,13 @@ bound and encode deterministically (same block, same bytes)."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from byteplane_oracle import byteplane_pack, byteplane_unpack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.llm.kvcodec import (
@@ -19,8 +24,7 @@ from repro.llm.kvcodec import (
     IntQuantCodec,
     KVBlockCodec,
     RawCodec,
-    byteplane_pack,
-    byteplane_unpack,
+    byteplane_wire_nbytes,
     get_codec,
 )
 
@@ -98,6 +102,123 @@ class TestBytePlanePack:
             byteplane_unpack(blob, (3, 3), np.float16)  # wrong shape
 
 
+# ---------------------------------------------------------- byteplane sizing
+
+IMAGE_DTYPES = [np.float16, np.float32, np.float64]
+
+
+def image_from_planes(planes, dtype):
+    """The ``dtype`` image whose byte plane ``i`` is ``planes[i]``."""
+    raw = np.stack([np.asarray(p, dtype=np.uint8) for p in planes], axis=1)
+    return np.frombuffer(raw.tobytes(), dtype=dtype)
+
+
+def runs_plane(lengths, values):
+    """Consecutive runs; adjacent runs get distinct values by construction."""
+    return np.repeat(np.asarray(values, dtype=np.uint8), lengths)
+
+
+def distinct_plane(d, n, seed=0):
+    """``n`` shuffled bytes taking exactly ``d`` distinct values."""
+    rng = np.random.default_rng(seed)
+    palette = rng.permutation(256)[:d]
+    plane = np.concatenate([palette, rng.choice(palette, size=n - d)])
+    return rng.permutation(plane).astype(np.uint8)
+
+
+#: one byte plane per named boundary of the size arithmetic
+SIZING_PLANES = {
+    "empty": np.zeros(0, dtype=np.uint8),
+    "single": np.array([7], dtype=np.uint8),
+    "constant": np.full(300, 9, dtype=np.uint8),
+    "run-254": runs_plane([254, 3], [1, 2]),
+    "run-255": runs_plane([255, 3], [1, 2]),
+    "run-256": runs_plane([256, 3], [1, 2]),
+    "run-511": runs_plane([511, 3], [1, 2]),
+    "run-510-one-long": runs_plane([510], [5]),
+    "distinct-1": distinct_plane(1, 400),
+    "distinct-2": distinct_plane(2, 400),
+    "distinct-128": distinct_plane(128, 400),
+    "distinct-129": distinct_plane(129, 400),
+    "distinct-256": distinct_plane(256, 400),
+    # n = 4, two values: raw 4, RLE 4 and palette 1 + 2 + 1 = 4 all tie.
+    "tie-three-way": runs_plane([2, 2], [3, 4]),
+    # palette == raw (1 + 2 + ceil(4 / 8) == 4); RLE is 8.
+    "tie-palette-raw": np.array([3, 4, 3, 4], dtype=np.uint8),
+    # RLE == palette (4) < raw (8).
+    "tie-rle-palette": runs_plane([4, 4], [3, 4]),
+}
+
+
+@st.composite
+def structured_images(draw):
+    """Images whose planes mix long runs, small palettes and noise."""
+    dtype = draw(st.sampled_from(IMAGE_DTYPES))
+    n = draw(st.sampled_from([0, 1, 2, 3, 4, 8, 254, 255, 256, 510, 511, 512])
+             | st.integers(0, 1200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    planes = []
+    for _ in range(np.dtype(dtype).itemsize):
+        d = draw(st.sampled_from([1, 2, 3, 4, 5, 127, 128, 129, 256]))
+        run = draw(st.sampled_from([1, 1, 2, 3, 127, 254, 255, 256, 511]))
+        palette = rng.permutation(256)[:d]
+        lengths = rng.integers(1, run + 1, size=n)
+        plane = np.repeat(rng.choice(palette, size=n), lengths)[:n]
+        planes.append(plane)
+    return image_from_planes(planes, dtype)
+
+
+class TestBytePlaneWireNbytes:
+    """The arithmetic size is the oracle packer's blob length, exactly."""
+
+    @given(structured_images())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_oracle_blob_length_on_structured_images(self, image):
+        assert byteplane_wire_nbytes(image) == len(byteplane_pack(image))
+
+    @pytest.mark.parametrize("dtype", IMAGE_DTYPES)
+    @pytest.mark.parametrize("label", sorted(SIZING_PLANES))
+    def test_boundary_planes(self, label, dtype):
+        plane = SIZING_PLANES[label]
+        rng = np.random.default_rng(11)
+        itemsize = np.dtype(dtype).itemsize
+        # The named plane in every position in turn, noise in the others.
+        for position in range(itemsize):
+            planes = [
+                plane if i == position
+                else rng.integers(0, 256, size=plane.size).astype(np.uint8)
+                for i in range(itemsize)
+            ]
+            image = image_from_planes(planes, dtype)
+            assert byteplane_wire_nbytes(image) == len(byteplane_pack(image)), (
+                label, position
+            )
+
+    @pytest.mark.parametrize("label, mode", [
+        ("tie-three-way", 0), ("tie-palette-raw", 0), ("tie-rle-palette", 1),
+    ])
+    def test_ties_go_to_the_lower_mode_id(self, label, mode):
+        plane = SIZING_PLANES[label]
+        blob = byteplane_pack(plane)  # a uint8 image is its own single plane
+        assert blob[0] == mode and len(blob) == 5 + 4
+        assert byteplane_wire_nbytes(plane) == 5 + 4
+
+    @pytest.mark.parametrize("dtype", IMAGE_DTYPES)
+    def test_real_valued_blocks(self, dtype):
+        for seed in range(5):
+            image = random_block(seed).astype(dtype)
+            assert byteplane_wire_nbytes(image) == len(byteplane_pack(image))
+        for label, block in adversarial_blocks():
+            image = block.astype(dtype)
+            assert byteplane_wire_nbytes(image) == len(byteplane_pack(image)), label
+
+    def test_non_contiguous_and_scalar_images(self):
+        image = random_block(2).astype(np.float16)
+        for view in (image[:, ::2], image.T, image[0, 0, 0]):
+            assert byteplane_wire_nbytes(view) == len(byteplane_pack(view))
+
+
 # ------------------------------------------------------------ lossless codecs
 
 
@@ -133,6 +254,31 @@ class TestLosslessCodecs:
         # Sign/exponent structure packs; zeros pack dramatically.
         sparse = BytePlaneCodec().encode(np.zeros(BLOCK_SHAPE))
         assert sparse.wire_nbytes < sparse.logical_nbytes // 4
+
+    @pytest.mark.parametrize("dtype_bytes, huge", [(2, 1e6), (4, 1e39)])
+    def test_out_of_range_and_non_finite_blocks_encode_silently(
+        self, dtype_bytes, huge
+    ):
+        # The storage image is a size model: a value the modelled dtype
+        # cannot hold sizes like its ``inf`` image, raises no warning, and
+        # the parked float64 payload still restores bit for bit.
+        codec = BytePlaneCodec(dtype_bytes)
+        dtype = {2: np.float16, 4: np.float32}[dtype_bytes]
+        block = random_block(5)
+        block[0, 0, :4] = [huge, -huge, np.inf, -np.inf]
+        block[1, 3, :2] = [np.nan, -0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            encoded = codec.encode(block)
+            constant = codec.encode(np.full((2, 4, 4), huge))
+        as_inf = np.where(np.abs(block) >= huge, np.copysign(np.inf, block), block)
+        assert encoded.wire_nbytes == len(byteplane_pack(as_inf.astype(dtype)))
+        assert constant.wire_nbytes == len(
+            byteplane_pack(np.full((2, 4, 4), np.inf, dtype=dtype))
+        )
+        assert np.array_equal(
+            encoded.decode().view(np.uint64), block.view(np.uint64)
+        )
 
     def test_restore_unaffected_by_source_mutation(self):
         # The parked payload must be a copy: scribbling over the source

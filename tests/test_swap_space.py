@@ -4,6 +4,7 @@ hold refcounting (regression for the evict/re-insert leak)."""
 
 from __future__ import annotations
 
+import evict_walk_oracle
 import numpy as np
 import pytest
 
@@ -391,9 +392,13 @@ def fill_chain(alloc, tokens, seed=0):
     """Prefill-like chain: a paged cache holding ``tokens`` with random KV."""
     rng = np.random.default_rng(seed)
     paged = PagedKVCache(alloc)
-    for layer in range(alloc.num_layers):
-        k = rng.normal(size=(alloc.num_kv_heads, len(tokens), alloc.head_dim))
-        paged[layer].append(k, k * 2.0)
+    try:
+        for layer in range(alloc.num_layers):
+            k = rng.normal(size=(alloc.num_kv_heads, len(tokens), alloc.head_dim))
+            paged[layer].append(k, k * 2.0)
+    except CapacityError:
+        paged.release()  # a pool too full to host the chain keeps none of it
+        raise
     return paged
 
 
@@ -527,6 +532,81 @@ class TestPrefixCacheSpill:
         assert cache.stats.restored_blocks == 2
         for bid in hog:
             alloc.decref(bid)
+
+
+# ------------------------------------------- evict walk against its oracle
+
+
+class EventLog:
+    """Residency observer recording every ``_notify`` as ``(event, key)``."""
+
+    def __init__(self):
+        self.events = []
+
+    def __getattr__(self, name):
+        if not name.startswith("on_"):
+            raise AttributeError(name)
+        return lambda key: self.events.append((name[3:], key))
+
+
+def churn(evict_of, seed, steps=400):
+    """Seeded insert/match/evict churn; returns the cache and its event log.
+
+    ``evict_of(cache)`` supplies the walk under test — it serves both the
+    explicit evictions and the allocator's eviction hook, so the re-entrant
+    calls a restore's own allocation fires go through it too.  A 6-block disk
+    tier under a 24-block pool makes spill, hard eviction and the stuck
+    "drop the coldest spilled leaf" branch all fire.
+    """
+    rng = np.random.default_rng(seed)
+    alloc = make_allocator(capacity=24)
+    space = SwapSpace(disk_capacity_blocks=6, codec=BytePlaneCodec())
+    cache = PrefixCache(alloc, spill_store=space)
+    cache.observer = log = EventLog()
+    evict = evict_of(cache)
+    alloc.eviction_hook = evict
+    block = alloc.block_size
+    roots = [rng.integers(0, 50, size=2 * block).tolist() for _ in range(3)]
+    prompts, held = [], []
+    for _ in range(steps):
+        op = rng.choice(["insert", "insert", "match", "evict", "release"])
+        if op == "insert":
+            tail = rng.integers(0, 50, size=block * int(rng.integers(0, 4)))
+            tokens = roots[int(rng.integers(3))] + tail.tolist()
+            prompts.append(tokens)
+            try:
+                paged = fill_chain(alloc, tokens, seed=len(prompts))
+            except CapacityError:
+                continue  # the pool is pinned by held requests
+            cache.insert(tokens, paged.table.block_ids)
+            if rng.random() < 0.3:
+                held.append(paged)  # an active request keeps its blocks
+            else:
+                paged.release()
+        elif op == "match" and prompts:
+            cache.match(prompts[int(rng.integers(len(prompts)))])
+        elif op == "evict":
+            evict(int(rng.integers(1, 5)))
+        elif op == "release" and held:
+            held.pop(int(rng.integers(len(held)))).release()
+    return cache, log
+
+
+class TestEvictWalkAgainstOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_victims_same_order_same_counters(self, seed):
+        cache, log = churn(lambda cache: cache.evict, seed)
+        ref_cache, ref_log = churn(
+            lambda cache: lambda n=1: evict_walk_oracle.evict(cache, n), seed
+        )
+        stats = cache.stats
+        # The churn must reach every branch of the walk, or it proves nothing.
+        assert stats.spilled_blocks > 0 and stats.restored_blocks > 0
+        assert stats.evicted_blocks > 0 and stats.dropped_spilled_blocks > 0
+        assert log.events == ref_log.events
+        assert {e for e, _ in log.events} == {"insert", "spill", "restore", "evict"}
+        assert stats == ref_cache.stats
+        assert list(cache._nodes) == list(ref_cache._nodes)
 
 
 # ----------------------------------- export / restore double-billing guard
