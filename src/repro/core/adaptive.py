@@ -11,6 +11,11 @@ and caps the Lloyd iteration count at the ``T_max`` for which the two are
 equal (Eq. 3), clipped to a configurable range.  This module implements the
 profiling-record container, least-squares fitting of both curves, and the
 ``T_max`` computation.
+
+Eq. 1 has no term that grows with ``s`` but not with ``T``, and the host's
+clustering has none either: k-means++ seeding picks its centres among at most
+``SEED_POINTS_PER_CLUSTER * 2**b`` keys (:mod:`repro.core.kmeans`), so it is a
+part of ``alpha1`` and everything proportional to ``s`` is a Lloyd iteration.
 """
 
 from __future__ import annotations

@@ -24,6 +24,21 @@ Implementation notes
   ``||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2`` per pick; the pick itself is
   ``Generator.choice(n, p=...)`` spelled out (``cumsum`` + ``searchsorted`` on
   one uniform), so the generator is consumed exactly as a scalar run would.
+* The picks run over at most ``SEED_POINTS_PER_CLUSTER * n_clusters`` points
+  (2 048 keys at ``b = 6``).  A longer problem draws that many of its points
+  — ``Generator.choice`` without replacement, sorted back into input order —
+  from *its own* generator immediately before its picks, so a generator
+  shared by a head's sub-spaces is still consumed as consecutive scalar fits
+  would consume it and a problem still does not depend on its batch-mates.
+  Every pick is a pass over the points it chooses among, ``n_clusters`` of
+  them one after another; over all ``s`` keys that was more work than the
+  Lloyd iterations it prepared and a term ``~ s * n_clusters`` that the
+  paper's cost law ``T_clus = alpha1 + beta1 * s * T`` (Eq. 1,
+  :mod:`repro.core.adaptive`) has no place for.  Bounded, seeding is part of
+  ``alpha1`` — independent of ``s`` — and Lloyd, which still visits every
+  key, is the ``beta1 * s * T`` term.  A problem at or under the bound draws
+  no sample and is seeded from all its points.  The constant's comment has
+  the inertia table that fixes it at 32.
 * Lloyd iterations with a row-blocked assignment (:func:`nearest_centroid`),
   ``bincount`` centroid sums, empty-cluster re-seeding from the points
   furthest from their centroid (distances taken against the *updated*
@@ -59,6 +74,31 @@ __all__ = [
 #: block — 512 KiB, so a block is produced, reduced and overwritten inside L2
 #: instead of streaming ``n * 2**b`` distances through memory three times.
 _BLOCK_ELEMS = 1 << 16
+#: points per cluster that k-means++ picks its centres among: a problem longer
+#: than ``SEED_POINTS_PER_CLUSTER * n_clusters`` is seeded from a sample of that
+#: size.  A cluster holding a share ``w`` of the points has no point in the
+#: sample with probability ``exp(-SEED_POINTS_PER_CLUSTER * n_clusters * w)``;
+#: for a quarter of an average cluster (``w = 1 / (4 n_clusters)``) that is
+#: 0.03 % at 32, 1.8 % at 16, 14 % at 8 and 37 % at 4.  Final inertia relative
+#: to seeding from every point (8 problems of 16 384 x 32 keys, 64 clusters,
+#: mean / worst problem; ``tests/test_kmeans.py::TestSampledSeeding``):
+#:
+#:   =========  ====  =============  =============  =============  =============
+#:   keys       T     32             16             8              4
+#:   =========  ====  =============  =============  =============  =============
+#:   iid        0     1.013 / 1.033  0.989 / 1.021  0.997 / 1.031  0.996 / 1.018
+#:   iid        2, 8  1.001 / 1.003  1.001 / 1.002  1.000 / 1.001  1.001 / 1.003
+#:   40 blobs   0     1.014 / 1.068  1.222 / 2.697  1.400 / 3.166  6.354 / 11.66
+#:   40 blobs   2, 8  1.000 / 1.008  0.999 / 1.003  1.259 / 3.088  2.954 / 6.158
+#:   =========  ====  =============  =============  =============  =============
+#:
+#: (two seedings from *every* point with different generators: 1.007 / 1.027
+#: and 1.002 / 1.061 at ``T = 0``, 1.001 / 1.002 and 0.998 / 1.009 after).
+#: Seeding 8 x 16k keys takes 176 ms from every point, 33 ms at 32 and 13 ms
+#: at 16, of a ``T = 2`` fit of 310 / 167 / 148 ms: 32 is the largest sample
+#: that leaves Lloyd the dominant cost and the smallest that never dropped a
+#: blob.
+SEED_POINTS_PER_CLUSTER = 32
 #: (point, coordinate) pairs one centroid-sum ``bincount`` takes at a time: its
 #: int64 bin-index temporary stays at 4 MiB however long the sequence is.
 _SCATTER_ELEMS = 1 << 19
@@ -140,6 +180,30 @@ def _as_batch(array: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
     if 0 in arr.shape:
         raise DimensionError(f"{name} must be non-empty, got shape {arr.shape}")
     return (arr[None], True) if arr.ndim == 2 else (arr, False)
+
+
+def _as_matched_batches(
+    points: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """:func:`_as_batch` of both operands of an assignment, which must agree
+    in the number of problems and in the dimension."""
+    points, single = _as_batch(points, "points")
+    centroids, _ = _as_batch(centroids, "centroids")
+    if points.shape[0] != centroids.shape[0]:
+        raise ConfigurationError(
+            f"{points.shape[0]} point sets but {centroids.shape[0]} centroid sets"
+        )
+    if points.shape[2] != centroids.shape[2]:
+        raise ConfigurationError(
+            f"points dim {points.shape[2]} does not match centroids dim "
+            f"{centroids.shape[2]}"
+        )
+    return points, centroids, single
+
+
+def _check_n_clusters(n_clusters: int) -> None:
+    if n_clusters <= 0:
+        raise ConfigurationError("n_clusters must be positive")
 
 
 def nearest_centroid(
@@ -227,20 +291,31 @@ def kmeans_plus_plus_init(
     list of ``G`` (``G`` dividing ``J``).  Problem ``j`` draws from generator
     ``j // (J // G)`` after the problems before it in that group have taken
     all their draws; the groups advance pick by pick in lockstep.
+
+    The centres are picked among at most ``SEED_POINTS_PER_CLUSTER *
+    n_clusters`` points: a longer problem first draws that many of its points
+    (without replacement, kept in input order) from its generator.
     """
     points, single = _as_batch(points, "points")
+    _check_n_clusters(n_clusters)
     num, n_points, dim = points.shape
     rngs = _seed_rngs(rng, num)
     per_group = num // len(rngs)
     n_clusters = min(n_clusters, n_points)
+    cap = SEED_POINTS_PER_CLUSTER * n_clusters
     groups = np.arange(len(rngs))
 
     centroids = np.empty((num, n_clusters, dim), dtype=np.float64)
-    x_sq_all = np.einsum("jnd,jnd->jn", points, points)
     for turn in range(per_group):
         # One problem of every group: (G, n, d) views, no copies.
         pts = points[turn::per_group]
-        x_sq = x_sq_all[turn::per_group]
+        if n_points > cap:
+            sample = [
+                np.sort(r.choice(n_points, size=cap, replace=False, shuffle=False))
+                for r in rngs
+            ]
+            pts = pts[groups[:, None], sample]  # (G, cap, d)
+        x_sq = np.einsum("gnd,gnd->gn", pts, pts)
         closest_sq = np.zeros_like(x_sq)
         for idx in range(n_clusters):
             choice = [_draw(r, closest_sq[g]) for g, r in enumerate(rngs)]
@@ -262,8 +337,7 @@ def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     ``(n, d)`` points with ``(k, d)`` centroids, or stacks ``(J, n, d)`` /
     ``(J, k, d)``.
     """
-    points, single = _as_batch(points, "points")
-    centroids, _ = _as_batch(centroids, "centroids")
+    points, centroids, single = _as_matched_batches(points, centroids)
     labels, _ = nearest_centroid(points, centroids)
     return labels[0] if single else labels
 
@@ -295,8 +369,7 @@ def kmeans_fit(
         A :class:`KMeansResult` (batched fields for 3-D ``points``).
     """
     points, single = _as_batch(points, "points")
-    if n_clusters <= 0:
-        raise ConfigurationError("n_clusters must be positive")
+    _check_n_clusters(n_clusters)
     if max_iter < 0:
         raise ConfigurationError("max_iter must be >= 0")
     num, n_points, _ = points.shape
@@ -344,17 +417,7 @@ def kmeans_refine(
     Returns:
         A :class:`KMeansResult` (``n_iter`` counts only refinement iterations).
     """
-    points, single = _as_batch(points, "points")
-    centroids, _ = _as_batch(centroids, "centroids")
-    if points.shape[0] != centroids.shape[0]:
-        raise ConfigurationError(
-            f"{points.shape[0]} point sets but {centroids.shape[0]} centroid sets"
-        )
-    if points.shape[2] != centroids.shape[2]:
-        raise ConfigurationError(
-            f"points dim {points.shape[2]} does not match centroids dim "
-            f"{centroids.shape[2]}"
-        )
+    points, centroids, single = _as_matched_batches(points, centroids)
     if max_iter < 0:
         raise ConfigurationError("max_iter must be >= 0")
     result = _lloyd(points, centroids.copy(), max_iter, tol)

@@ -79,7 +79,7 @@ from .attention import GroupedDecodeAttention, prefill_attention
 from .config import ModelConfig
 from .kvcache import KVCache
 from .layers import Linear, RMSNorm, SwiGLU
-from .rope import apply_rope
+from .rope import rope_frequencies, rope_rotate
 
 __all__ = [
     "BatchSelector",
@@ -413,16 +413,17 @@ class TransformerLM:
         self,
         layer: LayerWeights,
         hidden_rows: np.ndarray,
-        positions: "Sequence[np.ndarray]",
+        rope: "tuple[np.ndarray, np.ndarray]",
     ) -> "list[tuple[np.ndarray, np.ndarray, np.ndarray]]":
         """Per-request Q/K/V for a decode round, on the fixed decode block.
 
         ``hidden_rows`` stacks one ``(d,)`` last-token hidden state per
-        request; projections run through :func:`_decode_rows`, so a row's
-        results are bitwise identical whether it is projected alone (the
-        per-request loop) or alongside the rest of a fused batch.  RMSNorm
-        and RoPE reduce along per-row axes only and are batch-invariant
-        as-is.
+        request and ``rope`` holds the ``(cos, sin)`` tables of the requests'
+        positions, row for row, built once per round.  Projections run
+        through :func:`_decode_rows`, so a row's results are bitwise
+        identical whether it is projected alone (the per-request loop) or
+        alongside the rest of a fused batch.  RMSNorm and RoPE reduce along
+        per-row axes only and are batch-invariant as-is.
 
         Returns one ``(q, k, v)`` triple per request, each head-major with a
         single token: ``q`` is ``(num_heads, 1, head_dim)``, ``k``/``v`` are
@@ -433,13 +434,14 @@ class TransformerLM:
         q_all = _decode_rows(layer.q_proj, normed)
         k_all = _decode_rows(layer.k_proj, normed)
         v_all = _decode_rows(layer.v_proj, normed)
+        cos, sin = rope
         triples = []
-        for i, position in enumerate(positions):
+        for i in range(len(hidden_rows)):
             q = q_all[i].reshape(1, cfg.num_heads, cfg.head_dim).transpose(1, 0, 2)
             k = k_all[i].reshape(1, cfg.num_kv_heads, cfg.head_dim).transpose(1, 0, 2)
             v = v_all[i].reshape(1, cfg.num_kv_heads, cfg.head_dim).transpose(1, 0, 2)
-            q = apply_rope(q, position, base=self.rope_base)
-            k = apply_rope(k, position, base=self.rope_base)
+            q = rope_rotate(q, cos[i : i + 1], sin[i : i + 1])
+            k = rope_rotate(k, cos[i : i + 1], sin[i : i + 1])
             triples.append((q, k, v))
         return triples
 
@@ -597,7 +599,8 @@ class TransformerLM:
         start = state.next_pos
         stop = min(start + num_tokens, state.seq_len)
         t = stop - start
-        positions = np.arange(start, stop)
+        # one pair of rotation tables for every layer's Q and K
+        cos, sin = rope_frequencies(cfg.head_dim, np.arange(start, stop), self.rope_base)
         hidden = self.embedding[state.token_ids[start:stop]]
         stages = dict.fromkeys(("projection", "attention", "aggregates", "ffn"), 0.0)
 
@@ -610,8 +613,8 @@ class TransformerLM:
             q = q.reshape(t, cfg.num_heads, cfg.head_dim).transpose(1, 0, 2)
             k = k.reshape(t, cfg.num_kv_heads, cfg.head_dim).transpose(1, 0, 2)
             v = v.reshape(t, cfg.num_kv_heads, cfg.head_dim).transpose(1, 0, 2)
-            q = apply_rope(q, positions, base=self.rope_base)
-            k = apply_rope(k, positions, base=self.rope_base)
+            q = rope_rotate(q, cos, sin)
+            k = rope_rotate(k, cos, sin)
             layer_cache = state.kvcache[layer_index]
             layer_cache.append(k, v)
             if state.chunk_queries is not None:
@@ -793,11 +796,11 @@ class TransformerLM:
             ``(vocab,)`` next-token logits.
         """
         cfg = self.config
-        position = np.asarray([cache.seq_len])
+        rope = rope_frequencies(cfg.head_dim, [cache.seq_len], self.rope_base)
         hidden = self.embedding[int(token_id)][None, :]  # (1, d)
 
         for layer_index, layer in enumerate(self.layers):
-            ((q, k, v),) = self._decode_project_qkv(layer, hidden, [position])
+            ((q, k, v),) = self._decode_project_qkv(layer, hidden, rope)
             layer_cache = cache[layer_index]
             layer_cache.append(k[:, 0, :], v[:, 0, :])
             query = q[:, 0, :]  # (h, d_h)
@@ -863,14 +866,16 @@ class TransformerLM:
             return []
         # Positions are captured before any appends, matching the per-request
         # path where each request reads its own pre-append seq_len.
-        positions = [np.asarray([cache.seq_len]) for cache in caches]
+        rope = rope_frequencies(
+            cfg.head_dim, [cache.seq_len for cache in caches], self.rope_base
+        )
         hidden_rows = np.stack([self.embedding[int(t)] for t in token_ids])
 
         for layer_index, layer in enumerate(self.layers):
             queries: list[np.ndarray] = []
             keys_all: list[np.ndarray] = []
             values_all: list[np.ndarray] = []
-            triples = self._decode_project_qkv(layer, hidden_rows, positions)
+            triples = self._decode_project_qkv(layer, hidden_rows, rope)
             for i, (q, k, v) in enumerate(triples):
                 layer_cache = caches[i][layer_index]
                 layer_cache.append(k[:, 0, :], v[:, 0, :])

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import DimensionError
 
-__all__ = ["rope_frequencies", "apply_rope", "rotate_half"]
+__all__ = ["rope_frequencies", "apply_rope", "rope_rotate", "rotate_half"]
 
 
 def rope_frequencies(head_dim: int, positions: np.ndarray, base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
@@ -37,6 +37,13 @@ def rotate_half(x: np.ndarray) -> np.ndarray:
     """Rotate the two halves of the last dimension: ``(-x2, x1)``."""
     half = x.shape[-1] // 2
     return np.concatenate([-x[..., half:], x[..., :half]], axis=-1)
+
+
+def rope_rotate(vectors: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate ``(..., seq, head_dim)`` vectors by :func:`rope_frequencies`
+    tables of their positions — :func:`apply_rope` for a caller that rotates
+    several tensors at the same positions and builds the tables once."""
+    return vectors * cos + rotate_half(vectors) * sin
 
 
 def apply_rope(
@@ -62,5 +69,4 @@ def apply_rope(
         raise DimensionError(
             f"positions length {positions.shape[0]} does not match sequence {seq}"
         )
-    cos, sin = rope_frequencies(head_dim, positions, base)
-    return vectors * cos + rotate_half(vectors) * sin
+    return rope_rotate(vectors, *rope_frequencies(head_dim, positions, base))

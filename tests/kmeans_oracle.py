@@ -6,11 +6,22 @@ Its arithmetic is kept as it was (difference-form k-means++ distances,
 ``(n, 2**b)`` matrix, ``np.add.at`` centroid sums) as the reference the batched kernel is compared
 against: identical draws and update order, so labels, iteration counts and
 convergence flags must match exactly and centroids to rounding.
+
+The one thing it takes from the kernel is the seeding sample: a problem longer
+than ``cap * n_clusters`` points picks its centres among a sorted sample of
+that many, drawn from the same generator by the same rule.  ``cap`` defaults
+to the kernel's ``SEED_POINTS_PER_CLUSTER``; ``cap=LIFTED`` is the full-set
+seeding both shipped before, which the kernel itself can no longer run.
 """
+
+import math
 
 import numpy as np
 
+from repro.core import kmeans as kernel
 from repro.core.kmeans import KMeansResult
+
+LIFTED = math.inf
 
 
 def pairwise_sq_dists(points, centroids):
@@ -25,9 +36,13 @@ def assign(points, centroids):
     return np.argmin(pairwise_sq_dists(points, centroids), axis=1).astype(np.int64)
 
 
-def plus_plus_init(points, n_clusters, rng):
+def plus_plus_init(points, n_clusters, rng, cap=None):
+    n_clusters = min(n_clusters, points.shape[0])
+    sample_size = (kernel.SEED_POINTS_PER_CLUSTER if cap is None else cap) * n_clusters
+    if points.shape[0] > sample_size:
+        points = points[np.sort(rng.choice(
+            points.shape[0], size=sample_size, replace=False, shuffle=False))]
     n_points = points.shape[0]
-    n_clusters = min(n_clusters, n_points)
     centroids = np.empty((n_clusters, points.shape[1]), dtype=np.float64)
     centroids[0] = points[int(rng.integers(n_points))]
     closest_sq = np.einsum("ij,ij->i", points - centroids[0], points - centroids[0])
@@ -79,7 +94,7 @@ def lloyd(points, centroids, max_iter, tol=1e-6):
     return KMeansResult(centroids, labels.astype(np.int64), inertia, n_iter, converged)
 
 
-def fit(points, n_clusters, max_iter, seed):
+def fit(points, n_clusters, max_iter, seed, cap=None):
     """``seed`` may be a generator shared by consecutive calls, as
     ``ProductQuantizer.fit`` shares one across a head's sub-spaces."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -89,7 +104,7 @@ def fit(points, n_clusters, max_iter, seed):
         centroids = np.tile(points, (reps, 1))[:n_clusters].copy()
         labels = np.arange(n_points, dtype=np.int64) % n_clusters
         return KMeansResult(centroids, labels, 0.0, 0, True)
-    return lloyd(points, plus_plus_init(points, n_clusters, rng), max_iter)
+    return lloyd(points, plus_plus_init(points, n_clusters, rng, cap), max_iter)
 
 
 def assert_same(result, oracle):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import kmeans_oracle as oracle
 from repro.core import kmeans as kmeans_module
 from repro.core.kmeans import (
+    SEED_POINTS_PER_CLUSTER,
     KMeansResult,
     _converged,
     _reseed_targets,
@@ -188,6 +189,35 @@ class TestKMeansAssign:
         assert list(kmeans_assign(points, centroids)) == [0, 1]
 
 
+class TestEntryPointsValidateAlike:
+    """Regression: ``kmeans_assign`` used to leak NumPy's broadcast / matmul
+    ``ValueError`` for operands ``kmeans_refine`` rejects by name, and
+    ``kmeans_plus_plus_init`` accepted the ``n_clusters`` ``kmeans_fit``
+    rejects (``0`` gave a ``(J, 0, d)`` array, ``-1`` died in ``np.empty``)."""
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("call", [
+        kmeans_assign, lambda points, centroids: kmeans_refine(points, centroids, 2),
+    ], ids=["assign", "refine"])
+    def test_mismatched_operands(self, rng, call, batch):
+        points = rng.normal(size=batch + (20, 4))
+        with pytest.raises(ConfigurationError, match="dim 4 does not match"):
+            call(points, rng.normal(size=batch + (5, 3)))
+        # one 2-D problem against a stack used to assign to its first set
+        with pytest.raises(ConfigurationError, match="point sets but 2 centroid sets"):
+            call(points, rng.normal(size=(2, 5, 4)))
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("call", [
+        lambda points, k: kmeans_fit(points, k, seed=0),
+        lambda points, k: kmeans_plus_plus_init(points, k, np.random.default_rng(0)),
+    ], ids=["fit", "plus_plus_init"])
+    @pytest.mark.parametrize("n_clusters", [0, -1])
+    def test_non_positive_n_clusters(self, rng, call, batch, n_clusters):
+        with pytest.raises(ConfigurationError, match="n_clusters must be positive"):
+            call(rng.normal(size=batch + (20, 4)), n_clusters)
+
+
 class TestKMeansRefine:
     """Incremental construction: warm-started Lloyd over the full point set."""
 
@@ -243,6 +273,11 @@ class TestKMeansRefine:
             kmeans_refine(points, rng.normal(size=(4, 3)), max_iter=-1)
 
 
+#: longest problems that k-means++ still seeds from every point
+CAP_32 = SEED_POINTS_PER_CLUSTER * 32
+CAP_64 = SEED_POINTS_PER_CLUSTER * 64
+
+
 def _rows(result, j):
     """Problem ``j`` of a batched result, as a 2-D call returns it."""
     return (result.centroids[j], result.labels[j], float(result.inertia[j]),
@@ -265,7 +300,9 @@ class TestOracleEquivalence:
     iteration counts and convergence flags are identical and centroids agree
     to rounding."""
 
-    SHAPES = [(256, 4, 16), (1300, 4, 64), (4096, 16, 64), (16271, 32, 64)]
+    #: from the third on: n = cap (the last that is not sampled), cap + 1, 2, ~8 and 8 cap
+    SHAPES = [(256, 4, 16), (1300, 4, 64), (CAP_64, 8, 64), (CAP_64 + 1, 8, 64),
+              (4096, 16, 64), (16271, 32, 64), (8 * CAP_64, 4, 64)]
 
     @pytest.mark.parametrize("n,d,k", SHAPES)
     @pytest.mark.parametrize("iters", [0, 2, 8])
@@ -282,12 +319,29 @@ class TestOracleEquivalence:
             oracle.lloyd(points, start, iters),
         )
 
-    def test_shared_generator_is_consumed_like_consecutive_scalar_fits(self):
+    @pytest.mark.parametrize("n", [700, CAP_32, CAP_32 + 1])
+    def test_the_cap_is_where_sampling_starts(self, n):
+        """Up to ``SEED_POINTS_PER_CLUSTER * n_clusters`` points the kernel is
+        the full-set seeding — the oracle with its cap lifted — and leaves the
+        generator where that left it; one point more and a sample is drawn."""
+        points = np.random.default_rng(n).normal(size=(n, 8))
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        got = kmeans_fit(points, 32, max_iter=3, seed=ours)
+        want = oracle.fit(points, 32, 3, seed=theirs, cap=oracle.LIFTED)
+        if n <= CAP_32:
+            oracle.assert_same(got, want)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        else:
+            assert ours.bit_generator.state != theirs.bit_generator.state
+
+    @pytest.mark.parametrize("n", [700, 3 * CAP_32])
+    def test_shared_generator_is_consumed_like_consecutive_scalar_fits(self, n):
         """``ProductQuantizer`` seeds a head's sub-spaces one after another
         from one generator; a batch with one generator per head must leave
-        every problem with the draws the scalar loop gave it."""
+        every problem with the draws the scalar loop gave it — the seeding
+        sample of a long problem included."""
         heads, parts = 3, 2
-        points = np.random.default_rng(3).normal(size=(heads * parts, 700, 8))
+        points = np.random.default_rng(3).normal(size=(heads * parts, n, 8))
         batch = kmeans_fit(points, 32, max_iter=4,
                            seed=[np.random.default_rng(9) for _ in range(heads)])
         for head in range(heads):
@@ -307,7 +361,9 @@ class TestBatchInvariance:
     """A problem's result must not depend on its batch-mates: solved alone it
     equals its row of a ``J = 8`` batch *exactly*."""
 
-    @pytest.mark.parametrize("n,d,k", [(90, 4, 16), (1500, 8, 64), (5000, 16, 64)])
+    @pytest.mark.parametrize("n,d,k", [
+        (90, 4, 16), (1500, 8, 64), (5000, 16, 64), (CAP_64 + 1, 4, 64),
+    ])  # the last two are seeded from samples
     def test_alone_equals_row_of_batch(self, n, d, k):
         points = np.random.default_rng(n).normal(size=(8, n, d))
         batch = kmeans_fit(points, k, max_iter=6, seed=list(range(8)))
@@ -332,6 +388,60 @@ class TestBatchInvariance:
         assert np.array_equal(got.labels, want.labels)
         assert np.array_equal(got.n_iter, want.n_iter)
         np.testing.assert_allclose(got.centroids, want.centroids, rtol=0, atol=1e-12)
+
+
+def _parity_keys(kind, seed, n, dim):
+    """``iid`` normal keys, or ``clustered``: 40 tight Gaussian blobs whose
+    sizes fall off as 1 / rank, the smallest holding 0.6 % of the keys."""
+    rng = np.random.default_rng([seed, n, dim])
+    if kind == "iid":
+        return rng.normal(size=(n, dim))
+    share = 1.0 / np.arange(1, 41)
+    blob = rng.choice(40, size=n, p=share / share.sum())
+    return rng.normal(size=(40, dim))[blob] + 0.05 * rng.normal(size=(n, dim))
+
+
+class TestSampledSeeding:
+    """Problems longer than ``SEED_POINTS_PER_CLUSTER * n_clusters`` points pick
+    their centres among a sample; Lloyd still runs over every point."""
+
+    #: how far final inertia may exceed cap-lifted seeding's: (mean, worst
+    #: problem).  After Lloyd the two must be the same quality.  With no
+    #: iteration every centre is still a data point and two *cap-lifted*
+    #: seedings from different generators are already 0.7 % / 6 % apart, so
+    #: that row only catches a seeding that leaves a cluster without a centre.
+    PARITY = {0: (0.05, 0.10), 2: (0.01, 0.03), 8: (0.01, 0.03)}
+
+    @pytest.mark.parametrize("kind", ["iid", "clustered"])
+    def test_inertia_matches_seeding_from_every_point(self, kind):
+        """What justifies the constant (see its comment): at 8x the cap the
+        clustering is as good as when seeded from every point.  Mutation
+        check: ``SEED_POINTS_PER_CLUSTER = 4`` fails the clustered case — its
+        256-key sample misses small blobs, which Lloyd cannot win back."""
+        k, dim, problems = 64, 32, 8
+        n = 8 * CAP_64
+        points = np.stack([_parity_keys(kind, s, n, dim) for s in range(problems)])
+        lifted = np.stack([
+            oracle.plus_plus_init(points[s], k, np.random.default_rng(s), cap=oracle.LIFTED)
+            for s in range(problems)
+        ])
+        for iters, (mean, worst) in self.PARITY.items():
+            ours = kmeans_fit(points, k, max_iter=iters, seed=list(range(problems)))
+            ratio = ours.inertia / kmeans_refine(points, lifted, max_iter=iters).inertia
+            assert abs(ratio.mean() - 1.0) <= mean, (iters, ratio)
+            assert ratio.max() <= 1.0 + worst, (iters, ratio)
+
+    def test_zero_iterations_returns_input_rows_and_labels_every_point(self):
+        n = 3 * CAP_32
+        points = np.random.default_rng(11).normal(size=(2, n, 6))
+        result = kmeans_fit(points, 32, max_iter=0, seed=[0, 1])
+        assert result.centroids.shape == (2, 32, 6) and result.labels.shape == (2, n)
+        assert not result.n_iter.any() and result.converged.all()
+        for j in range(2):
+            for centroid in result.centroids[j]:
+                assert (points[j] == centroid).all(axis=1).any()
+            assert np.array_equal(result.labels[j], oracle.assign(points[j], result.centroids[j]))
+            assert set(result.labels[j].tolist()) == set(range(32))
 
 
 class TestHeterogeneousBatches:

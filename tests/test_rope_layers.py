@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DimensionError
 from repro.llm.layers import Linear, RMSNorm, SwiGLU, rms_norm, silu
-from repro.llm.rope import apply_rope, rope_frequencies, rotate_half
+from repro.llm.rope import apply_rope, rope_frequencies, rope_rotate, rotate_half
 
 
 class TestRope:
@@ -33,6 +33,23 @@ class TestRope:
             return float(rq @ rk)
         assert scored(5, 3) == pytest.approx(scored(105, 103), rel=1e-9)
         assert scored(7, 0) == pytest.approx(scored(1007, 1000), rel=1e-9)
+
+    def test_tables_built_once_rotate_exactly_like_apply_rope(self, rng):
+        """The model builds one ``(cos, sin)`` pair per prefill chunk or decode
+        round and rotates every layer's Q and K with it (a decode round: one
+        row per request, at ragged positions).  Same function of the same
+        inputs as a per-tensor :func:`apply_rope`, so every bit is equal."""
+        positions = [5, 16383, 0, 977, 65535, 16384, 12]
+        cos, sin = rope_frequencies(32, positions, base=5e5)
+        for i, position in enumerate(positions):
+            query = rng.normal(size=(8, 1, 32))
+            assert np.array_equal(
+                rope_rotate(query, cos[i : i + 1], sin[i : i + 1]),
+                apply_rope(query, [position], base=5e5),
+            )
+        chunk = rng.normal(size=(4, len(positions), 32))
+        assert np.array_equal(rope_rotate(chunk, cos, sin),
+                              apply_rope(chunk, positions, base=5e5))
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(DimensionError):
