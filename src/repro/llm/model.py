@@ -12,10 +12,12 @@ implements exactly the two phases the paper describes (§2.1):
   scheduler) drive :class:`PrefillState` directly via
   :meth:`TransformerLM.begin_prefill` / :meth:`TransformerLM.prefill_chunk` /
   :meth:`TransformerLM.finish_prefill`.
-* :meth:`TransformerLM.decode_step` — processes the last generated token only,
-  reading keys/values from the cache, with an optional per-layer *selector*
-  callback that restricts attention to a subset of tokens.  That callback is
-  how every KVCache policy (PQCache and the baselines) is injected.
+* :meth:`TransformerLM.decode_step_batch` — processes the last generated token
+  of each request in the round, reading keys/values from the caches, with an
+  optional per-layer *selector* callback that restricts attention to a subset
+  of tokens.  That callback is how every KVCache policy (PQCache and the
+  baselines) is injected.  :meth:`TransformerLM.decode_step` is the round of
+  one.
 
 The model itself is stateless across sequences — all per-sequence state
 lives in the :class:`~repro.llm.kvcache.KVCache` each caller owns (and, for a
@@ -56,8 +58,8 @@ the fixed feature axis and are invariant as-is.
 Decode rounds get the same treatment at request granularity: decode-time
 dense ops run on fixed ``(DECODE_ROW_BLOCK, d)`` zero-padded operands (see
 :func:`_decode_rows`), so a request's decode step is bitwise identical
-whether it runs alone through :meth:`TransformerLM.decode_step` or packed
-with other requests into one :meth:`TransformerLM.decode_step_batch` round.
+whether it runs in a :meth:`TransformerLM.decode_step_batch` round of one or
+packed with other requests.
 
 The model is random-initialised: no pretrained weights exist offline.  Its
 purpose is to exercise the true code paths (per-head keys with RoPE, GQA
@@ -101,8 +103,7 @@ PREFILL_ROW_BLOCK = 256
 
 #: Row-block size of the fixed-shape dense operands used during decoding.
 #: Every decode-time projection/FFN ``matmul`` runs on exactly this many rows
-#: (zero-padded), whether the engine decodes requests one at a time or fuses
-#: a whole batch into one round — see :func:`_decode_rows`.
+#: (zero-padded), whatever the size of the round — see :func:`_decode_rows`.
 DECODE_ROW_BLOCK = 8
 
 
@@ -143,12 +144,12 @@ def _decode_rows(fn, rows: np.ndarray) -> np.ndarray:
     grid), but within a *fixed* operand shape each row's result is bitwise
     independent of both its offset in the block and the other rows' contents
     — GEMM computes every output row from its own input row only, with a
-    per-element accumulation order fixed by the operand shapes.  The decode
-    paths rely on exactly that: the per-request loop runs each token's row
-    alone in a zero-padded block, the fused round packs up to
-    :data:`DECODE_ROW_BLOCK` requests' rows into the same shape (streaming
-    each weight matrix once per round instead of once per request), and both
-    see identical per-row results.
+    per-element accumulation order fixed by the operand shapes.  Decode
+    rounds rely on exactly that: a round of one runs its token's row alone in
+    a zero-padded block, a larger round packs up to :data:`DECODE_ROW_BLOCK`
+    requests' rows into the same shape (streaming each weight matrix once per
+    round instead of once per request), and both see identical per-row
+    results.
     """
     block = DECODE_ROW_BLOCK
     b = rows.shape[0]
@@ -421,7 +422,7 @@ class TransformerLM:
         request and ``rope`` holds the ``(cos, sin)`` tables of the requests'
         positions, row for row, built once per round.  Projections run
         through :func:`_decode_rows`, so a row's results are bitwise
-        identical whether it is projected alone (the per-request loop) or
+        identical whether it is projected alone (a round of one) or
         alongside the rest of a fused batch.  RMSNorm and RoPE reduce along
         per-row axes only and are batch-invariant as-is.
 
@@ -782,9 +783,9 @@ class TransformerLM:
     ) -> np.ndarray:
         """Process one generated token and return next-token logits.
 
-        The token's key/value are appended to the cache *before* attention so
-        the new token can always attend to itself, matching standard
-        implementations.
+        The :meth:`decode_step_batch` round of one.  The token's key/value are
+        appended to the cache *before* attention so the new token can always
+        attend to itself, matching standard implementations.
 
         Args:
             token_id: id of the last generated token.
@@ -795,31 +796,14 @@ class TransformerLM:
         Returns:
             ``(vocab,)`` next-token logits.
         """
-        cfg = self.config
-        rope = rope_frequencies(cfg.head_dim, [cache.seq_len], self.rope_base)
-        hidden = self.embedding[int(token_id)][None, :]  # (1, d)
+        batch_selector = None
+        if selector is not None:
 
-        for layer_index, layer in enumerate(self.layers):
-            ((q, k, v),) = self._decode_project_qkv(layer, hidden, rope)
-            layer_cache = cache[layer_index]
-            layer_cache.append(k[:, 0, :], v[:, 0, :])
-            query = q[:, 0, :]  # (h, d_h)
+            def batch_selector(layer_index, queries, caches):
+                return [selector(layer_index, queries[0], caches[0])]
 
-            selected = None
-            if selector is not None:
-                selected = selector(layer_index, query, cache)
-
-            (attn_out,) = self._decode_attention(
-                [query], [layer_cache.keys], [layer_cache.values], [selected]
-            )
-
-            hidden = hidden + _decode_rows(
-                layer.o_proj, attn_out.reshape(1, cfg.hidden_dim)
-            )
-            hidden = hidden + _decode_rows(layer.ffn, layer.ffn_norm(hidden))
-
-        final = self.final_norm(hidden[0])
-        return self.lm_head @ final
+        (logits,) = self.decode_step_batch([token_id], [cache], batch_selector)
+        return logits
 
     def decode_step_batch(
         self,
@@ -830,13 +814,12 @@ class TransformerLM:
     ) -> "list[np.ndarray]":
         """Process one generated token for *each* request in one fused round.
 
-        Bitwise identical to calling :meth:`decode_step` once per request, in
-        order: every dense op (projections, o_proj, FFN) packs the requests'
-        rows into the same fixed-shape :func:`_decode_rows` blocks the
-        per-request path pads with zeros — each row's result is independent
-        of its block-mates — norms/RoPE/lm_head reduce along per-request axes
-        only, and attention is the same
-        :class:`~repro.llm.attention.GroupedDecodeAttention` kernel, whose
+        Bitwise identical to one round per request, in order: every dense
+        op (projections, o_proj, FFN) packs the requests' rows into the same
+        fixed-shape :func:`_decode_rows` blocks a round of one pads with
+        zeros — each row's result is independent of its block-mates —
+        norms/RoPE/lm_head reduce along per-request axes only, and the
+        :class:`~repro.llm.attention.GroupedDecodeAttention` kernel's
         length-grouping across ``(request, kv_head)`` entries makes each
         entry's result independent of which other entries share its group.
         The win is weight reuse: one padded GEMM per dense op per
@@ -864,8 +847,7 @@ class TransformerLM:
             )
         if n == 0:
             return []
-        # Positions are captured before any appends, matching the per-request
-        # path where each request reads its own pre-append seq_len.
+        # Each request's position is its own pre-append seq_len.
         rope = rope_frequencies(
             cfg.head_dim, [cache.seq_len for cache in caches], self.rope_base
         )

@@ -1,29 +1,20 @@
-"""Fused decode-round plan: one batched model step over all RUNNING requests.
+"""Decode-round plan: one batched model step over the round's requests.
 
-:class:`DecodeBatch` is the engine's working plan for a *fused* decode round:
-it collects every decoding request's input token, KVCache and policy into one
-structure, builds the :data:`~repro.llm.BatchSelector` that dispatches each
-layer's selections to cross-request grouped policy kernels
+:class:`DecodeBatch` is the engine's working plan for a decode round: it
+collects every member's input token, KVCache and policy into one structure,
+builds the :data:`~repro.llm.BatchSelector` that dispatches each layer's
+selections to cross-request grouped policy kernels
 (:meth:`~repro.baselines.base.KVCachePolicy.select_batch`), and captures the
 per-request bookkeeping (``step_selections``, attended-token counts) that the
 engine's billing phase consumes afterwards.
 
-The plan exists so :class:`~repro.serve.InferenceEngine` can run one
-:meth:`~repro.llm.TransformerLM.decode_step_batch` call per engine step
-instead of one :meth:`~repro.llm.TransformerLM.decode_step` call per request,
-while keeping tokens, logits, selections and metrics byte-identical to the
-per-request loop:
-
-* per-request state is fully isolated (each request owns its KVCache and
-  policy), so running the round layer-major across requests instead of
-  request-major cannot change any request's arithmetic;
-* grouped policy kernels are contractually bitwise equal to looping the
-  per-request hooks (see :meth:`KVCachePolicy.select_batch`);
-* the selector bookkeeping below replicates the per-request selector closure
-  of the looped path exactly, including the convention that a request with
-  neither a policy nor a selection hook records *no* per-layer selections
-  (its ``selections`` entry stays an empty list, and the engine substitutes
-  the full-attention attended count after the round).
+A member's results do not depend on its batch-mates: per-request state is
+fully isolated (each request owns its KVCache and policy), and grouped policy
+kernels are contractually bitwise equal to their batch of one (see
+:meth:`KVCachePolicy.select_batch`).  A request with neither a policy nor a
+selection hook records *no* per-layer selections (its ``selections`` entry
+stays an empty list, and the engine substitutes the full-attention attended
+count after the round).
 
 Requests are grouped by *policy class* (order of first occurrence) so each
 class's ``select_batch`` / ``on_decode_step_batch`` override sees every
@@ -53,7 +44,7 @@ __all__ = ["DecodeBatch", "DecodeMember"]
 
 @dataclass
 class DecodeMember:
-    """One request's slot in a fused decode round."""
+    """One request's slot in a decode round."""
 
     state: RequestState
     #: token this round processes (the request's last emitted/forced token)
@@ -62,18 +53,17 @@ class DecodeMember:
     policy: KVCachePolicy | None
     #: optional per-layer observer from the request (test instrumentation)
     hook: object | None
-    #: whether the looped path would build a selector closure for this
-    #: request — exactly ``policy is not None or hook is not None``; members
-    #: without one record no selections and attend to everything
+    #: ``policy is not None or hook is not None``; members without either
+    #: record no selections and attend to everything
     needs_selector: bool
-    #: per-layer normalised selections, as the looped selector records them
+    #: per-layer normalised selections (``None``, or one index array per KV head)
     step_selections: StepSelections = field(default_factory=list)
     #: per-layer attended-token counts (empty for selector-less members)
     attended: list[float] = field(default_factory=list)
 
 
 class DecodeBatch:
-    """Plan and per-layer dispatch state of one fused decode round."""
+    """Plan and per-layer dispatch state of one decode round."""
 
     def __init__(self, members: list[DecodeMember], num_kv_heads: int) -> None:
         self.members = members
@@ -124,11 +114,10 @@ class DecodeBatch:
         return [member.cache for member in self.members]
 
     def build_selector(self) -> BatchSelector | None:
-        """Batch selector replicating the looped path's per-request closure.
+        """The round's batch selector, recording each member's selections.
 
         Returns ``None`` when no member carries a policy or a hook — the
-        model then runs full attention for the whole round, exactly as
-        ``decode_step(..., selector=None)`` would per request.
+        model then runs full attention for the whole round.
         """
         if not any(member.needs_selector for member in self.members):
             return None
@@ -156,8 +145,7 @@ class DecodeBatch:
                     raw[p] = selection
             for p, member in enumerate(members):
                 if not member.needs_selector:
-                    # The looped path passes selector=None for this request:
-                    # no selections are recorded, attention is unrestricted.
+                    # No selections are recorded, attention is unrestricted.
                     continue
                 chosen = raw[p]
                 if chosen is None:

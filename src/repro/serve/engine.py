@@ -14,23 +14,16 @@ argmax — so a batched run produces byte-identical tokens to sequential
 :func:`repro.llm.greedy_generate` calls (which is itself a thin wrapper over
 a one-request engine).
 
-The decode hot path is fused across *requests* as well as KV heads: by
-default one engine step issues one :meth:`TransformerLM.decode_step_batch`
-round over every ``RUNNING`` request (planned by
-:class:`~repro.serve.decode_batch.DecodeBatch`).  The round's dense ops pack
-all requests' token rows into the model's fixed-shape decode blocks — each
-weight matrix streams once per round instead of once per request — and
-policy selection dispatches per policy class to cross-request batch kernels:
-ADC scoring/top-k (:func:`~repro.core.pqcache.topk_middle_grouped`), grouped
-PQ encoding (:func:`~repro.core.pqcache.append_tokens_grouped`), grouped
-sort-dedup assembly for the dropping baselines, and length-grouped einsum
-attention over ``(request, kv_head)`` entries
-(:class:`~repro.llm.attention.GroupedDecodeAttention`).  The fused round is
-byte-identical to the per-request loop
-(tokens, logits, selections, simulated clock and counters);
-``decode_batching=False`` keeps the per-request loop as an escape hatch,
-and a round whose block reservations might need the pool-pressure ladder
-(evictions/preemptions) falls back to it automatically.
+There is one decode round (:meth:`InferenceEngine._run_decode_batch`, planned
+by :class:`~repro.serve.decode_batch.DecodeBatch`): one
+:meth:`TransformerLM.decode_step_batch` call over its members — dense ops on
+the model's fixed-shape decode blocks, policy selection and maintenance
+through the per-class grouped kernels — then a member-by-member billing
+tail.  A step runs it once over every ``RUNNING`` request when the free list
+can supply all their appends outright; otherwise it reserves member by
+member (the pool-pressure ladder may evict, or park a member) and runs each
+survivor as a round of one.  Per-request state is isolated, so both shapes
+yield the same tokens, logits, selections, simulated clock and counters.
 
 Prefilling runs in one of two modes.  By default an admitted request
 prefills its whole prompt during the admission step (monolithic).  With
@@ -104,17 +97,15 @@ paper's hardware terms even though the substrate runs in NumPy.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from ..baselines.base import KVCachePolicy
 from ..errors import ConfigurationError
-from ..llm.generation import StepSelections
 from ..llm.kvcache import (
     BlockAllocator,
     BlockTable,
-    KVCache,
     PagedKVCache,
     SwapSpace,
 )
@@ -182,13 +173,6 @@ class InferenceEngine(PoolPressureMixin):
             surface: ``"int8"``/``"int4"``/``"int4-outlier"`` trade exact
             restores on spilled-chain cache hits for NVMe bandwidth, within
             the codec's declared per-element error bound.
-        decode_batching: run each engine step's decode phase as one *fused*
-            multi-request round (:meth:`TransformerLM.decode_step_batch` over
-            a :class:`~repro.serve.decode_batch.DecodeBatch` plan) instead of
-            one :meth:`TransformerLM.decode_step` call per request.  The
-            fused round is byte-identical to the per-request loop; ``False``
-            restores the loop, and rounds whose block reservations might
-            trigger the pool-pressure ladder fall back to it automatically.
         cache_decoded_blocks: also cache the blocks a request fills while
             *decoding*, so a follow-up turn embedding the answer reuses them.
             **Approximate reuse — off by default**: decoded tokens' KV was
@@ -219,13 +203,11 @@ class InferenceEngine(PoolPressureMixin):
         swap_cpu_blocks: int | None = None,
         swap_disk_blocks: int | None = None,
         enable_disk_spill: bool = True,
-        decode_batching: bool = True,
         kv_swap_codec: "str | KVBlockCodec | None" = "byteplane",
         kv_spill_codec: "str | KVBlockCodec | None" = None,
         slo_tuner: "SLOTuner | None" = None,
     ) -> None:
         self.model = model
-        self.decode_batching = decode_batching
         self.scheduler: ContinuousBatchingScheduler[RequestState] = (
             ContinuousBatchingScheduler(scheduler_config)
         )
@@ -540,19 +522,7 @@ class InferenceEngine(PoolPressureMixin):
             for state in decision.decodes
             if not state.finished and state.status is RequestStatus.RUNNING
         ]
-        if decoding and self.decode_batching and self._can_fuse_decodes(decoding):
-            for state in decoding:
-                touch(state)
-            self._run_decode_batch(decoding, new_tokens)
-        else:
-            # Per-request escape hatch — also the fallback when the fused
-            # round's block reservations might need the pressure ladder.
-            # Eligibility is re-checked per iteration: an earlier round's
-            # reservation may preempt (park) a later member of this batch.
-            for state in decoding:
-                if not state.finished and state.status is RequestStatus.RUNNING:
-                    touch(state)
-                    self._run_decode_round(state, new_tokens)
+        self._decode_phase(decoding, new_tokens, touch)
 
         # Backstop settlement: spills triggered by allocation hooks inside
         # the model's own appends (rare — reservations normally cover them).
@@ -1030,115 +1000,56 @@ class InferenceEngine(PoolPressureMixin):
 
     # ------------------------------------------------------------- decode
 
-    def _run_decode_round(self, state: RequestState, new_tokens: dict[str, list[int]]) -> None:
-        assert state.prefill is not None
-        request = state.request
-        policy = state.policy
-        cache = state.prefill.kvcache
-        if state.paged is not None and not state.paged.released:
+    def _decode_phase(
+        self,
+        decoding: "list[RequestState]",
+        new_tokens: dict[str, list[int]],
+        touch: Callable[[RequestState], None],
+    ) -> None:
+        """One step's decoding: one round over ``decoding`` when the free
+        list covers every append (:meth:`_can_fuse_decodes`), else member by
+        member — reserve, then a round of one, billed before the next member
+        reserves."""
+        if decoding and self._can_fuse_decodes(decoding):
+            for state in decoding:
+                touch(state)
+            self._run_decode_batch(decoding, new_tokens)
+            self.metrics.observe_decode_batch(len(decoding))
+            return
+        for state in decoding:
+            # Eligibility is re-checked per iteration: an earlier member's
+            # reservation may preempt (park) a later member of this batch.
+            if state.finished or state.status is not RequestStatus.RUNNING:
+                continue
+            touch(state)
             # One appended token may need a fresh tail block and/or a COW
             # copy of a shared tail block; reserve before the model writes.
             # If an older request owns the pool, park and resume later.
-            if not self._ensure_blocks(state, self._append_blocks_needed(state, 1)):
+            if (
+                state.paged is not None
+                and not state.paged.released
+                and not self._ensure_blocks(
+                    state, self._append_blocks_needed(state, 1)
+                )
+            ):
                 self._preempt_victim(state)
-                return
-        token = state.next_input_token()
-
-        step_selections: StepSelections = []
-        attended: list[float] = []
-        num_kv_heads = self.model.config.num_kv_heads
-        hook = request.selection_hook
-
-        selector = None
-        if policy is not None or hook is not None:
-
-            def selector(layer_index: int, query: np.ndarray, kvcache: KVCache):
-                chosen = (
-                    policy.select(layer_index, query, kvcache)
-                    if policy is not None
-                    else None
-                )
-                if chosen is None:
-                    normalised = None
-                    attended.append(float(len(kvcache[layer_index])))
-                elif isinstance(chosen, (list, tuple)):
-                    normalised = [np.asarray(c, dtype=np.int64) for c in chosen]
-                    attended.append(float(np.mean([c.size for c in normalised])))
-                else:
-                    arr = np.asarray(chosen, dtype=np.int64)
-                    normalised = [arr] * num_kv_heads
-                    attended.append(float(arr.size))
-                if hook is not None:
-                    hook(layer_index, query, kvcache, normalised)
-                step_selections.append(normalised)
-                return chosen
-
-        logits = self.model.decode_step(token, cache, selector)
-        if policy is not None:
-            policy.on_decode_step(cache)
-        self._bill_maintenance(state, policy)
-        state.num_decoded += 1
-        state.step_logits.append(logits)
-        state.selections.append(step_selections)
-        self.metrics.decode_rounds += 1
-        state.metrics.decode_steps += 1
-        if selector is None:
-            # Full attention without a policy: every cached token participates.
-            attended = [float(cache.seq_len)] * self.model.config.num_layers
-        state.metrics.attended_tokens += float(np.mean(attended)) if attended else 0.0
-
-        seq_len = cache.seq_len
-        hit_rate = self._gpu_cache_hit_rate(policy)
-        if policy is not None:
-            comm = policy.step_communication_bytes(seq_len)
-            state.metrics.comm_overlappable_bytes += comm.get("overlappable", 0.0)
-            state.metrics.comm_blocking_bytes += comm.get("blocking", 0.0)
-        seconds = self.latency.tpot(seq_len, state.method, cache_hit_rate=hit_rate)
-        self.metrics.clock += seconds
-        state.metrics.decode_seconds += seconds
-
-        if state.forced is not None:
-            if state.num_decoded >= len(state.forced):
-                self._finish(state, "length")
-            return
-
-        next_token = state.pick_token(logits)
-        if state.num_decoded >= request.sampling.max_new_tokens:
-            self._finish(state, "length")
-            return
-        if state.num_decoded < len(state.generated):
-            # Recompute-resume replay: this round re-derived a token that was
-            # already emitted before the preemption — verify determinism and
-            # do not re-emit or re-count it.
-            if next_token != state.generated[state.num_decoded]:
-                raise ConfigurationError(
-                    f"recompute replay diverged at decode step "
-                    f"{state.num_decoded}: {next_token} != "
-                    f"{state.generated[state.num_decoded]}"
-                )
-            return
-        state.generated.append(next_token)
-        state.metrics.num_generated_tokens += 1
-        self.metrics.generated_tokens += 1
-        new_tokens.setdefault(request.request_id, []).append(next_token)
-        if state.is_stop(next_token):
-            self._finish(state, "stop")
+                continue
+            self._run_decode_batch([state], new_tokens)
 
     def _can_fuse_decodes(self, states: "list[RequestState]") -> bool:
         """Whether this round's appends fit the pool without the ladder.
 
-        The fused round must not hit the pressure escalation ladder
-        mid-flight: an eviction or preemption between two members' appends
-        would change which requests participate and reorder clock charges.
-        So the engine reserves *upfront*: it sums every member's
-        single-token append demand (:meth:`_append_blocks_needed`, an exact
-        count that only shrinks as earlier members' copy-on-write copies
-        drop shared refcounts) and fuses only when the pool can supply the
-        sum outright.  Under that guarantee each member's in-round
-        allocation trivially succeeds and every per-member
-        :meth:`_ensure_blocks` call would have been a side-effect-free
-        no-op, so the fused path skips them.  Otherwise the caller runs the
-        per-request loop, which handles pressure one request at a time.
+        A round must not hit the pressure escalation ladder mid-flight: an
+        eviction or preemption between two members' appends would change
+        which requests participate and reorder clock charges.  So the engine
+        sums every member's single-token append demand
+        (:meth:`_append_blocks_needed`, an exact count that only shrinks as
+        earlier members' copy-on-write copies drop shared refcounts) and
+        runs them as one round only when the free list can supply the sum
+        outright — each member's in-round allocation then trivially
+        succeeds and a per-member :meth:`_ensure_blocks` would be a
+        side-effect-free no-op.  Otherwise the caller reserves member by
+        member and runs rounds of one.
         """
         allocator = self.block_allocator
         if allocator is None or allocator.capacity_blocks is None:
@@ -1155,21 +1066,19 @@ class InferenceEngine(PoolPressureMixin):
     def _run_decode_batch(
         self, states: "list[RequestState]", new_tokens: dict[str, list[int]]
     ) -> None:
-        """One fused decode round over every ``RUNNING`` request.
+        """The decode round: one model step over ``states``, then billing.
 
-        Byte-identical to calling :meth:`_run_decode_round` per request in
-        the same order: the model computes the round layer-major across
-        requests (per-request state is isolated, so the arithmetic cannot
-        differ), policy hooks run through their grouped batch kernels
-        (contractually bitwise equal to the per-request hooks), and the
-        billing phase below replays the looped path's per-request tail —
-        counters, attended means, GPU-cache hit rate, communication bytes,
-        simulated TPOT, maintenance billing, forced/replay/stop handling —
-        member by member in the original decode order, so every clock
-        addition happens in the exact sequence the loop would produce.
+        The model computes the round layer-major across requests
+        (per-request state is isolated, so a member's arithmetic does not
+        depend on its batch-mates), policy hooks run through their grouped
+        batch kernels, and the billing phase below — counters, attended
+        means, GPU-cache hit rate, communication bytes, simulated TPOT,
+        maintenance billing, forced/replay/stop handling — walks the members
+        in decode order, so every clock addition lands where running the
+        members as consecutive rounds of one would put it.
 
-        Only callable under the :meth:`_can_fuse_decodes` guarantee (no
-        block reservation can fail, no member can be preempted mid-round).
+        The caller guarantees every member's append is reserved (no
+        allocation can fail, no member can be preempted mid-round).
         """
         batch = DecodeBatch.plan(states, self.model.config.num_kv_heads)
         members = batch.members
@@ -1220,7 +1129,9 @@ class InferenceEngine(PoolPressureMixin):
                 self._finish(state, "length")
                 continue
             if state.num_decoded < len(state.generated):
-                # Recompute-resume replay — see :meth:`_run_decode_round`.
+                # Recompute-resume replay: this round re-derived a token
+                # that was already emitted before the preemption — verify
+                # determinism and do not re-emit or re-count it.
                 if next_token != state.generated[state.num_decoded]:
                     raise ConfigurationError(
                         f"recompute replay diverged at decode step "
@@ -1235,7 +1146,6 @@ class InferenceEngine(PoolPressureMixin):
             if state.is_stop(next_token):
                 self._finish(state, "stop")
 
-        self.metrics.observe_decode_batch(len(members))
         timings = batch.timings
         self.metrics.decode_select_seconds += timings.get("select", 0.0)
         self.metrics.decode_score_seconds += timings.get("score", 0.0)
@@ -1256,8 +1166,8 @@ class InferenceEngine(PoolPressureMixin):
         engine charges it as a clustering timeline task — the same
         analytical cost model the prefill-time PQ build uses, once per layer
         — so the refresh knob has an honest simulated-latency price.  Runs
-        in both decode paths, immediately after the policy's post-append
-        hook and before the step's TPOT charge.
+        immediately after the policy's post-append hook and before the
+        step's TPOT charge.
         """
         if policy is None:
             return

@@ -91,7 +91,7 @@ class QuantileDigest:
     def __eq__(self, other: object) -> bool:
         """Value equality: same grid, same bucket contents.  Two digests
         fed identical observation streams compare equal — the property
-        the fused-vs-looped engine-metrics identity checks lean on."""
+        the engine-metrics identity checks lean on."""
         if not isinstance(other, QuantileDigest):
             return NotImplemented
         return (
@@ -217,6 +217,25 @@ class QuantileDigest:
         }
 
 
+def _report(metrics) -> dict:
+    """``as_dict`` of a metrics dataclass: every field outside its
+    ``_RAW_ONLY`` (digests and per-key buckets as their own ``as_dict``),
+    then every property named in its ``_DERIVED``."""
+    out = {}
+    for spec in fields(metrics):
+        if spec.name in metrics._RAW_ONLY:
+            continue
+        value = getattr(metrics, spec.name)
+        if isinstance(value, QuantileDigest):
+            value = value.as_dict()
+        elif isinstance(value, dict):
+            value = {k: v.as_dict() for k, v in sorted(value.items())}
+        out[spec.name] = value
+    for name in metrics._DERIVED:
+        out[name] = getattr(metrics, name)
+    return out
+
+
 @dataclass
 class RequestMetrics:
     """Serving metrics of one request (simulated seconds, modelled bytes).
@@ -317,30 +336,14 @@ class RequestMetrics:
         """Point-in-time copy, safe to retain while the request keeps running."""
         return replace(self)
 
+    #: fields :meth:`as_dict` leaves out (it reports the durations and the
+    #: per-step mean derived from them) and the properties it adds
+    _RAW_ONLY = ("arrival_time", "prefill_start", "first_token_time",
+                 "finish_time", "attended_tokens")
+    _DERIVED = ("ttft", "tpot", "e2e_seconds", "mean_attended_tokens")
+
     def as_dict(self) -> dict:
-        return {
-            "ttft": self.ttft,
-            "tpot": self.tpot,
-            "e2e_seconds": self.e2e_seconds,
-            "prefill_seconds": self.prefill_seconds,
-            "decode_seconds": self.decode_seconds,
-            "num_prompt_tokens": self.num_prompt_tokens,
-            "num_generated_tokens": self.num_generated_tokens,
-            "prefill_chunks": self.prefill_chunks,
-            "decode_steps": self.decode_steps,
-            "mean_attended_tokens": self.mean_attended_tokens,
-            "comm_overlappable_bytes": self.comm_overlappable_bytes,
-            "comm_blocking_bytes": self.comm_blocking_bytes,
-            "cached_prefix_tokens": self.cached_prefix_tokens,
-            "preemptions": self.preemptions,
-            "swap_out_bytes": self.swap_out_bytes,
-            "swap_in_bytes": self.swap_in_bytes,
-            "swap_seconds": self.swap_seconds,
-            "recomputed_tokens": self.recomputed_tokens,
-            "priority": self.priority,
-            "tenant": self.tenant,
-            "deadline": self.deadline,
-        }
+        return _report(self)
 
 
 @dataclass
@@ -400,21 +403,11 @@ class QoSClassMetrics:
                 setattr(self, spec.name, mine + getattr(other, spec.name))
         return self
 
+    _RAW_ONLY = ()
+    _DERIVED = ("mean_ttft", "mean_tpot")
+
     def as_dict(self) -> dict:
-        return {
-            "requests_submitted": self.requests_submitted,
-            "requests_finished": self.requests_finished,
-            "requests_aborted": self.requests_aborted,
-            "requests_shed": self.requests_shed,
-            "deadline_misses": self.deadline_misses,
-            "preemptions": self.preemptions,
-            "proactive_swap_outs": self.proactive_swap_outs,
-            "generated_tokens": self.generated_tokens,
-            "mean_ttft": self.mean_ttft,
-            "mean_tpot": self.mean_tpot,
-            "ttft": self.ttft.as_dict(),
-            "tpot": self.tpot.as_dict(),
-        }
+        return _report(self)
 
 
 @dataclass
@@ -436,21 +429,25 @@ class EngineMetrics:
     fleet makespan is the slowest worker, not the sum), and :meth:`reset`
     zeroes the instance in place for windowed reporting.
 
-    ``steps`` vs ``decode_rounds`` under fused decode batching
-    ----------------------------------------------------------
+    ``steps``, ``decode_rounds`` and the ``decode_batch_*`` shape counters
+    ---------------------------------------------------------------------
     ``steps`` counts :meth:`~repro.serve.InferenceEngine.step` calls — one
     per scheduler tick regardless of how many requests it served.
-    ``decode_rounds`` counts *per-request* decode rounds: one fused
-    multi-request round still increments ``decode_rounds`` once per
-    participating request, exactly like the per-request loop, so dashboards
-    and rate formulas built on it do not shift when ``decode_batching``
-    toggles.  The fused path's own shape is reported separately by
-    ``decode_batch_rounds`` (fused rounds executed) and
-    ``decode_batch_requests`` (members across them; their ratio is the mean
-    batch size), plus the ``decode_batch_size_*`` histogram buckets.
+    ``decode_rounds`` counts *per-request* decode rounds: a round over N
+    requests increments it N times, so dashboards and rate formulas built on
+    it do not depend on how a step's decodes were grouped.  The shape
+    counters describe only the rounds that covered a step's whole decode set
+    — those whose appends the free list could supply outright:
+    ``decode_batch_rounds`` (such rounds executed), ``decode_batch_requests``
+    (members across them; their ratio is the mean batch size) and the
+    ``decode_batch_size_*`` histogram buckets.  A step whose free list is
+    short reserves member by member and runs rounds of one, which count in
+    ``decode_rounds`` alone; ``decode_batch_requests / decode_rounds`` is the
+    share of decodes that did not fall back.
 
     The ``decode_*_seconds`` stage counters are *host wall-clock* seconds
-    (``time.perf_counter``), not simulated latency-model seconds: they break
+    (``time.perf_counter``), not simulated latency-model seconds, summed over
+    every round, fallback rounds of one included: they break
     one decode round into ADC scoring, top-k selection, K/V gather,
     attention + dense compute, and policy maintenance (PQ appends /
     codebook refreshes), so regressions in a specific decode stage are
@@ -512,11 +509,11 @@ class EngineMetrics:
     spill_in_wire_bytes: float = 0.0
     codec_encode_seconds: float = 0.0
     codec_decode_seconds: float = 0.0
-    #: fused decode-round observability (all zero when decode batching is
-    #: off): rounds / members / batch-size histogram, host wall-clock stage
-    #: breakdown, and PQ drift-refresh accounting (``pq_refresh_seconds`` is
-    #: *simulated* clustering time billed to the clock, unlike the
-    #: ``decode_*_seconds`` wall-clock stages).
+    #: decode-round observability: rounds / members / batch-size histogram
+    #: of the rounds that covered a whole step, host wall-clock stage
+    #: breakdown of every round, and PQ drift-refresh accounting
+    #: (``pq_refresh_seconds`` is *simulated* clustering time billed to the
+    #: clock, unlike the ``decode_*_seconds`` wall-clock stages).
     decode_batch_rounds: int = 0
     decode_batch_requests: int = 0
     decode_batch_size_1: int = 0
@@ -543,7 +540,7 @@ class EngineMetrics:
     prefill_ffn_seconds: float = 0.0
 
     def observe_decode_batch(self, batch_size: int) -> None:
-        """Record one fused decode round over ``batch_size`` requests."""
+        """Record one round over a step's whole decode set of ``batch_size``."""
         if batch_size <= 0:
             return
         self.decode_batch_rounds += 1
@@ -685,63 +682,15 @@ class EngineMetrics:
             return 0.0
         return self.prefix_cache_hit_tokens / self.prefix_prompt_tokens
 
+    #: fields :meth:`as_dict` leaves out (a rate's denominator, the histogram
+    #: buckets it reports as one dict) and the properties it adds
+    _RAW_ONLY = ("prefix_prompt_tokens", "decode_batch_size_1",
+                 "decode_batch_size_2_4", "decode_batch_size_5_8",
+                 "decode_batch_size_9_16", "decode_batch_size_17_plus")
+    _DERIVED = ("requests_per_second", "tokens_per_second",
+                "prefix_cache_hit_rate", "prefix_token_hit_rate",
+                "swap_compression_ratio", "spill_compression_ratio",
+                "mean_decode_batch_size", "decode_batch_size_histogram")
+
     def as_dict(self) -> dict:
-        return {
-            "clock": self.clock,
-            "steps": self.steps,
-            "requests_submitted": self.requests_submitted,
-            "requests_finished": self.requests_finished,
-            "requests_aborted": self.requests_aborted,
-            "prefills": self.prefills,
-            "prefill_chunks": self.prefill_chunks,
-            "decode_rounds": self.decode_rounds,
-            "generated_tokens": self.generated_tokens,
-            "requests_per_second": self.requests_per_second,
-            "tokens_per_second": self.tokens_per_second,
-            "prefix_cache_queries": self.prefix_cache_queries,
-            "prefix_cache_hits": self.prefix_cache_hits,
-            "prefix_cache_hit_tokens": self.prefix_cache_hit_tokens,
-            "prefix_cache_hit_rate": self.prefix_cache_hit_rate,
-            "prefix_token_hit_rate": self.prefix_token_hit_rate,
-            "preemptions": self.preemptions,
-            "preemptions_swap": self.preemptions_swap,
-            "preemptions_recompute": self.preemptions_recompute,
-            "requests_shed": self.requests_shed,
-            "deadline_misses": self.deadline_misses,
-            "slo_tunings": self.slo_tunings,
-            "proactive_swap_outs": self.proactive_swap_outs,
-            "per_class": {k: v.as_dict() for k, v in sorted(self.per_class.items())},
-            "per_tenant": {k: v.as_dict() for k, v in sorted(self.per_tenant.items())},
-            "swap_out_blocks": self.swap_out_blocks,
-            "swap_in_blocks": self.swap_in_blocks,
-            "swap_out_bytes": self.swap_out_bytes,
-            "swap_in_bytes": self.swap_in_bytes,
-            "spill_out_bytes": self.spill_out_bytes,
-            "spill_in_bytes": self.spill_in_bytes,
-            "swap_out_wire_bytes": self.swap_out_wire_bytes,
-            "swap_in_wire_bytes": self.swap_in_wire_bytes,
-            "spill_out_wire_bytes": self.spill_out_wire_bytes,
-            "spill_in_wire_bytes": self.spill_in_wire_bytes,
-            "swap_compression_ratio": self.swap_compression_ratio,
-            "spill_compression_ratio": self.spill_compression_ratio,
-            "codec_encode_seconds": self.codec_encode_seconds,
-            "codec_decode_seconds": self.codec_decode_seconds,
-            "swap_seconds": self.swap_seconds,
-            "decode_batch_rounds": self.decode_batch_rounds,
-            "decode_batch_requests": self.decode_batch_requests,
-            "mean_decode_batch_size": self.mean_decode_batch_size,
-            "decode_batch_size_histogram": self.decode_batch_size_histogram,
-            "decode_select_seconds": self.decode_select_seconds,
-            "decode_score_seconds": self.decode_score_seconds,
-            "decode_topk_seconds": self.decode_topk_seconds,
-            "decode_assemble_seconds": self.decode_assemble_seconds,
-            "decode_gather_seconds": self.decode_gather_seconds,
-            "decode_attention_seconds": self.decode_attention_seconds,
-            "decode_maintenance_seconds": self.decode_maintenance_seconds,
-            "pq_refreshes": self.pq_refreshes,
-            "pq_refresh_seconds": self.pq_refresh_seconds,
-            "prefill_projection_seconds": self.prefill_projection_seconds,
-            "prefill_attention_seconds": self.prefill_attention_seconds,
-            "prefill_aggregates_seconds": self.prefill_aggregates_seconds,
-            "prefill_ffn_seconds": self.prefill_ffn_seconds,
-        }
+        return _report(self)

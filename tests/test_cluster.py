@@ -19,7 +19,9 @@ from repro.serve import (
     EngineMetrics,
     InferenceEngine,
     PolicySpec,
+    QoSClassMetrics,
     Request,
+    RequestMetrics,
     RequestQoS,
     SamplingParams,
     chain_block_keys,
@@ -936,3 +938,78 @@ class TestEngineMetricsOps:
         metrics.reset()
         assert metrics.generated_tokens == 0
         assert metrics.clock == 0.0
+
+
+#: the ``as_dict`` reports as they were spelled by hand (key sets frozen at
+#: PR 17); a field added since is expected to appear under its own name
+AS_DICT_KEYS = {
+    "RequestMetrics": {
+        "ttft", "tpot", "e2e_seconds", "prefill_seconds", "decode_seconds",
+        "num_prompt_tokens", "num_generated_tokens", "prefill_chunks",
+        "decode_steps", "mean_attended_tokens", "comm_overlappable_bytes",
+        "comm_blocking_bytes", "cached_prefix_tokens", "preemptions",
+        "swap_out_bytes", "swap_in_bytes", "swap_seconds", "recomputed_tokens",
+        "priority", "tenant", "deadline",
+    },
+    "QoSClassMetrics": {
+        "requests_submitted", "requests_finished", "requests_aborted",
+        "requests_shed", "deadline_misses", "preemptions",
+        "proactive_swap_outs", "generated_tokens", "mean_ttft", "mean_tpot",
+        "ttft", "tpot",
+    },
+    "EngineMetrics": {
+        "clock", "steps", "requests_submitted", "requests_finished",
+        "requests_aborted", "prefills", "prefill_chunks", "decode_rounds",
+        "generated_tokens", "requests_per_second", "tokens_per_second",
+        "prefix_cache_queries", "prefix_cache_hits", "prefix_cache_hit_tokens",
+        "prefix_cache_hit_rate", "prefix_token_hit_rate", "preemptions",
+        "preemptions_swap", "preemptions_recompute", "requests_shed",
+        "deadline_misses", "slo_tunings", "proactive_swap_outs", "per_class",
+        "per_tenant", "swap_out_blocks", "swap_in_blocks", "swap_out_bytes",
+        "swap_in_bytes", "spill_out_bytes", "spill_in_bytes",
+        "swap_out_wire_bytes", "swap_in_wire_bytes", "spill_out_wire_bytes",
+        "spill_in_wire_bytes", "swap_compression_ratio",
+        "spill_compression_ratio", "codec_encode_seconds",
+        "codec_decode_seconds", "swap_seconds", "decode_batch_rounds",
+        "decode_batch_requests", "mean_decode_batch_size",
+        "decode_batch_size_histogram", "decode_select_seconds",
+        "decode_score_seconds", "decode_topk_seconds",
+        "decode_assemble_seconds", "decode_gather_seconds",
+        "decode_attention_seconds", "decode_maintenance_seconds",
+        "pq_refreshes", "pq_refresh_seconds", "prefill_projection_seconds",
+        "prefill_attention_seconds", "prefill_aggregates_seconds",
+        "prefill_ffn_seconds",
+    },
+}
+
+
+class TestAsDictReports:
+    def test_key_sets_unchanged(self):
+        for cls in (RequestMetrics, QoSClassMetrics, EngineMetrics):
+            assert set(cls().as_dict()) == AS_DICT_KEYS[cls.__name__], cls
+
+    def test_values_are_the_attributes(self):
+        request = RequestMetrics(
+            arrival_time=1.0, first_token_time=3.0, finish_time=7.0,
+            decode_seconds=2.0, decode_steps=4, attended_tokens=10.0,
+        )
+        report = request.as_dict()
+        assert (report["ttft"], report["tpot"], report["e2e_seconds"]) == (2.0, 0.5, 6.0)
+        assert report["mean_attended_tokens"] == 2.5
+
+        metrics = EngineMetrics(clock=2.0, generated_tokens=8, prefix_cache_queries=4,
+                                prefix_cache_hits=1, decode_gather_seconds=0.25)
+        metrics.observe_decode_batch(3)
+        metrics.class_bucket(2).ttft.observe(1.5)
+        metrics.class_bucket(0).requests_shed = 1
+        report = metrics.as_dict()
+        for name, value in report.items():
+            if name not in ("per_class", "per_tenant"):
+                assert value == getattr(metrics, name), name
+        assert report["tokens_per_second"] == 4.0
+        assert report["decode_batch_size_histogram"]["2-4"] == 1
+        assert list(report["per_class"]) == [0, 2]
+        assert report["per_class"][2] == metrics.per_class[2].as_dict()
+        assert report["per_class"][2]["ttft"] == metrics.per_class[2].ttft.as_dict()
+        assert report["per_class"][2]["mean_ttft"] == 1.5
+        assert report["per_tenant"] == {}

@@ -1,32 +1,35 @@
-"""Fused decode round vs per-request loop: byte-identity fuzz.
+"""The decode round vs the per-request loop it replaced: byte-identity fuzz.
 
-The fused decode round (``InferenceEngine(decode_batching=True)``, the
-default) is a pure execution-plan refactor: one
-:meth:`~repro.llm.TransformerLM.decode_step_batch` round over all RUNNING
-requests must be *byte-identical* to looping
-:meth:`~repro.llm.TransformerLM.decode_step` per request — tokens, logits,
-selections, selection-hook observations, per-request metrics, and the
-engine's simulated clock and counters.
+The engine's decode round — one
+:meth:`~repro.llm.TransformerLM.decode_step_batch` call over all RUNNING
+requests, or rounds of one when the free list cannot cover every append —
+must be *byte-identical* to ``tests/decode_loop_oracle.py``, the former
+per-request loop (own ``decode_step`` layer loop, own selector closure, own
+billing tail): tokens, logits, selections, selection-hook observations,
+per-request metrics, and the engine's simulated clock and counters.
 
-Three layers of assertion:
+Four layers of assertion:
 
 * a directed property test of the load-bearing numerical contract — within
   the fixed-shape :data:`~repro.llm.DECODE_ROW_BLOCK` dense operands, a
   row's projection is bitwise independent of its offset in the block and of
   the other rows' contents (zero padding or other requests' live rows);
-* a randomized engine fuzz — mixed policies, shared prefixes, forced
-  decodes, chunked and monolithic prefill, staggered ``max_new_tokens``
-  (members finish mid-round), mid-run submissions and aborts, and bounded
-  KV pools (swap and recompute preemption — parking members mid-batch and
-  recompute-replay on resume, with the fused round falling back to the loop
-  whenever its reservations might need the pressure ladder);
+* a randomized engine fuzz, 200 seeds — mixed policies, shared prefixes,
+  forced decodes, chunked and monolithic prefill, staggered
+  ``max_new_tokens`` (members finish mid-round), mid-run submissions and
+  aborts, and bounded KV pools (swap and recompute preemption — parking
+  members mid-batch and recompute-replay on resume, the step falling back
+  to reserved rounds of one whenever the free list is short);
+* directed bounded-pool cases for that fallback — a later member's
+  reservation preempting an earlier member that already decoded this step,
+  and a run in which every round falls back;
 * a cluster fuzz — the same traffic through a multi-worker
-  :class:`~repro.serve.cluster.ClusterFrontend` with fused and looped
+  :class:`~repro.serve.cluster.ClusterFrontend` with production and oracle
   workers.
 
-Host wall-clock stage timings and the fused-round shape counters
+Host wall-clock stage timings and the gated-round shape counters
 (``decode_batch_*``, ``decode_*_seconds``) are the *only* metrics allowed
-to differ between the two modes; everything else is compared exactly.
+to differ from the oracle's; everything else is compared exactly.
 """
 
 from __future__ import annotations
@@ -44,10 +47,13 @@ from repro.serve import (
     InferenceEngine,
     PolicySpec,
     Request,
+    RequestQoS,
     SamplingParams,
     SchedulerConfig,
 )
-from repro.serve.cluster import ClusterFrontend
+from repro.serve.cluster import ClusterFrontend, Worker
+
+from decode_loop_oracle import LoopedDecodeEngine, LoopedDecodeWorker
 
 PQ_CONFIG = PQCacheConfig(
     num_partitions=2, num_bits=2, max_kmeans_iters=4,
@@ -104,9 +110,9 @@ def test_decode_row_block_is_offset_and_content_independent():
 
 # ------------------------------------------------------ comparison helpers
 
-#: host wall-clock / fused-round-shape fields — legitimately differ between
-#: modes (the looped path never populates them); everything else must match
-#: exactly, including the simulated ``clock``.
+#: host wall-clock / gated-round-shape fields — legitimately differ from the
+#: oracle (which never populates them); everything else must match exactly,
+#: including the simulated ``clock``.
 _MODE_DEPENDENT_METRICS = {
     "decode_batch_rounds", "decode_batch_requests",
     "decode_batch_size_1", "decode_batch_size_2_4", "decode_batch_size_5_8",
@@ -213,12 +219,12 @@ def _min_pool_blocks(request, block_size):
     return -(-tokens // block_size) + 1
 
 
-def _drive(model, requests, plan, decode_batching, hook_log):
+def _drive(model, requests, plan, engine_cls, hook_log):
     """Run one engine over the seeded submit/abort schedule."""
-    # The hook closures append to the lists inside ``hook_log``; both modes
+    # The hook closures append to the lists inside ``hook_log``; both runs
     # share them, so slice off this run's entries by pre-run length.
     marks = {rid: len(log) for rid, log in hook_log.items()}
-    engine = InferenceEngine(
+    engine = engine_cls(
         model,
         scheduler_config=SchedulerConfig(
             max_batch_size=plan["max_batch_size"],
@@ -229,7 +235,6 @@ def _drive(model, requests, plan, decode_batching, hook_log):
         kv_block_size=plan["block_size"],
         kv_pool_blocks=plan["pool"],
         max_retained_outputs=0,
-        decode_batching=decode_batching,
     )
     finals = {}
     step_cap = 400 + 100 * len(requests)
@@ -261,8 +266,8 @@ def _run_fuzz_seed(model, seed):
     mode = "swap" if rng.random() < 0.5 else "recompute"
     if rng.random() < 0.5:
         # Bounded pool: preemption parking (and recompute-replay on resume)
-        # happens mid-schedule, and the fused round must fall back to the
-        # loop whenever reservations might need the pressure ladder.
+        # happens mid-schedule, and the step falls back to reserved rounds
+        # of one whenever the free list cannot cover every append.
         floor = max(_min_pool_blocks(r, block_size) for r in requests)
         pool = floor + int(rng.integers(0, 6))
     plan = {
@@ -283,10 +288,10 @@ def _run_fuzz_seed(model, seed):
     context = f"seed={seed} mode={mode} pool={pool} chunk={plan['chunk']}"
 
     fused_finals, fused_metrics, fused_hooks = _drive(
-        model, requests, plan, True, hook_log
+        model, requests, plan, InferenceEngine, hook_log
     )
     looped_finals, looped_metrics, looped_hooks = _drive(
-        model, requests, plan, False, hook_log
+        model, requests, plan, LoopedDecodeEngine, hook_log
     )
 
     assert fused_finals.keys() == looped_finals.keys(), context
@@ -302,24 +307,174 @@ def _run_fuzz_seed(model, seed):
             assert f_layer == l_layer, f"{context} rid={rid}"
             assert np.array_equal(f_query, l_query), f"{context} rid={rid}"
     _assert_engine_metrics_equal(fused_metrics, looped_metrics, context)
+    assert looped_metrics.decode_batch_rounds == 0, context
+    return fused_metrics
 
 
-@pytest.mark.parametrize("case", range(4))
+FUZZ_CASES = 8  # 8 x 25 = 200 seeds
+
+
+@pytest.mark.parametrize("case", range(FUZZ_CASES))
 def test_fused_vs_looped_randomized_fuzz(fuzz_model, case):
-    for seed in range(case * 8, (case + 1) * 8):
-        _run_fuzz_seed(fuzz_model, seed)
+    fell_back = 0
+    for seed in range(case * 25, (case + 1) * 25):
+        metrics = _run_fuzz_seed(fuzz_model, seed)
+        # ``decode_rounds`` counts members, ``decode_batch_requests`` only
+        # those of rounds that passed the gate.
+        fell_back += metrics.decode_rounds > metrics.decode_batch_requests
+    assert fell_back > 0, "no seed of this case took the fallback"
+
+
+# ------------------------------------------- directed fallback (gate false)
+
+
+class _WitnessEngine(InferenceEngine):
+    """Production engine that records what the directed cases must provoke."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: sizes of the rounds that passed the gate / steps where it was false
+        self.gated_rounds: list[int] = []
+        self.gate_false_steps = 0
+        #: ``(step, request_id)`` of members parked after decoding that step
+        self.parked_after_decode: list[tuple[int, str]] = []
+        self._decoded_this_step: list[str] = []
+
+    def step(self):
+        self._decoded_this_step = []
+        return super().step()
+
+    def _can_fuse_decodes(self, states):
+        fits = super()._can_fuse_decodes(states)
+        if fits:
+            self.gated_rounds.append(len(states))
+        else:
+            self.gate_false_steps += 1
+        return fits
+
+    def _run_decode_batch(self, states, new_tokens):
+        super()._run_decode_batch(states, new_tokens)
+        self._decoded_this_step.extend(s.request.request_id for s in states)
+
+    def _preempt_victim(self, victim):
+        if victim.request.request_id in self._decoded_this_step:
+            self.parked_after_decode.append(
+                (self.metrics.steps, victim.request.request_id)
+            )
+        return super()._preempt_victim(victim)
+
+
+def _directed_request(rng, rid, prompt_len, priority=0):
+    return Request(
+        prompt_ids=rng.integers(4, 128, size=prompt_len).tolist(),
+        request_id=rid,
+        sampling=SamplingParams(max_new_tokens=6, observation_window=8),
+        policy_spec=_policy_spec("pqcache"),
+        qos=RequestQoS(priority=priority),
+    )
+
+
+@pytest.mark.parametrize("mode", ["swap", "recompute"])
+def test_later_reservation_parks_member_that_already_decoded(fuzz_model, mode):
+    """Gate false, and member *j*'s reservation preempts member *i* < *j*
+    only after *i* has decoded and been billed this step.
+
+    ``low`` is admitted first, so it decodes first; ``high`` outranks it and
+    takes its blocks when both cross a block boundary with one block free.
+    Reserving every member before running any would park ``low`` a round
+    earlier and move its ``finish_time`` and the clock."""
+
+    def run(engine_cls):
+        rng = np.random.default_rng(5)
+        engine = engine_cls(
+            fuzz_model,
+            scheduler_config=SchedulerConfig(max_batch_size=4, preemption_mode=mode),
+            enable_prefix_caching=True,
+            kv_block_size=8,
+            kv_pool_blocks=7,
+            max_retained_outputs=0,
+        )
+        engine.submit(_directed_request(rng, "low", 22))
+        engine.step()  # ``low`` is running before ``high`` arrives
+        engine.submit(_directed_request(rng, "high", 22, priority=1))
+        return engine, engine.run()
+
+    engine, finals = run(_WitnessEngine)
+    oracle, oracle_finals = run(LoopedDecodeEngine)
+
+    assert engine.gate_false_steps >= 1
+    assert [rid for _, rid in engine.parked_after_decode] == ["low"]
+    assert engine.metrics.preemptions >= 1
+
+    assert finals.keys() == oracle_finals.keys() == {"low", "high"}
+    for rid in finals:
+        _assert_outputs_equal(finals[rid], oracle_finals[rid], f"{mode} rid={rid}")
+        assert finals[rid].metrics.finish_time == oracle_finals[rid].metrics.finish_time
+    _assert_engine_metrics_equal(engine.metrics, oracle.metrics, mode)
+    assert engine.metrics.clock == oracle.metrics.clock
+
+    # The shape counters describe gated rounds only; fallback rounds of one
+    # are in ``decode_rounds`` but not in them.
+    metrics = engine.metrics
+    assert metrics.decode_batch_rounds == len(engine.gated_rounds)
+    assert metrics.decode_batch_requests == sum(engine.gated_rounds)
+    assert metrics.decode_rounds > metrics.decode_batch_requests
+    assert sum(metrics.decode_batch_size_histogram.values()) == len(engine.gated_rounds)
+
+
+def test_stage_seconds_cover_rounds_that_fall_back(fuzz_model):
+    """A run in which *every* round falls back still fills the stage timers.
+
+    One-token blocks and a pool kept full by a finished request's cached
+    chain: every appended token needs a block the free list does not have
+    (the ladder evicts one cached block each time), so the gate is false on
+    every decode step."""
+
+    def run(engine_cls):
+        rng = np.random.default_rng(9)
+        engine = engine_cls(
+            fuzz_model,
+            enable_prefix_caching=True,
+            kv_block_size=1,
+            kv_pool_blocks=70,
+            max_retained_outputs=0,
+        )
+        engine.run([_directed_request(rng, "warm", 40)])
+        before = engine.metrics.snapshot()
+        finals = engine.run(
+            [_directed_request(rng, "a", 24), _directed_request(rng, "b", 30)]
+        )
+        return engine, before, finals
+
+    engine, before, finals = run(_WitnessEngine)
+    oracle, _, oracle_finals = run(LoopedDecodeEngine)
+    metrics = engine.metrics
+
+    decoded = metrics.decode_rounds - before.decode_rounds
+    assert decoded == 12
+    assert metrics.preemptions == 0
+    assert metrics.decode_batch_rounds == before.decode_batch_rounds
+    assert metrics.decode_batch_requests == before.decode_batch_requests
+    for stage in ("select", "score", "topk", "assemble", "gather", "attention",
+                  "maintenance"):
+        name = f"decode_{stage}_seconds"
+        assert getattr(metrics, name) > getattr(before, name), name
+
+    for rid in finals:
+        _assert_outputs_equal(finals[rid], oracle_finals[rid], f"rid={rid}")
+    _assert_engine_metrics_equal(metrics, oracle.metrics, "all rounds fall back")
 
 
 # ------------------------------------------------------------ cluster fuzz
 
 
-def _run_cluster(model, requests, decode_batching, swap_codec="byteplane"):
+def _run_cluster(monkeypatch, model, requests, worker_cls, swap_codec="byteplane"):
+    monkeypatch.setattr("repro.serve.cluster.frontend.Worker", worker_cls)
     cluster = ClusterFrontend(
         model,
         num_workers=3,
         placement="cache_aware",
         scheduler_config=SchedulerConfig(max_prefill_chunk_tokens=32),
-        decode_batching=decode_batching,
         kv_swap_codec=swap_codec,
         kv_spill_codec=swap_codec,
     )
@@ -329,20 +484,20 @@ def _run_cluster(model, requests, decode_batching, swap_codec="byteplane"):
     return finals, cluster.fleet_metrics()
 
 
-def test_cluster_fused_vs_looped_byte_identity(fuzz_model):
-    """Same traffic over a 3-worker fleet, fused vs looped workers.
+def test_cluster_fused_vs_looped_byte_identity(fuzz_model, monkeypatch):
+    """Same traffic over a 3-worker fleet, production vs oracle workers.
 
-    Alternates the lossless swap/spill codec per seed: batching mode and
+    Alternates the lossless swap/spill codec per seed: the round's shape and
     codec config may only move wire bytes and clocks, never tokens."""
     for seed in (0, 1, 2):
         rng = np.random.default_rng(1000 + seed)
         requests = _random_requests(fuzz_model, rng, {})
         swap_codec = ["raw", "byteplane"][seed % 2]
         fused_finals, fused_fleet = _run_cluster(
-            fuzz_model, requests, decode_batching=True, swap_codec=swap_codec
+            monkeypatch, fuzz_model, requests, Worker, swap_codec
         )
         looped_finals, looped_fleet = _run_cluster(
-            fuzz_model, requests, decode_batching=False, swap_codec=swap_codec
+            monkeypatch, fuzz_model, requests, LoopedDecodeWorker, swap_codec
         )
         context = f"cluster seed={seed}"
         assert fused_finals.keys() == looped_finals.keys(), context
@@ -352,3 +507,4 @@ def test_cluster_fused_vs_looped_byte_identity(fuzz_model):
             )
         _assert_engine_metrics_equal(fused_fleet, looped_fleet, context)
         assert fused_fleet.decode_batch_rounds > 0, context
+        assert looped_fleet.decode_batch_rounds == 0, context
