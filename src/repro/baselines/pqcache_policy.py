@@ -69,9 +69,6 @@ class PQCachePolicy(KVCachePolicy):
             monolithic prefill this flag has no effect.
         sketch_tokens: prompt tokens to wait for (and sample size used)
             before fitting the sketch codebooks.
-        refine_iters: Lloyd iteration cap of the final refinement pass;
-            ``None`` uses the config's ``max_kmeans_iters`` (or the planner's
-            budget when a planner is set).
         refresh_every: ParisKV-style drift handling — every ``N`` decode
             steps the codebooks are re-refined over all currently-encoded
             keys (:meth:`PQCacheManager.refine`, warm-started from the
@@ -97,7 +94,6 @@ class PQCachePolicy(KVCachePolicy):
         planner: AdaptiveIterationPlanner | None = None,
         incremental: bool = True,
         sketch_tokens: int = 256,
-        refine_iters: int | None = None,
         refresh_every: int | None = None,
     ) -> None:
         super().__init__(budget)
@@ -110,7 +106,6 @@ class PQCachePolicy(KVCachePolicy):
         self.planner = planner
         self.incremental = incremental
         self.sketch_tokens = int(sketch_tokens)
-        self.refine_iters = refine_iters
         self.refresh_every = None if refresh_every is None else int(refresh_every)
         self.manager: PQCacheManager | None = None
         self._encoded_until = 0
@@ -258,10 +253,9 @@ class PQCachePolicy(KVCachePolicy):
         fingerprint = self.prefix_fingerprint()
         if fingerprint is not None:
             self._prefix_snapshot = self.manager.snapshot(fingerprint)
-        refine_iters = self.refine_iters
-        if refine_iters is None:
-            refine_iters = self._max_iters(prefill.seq_len)
-        self.manager.refine(prefill.kvcache, max_iters=refine_iters)
+        self.manager.refine(
+            prefill.kvcache, max_iters=self._max_iters(prefill.seq_len)
+        )
         self._encoded_until = prefill.seq_len
 
     def on_decode_step(self, cache: KVCache) -> None:
@@ -299,11 +293,8 @@ class PQCachePolicy(KVCachePolicy):
         if self._steps_since_refresh < self.refresh_every:
             return
         self._steps_since_refresh = 0
-        refine_iters = self.refine_iters
-        if refine_iters is None:
-            refine_iters = self._max_iters(self.prompt_len)
         before = self.manager.total_kmeans_iterations
-        self.manager.refine(cache, max_iters=refine_iters)
+        self.manager.refine(cache, max_iters=self._max_iters(self.prompt_len))
         config = self._require_config()
         jobs = config.num_layers * config.num_kv_heads * self.pq_config.num_partitions
         iterations = (self.manager.total_kmeans_iterations - before) / max(jobs, 1)

@@ -51,7 +51,7 @@ from ..errors import ConfigurationError, DimensionError, NotFittedError
 from ..utils import as_rng, check_2d
 from .kmeans import KMeansResult, kmeans_fit, kmeans_refine, nearest_centroid
 
-__all__ = ["PQConfig", "ProductQuantizer", "stack_codebooks", "unstack_codebooks"]
+__all__ = ["PQConfig", "ProductQuantizer", "stack_codebooks"]
 
 
 def stack_codebooks(quantizers: "Sequence[ProductQuantizer]") -> np.ndarray:
@@ -68,28 +68,6 @@ def stack_codebooks(quantizers: "Sequence[ProductQuantizer]") -> np.ndarray:
             f"cannot stack codebooks with mixed shapes: {sorted(shapes)}"
         )
     return np.stack([pq.centroids for pq in quantizers], axis=0)
-
-
-def unstack_codebooks(
-    config: "PQConfig", codebooks: np.ndarray
-) -> "list[ProductQuantizer]":
-    """Per-head quantizers over one ``(h, m, 2**b, sub_dim)`` codebook tensor.
-
-    The inverse of :func:`stack_codebooks`, without copying: quantizer ``i``
-    *views* ``codebooks[i]``.
-    """
-    expected = (config.num_partitions, config.num_centroids, config.sub_dim)
-    if codebooks.ndim != 4 or codebooks.shape[1:] != expected:
-        raise DimensionError(
-            f"codebooks must have shape (h, {expected[0]}, {expected[1]}, "
-            f"{expected[2]}), got {codebooks.shape}"
-        )
-    quantizers = []
-    for head_codebooks in codebooks:
-        pq = ProductQuantizer(config)
-        pq._centroids = head_codebooks
-        quantizers.append(pq)
-    return quantizers
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ so a cache-hit prompt never re-clusters what an earlier request already
 fitted: :meth:`PQCacheManager.snapshot` captures the *pre-refine* state
 (sketch-fitted codebooks + every code assigned so far) **by reference** —
 nothing is copied; :meth:`refine` never writes in place (it rebuilds the
-per-layer quantizers, codebooks and codes from fresh arrays) and the code
+per-layer codebooks and codes from fresh arrays) and the code
 buffers flip into copy-on-write mode so a later :meth:`append_tokens` copies
 the shared buffer before mutating.
 :meth:`PQCacheManager.attach` seeds a fresh manager from such a snapshot
@@ -80,7 +80,7 @@ from ..llm.config import ModelConfig
 from ..llm.kvcache import KVCache, TokenSegments
 from ..utils import as_rng, topk_indices
 from .gpu_cache import BlockGpuCache
-from .pq import PQConfig, ProductQuantizer, unstack_codebooks
+from .pq import PQConfig, ProductQuantizer
 
 __all__ = [
     "PQCacheConfig",
@@ -205,7 +205,7 @@ class _LayerCodeBuffer:
         return self._buffer[: self._length]
 
 
-@dataclass
+@dataclass(eq=False)
 class PQSnapshot:
     """Immutable-by-convention capture of a manager's pre-refine PQ state.
 
@@ -213,11 +213,13 @@ class PQSnapshot:
     copy-on-write mode when the snapshot is taken, and consumers attach the
     arrays copy-on-write too, so no codes or centroids are duplicated until
     someone actually mutates them (``refine`` builds new codebooks,
-    ``append_tokens`` copies the code buffer).
+    ``append_tokens`` copies the code buffer).  A snapshot is a refcounted
+    handle, so two snapshots are equal only when they are the same object
+    (field-wise equality over arrays has no truth value).
 
     Attributes:
-        quantizers: per-layer, per-head sketch-fitted quantizers.
-        codebooks: per-layer stacked ``(h_kv, m, 2**b, sub_dim)`` tensors.
+        codebooks: per-layer stacked ``(h_kv, m, 2**b, sub_dim)``
+            sketch-fitted codebook tensors.
         codes: per-layer ``(num_tokens, h_kv, m)`` code arrays.
         num_tokens: tokens covered by the codes.
         sketch_upto: prompt tokens the codebook fit had seen — a consumer may
@@ -236,7 +238,6 @@ class PQSnapshot:
             evicted or replaced, or holds leak across evict/re-insert cycles.
     """
 
-    quantizers: list
     codebooks: list
     codes: list
     num_tokens: int
@@ -291,7 +292,6 @@ class PQSnapshot:
         if num_tokens == self.num_tokens:
             return self
         return PQSnapshot(
-            quantizers=self.quantizers,
             codebooks=self.codebooks,
             codes=self.codes,
             num_tokens=int(num_tokens),
@@ -313,8 +313,6 @@ class PQCacheManager:
                 f"{self.config.num_partitions}"
             )
         self._pq_config = self.config.pq_config(head_dim)
-        #: per-layer, per-head quantizers — views of the stacked codebooks
-        self._quantizers: list[list[ProductQuantizer]] = []
         #: per-layer stacked codebooks, each ``(h_kv, m, 2**b, sub_dim)``
         self._codebooks: list[np.ndarray] = []
         #: per-layer shared code buffers, each backing ``(capacity, h_kv, m)``
@@ -345,7 +343,6 @@ class PQCacheManager:
     def _reset(self, sketch_upto: int) -> None:
         """Drop any previous index ahead of a (re)build; the lists are
         rebound, never cleared — a snapshot may still hold the old ones."""
-        self._quantizers = []
         self._codebooks = []
         self._codes = []
         self.sketch_upto = sketch_upto
@@ -357,7 +354,6 @@ class PQCacheManager:
         """Append one layer's batched training output — ``(h_kv, m, 2**b,
         sub_dim)`` codebooks, ``(h_kv, n, m)`` codes, per-problem Lloyd
         iterations — in the batched decode layout."""
-        self._quantizers.append(unstack_codebooks(self._pq_config, codebooks))
         self._codebooks.append(codebooks)
         self._codes.append(_LayerCodeBuffer(codes.transpose(1, 0, 2)))
         self.total_kmeans_iterations += int(n_iter.sum())
@@ -461,9 +457,9 @@ class PQCacheManager:
         iters = self.config.max_kmeans_iters if max_iters is None else int(max_iters)
         # Nothing is refined in place — the per-layer lists are rebuilt from
         # fresh arrays — so a prefix-cache snapshot that shares the old
-        # quantizers, codebooks or codes keeps seeing exactly what it captured.
+        # codebooks or codes keeps seeing exactly what it captured.
         previous = self._codebooks
-        self._quantizers, self._codebooks, self._codes = [], [], []
+        self._codebooks, self._codes = [], []
         for layer_index, n in enumerate(counts):
             self._adopt(
                 *ProductQuantizer.refine_batch(
@@ -481,7 +477,7 @@ class PQCacheManager:
         function of the prompt prefix and the PQ configuration, so any later
         request sharing the prefix reproduces it bit-for-bit by attaching
         instead of re-clustering.  The manager flips into copy-on-write mode:
-        a subsequent :meth:`refine` replaces the quantizers and a subsequent
+        a subsequent :meth:`refine` replaces the codebooks and a subsequent
         :meth:`append_tokens` copies the shared code buffer, leaving the
         snapshot's arrays untouched.
         """
@@ -489,7 +485,6 @@ class PQCacheManager:
         for buf in self._codes:
             buf.mark_shared()
         return PQSnapshot(
-            quantizers=self._quantizers,
             codebooks=list(self._codebooks),
             codes=[buf.view() for buf in self._codes],
             num_tokens=len(self._codes[0]) if self._codes else 0,
@@ -525,12 +520,11 @@ class PQCacheManager:
                 f"were fitted on {snapshot.sketch_upto} tokens"
             )
         model = self.model_config
-        if len(snapshot.quantizers) != model.num_layers or (
-            snapshot.quantizers
-            and len(snapshot.quantizers[0]) != model.num_kv_heads
+        if len(snapshot.codebooks) != model.num_layers or (
+            snapshot.codebooks
+            and snapshot.codebooks[0].shape[0] != model.num_kv_heads
         ):
             raise ConfigurationError("snapshot geometry does not match model")
-        self._quantizers = snapshot.quantizers
         self._codebooks = list(snapshot.codebooks)
         self._codes = [
             _LayerCodeBuffer(codes[:upto], shared=True) for codes in snapshot.codes
@@ -590,8 +584,12 @@ class PQCacheManager:
     # --------------------------------------------------------------- query
 
     def quantizer(self, layer_index: int, head: int) -> ProductQuantizer:
+        """A per-head quantizer *viewing* the layer's stacked codebooks —
+        the ``h == 1`` reference the batched kernels are tested against."""
         self._require_built()
-        return self._quantizers[layer_index][head]
+        pq = ProductQuantizer(self._pq_config)
+        pq._centroids = self._codebooks[layer_index][head]
+        return pq
 
     def codebooks(self, layer_index: int) -> np.ndarray:
         """Stacked codebooks of a layer: ``(h_kv, m, 2**b, sub_dim)``."""

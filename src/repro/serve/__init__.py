@@ -41,6 +41,7 @@ from .prefix_cache import (
     PrefixMatch,
     chain_block_keys,
 )
+from .pressure import PoolPressure
 from .request import (
     PolicySpec,
     Request,
@@ -66,6 +67,7 @@ __all__ = [
     "QuantileDigest",
     "RequestMetrics",
     "SLOTuner",
+    "PoolPressure",
     "PrefixCache",
     "PrefixCacheStats",
     "PrefixMatch",

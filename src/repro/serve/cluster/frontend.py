@@ -221,7 +221,7 @@ class ClusterFrontend:
         if exported is None or not exported.nodes:
             return  # the directory was stale; nothing to ship
         target.prefix_cache.import_chain(exported)
-        block_bytes = target._block_nbytes()
+        block_bytes = target.pressure.block_nbytes()
         kv_bytes = float(exported.num_blocks * block_bytes)
         disk_bytes = (
             float(exported.disk_blocks * block_bytes)
@@ -235,11 +235,9 @@ class ClusterFrontend:
         encode_flops = self.migration_codec.encode_flops(
             exported.resident_logical_nbytes
         )
-        seconds = target.latency.migration_seconds(
+        seconds = target.pressure.bill_migration(
             kv_wire, disk_wire, encode_flops, exported.decode_flops()
         )
-        target.metrics.clock += seconds
-        target.metrics.swap_seconds += seconds
         self.metrics.migrations += 1
         self.metrics.migrated_blocks += exported.num_blocks
         self.metrics.migrated_kv_bytes += kv_bytes

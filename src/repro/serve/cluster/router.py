@@ -23,23 +23,36 @@ Policies:
   holding the fewest deadline-tagged requests the incoming one would queue
   behind (its *nearest-deadline backlog*), then the worker with the most
   slack to its own most urgent deadline, then per-class load, then the
-  lowest id.  Workers without the deadline signals (plain engines) compare
-  as zero-backlog / infinite-slack, degrading to least-loaded.
+  lowest id.  A fleet without deadline-tagged work is all zero-backlog /
+  infinite-slack, which degrades to least-loaded.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Protocol, Sequence
 
 from ...errors import ConfigurationError
 from ..prefix_cache import chain_block_keys
 from .directory import FingerprintDirectory
 
-__all__ = ["Router", "Placement", "ROUTING_POLICIES"]
+__all__ = ["Router", "Placement", "RoutableWorker", "ROUTING_POLICIES"]
 
 ROUTING_POLICIES = ("round_robin", "least_loaded", "cache_aware", "edf_aware")
+
+
+class RoutableWorker(Protocol):
+    """The load signals the router reads of a fleet member — documented on
+    :class:`~repro.serve.cluster.Worker`, which implements them."""
+
+    @property
+    def worker_id(self) -> int: ...
+    @property
+    def load(self) -> int: ...
+    @property
+    def nearest_deadline_slack(self) -> float: ...
+    def load_at_or_above(self, priority: int) -> int: ...
+    def deadline_backlog(self, before_slack: "float | None" = None) -> int: ...
 
 
 @dataclass
@@ -97,7 +110,7 @@ class Router:
     def place(
         self,
         prompt_ids: Sequence[int],
-        workers: Sequence,
+        workers: "Sequence[RoutableWorker]",
         directory: "FingerprintDirectory | None" = None,
         block_size: "int | None" = None,
         priority: "int | None" = None,
@@ -107,18 +120,17 @@ class Router:
 
         Args:
             prompt_ids: the request's prompt tokens.
-            workers: fleet members exposing ``worker_id`` and ``load``.
+            workers: the fleet.
             directory: the fleet fingerprint directory (``cache_aware``
                 treats ``None`` as an empty directory).
             block_size: the workers' KV block size, needed to fingerprint
                 the prompt; ``None`` disables coverage scoring (cache-aware
                 degrades to least-loaded).
-            priority: the request's QoS priority class.  When set and the
-                workers expose ``load_at_or_above`` (the cluster
-                :class:`Worker` does), load comparisons count only
-                same-or-higher-class occupancy — lower-class work does not
-                delay a tagged request, so it should not repel it either.
-                ``None`` (or plain engines) keeps the total-load signal.
+            priority: the request's QoS priority class.  When set, load
+                comparisons count only same-or-higher-class occupancy —
+                lower-class work does not delay a tagged request, so it
+                should not repel it either.  ``None`` keeps the total-load
+                signal.
             deadline: the request's *relative* deadline in seconds, if any.
                 ``edf_aware`` uses it to count only the scheduled requests
                 the incoming one would actually queue behind under EDF
@@ -147,41 +159,43 @@ class Router:
         )
 
     @staticmethod
-    def _load(worker, priority: "int | None") -> int:
-        """The balancing signal: per-class load when available and asked."""
-        if priority is not None and hasattr(worker, "load_at_or_above"):
+    def _load(worker: RoutableWorker, priority: "int | None") -> int:
+        """The balancing signal: per-class load when a class is given."""
+        if priority is not None:
             return worker.load_at_or_above(priority)
         return worker.load
 
     @classmethod
-    def _least_loaded(cls, workers: Sequence, priority: "int | None" = None):
+    def _least_loaded(
+        cls, workers: "Sequence[RoutableWorker]", priority: "int | None" = None
+    ) -> RoutableWorker:
         return min(workers, key=lambda w: (cls._load(w, priority), w.worker_id))
 
     @classmethod
     def _least_deadline_pressed(
         cls,
-        workers: Sequence,
+        workers: "Sequence[RoutableWorker]",
         priority: "int | None",
         deadline: "float | None",
-    ):
+    ) -> RoutableWorker:
         """EDF-pressure balancing: fewest deadline-tagged requests ahead of
         the incoming one, then most slack to the worker's nearest deadline,
         then per-class load, then the lowest id."""
 
-        def rank(worker):
-            if hasattr(worker, "deadline_backlog"):
-                backlog = worker.deadline_backlog(before_slack=deadline)
-            else:
-                backlog = 0
-            slack = getattr(worker, "nearest_deadline_slack", math.inf)
-            return (backlog, -slack, cls._load(worker, priority), worker.worker_id)
+        def rank(worker: RoutableWorker):
+            return (
+                worker.deadline_backlog(before_slack=deadline),
+                -worker.nearest_deadline_slack,
+                cls._load(worker, priority),
+                worker.worker_id,
+            )
 
         return min(workers, key=rank)
 
     def _place_cache_aware(
         self,
         prompt_ids: Sequence[int],
-        workers: Sequence,
+        workers: "Sequence[RoutableWorker]",
         directory: "FingerprintDirectory | None",
         block_size: "int | None",
         priority: "int | None" = None,

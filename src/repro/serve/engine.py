@@ -116,7 +116,7 @@ from ..memory.latency import LatencyModel, resolve_method
 from .decode_batch import DecodeBatch
 from .metrics import EngineMetrics
 from .prefix_cache import PrefixCache
-from .pressure import PoolPressureMixin
+from .pressure import PoolPressure
 from .request import Request, RequestOutput, RequestStatus
 from .scheduler import ContinuousBatchingScheduler, SchedulerConfig
 from .slo import SLOTuner
@@ -124,11 +124,8 @@ from .state import RequestState
 
 __all__ = ["InferenceEngine"]
 
-#: backwards-compatible alias — the state class moved to :mod:`.state`
-_RequestState = RequestState
 
-
-class InferenceEngine(PoolPressureMixin):
+class InferenceEngine:
     """Continuous-batching serving engine over the PQCache policy stack.
 
     Args:
@@ -136,9 +133,8 @@ class InferenceEngine(PoolPressureMixin):
             every request owns its KVCache through its prefill result).
         scheduler_config: batching knobs; defaults to an 8-slot batch.
         latency_model: analytical model driving the simulated clock; when
-            ``None`` one is built from ``hardware`` (default: the paper's
-            RTX 4090 + PCIe 1.0 testbed) and the substrate's geometry.
-        hardware: hardware spec for the default latency model.
+            ``None`` one is built from the paper's RTX 4090 + PCIe 1.0
+            testbed and the substrate's geometry.
         max_retained_outputs: retention bound on finished outputs.
         enable_prefix_caching: allocate every request's KVCache from a shared
             paged block pool and reuse matching prompt prefixes (KV blocks,
@@ -154,12 +150,10 @@ class InferenceEngine(PoolPressureMixin):
             swap-preemption; ``None`` (default) is unbounded.  When the CPU
             tier fills, its oldest parked chains demote to the disk tier.
         swap_disk_blocks: capacity of the disk tier (swap overflow + prefix
-            spill); ``None`` is unbounded.
-        enable_disk_spill: spill cold evicted prefix-cache chains (KV blocks
-            plus their PQ-snapshot/aggregate payloads) to the disk tier
-            instead of freeing them, restoring them bitwise on later hits.
-            PQ codes are ~1/64th the KV bytes, so snapshot spill is nearly
-            free.  Only meaningful with ``enable_prefix_caching``.
+            spill); ``None`` is unbounded.  Cold evicted prefix-cache chains
+            (KV blocks plus their PQ-snapshot/aggregate payloads) spill here
+            instead of being freed and restore bitwise on later hits — PQ
+            codes are ~1/64th the KV bytes, so snapshot spill is nearly free.
         kv_swap_codec: KV block codec (name or
             :class:`~repro.llm.kvcodec.KVBlockCodec` instance) applied on
             every downward tier transition the byte-identity invariant
@@ -194,7 +188,6 @@ class InferenceEngine(PoolPressureMixin):
         model: TransformerLM,
         scheduler_config: SchedulerConfig | None = None,
         latency_model: LatencyModel | None = None,
-        hardware: HardwareSpec | None = None,
         max_retained_outputs: int | None = None,
         enable_prefix_caching: bool = False,
         kv_block_size: int = 64,
@@ -202,7 +195,6 @@ class InferenceEngine(PoolPressureMixin):
         cache_decoded_blocks: bool = False,
         swap_cpu_blocks: int | None = None,
         swap_disk_blocks: int | None = None,
-        enable_disk_spill: bool = True,
         kv_swap_codec: "str | KVBlockCodec | None" = "byteplane",
         kv_spill_codec: "str | KVBlockCodec | None" = None,
         slo_tuner: "SLOTuner | None" = None,
@@ -212,7 +204,7 @@ class InferenceEngine(PoolPressureMixin):
             ContinuousBatchingScheduler(scheduler_config)
         )
         self.latency = latency_model or LatencyModel(
-            hardware or HardwareSpec.paper_testbed(), model.config
+            HardwareSpec.paper_testbed(), model.config
         )
         self.metrics = EngineMetrics()
         #: live proactive swap-out threshold, seeded from the scheduler
@@ -240,12 +232,13 @@ class InferenceEngine(PoolPressureMixin):
         self.kv_swap_codec: KVBlockCodec | None = None
         self.kv_spill_codec: KVBlockCodec | None = None
         self.cache_decoded_blocks = cache_decoded_blocks
-        #: prefix-cache spill counters already charged to the clock (the
-        #: spill/restore work happens inside eviction hooks and lookups, so
-        #: the engine settles its transfer time from stat deltas)
-        self._spill_settled = {"out_blocks": 0, "in_blocks": 0,
-                               "out_payload": 0, "in_payload": 0,
-                               "out_wire": 0, "in_wire": 0}
+        #: the pool-pressure ladder and transfer ledger over the three
+        #: attributes above; ``None`` exactly when they are (no paged pool,
+        #: so nothing to reserve, preempt, swap or spill)
+        self.pressure: PoolPressure | None = None
+        self._states: dict[str, RequestState] = {}
+        self._seen_ids: set[str] = set()
+        self._final_outputs: dict[str, RequestOutput] = {}
         if enable_prefix_caching:
             config = model.config
             swap_codec = get_codec(kv_swap_codec, config.dtype_bytes)
@@ -278,21 +271,18 @@ class InferenceEngine(PoolPressureMixin):
             )
             self.prefix_cache = PrefixCache(
                 self.block_allocator,
-                spill_store=self.swap_space if enable_disk_spill else None,
+                spill_store=self.swap_space,
                 spill_codec=spill_codec,
             )
             self.block_allocator.eviction_hook = self.prefix_cache.evict
-        self._states: dict[str, RequestState] = {}
-        self._seen_ids: set[str] = set()
-        self._final_outputs: dict[str, RequestOutput] = {}
+            self.pressure = PoolPressure(
+                self.scheduler, self.latency, self.metrics,
+                self.block_allocator, self.swap_space, self.prefix_cache,
+                self._states, self._final_outputs,
+            )
         #: shed-at-submit finals awaiting delivery through the next step()
         #: (so run()/stream() observe them like any other finished output)
         self._pending_shed_outputs: list[RequestOutput] = []
-        #: opt-in preemption witness: assign a list and every successful
-        #: claimant→victim preemption appends ``(claimant_priority,
-        #: claimant_seq, victim_priority, victim_seq)`` — the QoS fuzz
-        #: suite's no-priority-inversion / within-class-age-rule oracle.
-        self.victim_log: list[tuple[int, int, int, int]] | None = None
 
     # ------------------------------------------------------------- intake
 
@@ -310,9 +300,7 @@ class InferenceEngine(PoolPressureMixin):
         self._seen_ids.add(request.request_id)
         self._states[request.request_id] = state
         self.scheduler.submit(state)
-        self.metrics.requests_submitted += 1
-        self.metrics.class_bucket(state.priority).requests_submitted += 1
-        self.metrics.tenant_bucket(state.tenant).requests_submitted += 1
+        self.metrics.count("requests_submitted", state.priority, state.tenant)
         self._admission_control(state)
         return request.request_id
 
@@ -421,15 +409,9 @@ class InferenceEngine(PoolPressureMixin):
         """
         self.scheduler.remove(state)
         self._finish(state, reason)
-        output = self._make_output(state, [])
-        del self._states[state.request.request_id]
-        self._final_outputs[state.request.request_id] = output
-        self.metrics.requests_shed += 1
-        self._record_qos_finish(state, "requests_shed")
+        output = self._retire(state, self._make_output(state, []), "requests_shed")
         if reason == "deadline":
-            self.metrics.deadline_misses += 1
-            self.metrics.class_bucket(state.priority).deadline_misses += 1
-            self.metrics.tenant_bucket(state.tenant).deadline_misses += 1
+            self.metrics.count("deadline_misses", state.priority, state.tenant)
         self._pending_shed_outputs.append(output)
         self._trim_retained_outputs()
         return output
@@ -464,7 +446,8 @@ class InferenceEngine(PoolPressureMixin):
         tokens that became available during this step (streaming deltas).
         """
         self._shed_missed_deadlines()
-        self._proactive_swap_out()
+        if self.pressure is not None:
+            self.pressure.proactive_swap_out(self.proactive_swap_free_fraction)
         shed_outputs = self._pending_shed_outputs
         self._pending_shed_outputs = []
         decision = self.scheduler.schedule()
@@ -492,7 +475,7 @@ class InferenceEngine(PoolPressureMixin):
                 # A request parked mid-prefill resumes as PREFILLING; without
                 # chunking no later phase would prefill it, so finish its
                 # monolithic prefill here.
-                if self._resume_swapped(state):
+                if self.pressure.resume_swapped(state):
                     touch(state)
                     if not chunked and state.status is RequestStatus.PREFILLING:
                         self._run_monolithic_prefill(state, new_tokens)
@@ -509,7 +492,7 @@ class InferenceEngine(PoolPressureMixin):
             elif state.remaining_prefill_tokens == 0 and state.prefill is None:
                 # Precomputed prefill (e.g. the eval harness): nothing to
                 # chunk, the request completes its prefill phase immediately.
-                self._complete_prefill(state, self._resolve_prefill(state), new_tokens)
+                self._complete_prefill(state, state.request.prefill, new_tokens)
 
         for state, num_tokens in decision.prefill_chunks:
             if state.status is not RequestStatus.PREFILLING:
@@ -526,7 +509,8 @@ class InferenceEngine(PoolPressureMixin):
 
         # Backstop settlement: spills triggered by allocation hooks inside
         # the model's own appends (rare — reservations normally cover them).
-        self._settle_spill_traffic()
+        if self.pressure is not None:
+            self.pressure.settle_spill_traffic()
 
         outputs: list[RequestOutput] = []
         for state in touched:
@@ -535,17 +519,27 @@ class InferenceEngine(PoolPressureMixin):
             if state.finished:
                 self._cache_decoded_blocks(state)
                 self.scheduler.finish(state)
-                # The heavyweight per-request state (KVCache, logits) now
-                # lives only in the final output, subject to the retention
-                # bound below.
-                del self._states[state.request.request_id]
-                self._final_outputs[state.request.request_id] = output
-                self.metrics.requests_finished += 1
-                self._record_qos_finish(state, "requests_finished")
+                self._retire(state, output, "requests_finished")
+                self.metrics.class_bucket(state.priority).observe_finish(state.metrics)
+                self.metrics.tenant_bucket(state.tenant).observe_finish(state.metrics)
+                if self.slo_tuner is not None:
+                    self.slo_tuner.observe(state)
         self._trim_retained_outputs()
         if self.slo_tuner is not None:
             self.slo_tuner.on_step(self)
         return shed_outputs + outputs
+
+    def _retire(
+        self, state: RequestState, output: RequestOutput, kind: str
+    ) -> RequestOutput:
+        """Shared tail of a terminal event, ``kind`` = ``requests_finished``
+        / ``_aborted`` / ``_shed``: the heavyweight per-request state
+        (KVCache, logits) now lives only in ``output``, subject to the
+        retention bound the caller trims to."""
+        del self._states[state.request.request_id]
+        self._final_outputs[state.request.request_id] = output
+        self.metrics.count(kind, state.priority, state.tenant)
+        return output
 
     def _trim_retained_outputs(self) -> None:
         """Evict the oldest retained finals beyond the retention bound."""
@@ -654,11 +648,7 @@ class InferenceEngine(PoolPressureMixin):
             # retained, so return its blocks to the pool right away.
             state.paged.release()
         self._finish(state, "aborted")
-        output = self._make_output(state, [])
-        del self._states[request_id]
-        self._final_outputs[request_id] = output
-        self.metrics.requests_aborted += 1
-        self._record_qos_finish(state, "requests_aborted")
+        output = self._retire(state, self._make_output(state, []), "requests_aborted")
         self._trim_retained_outputs()
         return output
 
@@ -727,7 +717,7 @@ class InferenceEngine(PoolPressureMixin):
         )
         # The lookup may have restored spilled chains from the disk tier;
         # charge that traffic before this request's TTFT accrues.
-        self._settle_spill_traffic()
+        self.pressure.settle_spill_traffic()
         self.metrics.prefix_cache_queries += 1
         self.metrics.prefix_prompt_tokens += prompt_len
 
@@ -777,11 +767,6 @@ class InferenceEngine(PoolPressureMixin):
             state.cached_prefix == 0 or state.prefix_acc is not None
         ):
             state.acc_capture = capture
-
-    def _resolve_prefill(self, state: RequestState) -> PrefillResult:
-        """Prefill result of a request that needs no (more) model work."""
-        assert state.request.prefill is not None
-        return state.request.prefill
 
     def _make_prefill_state(self, state: RequestState) -> PrefillState:
         """Begin the model-side prefill, resuming from a cached prefix."""
@@ -848,8 +833,10 @@ class InferenceEngine(PoolPressureMixin):
             # itself can never fail half-written.  When an older request
             # needs the pool more, this request parks itself instead.
             take = min(num_tokens, state.prefill_state.remaining_tokens)
-            if not self._ensure_blocks(state, self._append_blocks_needed(state, take)):
-                self._preempt_victim(state)
+            if not self.pressure.ensure_blocks(
+                state, self.pressure.append_blocks_needed(state, take)
+            ):
+                self.pressure.preempt_victim(state)
                 return
         timings: dict[str, float] = {}
         processed = self.model.prefill_chunk(
@@ -1028,11 +1015,11 @@ class InferenceEngine(PoolPressureMixin):
             if (
                 state.paged is not None
                 and not state.paged.released
-                and not self._ensure_blocks(
-                    state, self._append_blocks_needed(state, 1)
+                and not self.pressure.ensure_blocks(
+                    state, self.pressure.append_blocks_needed(state, 1)
                 )
             ):
-                self._preempt_victim(state)
+                self.pressure.preempt_victim(state)
                 continue
             self._run_decode_batch([state], new_tokens)
 
@@ -1043,13 +1030,14 @@ class InferenceEngine(PoolPressureMixin):
         eviction or preemption between two members' appends would change
         which requests participate and reorder clock charges.  So the engine
         sums every member's single-token append demand
-        (:meth:`_append_blocks_needed`, an exact count that only shrinks as
-        earlier members' copy-on-write copies drop shared refcounts) and
-        runs them as one round only when the free list can supply the sum
-        outright — each member's in-round allocation then trivially
-        succeeds and a per-member :meth:`_ensure_blocks` would be a
-        side-effect-free no-op.  Otherwise the caller reserves member by
-        member and runs rounds of one.
+        (:meth:`PoolPressure.append_blocks_needed`, an exact count that only
+        shrinks as earlier members' copy-on-write copies drop shared
+        refcounts) and runs them as one round only when the free list can
+        supply the sum outright — each member's in-round allocation then
+        trivially succeeds and a per-member
+        :meth:`PoolPressure.ensure_blocks` would be a side-effect-free
+        no-op.  Otherwise the caller reserves member by member and runs
+        rounds of one.
         """
         allocator = self.block_allocator
         if allocator is None or allocator.capacity_blocks is None:
@@ -1057,7 +1045,7 @@ class InferenceEngine(PoolPressureMixin):
         needed = 0
         for state in states:
             if state.paged is not None and not state.paged.released:
-                needed += self._append_blocks_needed(state, 1)
+                needed += PoolPressure.append_blocks_needed(state, 1)
         if needed == 0:
             return True
         available = allocator.num_available
@@ -1216,25 +1204,6 @@ class InferenceEngine(PoolPressureMixin):
         state.metrics.finish_time = self.metrics.clock
         if state.policy is not None:
             state.policy.release_prefix()
-
-    def _record_qos_finish(self, state: RequestState, kind: str) -> None:
-        """Fold one terminal event into the per-class/per-tenant buckets.
-
-        ``kind`` names the bucket counter (``requests_finished`` /
-        ``requests_aborted`` / ``requests_shed``); normally-finished
-        requests also contribute their TTFT/TPOT to the bucket's latency
-        accumulators.
-        """
-        buckets = (
-            self.metrics.class_bucket(state.priority),
-            self.metrics.tenant_bucket(state.tenant),
-        )
-        for bucket in buckets:
-            setattr(bucket, kind, getattr(bucket, kind) + 1)
-            if kind == "requests_finished":
-                bucket.observe_finish(state.metrics)
-        if kind == "requests_finished" and self.slo_tuner is not None:
-            self.slo_tuner.observe(state)
 
     @staticmethod
     def _gpu_cache_hit_rate(policy: KVCachePolicy | None) -> float:

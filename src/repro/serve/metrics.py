@@ -558,6 +558,13 @@ class EngineMetrics:
 
     # ------------------------------------------------------- QoS buckets
 
+    def count(self, kind: str, priority: int, tenant: str) -> None:
+        """Bump request-event counter ``kind`` — flat, per-class and
+        per-tenant together, so each flat value stays the sum over either
+        dict."""
+        for ledger in (self, self.class_bucket(priority), self.tenant_bucket(tenant)):
+            vars(ledger)[kind] += 1
+
     def class_bucket(self, priority: int) -> QoSClassMetrics:
         """The (auto-created) per-priority-class counter bucket."""
         bucket = self.per_class.get(priority)

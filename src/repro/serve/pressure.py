@@ -1,36 +1,70 @@
 """Pool-pressure handling: reservation, preemption, swap, and spill billing.
 
-:class:`PoolPressureMixin` holds every escalation the engine runs when a
-bounded block pool cannot supply an allocation-bearing step — evict/spill
-cold prefix-cache chains, release retained finished outputs, materialise
-swapped requests' pins, preempt younger victims (swap or recompute), degrade
-parked requests, resume swapped chains, and settle the simulated clock for
-all of the resulting PCIe/NVMe traffic.  The behaviour is documented in
-detail on :class:`~repro.serve.InferenceEngine`, which mixes this in; the
-split keeps the engine module focused on the admit/prefill/decode loop.
-
-The mixin expects its host to provide the engine's attributes: ``model``,
-``scheduler``, ``latency``, ``metrics``, ``block_allocator``, ``swap_space``,
-``prefix_cache``, ``proactive_swap_free_fraction``, ``_states``,
-``_final_outputs``, ``_spill_settled``, and
-``victim_log`` (``None``, or a list that successful claimant→victim
-preemptions are appended to as ``(claimant_priority, claimant_seq,
-victim_priority, victim_seq)`` tuples — the QoS fuzz suite's inversion
-witness).
+:class:`PoolPressure` holds every escalation the engine runs when a bounded
+block pool cannot supply an allocation-bearing step — evict/spill cold
+prefix-cache chains, release retained finished outputs, materialise swapped
+requests' pins, preempt younger victims (swap or recompute), degrade parked
+requests, resume swapped chains — and is the one ledger of the PCIe/NVMe
+traffic all of that causes: each transfer kind (swap-out, swap-in, spill
+settlement, cross-worker migration) is billed by exactly one method, and
+:meth:`PoolPressure._charge` is the only place their time reaches the
+simulated clock.  The behaviour is documented in detail on
+:class:`~repro.serve.InferenceEngine`, which builds one per paged engine and
+reaches it through ``append_blocks_needed``, ``ensure_blocks``,
+``preempt_victim``, ``resume_swapped``, ``proactive_swap_out``,
+``settle_spill_traffic`` and (the cluster frontend) ``block_nbytes`` /
+``bill_migration``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from ..errors import CapacityError
-from ..llm.kvcache import BlockTable, PagedKVCache
-from .request import RequestStatus
+from ..llm.kvcache import BlockAllocator, BlockTable, PagedKVCache, SwapSpace
+from ..llm.kvcodec import KVBlockCodec
+from ..memory.latency import LatencyModel
+from .metrics import EngineMetrics
+from .prefix_cache import PrefixCache
+from .request import RequestOutput, RequestStatus
+from .scheduler import ContinuousBatchingScheduler
 from .state import RequestState
 
-__all__ = ["PoolPressureMixin"]
+__all__ = ["PoolPressure"]
 
 
-class PoolPressureMixin:
-    """Pool-pressure escalation ladder shared by the serving engine."""
+@dataclass(eq=False, repr=False)
+class PoolPressure:
+    """Pool-pressure escalation ladder and transfer ledger of one engine.
+
+    Built from the parts it uses, never from the engine: requests are ranked
+    and parked through ``scheduler``, transfers priced by ``latency`` and
+    booked on ``metrics``, blocks moved between ``allocator`` (the GPU
+    pool), ``swap_space`` (the CPU/disk tiers) and ``prefix_cache``.
+    ``states`` and ``final_outputs`` are the engine's *live* mappings of
+    unfinished request states and retained finished outputs, by reference.
+    """
+
+    scheduler: "ContinuousBatchingScheduler[RequestState]"
+    latency: LatencyModel
+    metrics: EngineMetrics
+    allocator: BlockAllocator
+    swap_space: SwapSpace
+    prefix_cache: PrefixCache
+    states: "dict[str, RequestState]"
+    final_outputs: "dict[str, RequestOutput]"
+    #: opt-in preemption witness: assign a list and every successful
+    #: claimant→victim preemption appends ``(claimant_priority,
+    #: claimant_seq, victim_priority, victim_seq)`` — the QoS fuzz
+    #: suite's no-priority-inversion / within-class-age-rule oracle.
+    victim_log: "list[tuple[int, int, int, int]] | None" = field(
+        default=None, init=False
+    )
+    #: prefix-cache spill counters already charged to the clock (blocks,
+    #: payload bytes, wire bytes; out then in) — the spill/restore work
+    #: happens inside eviction hooks and lookups, so its transfer time
+    #: is settled from stat deltas
+    _spill_settled: tuple = field(default=(0, 0, 0, 0, 0, 0), init=False)
 
     # ------------------------------------------------------ QoS ordering
 
@@ -60,22 +94,137 @@ class PoolPressureMixin:
         return any(
             other.priority > state.priority
             or (other.priority == state.priority and other.seq < state.seq)
-            for other in self._states.values()
+            for other in self.states.values()
         )
 
-    def _record_preemption_class(self, victim: RequestState) -> None:
-        """Bump the per-class/per-tenant preemption buckets for one victim."""
-        self.metrics.class_bucket(victim.priority).preemptions += 1
-        self.metrics.tenant_bucket(victim.tenant).preemptions += 1
+    # ------------------------------------------------------------ ledger
+
+    def block_nbytes(self) -> int:
+        """Modelled bytes of one pool block at the pool's dtype width."""
+        return self.allocator.block_nbytes()
+
+    def _charge(self, seconds: float, state: "RequestState | None" = None) -> None:
+        """Put transfer time on the clock, and on the request that moved."""
+        self.metrics.clock += seconds
+        self.metrics.swap_seconds += seconds
+        if state is not None:
+            state.metrics.swap_seconds += seconds
+
+    def _down_seconds(
+        self, codec: "KVBlockCodec | None", kv_bytes: float, wire: float,
+        disk_wire: float,
+    ) -> float:
+        """Time of one downward transfer: codec encode → D2H → disk write.
+
+        The links carry wire bytes (``disk_wire`` of them continue to NVMe);
+        encoding ``kv_bytes`` logical bytes is a CPU stage ahead of the D2H,
+        also booked as ``codec_encode_seconds``.  ``codec=None``: nothing was
+        freshly encoded (demotions of already-parked entries only).
+        """
+        if codec is None:
+            return self.latency.swap_out_seconds(wire, disk_wire)
+        encode_flops = codec.encode_flops(kv_bytes)
+        seconds = self.latency.swap_out_seconds(wire, disk_wire, encode_flops)
+        self.metrics.codec_encode_seconds += self.latency.codec_seconds(encode_flops)
+        return seconds
+
+    def _up_seconds(
+        self, codec: KVBlockCodec, kv_bytes: float, wire: float, disk_wire: float
+    ) -> float:
+        """Time of one upward transfer: disk read → H2D → codec decode."""
+        decode_flops = codec.decode_flops(kv_bytes)
+        seconds = self.latency.swap_in_seconds(wire, disk_wire, decode_flops)
+        self.metrics.codec_decode_seconds += self.latency.codec_seconds(decode_flops)
+        return seconds
+
+    def _bill_swap_out(
+        self,
+        state: "RequestState | None",
+        blocks: int,
+        wire: float,
+        demoted_wire: float,
+        codec: "KVBlockCodec | None" = None,
+    ) -> None:
+        """The downward bill of the swap path: ``blocks`` freshly stored
+        positions left the GPU as ``wire`` bytes and forced ``demoted_wire``
+        bytes of CPU→disk demotion writes.
+
+        Metrics count logical (pre-codec) bytes so raw-vs-lossless runs stay
+        counter-identical; the clock is charged the wire bytes plus the
+        encode stage.  ``state`` is the request whose chain moved (``None``
+        when only demotions landed).
+        """
+        nbytes = float(blocks * self.block_nbytes())
+        self._charge(self._down_seconds(codec, nbytes, wire, demoted_wire), state)
+        self.metrics.swap_out_blocks += blocks
+        self.metrics.swap_out_bytes += nbytes
+        self.metrics.swap_out_wire_bytes += wire
+        if state is not None:
+            state.metrics.swap_out_bytes += nbytes
+
+    def bill_migration(
+        self, kv_wire: float, disk_wire: float, encode_flops: float,
+        decode_flops: float,
+    ) -> float:
+        """The cluster frontend's bill for a chain imported from another
+        worker: encode ∥ NVMe-read → PCIe-H2D → decode lands on this (the
+        importing) engine's clock.  Returns the seconds charged."""
+        seconds = self.latency.migration_seconds(
+            kv_wire, disk_wire, encode_flops, decode_flops
+        )
+        self._charge(seconds)
+        return seconds
+
+    def settle_spill_traffic(self) -> None:
+        """Charge prefix-cache spill/restore transfers to the clock.
+
+        Spills happen inside the allocator's eviction hook and restores
+        inside prefix lookups, so their PCIe/NVMe time is settled from the
+        cache's stat deltas: spilled KV crosses D2H then the disk write;
+        restored KV is read from disk and crosses H2D; artifact payloads
+        (accumulated scores, PQ snapshots) ride the disk leg only.
+        """
+        stats = self.prefix_cache.stats
+        now = (
+            stats.spilled_blocks, stats.restored_blocks,
+            stats.spilled_payload_bytes, stats.restored_payload_bytes,
+            stats.spilled_wire_bytes, stats.restored_wire_bytes,
+        )
+        out_blocks, in_blocks, out_payload, in_payload, out_wire, in_wire = (
+            current - settled
+            for current, settled in zip(now, self._spill_settled)
+        )
+        if not (out_blocks or in_blocks or out_payload or in_payload):
+            return
+        self._spill_settled = now
+        block_bytes = self.block_nbytes()
+        codec = self.prefix_cache.spill_codec
+        if codec is None:
+            codec = self.swap_space.codec
+        # Both directions land on the clock as *one* addition.
+        seconds = 0.0
+        if out_blocks or out_payload:
+            kv_bytes = float(out_blocks * block_bytes)
+            kv_wire = float(out_wire)
+            seconds += self._down_seconds(
+                codec, kv_bytes, kv_wire, kv_wire + float(out_payload)
+            )
+            self.metrics.spill_out_bytes += kv_bytes + float(out_payload)
+            self.metrics.spill_out_wire_bytes += kv_wire + float(out_payload)
+        if in_blocks or in_payload:
+            kv_bytes = float(in_blocks * block_bytes)
+            kv_wire = float(in_wire)
+            seconds += self._up_seconds(
+                codec, kv_bytes, kv_wire, kv_wire + float(in_payload)
+            )
+            self.metrics.spill_in_bytes += kv_bytes + float(in_payload)
+            self.metrics.spill_in_wire_bytes += kv_wire + float(in_payload)
+        self._charge(seconds)
 
     # --------------------------------------------------- pool pressure
 
-    def _block_nbytes(self) -> int:
-        """Modelled bytes of one pool block at the model's dtype width."""
-        assert self.block_allocator is not None
-        return self.block_allocator.block_nbytes(self.model.config.dtype_bytes)
-
-    def _append_blocks_needed(self, state: RequestState, num_tokens: int) -> int:
+    @staticmethod
+    def append_blocks_needed(state: RequestState, num_tokens: int) -> int:
         """Pool blocks an append of ``num_tokens`` will allocate.
 
         Mirrors :meth:`PagedKVCache._write_blocks` exactly: new tail blocks
@@ -94,7 +243,7 @@ class PoolPressureMixin:
                 needed += 1
         return max(needed, 0)
 
-    def _ensure_blocks(self, state: RequestState, needed: int) -> bool:
+    def ensure_blocks(self, state: RequestState, needed: int) -> bool:
         """Reserve ``needed`` free pool blocks for ``state``'s next write.
 
         Escalation order under pressure: (1) evict/spill cold prefix-cache
@@ -119,12 +268,8 @@ class PoolPressureMixin:
         the pool even with everything else preempted and spilled — genuine
         infeasibility.
         """
-        allocator = self.block_allocator
-        if (
-            needed <= 0
-            or allocator is None
-            or allocator.capacity_blocks is None
-        ):
+        allocator = self.allocator
+        if needed <= 0 or allocator.capacity_blocks is None:
             return True
         exclude: list[RequestState] = [state]
         while True:
@@ -132,11 +277,10 @@ class PoolPressureMixin:
             assert available is not None
             if available >= needed:
                 return True
-            if self.prefix_cache is not None:
-                freed = self.prefix_cache.evict(needed - available)
-                self._settle_spill_traffic()
-                if freed > 0:
-                    continue
+            freed = self.prefix_cache.evict(needed - available)
+            self.settle_spill_traffic()
+            if freed > 0:
+                continue
             if self._reclaim_retained_blocks():
                 continue
             if self._materialize_swapped_pins(exclude=state):
@@ -166,19 +310,19 @@ class PoolPressureMixin:
                     f"{allocator.num_allocated}/{allocator.capacity_blocks} "
                     "blocks in use with nothing left to evict or preempt"
                 )
-            if not self._preempt_victim(victim):
+            if not self.preempt_victim(victim):
                 continue  # victim unswappable right now; try the next one
             if self.victim_log is not None:
                 self.victim_log.append(
                     (state.priority, state.seq, victim.priority, victim.seq)
                 )
 
-    def _proactive_swap_out(self) -> int:
+    def proactive_swap_out(self, threshold: "float | None") -> int:
         """Swap out low-priority running requests ahead of waiting work.
 
         Runs at the start of a step, before admission: when the pool's free
-        fraction has dropped below the engine's live
-        ``proactive_swap_free_fraction`` (seeded from
+        fraction has dropped below ``threshold`` (the engine's live
+        ``proactive_swap_free_fraction``, seeded from
         :attr:`SchedulerConfig.proactive_swap_free_fraction`; the opt-in
         SLO tuner may move it at runtime) and the waiting
         queue holds *strictly higher-priority* work than some running
@@ -190,14 +334,8 @@ class PoolPressureMixin:
         when the threshold is met, no eligible victim remains, or the swap
         tiers are full.  Returns the number of requests swapped out.
         """
-        threshold = self.proactive_swap_free_fraction
-        allocator = self.block_allocator
-        if (
-            threshold is None
-            or allocator is None
-            or allocator.capacity_blocks is None
-            or self.swap_space is None
-        ):
+        allocator = self.allocator
+        if threshold is None or allocator.capacity_blocks is None:
             return 0
         swapped = 0
         while True:
@@ -223,9 +361,7 @@ class PoolPressureMixin:
             if not self._preempt_swap(victim):
                 break  # tiers full — reactive preemption will handle the rest
             swapped += 1
-            self.metrics.proactive_swap_outs += 1
-            self.metrics.class_bucket(victim.priority).proactive_swap_outs += 1
-            self.metrics.tenant_bucket(victim.tenant).proactive_swap_outs += 1
+            self.metrics.count("proactive_swap_outs", victim.priority, victim.tenant)
         return swapped
 
     def _reclaim_retained_blocks(self) -> bool:
@@ -233,12 +369,13 @@ class PoolPressureMixin:
 
         Finished work is the cheapest thing to reclaim under pressure: the
         output's assembled per-layer mirrors stay fully readable (the same
-        contract as :meth:`release`), only the shared pool references are
-        dropped.  Oldest retained output first; one at a time so the caller
-        re-checks availability (a released block shared with the prefix
-        cache merely becomes evictable/spillable on the next pass).
+        contract as :meth:`InferenceEngine.release`), only the shared pool
+        references are dropped.  Oldest retained output first; one at a time
+        so the caller re-checks availability (a released block shared with
+        the prefix cache merely becomes evictable/spillable on the next
+        pass).
         """
-        for output in self._final_outputs.values():
+        for output in self.final_outputs.values():
             kvcache = output.prefill.kvcache if output.prefill is not None else None
             if isinstance(kvcache, PagedKVCache) and not kvcache.released:
                 kvcache.release()
@@ -260,11 +397,9 @@ class PoolPressureMixin:
         request the reservation is *for* — materialising its own handle
         mid-resume would grow the very allocation it is reserving.
         """
-        if self.swap_space is None:
-            return False
         # Lowest priority class first (stable within a class — see
         # _degrade_swapped_to_recompute for the rationale).
-        for state in sorted(self._states.values(), key=lambda s: s.priority):
+        for state in sorted(self.states.values(), key=lambda s: s.priority):
             if state is exclude:
                 continue
             handle = state.swap_handle
@@ -274,8 +409,6 @@ class PoolPressureMixin:
             wire_before = stats.swapped_out_wire_bytes
             demoted_wire_before = stats.demoted_wire_bytes
             moved = self.swap_space.materialize_pins(handle)
-            block_bytes = self._block_nbytes()
-            nbytes = float(moved * block_bytes)
             wire = float(stats.swapped_out_wire_bytes - wire_before)
             demoted_wire = float(
                 stats.demoted_wire_bytes - demoted_wire_before
@@ -285,29 +418,17 @@ class PoolPressureMixin:
             if wire > 0.0 or demoted_wire > 0.0:
                 # Bill every transfer that actually landed — including
                 # demotions a materialisation forced before running out of
-                # tier room (moved can be 0 with demoted bytes > 0).  The
-                # links carry the codec's wire bytes; the fresh encodes of
-                # the materialised pins are a CPU stage ahead of the D2H.
-                encode_flops = handle.codec.encode_flops(nbytes)
-                seconds = self.latency.swap_out_seconds(
-                    wire, demoted_wire, encode_flops
+                # tier room (moved can be 0 with demoted bytes > 0; those
+                # are on the clock but not on this request).
+                self._bill_swap_out(
+                    state if moved else None, moved, wire, demoted_wire,
+                    handle.codec,
                 )
-                self.metrics.clock += seconds
-                self.metrics.swap_seconds += seconds
-                self.metrics.codec_encode_seconds += (
-                    self.latency.codec_seconds(encode_flops)
-                )
-            if moved == 0:
-                continue
-            self.metrics.swap_out_blocks += moved
-            self.metrics.swap_out_bytes += nbytes
-            self.metrics.swap_out_wire_bytes += wire
-            state.metrics.swap_out_bytes += nbytes
-            state.metrics.swap_seconds += seconds
-            return True
+            if moved:
+                return True
         return False
 
-    def _preempt_victim(self, victim: RequestState) -> bool:
+    def preempt_victim(self, victim: RequestState) -> bool:
         """Preempt one running request according to the configured mode.
 
         Recompute requires the victim's policy to be rebuildable from its
@@ -338,22 +459,18 @@ class PoolPressureMixin:
         The chain contents are copied into the swap space (cold CPU entries
         cascading to disk), the pool references are dropped, and the request
         moves to the front of the waiting queue in the ``SWAPPED`` state;
-        re-admission restores the chain bitwise via :meth:`_resume_swapped`.
+        re-admission restores the chain bitwise via :meth:`resume_swapped`.
         The simulated clock is charged the D2H transfer plus any demotion
         writes the swap-out forced.  Returns ``False`` — with the victim
         untouched on the GPU, and any partial demotions still charged —
         when the swap tiers cannot absorb the chain.
         """
-        assert (
-            self.block_allocator is not None
-            and self.swap_space is not None
-            and victim.paged is not None
-        )
+        assert victim.paged is not None
         stats = self.swap_space.stats
         demoted_wire_before = stats.demoted_wire_bytes
         try:
             handle = self.swap_space.swap_out(
-                self.block_allocator, victim.paged.table.block_ids, tier="cpu"
+                self.allocator, victim.paged.table.block_ids, tier="cpu"
             )
         except CapacityError:
             demoted_wire = float(
@@ -362,9 +479,7 @@ class PoolPressureMixin:
             if demoted_wire > 0.0:
                 # Demotions that did land before the failure really moved
                 # bytes to disk; bill them even though the swap-out aborted.
-                seconds = self.latency.swap_out_seconds(0.0, demoted_wire)
-                self.metrics.clock += seconds
-                self.metrics.swap_seconds += seconds
+                self._bill_swap_out(None, 0, 0.0, demoted_wire)
             return False
         victim.paged.table.release()
         victim.swap_handle = handle
@@ -373,31 +488,17 @@ class PoolPressureMixin:
         self.scheduler.preempt(victim)
 
         # Only the *stored* positions moved bytes — shared blocks stayed
-        # GPU-resident under their pins and cost nothing to park.  Metrics
-        # count logical (pre-codec) bytes so raw-vs-lossless runs stay
-        # counter-identical; the clock is charged the codec's wire bytes
-        # plus its encode stage.
-        block_bytes = self._block_nbytes()
-        nbytes = float(handle.stored_blocks * block_bytes)
-        wire = float(handle.stored_wire_nbytes)
-        demoted_wire = float(stats.demoted_wire_bytes - demoted_wire_before)
-        encode_flops = handle.codec.encode_flops(nbytes)
-        seconds = self.latency.swap_out_seconds(wire, demoted_wire,
-                                                encode_flops)
-        self.metrics.clock += seconds
-        self.metrics.preemptions += 1
-        self.metrics.preemptions_swap += 1
-        self.metrics.swap_out_blocks += handle.stored_blocks
-        self.metrics.swap_out_bytes += nbytes
-        self.metrics.swap_out_wire_bytes += wire
-        self.metrics.swap_seconds += seconds
-        self.metrics.codec_encode_seconds += (
-            self.latency.codec_seconds(encode_flops)
+        # GPU-resident under their pins and cost nothing to park.
+        self._bill_swap_out(
+            victim,
+            handle.stored_blocks,
+            float(handle.stored_wire_nbytes),
+            float(stats.demoted_wire_bytes - demoted_wire_before),
+            handle.codec,
         )
+        self.metrics.count("preemptions", victim.priority, victim.tenant)
+        self.metrics.preemptions_swap += 1
         victim.metrics.preemptions += 1
-        victim.metrics.swap_out_bytes += nbytes
-        victim.metrics.swap_seconds += seconds
-        self._record_preemption_class(victim)
         return True
 
     @staticmethod
@@ -410,13 +511,23 @@ class PoolPressureMixin:
             and state.request.selection_hook is None
         )
 
-    @staticmethod
-    def _strip_for_recompute(state: RequestState) -> int:
-        """Drop a request's KV and policy state ahead of a recompute restart.
+    def _demote_to_recompute(self, state: RequestState) -> None:
+        """Drop a request's KV, policy state and parked chain (if any).
 
-        Returns the number of already-processed tokens being thrown away.
-        The generated tokens are kept for the deterministic replay.
+        It restarts through the deterministic recompute/replay path.  The
+        generated tokens are kept: after re-prefilling (its own cached chain
+        usually makes that a prefix hit) the request replays them through
+        the ordinary decode path, reproducing logits and selections bit for
+        bit before new tokens are generated.  Demoting an already-``SWAPPED``
+        request discards its handle — releasing the pins (the prefix cache
+        regains the power to spill those blocks) and the tier room its
+        stored copies held — and is a preemption event of its own (the
+        request is preempted a second time, in the other mode), so the
+        per-mode counters keep summing to the total.
         """
+        if state.swap_handle is not None:
+            self.swap_space.discard(state.swap_handle)
+            state.swap_handle = None
         thrown_away = len(state.paged) if state.paged is not None else 0
         if state.policy is not None:
             state.policy.release_prefix()
@@ -436,24 +547,16 @@ class PoolPressureMixin:
         state.step_logits = []
         state.selections = []
         state.status = RequestStatus.PREEMPTED
-        return thrown_away
+        self.metrics.count("preemptions", state.priority, state.tenant)
+        self.metrics.preemptions_recompute += 1
+        state.metrics.preemptions += 1
+        state.metrics.recomputed_tokens += thrown_away
 
     def _preempt_recompute(self, victim: RequestState) -> None:
-        """Drop a victim's KV and policy state; it will recompute on resume.
-
-        The generated tokens are kept: after re-prefilling (its own cached
-        chain usually makes that a prefix hit) the request replays them
-        through the ordinary decode path, reproducing logits and selections
-        bit for bit before new tokens are generated.
-        """
-        assert victim.paged is not None
-        thrown_away = self._strip_for_recompute(victim)
+        """Recompute-preempt a running request: demote it, then re-queue it
+        at the front of its class."""
+        self._demote_to_recompute(victim)
         self.scheduler.preempt(victim)
-        self.metrics.preemptions += 1
-        self.metrics.preemptions_recompute += 1
-        victim.metrics.preemptions += 1
-        victim.metrics.recomputed_tokens += thrown_away
-        self._record_preemption_class(victim)
 
     def _degrade_swapped_to_recompute(
         self, exclude: "RequestState | None" = None
@@ -462,41 +565,25 @@ class PoolPressureMixin:
 
         The last escalation rung before giving up: when the swap tiers have
         no room to materialise pins, a parked request's pinned shared blocks
-        can stand between an older request and the pool.  Discarding the
-        handle releases the pins (the prefix cache regains the power to
-        spill those blocks) and frees the tier room its stored copies held;
-        the request — already in the waiting queue — restarts through the
-        deterministic recompute/replay path instead of a swap-in.
+        can stand between an older request and the pool.  The request —
+        already in the waiting queue — restarts through the recompute/replay
+        path instead of a swap-in.
         """
-        if self.swap_space is None:
-            return False
         # Lowest priority class first (stable within a class, so untagged
         # traffic keeps the pre-QoS submission-order scan): a parked
         # high-priority request should not lose its bitwise restore while a
         # low-priority handle could be sacrificed instead.
-        states = sorted(self._states.values(), key=lambda s: s.priority)
-        for state in states:
+        for state in sorted(self.states.values(), key=lambda s: s.priority):
             if (
-                state is exclude
-                or state.swap_handle is None
-                or not self._recomputable(state)
+                state is not exclude
+                and state.swap_handle is not None
+                and self._recomputable(state)
             ):
-                continue
-            self.swap_space.discard(state.swap_handle)
-            state.swap_handle = None
-            thrown_away = self._strip_for_recompute(state)
-            # A degradation is a preemption event of its own (the request is
-            # preempted a second time, in the other mode), so the per-mode
-            # counters keep summing to the total.
-            self.metrics.preemptions += 1
-            self.metrics.preemptions_recompute += 1
-            state.metrics.preemptions += 1
-            state.metrics.recomputed_tokens += thrown_away
-            self._record_preemption_class(state)
-            return True
+                self._demote_to_recompute(state)
+                return True
         return False
 
-    def _resume_swapped(self, state: RequestState) -> bool:
+    def resume_swapped(self, state: RequestState) -> bool:
         """Swap a re-admitted request's chain back into the pool.
 
         When an older request owns the pool, the request stays swapped and
@@ -506,16 +593,11 @@ class PoolPressureMixin:
         surfaces as a :class:`~repro.errors.CapacityError` from the
         reservation.
         """
-        assert (
-            state.swap_handle is not None
-            and self.swap_space is not None
-            and self.block_allocator is not None
-            and state.paged is not None
-        )
         handle = state.swap_handle
+        assert handle is not None and state.paged is not None
         # Pinned positions need no allocation — their blocks never left.
         try:
-            reserved = self._ensure_blocks(state, handle.stored_blocks)
+            reserved = self.ensure_blocks(state, handle.stored_blocks)
         except CapacityError:
             # Even as the oldest request the chain cannot come back — often
             # because its *own* pinned shared blocks (a prompt chain the
@@ -526,106 +608,27 @@ class PoolPressureMixin:
             # raises the same CapacityError at the first chunk.
             if not self._recomputable(state):
                 raise
-            self.swap_space.discard(handle)
-            state.swap_handle = None
-            thrown_away = self._strip_for_recompute(state)
-            self.metrics.preemptions += 1
-            self.metrics.preemptions_recompute += 1
-            state.metrics.preemptions += 1
-            state.metrics.recomputed_tokens += thrown_away
-            self._record_preemption_class(state)
-            self.scheduler.preempt(state)
+            self._preempt_recompute(state)
             return False
         if not reserved:
             # An older request owns the pool: stay swapped, park at the back
             # of the queue so others can finish and free blocks first.
             self.scheduler.preempt(state, requeue_front=False)
             return False
-        was_on_disk = handle.tier == "disk"
         stored = handle.stored_blocks
         wire = float(handle.stored_wire_nbytes)
+        disk_wire = wire if handle.tier == "disk" else 0.0
         codec = handle.codec
-        new_ids = self.swap_space.swap_in(handle, self.block_allocator)
-        state.paged.table = BlockTable(self.block_allocator, new_ids)
+        new_ids = self.swap_space.swap_in(handle, self.allocator)
+        state.paged.table = BlockTable(self.allocator, new_ids)
         state.swap_handle = None
         state.status = state.resume_status
 
-        block_bytes = self._block_nbytes()
-        nbytes = float(stored * block_bytes)
-        disk_wire = wire if was_on_disk else 0.0
-        decode_flops = codec.decode_flops(nbytes)
-        seconds = self.latency.swap_in_seconds(wire, disk_wire, decode_flops)
-        self.metrics.clock += seconds
+        # The upward bill: disk read → H2D → codec decode.
+        nbytes = float(stored * self.block_nbytes())
+        self._charge(self._up_seconds(codec, nbytes, wire, disk_wire), state)
         self.metrics.swap_in_blocks += stored
         self.metrics.swap_in_bytes += nbytes
         self.metrics.swap_in_wire_bytes += wire
-        self.metrics.swap_seconds += seconds
-        self.metrics.codec_decode_seconds += (
-            self.latency.codec_seconds(decode_flops)
-        )
         state.metrics.swap_in_bytes += nbytes
-        state.metrics.swap_seconds += seconds
         return True
-
-    def _settle_spill_traffic(self) -> None:
-        """Charge prefix-cache spill/restore transfers to the clock.
-
-        Spills happen inside the allocator's eviction hook and restores
-        inside prefix lookups, so the engine settles their PCIe/NVMe time
-        from the cache's stat deltas: spilled KV crosses D2H then the disk
-        write; restored KV is read from disk and crosses H2D; artifact
-        payloads (accumulated scores, PQ snapshots) ride the disk leg only.
-        """
-        if self.prefix_cache is None or self.block_allocator is None:
-            return
-        stats = self.prefix_cache.stats
-        seen = self._spill_settled
-        out_blocks = stats.spilled_blocks - seen["out_blocks"]
-        in_blocks = stats.restored_blocks - seen["in_blocks"]
-        out_payload = stats.spilled_payload_bytes - seen["out_payload"]
-        in_payload = stats.restored_payload_bytes - seen["in_payload"]
-        out_wire = stats.spilled_wire_bytes - seen["out_wire"]
-        in_wire = stats.restored_wire_bytes - seen["in_wire"]
-        if not (out_blocks or in_blocks or out_payload or in_payload):
-            return
-        seen["out_blocks"] = stats.spilled_blocks
-        seen["in_blocks"] = stats.restored_blocks
-        seen["out_payload"] = stats.spilled_payload_bytes
-        seen["in_payload"] = stats.restored_payload_bytes
-        seen["out_wire"] = stats.spilled_wire_bytes
-        seen["in_wire"] = stats.restored_wire_bytes
-        block_bytes = self._block_nbytes()
-        codec = self.prefix_cache.spill_codec
-        if codec is None and self.swap_space is not None:
-            codec = self.swap_space.codec
-        seconds = 0.0
-        if out_blocks or out_payload:
-            kv_bytes = float(out_blocks * block_bytes)
-            kv_wire = float(out_wire)
-            encode_flops = (
-                codec.encode_flops(kv_bytes) if codec is not None else 0.0
-            )
-            seconds += self.latency.swap_out_seconds(
-                kv_wire, kv_wire + float(out_payload), encode_flops
-            )
-            self.metrics.spill_out_bytes += kv_bytes + float(out_payload)
-            self.metrics.spill_out_wire_bytes += kv_wire + float(out_payload)
-            self.metrics.codec_encode_seconds += (
-                self.latency.codec_seconds(encode_flops)
-            )
-        if in_blocks or in_payload:
-            kv_bytes = float(in_blocks * block_bytes)
-            kv_wire = float(in_wire)
-            decode_flops = (
-                codec.decode_flops(kv_bytes) if codec is not None else 0.0
-            )
-            seconds += self.latency.swap_in_seconds(
-                kv_wire, kv_wire + float(in_payload), decode_flops
-            )
-            self.metrics.spill_in_bytes += kv_bytes + float(in_payload)
-            self.metrics.spill_in_wire_bytes += kv_wire + float(in_payload)
-            self.metrics.codec_decode_seconds += (
-                self.latency.codec_seconds(decode_flops)
-            )
-        self.metrics.clock += seconds
-        self.metrics.swap_seconds += seconds

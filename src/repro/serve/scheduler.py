@@ -14,9 +14,9 @@ Chunked prefill (vLLM-style) is enabled by setting
 monolithic step — which head-of-line-blocks every other request for the whole
 prompt's makespan — each step hands out at most that many prompt tokens,
 split max-min fairly across the batch's ``PREFILLING`` requests (short
-prompts complete first, long prompts soak up the leftover budget).  Items
-scheduled in chunked mode must expose a ``remaining_prefill_tokens``
-attribute (the engine's per-request state does).
+prompts complete first, long prompts soak up the leftover budget).  What the
+scheduler reads of an item is the :class:`Schedulable` protocol (the
+engine's per-request state implements it).
 
 The scheduler is storage-agnostic: under the engine's paged-KV/prefix-cache
 mode a request's ``remaining_prefill_tokens`` already excludes the tokens
@@ -29,13 +29,50 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Generic, List, Optional, Tuple, TypeVar
+from typing import Callable, Generic, List, Optional, Protocol, Tuple, TypeVar
 
 from ..errors import ConfigurationError
 
-__all__ = ["SchedulerConfig", "SchedulingDecision", "ContinuousBatchingScheduler"]
+__all__ = [
+    "Schedulable",
+    "SchedulerConfig",
+    "SchedulingDecision",
+    "ContinuousBatchingScheduler",
+]
 
-T = TypeVar("T")
+
+class Schedulable(Protocol):
+    """What the scheduler (and the SLO tuner) read of a scheduled item.
+
+    With one best-effort deadline-less class (``priority`` 0, one ``tenant``,
+    ``deadline_time`` ``None``) every code path is the pre-QoS FCFS one.
+
+    Attributes:
+        priority: QoS class; higher admits first and is preempted last.
+        tenant: weighted-fair grouping of the chunked-prefill budget.
+        weight: the tenant's declared share of that budget.
+        seq: submission order (newest is shed first within a class).
+        deadline_time: absolute simulated-clock deadline (EDF ordering
+            within the class), or ``None``.
+        remaining_prefill_tokens: prompt tokens still to prefill — the
+            chunk budget's demand; 0 once the item only decodes.
+    """
+
+    @property
+    def priority(self) -> int: ...
+    @property
+    def tenant(self) -> str: ...
+    @property
+    def weight(self) -> float: ...
+    @property
+    def seq(self) -> int: ...
+    @property
+    def deadline_time(self) -> "float | None": ...
+    @property
+    def remaining_prefill_tokens(self) -> int: ...
+
+
+T = TypeVar("T", bound=Schedulable)
 
 
 @dataclass(frozen=True)
@@ -158,16 +195,8 @@ class SchedulingDecision(Generic[T]):
 
 
 class ContinuousBatchingScheduler(Generic[T]):
-    """Priority-ordered admission + run-to-completion batch slots.
-
-    Scheduled items may expose optional QoS attributes — ``priority`` (int,
-    higher admits first), ``tenant`` (str, weighted-fair chunk-budget
-    grouping), ``weight`` (float, the tenant's share), ``seq`` (submission
-    order) and ``deadline_time`` (absolute simulated-clock deadline, EDF
-    ordering within the class) — all defaulting to a single best-effort
-    deadline-less class, in which case every code path below reduces
-    exactly to the pre-QoS FCFS scheduler.
-    """
+    """Priority-ordered admission + run-to-completion batch slots over
+    :class:`Schedulable` items."""
 
     def __init__(self, config: SchedulerConfig | None = None) -> None:
         self.config = config or SchedulerConfig()
@@ -178,30 +207,9 @@ class ContinuousBatchingScheduler(Generic[T]):
         #: chunk split (requests' frozen QoS declarations stay untouched)
         self.tenant_weights: dict[str, float] = {}
 
-    # --------------------------------------------------- QoS item protocol
-
-    @staticmethod
-    def _priority(item: T) -> int:
-        return int(getattr(item, "priority", 0))
-
-    @staticmethod
-    def _tenant(item: T) -> str:
-        return str(getattr(item, "tenant", "default"))
-
     def _weight(self, item: T) -> float:
-        override = self.tenant_weights.get(self._tenant(item))
-        if override is not None:
-            return float(override)
-        return float(getattr(item, "weight", 1.0))
-
-    @staticmethod
-    def _seq(item: T) -> int:
-        return int(getattr(item, "seq", 0))
-
-    @staticmethod
-    def _deadline(item: T) -> "float | None":
-        value = getattr(item, "deadline_time", None)
-        return None if value is None else float(value)
+        """The item's chunk-budget weight: the tuner's override, else its own."""
+        return float(self.tenant_weights.get(item.tenant, item.weight))
 
     # ------------------------------------------------------------- queues
 
@@ -238,14 +246,14 @@ class ContinuousBatchingScheduler(Generic[T]):
         (FCFS), resumed preemption victims to the *front* (they re-admit
         before newer equal-ranked arrivals).
         """
-        p = self._priority(item)
-        d = self._deadline(item)
+        p = item.priority
+        d = item.deadline_time
 
         def belongs_before(existing: T) -> bool:
-            ep = self._priority(existing)
+            ep = existing.priority
             if ep != p:
                 return ep < p
-            ed = self._deadline(existing)
+            ed = existing.deadline_time
             if d is None:
                 # untagged: after every deadline-tagged item of the class
                 return ed is None and front_of_class
@@ -284,7 +292,7 @@ class ContinuousBatchingScheduler(Generic[T]):
         )
         if not candidates:
             return None
-        return min(candidates, key=lambda it: (self._priority(it), -self._seq(it)))
+        return min(candidates, key=lambda it: (it.priority, -it.seq))
 
     def finish(self, item: T) -> None:
         """Release the batch slot of a finished request."""
@@ -349,16 +357,11 @@ class ContinuousBatchingScheduler(Generic[T]):
         for item in order:
             if any(item is excluded for excluded in exclude):
                 continue
-            if best is None or self._priority(item) < self._priority(best):
+            if best is None or item.priority < best.priority:
                 best = item
         return best
 
     # ----------------------------------------------------------- schedule
-
-    @staticmethod
-    def _remaining(item: T) -> int:
-        """Prefill tokens the item still needs (chunked-mode protocol)."""
-        return int(item.remaining_prefill_tokens)  # type: ignore[attr-defined]
 
     def _grant_max_min(
         self,
@@ -374,14 +377,14 @@ class ContinuousBatchingScheduler(Generic[T]):
         prefill; the leftover budget rolls over to the larger demands.  Ties
         keep FCFS order (stable sort).  Returns the tokens actually granted.
         """
-        items = sorted(items, key=self._remaining)
+        items = sorted(items, key=lambda it: it.remaining_prefill_tokens)
         used = 0
         for index, item in enumerate(items):
             if budget <= 0:
                 break
             claimants_left = len(items) - index
             fair_share = -(-budget // claimants_left)  # ceil division
-            grant = min(self._remaining(item), fair_share, budget)
+            grant = min(item.remaining_prefill_tokens, fair_share, budget)
             if grant > 0:
                 chunks.append((item, grant))
                 granted[id(item)] = grant
@@ -410,14 +413,16 @@ class ContinuousBatchingScheduler(Generic[T]):
         # partially-prefilled requests.  With a single tenant — in
         # particular with untagged traffic — this is byte-for-byte the
         # plain max-min split the pre-QoS scheduler ran.
-        prefilling = [item for item in self._running if self._remaining(item) > 0]
+        prefilling = [
+            item for item in self._running if item.remaining_prefill_tokens > 0
+        ]
         granted: dict = {}
         chunks: List[Tuple[T, int]] = []
         budget = int(self.config.max_prefill_chunk_tokens or 0)
 
         tenants: dict[str, List[T]] = {}
         for item in prefilling:
-            tenants.setdefault(self._tenant(item), []).append(item)
+            tenants.setdefault(item.tenant, []).append(item)
 
         if len(tenants) <= 1:
             self._grant_max_min(prefilling, budget, chunks, granted)
@@ -431,7 +436,7 @@ class ContinuousBatchingScheduler(Generic[T]):
                 for name, members in tenants.items()
             }
             demands = {
-                name: sum(self._remaining(item) for item in members)
+                name: sum(item.remaining_prefill_tokens for item in members)
                 for name, members in tenants.items()
             }
             order = sorted(tenants, key=lambda n: (demands[n] / weights[n], n))
@@ -447,7 +452,7 @@ class ContinuousBatchingScheduler(Generic[T]):
 
         decodes = [
             item for item in self._running
-            if self._remaining(item) - granted.get(id(item), 0) <= 0
+            if item.remaining_prefill_tokens - granted.get(id(item), 0) <= 0
         ]
         return SchedulingDecision(
             admitted=admitted, decodes=decodes, prefill_chunks=chunks

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from ..errors import ConfigurationError
 from .metrics import QuantileDigest
+from .scheduler import Schedulable
 
 __all__ = ["SLOTuner"]
 
@@ -122,20 +123,16 @@ class SLOTuner:
 
     # -------------------------------------------------------- engine hooks
 
-    def observe(self, item) -> None:
+    def observe(self, item: Schedulable) -> None:
         """Record a finished request's class ↔ tenant association.
 
         The engine calls this for every normally-finished request; the
-        tuner only needs the QoS coordinates (duck-typed like the
-        scheduler's item protocol), not the latency — latency arrives
-        through the engine's per-class digests.
+        tuner only needs the QoS coordinates, not the latency — latency
+        arrives through the engine's per-class digests.
         """
-        priority = int(getattr(item, "priority", 0))
-        tenant = str(getattr(item, "tenant", "default"))
-        weight = float(getattr(item, "weight", 1.0))
-        self._class_tenants.setdefault(priority, set()).add(tenant)
-        self._base_weights[tenant] = max(
-            self._base_weights.get(tenant, 0.0), weight
+        self._class_tenants.setdefault(item.priority, set()).add(item.tenant)
+        self._base_weights[item.tenant] = max(
+            self._base_weights.get(item.tenant, 0.0), item.weight
         )
 
     def on_step(self, engine) -> None:

@@ -5,7 +5,7 @@
 (possibly partial) prefill, paged-KV/prefix bookkeeping, swap-preemption
 handles, generated tokens, per-step logits/selections, and the request's
 :class:`~repro.serve.RequestMetrics`.  It lives in its own module so the
-cluster layer (:mod:`repro.serve.cluster`) and the pool-pressure mixin
+cluster layer (:mod:`repro.serve.cluster`) and the pool-pressure component
 (:mod:`repro.serve.pressure`) can name it without importing the full engine.
 """
 
@@ -60,8 +60,8 @@ class RequestState:
         qos_deadline = request.qos.deadline
         #: absolute deadline on the engine's simulated clock, resolved at
         #: submit (arrival + the QoS-relative deadline); ``None`` when the
-        #: request carries no deadline.  Part of the scheduler's duck-typed
-        #: item protocol (EDF ordering / miss shedding key off it).
+        #: request carries no deadline.  Part of the scheduler's
+        #: ``Schedulable`` protocol (EDF ordering / miss shedding key off it).
         self.deadline_time: float | None = (
             None if qos_deadline is None else arrival_time + float(qos_deadline)
         )
@@ -82,8 +82,8 @@ class RequestState:
     def forced(self) -> list[int] | None:
         return self.request.forced_decode_ids
 
-    # QoS passthroughs — the scheduler's and pressure ladder's duck-typed
-    # protocol (``item.priority`` / ``item.tenant`` / ``item.weight``).
+    # QoS passthroughs — with ``seq``, ``deadline_time`` and
+    # ``remaining_prefill_tokens`` the scheduler's ``Schedulable`` protocol.
 
     @property
     def qos(self):

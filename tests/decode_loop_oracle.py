@@ -75,8 +75,11 @@ class LoopedDecodeRounds:
             # One appended token may need a fresh tail block and/or a COW
             # copy of a shared tail block; reserve before the model writes.
             # If an older request owns the pool, park and resume later.
-            if not self._ensure_blocks(state, self._append_blocks_needed(state, 1)):
-                self._preempt_victim(state)
+            pressure = self.pressure
+            if not pressure.ensure_blocks(
+                state, pressure.append_blocks_needed(state, 1)
+            ):
+                pressure.preempt_victim(state)
                 return
         token = state.next_input_token()
 

@@ -22,7 +22,6 @@ from repro.core.pq import (
     PQConfig,
     ProductQuantizer,
     stack_codebooks,
-    unstack_codebooks,
 )
 from repro.errors import ConfigurationError, DimensionError
 from repro.llm import KVCache, ModelConfig
@@ -210,20 +209,6 @@ class TestBatchedKernelsMatchPerHeadLoops:
         ProductQuantizer.refine_batch(codebooks, keys, 5)
         assert np.array_equal(codebooks, start)  # not mutated
         assert np.array_equal(keys, frozen)
-
-    def test_unstack_codebooks_round_trip(self, rng):
-        quantizers, _ = _fit_quantizers(rng, 3, 2, 4, 8, 50)
-        with pytest.raises(DimensionError):
-            unstack_codebooks(quantizers[0].config, quantizers[0].centroids)
-        # same geometry, one shared config
-        config = PQConfig(dim=16, num_partitions=2, num_bits=4)
-        stacked = stack_codebooks(quantizers)
-        views = unstack_codebooks(config, stacked)
-        assert len(views) == 3 and all(pq.is_fitted for pq in views)
-        assert np.array_equal(stack_codebooks(views), stacked)
-        assert np.shares_memory(views[1].centroids, stacked)
-        with pytest.raises(DimensionError):
-            unstack_codebooks(PQConfig(dim=16, num_partitions=4, num_bits=4), stacked)
 
     def test_batched_shape_validation(self, rng):
         quantizers, codes = _fit_quantizers(rng, 2, 2, 3, 4, 20)

@@ -32,7 +32,13 @@ def make_prompts(config, lengths, seed=9):
 
 
 class _Item:
-    """Minimal object satisfying the scheduler's chunked-mode protocol."""
+    """Minimal ``Schedulable``: one best-effort deadline-less class."""
+
+    priority = 0
+    tenant = "default"
+    weight = 1.0
+    seq = 0
+    deadline_time = None
 
     def __init__(self, name, remaining):
         self.name = name

@@ -165,9 +165,20 @@ class TestDirectoryTracksEngine:
 
 
 class _FakeWorker:
+    """A ``RoutableWorker`` with one QoS class and no deadline-tagged work:
+    per-class load is the total load, zero backlog, infinite slack."""
+
+    nearest_deadline_slack = math.inf
+
     def __init__(self, worker_id, load=0):
         self.worker_id = worker_id
         self.load = load
+
+    def load_at_or_above(self, priority):
+        return self.load
+
+    def deadline_backlog(self, before_slack=None):
+        return 0
 
 
 class TestRouterPlacement:
@@ -306,8 +317,8 @@ class TestEDFRouting:
         assert Router("edf_aware").place([1], workers).worker_id == 1
 
     def test_plain_workers_degrade_to_least_loaded(self):
-        # no deadline signals at all: zero backlog / infinite slack for
-        # everyone, so the ranking reduces to (load, id)
+        # no deadline-tagged work anywhere: zero backlog / infinite slack
+        # for everyone, so the ranking reduces to (load, id)
         workers = [_FakeWorker(0, load=2), _FakeWorker(1, load=1)]
         assert Router("edf_aware").place([1], workers).worker_id == 1
 
@@ -888,9 +899,10 @@ class TestClusterQoS:
         assert Router("least_loaded").place([1], workers).worker_id == 1
 
     def test_router_priority_degrades_without_worker_support(self):
+        # single-class workers: the per-class signal *is* the total load
         workers = [_FakeWorker(0, load=3), _FakeWorker(1, load=1)]
         placement = Router("least_loaded").place([1], workers, priority=2)
-        assert placement.worker_id == 1  # falls back to total load
+        assert placement.worker_id == 1
 
     def test_fleet_metrics_merge_per_class_buckets(self, model, tiny_config):
         cluster = ClusterFrontend(model, num_workers=2,

@@ -237,7 +237,7 @@ class TestShedVictimRanking:
         # force the victim out: it re-enters the waiting queue as a
         # re-queued preemption victim (lowest class, newest-looking rank)
         state = engine._states["victim"]
-        assert engine._preempt_victim(state)
+        assert engine.pressure.preempt_victim(state)
         assert not engine._never_admitted(state)
         # overflow the waiting queue with fresh lowest-class arrivals: the
         # shed victim must be one of them, never the preemption victim

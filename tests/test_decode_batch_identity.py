@@ -339,6 +339,18 @@ class _WitnessEngine(InferenceEngine):
         #: ``(step, request_id)`` of members parked after decoding that step
         self.parked_after_decode: list[tuple[int, str]] = []
         self._decoded_this_step: list[str] = []
+        # Every preemption — the ladder's own and the engine's parks — goes
+        # through the component's ``preempt_victim``; witness it there.
+        preempt_victim = self.pressure.preempt_victim
+
+        def witnessed(victim):
+            if victim.request.request_id in self._decoded_this_step:
+                self.parked_after_decode.append(
+                    (self.metrics.steps, victim.request.request_id)
+                )
+            return preempt_victim(victim)
+
+        self.pressure.preempt_victim = witnessed
 
     def step(self):
         self._decoded_this_step = []
@@ -355,13 +367,6 @@ class _WitnessEngine(InferenceEngine):
     def _run_decode_batch(self, states, new_tokens):
         super()._run_decode_batch(states, new_tokens)
         self._decoded_this_step.extend(s.request.request_id for s in states)
-
-    def _preempt_victim(self, victim):
-        if victim.request.request_id in self._decoded_this_step:
-            self.parked_after_decode.append(
-                (self.metrics.steps, victim.request.request_id)
-            )
-        return super()._preempt_victim(victim)
 
 
 def _directed_request(rng, rid, prompt_len, priority=0):

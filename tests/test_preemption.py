@@ -30,6 +30,7 @@ recompute preemption — and asserts after every engine step:
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -39,15 +40,22 @@ from repro.baselines import SelectionBudget, build_policy
 from repro.core.pqcache import PQCacheConfig
 from repro.errors import CapacityError
 from repro.llm import ModelConfig, TransformerLM
-from repro.llm.kvcache import PagedKVCache
+from repro.llm.kvcache import BlockAllocator, PagedKVCache, SwapSpace
+from repro.memory import HardwareSpec, LatencyModel
 from repro.serve import (
+    ContinuousBatchingScheduler,
+    EngineMetrics,
     InferenceEngine,
     PolicySpec,
+    PoolPressure,
+    PrefixCache,
     Request,
     RequestQoS,
+    RequestStatus,
     SamplingParams,
     SchedulerConfig,
 )
+from repro.serve.state import RequestState
 
 SEEDS_PER_CASE = 25
 FUZZ_CASES = 8  # 8 x 25 = 200 seeds
@@ -104,9 +112,15 @@ def _make_engine(model, pool_blocks, mode, chunk, block_size=8,
 
 # ----------------------------------------------------------------- audits
 
+#: engine counters kept three ways: flat, per priority class, per tenant
+BUCKETED_COUNTERS = (
+    "requests_submitted", "requests_finished", "requests_aborted",
+    "requests_shed", "deadline_misses", "preemptions", "proactive_swap_outs",
+)
+
 
 def audit_engine(engine, context=""):
-    """Assert block/tier bookkeeping is exactly balanced."""
+    """Assert block/tier bookkeeping and the counter ledger are balanced."""
     alloc = engine.block_allocator
     expected: Counter = Counter()
     handle_blocks = 0
@@ -156,6 +170,23 @@ def audit_engine(engine, context=""):
     assert ranks == sorted(ranks), (
         f"{context}: waiting queue out of priority/EDF order: {ranks}"
     )
+    # The ledger: per-mode preemptions sum to the total, every bucketed
+    # counter equals the sum over its per-class and its per-tenant buckets,
+    # and every submitted request is finished, aborted, shed or still active.
+    metrics = engine.metrics
+    assert metrics.preemptions == (
+        metrics.preemptions_swap + metrics.preemptions_recompute
+    ), context
+    for name in BUCKETED_COUNTERS:
+        flat = getattr(metrics, name)
+        for buckets in (metrics.per_class, metrics.per_tenant):
+            assert flat == sum(getattr(b, name) for b in buckets.values()), (
+                f"{context}: {name}={flat} disagrees with its buckets"
+            )
+    assert metrics.requests_submitted == (
+        metrics.requests_finished + metrics.requests_aborted
+        + metrics.requests_shed + len(engine._states)
+    ), context
 
 
 def audit_victim_log(log, context=""):
@@ -282,7 +313,7 @@ def run_fuzz_seed(model, seed):
     engine = _make_engine(model, pool, mode, chunk, block_size,
                           swap_codec=swap_codec, spill_codec=spill_codec,
                           proactive=proactive, batch=batch)
-    engine.victim_log = []
+    engine.pressure.victim_log = []
     # Stagger submissions and plan a few aborts at random step indices.
     submit_at = {0: requests[:2]}
     for request in requests[2:]:
@@ -307,7 +338,9 @@ def run_fuzz_seed(model, seed):
             if output.finished:
                 finals[output.request_id] = output
         audit_engine(engine, f"{context} step={step_index}")
-        audit_victim_log(engine.victim_log, f"{context} step={step_index}")
+        audit_victim_log(
+            engine.pressure.victim_log, f"{context} step={step_index}"
+        )
         if not submit_at and not engine.has_unfinished:
             break
     else:
@@ -681,3 +714,144 @@ class TestCodecToggles:
         metrics = engine.metrics
         if metrics.spill_out_bytes > 0:
             assert metrics.spill_out_wire_bytes < metrics.spill_out_bytes
+
+
+# ------------------------------------------------- the component, standalone
+
+
+class _Parts:
+    """A ``PoolPressure`` over real parts and *no engine*: a scheduler, a
+    latency model, a metrics object, the three tiers and two plain dicts."""
+
+    def __init__(self, config, pool_blocks, swap_space, batch=4):
+        self.config = config
+        self.allocator = BlockAllocator(
+            config.num_layers, config.num_kv_heads, config.head_dim,
+            block_size=4, capacity_blocks=pool_blocks,
+            dtype_bytes=config.dtype_bytes,
+        )
+        self.swap_space = swap_space
+        self.prefix_cache = PrefixCache(self.allocator, spill_store=swap_space)
+        self.allocator.eviction_hook = self.prefix_cache.evict
+        self.scheduler = ContinuousBatchingScheduler(
+            SchedulerConfig(max_batch_size=batch, max_prefills_per_step=batch)
+        )
+        self.latency = LatencyModel(HardwareSpec.paper_testbed(), config)
+        self.metrics = EngineMetrics()
+        self.states = {}
+        self.pressure = PoolPressure(
+            self.scheduler, self.latency, self.metrics, self.allocator,
+            swap_space, self.prefix_cache, self.states, {},
+        )
+        self.rng = np.random.default_rng(40)
+
+    def grow(self, paged, num_tokens):
+        shape = (self.config.num_kv_heads, num_tokens, self.config.head_dim)
+        for layer in range(self.config.num_layers):
+            kv = self.rng.normal(size=shape)
+            paged[layer].append(kv, kv)
+
+    def running(self, rid, seq, num_tokens):
+        """A RUNNING request holding ``num_tokens`` of KV in the pool."""
+        state = RequestState(
+            Request(prompt_ids=[4] * num_tokens, request_id=rid),
+            arrival_time=0.0, seq=seq,
+        )
+        state.paged = PagedKVCache(self.allocator)
+        self.grow(state.paged, num_tokens)
+        self.states[rid] = state
+        self.scheduler.submit(state)
+        self.scheduler.schedule()
+        return state
+
+
+def test_pool_pressure_ladder_runs_without_an_engine(fuzz_model):
+    """The whole ladder — reserve, evict/spill, preempt, park, and
+    CapacityError for the top-ranked claimant only — on a component that
+    was never given an engine."""
+    parts = _Parts(fuzz_model.config, pool_blocks=6, swap_space=SwapSpace())
+    pressure, metrics, scheduler = parts.pressure, parts.metrics, parts.scheduler
+    assert "engine" not in inspect.signature(PoolPressure).parameters
+    assert not any(
+        isinstance(part, InferenceEngine) for part in vars(pressure).values()
+    )
+    pressure.victim_log = []
+    old, young = parts.running("old", 0, 8), parts.running("young", 1, 8)
+
+    # reserve: the free list covers it — nothing moves
+    assert pressure.ensure_blocks(old, pressure.append_blocks_needed(old, 8))
+    assert metrics.clock == 0.0 and metrics.preemptions == 0
+
+    # evict: a cold cached chain fills the pool; reserving spills it to the
+    # disk tier, and the spill traffic is settled on the clock
+    warm = PagedKVCache(parts.allocator)
+    parts.grow(warm, 8)
+    parts.prefix_cache.insert(list(range(10, 18)), warm.table.block_ids)
+    warm.release()
+    assert parts.allocator.num_available == 0
+    assert pressure.ensure_blocks(old, 2)
+    assert parts.prefix_cache.stats.spilled_blocks == 2
+    assert metrics.preemptions == 0
+    assert metrics.spill_out_bytes == 2 * pressure.block_nbytes()
+    assert metrics.clock == metrics.swap_seconds > 0.0
+    parts.grow(old.paged, 8)
+
+    # preempt: nothing left to evict, so the younger request is swapped out
+    assert pressure.ensure_blocks(old, 2)
+    assert young.status is RequestStatus.SWAPPED
+    assert scheduler.waiting_items() == (young,)
+    assert pressure.victim_log == [(0, 0, 0, 1)]
+    assert metrics.preemptions == metrics.preemptions_swap == 1
+    assert metrics.per_class[0].preemptions == 1
+    assert metrics.swap_out_blocks == 2
+    assert young.metrics.swap_out_bytes == 2 * pressure.block_nbytes()
+    assert 0.0 < young.metrics.swap_seconds < metrics.swap_seconds
+    parts.grow(old.paged, 8)
+
+    # park: the re-admitted victim cannot take blocks from the older request
+    assert scheduler.schedule().admitted == [young]
+    assert not pressure.resume_swapped(young)
+    assert young.status is RequestStatus.SWAPPED
+    assert scheduler.waiting_items() == (young,)
+
+    # top-ranked claimant: the parked chain degrades to recompute (the last
+    # rung), and only then is the demand genuinely infeasible
+    with pytest.raises(CapacityError):
+        pressure.ensure_blocks(old, 1)
+    assert young.status is RequestStatus.PREEMPTED and young.swap_handle is None
+    assert metrics.preemptions_recompute == 1 and metrics.preemptions == 2
+    assert parts.swap_space.cpu_blocks == 0
+
+
+def test_failed_swap_out_still_bills_the_demotions_that_landed(fuzz_model):
+    """A swap-out the tiers cannot absorb leaves the victim on the GPU, but
+    the CPU→disk demotions it forced before failing did move bytes: exactly
+    their disk write is on the clock, and nothing else is counted."""
+    parts = _Parts(
+        fuzz_model.config, pool_blocks=8,
+        swap_space=SwapSpace(cpu_capacity_blocks=3, disk_capacity_blocks=1),
+    )
+    pressure, metrics, stats = parts.pressure, parts.metrics, parts.swap_space.stats
+    one, two, three = (
+        parts.running(f"r{n}", n, 4 * n) for n in (1, 2, 3)
+    )
+    assert pressure.preempt_victim(one) and pressure.preempt_victim(two)
+    assert parts.swap_space.cpu_blocks == 3 and stats.demoted == 0
+    before = metrics.snapshot()
+
+    # three blocks need the whole CPU tier: ``one`` demotes to disk (room
+    # for exactly one block), ``two`` cannot follow, the swap-out aborts —
+    # and ``three``, rebuildable, is recompute-preempted instead
+    assert pressure.preempt_victim(three)
+    assert three.status is RequestStatus.PREEMPTED and three.swap_handle is None
+    assert stats.demoted == 1 and one.swap_handle.tier == "disk"
+    seconds = parts.latency.swap_out_seconds(0.0, float(stats.demoted_wire_bytes))
+    assert seconds > 0.0
+    assert metrics.clock == before.clock + seconds
+    assert metrics.swap_seconds == before.swap_seconds + seconds
+    assert metrics.codec_encode_seconds == before.codec_encode_seconds
+    assert metrics.swap_out_blocks == before.swap_out_blocks == 3
+    assert metrics.swap_out_bytes == before.swap_out_bytes
+    assert metrics.swap_out_wire_bytes == before.swap_out_wire_bytes
+    assert (metrics.preemptions_swap, metrics.preemptions_recompute) == (2, 1)
+    assert three.metrics.swap_seconds == 0.0

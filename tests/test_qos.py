@@ -89,7 +89,9 @@ class TestRequestQoS:
 
 
 class _Item:
-    """Bare duck-typed scheduler item (the engine's RequestState protocol)."""
+    """Bare ``Schedulable`` item (the protocol RequestState implements)."""
+
+    deadline_time = None
 
     def __init__(self, name, remaining=0, priority=0, tenant="default",
                  weight=1.0, seq=0):
@@ -234,7 +236,7 @@ class TestQoSLiveness:
         )
         # Working set ≈ 6 requests x 11 blocks; give roughly half.
         engine = _qos_engine(fuzz_model, 34)
-        engine.victim_log = []
+        engine.pressure.victim_log = []
         finals = engine.run(list(requests))
         # Liveness: everything finishes (no shed, no CapacityError) and the
         # bytes never moved.
@@ -247,7 +249,7 @@ class TestQoSLiveness:
         # victim of a lower class.
         per_class = engine.metrics.per_class
         assert per_class[2].mean_ttft < per_class[0].mean_ttft
-        for _, _, vp, vs in engine.victim_log:
+        for _, _, vp, vs in engine.pressure.victim_log:
             assert not (vp == 2 and vs == 2)  # fg-0 (seq 2) never victimised
         assert per_class[2].requests_finished == 2
         assert per_class[0].requests_finished == 4

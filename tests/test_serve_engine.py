@@ -24,6 +24,8 @@ from repro.serve import (
     SchedulerConfig,
 )
 
+from test_qos import _Item
+
 BUDGET = SelectionBudget(token_ratio=0.2, comm_ratio=1.0 / 64.0,
                          num_initial=4, num_local=16)
 
@@ -246,15 +248,16 @@ class TestSchedulerAndSpecs:
         scheduler = ContinuousBatchingScheduler(
             SchedulerConfig(max_batch_size=3, max_prefills_per_step=1)
         )
-        for item in "abcd":
+        a, b, c, d = (_Item(name) for name in "abcd")
+        for item in (a, b, c, d):
             scheduler.submit(item)
         first = scheduler.schedule()
-        assert first.admitted == ["a"] and first.decodes == ["a"]
+        assert first.admitted == [a] and first.decodes == [a]
         second = scheduler.schedule()
-        assert second.admitted == ["b"] and second.decodes == ["a", "b"]
-        scheduler.finish("a")
+        assert second.admitted == [b] and second.decodes == [a, b]
+        scheduler.finish(a)
         third = scheduler.schedule()
-        assert third.admitted == ["c"] and set(third.decodes) == {"b", "c"}
+        assert third.admitted == [c] and third.decodes == [b, c]
 
     def test_scheduler_config_validated(self):
         with pytest.raises(ConfigurationError):

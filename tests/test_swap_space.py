@@ -404,7 +404,6 @@ def fill_chain(alloc, tokens, seed=0):
 
 def make_snapshot(fingerprint="fp", num_tokens=8):
     return PQSnapshot(
-        quantizers=[],
         codebooks=[np.zeros((2, 2, 4, 4))],
         codes=[np.zeros((num_tokens, 2, 2), dtype=np.uint8)],
         num_tokens=num_tokens,
