@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.pqcache import PQCacheConfig
-from ..llm.config import ModelConfig
-from ..memory.devices import InterconnectSpec, StorageSpec
+from repro.core.pqcache import PQCacheConfig
+from repro.llm.config import ModelConfig
+from repro.memory.devices import InterconnectSpec, StorageSpec
 
 __all__ = ["KVCacheCostModel", "ComplexityModel"]
 

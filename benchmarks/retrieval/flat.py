@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionError, NotFittedError
-from ..utils import check_2d, topk_indices
+from repro.errors import DimensionError, NotFittedError
+from repro.utils import check_2d, topk_indices
 
 __all__ = ["FlatIndex"]
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.kmeans import kmeans_assign, kmeans_fit
-from ..errors import ConfigurationError, DimensionError, NotFittedError
-from ..utils import check_2d, topk_indices
+from repro.core.kmeans import kmeans_assign, kmeans_fit
+from repro.errors import ConfigurationError, DimensionError, NotFittedError
+from repro.utils import check_2d, topk_indices
 
 __all__ = ["IVFIndex"]
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.pq import PQConfig, ProductQuantizer
-from ..errors import DimensionError, NotFittedError
-from ..utils import check_2d, topk_indices
+from repro.core.pq import PQConfig, ProductQuantizer
+from repro.errors import DimensionError, NotFittedError
+from repro.utils import check_2d, topk_indices
 
 __all__ = ["PQIndex"]
 

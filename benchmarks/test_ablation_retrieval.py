@@ -13,7 +13,7 @@ import pytest
 from conftest import print_series
 from repro.core import PQConfig
 from repro.llm import ModelConfig, TransformerLM
-from repro.retrieval import FlatIndex, IVFIndex, PQIndex, recall_at_k
+from retrieval import FlatIndex, IVFIndex, PQIndex, recall_at_k
 
 TOP_K = 32
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import ComplexityModel, KVCacheCostModel
+from cost_model import ComplexityModel, KVCacheCostModel
 from repro.core import PQCacheConfig
 from repro.llm import ModelConfig
 from repro.memory import InterconnectSpec

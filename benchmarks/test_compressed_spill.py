@@ -24,14 +24,9 @@ is spilled at its owner and shipped cross-worker on the follow-up turn.
 With the int4 spill tier the parked quantised payloads are what cross the
 links: **≥2× wire reduction** on the migration path and strictly less
 simulated transfer time than the raw fleet.
-
-Smoke mode (default, CI): one pool size.  ``REPRO_SPILL_BENCH=full`` sweeps
-deeper oversubscription ratios.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -135,49 +130,46 @@ def summarize(finals, engine) -> dict:
 
 def test_compressed_spill_cuts_wire_bytes_and_latency(substrate):
     reference, _ = run_schedule(substrate, None, "byteplane", None)
-    pools = [working_set_blocks() // 2]
-    if os.environ.get("REPRO_SPILL_BENCH", "smoke") == "full":
-        pools = sorted({working_set_blocks() // d for d in (2, 3)})
+    pool = working_set_blocks() // 2
 
     rows = []
-    for pool in pools:
-        results = {}
-        for label, swap_codec, spill_codec in CONFIGS:
-            finals, engine = run_schedule(
-                substrate, pool, swap_codec, spill_codec
-            )
-            assert len(finals) == NUM_REQUESTS, (pool, label)
-            assert all(f.finished for f in finals.values()), (pool, label)
-            if label != "int4-spill":  # lossless: byte-identity holds
-                for request_id, ref in reference.items():
-                    out = finals[request_id]
-                    assert out.token_ids == ref.token_ids, (pool, label)
-                    assert np.array_equal(out.logits, ref.logits), (
-                        pool, label,
-                    )
-            results[label] = summarize(finals, engine)
-            rows.append({"pool": pool, "label": label, **results[label]})
+    results = {}
+    for label, swap_codec, spill_codec in CONFIGS:
+        finals, engine = run_schedule(
+            substrate, pool, swap_codec, spill_codec
+        )
+        assert len(finals) == NUM_REQUESTS, (pool, label)
+        assert all(f.finished for f in finals.values()), (pool, label)
+        if label != "int4-spill":  # lossless: byte-identity holds
+            for request_id, ref in reference.items():
+                out = finals[request_id]
+                assert out.token_ids == ref.token_ids, (pool, label)
+                assert np.array_equal(out.logits, ref.logits), (
+                    pool, label,
+                )
+        results[label] = summarize(finals, engine)
+        rows.append({"pool": pool, "label": label, **results[label]})
 
-        raw, packed, quant = (
-            results["raw"], results["byteplane"], results["int4-spill"]
-        )
-        # Logical accounting is codec-invariant: same schedule, same bytes.
-        for key in ("swap_logical", "spill_logical", "preemptions"):
-            assert raw[key] == packed[key] == quant[key], (pool, key)
-        # Raw wires at identity; the codecs genuinely shrink the wire.
-        assert raw["swap_wire"] == raw["swap_logical"]
-        assert raw["spill_wire"] == raw["spill_logical"]
-        combined = lambda r: r["swap_wire"] + r["spill_wire"]  # noqa: E731
-        assert combined(quant) < combined(packed) < combined(raw)
-        # The acceptance floor: spilled KV rides at >= 2x fewer wire bytes.
-        assert quant["kv_spill_ratio"] >= WIRE_REDUCTION_FLOOR, (
-            f"pool {pool}: spilled-KV wire reduction "
-            f"{quant['kv_spill_ratio']:.2f}x < {WIRE_REDUCTION_FLOOR}x floor"
-        )
-        # ...and the saved bytes outweigh the codec CPU time they cost.
-        assert quant["swap_seconds"] < raw["swap_seconds"], pool
-        assert quant["makespan"] < raw["makespan"], pool
-        assert quant["mean_e2e"] < raw["mean_e2e"], pool
+    raw, packed, quant = (
+        results["raw"], results["byteplane"], results["int4-spill"]
+    )
+    # Logical accounting is codec-invariant: same schedule, same bytes.
+    for key in ("swap_logical", "spill_logical", "preemptions"):
+        assert raw[key] == packed[key] == quant[key], (pool, key)
+    # Raw wires at identity; the codecs genuinely shrink the wire.
+    assert raw["swap_wire"] == raw["swap_logical"]
+    assert raw["spill_wire"] == raw["spill_logical"]
+    combined = lambda r: r["swap_wire"] + r["spill_wire"]  # noqa: E731
+    assert combined(quant) < combined(packed) < combined(raw)
+    # The acceptance floor: spilled KV rides at >= 2x fewer wire bytes.
+    assert quant["kv_spill_ratio"] >= WIRE_REDUCTION_FLOOR, (
+        f"pool {pool}: spilled-KV wire reduction "
+        f"{quant['kv_spill_ratio']:.2f}x < {WIRE_REDUCTION_FLOOR}x floor"
+    )
+    # ...and the saved bytes outweigh the codec CPU time they cost.
+    assert quant["swap_seconds"] < raw["swap_seconds"], pool
+    assert quant["makespan"] < raw["makespan"], pool
+    assert quant["mean_e2e"] < raw["mean_e2e"], pool
 
     print()
     print(

@@ -15,13 +15,10 @@ Both replays run with ``shed_missed_deadlines=False``: every request must
 complete so the met fraction compares *scheduling order* alone, and the
 deadline-steering invariant (tokens identical either way) stays auditable.
 
-``REPRO_DEADLINE_BENCH=smoke`` (CI) shrinks the burst.  Run with ``-s``
-for the per-run table.
+Run with ``-s`` for the per-run table.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -35,9 +32,7 @@ from repro.serve import (
     SchedulerConfig,
 )
 
-SMOKE = os.environ.get("REPRO_DEADLINE_BENCH", "") == "smoke"
-
-NUM_REQUESTS = 8 if SMOKE else 16
+NUM_REQUESTS = 16
 PROMPT_LEN = 192           # 12 blocks each
 MAX_NEW = 6
 SLACK = 0.3                # deadline headroom over the probe finish times
@@ -131,7 +126,7 @@ def test_edf_beats_fcfs_on_slo_met_fraction(substrate):
     edf_met = met_fraction(edf, deadlines)
 
     print(f"\n=== Deadline SLO, burst {NUM_REQUESTS} x {PROMPT_LEN} tokens, "
-          f"pool {POOL_BLOCKS} blocks x {BLOCK_SIZE} ({SMOKE and 'smoke' or 'full'}) ===")
+          f"pool {POOL_BLOCKS} blocks x {BLOCK_SIZE} ===")
     print(f"  FCFS SLO-met fraction: {fcfs_met:.2f}")
     print(f"  EDF  SLO-met fraction: {edf_met:.2f}")
     print(f"  finish-time spread: {finish[-1] / finish[0]:.1f}x")

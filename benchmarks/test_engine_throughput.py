@@ -1,4 +1,4 @@
-"""Engine throughput + decode-step microbenchmarks.
+"""Engine throughput and chunked-prefill TTFT benchmarks.
 
 Part 1 — serving baseline for scheduler PRs: runs the same PQCache-policy
 traffic (8 requests, mixed 256/384/512-token prompts, 4 tokens each) through
@@ -11,22 +11,7 @@ Later scheduler/batching PRs should move the wall-clock number without
 changing the simulated numbers (which only depend on the latency model) or
 the generated tokens (batching must stay transparent).
 
-Part 2 — decode-step microbenchmark for the batched ADC hot path: per decode
-token, PQCache pays (a) ADC scoring of every middle token plus per-head top-k
-selection (the retrieval stage the vectorization targets) and (b) selective
-attention over the chosen tokens.  ``test_decode_step_microbenchmark`` times
-both stages through the vectorized kernels and through a faithful
-reimplementation of the seed's per-head Python loops, asserts the two paths
-pick byte-identical tokens, and asserts the retrieval stage is >= 3x faster
-at (h_kv=8, seq_len=16384).  The attention stage is reported for context: it
-is dominated by the key/value gather, which both paths pay identically, so it
-sits near parity by construction.
-
-Smoke mode (the default, used by CI and plain ``pytest``) runs the single
-asserted (8, 16384) configuration; set ``REPRO_DECODE_BENCH=full`` for the
-whole h_kv x seq_len grid.
-
-Part 3 — chunked-prefill TTFT benchmark: a short prompt submitted behind a
+Part 2 — chunked-prefill TTFT benchmark: a short prompt submitted behind a
 16k-token prefill.  Without chunking the short request's TTFT includes the
 whole 16k makespan (head-of-line blocking); with chunking
 (``max_prefill_chunk_tokens``) its prefill interleaves between the long
@@ -38,17 +23,12 @@ really processes all 16k tokens through the chunked pipeline — only the
 NumPy wall-clock tolerable.
 """
 
-import os
-import time
-
 import numpy as np
 import pytest
 
 from conftest import make_budget, print_series
 
-from repro.core import PQCacheConfig, PQCacheManager
-from repro.llm import KVCache, ModelConfig, TransformerLM
-from repro.llm.attention import decode_attention
+from repro.llm import ModelConfig, TransformerLM
 from repro.serve import (
     InferenceEngine,
     PolicySpec,
@@ -56,7 +36,6 @@ from repro.serve import (
     SamplingParams,
     SchedulerConfig,
 )
-from repro.utils import softmax, topk_indices
 
 BATCH_SIZES = (1, 4, 8)
 PROMPT_LENS = (256, 384, 512, 256, 384, 512, 256, 384)
@@ -118,189 +97,7 @@ def test_engine_throughput(benchmark, substrate):
 
 
 # --------------------------------------------------------------------------
-# Part 2: decode-step microbenchmark (batched ADC path vs per-head loops)
-# --------------------------------------------------------------------------
-
-#: (h_kv, seq_len) grid; smoke mode keeps only the asserted configuration.
-DECODE_CONFIGS_FULL = ((4, 4096), (4, 16384), (8, 4096), (8, 16384))
-DECODE_CONFIG_ASSERTED = (8, 16384)
-#: local acceptance gate; CI overrides with a lower floor because shared
-#: runners add wall-clock noise a best-of-5 timing cannot fully average out.
-DECODE_SPEEDUP_FLOOR = float(os.environ.get("REPRO_DECODE_SPEEDUP_FLOOR", "3.0"))
-DECODE_STEPS = 10
-DECODE_REPEATS = 5
-DECODE_HEAD_DIM = 64
-DECODE_GROUP = 2
-
-
-def _decode_bench_configs():
-    if os.environ.get("REPRO_DECODE_BENCH", "smoke") == "full":
-        return DECODE_CONFIGS_FULL
-    return (DECODE_CONFIG_ASSERTED,)
-
-
-def _legacy_adc_score(pq, query, codes):
-    """The seed's per-head ``ProductQuantizer.score``: einsum lookup table,
-    broadcast fancy-indexed gather, per-row sum."""
-    cfg = pq.config
-    sub_query = np.asarray(query, dtype=np.float64).reshape(
-        cfg.num_partitions, cfg.sub_dim
-    )
-    table = np.einsum("md,mcd->mc", sub_query, pq.centroids)
-    codes = np.asarray(codes, dtype=np.int64)
-    gathered = table[np.arange(cfg.num_partitions)[None, :], codes]
-    return gathered.sum(axis=1)
-
-
-def _legacy_topk_middle(manager, head_codes, kv_queries, middle, k):
-    """The seed's ``PQCacheManager.topk_middle``: one Python iteration per
-    KV head, each scoring and selecting independently."""
-    selected = []
-    for head, codes in enumerate(head_codes):
-        valid = middle[middle < codes.shape[0]]
-        scores = _legacy_adc_score(
-            manager.quantizer(0, head), kv_queries[head], codes[valid]
-        )
-        order = topk_indices(scores, min(k, valid.size))
-        selected.append(valid[order])
-    return selected
-
-
-def _legacy_decode_attention(query, keys, values, per_head_indices):
-    """The seed's nested ``kv_head x group`` decode-attention loop."""
-    query = np.asarray(query, dtype=np.float64)
-    h, d_h = query.shape
-    h_kv = keys.shape[0]
-    group = h // h_kv
-    output = np.zeros((h, d_h))
-    for kv_head, indices in enumerate(per_head_indices):
-        if indices.size == 0:
-            continue
-        k_sel = keys[kv_head, indices, :]
-        v_sel = values[kv_head, indices, :]
-        for g in range(group):
-            q_head = kv_head * group + g
-            weights = softmax((k_sel @ query[q_head]) / np.sqrt(d_h))
-            output[q_head] = weights @ v_sel
-    return output
-
-
-def _time_per_step(fn, steps, repeats):
-    """Best-of-``repeats`` mean seconds per call of ``fn(step_index)``."""
-    fn(0)  # warm-up
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for step in range(steps):
-            fn(step)
-        best = min(best, (time.perf_counter() - start) / steps)
-    return best
-
-
-def _bench_decode_config(h_kv, seq_len, rng):
-    head_dim, group = DECODE_HEAD_DIM, DECODE_GROUP
-    h = h_kv * group
-    config = ModelConfig(
-        num_layers=1, hidden_dim=h * head_dim, num_heads=h,
-        num_kv_heads=h_kv, ffn_dim=4 * h * head_dim, vocab_size=256,
-        name=f"decode-bench-h{h_kv}",
-    )
-    cache = KVCache(1, h_kv, head_dim)
-    keys = rng.normal(size=(h_kv, seq_len, head_dim))
-    cache[0].append(keys, keys)
-    manager = PQCacheManager(
-        config,
-        PQCacheConfig(num_partitions=2, num_bits=6, max_kmeans_iters=2,
-                      gpu_cache_tokens=0),
-    )
-    manager.build(cache)
-    values = cache[0].values
-    segments = cache.segments(num_initial=4, num_local=32)
-    middle = segments.middle_indices
-    k = max(seq_len // 10, 4)
-    queries = rng.normal(size=(DECODE_STEPS, h, head_dim))
-    kv_queries = queries.reshape(
-        DECODE_STEPS, h_kv, group, head_dim
-    ).mean(axis=2)
-    # The seed stored one contiguous code buffer per head; materialise that
-    # layout outside the timed region so the baseline is not penalised for
-    # the new shared-buffer storage.
-    head_codes = [
-        np.ascontiguousarray(manager.codes(0, head)) for head in range(h_kv)
-    ]
-
-    # Both paths must pick byte-identical tokens on every step.
-    selections = []
-    for step in range(DECODE_STEPS):
-        batched = manager.topk_middle(0, kv_queries[step], segments, k)
-        legacy = _legacy_topk_middle(
-            manager, head_codes, kv_queries[step], middle, k
-        )
-        # the same tokens per head; the batched path returns them as an
-        # ascending index set, the seed returned them in score order
-        for got, want in zip(batched, legacy):
-            assert np.array_equal(got, np.sort(want))
-        selections.append(batched)
-
-    retrieval_batched = _time_per_step(
-        lambda s: manager.topk_middle(0, kv_queries[s], segments, k),
-        DECODE_STEPS, DECODE_REPEATS,
-    )
-    retrieval_legacy = _time_per_step(
-        lambda s: _legacy_topk_middle(
-            manager, head_codes, kv_queries[s], middle, k
-        ),
-        DECODE_STEPS, DECODE_REPEATS,
-    )
-    attention_batched = _time_per_step(
-        lambda s: decode_attention(queries[s], keys, values, selections[s]),
-        DECODE_STEPS, DECODE_REPEATS,
-    )
-    attention_legacy = _time_per_step(
-        lambda s: _legacy_decode_attention(
-            queries[s], keys, values, selections[s]
-        ),
-        DECODE_STEPS, DECODE_REPEATS,
-    )
-    return {
-        "retrieval_tok_s": 1.0 / retrieval_batched,
-        "retrieval_tok_s_legacy": 1.0 / retrieval_legacy,
-        "retrieval_speedup": retrieval_legacy / retrieval_batched,
-        "full_step_tok_s": 1.0 / (retrieval_batched + attention_batched),
-        "full_step_tok_s_legacy": 1.0 / (retrieval_legacy + attention_legacy),
-        "full_step_speedup": (retrieval_legacy + attention_legacy)
-        / (retrieval_batched + attention_batched),
-    }
-
-
-def test_decode_step_microbenchmark(benchmark):
-    rng = np.random.default_rng(123)
-
-    def run_all():
-        return {
-            f"h_kv={h_kv}, seq={seq_len}": _bench_decode_config(
-                h_kv, seq_len, rng
-            )
-            for h_kv, seq_len in _decode_bench_configs()
-        }
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    print_series(
-        "Decode-step microbenchmark (batched ADC vs per-head loops)", rows
-    )
-
-    asserted = "h_kv={}, seq={}".format(*DECODE_CONFIG_ASSERTED)
-    for name, row in rows.items():
-        assert row["retrieval_speedup"] > 1.0, name
-        # Attention is gather-bound in both paths; guard against regression
-        # without requiring a win there.
-        assert row["full_step_speedup"] > 0.8, name
-    if asserted in rows:
-        assert rows[asserted]["retrieval_speedup"] >= DECODE_SPEEDUP_FLOOR
-
-
-# --------------------------------------------------------------------------
-# Part 3: chunked-prefill TTFT benchmark (short prompt behind a 16k prefill)
+# Part 2: chunked-prefill TTFT benchmark (short prompt behind a 16k prefill)
 # --------------------------------------------------------------------------
 
 CHUNKED_LONG_PROMPT = 16384

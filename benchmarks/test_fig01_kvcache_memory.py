@@ -8,7 +8,7 @@ and even transferring it once over PCIe 5.0 takes seconds.
 import pytest
 
 from conftest import print_series
-from repro.analysis import KVCacheCostModel
+from cost_model import KVCacheCostModel
 from repro.llm import ModelConfig
 from repro.memory import InterconnectSpec
 

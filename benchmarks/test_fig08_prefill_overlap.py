@@ -12,13 +12,8 @@ dependency-linked :class:`Task` objects on serial GPU/D2H/CPU resources
 (Figure 7's pipeline view).  The asserted property is the paper's headline:
 the overlapped makespan stays strictly below the sequential sum of compute +
 offload + clustering, and construction is almost entirely hidden behind
-compute.
-
-Smoke mode (the default, used by CI and plain ``pytest``) runs one 64k
-configuration; set ``REPRO_FIG08_BENCH=full`` for the whole grid.
+compute.  The overlap study runs one 64k configuration.
 """
-
-import os
 
 import pytest
 
@@ -28,15 +23,8 @@ from repro.memory import Resource
 
 SEQ_LENS = (4096, 16384, 65536, 131072)
 
-#: (seq_len, chunk_tokens) grid for the overlap study.
-OVERLAP_CONFIGS_FULL = ((16384, 2048), (65536, 4096), (65536, 8192), (131072, 8192))
-OVERLAP_CONFIG_SMOKE = (65536, 8192)
-
-
-def _overlap_configs():
-    if os.environ.get("REPRO_FIG08_BENCH", "smoke") == "full":
-        return OVERLAP_CONFIGS_FULL
-    return (OVERLAP_CONFIG_SMOKE,)
+#: (seq_len, chunk_tokens) of the overlap study.
+OVERLAP_CONFIG = (65536, 8192)
 
 
 def test_prefill_component_scaling(benchmark, latency_model):
@@ -73,16 +61,16 @@ def test_chunked_prefill_overlap(benchmark, latency_model):
     """The chunked pipeline's makespan vs sequential execution (Figure 7/8)."""
 
     def run():
-        rows = {}
-        for seq_len, chunk_tokens in _overlap_configs():
-            chunks = [chunk_tokens] * (seq_len // chunk_tokens)
-            timeline = latency_model.chunked_prefill_timeline(
-                chunks, "pqcache", iterations=16
-            )
-            gpu = timeline.resource_busy_time(Resource.GPU)
-            d2h = timeline.resource_busy_time(Resource.D2H)
-            cpu = timeline.resource_busy_time(Resource.CPU)
-            rows[f"s={seq_len}, chunk={chunk_tokens}"] = {
+        seq_len, chunk_tokens = OVERLAP_CONFIG
+        chunks = [chunk_tokens] * (seq_len // chunk_tokens)
+        timeline = latency_model.chunked_prefill_timeline(
+            chunks, "pqcache", iterations=16
+        )
+        gpu = timeline.resource_busy_time(Resource.GPU)
+        d2h = timeline.resource_busy_time(Resource.D2H)
+        cpu = timeline.resource_busy_time(Resource.CPU)
+        return {
+            f"s={seq_len}, chunk={chunk_tokens}": {
                 "makespan_s": timeline.makespan,
                 "compute_s": gpu,
                 "offload_s": d2h,
@@ -91,7 +79,7 @@ def test_chunked_prefill_overlap(benchmark, latency_model):
                 "hidden_frac": 1.0 - timeline.makespan / (gpu + d2h + cpu),
                 "tasks": len(timeline),
             }
-        return rows
+        }
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print_series("Chunked prefill overlap (Figure 7/8 pipeline)", rows)
@@ -107,7 +95,7 @@ def test_chunked_prefill_overlap(benchmark, latency_model):
 
 def test_chunked_overlap_matches_monolithic_model(latency_model):
     """Chunking the prefill does not change the modelled total makespan."""
-    seq_len, chunk_tokens = OVERLAP_CONFIG_SMOKE
+    seq_len, chunk_tokens = OVERLAP_CONFIG
     chunks = [chunk_tokens] * (seq_len // chunk_tokens)
     chunked = latency_model.chunked_prefill_timeline(
         chunks, "pqcache", iterations=16

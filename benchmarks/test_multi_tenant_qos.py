@@ -17,13 +17,10 @@ background tenant still makes progress.  The swap / recompute / proactive /
 shed breakdown of every run is printed alongside the per-class latency
 table.
 
-``REPRO_QOS_BENCH=smoke`` (CI) runs the smaller trace and only the
-baseline + doubled-background pair.  Run with ``-s`` for the tables.
+Run with ``-s`` for the tables.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -38,8 +35,6 @@ from repro.serve import (
 )
 from repro.workloads import bursty_arrivals, merge_arrivals, poisson_arrivals, tag_arrivals
 
-SMOKE = os.environ.get("REPRO_QOS_BENCH", "") == "smoke"
-
 TTFT_SLO_FACTOR = 1.5      # acceptance floor: fg p99 TTFT vs unloaded baseline
 
 BLOCK_SIZE = 16
@@ -51,7 +46,7 @@ FG_NEW = 8
 FG_RATE = 500.0            # arrivals per simulated second (~2 ms apart)
 FG_QOS = RequestQoS(priority=2, tenant="chat", weight=4.0)
 
-BG_BURSTS = 2 if SMOKE else 4
+BG_BURSTS = 4
 BG_BURST_SIZE = 10         # 10 x ~10 blocks ≈ 2x POOL_BLOCKS per burst
 BG_PROMPT = 128
 BG_NEW = 10
@@ -184,9 +179,7 @@ def test_foreground_p99_ttft_survives_background_bursts(substrate):
     exact = float(np.percentile(fg_baseline, 99, method="nearest"))
     assert baseline_p99 == pytest.approx(exact, rel=0.05)
 
-    # smoke keeps CI fast: baseline + the doubled-background run only
-    loads = [("2x-background", True)] if SMOKE else [
-        ("1x-background", False), ("2x-background", True)]
+    loads = [("1x-background", False), ("2x-background", True)]
 
     print(f"\n=== Multi-tenant QoS, pool {POOL_BLOCKS} blocks x "
           f"{BLOCK_SIZE} tokens, chat {FG_REQUESTS} reqs, "

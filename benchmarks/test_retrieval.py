@@ -5,7 +5,12 @@ import pytest
 
 from repro.core import PQConfig
 from repro.errors import ConfigurationError, DimensionError, NotFittedError
-from repro.retrieval import FlatIndex, IVFIndex, PQIndex, recall_at_k, score_distortion
+from retrieval import FlatIndex, IVFIndex, PQIndex, recall_at_k, score_distortion
+
+
+@pytest.fixture()
+def rng() -> np.random.Generator:
+    return np.random.default_rng(0)
 
 
 @pytest.fixture()

@@ -21,11 +21,11 @@ Public API highlights
 * :mod:`repro.workloads` — synthetic long-context task generators.
 * :mod:`repro.eval` — quality evaluation harness (drives the engine in
   teacher-forcing mode).
-* :mod:`repro.memory` / :mod:`repro.analysis` — latency and memory models,
-  also powering the engine's simulated wall-clock accounting.
+* :mod:`repro.memory` — latency and memory models, also powering the
+  engine's simulated wall-clock accounting.
 """
 
-from . import analysis, baselines, core, eval, llm, memory, retrieval, serve, workloads
+from . import baselines, core, eval, llm, memory, serve, workloads
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -39,13 +39,11 @@ from .errors import (
 __version__ = "1.1.0"
 
 __all__ = [
-    "analysis",
     "baselines",
     "core",
     "eval",
     "llm",
     "memory",
-    "retrieval",
     "serve",
     "workloads",
     "ReproError",

@@ -17,8 +17,8 @@ InfLLM), plus Full and Oracle — is expressed as a :class:`KVCachePolicy`:
   are the fused-decode-round counterparts: the serving engine groups the
   RUNNING requests that share a policy class and hands them over together, so
   a policy can run one cross-request grouped kernel instead of one kernel per
-  request.  The defaults fall back to the per-request methods item by item —
-  overrides must stay byte-identical to that fallback.
+  request.  The defaults loop the per-request methods item by item; a policy
+  that overrides one makes its per-request method the batch call of one.
 * :meth:`KVCachePolicy.step_communication_bytes` reports the CPU→GPU traffic
   a real deployment would incur for one decode step at a given sequence
   length, which feeds the latency models.
@@ -101,10 +101,6 @@ class KVCachePolicy(abc.ABC):
     #: whether the policy keeps the full KVCache (offloading) or discards
     #: entries permanently (dropping)
     is_dropping: bool = False
-    #: whether the policy can build (part of) its state from prefill chunks
-    #: as they arrive (see :meth:`on_prefill_chunk`); policies that cannot
-    #: simply get one :meth:`on_prefill` call when the prompt completes.
-    supports_incremental_prefill: bool = False
     #: whether the policy reads :class:`~repro.llm.model.PrefillAggregates`
     #: (accumulated / windowed attention scores).  The serving engine's
     #: prefix cache only resumes a prefill past a point where those
@@ -143,9 +139,10 @@ class KVCachePolicy(abc.ABC):
         """Observe one prefill chunk of a chunked-prefill request.
 
         Called by the serving engine after the model processed prompt tokens
-        ``[start, stop)`` (the cache already holds them), only when
-        :attr:`supports_incremental_prefill` is true.  ``total_len`` is the
-        full prompt length, known upfront.  Default: no-op.
+        ``[start, stop)`` (the cache already holds them).  ``total_len`` is
+        the full prompt length, known upfront.  Default: no-op — a policy
+        that cannot build state from chunks gets its one :meth:`on_prefill`
+        call through :meth:`finish_prefill` when the prompt completes.
         """
 
     def finish_prefill(self, config: ModelConfig, prefill: PrefillResult) -> None:
@@ -300,59 +297,47 @@ class KVCachePolicy(abc.ABC):
         middle_per_head: list[np.ndarray],
         segments: TokenSegments,
     ) -> list[np.ndarray]:
-        """Combine initial + selected middle + local indices per KV head."""
-        config = self._require_config()
-        init = segments.initial_indices
-        local = segments.local_indices
-        assembled = []
-        for head in range(config.num_kv_heads):
-            middle = np.asarray(middle_per_head[head], dtype=np.int64)
-            indices = np.concatenate([init, middle, local])
-            assembled.append(np.unique(indices))
-        return assembled
+        """Combine initial + selected middle + local indices per KV head:
+        sorted and duplicate-free — :meth:`_assemble_batch` of one."""
+        return self._assemble_batch([(self, middle_per_head, segments)])[0]
 
     @staticmethod
     def _assemble_batch(
         items: "list[tuple[KVCachePolicy, list[np.ndarray], TokenSegments]]",
     ) -> "list[list[np.ndarray]]":
-        """Batched :meth:`_assemble` across requests for one fused round.
+        """Initial + selected middle + local indices per KV head, sorted
+        and duplicate-free, for every request of one fused round.
 
         ``items`` holds one ``(policy, middle_per_head, segments)`` triple
         per request.  ``(request, head)`` selections of equal assembled
         length are stacked and sorted with one ``np.sort(axis=1)`` call per
-        length group; duplicates are then masked out per row — exactly the
-        sort + adjacent-difference mask ``np.unique`` applies to a 1-D
-        array, so each entry is bitwise identical to what that policy's own
-        :meth:`_assemble` would produce.
+        length group; duplicates are then masked out per row (sort +
+        adjacent-difference mask), so a request's entry does not depend on
+        its batch-mates.
         """
-        results: "list[list[np.ndarray] | None]" = [None] * len(items)
-        entries: "list[tuple[int, int]]" = []
-        concatenated: "list[np.ndarray]" = []
+        results: "list[list[np.ndarray]]" = []
+        by_length: "dict[int, list[tuple[int, int, np.ndarray]]]" = {}
         for pos, (policy, middle_per_head, segments) in enumerate(items):
             config = policy._require_config()
             init = segments.initial_indices
             local = segments.local_indices
             for head in range(config.num_kv_heads):
                 middle = np.asarray(middle_per_head[head], dtype=np.int64)
-                entries.append((pos, head))
-                concatenated.append(np.concatenate([init, middle, local]))
-            results[pos] = [None] * config.num_kv_heads  # type: ignore[list-item]
-        lengths = np.array([row.size for row in concatenated], dtype=np.int64)
-        for t in np.unique(lengths):
-            rows = np.flatnonzero(lengths == t)
-            if t == 0:
-                for r in rows:
-                    pos, head = entries[r]
-                    results[pos][head] = concatenated[r]
+                row = np.concatenate([init, middle, local])
+                by_length.setdefault(row.size, []).append((pos, head, row))
+            results.append([None] * config.num_kv_heads)  # type: ignore[list-item]
+        for length, members in by_length.items():
+            if length == 0:
+                for pos, head, row in members:
+                    results[pos][head] = row
                 continue
-            stacked = np.sort(np.stack([concatenated[r] for r in rows]), axis=1)
+            stacked = np.sort(np.stack([row for _, _, row in members]), axis=1)
             keep = np.empty(stacked.shape, dtype=bool)
             keep[:, 0] = True
             keep[:, 1:] = stacked[:, 1:] != stacked[:, :-1]
-            for row_pos, r in enumerate(rows):
-                pos, head = entries[r]
-                results[pos][head] = stacked[row_pos][keep[row_pos]]
-        return results  # type: ignore[return-value]
+            for (pos, head, _), row, row_keep in zip(members, stacked, keep):
+                results[pos][head] = row[row_keep]
+        return results
 
     @staticmethod
     def _topk(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
@@ -372,6 +357,13 @@ class KVCachePolicy(abc.ABC):
         top-k key/value fetch) byte counts.  Dropping methods move nothing.
         """
         return {"overlappable": 0.0, "blocking": 0.0}
+
+    def step_cache_hit_rate(self) -> float:
+        """Share of the current decode step's fetched tokens that a GPU-side
+        cache served (aggregated over the step's layers, not the lifetime
+        rate), which the engine feeds to the simulated TPOT.  Policies
+        without such a cache hit nothing."""
+        return 0.0
 
     def describe(self) -> dict:
         """Summary of the policy configuration for reports."""

@@ -36,10 +36,10 @@ class _DroppingPolicy(KVCachePolicy):
     Every dropping method resolves a per-layer *static-ish* middle set (empty
     for StreamingLLM, the retained/selected sets for H2O/SnapKV/PyramidKV)
     and assembles it with the current initial/local segments.  Expressing
-    that as one :meth:`_select_middle` hook lets the base provide both the
-    per-request :meth:`select` and the fused-round :meth:`select_batch`
-    (grouped sort-dedup via :meth:`KVCachePolicy._assemble_batch`) without
-    duplicating the geometry handling per method.
+    that as one :meth:`_select_middle` hook lets the base provide the
+    fused-round :meth:`select_batch` (grouped sort-dedup via
+    :meth:`KVCachePolicy._assemble_batch`) once; :meth:`select` is that
+    call on a batch of one.
     """
 
     def _select_middle(
@@ -49,13 +49,11 @@ class _DroppingPolicy(KVCachePolicy):
         raise NotImplementedError
 
     def select(self, layer_index: int, query: np.ndarray, cache: KVCache):
-        config = self._require_config()
-        segments = self.budget.segments(len(cache[layer_index]))
-        return self._assemble(self._select_middle(layer_index, config), segments)
+        return self.select_batch(layer_index, [(self, query, cache)])[0]
 
     @classmethod
     def select_batch(cls, layer_index, items, timings=None):
-        """Grouped assemble across requests — bitwise equal to the loop."""
+        """Each request's middle set assembled with its segments, grouped."""
         prepared = []
         for policy, _query, cache in items:
             config = policy._require_config()

@@ -38,7 +38,6 @@ from time import perf_counter
 
 import numpy as np
 
-from ..core.adaptive import AdaptiveIterationPlanner
 from ..core.pqcache import (
     PQCacheConfig,
     PQCacheManager,
@@ -60,10 +59,8 @@ class PQCachePolicy(KVCachePolicy):
 
     Args:
         budget: shared token/communication budget.
-        pq_config: PQ hyper-parameters.
-        planner: optional adaptive iteration planner (paper §3.3); when
-            present the K-Means budget is derived from the prompt length
-            instead of the static ``max_kmeans_iters``.
+        pq_config: PQ hyper-parameters, the K-Means iteration budget
+            (``max_kmeans_iters``) among them.
         incremental: build the PQ index chunk by chunk when the engine runs
             chunked prefill (sketch fit → stream encode → refine).  With
             monolithic prefill this flag has no effect.
@@ -81,7 +78,6 @@ class PQCachePolicy(KVCachePolicy):
 
     name = "pqcache"
     is_dropping = False
-    supports_incremental_prefill = True
     #: selection reads only PQ codes and segment geometry — never the
     #: prefill attention aggregates — so prefix reuse is not limited to
     #: aggregate-snapshot boundaries.
@@ -91,7 +87,6 @@ class PQCachePolicy(KVCachePolicy):
         self,
         budget: SelectionBudget,
         pq_config: PQCacheConfig | None = None,
-        planner: AdaptiveIterationPlanner | None = None,
         incremental: bool = True,
         sketch_tokens: int = 256,
         refresh_every: int | None = None,
@@ -100,10 +95,6 @@ class PQCachePolicy(KVCachePolicy):
         if refresh_every is not None and int(refresh_every) <= 0:
             raise ConfigurationError("refresh_every must be a positive integer")
         self.pq_config = pq_config or PQCacheConfig()
-        #: optional adaptive iteration planner (paper §3.3); when present the
-        #: K-Means budget is derived from the prompt length instead of the
-        #: static ``max_kmeans_iters``.
-        self.planner = planner
         self.incremental = incremental
         self.sketch_tokens = int(sketch_tokens)
         self.refresh_every = None if refresh_every is None else int(refresh_every)
@@ -115,16 +106,9 @@ class PQCachePolicy(KVCachePolicy):
 
     # ----------------------------------------------------------- lifecycle
 
-    def _max_iters(self, prompt_len: int) -> int | None:
-        if self.planner is not None:
-            return self.planner.max_iterations_for(prompt_len)
-        return None
-
     def _prepare(self, config: ModelConfig, prefill: PrefillResult) -> None:
         self.manager = PQCacheManager(config, self.pq_config)
-        self.manager.build(
-            prefill.kvcache, max_iters=self._max_iters(prefill.seq_len)
-        )
+        self.manager.build(prefill.kvcache)
         self._encoded_until = prefill.seq_len
 
     def on_prefill_chunk(
@@ -154,10 +138,7 @@ class PQCachePolicy(KVCachePolicy):
             target = min(self.sketch_tokens, total_len)
             if stop >= target:
                 self.manager.build_incremental(
-                    kvcache,
-                    upto=target,
-                    max_iters=self._max_iters(total_len),
-                    sample_tokens=self.sketch_tokens,
+                    kvcache, upto=target, sample_tokens=self.sketch_tokens
                 )
                 self._encoded_until = target
                 if stop > target:
@@ -179,11 +160,11 @@ class PQCachePolicy(KVCachePolicy):
         """Key under which this policy's PQ artifacts are shareable.
 
         Reuse requires the consumer's cold pipeline to be a deterministic
-        function of the shared prefix: incremental construction with a static
-        iteration budget qualifies; an adaptive planner derives the budget
-        from the (request-specific) prompt length, so it opts out.
+        function of the shared prefix, which incremental construction is;
+        the one-shot build clusters the whole (request-specific) prompt, so
+        it opts out.
         """
-        if not self.incremental or self.planner is not None:
+        if not self.incremental:
             return None
         return ("pqcache", self.pq_config, self.sketch_tokens)
 
@@ -253,30 +234,13 @@ class PQCachePolicy(KVCachePolicy):
         fingerprint = self.prefix_fingerprint()
         if fingerprint is not None:
             self._prefix_snapshot = self.manager.snapshot(fingerprint)
-        self.manager.refine(
-            prefill.kvcache, max_iters=self._max_iters(prefill.seq_len)
-        )
+        self.manager.refine(prefill.kvcache)
         self._encoded_until = prefill.seq_len
 
     def on_decode_step(self, cache: KVCache) -> None:
-        """Assign PQ codes to tokens that have left the local window.
-
-        After a decode step the sequence grew by one; any tokens whose
-        indices now fall inside the middle segment but have no codes yet are
-        encoded with the existing centroids (Algorithm 2 lines 3-5) — all
-        pending tokens and all KV heads of a layer in one
-        :meth:`~repro.core.pqcache.PQCacheManager.append_tokens` call.
-        """
-        if self.manager is None:
-            return
-        config = self._require_config()
-        start, middle_end = self._pending_encode_range(cache)
-        if start < middle_end:
-            for layer_index in range(config.num_layers):
-                keys = cache[layer_index].keys[:, start:middle_end, :]
-                self.manager.append_tokens(layer_index, keys)
-            self._encoded_until = middle_end
-        self._maybe_refresh(cache)
+        """Assign PQ codes to tokens that have left the local window —
+        :meth:`on_decode_step_batch` on a batch of one."""
+        self.on_decode_step_batch([(self, cache)])
 
     def _pending_encode_range(self, cache: KVCache) -> tuple[int, int]:
         """Token range ``[start, middle_end)`` awaiting PQ codes, if any."""
@@ -294,7 +258,7 @@ class PQCachePolicy(KVCachePolicy):
             return
         self._steps_since_refresh = 0
         before = self.manager.total_kmeans_iterations
-        self.manager.refine(cache, max_iters=self._max_iters(self.prompt_len))
+        self.manager.refine(cache)
         config = self._require_config()
         jobs = config.num_layers * config.num_kv_heads * self.pq_config.num_partitions
         iterations = (self.manager.total_kmeans_iterations - before) / max(jobs, 1)
@@ -356,15 +320,17 @@ class PQCachePolicy(KVCachePolicy):
 
     @classmethod
     def on_decode_step_batch(cls, items):
-        """Cross-request post-append PQ encoding for one fused decode round.
+        """Post-append PQ encoding for one fused decode round.
 
-        Requests with pending middle tokens share one
+        After a decode step each sequence grew by one; tokens whose indices
+        now fall inside the middle segment but have no codes yet are encoded
+        with the existing centroids (Algorithm 2 lines 3-5).  Requests with
+        pending tokens share one
         :meth:`~repro.core.pq.ProductQuantizer.encode_batch` call per layer
-        (via :func:`~repro.core.pqcache.append_tokens_grouped`); each
-        policy's code buffer, ``_encoded_until`` and refresh counter end up
-        exactly as the per-item :meth:`on_decode_step` loop would leave
-        them — per-request state is fully isolated, so running the appends
-        layer-major across requests cannot change any request's codes.
+        (via :func:`~repro.core.pqcache.append_tokens_grouped`); per-request
+        state is fully isolated, so running the appends layer-major across
+        requests cannot change any request's codes, ``_encoded_until`` or
+        refresh counter.
         """
         pending = []
         for policy, cache in items:
@@ -394,24 +360,28 @@ class PQCachePolicy(KVCachePolicy):
     # -------------------------------------------------------- communication
 
     def step_communication_bytes(self, seq_len: int) -> dict:
-        """Per-step CPU→GPU traffic estimate.
-
-        Blocking bytes (the top-k key/value fetch) are scaled by the GPU
-        block cache's *per-step* hit rate — the aggregated hit/miss split of
-        the current decode step's retrievals across all layers — not the
-        cumulative lifetime rate, which would let early cold misses (or a
-        long warm streak) distort the estimate of the current step.  The
-        cumulative rate remains available via
-        ``manager.gpu_cache.stats.hit_rate`` for reporting.
-        """
-        config = self._require_config()
+        """Per-step CPU→GPU traffic estimate: the top-k key/value fetch
+        (blocking) is scaled by :meth:`step_cache_hit_rate`."""
+        self._require_config()
         assert self.manager is not None
         k = self.budget.middle_budget(self.prompt_len)
         comm = self.manager.step_communication_bytes(seq_len, k)
-        cache = self.manager.gpu_cache
-        if cache is not None and cache.stats.lookups:
-            comm["blocking"] *= 1.0 - cache.stats.step_hit_rate
+        comm["blocking"] *= 1.0 - self.step_cache_hit_rate()
         return comm
+
+    def step_cache_hit_rate(self) -> float:
+        """GPU block-cache hit rate of the *current* decode step.
+
+        The aggregated hit/miss split of this step's retrievals across all
+        layers — not the cumulative lifetime rate, which would let early
+        cold misses (or a long warm streak) distort the estimate of the
+        current step.  The cumulative rate remains available via
+        ``manager.gpu_cache.stats.hit_rate`` for reporting.
+        """
+        cache = self.manager.gpu_cache if self.manager is not None else None
+        if cache is None or not cache.stats.lookups:
+            return 0.0
+        return float(cache.stats.step_hit_rate)
 
     # ----------------------------------------------------------- reporting
 
@@ -422,7 +392,6 @@ class PQCachePolicy(KVCachePolicy):
                 "pq_partitions": self.pq_config.num_partitions,
                 "pq_bits": self.pq_config.num_bits,
                 "gpu_cache_tokens": self.pq_config.gpu_cache_tokens,
-                "adaptive_planner": self.planner is not None,
                 "refresh_every": self.refresh_every,
             }
         )

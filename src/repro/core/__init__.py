@@ -4,7 +4,7 @@ manager, the adaptive clustering planner, and the GPU block cache."""
 from .adaptive import AdaptiveIterationPlanner, ClusteringProfile, ComputeProfile
 from .gpu_cache import BlockGpuCache, CacheStats
 from .kmeans import KMeansResult, kmeans_assign, kmeans_fit, kmeans_plus_plus_init
-from .pq import PQConfig, ProductQuantizer, stack_codebooks
+from .pq import PQConfig, ProductQuantizer
 from .pqcache import PQCacheConfig, PQCacheManager
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "kmeans_plus_plus_init",
     "PQConfig",
     "ProductQuantizer",
-    "stack_codebooks",
     "PQCacheConfig",
     "PQCacheManager",
 ]

@@ -126,15 +126,6 @@ class BlockGpuCache:
         """Block ids currently held on GPU (unspecified order)."""
         return list(self._blocks)
 
-    def block_of(self, token_index: int) -> int:
-        """Block id containing ``token_index``."""
-        return int(token_index) // self.block_size
-
-    def tokens_to_blocks(self, token_indices: np.ndarray) -> np.ndarray:
-        """Unique block ids covering ``token_indices``."""
-        token_indices = np.asarray(token_indices, dtype=np.int64)
-        return np.unique(token_indices // self.block_size)
-
     # -------------------------------------------------------------- lookups
 
     def _split(self, token_indices: np.ndarray) -> tuple[dict, np.ndarray]:
@@ -240,14 +231,3 @@ class BlockGpuCache:
         """Drop all cached blocks and reset statistics."""
         self._blocks.clear()
         self.stats = CacheStats()
-
-    # ------------------------------------------------------------ accounting
-
-    def miss_bytes(
-        self,
-        token_indices: np.ndarray,
-        bytes_per_token: float,
-    ) -> float:
-        """PCIe bytes required to serve ``token_indices`` given current state."""
-        result = self.lookup(token_indices)
-        return float(result["miss_tokens"].size) * float(bytes_per_token)

@@ -17,8 +17,8 @@ Batched ADC layout
 ------------------
 The decode hot path scores *all* KV heads of a layer at once instead of
 looping over per-head quantizers in Python.  The batched entry points take an
-explicit stacked-codebook tensor of shape ``(h, m, 2**b, sub_dim)`` (build it
-with :func:`stack_codebooks`):
+explicit stacked-codebook tensor of shape ``(h, m, 2**b, sub_dim)`` (the
+heads' ``(m, 2**b, sub_dim)`` codebooks stacked on a new leading axis):
 
 * :meth:`ProductQuantizer.lookup_table_batch` — ``(h, dim)`` queries →
   ``(h, m, 2**b)`` tables, the paper's §3.2
@@ -43,7 +43,6 @@ axis lengths) — equivalence tests may compare them exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -51,23 +50,7 @@ from ..errors import ConfigurationError, DimensionError, NotFittedError
 from ..utils import as_rng, check_2d
 from .kmeans import KMeansResult, kmeans_fit, kmeans_refine, nearest_centroid
 
-__all__ = ["PQConfig", "ProductQuantizer", "stack_codebooks"]
-
-
-def stack_codebooks(quantizers: "Sequence[ProductQuantizer]") -> np.ndarray:
-    """Stack fitted per-head codebooks into one ``(h, m, 2**b, sub_dim)`` tensor.
-
-    All quantizers must be fitted and share the same :class:`PQConfig`
-    geometry; the result feeds the ``*_batch`` kernels.
-    """
-    if not quantizers:
-        raise ConfigurationError("need at least one quantizer to stack")
-    shapes = {pq.centroids.shape for pq in quantizers}
-    if len(shapes) != 1:
-        raise DimensionError(
-            f"cannot stack codebooks with mixed shapes: {sorted(shapes)}"
-        )
-    return np.stack([pq.centroids for pq in quantizers], axis=0)
+__all__ = ["PQConfig", "ProductQuantizer"]
 
 
 @dataclass(frozen=True)
@@ -145,20 +128,6 @@ class ProductQuantizer:
     @property
     def is_fitted(self) -> bool:
         return self._centroids is not None
-
-    def clone(self) -> "ProductQuantizer":
-        """Independent copy sharing no mutable state (centroids are copied).
-
-        The copy-on-write path of :class:`~repro.core.pqcache.PQCacheManager`
-        uses this before :meth:`refine` mutates centroids that a prefix-cache
-        snapshot still references.
-        """
-        other = ProductQuantizer(self.config)
-        if self._centroids is not None:
-            other._centroids = self._centroids.copy()
-        other.last_fit_iterations = self.last_fit_iterations
-        other.last_refine_iterations = self.last_refine_iterations
-        return other
 
     @property
     def centroids(self) -> np.ndarray:

@@ -12,9 +12,8 @@ against the *middle* tokens during decoding (paper §3.1 steps ❷-❺):
   first chunk(s), later chunks stream-encoded on arrival via
   :meth:`append_tokens`, and a final warm-started Lloyd refinement over the
   full key set once the prompt has completely arrived.
-* :meth:`PQCacheManager.append_token` / :meth:`append_tokens` — assign codes
-  to tokens evicted from the local window using their nearest centroids (no
-  re-clustering).
+* :meth:`PQCacheManager.append_tokens` — assign codes to tokens evicted from
+  the local window using their nearest centroids (no re-clustering).
 * :meth:`PQCacheManager.approximate_scores` / :meth:`topk_middle` — ADC
   scoring of a decode query against the PQ codes and selection of the top-k
   candidate tokens per head, as an ascending token index set.
@@ -99,8 +98,9 @@ class PQCacheConfig:
         num_partitions: ``m`` — PQ sub-spaces per head (2 for LongBench,
             4 for InfiniteBench in the paper).
         num_bits: ``b`` — bits per PQ code (6 and 8 respectively).
-        max_kmeans_iters: Lloyd iteration budget used when no adaptive
-            planner is supplied.
+        max_kmeans_iters: Lloyd iteration budget — a fixed number, or what
+            an :class:`~repro.core.adaptive.AdaptiveIterationPlanner` allows
+            for the prompt length.
         gpu_cache_tokens: capacity of the block-level GPU cache (0 disables).
         gpu_cache_block: tokens per cache block.
         gpu_cache_policy: ``"lru"`` or ``"lfu"``.
@@ -541,40 +541,15 @@ class PQCacheManager:
 
         Called when generated tokens leave the local window (paper §3.4
         lines 3-5 of Algorithm 2): the tokens' keys are encoded with the
-        existing centroids — one :meth:`ProductQuantizer.encode_batch` call
-        across all KV heads — no re-clustering happens.
+        existing centroids — no re-clustering happens.
+        :func:`append_tokens_grouped` on a batch of one.
 
         Args:
             layer_index: transformer layer.
             keys: ``(num_kv_heads, n_new, head_dim)`` key vectors of the
                 tokens, in ascending token order.
         """
-        self._require_built()
-        keys = np.asarray(keys, dtype=np.float64)
-        h_kv = self.model_config.num_kv_heads
-        if keys.ndim != 3 or keys.shape[0] != h_kv:
-            raise ConfigurationError(
-                f"keys must have shape ({h_kv}, n_new, "
-                f"{self.model_config.head_dim}), got {keys.shape}"
-            )
-        if keys.shape[1] == 0:
-            return
-        codes = ProductQuantizer.encode_batch(
-            self._codebooks[layer_index], keys
-        )  # (h_kv, n_new, m)
-        self._codes[layer_index].extend(codes.transpose(1, 0, 2))
-
-    def append_token(self, layer_index: int, keys: np.ndarray) -> None:
-        """Assign PQ codes to one new token's keys for every head of a layer.
-
-        Thin wrapper over :meth:`append_tokens`.
-
-        Args:
-            layer_index: transformer layer.
-            keys: ``(num_kv_heads, head_dim)`` key vectors of the token.
-        """
-        keys = np.asarray(keys, dtype=np.float64)
-        self.append_tokens(layer_index, keys[:, None, :])
+        append_tokens_grouped([(self, layer_index, keys)])
 
     def num_codes(self, layer_index: int, head: int = 0) -> int:
         """Number of tokens currently encoded for (layer, head)."""
@@ -813,14 +788,14 @@ def topk_middle_grouped(
 def append_tokens_grouped(
     items: "list[tuple[PQCacheManager, int, np.ndarray]]",
 ) -> None:
-    """Batched :meth:`PQCacheManager.append_tokens` across requests.
+    """Assign PQ codes to new tokens' keys, for a batch of requests.
 
     Args:
         items: one ``(manager, layer_index, keys)`` tuple per request with
             ``keys`` shaped ``(num_kv_heads, n_new, head_dim)``; requests
             with the same ``(n_new, geometry)`` share one
-            :meth:`ProductQuantizer.encode_batch` call.  Leaves every
-            manager's code buffer bitwise identical to the per-manager loop.
+            :meth:`ProductQuantizer.encode_batch` call.  A manager's codes
+            do not depend on its batch-mates.
     """
     groups: dict = {}
     for manager, layer_index, keys in items:

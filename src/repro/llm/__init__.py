@@ -3,7 +3,6 @@ generation loop and tokenizer."""
 
 from .attention import (
     PREFILL_TILE,
-    causal_attention,
     decode_attention,
     expand_kv_heads,
     prefill_attention,
@@ -46,7 +45,6 @@ from .tokenizer import SimpleTokenizer
 
 __all__ = [
     "PREFILL_TILE",
-    "causal_attention",
     "decode_attention",
     "expand_kv_heads",
     "prefill_attention",

@@ -1,6 +1,6 @@
 """Attention kernels for the transformer substrate.
 
-Two kernels mirror the paper's two phases, next to a readable reference:
+Two kernels mirror the paper's two phases:
 
 * :func:`prefill_attention` — causal attention of one prefill chunk's
   queries over every key cached so far, on a fixed global tile grid of BLAS
@@ -9,9 +9,6 @@ Two kernels mirror the paper's two phases, next to a readable reference:
   steps of a batch of requests, each optionally restricted to a subset of
   token indices per key/value head; this is the "selective attention" kernel
   every KVCache policy feeds.  :func:`decode_attention` is the batch of one.
-* :func:`causal_attention` — full causal self-attention written the obvious
-  way (one einsum, one mask, one softmax); the oracle the tests compare
-  :func:`prefill_attention` against.
 
 Grouped-Query Attention is handled by mapping each query head to its
 key/value head (``kv_head = q_head // group_size``); query-head counts that
@@ -32,7 +29,6 @@ from ..utils import softmax
 __all__ = [
     "GroupedDecodeAttention",
     "PREFILL_TILE",
-    "causal_attention",
     "decode_attention",
     "attention_scores_single_query",
     "expand_kv_heads",
@@ -64,45 +60,6 @@ def expand_kv_heads(tensor: np.ndarray, group_size: int) -> np.ndarray:
     if group_size <= 0:
         raise DimensionError("group_size must be positive")
     return np.repeat(tensor, group_size, axis=0)
-
-
-def causal_attention(
-    queries: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
-    return_scores: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Full causal self-attention.
-
-    Args:
-        queries: ``(h, s, d_h)`` query vectors.
-        keys: ``(h_kv, s, d_h)`` key vectors.
-        values: ``(h_kv, s, d_h)`` value vectors.
-        return_scores: also return the post-softmax attention scores
-            ``(h, s, s)`` (needed by baselines such as H2O and SnapKV).
-
-    Returns:
-        ``(h, s, d_h)`` attention output, optionally with the score tensor.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    h, s, d_h = queries.shape
-    h_kv = keys.shape[0]
-    if h % h_kv != 0:
-        raise DimensionError("query heads must be a multiple of kv heads")
-    group = h // h_kv
-    k_exp = expand_kv_heads(keys, group)
-    v_exp = expand_kv_heads(values, group)
-
-    logits = np.einsum("hqd,hkd->hqk", queries, k_exp) / np.sqrt(d_h)
-    mask = np.triu(np.ones((s, s), dtype=bool), k=1)
-    logits = np.where(mask[None, :, :], -np.inf, logits)
-    scores = softmax(logits, axis=-1)
-    output = np.einsum("hqk,hkd->hqd", scores, v_exp)
-    if return_scores:
-        return output, scores
-    return output
 
 
 def prefill_attention(

@@ -349,12 +349,6 @@ class BlockAllocator:
             return None
         return self.capacity_blocks - self.num_allocated
 
-    def tokens_capacity(self) -> int | None:
-        """Pool capacity in tokens (``None`` = unbounded)."""
-        if self.capacity_blocks is None:
-            return None
-        return self.capacity_blocks * self.block_size
-
     def block_nbytes(self, dtype_bytes: "int | None" = None) -> int:
         """Modelled storage cost of one block (defaults to the pool's width)."""
         if dtype_bytes is None:
@@ -673,10 +667,6 @@ class PagedKVCache(KVCache):
     @property
     def released(self) -> bool:
         return self.table.released
-
-    def pool_nbytes(self, dtype_bytes: "int | None" = None) -> int:
-        """Modelled shared-storage cost of the blocks this cache references."""
-        return len(self.table.block_ids) * self.allocator.block_nbytes(dtype_bytes)
 
 
 # -------------------------------------------------------------------- tiers
@@ -1044,38 +1034,6 @@ class SwapSpace:
                 enc_keys.wire_nbytes + enc_values.wire_nbytes
             )
         return materialised
-
-    def peek(
-        self, handle: SwappedBlocks
-    ) -> "tuple[list[np.ndarray], list[np.ndarray]]":
-        """Read a parked chain's contents without consuming the handle.
-
-        This is the export side of cross-worker chain migration: the owning
-        worker's spilled prefix chain is read (modelled as an NVMe read —
-        the caller bills it) and copied into another worker's pool, while
-        the local parked copy stays valid.  Stored positions return copies
-        of the parked arrays; pinned positions read the live (GPU-resident)
-        block through the allocator.
-
-        Returns:
-            ``(keys, values)`` lists, one ``(num_layers, h_kv, block_size,
-            d_h)`` array per chain position, in chain order.
-        """
-        if handle not in self._handles:
-            raise ConfigurationError("peek of an unknown or consumed handle")
-        keys: list[np.ndarray] = []
-        values: list[np.ndarray] = []
-        for k, v, pinned in zip(handle.keys, handle.values, handle.pinned_ids):
-            if pinned is not None:
-                keys.append(handle.allocator.block_keys(pinned).copy())
-                values.append(handle.allocator.block_values(pinned).copy())
-            else:
-                # decode() may hand back the parked payload itself (raw /
-                # byteplane park the exact array) — copy to keep the handle's
-                # contents safe from caller mutation.
-                keys.append(k.decode().copy())
-                values.append(v.decode().copy())
-        return keys, values
 
     def peek_encoded(
         self, handle: SwappedBlocks

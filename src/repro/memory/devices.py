@@ -79,10 +79,6 @@ class CpuSpec:
         if self.cores <= 0 or self.gflops_per_core <= 0 or self.memory_gb <= 0:
             raise ConfigurationError("CPU spec values must be positive")
 
-    @property
-    def total_gflops(self) -> float:
-        return self.cores * self.gflops_per_core
-
     def compute_seconds(self, flops: float, parallel_workers: int | None = None) -> float:
         """Time to execute ``flops`` across ``parallel_workers`` cores."""
         workers = self.cores if parallel_workers is None else min(parallel_workers, self.cores)

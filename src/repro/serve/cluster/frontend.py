@@ -185,9 +185,6 @@ class ClusterFrontend:
             self._migrate(placement, request.prompt_ids)
         return request.request_id
 
-    #: alias matching the engine vocabulary
-    add_request = submit
-
     def worker_of(self, request_id: str) -> Worker:
         """The worker a request was placed on."""
         try:

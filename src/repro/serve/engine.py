@@ -416,9 +416,6 @@ class InferenceEngine:
         self._trim_retained_outputs()
         return output
 
-    #: alias matching the common serving-engine vocabulary
-    add_request = submit
-
     @property
     def has_unfinished(self) -> bool:
         return self.scheduler.has_work or bool(self._pending_shed_outputs)
@@ -855,7 +852,7 @@ class InferenceEngine:
         state.chunk_seconds += seconds
         state.metrics.prefill_seconds += seconds
 
-        if state.policy is not None and state.policy.supports_incremental_prefill:
+        if state.policy is not None:
             state.policy.on_prefill_chunk(
                 self.model.config,
                 state.prefill_state.kvcache,
@@ -1098,8 +1095,9 @@ class InferenceEngine:
             )
 
             seq_len = cache.seq_len
-            hit_rate = self._gpu_cache_hit_rate(policy)
+            hit_rate = 0.0
             if policy is not None:
+                hit_rate = policy.step_cache_hit_rate()
                 comm = policy.step_communication_bytes(seq_len)
                 state.metrics.comm_overlappable_bytes += comm.get("overlappable", 0.0)
                 state.metrics.comm_blocking_bytes += comm.get("blocking", 0.0)
@@ -1204,22 +1202,6 @@ class InferenceEngine:
         state.metrics.finish_time = self.metrics.clock
         if state.policy is not None:
             state.policy.release_prefix()
-
-    @staticmethod
-    def _gpu_cache_hit_rate(policy: KVCachePolicy | None) -> float:
-        """GPU block-cache hit rate of the *current* decode step.
-
-        Uses the per-step hit/miss split aggregated over this step's
-        retrievals across all layers (not the cumulative lifetime rate) so
-        the simulated TPOT reflects the PCIe traffic this step actually
-        incurs; the cumulative rate stays available on ``stats.hit_rate``
-        for reporting.
-        """
-        manager = getattr(policy, "manager", None)
-        gpu_cache = getattr(manager, "gpu_cache", None)
-        if gpu_cache is None or not gpu_cache.stats.lookups:
-            return 0.0
-        return float(gpu_cache.stats.step_hit_rate)
 
     def _make_output(self, state: RequestState, fresh: list[int]) -> RequestOutput:
         final = state.finished

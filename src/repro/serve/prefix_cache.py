@@ -66,6 +66,23 @@ def _default_hash(parent_key: bytes, tokens: np.ndarray) -> bytes:
     return digest.digest()
 
 
+_ROOT_KEY = b"root"
+
+
+def _chain(
+    token_ids: np.ndarray,
+    block_size: int,
+    hash_fn: "Callable[[bytes, np.ndarray], bytes]",
+):
+    """``(key, tokens)`` of a prompt's full blocks, in order: block ``i``'s
+    key is ``H(key_{i-1}, tokens_i)``, starting from the root sentinel."""
+    key = _ROOT_KEY
+    for pos in range(0, token_ids.size - block_size + 1, block_size):
+        tokens = token_ids[pos: pos + block_size]
+        key = hash_fn(key, tokens)
+        yield key, tokens
+
+
 def chain_block_keys(
     token_ids: Sequence[int],
     block_size: int,
@@ -73,8 +90,7 @@ def chain_block_keys(
 ) -> list[bytes]:
     """Chain keys of a prompt's full blocks, in order.
 
-    This is the *public* form of the cache's internal hashing: block ``i``'s
-    key is ``H(key_{i-1}, tokens_i)`` starting from the root sentinel, so the
+    This is the *public* form of the cache's internal hashing, so the
     returned keys are exactly the ones :class:`PrefixCache` publishes through
     its observer events.  A router can therefore score candidate workers'
     prefix coverage against a shared fingerprint directory without touching
@@ -82,14 +98,7 @@ def chain_block_keys(
     """
     token_ids = np.asarray(list(token_ids), dtype=np.int64)
     hash_fn = hash_fn or _default_hash
-    keys: list[bytes] = []
-    key = PrefixCache._ROOT_KEY
-    pos = 0
-    while pos + block_size <= token_ids.size:
-        key = hash_fn(key, token_ids[pos: pos + block_size])
-        keys.append(key)
-        pos += block_size
-    return keys
+    return [key for key, _ in _chain(token_ids, block_size, hash_fn)]
 
 
 class _Node:
@@ -374,8 +383,6 @@ class PrefixCache:
             ``on_evict(key)`` when the node leaves the index entirely.
     """
 
-    _ROOT_KEY = b"root"
-
     def __init__(
         self,
         allocator: BlockAllocator,
@@ -422,25 +429,22 @@ class PrefixCache:
 
     # --------------------------------------------------------------- match
 
+    def _collides(self, node: "_Node | None", tokens: np.ndarray) -> bool:
+        """Hash collision: the slot belongs to a different chain.  Counted,
+        and a miss to every walk — correctness never depends on the hash."""
+        if node is None or np.array_equal(node.token_ids, tokens):
+            return False
+        self.stats.collisions += 1
+        return True
+
     def _walk(self, token_ids: np.ndarray) -> list[_Node]:
         """Longest chain of cached nodes matching the prompt's full blocks."""
         nodes: list[_Node] = []
-        key = self._ROOT_KEY
-        pos = 0
-        block = self.block_size
-        while pos + block <= token_ids.size:
-            tokens = token_ids[pos: pos + block]
-            key = self._hash(key, tokens)
+        for key, tokens in _chain(token_ids, self.block_size, self._hash):
             node = self._nodes.get(key)
-            if node is None:
-                break
-            if not np.array_equal(node.token_ids, tokens):
-                # Hash collision: the slot belongs to a different chain.
-                # Treat as a miss — correctness never depends on the hash.
-                self.stats.collisions += 1
+            if node is None or self._collides(node, tokens):
                 break
             nodes.append(node)
-            pos += block
         return nodes
 
     def match(
@@ -646,68 +650,82 @@ class PrefixCache:
                 "token blocks"
             )
         self._tick += 1
-        key = self._ROOT_KEY
         parent: _Node | None = None
         created = 0
-        for index in range(num_full):
-            tokens = token_ids[index * block: (index + 1) * block]
-            key = self._hash(key, tokens)
+        chain = _chain(token_ids, block, self._hash)
+        for (key, tokens), block_id in zip(chain, map(int, block_ids)):
             node = self._nodes.get(key)
-            if node is not None and not np.array_equal(node.token_ids, tokens):
-                # Collision with a foreign chain: stop caching here rather
-                # than evict the resident chain (first writer wins).
-                self.stats.collisions += 1
+            if self._collides(node, tokens):
+                # Stop caching here rather than evict the resident chain
+                # (first writer wins).
                 break
-            if node is None:
-                block_id = int(block_ids[index])
+            if node is None or node.spilled:
+                # A spilled node means the same prompt came back with its
+                # own freshly computed blocks: adopt the inserting request's
+                # block instead of reading the spilled copy back from disk —
+                # prefill is deterministic, so the contents are bitwise
+                # identical, and no disk read is charged.
                 self.allocator.incref(block_id)
-                node = _Node(key, parent, block_id, index + 1, tokens.copy())
-                self._nodes[key] = node
-                if parent is not None:
-                    parent.children += 1
-                created += 1
-                self.stats.inserted_blocks += 1
-                self._notify("insert", key)
-            elif node.spilled:
-                # The same prompt came back with its own freshly computed
-                # blocks: adopt the inserting request's block instead of
-                # reading the spilled copy back from disk — prefill is
-                # deterministic, so the contents are bitwise identical.
-                block_id = int(block_ids[index])
-                self.allocator.incref(block_id)
-                assert self.spill_store is not None
-                self.spill_store.discard(node.spill_handle)
-                node.spill_handle = None
-                node.block_id = block_id
-                self.stats.readopted_blocks += 1
-                # Re-adoption re-produces the artifact payloads from the
-                # inserting request, so no disk read is charged — just mark
-                # the snapshots RAM-resident again for future spill charges.
-                for snap in node.pq_snapshots.values():
-                    self._spilled_snapshot_ids.discard(id(snap))
-                self._notify("restore", key)
+                if node is None:
+                    created += 1
+                else:
+                    self.stats.readopted_blocks += 1
+                node = self._adopt(node, key, tokens, parent, block_id)
             node.last_used = self._tick
-            end = node.end_pos(block)
-            if acc_scores is not None and end == acc_boundary:
+            if acc_scores is not None and node.end_pos(block) == acc_boundary:
                 node.acc_scores = acc_scores
             if pq_snapshot is not None and pq_fingerprint is not None:
-                existing = node.pq_snapshots.get(pq_fingerprint)
-                if existing is None or pq_snapshot.num_tokens > existing.num_tokens:
-                    # Symmetric storage refcounting: the node takes a hold on
-                    # the snapshot it stores and releases the one it replaces
-                    # (eviction releases the rest), so ``hold_count`` stays
-                    # balanced across arbitrary evict/re-insert cycles.
-                    if existing is not None:
-                        existing.release_hold()
-                        if existing.hold_count == 0:
-                            # No node holds the replaced snapshot anymore:
-                            # forget its disk-residency marker before CPython
-                            # can recycle its id() for a new snapshot.
-                            self._spilled_snapshot_ids.discard(id(existing))
-                    pq_snapshot.retain()
-                    node.pq_snapshots[pq_fingerprint] = pq_snapshot
+                self._hold_snapshot(node, pq_fingerprint, pq_snapshot)
             parent = node
         return created
+
+    def _adopt(
+        self,
+        node: "_Node | None",
+        key: bytes,
+        tokens: np.ndarray,
+        parent: "_Node | None",
+        block_id: int,
+    ) -> _Node:
+        """Give chain slot ``key`` the resident ``block_id`` (the cache's
+        reference on it already taken): a new node under ``parent``, or the
+        spilled ``node`` healed — its parked copy dropped and its snapshots
+        marked RAM-resident again for future spill charges."""
+        if node is None:
+            depth = (parent.depth if parent is not None else 0) + 1
+            node = _Node(key, parent, block_id, depth, tokens.copy())
+            self._nodes[key] = node
+            if parent is not None:
+                parent.children += 1
+            self.stats.inserted_blocks += 1
+            self._notify("insert", key)
+        else:
+            assert self.spill_store is not None
+            self.spill_store.discard(node.spill_handle)
+            node.spill_handle = None
+            node.block_id = block_id
+            for snap in node.pq_snapshots.values():
+                self._spilled_snapshot_ids.discard(id(snap))
+            self._notify("restore", key)
+        return node
+
+    def _hold_snapshot(self, node: _Node, fingerprint: object, snapshot) -> None:
+        """Store ``snapshot`` on ``node`` unless it holds one at least as
+        deep.  The node takes a hold on what it stores and releases the one
+        it replaces (eviction releases the rest), so ``hold_count`` stays
+        balanced across arbitrary evict/re-insert cycles."""
+        existing = node.pq_snapshots.get(fingerprint)
+        if existing is not None:
+            if snapshot.num_tokens <= existing.num_tokens:
+                return
+            existing.release_hold()
+            if existing.hold_count == 0:
+                # No node holds the replaced snapshot anymore: forget its
+                # disk-residency marker before CPython can recycle its id()
+                # for a new snapshot.
+                self._spilled_snapshot_ids.discard(id(existing))
+        snapshot.retain()
+        node.pq_snapshots[fingerprint] = snapshot
 
     # ----------------------------------------------------------- migration
 
@@ -774,9 +792,9 @@ class PrefixCache:
         are created, locally *spilled* nodes are healed with the migrated
         bytes (cheaper than a local disk read that the caller would have to
         bill separately), and already-resident nodes are left untouched.
-        Artifact payloads attach with the same deepest-wins + retain()
-        semantics as :meth:`insert`, so sharing snapshots across workers
-        keeps ``hold_count`` auditable.
+        Artifact payloads attach as in :meth:`insert` (deepest snapshot
+        wins), so sharing snapshots across workers keeps ``hold_count``
+        auditable.
 
         Allocation pressure truncates rather than fails: a
         :class:`~repro.errors.CapacityError` mid-import leaves a valid
@@ -791,15 +809,14 @@ class PrefixCache:
                 f"this cache uses {self.block_size}"
             )
         self._tick += 1
-        key = self._ROOT_KEY
+        key = _ROOT_KEY
         parent: _Node | None = None
         written = 0
         for record in exported.nodes:
             tokens = np.asarray(record.token_ids, dtype=np.int64)
             key = self._hash(key, tokens)
             node = self._nodes.get(key)
-            if node is not None and not np.array_equal(node.token_ids, tokens):
-                self.stats.collisions += 1
+            if self._collides(node, tokens):
                 break
             if node is None or node.spilled:
                 try:
@@ -817,36 +834,14 @@ class PrefixCache:
                 self.allocator.block_values(block_id)[...] = (
                     record.values.decode()
                 )
-                if node is None:
-                    depth = (parent.depth if parent is not None else 0) + 1
-                    node = _Node(key, parent, block_id, depth, tokens.copy())
-                    self._nodes[key] = node
-                    if parent is not None:
-                        parent.children += 1
-                    self.stats.inserted_blocks += 1
-                    self._notify("insert", key)
-                else:
-                    assert self.spill_store is not None
-                    self.spill_store.discard(node.spill_handle)
-                    node.spill_handle = None
-                    node.block_id = block_id
-                    for snap in node.pq_snapshots.values():
-                        self._spilled_snapshot_ids.discard(id(snap))
-                    self._notify("restore", key)
+                node = self._adopt(node, key, tokens, parent, block_id)
                 written += 1
                 self.stats.imported_blocks += 1
             node.last_used = self._tick
             if record.acc_scores is not None and node.acc_scores is None:
                 node.acc_scores = record.acc_scores
             for fingerprint, snapshot in record.pq_snapshots.items():
-                existing = node.pq_snapshots.get(fingerprint)
-                if existing is None or snapshot.num_tokens > existing.num_tokens:
-                    if existing is not None:
-                        existing.release_hold()
-                        if existing.hold_count == 0:
-                            self._spilled_snapshot_ids.discard(id(existing))
-                    snapshot.retain()
-                    node.pq_snapshots[fingerprint] = snapshot
+                self._hold_snapshot(node, fingerprint, snapshot)
             parent = node
         return written
 

@@ -2,12 +2,10 @@
 
 The helpers here deliberately stay free of project-specific concepts: random
 number handling, shape validation, and a couple of numerically careful
-primitives (softmax, log-sum-exp) that several subsystems need.
+primitives (softmax, deterministic top-k) that several subsystems need.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -16,11 +14,8 @@ from .errors import DimensionError
 __all__ = [
     "as_rng",
     "check_2d",
-    "check_matrix",
     "softmax",
-    "log_softmax",
     "topk_indices",
-    "batched",
     "sizeof_fmt",
 ]
 
@@ -47,29 +42,12 @@ def check_2d(array: np.ndarray, name: str = "array") -> np.ndarray:
     return arr
 
 
-def check_matrix(array: np.ndarray, cols: int, name: str = "array") -> np.ndarray:
-    """Validate a 2-D array with exactly ``cols`` columns."""
-    arr = check_2d(array, name)
-    if arr.shape[1] != cols:
-        raise DimensionError(
-            f"{name} must have {cols} columns, got {arr.shape[1]}"
-        )
-    return arr
-
-
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
     scores = np.asarray(scores, dtype=np.float64)
     shifted = scores - np.max(scores, axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / np.sum(exp, axis=axis, keepdims=True)
-
-
-def log_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax along ``axis``."""
-    scores = np.asarray(scores, dtype=np.float64)
-    shifted = scores - np.max(scores, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -107,14 +85,6 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate(
         [strict[order], boundary[: k - strict.size]]
     ).astype(np.int64)
-
-
-def batched(items: Sequence, batch_size: int) -> Iterable[Sequence]:
-    """Yield successive slices of ``items`` of length ``batch_size``."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    for start in range(0, len(items), batch_size):
-        yield items[start:start + batch_size]
 
 
 def sizeof_fmt(num_bytes: float) -> str:

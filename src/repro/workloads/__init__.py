@@ -1,5 +1,14 @@
 """Synthetic long-context workloads standing in for the paper's benchmarks."""
 
+from .arrivals import (
+    ArrivalEvent,
+    bursty_arrivals,
+    merge_arrivals,
+    poisson_arrivals,
+    random_deadlines,
+    tag_arrivals,
+    tag_deadlines,
+)
 from .base import Sample, TaskDataset, VocabLayout
 from .conversation import Conversation, multi_turn_conversation
 from .generators import (
@@ -21,17 +30,10 @@ from .suites import (
     longbench_suite,
 )
 from .traces import (
-    ArrivalEvent,
     AttentionTrace,
-    bursty_arrivals,
     collect_decode_attention,
     mass_concentration,
-    merge_arrivals,
-    poisson_arrivals,
     power_law_exponent,
-    random_deadlines,
-    tag_arrivals,
-    tag_deadlines,
 )
 
 __all__ = [

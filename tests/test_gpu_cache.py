@@ -82,24 +82,11 @@ class TestLookupAccess:
         result = cache.access(np.array([], dtype=np.int64))
         assert result["miss_blocks"].size == 0
 
-    def test_block_mapping(self):
-        cache = BlockGpuCache(capacity_tokens=512, block_size=128)
-        assert cache.block_of(0) == 0
-        assert cache.block_of(127) == 0
-        assert cache.block_of(128) == 1
-        assert list(cache.tokens_to_blocks(np.array([0, 127, 129]))) == [0, 1]
-
     def test_zero_capacity_never_caches(self):
         cache = BlockGpuCache(capacity_tokens=0, block_size=128)
         cache.access(np.array([5]))
         result = cache.access(np.array([5]))
         assert result["miss_tokens"].size == 1
-
-    def test_miss_bytes(self):
-        cache = BlockGpuCache(capacity_tokens=256, block_size=128)
-        assert cache.miss_bytes(np.array([0, 1]), bytes_per_token=100.0) == 200.0
-        cache.access(np.array([0, 1]))
-        assert cache.miss_bytes(np.array([0, 1]), bytes_per_token=100.0) == 0.0
 
 
 class TestEviction:

@@ -7,6 +7,7 @@ from repro.baselines import (
     FullAttentionPolicy,
     H2OPolicy,
     InfLLMPolicy,
+    KVCachePolicy,
     OracleTopKPolicy,
     PQCachePolicy,
     POLICY_NAMES,
@@ -98,6 +99,79 @@ class TestCommonBehaviour:
         info = policy.describe()
         assert info["name"] == policy.name
         assert "token_ratio" in info
+
+
+class TestAssembleReference:
+    """``select`` against the definition of the per-request ``_assemble``
+    that the grouped sort-and-mask replaced: per KV head,
+    ``np.unique(np.concatenate([initial, middle, local]))``."""
+
+    NAMES = ("streaming-llm", "h2o", "snapkv", "pyramidkv", "sparq", "infllm",
+             "oracle")
+
+    @staticmethod
+    def _reference(middle_per_head, segments):
+        return [
+            np.unique(np.concatenate(
+                [segments.initial_indices, middle, segments.local_indices]
+            ))
+            for middle in middle_per_head
+        ]
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert len(got) == len(want)
+        for got_head, want_head in zip(got, want):
+            assert got_head.dtype == want_head.dtype == np.int64
+            assert np.array_equal(got_head, want_head)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_select_equals_unique_of_concatenation(
+        self, name, budget, tiny_config, prefill, model, rng, monkeypatch
+    ):
+        policy = build_policy(name, budget)
+        cloned = _prepare(policy, tiny_config, prefill)
+        assembled = []
+        grouped = KVCachePolicy._assemble_batch
+
+        def spy(items):
+            results = grouped(items)
+            assembled.extend(zip(items, results))
+            return results
+
+        monkeypatch.setattr(KVCachePolicy, "_assemble_batch", staticmethod(spy))
+
+        def check_every_layer():
+            query = rng.normal(size=(tiny_config.num_heads, tiny_config.head_dim))
+            for layer in range(tiny_config.num_layers):
+                assembled.clear()
+                selected = policy.select(layer, query, cloned.kvcache)
+                ((_, middle_per_head, segments), result), = assembled
+                assert segments.seq_len == len(cloned.kvcache[layer])
+                assert len(middle_per_head) == tiny_config.num_kv_heads
+                self._assert_same(selected, self._reference(middle_per_head, segments))
+                self._assert_same(selected, result)
+
+        check_every_layer()
+        for _ in range(4):
+            model.decode_step(9, cloned.kvcache,
+                              lambda layer, q, c: policy.select(layer, q, c))
+            policy.on_decode_step(cloned.kvcache)
+        check_every_layer()
+
+    def test_assemble_empty_and_repeated_middle(self, budget, tiny_config, prefill):
+        policy = StreamingLLMPolicy(budget)
+        _prepare(policy, tiny_config, prefill)
+        heads = tiny_config.num_kv_heads
+        empty = [np.empty(0, dtype=np.int64)] * heads
+        # unsorted, one index twice, one inside the local window and one
+        # inside the initial segment; a shorter row for the last head
+        repeated = [np.array([90, 31, 90, 158, 2, 47])] * (heads - 1) + [np.array([31, 31])]
+        for seq_len, middle in ((160, empty), (160, repeated), (12, empty), (0, empty)):
+            segments = budget.segments(seq_len)
+            self._assert_same(
+                policy._assemble(middle, segments), self._reference(middle, segments)
+            )
 
 
 class TestFullAndOracle:
@@ -371,6 +445,26 @@ class TestPQCachePolicy:
         warm = policy.step_communication_bytes(seq_len)["blocking"]
         assert warm == 0.0
         assert 0.0 < policy.manager.gpu_cache.stats.hit_rate < 1.0
+
+    def test_step_cache_hit_rate(self, budget, tiny_config, prefill, decode_query):
+        """What the engine bills TPOT with: 0.0 for policies without a GPU
+        cache (the base default), before prefill, before the first lookup
+        and with the cache disabled; the block cache's per-step rate after."""
+        assert H2OPolicy(budget).step_cache_hit_rate() == 0.0
+        disabled = PQCachePolicy(budget, pq_config=PQCacheConfig(
+            num_bits=4, max_kmeans_iters=2, gpu_cache_tokens=0))
+        policy = PQCachePolicy(budget, pq_config=PQCacheConfig(
+            num_bits=4, max_kmeans_iters=2, gpu_cache_tokens=4096))
+        assert policy.step_cache_hit_rate() == 0.0
+        for each in (disabled, policy):
+            cloned = _prepare(each, tiny_config, prefill)
+            assert each.step_cache_hit_rate() == 0.0
+            each.select(0, decode_query, cloned.kvcache)
+            each.select(1, decode_query, cloned.kvcache)
+        assert disabled.step_cache_hit_rate() == 0.0
+        rate = policy.step_cache_hit_rate()
+        assert isinstance(rate, float) and 0.0 < rate < 1.0
+        assert rate == policy.manager.gpu_cache.stats.step_hit_rate
 
     def test_describe_includes_pq_settings(self, budget):
         policy = PQCachePolicy(budget, pq_config=PQCacheConfig(num_partitions=4,

@@ -126,15 +126,15 @@ class TestScoresAndTopK:
 class TestAppendToken:
     def test_append_extends_codes(self, manager, tiny_config, rng):
         before = manager.num_codes(0)
-        manager.append_token(0, rng.normal(size=(tiny_config.num_kv_heads,
-                                                 tiny_config.head_dim)))
+        manager.append_tokens(0, rng.normal(size=(tiny_config.num_kv_heads, 1,
+                                                  tiny_config.head_dim)))
         assert manager.num_codes(0) == before + 1
 
     def test_appended_token_is_searchable(self, manager, tiny_config, kvcache, rng):
         # Append an exact copy of token 0's keys: the new token must receive
         # the same codes, hence the same approximate score, as token 0.
         key = kvcache[0].keys[:, 0, :]
-        manager.append_token(0, key)
+        manager.append_tokens(0, key[:, None, :])
         queries = rng.normal(size=(tiny_config.num_kv_heads, tiny_config.head_dim))
         scores = manager.approximate_scores(0, queries)
         assert scores.shape[1] == 201
@@ -146,7 +146,7 @@ class TestAppendToken:
         before = manager.codes(0, 0).copy()
         reference_key = kvcache[0].keys[:, 0, :]
         for _ in range(70):  # force at least one capacity doubling
-            manager.append_token(0, reference_key)
+            manager.append_tokens(0, reference_key[:, None, :])
         after = manager.codes(0, 0)
         assert after.shape[0] == before.shape[0] + 70
         assert np.array_equal(after[: before.shape[0]], before)
@@ -155,6 +155,35 @@ class TestAppendToken:
             after[before.shape[0]:],
             np.broadcast_to(before[0], (70, before.shape[1])),
         )
+
+    def test_append_tokens_equals_per_head_encode(self, manager, tiny_config, rng):
+        """Reference for the per-manager append: each head's new rows are
+        that head's own ``ProductQuantizer.encode`` of its keys, on every
+        layer, after a snapshot made the buffer copy-on-write too."""
+        shape = (tiny_config.num_kv_heads, 5, tiny_config.head_dim)
+        snapshot = manager.snapshot()
+        frozen = [codes.copy() for codes in snapshot.codes]
+        for layer in range(tiny_config.num_layers):
+            keys = rng.normal(size=shape)
+            manager.append_tokens(layer, keys)
+            assert manager.num_codes(layer) == 205
+            for head in range(tiny_config.num_kv_heads):
+                want = manager.quantizer(layer, head).encode(keys[head])
+                assert np.array_equal(manager.codes(layer, head)[200:], want)
+            assert np.array_equal(manager.layer_codes(layer)[:200], frozen[layer])
+            assert np.array_equal(snapshot.codes[layer], frozen[layer])
+
+    def test_append_tokens_rejects_wrong_shape(self, manager, tiny_config, rng):
+        h_kv, d_h = tiny_config.num_kv_heads, tiny_config.head_dim
+        for bad in ((h_kv + 1, 2, d_h), (h_kv, d_h)):
+            with pytest.raises(
+                ConfigurationError,
+                match=rf"keys must have shape \({h_kv}, n_new, {d_h}\), got ",
+            ):
+                manager.append_tokens(0, rng.normal(size=bad))
+        assert manager.num_codes(0) == 200
+        with pytest.raises(NotFittedError):
+            PQCacheManager(tiny_config).append_tokens(0, rng.normal(size=(h_kv, 1, d_h)))
 
     def test_codes_returns_live_view(self, manager, tiny_config, rng):
         """codes() is a cheap view over the growth buffer, not a copy."""

@@ -14,7 +14,7 @@ from repro.llm import ModelConfig
 from repro.llm.kvcache import BlockAllocator, PagedKVCache, SwapSpace
 from repro.llm.kvcodec import BytePlaneCodec, IntQuantCodec, RawCodec
 from repro.memory import HardwareSpec, LatencyModel, Resource
-from repro.serve import PrefixCache
+from repro.serve import PrefixCache, chain_block_keys
 
 
 def make_allocator(capacity=None, block_size=4, num_layers=2, h_kv=2, d_h=8):
@@ -248,18 +248,6 @@ class TestSwapSpaceCodec:
         alloc.decref(ids[0])
         new_ids = space.swap_in(handle, alloc)
         assert np.max(np.abs(alloc.block_keys(new_ids[0]) - keys)) <= bound
-
-    def test_peek_returns_copies(self):
-        alloc = make_allocator()
-        ids = fill_blocks(alloc, 1)
-        keys = alloc.block_keys(ids[0]).copy()
-        space = SwapSpace(codec=BytePlaneCodec())
-        handle = space.swap_out(alloc, ids)
-        peeked_keys, _ = space.peek(handle)
-        peeked_keys[0][...] = -1.0  # scribbling the peek must not leak
-        alloc.decref(ids[0])
-        new_ids = space.swap_in(handle, alloc)
-        assert np.array_equal(alloc.block_keys(new_ids[0]), keys)
 
     def test_peek_encoded_returns_parked_objects(self):
         alloc = make_allocator()
@@ -769,6 +757,85 @@ class TestSnapshotHoldRefcounts:
         assert snap.hold_count == 2  # spilled nodes still hold the snapshot
         cache.clear()
         assert snap.hold_count == 0
+
+    def test_insert_and_import_heal_the_same_spilled_chain(self):
+        """``insert`` and ``import_chain`` share one adopt step and one
+        deepest-snapshot-wins step: alternate them over the same chain with
+        a spill in between and a deeper snapshot arriving each time."""
+
+        class Events:
+            def __init__(self):
+                self.log = []
+
+            def on_insert(self, key):
+                self.log.append(("insert", key))
+
+            def on_spill(self, key):
+                self.log.append(("spill", key))
+
+            def on_restore(self, key):
+                self.log.append(("restore", key))
+
+            def on_evict(self, key):
+                self.log.append(("evict", key))
+
+            def keys(self, kind):
+                return [key for event, key in self.log if event == kind]
+
+        tokens = list(range(16))  # 4 blocks
+        shallow, deep, deepest = (make_snapshot(num_tokens=n) for n in (8, 12, 16))
+
+        source_alloc = make_allocator(capacity=8)
+        source = PrefixCache(source_alloc)
+        source_chain = fill_chain(source_alloc, tokens, seed=1)
+        source.insert(tokens, source_chain.table.block_ids,
+                      pq_fingerprint="fp", pq_snapshot=deep)
+        exported = source.export_chain(tokens)
+        assert deep.hold_count == 4  # the source's own nodes, throughout
+
+        alloc = make_allocator(capacity=8)
+        cache = PrefixCache(alloc, spill_store=SwapSpace())
+        cache.observer = events = Events()
+        chain_keys = chain_block_keys(tokens, alloc.block_size)
+
+        # insert (shallow) -> spill -> import (deep) heals all four nodes.
+        paged = fill_chain(alloc, tokens, seed=1)
+        assert cache.insert(tokens, paged.table.block_ids,
+                            pq_fingerprint="fp", pq_snapshot=shallow) == 4
+        paged.release()
+        assert cache.evict(4) == 4 and cache.num_spilled == 4
+        assert cache._spilled_snapshot_ids == {id(shallow)}
+        assert cache.import_chain(exported) == 4
+        assert cache.num_spilled == 0 and cache.spill_store.disk_blocks == 0
+        assert (cache.stats.imported_blocks, cache.stats.readopted_blocks) == (4, 0)
+        assert events.keys("restore") == chain_keys
+        assert shallow.hold_count == 0 and deep.hold_count == 4 + 4
+        assert cache._spilled_snapshot_ids == set()
+
+        # spill -> insert (deepest) re-adopts the same four nodes.
+        assert cache.evict(4) == 4 and cache.num_spilled == 4
+        assert cache._spilled_snapshot_ids == {id(deep)}
+        paged = fill_chain(alloc, tokens, seed=1)
+        assert cache.insert(tokens, paged.table.block_ids,
+                            pq_fingerprint="fp", pq_snapshot=deepest) == 0
+        assert cache.num_spilled == 0 and cache.spill_store.disk_blocks == 0
+        assert (cache.stats.imported_blocks, cache.stats.readopted_blocks) == (4, 4)
+        assert events.keys("restore") == chain_keys * 2
+        assert events.keys("insert") == chain_keys  # never re-created
+        assert deep.hold_count == 4 and deepest.hold_count == 4
+        assert cache._spilled_snapshot_ids == set()
+        assert cache.stats.inserted_blocks == 4 and cache.stats.restored_blocks == 0
+
+        # The healed index serves the chain, with the deepest snapshot.
+        match = cache.match(tokens, fingerprint="fp")
+        assert match.block_ids == paged.table.block_ids
+        assert match.pq_snapshot is deepest
+        for got, want in zip(match.block_ids, source_chain.table.block_ids):
+            assert np.array_equal(alloc.block_keys(got), source_alloc.block_keys(want))
+        paged.release()
+        cache.clear()
+        source.clear()
+        assert (shallow.hold_count, deep.hold_count, deepest.hold_count) == (0, 0, 0)
 
     def test_release_hold_underflow_raises(self):
         snap = make_snapshot()

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import DimensionError
 from repro.utils import (
     as_rng,
-    batched,
     check_2d,
-    check_matrix,
-    log_softmax,
     sizeof_fmt,
     softmax,
     topk_indices,
@@ -44,11 +41,6 @@ class TestCheck2d:
         with pytest.raises(DimensionError):
             check_2d(np.zeros((0, 3)))
 
-    def test_check_matrix_column_count(self):
-        with pytest.raises(DimensionError):
-            check_matrix(np.zeros((2, 3)), cols=4)
-        assert check_matrix(np.zeros((2, 3)), cols=3).shape == (2, 3)
-
 
 class TestSoftmax:
     def test_sums_to_one(self):
@@ -63,10 +55,6 @@ class TestSoftmax:
     def test_axis_argument(self):
         probs = softmax(np.ones((3, 4)), axis=0)
         assert np.allclose(probs.sum(axis=0), 1.0)
-
-    def test_log_softmax_consistency(self):
-        x = np.array([0.5, -1.0, 2.0])
-        assert np.allclose(np.exp(log_softmax(x)), softmax(x))
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=30))
     @settings(max_examples=30, deadline=None)
@@ -123,18 +111,6 @@ class TestTopkIndices:
         scores = np.array(values, dtype=np.float64)
         expected = np.argsort(-scores, kind="stable")[: min(k, scores.size)]
         assert list(topk_indices(scores, k)) == list(expected)
-
-
-class TestBatched:
-    def test_even_batches(self):
-        assert list(batched([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
-
-    def test_ragged_tail(self):
-        assert list(batched([1, 2, 3], 2)) == [[1, 2], [3]]
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            list(batched([1], 0))
 
 
 class TestSizeofFmt:
