@@ -19,11 +19,13 @@ by :class:`~repro.serve.decode_batch.DecodeBatch`): one
 :meth:`TransformerLM.decode_step_batch` call over its members — dense ops on
 the model's fixed-shape decode blocks, policy selection and maintenance
 through the per-class grouped kernels — then a member-by-member billing
-tail.  A step runs it once over every ``RUNNING`` request when the free list
-can supply all their appends outright; otherwise it reserves member by
-member (the pool-pressure ladder may evict, or park a member) and runs each
-survivor as a round of one.  Per-request state is isolated, so both shapes
-yield the same tokens, logits, selections, simulated clock and counters.
+tail.  A step walks its ``RUNNING`` requests once, gathering members whose
+appends the free list covers into one round; a member that needs the
+pool-pressure ladder (which may evict, or park a member) first runs the
+gathered members as a round, then reserves and starts the next one.
+Per-request state is isolated and the billing walk puts every clock addition
+where consecutive rounds of one would, so any grouping yields the same
+tokens, logits, selections, simulated clock and counters.
 
 Prefilling runs in one of two modes.  By default an admitted request
 prefills its whole prompt during the admission step (monolithic).  With
@@ -990,63 +992,52 @@ class InferenceEngine:
         new_tokens: dict[str, list[int]],
         touch: Callable[[RequestState], None],
     ) -> None:
-        """One step's decoding: one round over ``decoding`` when the free
-        list covers every append (:meth:`_can_fuse_decodes`), else member by
-        member — reserve, then a round of one, billed before the next member
-        reserves."""
-        if decoding and self._can_fuse_decodes(decoding):
-            for state in decoding:
-                touch(state)
-            self._run_decode_batch(decoding, new_tokens)
-            self.metrics.observe_decode_batch(len(decoding))
-            return
+        """One step's decoding, in one walk over ``decoding``.
+
+        A member whose one-token append fits the blocks the free list still
+        holds for the pending members joins the pending round.  A member that
+        does not first flushes the pending members as one round, then
+        reserves through :meth:`PoolPressure.ensure_blocks` — which may
+        evict, or park any member, including one that just decoded — and,
+        unless it was parked itself, starts the next pending round.  So every
+        ladder run sees the state it would after consecutive rounds of one,
+        and a skipped reservation is one that would have returned at once:
+        the free list covers it, and ``append_blocks_needed`` only shrinks
+        as earlier members' copy-on-write copies drop shared refcounts.
+        """
+        allocator = self.block_allocator
+        pending: list[RequestState] = []
+        reserved = 0
+
+        def flush() -> None:
+            if pending:
+                self._run_decode_batch(pending, new_tokens)
+                self.metrics.observe_decode_batch(len(pending))
+                pending.clear()
+
         for state in decoding:
-            # Eligibility is re-checked per iteration: an earlier member's
-            # reservation may preempt (park) a later member of this batch.
+            # Eligibility is re-checked per member: an earlier member's
+            # reservation may have parked this one.
             if state.finished or state.status is not RequestStatus.RUNNING:
                 continue
             touch(state)
-            # One appended token may need a fresh tail block and/or a COW
-            # copy of a shared tail block; reserve before the model writes.
-            # If an older request owns the pool, park and resume later.
             if (
-                state.paged is not None
+                allocator is not None
+                and allocator.capacity_blocks is not None
+                and state.paged is not None
                 and not state.paged.released
-                and not self.pressure.ensure_blocks(
-                    state, self.pressure.append_blocks_needed(state, 1)
-                )
             ):
-                self.pressure.preempt_victim(state)
-                continue
-            self._run_decode_batch([state], new_tokens)
-
-    def _can_fuse_decodes(self, states: "list[RequestState]") -> bool:
-        """Whether this round's appends fit the pool without the ladder.
-
-        A round must not hit the pressure escalation ladder mid-flight: an
-        eviction or preemption between two members' appends would change
-        which requests participate and reorder clock charges.  So the engine
-        sums every member's single-token append demand
-        (:meth:`PoolPressure.append_blocks_needed`, an exact count that only
-        shrinks as earlier members' copy-on-write copies drop shared
-        refcounts) and runs them as one round only when the free list can
-        supply the sum outright — each member's in-round allocation then
-        trivially succeeds and a per-member
-        :meth:`PoolPressure.ensure_blocks` would be a side-effect-free
-        no-op.  Otherwise the caller reserves member by member and runs
-        rounds of one.
-        """
-        allocator = self.block_allocator
-        if allocator is None or allocator.capacity_blocks is None:
-            return True
-        needed = 0
-        for state in states:
-            if state.paged is not None and not state.paged.released:
-                needed += PoolPressure.append_blocks_needed(state, 1)
-        if needed == 0:
-            return True
-        available = allocator.num_available
-        return available is not None and needed <= available
+                needed = self.pressure.append_blocks_needed(state, 1)
+                if reserved + needed > allocator.num_available:
+                    flush()
+                    reserved = 0
+                    needed = self.pressure.append_blocks_needed(state, 1)
+                    if not self.pressure.ensure_blocks(state, needed):
+                        self.pressure.preempt_victim(state)
+                        continue
+                reserved += needed
+            pending.append(state)
+        flush()
 
     def _run_decode_batch(
         self, states: "list[RequestState]", new_tokens: dict[str, list[int]]
@@ -1062,8 +1053,9 @@ class InferenceEngine:
         in decode order, so every clock addition lands where running the
         members as consecutive rounds of one would put it.
 
-        The caller guarantees every member's append is reserved (no
-        allocation can fail, no member can be preempted mid-round).
+        :meth:`_decode_phase` guarantees every member's append is covered
+        by the free list (no allocation can fail, no member can be preempted
+        mid-round).
         """
         batch = DecodeBatch.plan(states, self.model.config.num_kv_heads)
         members = batch.members

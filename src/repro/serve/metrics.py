@@ -436,18 +436,16 @@ class EngineMetrics:
     ``decode_rounds`` counts *per-request* decode rounds: a round over N
     requests increments it N times, so dashboards and rate formulas built on
     it do not depend on how a step's decodes were grouped.  The shape
-    counters describe only the rounds that covered a step's whole decode set
-    — those whose appends the free list could supply outright:
-    ``decode_batch_rounds`` (such rounds executed), ``decode_batch_requests``
-    (members across them; their ratio is the mean batch size) and the
-    ``decode_batch_size_*`` histogram buckets.  A step whose free list is
-    short reserves member by member and runs rounds of one, which count in
-    ``decode_rounds`` alone; ``decode_batch_requests / decode_rounds`` is the
-    share of decodes that did not fall back.
+    counters describe how they were: ``decode_batch_rounds`` (rounds
+    executed), ``decode_batch_requests`` (members across them, equal to
+    ``decode_rounds``; their ratio is the mean batch size) and the
+    ``decode_batch_size_*`` histogram buckets.  A step runs one round unless
+    a member needs the pool-pressure ladder, which flushes the members
+    gathered before it as a round of their own.
 
     The ``decode_*_seconds`` stage counters are *host wall-clock* seconds
     (``time.perf_counter``), not simulated latency-model seconds, summed over
-    every round, fallback rounds of one included: they break
+    every round: they break
     one decode round into ADC scoring, top-k selection, K/V gather,
     attention + dense compute, and policy maintenance (PQ appends /
     codebook refreshes), so regressions in a specific decode stage are
@@ -510,8 +508,8 @@ class EngineMetrics:
     codec_encode_seconds: float = 0.0
     codec_decode_seconds: float = 0.0
     #: decode-round observability: rounds / members / batch-size histogram
-    #: of the rounds that covered a whole step, host wall-clock stage
-    #: breakdown of every round, and PQ drift-refresh accounting
+    #: and host wall-clock stage breakdown of every round, and PQ
+    #: drift-refresh accounting
     #: (``pq_refresh_seconds`` is *simulated* clustering time billed to the
     #: clock, unlike the ``decode_*_seconds`` wall-clock stages).
     decode_batch_rounds: int = 0
@@ -540,7 +538,7 @@ class EngineMetrics:
     prefill_ffn_seconds: float = 0.0
 
     def observe_decode_batch(self, batch_size: int) -> None:
-        """Record one round over a step's whole decode set of ``batch_size``."""
+        """Record one decode round of ``batch_size`` members."""
         if batch_size <= 0:
             return
         self.decode_batch_rounds += 1
@@ -643,14 +641,14 @@ class EngineMetrics:
 
     @property
     def mean_decode_batch_size(self) -> float:
-        """Average RUNNING requests served per fused decode round."""
+        """Average RUNNING requests served per decode round."""
         if self.decode_batch_rounds == 0:
             return 0.0
         return self.decode_batch_requests / self.decode_batch_rounds
 
     @property
     def decode_batch_size_histogram(self) -> dict:
-        """Fused-round batch sizes bucketed as ``{label: rounds}``."""
+        """Decode-round batch sizes bucketed as ``{label: rounds}``."""
         return {
             "1": self.decode_batch_size_1,
             "2-4": self.decode_batch_size_2_4,

@@ -9,9 +9,10 @@
   :meth:`LoopedDecodeRounds._run_decode_round`, the engine's former
   per-request round with its own selector closure and billing tail,
   arithmetic and order of clock additions as they were — what
-  ``decode_batching=False`` used to select.  It calls neither
-  ``_can_fuse_decodes`` nor ``_run_decode_batch``, so the ``decode_batch_*``
-  shape counters and the ``decode_*_seconds`` stage timers stay zero.
+  ``decode_batching=False`` used to select.  It replaces the engine's
+  ``_decode_phase`` and never calls ``_run_decode_batch``, so the
+  ``decode_batch_*`` shape counters and the ``decode_*_seconds`` stage timers
+  stay zero.
 
 The production round must yield the same tokens, logits, selections,
 per-request metrics, simulated clock and counters.

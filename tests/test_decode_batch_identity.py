@@ -1,11 +1,11 @@
 """The decode round vs the per-request loop it replaced: byte-identity fuzz.
 
 The engine's decode round — one
-:meth:`~repro.llm.TransformerLM.decode_step_batch` call over all RUNNING
-requests, or rounds of one when the free list cannot cover every append —
-must be *byte-identical* to ``tests/decode_loop_oracle.py``, the former
-per-request loop (own ``decode_step`` layer loop, own selector closure, own
-billing tail): tokens, logits, selections, selection-hook observations,
+:meth:`~repro.llm.TransformerLM.decode_step_batch` call over the RUNNING
+requests whose appends the free list covers, flushed early wherever a member
+needs the pool-pressure ladder — must be *byte-identical* to
+``tests/decode_loop_oracle.py``, the former per-request loop (own
+``decode_step`` layer loop, own selector closure, own billing tail): tokens, logits, selections, selection-hook observations,
 per-request metrics, and the engine's simulated clock and counters.
 
 Four layers of assertion:
@@ -18,16 +18,17 @@ Four layers of assertion:
   forced decodes, chunked and monolithic prefill, staggered
   ``max_new_tokens`` (members finish mid-round), mid-run submissions and
   aborts, and bounded KV pools (swap and recompute preemption — parking
-  members mid-batch and recompute-replay on resume, the step falling back
-  to reserved rounds of one whenever the free list is short);
-* directed bounded-pool cases for that fallback — a later member's
-  reservation preempting an earlier member that already decoded this step,
-  and a run in which every round falls back;
+  members mid-batch and recompute-replay on resume, the step flushing a
+  round before every ladder run whenever the free list is short);
+* directed bounded-pool cases for those flushes — a free list that covers
+  only the first two of four members, a later member's reservation
+  preempting an earlier member that already decoded this step, and a run in
+  which every member needs the ladder;
 * a cluster fuzz — the same traffic through a multi-worker
   :class:`~repro.serve.cluster.ClusterFrontend` with production and oracle
   workers.
 
-Host wall-clock stage timings and the gated-round shape counters
+Host wall-clock stage timings and the round-shape counters
 (``decode_batch_*``, ``decode_*_seconds``) are the *only* metrics allowed
 to differ from the oracle's; everything else is compared exactly.
 """
@@ -110,7 +111,7 @@ def test_decode_row_block_is_offset_and_content_independent():
 
 # ------------------------------------------------------ comparison helpers
 
-#: host wall-clock / gated-round-shape fields — legitimately differ from the
+#: host wall-clock / round-shape fields — legitimately differ from the
 #: oracle (which never populates them); everything else must match exactly,
 #: including the simulated ``clock``.
 _MODE_DEPENDENT_METRICS = {
@@ -252,7 +253,7 @@ def _drive(model, requests, plan, engine_cls, hook_log):
             break
     else:
         pytest.fail("engine made no progress within the step budget")
-    return finals, engine.metrics.snapshot(), {
+    return engine, finals, {
         rid: list(log[marks[rid]:]) for rid, log in hook_log.items()
     }
 
@@ -266,8 +267,8 @@ def _run_fuzz_seed(model, seed):
     mode = "swap" if rng.random() < 0.5 else "recompute"
     if rng.random() < 0.5:
         # Bounded pool: preemption parking (and recompute-replay on resume)
-        # happens mid-schedule, and the step falls back to reserved rounds
-        # of one whenever the free list cannot cover every append.
+        # happens mid-schedule, and the step flushes a round before every
+        # member whose append the free list cannot cover.
         floor = max(_min_pool_blocks(r, block_size) for r in requests)
         pool = floor + int(rng.integers(0, 6))
     plan = {
@@ -287,12 +288,13 @@ def _run_fuzz_seed(model, seed):
             plan["abort_at"][int(rng.integers(1, 20))] = request.request_id
     context = f"seed={seed} mode={mode} pool={pool} chunk={plan['chunk']}"
 
-    fused_finals, fused_metrics, fused_hooks = _drive(
-        model, requests, plan, InferenceEngine, hook_log
+    engine, fused_finals, fused_hooks = _drive(
+        model, requests, plan, _WitnessEngine, hook_log
     )
-    looped_finals, looped_metrics, looped_hooks = _drive(
+    oracle, looped_finals, looped_hooks = _drive(
         model, requests, plan, LoopedDecodeEngine, hook_log
     )
+    fused_metrics, looped_metrics = engine.metrics, oracle.metrics
 
     assert fused_finals.keys() == looped_finals.keys(), context
     for rid in fused_finals:
@@ -307,8 +309,11 @@ def _run_fuzz_seed(model, seed):
             assert f_layer == l_layer, f"{context} rid={rid}"
             assert np.array_equal(f_query, l_query), f"{context} rid={rid}"
     _assert_engine_metrics_equal(fused_metrics, looped_metrics, context)
+    # Every decode is in a counted round; the oracle runs none.
+    assert fused_metrics.decode_batch_requests == fused_metrics.decode_rounds, context
+    assert fused_metrics.decode_batch_rounds == len(engine.rounds), context
     assert looped_metrics.decode_batch_rounds == 0, context
-    return fused_metrics
+    return engine
 
 
 FUZZ_CASES = 8  # 8 x 25 = 200 seeds
@@ -316,16 +321,13 @@ FUZZ_CASES = 8  # 8 x 25 = 200 seeds
 
 @pytest.mark.parametrize("case", range(FUZZ_CASES))
 def test_fused_vs_looped_randomized_fuzz(fuzz_model, case):
-    fell_back = 0
+    flushed = 0
     for seed in range(case * 25, (case + 1) * 25):
-        metrics = _run_fuzz_seed(fuzz_model, seed)
-        # ``decode_rounds`` counts members, ``decode_batch_requests`` only
-        # those of rounds that passed the gate.
-        fell_back += metrics.decode_rounds > metrics.decode_batch_requests
-    assert fell_back > 0, "no seed of this case took the fallback"
+        flushed += _run_fuzz_seed(fuzz_model, seed).ladder_flushes > 0
+    assert flushed > 0, "no seed of this case flushed a round before a ladder run"
 
 
-# ------------------------------------------- directed fallback (gate false)
+# ----------------------------------------- directed ladder-forced flushes
 
 
 class _WitnessEngine(InferenceEngine):
@@ -333,15 +335,22 @@ class _WitnessEngine(InferenceEngine):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: sizes of the rounds that passed the gate / steps where it was false
-        self.gated_rounds: list[int] = []
-        self.gate_false_steps = 0
+        #: sizes of every decode round, in order
+        self.rounds: list[int] = []
+        #: ``(step, "round", request_ids)`` / ``(step, "reserve", request_id)``
+        #: in the order the decode phases ran them
+        self.decode_events: list[tuple] = []
+        #: rounds flushed because the next member needed the ladder
+        self.ladder_flushes = 0
         #: ``(step, request_id)`` of members parked after decoding that step
         self.parked_after_decode: list[tuple[int, str]] = []
         self._decoded_this_step: list[str] = []
+        self._in_decode_phase = False
         # Every preemption — the ladder's own and the engine's parks — goes
-        # through the component's ``preempt_victim``; witness it there.
+        # through the component's ``preempt_victim``, and every reservation
+        # through its ``ensure_blocks``; witness them there.
         preempt_victim = self.pressure.preempt_victim
+        ensure_blocks = self.pressure.ensure_blocks
 
         def witnessed(victim):
             if victim.request.request_id in self._decoded_this_step:
@@ -350,39 +359,107 @@ class _WitnessEngine(InferenceEngine):
                 )
             return preempt_victim(victim)
 
+        def witnessed_ensure(state, needed):
+            if self._in_decode_phase:
+                events = self.decode_events
+                if events and events[-1][:2] == (self.metrics.steps, "round"):
+                    self.ladder_flushes += 1
+                events.append(
+                    (self.metrics.steps, "reserve", state.request.request_id)
+                )
+            return ensure_blocks(state, needed)
+
         self.pressure.preempt_victim = witnessed
+        self.pressure.ensure_blocks = witnessed_ensure
 
     def step(self):
         self._decoded_this_step = []
         return super().step()
 
-    def _can_fuse_decodes(self, states):
-        fits = super()._can_fuse_decodes(states)
-        if fits:
-            self.gated_rounds.append(len(states))
-        else:
-            self.gate_false_steps += 1
-        return fits
+    def _decode_phase(self, decoding, new_tokens, touch):
+        self._in_decode_phase = True
+        try:
+            super()._decode_phase(decoding, new_tokens, touch)
+        finally:
+            self._in_decode_phase = False
 
     def _run_decode_batch(self, states, new_tokens):
         super()._run_decode_batch(states, new_tokens)
-        self._decoded_this_step.extend(s.request.request_id for s in states)
+        rids = [s.request.request_id for s in states]
+        self.rounds.append(len(rids))
+        self.decode_events.append((self.metrics.steps, "round", rids))
+        self._decoded_this_step.extend(rids)
 
 
-def _directed_request(rng, rid, prompt_len, priority=0):
+def _directed_request(rng, rid, prompt_len, priority=0, hook=None):
     return Request(
         prompt_ids=rng.integers(4, 128, size=prompt_len).tolist(),
         request_id=rid,
         sampling=SamplingParams(max_new_tokens=6, observation_window=8),
         policy_spec=_policy_spec("pqcache"),
         qos=RequestQoS(priority=priority),
+        selection_hook=hook,
     )
+
+
+def test_free_list_covering_two_of_four_members_flushes_then_reserves(fuzz_model):
+    """One round of two, then the ladder, then one round of the rest.
+
+    One-token blocks, so every member's append needs exactly one block, and
+    a pool sized so that the first step decoding all of ``a``-``d`` finds
+    two free blocks: ``a`` and ``b`` run as one round, ``c``'s reservation
+    reclaims the retained ``warm`` output's blocks, and ``c`` and ``d``
+    both fit what that freed."""
+
+    def run(engine_cls):
+        rng = np.random.default_rng(3)
+        hook_log: dict = {}
+        engine = engine_cls(
+            fuzz_model,
+            scheduler_config=SchedulerConfig(max_batch_size=4),
+            enable_prefix_caching=True,
+            kv_block_size=1,
+            kv_pool_blocks=132,
+        )
+        engine.run([_directed_request(rng, "warm", 30)])
+        for index, rid in enumerate("abcd"):
+            log = hook_log.setdefault(rid, [])
+
+            def hook(layer_index, query, kvcache, normalised, _log=log):
+                _log.append((layer_index, query.copy()))
+
+            engine.submit(_directed_request(rng, rid, 20 + 2 * index, hook=hook))
+        return engine, engine.run(), hook_log
+
+    engine, finals, hooks = run(_WitnessEngine)
+    oracle, oracle_finals, oracle_hooks = run(LoopedDecodeEngine)
+
+    full_steps = [
+        step for step in sorted({e[0] for e in engine.decode_events})
+        if sum(len(e[2]) for e in engine.decode_events
+               if e[:2] == (step, "round")) == 4
+    ]
+    first = [e[1:] for e in engine.decode_events if e[0] == full_steps[0]]
+    assert first == [
+        ("round", ["a", "b"]), ("reserve", "c"), ("round", ["c", "d"]),
+    ]
+    assert engine.metrics.preemptions == 0
+
+    assert finals.keys() == oracle_finals.keys() == set("abcd")
+    for rid in finals:
+        _assert_outputs_equal(finals[rid], oracle_finals[rid], f"rid={rid}")
+        assert len(hooks[rid]) == len(oracle_hooks[rid]) > 0, rid
+        for (f_layer, f_query), (l_layer, l_query) in zip(
+            hooks[rid], oracle_hooks[rid]
+        ):
+            assert f_layer == l_layer and np.array_equal(f_query, l_query), rid
+    _assert_engine_metrics_equal(engine.metrics, oracle.metrics, "two of four")
 
 
 @pytest.mark.parametrize("mode", ["swap", "recompute"])
 def test_later_reservation_parks_member_that_already_decoded(fuzz_model, mode):
-    """Gate false, and member *j*'s reservation preempts member *i* < *j*
-    only after *i* has decoded and been billed this step.
+    """Member *j*'s reservation preempts member *i* < *j* only after *i*
+    has decoded and been billed this step: the ladder flushes *i* first.
 
     ``low`` is admitted first, so it decodes first; ``high`` outranks it and
     takes its blocks when both cross a block boundary with one block free.
@@ -407,7 +484,7 @@ def test_later_reservation_parks_member_that_already_decoded(fuzz_model, mode):
     engine, finals = run(_WitnessEngine)
     oracle, oracle_finals = run(LoopedDecodeEngine)
 
-    assert engine.gate_false_steps >= 1
+    assert engine.ladder_flushes >= 1
     assert [rid for _, rid in engine.parked_after_decode] == ["low"]
     assert engine.metrics.preemptions >= 1
 
@@ -418,22 +495,21 @@ def test_later_reservation_parks_member_that_already_decoded(fuzz_model, mode):
     _assert_engine_metrics_equal(engine.metrics, oracle.metrics, mode)
     assert engine.metrics.clock == oracle.metrics.clock
 
-    # The shape counters describe gated rounds only; fallback rounds of one
-    # are in ``decode_rounds`` but not in them.
+    # The shape counters describe every round, the flushed ones included.
     metrics = engine.metrics
-    assert metrics.decode_batch_rounds == len(engine.gated_rounds)
-    assert metrics.decode_batch_requests == sum(engine.gated_rounds)
-    assert metrics.decode_rounds > metrics.decode_batch_requests
-    assert sum(metrics.decode_batch_size_histogram.values()) == len(engine.gated_rounds)
+    assert metrics.decode_batch_rounds == len(engine.rounds)
+    assert metrics.decode_batch_requests == sum(engine.rounds) == metrics.decode_rounds
+    assert sum(metrics.decode_batch_size_histogram.values()) == len(engine.rounds)
 
 
 def test_stage_seconds_cover_rounds_that_fall_back(fuzz_model):
-    """A run in which *every* round falls back still fills the stage timers.
+    """A run in which *every* member needs the ladder still fills the stage
+    timers and counts every round.
 
     One-token blocks and a pool kept full by a finished request's cached
     chain: every appended token needs a block the free list does not have
-    (the ladder evicts one cached block each time), so the gate is false on
-    every decode step."""
+    (the ladder evicts one cached block each time), so each step flushes
+    ``a`` as a round of one before ``b`` reserves."""
 
     def run(engine_cls):
         rng = np.random.default_rng(9)
@@ -458,8 +534,11 @@ def test_stage_seconds_cover_rounds_that_fall_back(fuzz_model):
     decoded = metrics.decode_rounds - before.decode_rounds
     assert decoded == 12
     assert metrics.preemptions == 0
-    assert metrics.decode_batch_rounds == before.decode_batch_rounds
-    assert metrics.decode_batch_requests == before.decode_batch_requests
+    rounds = engine.rounds[before.decode_batch_rounds:]
+    assert rounds == [1] * decoded
+    assert metrics.decode_batch_rounds - before.decode_batch_rounds == decoded
+    assert metrics.decode_batch_requests - before.decode_batch_requests == decoded
+    assert engine.ladder_flushes > 0
     for stage in ("select", "score", "topk", "assemble", "gather", "attention",
                   "maintenance"):
         name = f"decode_{stage}_seconds"
@@ -467,7 +546,7 @@ def test_stage_seconds_cover_rounds_that_fall_back(fuzz_model):
 
     for rid in finals:
         _assert_outputs_equal(finals[rid], oracle_finals[rid], f"rid={rid}")
-    _assert_engine_metrics_equal(metrics, oracle.metrics, "all rounds fall back")
+    _assert_engine_metrics_equal(metrics, oracle.metrics, "every member on the ladder")
 
 
 # ------------------------------------------------------------ cluster fuzz
