@@ -22,7 +22,6 @@ from .kvcache import (
 )
 from .kvcodec import (
     CODEC_NAMES,
-    BytePlaneCodec,
     EncodedKV,
     Int4OutlierCodec,
     IntQuantCodec,
@@ -62,7 +61,6 @@ __all__ = [
     "SwapSpace",
     "TokenSegments",
     "CODEC_NAMES",
-    "BytePlaneCodec",
     "EncodedKV",
     "Int4OutlierCodec",
     "IntQuantCodec",

@@ -790,18 +790,17 @@ class SwapSpace:
     NVMe traffic.
 
     Every chain passes through a :class:`~repro.llm.kvcodec.KVBlockCodec`
-    on the way down: the default (or per-call) codec encodes stored block
-    copies into :class:`~repro.llm.kvcodec.EncodedKV` payloads whose
-    ``wire_nbytes`` is what the links actually carry.  The default
-    :class:`~repro.llm.kvcodec.RawCodec` keeps wire == logical, so a
-    codec-less configuration bills exactly what it always did.
+    on the way down, which encodes stored block copies into
+    :class:`~repro.llm.kvcodec.EncodedKV` payloads whose ``wire_nbytes`` is
+    what the links actually carry.  Chains are parked raw (wire == logical)
+    unless ``swap_out`` is handed a codec — the prefix cache's opt-in lossy
+    spill.
     """
 
     def __init__(
         self,
         cpu_capacity_blocks: int | None = None,
         disk_capacity_blocks: int | None = None,
-        codec: "KVBlockCodec | None" = None,
     ) -> None:
         if cpu_capacity_blocks is not None and cpu_capacity_blocks < 0:
             raise ConfigurationError("cpu_capacity_blocks must be >= 0 or None")
@@ -809,8 +808,6 @@ class SwapSpace:
             raise ConfigurationError("disk_capacity_blocks must be >= 0 or None")
         self.cpu_capacity_blocks = cpu_capacity_blocks
         self.disk_capacity_blocks = disk_capacity_blocks
-        #: codec applied to stored copies unless ``swap_out`` overrides it
-        self.codec: KVBlockCodec = codec if codec is not None else RawCodec()
         #: parked handles in arrival order (oldest first) — demotion order
         self._handles: list[SwappedBlocks] = []
         self.stats = SwapSpaceStats()
@@ -900,8 +897,9 @@ class SwapSpace:
             block_ids: chain to move, in order.
             tier: ``"cpu"`` (default; demotes older entries to disk under
                 pressure) or ``"disk"`` (direct cold spill).
-            codec: overrides the space's default codec for this chain (the
-                prefix cache uses this for lossy-on-spill configs).
+            codec: encodes the stored copies (``None`` parks them raw at
+                the pool's modelled width; the prefix cache passes its
+                spill codec).
 
         Returns:
             A single-use :class:`SwappedBlocks` handle.
@@ -911,7 +909,8 @@ class SwapSpace:
         """
         if tier not in ("cpu", "disk"):
             raise ConfigurationError(f"unknown swap tier {tier!r}")
-        codec = codec if codec is not None else self.codec
+        if codec is None:
+            codec = RawCodec(allocator.dtype_bytes)
         shared = [allocator.refcount(b) > 1 for b in block_ids]
         needed = sum(1 for s in shared if not s)
         if tier == "cpu":
@@ -1083,7 +1082,6 @@ class SwapSpace:
             "disk_blocks": self.disk_blocks,
             "cpu_capacity_blocks": self.cpu_capacity_blocks,
             "disk_capacity_blocks": self.disk_capacity_blocks,
-            "codec": self.codec.name,
             "swapped_out": self.stats.swapped_out,
             "swapped_in": self.stats.swapped_in,
             "demoted": self.stats.demoted,

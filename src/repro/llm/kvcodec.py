@@ -3,16 +3,12 @@
 Every byte a KV block moves down the memory hierarchy — preemption swap-out
 (GPU → CPU), CPU → disk demotion, cold prefix-chain spill, cross-worker
 migration — crosses the simulated PCIe/NVMe links at the *wire* size this
-module produces.  Two codec families exist:
+module produces.  The engine parks KV raw and offers lossy codecs as opt-ins:
 
-* **Lossless** (:class:`BytePlaneCodec`, the engine default): the modelled
-  storage dtype's byte image (fp16 by default) is split into byte planes and
-  each plane billed at whichever of three bitwise-invertible encodings is
-  smallest — raw, run-length, or palette bit-packing.  Exponent/sign planes
-  of real KV tensors concentrate on few values and pack well; mantissa
-  planes are near-random and stay raw, so the overall ratio is modest
-  (1.03x measured on the bench's chat KV) but the restore is *exact*.  This
-  is the only family allowed on paths covered by the byte-identity invariant.
+* **Raw** (:class:`RawCodec`, the default on every path): wire bytes equal
+  logical bytes and no CPU stage is billed, so a restore is exact and costs
+  only its transfer.  Preemption swap-out and CPU → disk demotion — the
+  paths the byte-identity invariant covers — always use it.
 * **Lossy** (:class:`IntQuantCodec` int8/int4 per-channel à la KVQuant,
   :class:`Int4OutlierCodec` with exact outlier extraction à la MILLION):
   opt-in per engine config, only for quality-tolerant spilled prefix chains
@@ -21,15 +17,10 @@ module produces.  Two codec families exist:
   encoding is deterministic — the same block always produces the same bytes.
 
 The NumPy substrate stores KV as float64 arrays that *model* fp16 storage
-(``ModelConfig.dtype_bytes``); the raw tiers have always billed fp16 bytes
-for float64 payloads.  The lossless codec follows the same convention:
-``byteplane`` is a *size model* — the wire size of the modelled-dtype image
-is evaluated arithmetically (:func:`byteplane_wire_nbytes`; the packer whose
-blob length it equals, with its bitwise inverse, is the property-tested
-oracle ``tests/byteplane_oracle.py``), and restores are exact because the
-parked payload is the substrate's float64 values, not the image.
-Lossy codecs genuinely round-trip through their quantised form — a lossy
-restore differs from the original, within the declared bound.
+(``ModelConfig.dtype_bytes``): logical and raw wire bytes are counted at the
+modelled width, while the parked raw payload is the substrate's float64
+values.  Lossy codecs genuinely round-trip through their quantised form — a
+lossy restore differs from the original, within the declared bound.
 """
 
 from __future__ import annotations
@@ -44,57 +35,11 @@ __all__ = [
     "EncodedKV",
     "KVBlockCodec",
     "RawCodec",
-    "BytePlaneCodec",
     "IntQuantCodec",
     "Int4OutlierCodec",
-    "byteplane_wire_nbytes",
     "get_codec",
     "CODEC_NAMES",
 ]
-
-#: modelled element width -> numpy dtype of the storage image
-_IMAGE_DTYPES = {2: np.float16, 4: np.float32, 8: np.float64}
-
-
-# ------------------------------------------------------------- byte planes
-
-
-def byteplane_wire_nbytes(image: np.ndarray) -> int:
-    """Bytes the byte-plane format spends on ``image``, without building it.
-
-    The format views the array as raw bytes, splits them into ``itemsize``
-    planes (plane ``i`` holds byte ``i`` of every element) and stores each
-    plane in the smallest of three bitwise-invertible encodings behind a
-    5-byte record header (mode u8 + payload length u32le): raw (``n``
-    bytes), run-length as (count u8, value u8) pairs with runs split at 255
-    (``2 * sum(ceil(len / 255))``), or a palette of ``2 <= d <= 128``
-    distinct bytes plus bit-packed indices (``1 + d + ceil(n * bits / 8)``).
-    The packer itself is ``tests/byteplane_oracle.py``; this returns exactly
-    the length of its blob from one histogram and one run count per plane.
-    """
-    image = np.ascontiguousarray(image)
-    itemsize = image.dtype.itemsize
-    planes = image.reshape(-1).view(np.uint8).reshape(-1, itemsize)
-    n = planes.shape[0]
-    total = 5 * itemsize
-    for i in range(itemsize):
-        plane = planes[:, i]
-        best = n
-        d = int(np.count_nonzero(np.bincount(plane, minlength=256)))
-        if 2 <= d <= 128:
-            best = min(best, 1 + d + (n * (d - 1).bit_length() + 7) // 8)
-        changes = plane[1:] != plane[:-1]
-        if 2 * (int(np.count_nonzero(changes)) + 1) < best:
-            # Run-length spends >= 2 bytes per run, so only now can it win
-            # and only now are the run lengths worth materialising.
-            edges = np.flatnonzero(changes)
-            lengths = np.diff(edges, prepend=-1, append=n - 1)
-            best = min(best, 2 * int(((lengths + 254) // 255).sum()))
-        total += best
-    return total
-
-
-# ------------------------------------------------------------------ codecs
 
 
 @dataclass(eq=False)
@@ -192,49 +137,6 @@ class RawCodec(KVBlockCodec):
         return EncodedKV(
             codec=self.name, shape=array.shape, logical_nbytes=logical,
             wire_nbytes=logical, payload=array.copy(), decoder=self,
-        )
-
-    def decode(self, encoded: EncodedKV) -> np.ndarray:
-        self._check(encoded)
-        return encoded.payload
-
-
-class BytePlaneCodec(KVBlockCodec):
-    """Lossless byte-plane packing of the modelled-dtype image.
-
-    The wire size is :func:`byteplane_wire_nbytes` of the block's
-    modelled-dtype (fp16 by default) byte image; the parked payload keeps
-    the exact substrate values, so the restore is bit-for-bit — the codec
-    is safe wherever the byte-identity invariant applies.  Worst case
-    (incompressible planes) the wire size exceeds the logical size by the
-    5-byte per-plane record headers only.
-    """
-
-    name = "byteplane"
-    lossless = True
-    _ENCODE_FLOPS_PER_BYTE = 6.0
-    _DECODE_FLOPS_PER_BYTE = 3.0
-
-    def __init__(self, dtype_bytes: int = 2) -> None:
-        super().__init__(dtype_bytes)
-        if dtype_bytes not in _IMAGE_DTYPES:
-            raise ConfigurationError(
-                "byteplane codec needs a float storage image "
-                f"(dtype_bytes in {sorted(_IMAGE_DTYPES)}), got {dtype_bytes}"
-            )
-        self._image_dtype = _IMAGE_DTYPES[dtype_bytes]
-
-    def encode(self, array: np.ndarray) -> EncodedKV:
-        array = np.asarray(array, dtype=np.float64)
-        # The image only sizes the wire: a value beyond the storage dtype's
-        # range sizes like its ``inf`` image, silently.
-        with np.errstate(over="ignore"):
-            image = array.astype(self._image_dtype)
-        return EncodedKV(
-            codec=self.name, shape=array.shape,
-            logical_nbytes=self.logical_nbytes(array),
-            wire_nbytes=byteplane_wire_nbytes(image),
-            payload=array.copy(), decoder=self,
         )
 
     def decode(self, encoded: EncodedKV) -> np.ndarray:
@@ -422,7 +324,6 @@ class Int4OutlierCodec(IntQuantCodec):
 
 _CODEC_FACTORIES = {
     "raw": lambda dtype_bytes: RawCodec(dtype_bytes),
-    "byteplane": lambda dtype_bytes: BytePlaneCodec(dtype_bytes),
     "int8": lambda dtype_bytes: IntQuantCodec(8, dtype_bytes),
     "int4": lambda dtype_bytes: IntQuantCodec(4, dtype_bytes),
     "int4-outlier": lambda dtype_bytes: Int4OutlierCodec(dtype_bytes),

@@ -107,9 +107,9 @@ class ClusterFrontend:
         migration_codec: KV codec (name or
             :class:`~repro.llm.kvcodec.KVBlockCodec` instance) applied to
             GPU-resident blocks of a migrated chain; spilled blocks travel
-            in their parked encoded form either way.  Defaults to the
-            lossless ``"byteplane"``; migration is an opt-in lossy surface,
-            so ``"int8"``/``"int4"``/``"int4-outlier"`` are accepted and
+            in their parked encoded form either way.  Defaults to
+            ``"raw"``; migration is an opt-in lossy surface, so
+            ``"int8"``/``"int4"``/``"int4-outlier"`` are accepted and
             restore within their declared per-element error bound on the
             importing worker.
         **worker_kwargs: forwarded to every
@@ -125,7 +125,7 @@ class ClusterFrontend:
         num_workers: int = 2,
         placement: str = "cache_aware",
         migrate_on_miss: bool = False,
-        migration_codec: "str | KVBlockCodec | None" = "byteplane",
+        migration_codec: "str | KVBlockCodec | None" = "raw",
         **worker_kwargs,
     ) -> None:
         if num_workers < 1:

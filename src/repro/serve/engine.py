@@ -156,19 +156,19 @@ class InferenceEngine:
             (KV blocks plus their PQ-snapshot/aggregate payloads) spill here
             instead of being freed and restore bitwise on later hits — PQ
             codes are ~1/64th the KV bytes, so snapshot spill is nearly free.
-        kv_swap_codec: KV block codec (name or
-            :class:`~repro.llm.kvcodec.KVBlockCodec` instance) applied on
-            every downward tier transition the byte-identity invariant
-            covers: preemption swap-out and CPU→disk demotion.  Must be
-            lossless (``"raw"`` or the default ``"byteplane"``); transfers
-            are billed at the encoded *wire* size with the codec's CPU
-            stages on the timeline, while the ``swap_*_bytes`` metrics keep
-            counting logical bytes.
-        kv_spill_codec: codec for cold prefix chains spilled to the disk
-            tier; defaults to ``kv_swap_codec``.  This is the opt-in lossy
-            surface: ``"int8"``/``"int4"``/``"int4-outlier"`` trade exact
-            restores on spilled-chain cache hits for NVMe bandwidth, within
-            the codec's declared per-element error bound.
+            Preemption swap-out and CPU→disk demotion park KV raw (wire
+            bytes equal logical bytes, no codec stage), so swapped chains
+            restore bitwise.
+        kv_spill_codec: KV block codec (name or
+            :class:`~repro.llm.kvcodec.KVBlockCodec` instance) for cold
+            prefix chains spilled to the disk tier; ``None`` parks them raw
+            like swap-out.  This is the opt-in lossy surface:
+            ``"int8"``/``"int4"``/``"int4-outlier"`` trade exact restores on
+            spilled-chain cache hits for NVMe bandwidth, within the codec's
+            declared per-element error bound; transfers are billed at the
+            encoded *wire* size with the codec's CPU stages on the
+            timeline, while the ``spill_*_bytes`` metrics keep counting
+            logical bytes.
         cache_decoded_blocks: also cache the blocks a request fills while
             *decoding*, so a follow-up turn embedding the answer reuses them.
             **Approximate reuse — off by default**: decoded tokens' KV was
@@ -197,7 +197,6 @@ class InferenceEngine:
         cache_decoded_blocks: bool = False,
         swap_cpu_blocks: int | None = None,
         swap_disk_blocks: int | None = None,
-        kv_swap_codec: "str | KVBlockCodec | None" = "byteplane",
         kv_spill_codec: "str | KVBlockCodec | None" = None,
         slo_tuner: "SLOTuner | None" = None,
     ) -> None:
@@ -231,8 +230,6 @@ class InferenceEngine:
         self.block_allocator: BlockAllocator | None = None
         self.prefix_cache: PrefixCache | None = None
         self.swap_space: SwapSpace | None = None
-        self.kv_swap_codec: KVBlockCodec | None = None
-        self.kv_spill_codec: KVBlockCodec | None = None
         self.cache_decoded_blocks = cache_decoded_blocks
         #: the pool-pressure ladder and transfer ledger over the three
         #: attributes above; ``None`` exactly when they are (no paged pool,
@@ -243,21 +240,6 @@ class InferenceEngine:
         self._final_outputs: dict[str, RequestOutput] = {}
         if enable_prefix_caching:
             config = model.config
-            swap_codec = get_codec(kv_swap_codec, config.dtype_bytes)
-            if not swap_codec.lossless:
-                raise ConfigurationError(
-                    f"kv_swap_codec {swap_codec.name!r} is lossy: preemption "
-                    "swap and CPU→disk demotion must restore bitwise (the "
-                    "byte-identity invariant) — lossy codecs are only "
-                    "allowed on spilled prefix chains (kv_spill_codec) and "
-                    "migration"
-                )
-            spill_codec = (
-                get_codec(kv_spill_codec, config.dtype_bytes)
-                if kv_spill_codec is not None else swap_codec
-            )
-            self.kv_swap_codec = swap_codec
-            self.kv_spill_codec = spill_codec
             self.block_allocator = BlockAllocator(
                 config.num_layers,
                 config.num_kv_heads,
@@ -269,12 +251,11 @@ class InferenceEngine:
             self.swap_space = SwapSpace(
                 cpu_capacity_blocks=swap_cpu_blocks,
                 disk_capacity_blocks=swap_disk_blocks,
-                codec=swap_codec,
             )
             self.prefix_cache = PrefixCache(
                 self.block_allocator,
                 spill_store=self.swap_space,
-                spill_codec=spill_codec,
+                spill_codec=get_codec(kv_spill_codec, config.dtype_bytes),
             )
             self.block_allocator.eviction_hook = self.prefix_cache.evict
             self.pressure = PoolPressure(

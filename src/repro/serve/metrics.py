@@ -497,10 +497,10 @@ class EngineMetrics:
     spill_in_bytes: float = 0.0
     swap_seconds: float = 0.0
     #: KV-codec accounting: the ``*_bytes`` counters above are *logical*
-    #: (modelled raw size — identical between raw-tier and lossless-codec
-    #: runs); the ``*_wire_bytes`` ones are what actually crossed the
-    #: PCIe/NVMe links after encoding, and the ``codec_*_seconds`` are the
-    #: simulated CPU time of the encode/decode stages billed to the clock.
+    #: (modelled raw size, whatever codec parked them); the ``*_wire_bytes``
+    #: ones are what actually crossed the PCIe/NVMe links after encoding
+    #: (equal for raw), and the ``codec_*_seconds`` are the simulated CPU
+    #: time of a lossy spill codec's encode/decode stages on the clock.
     swap_out_wire_bytes: float = 0.0
     swap_in_wire_bytes: float = 0.0
     spill_out_wire_bytes: float = 0.0

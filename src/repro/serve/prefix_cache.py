@@ -365,12 +365,11 @@ class PrefixCache:
             preserved, pool block freed) and later matches restore them.
             Without it eviction frees cold chains permanently, as before.
         spill_codec: :class:`~repro.llm.kvcodec.KVBlockCodec` applied to
-            spilled chains on the way down (``None`` uses the spill store's
-            default codec).  Spilled prefix chains are the one downward
-            path where *lossy* codecs are permitted: a restore then differs
-            from the original within the codec's declared per-element error
-            bound, trading exact byte identity on cache hits for NVMe
-            bandwidth.
+            spilled chains on the way down (``None`` parks them raw).
+            Spilled prefix chains are the one downward path where *lossy*
+            codecs are permitted: a restore then differs from the original
+            within the codec's declared per-element error bound, trading
+            exact byte identity on cache hits for NVMe bandwidth.
 
     Attributes:
         observer: optional residency-event subscriber (duck-typed; the
@@ -397,7 +396,10 @@ class PrefixCache:
         self._tick = 0
         self.stats = PrefixCacheStats()
         self.spill_store = spill_store
-        self.spill_codec = spill_codec
+        self.spill_codec: KVBlockCodec = (
+            spill_codec if spill_codec is not None
+            else RawCodec(allocator.dtype_bytes)
+        )
         self.observer = None
         #: ids of PQSnapshots whose payload is currently accounted as
         #: disk-resident (so a snapshot shared by many spilled nodes is

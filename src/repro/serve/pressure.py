@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from ..errors import CapacityError
 from ..llm.kvcache import BlockAllocator, BlockTable, PagedKVCache, SwapSpace
-from ..llm.kvcodec import KVBlockCodec
 from ..memory.latency import LatencyModel
 from .metrics import EngineMetrics
 from .prefix_cache import PrefixCache
@@ -110,52 +109,23 @@ class PoolPressure:
         if state is not None:
             state.metrics.swap_seconds += seconds
 
-    def _down_seconds(
-        self, codec: "KVBlockCodec | None", kv_bytes: float, wire: float,
-        disk_wire: float,
-    ) -> float:
-        """Time of one downward transfer: codec encode → D2H → disk write.
-
-        The links carry wire bytes (``disk_wire`` of them continue to NVMe);
-        encoding ``kv_bytes`` logical bytes is a CPU stage ahead of the D2H,
-        also booked as ``codec_encode_seconds``.  ``codec=None``: nothing was
-        freshly encoded (demotions of already-parked entries only).
-        """
-        if codec is None:
-            return self.latency.swap_out_seconds(wire, disk_wire)
-        encode_flops = codec.encode_flops(kv_bytes)
-        seconds = self.latency.swap_out_seconds(wire, disk_wire, encode_flops)
-        self.metrics.codec_encode_seconds += self.latency.codec_seconds(encode_flops)
-        return seconds
-
-    def _up_seconds(
-        self, codec: KVBlockCodec, kv_bytes: float, wire: float, disk_wire: float
-    ) -> float:
-        """Time of one upward transfer: disk read → H2D → codec decode."""
-        decode_flops = codec.decode_flops(kv_bytes)
-        seconds = self.latency.swap_in_seconds(wire, disk_wire, decode_flops)
-        self.metrics.codec_decode_seconds += self.latency.codec_seconds(decode_flops)
-        return seconds
-
     def _bill_swap_out(
         self,
         state: "RequestState | None",
         blocks: int,
         wire: float,
         demoted_wire: float,
-        codec: "KVBlockCodec | None" = None,
     ) -> None:
         """The downward bill of the swap path: ``blocks`` freshly stored
         positions left the GPU as ``wire`` bytes and forced ``demoted_wire``
         bytes of CPU→disk demotion writes.
 
-        Metrics count logical (pre-codec) bytes so raw-vs-lossless runs stay
-        counter-identical; the clock is charged the wire bytes plus the
-        encode stage.  ``state`` is the request whose chain moved (``None``
-        when only demotions landed).
+        Swapped chains are parked raw, so there is no codec stage: the clock
+        is charged the D2H leg and the disk write.  ``state`` is the request
+        whose chain moved (``None`` when only demotions landed).
         """
         nbytes = float(blocks * self.block_nbytes())
-        self._charge(self._down_seconds(codec, nbytes, wire, demoted_wire), state)
+        self._charge(self.latency.swap_out_seconds(wire, demoted_wire), state)
         self.metrics.swap_out_blocks += blocks
         self.metrics.swap_out_bytes += nbytes
         self.metrics.swap_out_wire_bytes += wire
@@ -182,7 +152,10 @@ class PoolPressure:
         inside prefix lookups, so their PCIe/NVMe time is settled from the
         cache's stat deltas: spilled KV crosses D2H then the disk write;
         restored KV is read from disk and crosses H2D; artifact payloads
-        (accumulated scores, PQ snapshots) ride the disk leg only.
+        (accumulated scores, PQ snapshots) ride the disk leg only.  The
+        links carry the spill codec's wire bytes, and its encode / decode
+        of the logical KV bytes are CPU stages on the same timelines, also
+        booked as ``codec_*_seconds`` (zero for raw).
         """
         stats = self.prefix_cache.stats
         now = (
@@ -199,24 +172,26 @@ class PoolPressure:
         self._spill_settled = now
         block_bytes = self.block_nbytes()
         codec = self.prefix_cache.spill_codec
-        if codec is None:
-            codec = self.swap_space.codec
         # Both directions land on the clock as *one* addition.
         seconds = 0.0
         if out_blocks or out_payload:
             kv_bytes = float(out_blocks * block_bytes)
             kv_wire = float(out_wire)
-            seconds += self._down_seconds(
-                codec, kv_bytes, kv_wire, kv_wire + float(out_payload)
+            flops = codec.encode_flops(kv_bytes)
+            seconds += self.latency.swap_out_seconds(
+                kv_wire, kv_wire + float(out_payload), flops
             )
+            self.metrics.codec_encode_seconds += self.latency.codec_seconds(flops)
             self.metrics.spill_out_bytes += kv_bytes + float(out_payload)
             self.metrics.spill_out_wire_bytes += kv_wire + float(out_payload)
         if in_blocks or in_payload:
             kv_bytes = float(in_blocks * block_bytes)
             kv_wire = float(in_wire)
-            seconds += self._up_seconds(
-                codec, kv_bytes, kv_wire, kv_wire + float(in_payload)
+            flops = codec.decode_flops(kv_bytes)
+            seconds += self.latency.swap_in_seconds(
+                kv_wire, kv_wire + float(in_payload), flops
             )
+            self.metrics.codec_decode_seconds += self.latency.codec_seconds(flops)
             self.metrics.spill_in_bytes += kv_bytes + float(in_payload)
             self.metrics.spill_in_wire_bytes += kv_wire + float(in_payload)
         self._charge(seconds)
@@ -421,8 +396,7 @@ class PoolPressure:
                 # tier room (moved can be 0 with demoted bytes > 0; those
                 # are on the clock but not on this request).
                 self._bill_swap_out(
-                    state if moved else None, moved, wire, demoted_wire,
-                    handle.codec,
+                    state if moved else None, moved, wire, demoted_wire
                 )
             if moved:
                 return True
@@ -494,7 +468,6 @@ class PoolPressure:
             handle.stored_blocks,
             float(handle.stored_wire_nbytes),
             float(stats.demoted_wire_bytes - demoted_wire_before),
-            handle.codec,
         )
         self.metrics.count("preemptions", victim.priority, victim.tenant)
         self.metrics.preemptions_swap += 1
@@ -618,15 +591,14 @@ class PoolPressure:
         stored = handle.stored_blocks
         wire = float(handle.stored_wire_nbytes)
         disk_wire = wire if handle.tier == "disk" else 0.0
-        codec = handle.codec
         new_ids = self.swap_space.swap_in(handle, self.allocator)
         state.paged.table = BlockTable(self.allocator, new_ids)
         state.swap_handle = None
         state.status = state.resume_status
 
-        # The upward bill: disk read → H2D → codec decode.
+        # The upward bill: disk read → H2D (raw chains need no decode stage).
         nbytes = float(stored * self.block_nbytes())
-        self._charge(self._up_seconds(codec, nbytes, wire, disk_wire), state)
+        self._charge(self.latency.swap_in_seconds(wire, disk_wire), state)
         self.metrics.swap_in_blocks += stored
         self.metrics.swap_in_bytes += nbytes
         self.metrics.swap_in_wire_bytes += wire

@@ -15,7 +15,8 @@ recompute preemption — and asserts after every engine step:
   (some request always progresses);
 * **byte-identity**: every finished request's tokens *and* per-step logits
   are bitwise equal to the same request served by an uncontended
-  (unbounded-pool) engine, under both preemption modes;
+  (unbounded-pool) engine, under both preemption modes — unless the seed
+  spills through a lossy codec and restores from it;
 * **QoS order**: requests carry random priority/tenant tags; the waiting
   queue stays priority-sorted, and the engine's victim log shows no
   cross-class priority inversion (a victim never outranks its claimant) and
@@ -90,8 +91,8 @@ def _policy_spec(name):
 
 
 def _make_engine(model, pool_blocks, mode, chunk, block_size=8,
-                 swap_codec="byteplane", spill_codec=None,
-                 proactive=None, shed_deadlines=True, batch=4):
+                 spill_codec=None, proactive=None, shed_deadlines=True,
+                 batch=4):
     return InferenceEngine(
         model,
         scheduler_config=SchedulerConfig(
@@ -105,7 +106,6 @@ def _make_engine(model, pool_blocks, mode, chunk, block_size=8,
         kv_block_size=block_size,
         kv_pool_blocks=pool_blocks,
         max_retained_outputs=0,
-        kv_swap_codec=swap_codec,
         kv_spill_codec=spill_codec,
     )
 
@@ -285,10 +285,11 @@ def run_fuzz_seed(model, seed):
     requests = _random_requests(model, rng)
     mode = "swap" if rng.random() < 0.5 else "recompute"
     chunk = [None, 24, 40][int(rng.integers(0, 3))]
-    # Randomly toggle the lossless codec configs: byte-identity must hold
-    # whichever combination the downward tiers compress with.
-    swap_codec = ["raw", "byteplane"][int(rng.integers(0, 2))]
-    spill_codec = [None, "raw", "byteplane"][int(rng.integers(0, 3))]
+    # Spill cold chains raw, or (swap mode) through a lossy codec: the
+    # audits must hold either way.  A recompute replay that re-attaches a
+    # lossy-restored prefix re-derives other tokens than it emitted, which
+    # the engine refuses, so recompute mode spills raw.
+    spill_codec = "int4" if mode == "swap" and rng.random() < 0.4 else None
     # Randomly arm proactive swap-out: another ordering-only knob that must
     # never move the bytes.
     proactive = [None, 0.5][int(rng.integers(0, 2))]
@@ -299,7 +300,7 @@ def run_fuzz_seed(model, seed):
     pool = floor + int(rng.integers(0, 6))
     context = (
         f"seed={seed} mode={mode} chunk={chunk} pool={pool} batch={batch} "
-        f"codec={swap_codec}/{spill_codec} proactive={proactive}"
+        f"spill={spill_codec} proactive={proactive}"
     )
 
     # Uncontended ground truth: same engine configuration, unbounded pool.
@@ -311,8 +312,8 @@ def run_fuzz_seed(model, seed):
     refs = reference.run(list(requests))
 
     engine = _make_engine(model, pool, mode, chunk, block_size,
-                          swap_codec=swap_codec, spill_codec=spill_codec,
-                          proactive=proactive, batch=batch)
+                          spill_codec=spill_codec, proactive=proactive,
+                          batch=batch)
     engine.pressure.victim_log = []
     # Stagger submissions and plan a few aborts at random step indices.
     submit_at = {0: requests[:2]}
@@ -346,6 +347,8 @@ def run_fuzz_seed(model, seed):
     else:
         pytest.fail(f"{context}: engine made no progress within {step_cap} steps")
 
+    # Byte-identity holds wherever no lossy restore could feed a request.
+    exact = spill_codec is None or engine.prefix_cache.stats.restored_blocks == 0
     for request in requests:
         rid = request.request_id
         if rid in aborted:
@@ -370,7 +373,8 @@ def run_fuzz_seed(model, seed):
                 f"before its deadline {out.metrics.deadline}"
             )
             continue
-        _outputs_equal(out, refs[rid])
+        if exact:
+            _outputs_equal(out, refs[rid])
     return engine
 
 
@@ -649,7 +653,7 @@ class TestDirectedPreemption:
 
 class TestCodecToggles:
     """Codec configs on the preemption path (see also the fuzz harness,
-    which toggles lossless swap/spill codecs randomly per seed)."""
+    which spills raw or through a lossy codec per seed)."""
 
     def _swap_heavy(self, rng):
         return [
@@ -657,40 +661,29 @@ class TestCodecToggles:
             for i, p in enumerate([None, "pqcache", None, "snapkv"])
         ]
 
-    def test_lossy_swap_codec_rejected(self, fuzz_model):
-        from repro.errors import ConfigurationError
-
-        for name in ("int8", "int4", "int4-outlier"):
-            with pytest.raises(ConfigurationError):
-                _make_engine(fuzz_model, 28, "swap", 32, swap_codec=name)
-
-    def test_raw_and_byteplane_runs_are_identical(self, fuzz_model):
-        """Same schedule, raw vs byteplane: same tokens, same logits, same
-        logical counters — only the wire bytes move."""
-        finals, metrics = {}, {}
-        for codec in ("raw", "byteplane"):
-            rng = np.random.default_rng(21)
-            engine = _make_engine(fuzz_model, 28, "swap", 32,
-                                  swap_codec=codec, spill_codec=codec)
-            finals[codec] = engine.run(self._swap_heavy(rng))
-            metrics[codec] = engine.metrics
-            audit_engine(engine, f"codec={codec}")
-        raw, packed = metrics["raw"], metrics["byteplane"]
-        assert raw.preemptions_swap > 0 and packed.preemptions_swap > 0
-        for rid in finals["raw"]:
-            _outputs_equal(finals["byteplane"][rid], finals["raw"][rid])
-        # Logical accounting is codec-invariant...
-        assert packed.swap_out_bytes == raw.swap_out_bytes > 0
-        assert packed.swap_in_bytes == raw.swap_in_bytes > 0
-        assert packed.swap_out_blocks == raw.swap_out_blocks
-        # ...while the wire diverges: raw bills identity, byteplane bills
-        # the measured packed size and pays CPU codec time for it.
-        assert raw.swap_out_wire_bytes == raw.swap_out_bytes
-        assert packed.swap_out_wire_bytes != packed.swap_out_bytes
-        assert packed.swap_out_wire_bytes > 0
-        assert raw.codec_encode_seconds == 0.0
-        assert packed.codec_encode_seconds > 0.0
-        assert packed.codec_decode_seconds > 0.0
+    def test_defaults_move_raw_bytes_and_bill_no_codec_time(self, fuzz_model):
+        """Under the engine defaults every tier transition is raw: swap-out /
+        swap-in and spill / restore bill wire bytes equal to logical bytes,
+        and no codec stage reaches the clock."""
+        rng = np.random.default_rng(21)
+        requests = self._swap_heavy(rng)
+        engine = _make_engine(fuzz_model, 28, "swap", 32)
+        finals = engine.run(list(requests))
+        # The first prompt again: its chain was spilled under the pressure
+        # above, so the lookup restores it from the disk tier.
+        again = Request(prompt_ids=list(requests[0].prompt_ids),
+                        request_id="again", sampling=requests[0].sampling)
+        finals.update(engine.run([again]))
+        assert all(f.finished for f in finals.values())
+        audit_engine(engine, "defaults")
+        metrics = engine.metrics
+        assert metrics.swap_out_bytes > 0 and metrics.swap_in_bytes > 0
+        assert metrics.spill_out_bytes > 0 and metrics.spill_in_bytes > 0
+        assert metrics.swap_out_wire_bytes == metrics.swap_out_bytes
+        assert metrics.swap_in_wire_bytes == metrics.swap_in_bytes
+        assert metrics.spill_out_wire_bytes == metrics.spill_out_bytes
+        assert metrics.spill_in_wire_bytes == metrics.spill_in_bytes
+        assert metrics.codec_encode_seconds == metrics.codec_decode_seconds == 0.0
 
     def test_wire_metrics_surface_in_as_dict(self, fuzz_model):
         rng = np.random.default_rng(22)

@@ -12,7 +12,7 @@ from repro.core.pqcache import PQSnapshot
 from repro.errors import CapacityError, ConfigurationError
 from repro.llm import ModelConfig
 from repro.llm.kvcache import BlockAllocator, PagedKVCache, SwapSpace
-from repro.llm.kvcodec import BytePlaneCodec, IntQuantCodec, RawCodec
+from repro.llm.kvcodec import IntQuantCodec, RawCodec
 from repro.memory import HardwareSpec, LatencyModel, Resource
 from repro.serve import PrefixCache, chain_block_keys
 
@@ -172,39 +172,27 @@ class TestSwapSpace:
 
 
 class TestSwapSpaceCodec:
-    def test_byteplane_swap_round_trips_bitwise(self):
-        alloc = make_allocator()
-        ids = fill_blocks(alloc, 3)
-        keys = [alloc.block_keys(b).copy() for b in ids]
-        space = SwapSpace(codec=BytePlaneCodec())
-        handle = space.swap_out(alloc, ids)
-        for bid in ids:
-            alloc.decref(bid)
-        fill_blocks(alloc, 3, seed=99)  # recycle + scribble
-        new_ids = space.swap_in(handle, alloc)
-        for new_id, k in zip(new_ids, keys):
-            assert np.array_equal(alloc.block_keys(new_id), k)
-
     def test_wire_and_logical_counters(self):
         alloc = make_allocator()
-        space = SwapSpace(codec=BytePlaneCodec())
-        handle = space.swap_out(alloc, fill_blocks(alloc, 2))
+        space = SwapSpace()
+        handle = space.swap_out(alloc, fill_blocks(alloc, 2), codec=IntQuantCodec(8))
         stats = space.stats
         logical = handle.stored_logical_nbytes
         wire = handle.stored_wire_nbytes
         assert logical == 2 * alloc.block_nbytes()  # keys+values, 2 blocks
         assert stats.swapped_out_logical_bytes == logical
         assert stats.swapped_out_wire_bytes == wire
-        assert wire != logical  # byteplane re-measures the fp16 image
+        assert wire != logical  # int8 codes plus channel params
         space.swap_in(handle, alloc)
         assert stats.swapped_in_logical_bytes == logical
         assert stats.swapped_in_wire_bytes == wire
 
     def test_raw_default_wire_equals_logical(self):
         alloc = make_allocator()
-        space = SwapSpace()  # default codec is raw
-        assert isinstance(space.codec, RawCodec)
+        space = SwapSpace()
         handle = space.swap_out(alloc, fill_blocks(alloc, 2))
+        assert isinstance(handle.codec, RawCodec)  # no codec given: raw
+        assert handle.codec.dtype_bytes == alloc.dtype_bytes
         assert handle.stored_wire_nbytes == handle.stored_logical_nbytes
         assert (
             space.stats.swapped_out_wire_bytes
@@ -213,12 +201,15 @@ class TestSwapSpaceCodec:
 
     def test_demotion_tracks_wire_bytes(self):
         alloc = make_allocator()
-        space = SwapSpace(cpu_capacity_blocks=2, codec=BytePlaneCodec())
-        first = space.swap_out(alloc, fill_blocks(alloc, 2, seed=1))
+        space = SwapSpace(cpu_capacity_blocks=2)
+        first = space.swap_out(
+            alloc, fill_blocks(alloc, 2, seed=1), codec=IntQuantCodec(8)
+        )
         first_wire = first.stored_wire_nbytes
         space.swap_out(alloc, fill_blocks(alloc, 2, seed=2))
         assert first.tier == "disk"
         assert space.stats.demoted_wire_bytes == first_wire
+        assert first_wire != first.stored_logical_nbytes
         assert space.stats.demoted_logical_bytes == first.stored_logical_nbytes
 
     def test_per_call_codec_overrides_default(self):
@@ -237,8 +228,8 @@ class TestSwapSpaceCodec:
         alloc = make_allocator()
         ids = fill_blocks(alloc, 1)
         keys = alloc.block_keys(ids[0]).copy()
-        space = SwapSpace(codec=IntQuantCodec(8))
-        handle = space.swap_out(alloc, ids)
+        space = SwapSpace()
+        handle = space.swap_out(alloc, ids, codec=IntQuantCodec(8))
         bound = max(
             enc.error_bound
             for pos in (handle.keys, handle.values)
@@ -251,7 +242,7 @@ class TestSwapSpaceCodec:
 
     def test_peek_encoded_returns_parked_objects(self):
         alloc = make_allocator()
-        space = SwapSpace(codec=BytePlaneCodec())
+        space = SwapSpace()
         handle = space.swap_out(alloc, fill_blocks(alloc, 2))
         enc_keys, enc_values = space.peek_encoded(handle)
         assert enc_keys[0] is handle.keys[0]  # no decode, no re-encode
@@ -263,18 +254,18 @@ class TestSwapSpaceCodec:
         alloc = make_allocator()
         (shared,) = fill_blocks(alloc, 1)
         alloc.incref(shared)
-        space = SwapSpace(codec=BytePlaneCodec())
+        space = SwapSpace()
         handle = space.swap_out(alloc, [shared])
         assert handle.pinned_blocks == 1
         enc_keys, _ = space.peek_encoded(handle)
-        assert enc_keys[0].codec == "byteplane"
+        assert enc_keys[0].codec == "raw"
         assert np.array_equal(enc_keys[0].decode(), alloc.block_keys(shared))
 
     def test_materialize_pins_bills_wire_bytes(self):
         alloc = make_allocator()
         (shared,) = fill_blocks(alloc, 1)
         alloc.incref(shared)
-        space = SwapSpace(codec=BytePlaneCodec())
+        space = SwapSpace()
         handle = space.swap_out(alloc, [shared])
         assert space.stats.swapped_out_wire_bytes == 0  # pin moved nothing
         alloc.decref(shared)
@@ -282,13 +273,12 @@ class TestSwapSpaceCodec:
         assert space.stats.swapped_out_wire_bytes == handle.stored_wire_nbytes
         assert handle.stored_wire_nbytes > 0
 
-    def test_describe_reports_codec_and_bytes(self):
+    def test_describe_reports_bytes(self):
         alloc = make_allocator()
-        space = SwapSpace(codec=BytePlaneCodec())
+        space = SwapSpace()
         space.swap_out(alloc, fill_blocks(alloc, 1))
         info = space.describe()
-        assert info["codec"] == "byteplane"
-        assert info["swapped_out_wire_bytes"] > 0
+        assert info["swapped_out_wire_bytes"] == info["swapped_out_logical_bytes"] > 0
 
 
 # ---------------------------------------------------------- latency model
@@ -547,7 +537,7 @@ def churn(evict_of, seed, steps=400):
     """
     rng = np.random.default_rng(seed)
     alloc = make_allocator(capacity=24)
-    space = SwapSpace(disk_capacity_blocks=6, codec=BytePlaneCodec())
+    space = SwapSpace(disk_capacity_blocks=6)
     cache = PrefixCache(alloc, spill_store=space)
     cache.observer = log = EventLog()
     evict = evict_of(cache)
@@ -599,8 +589,8 @@ class TestEvictWalkAgainstOracle:
 # ----------------------------------- export / restore double-billing guard
 
 
-class CountingCodec(BytePlaneCodec):
-    """Byteplane codec that counts decode calls (double-read regression)."""
+class CountingCodec(RawCodec):
+    """Raw codec that counts decode calls (double-read regression)."""
 
     def __init__(self, dtype_bytes=2):
         super().__init__(dtype_bytes)
