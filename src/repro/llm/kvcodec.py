@@ -25,6 +25,7 @@ lossy restore differs from the original, within the declared bound.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,7 +281,8 @@ class Int4OutlierCodec(IntQuantCodec):
         masked = array.copy().reshape(-1)
         masked[outlier_idx] = np.nan
         masked = masked.reshape(array.shape)
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN channel
             lo = np.nanmin(masked, axis=-2, keepdims=True)
             hi = np.nanmax(masked, axis=-2, keepdims=True)
         # Channels that were entirely outliers have no remainder to quantise.

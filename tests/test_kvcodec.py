@@ -8,8 +8,13 @@ bytes)."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import ConfigurationError
 from repro.llm.kvcodec import (
@@ -83,6 +88,85 @@ class TestLosslessCodecs:
         assert np.array_equal(encoded.decode(), original)
 
 
+WIDTHS = [1, 2, 4, 8]
+
+#: raw takes any shape, empty and token-less ones included
+RAW_SHAPES = {
+    "block": BLOCK_SHAPE,
+    "single-token": (2, 1, 8),
+    "empty": (2, 0, 8),
+    "matrix": (5, 7),
+    "vector": (9,),
+}
+
+
+def _read_only(block):
+    block.setflags(write=False)
+    return block
+
+
+RAW_VIEWS = {
+    "strided": lambda b: b[:, ::2],
+    "transposed": lambda b: b.T,
+    "scalar": lambda b: b[0, 0, 0],
+    "read-only": _read_only,
+}
+
+
+class TestRawCodecContract:
+    """Raw is the only lossless codec and every default tier path uses it:
+    wire bytes equal logical bytes at the modelled width, and the parked
+    payload restores bit for bit whatever it holds."""
+
+    @pytest.mark.parametrize("dtype_bytes", WIDTHS)
+    @pytest.mark.parametrize("label", sorted(RAW_SHAPES))
+    def test_wire_equals_logical_at_every_width(self, label, dtype_bytes):
+        block = random_block(3, shape=RAW_SHAPES[label])
+        encoded = RawCodec(dtype_bytes).encode(block)
+        assert encoded.codec == "raw" and encoded.error_bound is None
+        assert encoded.shape == block.shape
+        assert encoded.wire_nbytes == encoded.logical_nbytes
+        assert encoded.logical_nbytes == block.size * dtype_bytes
+        restored = encoded.decode()
+        assert restored.dtype == block.dtype and restored.shape == block.shape
+        assert restored.tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("dtype_bytes", WIDTHS)
+    def test_non_finite_and_out_of_range_restore_bit_for_bit(self, dtype_bytes):
+        # The modelled width only sizes the wire: values no fp16/fp32 could
+        # hold, infinities, signed zeros and NaN payloads park as the
+        # substrate's float64 and come back unchanged.
+        block = random_block(5)
+        block[0, 0, :4] = [1e6, -1e39, np.inf, -np.inf]
+        block[1, 3, :2] = [np.nan, -0.0]
+        bits = block.view(np.uint64).copy()
+        bits[1, 3, 2] = 0x7FF8_0000_DEAD_BEEF  # a NaN with a payload
+        block = bits.view(np.float64)
+        restored = RawCodec(dtype_bytes).encode(block).decode()
+        assert np.array_equal(restored.view(np.uint64), bits)
+
+    @pytest.mark.parametrize("label", sorted(RAW_VIEWS))
+    def test_views_park_as_copies(self, label):
+        view = RAW_VIEWS[label](random_block(2))
+        encoded = RawCodec().encode(view)
+        assert encoded.wire_nbytes == np.size(view) * 2
+        restored = encoded.decode()
+        assert restored.shape == np.shape(view)
+        assert np.array_equal(restored, view)
+        assert not np.shares_memory(restored, view)
+
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=6),
+        elements=st.floats(allow_nan=True, allow_infinity=True),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_arrays_restore_bitwise(self, array):
+        encoded = RawCodec().encode(array)
+        assert encoded.wire_nbytes == encoded.logical_nbytes == array.size * 2
+        assert encoded.decode().tobytes() == array.tobytes()
+
+
 # --------------------------------------------------------------- lossy codecs
 
 
@@ -97,6 +181,31 @@ def lossy_codecs():
 def payload_bytes(encoded: EncodedKV) -> bytes:
     """Canonical byte string of a lossy payload (for determinism checks)."""
     return b"".join(np.ascontiguousarray(p).tobytes() for p in encoded.payload)
+
+
+LOSSY_NAMES = [name for name in CODEC_NAMES if name != "raw"]
+
+#: token axis is -2; odd element counts make int4 pad its last byte
+LOSSY_SHAPES = {
+    "block": BLOCK_SHAPE,
+    "odd-count": (1, 3, 5),
+    "one-token": (3, 1, 4),
+    "matrix": (7, 3),
+    "5-d": (2, 2, 1, 9, 3),
+}
+
+
+def expected_wire_nbytes(codec, shape):
+    """Codes at ``bits`` each rounded up to whole bytes, a float32
+    ``(min, scale)`` pair per channel, and per outlier a 4-byte index plus
+    the value at the modelled width."""
+    n = math.prod(shape)
+    channels = n // shape[-2]
+    wire = (n * codec.bits + 7) // 8 + channels * 2 * 4
+    if isinstance(codec, Int4OutlierCodec):
+        outliers = max(math.ceil(n * codec.outlier_fraction), 1)
+        wire += outliers * (4 + codec.dtype_bytes)
+    return wire
 
 
 class TestLossyCodecs:
@@ -171,6 +280,59 @@ class TestLossyCodecs:
         with pytest.raises(ConfigurationError):
             Int4OutlierCodec(outlier_fraction=0.0)
 
+    @pytest.mark.parametrize("name", LOSSY_NAMES)
+    @pytest.mark.parametrize("label", sorted(LOSSY_SHAPES))
+    def test_wire_bytes_and_restore_on_any_shape(self, label, name):
+        shape = LOSSY_SHAPES[label]
+        codec = get_codec(name)
+        block = random_block(23, shape=shape)
+        encoded = codec.encode(block)
+        assert encoded.wire_nbytes == expected_wire_nbytes(codec, shape)
+        assert encoded.logical_nbytes == block.size * 2
+        restored = encoded.decode()
+        assert restored.shape == shape
+        assert np.max(np.abs(restored - block)) <= encoded.error_bound
+
+    @pytest.mark.parametrize("codec", lossy_codecs(), ids=lambda c: c.name)
+    def test_restore_unaffected_by_source_mutation(self, codec):
+        block = random_block(29)
+        encoded = codec.encode(block)
+        expected = encoded.decode().copy()
+        block[...] = -1.0
+        assert np.array_equal(encoded.decode(), expected)
+
+    @pytest.mark.parametrize("bits", [8, 4])
+    def test_channels_quantise_independently(self, bits):
+        # A channel is one lane at fixed positions of every axis but the
+        # token axis: rescaling it moves its own levels and nobody else's.
+        codec = IntQuantCodec(bits)
+        block = random_block(31)
+        scaled = block.copy()
+        scaled[0, :, 3] *= 100.0
+        before, after = codec.encode(block).decode(), codec.encode(scaled).decode()
+        others = np.ones(BLOCK_SHAPE, dtype=bool)
+        others[0, :, 3] = False
+        assert np.array_equal(before[others], after[others])
+        assert not np.array_equal(before[0, :, 3], after[0, :, 3])
+
+    @pytest.mark.parametrize("fraction", [1e-6, 1.0 / 64.0, 0.1, 0.5])
+    def test_outlier_count_follows_fraction(self, fraction):
+        block = random_block(37)
+        encoded = Int4OutlierCodec(outlier_fraction=fraction).encode(block)
+        count = max(math.ceil(block.size * fraction), 1)
+        outlier_idx = encoded.payload[3]
+        assert outlier_idx.size == count
+        assert encoded.wire_nbytes == (
+            IntQuantCodec(4).encode(block).wire_nbytes + count * (4 + 2)
+        )
+        # The picked elements are the largest by magnitude; they restore
+        # exactly.
+        flat = block.reshape(-1)
+        threshold = np.sort(np.abs(flat))[-count]
+        assert np.all(np.abs(flat[outlier_idx]) >= threshold)
+        restored = encoded.decode().reshape(-1)
+        assert np.array_equal(restored[outlier_idx], flat[outlier_idx])
+
 
 # ------------------------------------------------------------------ registry
 
@@ -214,6 +376,40 @@ class TestCodecRegistry:
         assert info["name"] == "int4-outlier"
         assert info["lossless"] is False
         assert info["dtype_bytes"] == 2
+
+    @pytest.mark.parametrize("dtype_bytes", WIDTHS)
+    @pytest.mark.parametrize("name", CODEC_NAMES)
+    def test_every_name_resolves_at_every_width(self, name, dtype_bytes):
+        codec = get_codec(name, dtype_bytes=dtype_bytes)
+        assert codec.name == name and codec.dtype_bytes == dtype_bytes
+        block = random_block()
+        encoded = codec.encode(block)
+        assert encoded.codec == name and encoded.decoder is codec
+        assert encoded.logical_nbytes == block.size * dtype_bytes
+
+    @pytest.mark.parametrize("producer, consumer", [
+        (a, b) for a in CODEC_NAMES for b in CODEC_NAMES if a != b
+    ])
+    def test_decode_rejects_every_foreign_payload(self, producer, consumer):
+        encoded = get_codec(producer).encode(random_block())
+        with pytest.raises(ConfigurationError):
+            get_codec(consumer).decode(encoded)
+
+    @pytest.mark.parametrize("name", CODEC_NAMES)
+    def test_only_raw_is_lossless_and_free(self, name):
+        codec = get_codec(name)
+        is_raw = name == "raw"
+        assert codec.describe() == {
+            "name": name, "lossless": is_raw, "dtype_bytes": 2,
+        }
+        assert (codec.encode(random_block()).error_bound is None) == is_raw
+        if is_raw:
+            assert codec.encode_flops(1e6) == codec.decode_flops(1e6) == 0.0
+        else:
+            assert 0.0 < codec.decode_flops(1e6) < codec.encode_flops(1e6)
+            assert codec.encode_flops(2e6) == pytest.approx(
+                2 * codec.encode_flops(1e6)
+            )
 
     def test_logical_nbytes_uses_modelled_width(self):
         block = random_block()
