@@ -20,15 +20,6 @@ from .kvcache import (
     SwapSpace,
     TokenSegments,
 )
-from .kvcodec import (
-    CODEC_NAMES,
-    EncodedKV,
-    Int4OutlierCodec,
-    IntQuantCodec,
-    KVBlockCodec,
-    RawCodec,
-    get_codec,
-)
 from .model import (
     DECODE_ROW_BLOCK,
     PREFILL_ROW_BLOCK,
@@ -60,13 +51,6 @@ __all__ = [
     "SwappedBlocks",
     "SwapSpace",
     "TokenSegments",
-    "CODEC_NAMES",
-    "EncodedKV",
-    "Int4OutlierCodec",
-    "IntQuantCodec",
-    "KVBlockCodec",
-    "RawCodec",
-    "get_codec",
     "DECODE_ROW_BLOCK",
     "PREFILL_ROW_BLOCK",
     "BatchSelector",

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import CapacityError, ConfigurationError, DimensionError
-from .kvcodec import EncodedKV, KVBlockCodec, RawCodec
+from .kvcodec import EncodedKV, KVBlockCodec
 
 __all__ = [
     "TokenSegments",
@@ -680,13 +680,10 @@ class SwappedBlocks:
 
     * **stored** — the block was exclusively owned by the swapped request
       (refcount 1), so freeing it reclaims pool space; its contents are
-      *encoded* through the handle's codec into the handle
-      (``keys[i]``/``values[i]`` hold :class:`~repro.llm.kvcodec.EncodedKV`
-      payloads) and decoded into a freshly allocated block on swap-in.  The
-      encoded form is what occupies the tier and crosses the PCIe/NVMe
-      links — the handle's ``stored_wire_nbytes`` is the transfer size the
-      engine bills, while ``stored_logical_nbytes`` is what the raw tiers
-      would have moved.
+      parked raw in the handle (``keys[i]``/``values[i]`` hold
+      :class:`~repro.llm.kvcodec.EncodedKV` copies) and copied back into a
+      freshly allocated block on swap-in.  ``stored_logical_nbytes`` is
+      the transfer size the engine bills.
     * **pinned** — the block is *shared* (prefix cache, a forked sibling, a
       retained output), so it stays GPU-resident regardless of this request;
       the handle takes one extra reference (``pinned_ids[i]``), no bytes
@@ -704,8 +701,6 @@ class SwappedBlocks:
         tier: current residency of the stored copies — ``"cpu"`` or
             ``"disk"``.  A handle created on the CPU tier may be demoted to
             ``"disk"`` while parked.
-        codec: the :class:`~repro.llm.kvcodec.KVBlockCodec` the stored
-            positions were encoded with (pins materialised later reuse it).
     """
 
     keys: "list[EncodedKV | None]"
@@ -713,7 +708,6 @@ class SwappedBlocks:
     pinned_ids: "list[int | None]"
     allocator: "BlockAllocator"
     tier: str
-    codec: "KVBlockCodec"
 
     @property
     def num_blocks(self) -> int:
@@ -731,16 +725,8 @@ class SwappedBlocks:
         return len(self.keys) - self.stored_blocks
 
     @property
-    def stored_wire_nbytes(self) -> int:
-        """Encoded bytes the stored positions occupy (transfer size)."""
-        return sum(
-            k.wire_nbytes + v.wire_nbytes
-            for k, v in zip(self.keys, self.values) if k is not None
-        )
-
-    @property
     def stored_logical_nbytes(self) -> int:
-        """Modelled raw bytes of the stored positions (pre-codec size)."""
+        """Modelled bytes of the stored positions (the transfer size)."""
         return sum(
             k.logical_nbytes + v.logical_nbytes
             for k, v in zip(self.keys, self.values) if k is not None
@@ -751,11 +737,8 @@ class SwappedBlocks:
 class SwapSpaceStats:
     """Lifetime transfer counters of one :class:`SwapSpace`.
 
-    Block counters count chain positions; the byte counters distinguish
-    *logical* bytes (the modelled raw size a codec-less tier would move)
-    from *wire* bytes (the encoded size that actually occupies the tier and
-    crosses the link) so achieved compression ratios fall straight out of
-    their quotient.
+    Block counters count chain positions; byte counters count the modelled
+    size of the stored copies, which is what crosses the links.
     """
 
     swapped_out: int = 0
@@ -763,12 +746,9 @@ class SwapSpaceStats:
     demoted: int = 0
     discarded: int = 0
     swapped_out_logical_bytes: int = 0
-    swapped_out_wire_bytes: int = 0
     swapped_in_logical_bytes: int = 0
-    swapped_in_wire_bytes: int = 0
     #: bytes of CPU-parked handles that cascaded onward to the disk tier
     demoted_logical_bytes: int = 0
-    demoted_wire_bytes: int = 0
 
 
 class SwapSpace:
@@ -789,12 +769,8 @@ class SwapSpace:
     tag drives the byte accounting the latency model charges for PCIe and
     NVMe traffic.
 
-    Every chain passes through a :class:`~repro.llm.kvcodec.KVBlockCodec`
-    on the way down, which encodes stored block copies into
-    :class:`~repro.llm.kvcodec.EncodedKV` payloads whose ``wire_nbytes`` is
-    what the links actually carry.  Chains are parked raw (wire == logical)
-    unless ``swap_out`` is handed a codec — the prefix cache's opt-in lossy
-    spill.
+    Stored block copies are parked raw through
+    :class:`~repro.llm.kvcodec.KVBlockCodec`, so every restore is exact.
     """
 
     def __init__(
@@ -868,7 +844,6 @@ class SwapSpace:
             demoted += candidate.stored_blocks
             self.stats.demoted += candidate.stored_blocks
             self.stats.demoted_logical_bytes += candidate.stored_logical_nbytes
-            self.stats.demoted_wire_bytes += candidate.stored_wire_nbytes
             room = self._tier_room("cpu", self.cpu_capacity_blocks)
         return demoted
 
@@ -877,16 +852,14 @@ class SwapSpace:
         allocator: BlockAllocator,
         block_ids: "list[int]",
         tier: str = "cpu",
-        codec: "KVBlockCodec | None" = None,
     ) -> SwappedBlocks:
         """Move a chain out of the pool into a lower tier.
 
-        Exclusively-owned blocks (refcount 1) are encoded through the codec
-        and copied into the tier — they are the ones whose release reclaims
-        pool space.  *Shared* blocks (refcount > 1: the prefix cache or
-        another request keeps them GPU-resident anyway) are pinned by
-        reference instead: no bytes move and swap-in returns the very same
-        block, preserving sharing.
+        Exclusively-owned blocks (refcount 1) are copied into the tier —
+        they are the ones whose release reclaims pool space.  *Shared*
+        blocks (refcount > 1: the prefix cache or another request keeps
+        them GPU-resident anyway) are pinned by reference instead: no bytes
+        move and swap-in returns the very same block, preserving sharing.
 
         The caller's own pool references are *not* released here — it is
         expected to drop them (release the :class:`BlockTable`) once the
@@ -897,9 +870,6 @@ class SwapSpace:
             block_ids: chain to move, in order.
             tier: ``"cpu"`` (default; demotes older entries to disk under
                 pressure) or ``"disk"`` (direct cold spill).
-            codec: encodes the stored copies (``None`` parks them raw at
-                the pool's modelled width; the prefix cache passes its
-                spill codec).
 
         Returns:
             A single-use :class:`SwappedBlocks` handle.
@@ -909,8 +879,7 @@ class SwapSpace:
         """
         if tier not in ("cpu", "disk"):
             raise ConfigurationError(f"unknown swap tier {tier!r}")
-        if codec is None:
-            codec = RawCodec(allocator.dtype_bytes)
+        codec = KVBlockCodec(allocator.dtype_bytes)
         shared = [allocator.refcount(b) > 1 for b in block_ids]
         needed = sum(1 for s in shared if not s)
         if tier == "cpu":
@@ -930,7 +899,6 @@ class SwapSpace:
             pinned_ids=[b if s else None for b, s in zip(block_ids, shared)],
             allocator=allocator,
             tier=tier,
-            codec=codec,
         )
         for block_id, is_shared in zip(block_ids, shared):
             if is_shared:
@@ -938,7 +906,6 @@ class SwapSpace:
         self._handles.append(handle)
         self.stats.swapped_out += needed
         self.stats.swapped_out_logical_bytes += handle.stored_logical_nbytes
-        self.stats.swapped_out_wire_bytes += handle.stored_wire_nbytes
         return handle
 
     def swap_in(
@@ -969,7 +936,6 @@ class SwapSpace:
                 allocator.decref(block_id)
             raise
         restored_logical = handle.stored_logical_nbytes
-        restored_wire = handle.stored_wire_nbytes
         new_ids: list[int] = []
         fresh_iter = iter(fresh)
         for keys, values, pinned in zip(
@@ -985,7 +951,6 @@ class SwapSpace:
         self._handles.remove(handle)
         self.stats.swapped_in += len(fresh)
         self.stats.swapped_in_logical_bytes += restored_logical
-        self.stats.swapped_in_wire_bytes += restored_wire
         return new_ids
 
     def materialize_pins(self, handle: SwappedBlocks) -> int:
@@ -1001,6 +966,7 @@ class SwapSpace:
         if handle not in self._handles:
             raise ConfigurationError("unknown or consumed handle")
         materialised = 0
+        codec = KVBlockCodec(handle.allocator.dtype_bytes)
         for index, pinned in enumerate(handle.pinned_ids):
             if pinned is None:
                 continue
@@ -1016,10 +982,8 @@ class SwapSpace:
             room = self._tier_room(handle.tier, capacity)
             if room is not None and room < 1:
                 break
-            enc_keys = handle.codec.encode(handle.allocator.block_keys(pinned))
-            enc_values = handle.codec.encode(
-                handle.allocator.block_values(pinned)
-            )
+            enc_keys = codec.encode(handle.allocator.block_keys(pinned))
+            enc_values = codec.encode(handle.allocator.block_values(pinned))
             handle.keys[index] = enc_keys
             handle.values[index] = enc_values
             handle.pinned_ids[index] = None
@@ -1029,35 +993,31 @@ class SwapSpace:
             self.stats.swapped_out_logical_bytes += (
                 enc_keys.logical_nbytes + enc_values.logical_nbytes
             )
-            self.stats.swapped_out_wire_bytes += (
-                enc_keys.wire_nbytes + enc_values.wire_nbytes
-            )
         return materialised
 
     def peek_encoded(
         self, handle: SwappedBlocks
     ) -> "tuple[list[EncodedKV], list[EncodedKV]]":
-        """Read a parked chain's *encoded* payloads without decoding.
+        """Read a parked chain's payloads without restoring it.
 
-        The migration path ships the wire form as-is: the owning worker
-        reads encoded bytes off its tier and the importer decodes exactly
-        once — no decode/re-encode round trip, and the parked copy stays
+        The migration path ships the parked copies as-is: the owning worker
+        reads them off its tier and the importer copies each one exactly
+        once — no restore/re-park round trip, and the parked copy stays
         valid for a later local restore (which is billed independently by
         its own swap-in).  Stored positions return the parked
         :class:`~repro.llm.kvcodec.EncodedKV` objects themselves (they are
-        immutable-by-convention); pinned positions encode the live block
-        through the handle's codec on the fly.
+        immutable-by-convention); pinned positions park a copy of the live
+        block on the fly.
         """
         if handle not in self._handles:
             raise ConfigurationError("peek of an unknown or consumed handle")
+        codec = KVBlockCodec(handle.allocator.dtype_bytes)
         keys: list[EncodedKV] = []
         values: list[EncodedKV] = []
         for k, v, pinned in zip(handle.keys, handle.values, handle.pinned_ids):
             if pinned is not None:
-                keys.append(handle.codec.encode(
-                    handle.allocator.block_keys(pinned)))
-                values.append(handle.codec.encode(
-                    handle.allocator.block_values(pinned)))
+                keys.append(codec.encode(handle.allocator.block_keys(pinned)))
+                values.append(codec.encode(handle.allocator.block_values(pinned)))
             else:
                 keys.append(k)
                 values.append(v)
@@ -1087,9 +1047,6 @@ class SwapSpace:
             "demoted": self.stats.demoted,
             "discarded": self.stats.discarded,
             "swapped_out_logical_bytes": self.stats.swapped_out_logical_bytes,
-            "swapped_out_wire_bytes": self.stats.swapped_out_wire_bytes,
             "swapped_in_logical_bytes": self.stats.swapped_in_logical_bytes,
-            "swapped_in_wire_bytes": self.stats.swapped_in_wire_bytes,
             "demoted_logical_bytes": self.stats.demoted_logical_bytes,
-            "demoted_wire_bytes": self.stats.demoted_wire_bytes,
         }

@@ -428,51 +428,26 @@ class LatencyModel:
 
     # ------------------------------------------------------------- swapping
 
-    def codec_seconds(self, flops: float) -> float:
-        """CPU time of one KV-codec encode/decode pass (``0.0`` for raw).
-
-        Codec work runs on the host cores (the GPU is busy with the batch),
-        so it is billed at the full :class:`~repro.memory.devices.CpuSpec`
-        throughput.  At the few-flops-per-byte rates the codecs declare this
-        is ~10× cheaper than the PCIe transfer it shrinks.
-        """
-        if flops < 0:
-            raise ConfigurationError("codec flops must be >= 0")
-        if flops == 0:
-            return 0.0
-        return self.hardware.cpu.compute_seconds(flops)
-
     def swap_out_timeline(
-        self,
-        num_bytes: float,
-        disk_bytes: float = 0.0,
-        encode_flops: float = 0.0,
+        self, num_bytes: float, disk_bytes: float = 0.0
     ) -> Timeline:
         """Overlap schedule of one swap-out event (preemption / cold spill).
 
-        When ``encode_flops > 0`` a ``swap-encode`` CPU stage runs first —
-        the codec squeezes the chain before it travels, so the transfer legs
-        carry *wire* bytes and depend on the encode.  ``num_bytes`` (wire)
-        leave the GPU over PCIe (D2H); of those, ``disk_bytes`` continue to
-        the NVMe tier as a dependency-linked write — a chain spilled
-        straight to disk still crosses PCIe first, so the disk write cannot
-        start before the transfer delivered the bytes.  Demotions of
-        already-CPU-resident chains are modelled by calling with
-        ``num_bytes=0`` (pure disk write, no PCIe leg).
+        ``num_bytes`` leave the GPU over PCIe (D2H); of those,
+        ``disk_bytes`` continue to the NVMe tier as a dependency-linked
+        write — a chain spilled straight to disk still crosses PCIe first,
+        so the disk write cannot start before the transfer delivered the
+        bytes.  Demotions of already-CPU-resident chains are modelled by
+        calling with ``num_bytes=0`` (pure disk write, no PCIe leg).
         """
         if num_bytes < 0 or disk_bytes < 0:
             raise ConfigurationError("swap byte counts must be >= 0")
         timeline = Timeline()
         prev: tuple[str, ...] = ()
-        if encode_flops > 0:
-            timeline.add(
-                "swap-encode", Resource.CPU, self.codec_seconds(encode_flops)
-            )
-            prev = ("swap-encode",)
         if num_bytes > 0:
             timeline.add(
                 "swap-d2h", Resource.D2H,
-                self.hardware.interconnect.transfer_seconds(num_bytes), prev,
+                self.hardware.interconnect.transfer_seconds(num_bytes),
             )
             prev = ("swap-d2h",)
         if disk_bytes > 0:
@@ -483,18 +458,13 @@ class LatencyModel:
         return timeline
 
     def swap_in_timeline(
-        self,
-        num_bytes: float,
-        disk_bytes: float = 0.0,
-        decode_flops: float = 0.0,
+        self, num_bytes: float, disk_bytes: float = 0.0
     ) -> Timeline:
         """Overlap schedule of one swap-in / restore event.
 
-        ``disk_bytes`` (wire) are first read back from NVMe; the H2D
-        transfer of all ``num_bytes`` (wire) onto the GPU depends on that
-        read (the PCIe leg cannot ship bytes the drive has not produced
-        yet).  When ``decode_flops > 0`` a trailing ``swap-decode`` CPU
-        stage unpacks the codec's wire form back into pool blocks.
+        ``disk_bytes`` are first read back from NVMe; the H2D transfer of
+        all ``num_bytes`` onto the GPU depends on that read (the PCIe leg
+        cannot ship bytes the drive has not produced yet).
         """
         if num_bytes < 0 or disk_bytes < 0:
             raise ConfigurationError("swap byte counts must be >= 0")
@@ -511,96 +481,34 @@ class LatencyModel:
                 "swap-h2d", Resource.H2D,
                 self.hardware.interconnect.transfer_seconds(num_bytes), prev,
             )
-            prev = ("swap-h2d",)
-        if decode_flops > 0:
-            timeline.add(
-                "swap-decode", Resource.CPU,
-                self.codec_seconds(decode_flops), prev,
-            )
         return timeline
 
-    def swap_out_seconds(
-        self,
-        num_bytes: float,
-        disk_bytes: float = 0.0,
-        encode_flops: float = 0.0,
-    ) -> float:
+    def swap_out_seconds(self, num_bytes: float, disk_bytes: float = 0.0) -> float:
         """Makespan of one swap-out event (what the engine clock charges)."""
-        return self.swap_out_timeline(num_bytes, disk_bytes,
-                                      encode_flops).makespan
+        return self.swap_out_timeline(num_bytes, disk_bytes).makespan
 
-    def swap_in_seconds(
-        self,
-        num_bytes: float,
-        disk_bytes: float = 0.0,
-        decode_flops: float = 0.0,
-    ) -> float:
+    def swap_in_seconds(self, num_bytes: float, disk_bytes: float = 0.0) -> float:
         """Makespan of one swap-in / restore event."""
-        return self.swap_in_timeline(num_bytes, disk_bytes,
-                                     decode_flops).makespan
+        return self.swap_in_timeline(num_bytes, disk_bytes).makespan
 
     def migration_timeline(
-        self,
-        kv_bytes: float,
-        disk_bytes: float = 0.0,
-        encode_flops: float = 0.0,
-        decode_flops: float = 0.0,
+        self, kv_bytes: float, disk_bytes: float = 0.0
     ) -> Timeline:
         """Overlap schedule of one cross-worker prefix-chain migration.
 
         Shipping a cached chain from the worker that owns it to the worker a
         request was routed to has the swap-in shape: the owning worker's
-        NVMe produces ``disk_bytes`` (the spilled wire-form KV plus artifact
-        payloads), then all ``kv_bytes`` (wire) cross PCIe into the target
-        GPU's block pool as a dependency-linked H2D transfer.  Spilled
-        positions travel in their parked encoded form, so only GPU-resident
-        (pinned) positions need an ``migrate-encode`` pass — it runs on the
-        source CPU concurrently with the disk read, and both feed the H2D
-        leg.  ``decode_flops`` bills the importer's single decode as a
-        trailing ``swap-decode`` stage.  The cluster frontend charges the
-        makespan to the *target* worker's clock, so a migrated request's
-        TTFT honestly includes the transfer it waited on.
+        NVMe produces ``disk_bytes`` (the spilled KV plus artifact
+        payloads), then all ``kv_bytes`` cross PCIe into the target GPU's
+        block pool as a dependency-linked H2D transfer.  The cluster
+        frontend charges the makespan to the *target* worker's clock, so a
+        migrated request's TTFT honestly includes the transfer it waited on.
         """
-        if kv_bytes < 0 or disk_bytes < 0:
-            raise ConfigurationError("swap byte counts must be >= 0")
-        timeline = Timeline()
-        h2d_deps: list[str] = []
-        if encode_flops > 0:
-            timeline.add(
-                "migrate-encode", Resource.CPU, self.codec_seconds(encode_flops)
-            )
-            h2d_deps.append("migrate-encode")
-        if disk_bytes > 0:
-            timeline.add(
-                "swap-disk-read", Resource.DISK,
-                self.hardware.storage.read_seconds(disk_bytes),
-            )
-            h2d_deps.append("swap-disk-read")
-        prev = tuple(h2d_deps)
-        if kv_bytes > 0:
-            timeline.add(
-                "swap-h2d", Resource.H2D,
-                self.hardware.interconnect.transfer_seconds(kv_bytes), prev,
-            )
-            prev = ("swap-h2d",)
-        if decode_flops > 0:
-            timeline.add(
-                "swap-decode", Resource.CPU,
-                self.codec_seconds(decode_flops), prev,
-            )
-        return timeline
+        return self.swap_in_timeline(kv_bytes, disk_bytes)
 
-    def migration_seconds(
-        self,
-        kv_bytes: float,
-        disk_bytes: float = 0.0,
-        encode_flops: float = 0.0,
-        decode_flops: float = 0.0,
-    ) -> float:
+    def migration_seconds(self, kv_bytes: float, disk_bytes: float = 0.0) -> float:
         """Makespan of one cross-worker chain migration."""
-        return self.migration_timeline(
-            kv_bytes, disk_bytes, encode_flops, decode_flops
-        ).makespan
+        return self.migration_timeline(kv_bytes, disk_bytes).makespan
 
     # --------------------------------------------------------------- decode
 

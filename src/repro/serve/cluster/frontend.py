@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ...errors import ConfigurationError
-from ...llm.kvcodec import KVBlockCodec, get_codec
 from ...llm.model import TransformerLM
 from ..metrics import EngineMetrics
 from ..request import Request, RequestOutput
@@ -52,10 +51,8 @@ class ClusterMetrics:
     """Fleet-level migration counters (per-worker engines bill their own
     swap/spill traffic; these cover only cross-worker chain transfers).
 
-    ``migrated_kv_bytes``/``migrated_disk_bytes`` are *logical* (modelled
-    raw) sizes; the ``*_wire_bytes`` twins are what actually crossed the
-    links after the migration codec — their quotient is the achieved
-    compression ratio on the migration path.
+    ``migrated_kv_bytes``/``migrated_disk_bytes`` are the modelled sizes
+    that crossed PCIe and the source's NVMe.
 
     ``routed_by_class`` counts routing decisions per QoS priority class
     (``{priority: requests}``); the per-class serving outcomes live in the
@@ -67,17 +64,13 @@ class ClusterMetrics:
     migrated_blocks: int = 0
     migrated_kv_bytes: float = 0.0
     migrated_disk_bytes: float = 0.0
-    migrated_kv_wire_bytes: float = 0.0
-    migrated_disk_wire_bytes: float = 0.0
     migration_seconds: float = 0.0
     routed_by_class: dict = field(default_factory=dict)
 
-    @property
-    def migration_compression_ratio(self) -> float:
-        """Achieved logical/wire ratio on migrated KV (1.0 for raw)."""
-        if self.migrated_kv_wire_bytes <= 0.0:
-            return 1.0
-        return self.migrated_kv_bytes / self.migrated_kv_wire_bytes
+    # Read-only aliases under the pre-raw names, kept while
+    # ``bench/adapters.py`` still reads them.
+    migrated_kv_wire_bytes = property(lambda self: self.migrated_kv_bytes)
+    migrated_disk_wire_bytes = property(lambda self: self.migrated_disk_bytes)
 
     def as_dict(self) -> dict:
         return {
@@ -85,9 +78,6 @@ class ClusterMetrics:
             "migrated_blocks": self.migrated_blocks,
             "migrated_kv_bytes": self.migrated_kv_bytes,
             "migrated_disk_bytes": self.migrated_disk_bytes,
-            "migrated_kv_wire_bytes": self.migrated_kv_wire_bytes,
-            "migrated_disk_wire_bytes": self.migrated_disk_wire_bytes,
-            "migration_compression_ratio": self.migration_compression_ratio,
             "migration_seconds": self.migration_seconds,
             "routed_by_class": dict(sorted(self.routed_by_class.items())),
         }
@@ -104,14 +94,6 @@ class ClusterFrontend:
             :data:`~repro.serve.cluster.ROUTING_POLICIES`).
         migrate_on_miss: ship spilled matching chains to the routed worker
             under cache-aware placement (billed, see module docstring).
-        migration_codec: KV codec (name or
-            :class:`~repro.llm.kvcodec.KVBlockCodec` instance) applied to
-            GPU-resident blocks of a migrated chain; spilled blocks travel
-            in their parked encoded form either way.  Defaults to
-            ``"raw"``; migration is an opt-in lossy surface, so
-            ``"int8"``/``"int4"``/``"int4-outlier"`` are accepted and
-            restore within their declared per-element error bound on the
-            importing worker.
         **worker_kwargs: forwarded to every
             :class:`~repro.serve.InferenceEngine` (scheduler config, pool
             bounds, swap tiers...).  ``enable_prefix_caching`` defaults to
@@ -125,16 +107,12 @@ class ClusterFrontend:
         num_workers: int = 2,
         placement: str = "cache_aware",
         migrate_on_miss: bool = False,
-        migration_codec: "str | KVBlockCodec | None" = "raw",
         **worker_kwargs,
     ) -> None:
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
         worker_kwargs.setdefault("enable_prefix_caching", True)
         self.model = model
-        self.migration_codec = get_codec(
-            migration_codec, model.config.dtype_bytes
-        )
         self.directory = FingerprintDirectory()
         self.router = Router(placement, migrate_on_miss=migrate_on_miss)
         self.workers: list[Worker] = [
@@ -199,22 +177,18 @@ class ClusterFrontend:
     def _migrate(self, placement: Placement, prompt_ids) -> None:
         """Ship a spilled chain from its owner to the routed worker.
 
-        Export reads the chain in wire form (spilled blocks ship their
-        parked encoded payloads straight off the owner's NVMe — no decode
-        on the source, and the parked copy stays valid; resident blocks are
-        encoded through the migration codec); import decodes each block
-        exactly once into the target's pool, truncating gracefully under
-        capacity pressure.  The transfer is billed to the *target* clock as
-        an encode ∥ NVMe-read → PCIe-H2D → decode timeline carrying wire
-        bytes; the logical counters keep the pre-codec sizes.
+        Export copies the chain (spilled blocks ship their parked copies
+        straight off the owner's NVMe — no restore on the source, and the
+        parked copy stays valid); import writes each block exactly once
+        into the target's pool, truncating gracefully under capacity
+        pressure.  The transfer is billed to the *target* clock as an
+        NVMe-read → PCIe-H2D timeline.
         """
         source = self.workers[placement.migrate_from]
         target = self.workers[placement.worker_id]
         if source.prefix_cache is None or target.prefix_cache is None:
             return
-        exported = source.prefix_cache.export_chain(
-            prompt_ids, codec=self.migration_codec
-        )
+        exported = source.prefix_cache.export_chain(prompt_ids)
         if exported is None or not exported.nodes:
             return  # the directory was stale; nothing to ship
         target.prefix_cache.import_chain(exported)
@@ -224,23 +198,11 @@ class ClusterFrontend:
             float(exported.disk_blocks * block_bytes)
             + float(exported.payload_nbytes())
         )
-        kv_wire = float(exported.kv_wire_nbytes)
-        disk_wire = (
-            float(exported.disk_wire_nbytes)
-            + float(exported.payload_nbytes())
-        )
-        encode_flops = self.migration_codec.encode_flops(
-            exported.resident_logical_nbytes
-        )
-        seconds = target.pressure.bill_migration(
-            kv_wire, disk_wire, encode_flops, exported.decode_flops()
-        )
+        seconds = target.pressure.bill_migration(kv_bytes, disk_bytes)
         self.metrics.migrations += 1
         self.metrics.migrated_blocks += exported.num_blocks
         self.metrics.migrated_kv_bytes += kv_bytes
         self.metrics.migrated_disk_bytes += disk_bytes
-        self.metrics.migrated_kv_wire_bytes += kv_wire
-        self.metrics.migrated_disk_wire_bytes += disk_wire
         self.metrics.migration_seconds += seconds
 
     # ------------------------------------------------------------- serving

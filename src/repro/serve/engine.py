@@ -111,7 +111,6 @@ from ..llm.kvcache import (
     PagedKVCache,
     SwapSpace,
 )
-from ..llm.kvcodec import KVBlockCodec, get_codec
 from ..llm.model import PrefillResult, PrefillState, TransformerLM
 from ..memory.devices import HardwareSpec
 from ..memory.latency import LatencyModel, resolve_method
@@ -156,19 +155,8 @@ class InferenceEngine:
             (KV blocks plus their PQ-snapshot/aggregate payloads) spill here
             instead of being freed and restore bitwise on later hits — PQ
             codes are ~1/64th the KV bytes, so snapshot spill is nearly free.
-            Preemption swap-out and CPU→disk demotion park KV raw (wire
-            bytes equal logical bytes, no codec stage), so swapped chains
-            restore bitwise.
-        kv_spill_codec: KV block codec (name or
-            :class:`~repro.llm.kvcodec.KVBlockCodec` instance) for cold
-            prefix chains spilled to the disk tier; ``None`` parks them raw
-            like swap-out.  This is the opt-in lossy surface:
-            ``"int8"``/``"int4"``/``"int4-outlier"`` trade exact restores on
-            spilled-chain cache hits for NVMe bandwidth, within the codec's
-            declared per-element error bound; transfers are billed at the
-            encoded *wire* size with the codec's CPU stages on the
-            timeline, while the ``spill_*_bytes`` metrics keep counting
-            logical bytes.
+            Every tier parks KV raw, so swapped and spilled chains restore
+            bitwise and every transfer is billed at its modelled size.
         cache_decoded_blocks: also cache the blocks a request fills while
             *decoding*, so a follow-up turn embedding the answer reuses them.
             **Approximate reuse — off by default**: decoded tokens' KV was
@@ -197,7 +185,6 @@ class InferenceEngine:
         cache_decoded_blocks: bool = False,
         swap_cpu_blocks: int | None = None,
         swap_disk_blocks: int | None = None,
-        kv_spill_codec: "str | KVBlockCodec | None" = None,
         slo_tuner: "SLOTuner | None" = None,
     ) -> None:
         self.model = model
@@ -253,9 +240,7 @@ class InferenceEngine:
                 disk_capacity_blocks=swap_disk_blocks,
             )
             self.prefix_cache = PrefixCache(
-                self.block_allocator,
-                spill_store=self.swap_space,
-                spill_codec=get_codec(kv_spill_codec, config.dtype_bytes),
+                self.block_allocator, spill_store=self.swap_space
             )
             self.block_allocator.eviction_hook = self.prefix_cache.evict
             self.pressure = PoolPressure(

@@ -496,17 +496,6 @@ class EngineMetrics:
     spill_out_bytes: float = 0.0
     spill_in_bytes: float = 0.0
     swap_seconds: float = 0.0
-    #: KV-codec accounting: the ``*_bytes`` counters above are *logical*
-    #: (modelled raw size, whatever codec parked them); the ``*_wire_bytes``
-    #: ones are what actually crossed the PCIe/NVMe links after encoding
-    #: (equal for raw), and the ``codec_*_seconds`` are the simulated CPU
-    #: time of a lossy spill codec's encode/decode stages on the clock.
-    swap_out_wire_bytes: float = 0.0
-    swap_in_wire_bytes: float = 0.0
-    spill_out_wire_bytes: float = 0.0
-    spill_in_wire_bytes: float = 0.0
-    codec_encode_seconds: float = 0.0
-    codec_decode_seconds: float = 0.0
     #: decode-round observability: rounds / members / batch-size histogram
     #: and host wall-clock stage breakdown of every round, and PQ
     #: drift-refresh accounting
@@ -657,21 +646,13 @@ class EngineMetrics:
             "17+": self.decode_batch_size_17_plus,
         }
 
-    @property
-    def swap_compression_ratio(self) -> float:
-        """Achieved logical/wire ratio on the preemption swap path (1.0 raw)."""
-        wire = self.swap_out_wire_bytes + self.swap_in_wire_bytes
-        if wire <= 0.0:
-            return 1.0
-        return (self.swap_out_bytes + self.swap_in_bytes) / wire
-
-    @property
-    def spill_compression_ratio(self) -> float:
-        """Achieved logical/wire ratio on the prefix spill path (1.0 raw)."""
-        wire = self.spill_out_wire_bytes + self.spill_in_wire_bytes
-        if wire <= 0.0:
-            return 1.0
-        return (self.spill_out_bytes + self.spill_in_bytes) / wire
+    # Read-only aliases of the byte counters under their pre-raw names,
+    # kept while ``bench/adapters.py`` still reads them; parking is raw, so
+    # the wire bytes are the modelled bytes.
+    swap_out_wire_bytes = property(lambda self: self.swap_out_bytes)
+    swap_in_wire_bytes = property(lambda self: self.swap_in_bytes)
+    spill_out_wire_bytes = property(lambda self: self.spill_out_bytes)
+    spill_in_wire_bytes = property(lambda self: self.spill_in_bytes)
 
     @property
     def prefix_cache_hit_rate(self) -> float:
@@ -694,7 +675,6 @@ class EngineMetrics:
                  "decode_batch_size_9_16", "decode_batch_size_17_plus")
     _DERIVED = ("requests_per_second", "tokens_per_second",
                 "prefix_cache_hit_rate", "prefix_token_hit_rate",
-                "swap_compression_ratio", "spill_compression_ratio",
                 "mean_decode_batch_size", "decode_batch_size_histogram")
 
     def as_dict(self) -> dict:

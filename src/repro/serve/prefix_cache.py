@@ -47,7 +47,7 @@ import numpy as np
 
 from ..errors import CapacityError, ConfigurationError
 from ..llm.kvcache import BlockAllocator, SwapSpace
-from ..llm.kvcodec import EncodedKV, KVBlockCodec, RawCodec
+from ..llm.kvcodec import EncodedKV, KVBlockCodec
 
 __all__ = [
     "PrefixCache",
@@ -172,15 +172,14 @@ class PrefixMatch:
 class ExportedChainNode:
     """One block of an exported chain: tokens, KV contents, payloads.
 
-    ``keys``/``values`` are the block's contents in *wire* form — one
+    ``keys``/``values`` are the block's contents as parked raw copies — one
     :class:`~repro.llm.kvcodec.EncodedKV` each (original shape
     ``(num_layers, h_kv, block_size, d_h)``).  Spilled source nodes ship
-    their parked encoded payload as-is (no decode on the export side);
-    resident nodes are encoded through the exporter's migration codec.
-    ``from_disk`` records whether the source node was spilled (the exporter
-    read it off the NVMe tier — a migration bills that leg).  Artifact
-    payloads travel by reference, like every other sharing path in the
-    cache.
+    their parked copy as-is (no restore on the export side); resident
+    nodes are copied on export.  ``from_disk`` records whether the source
+    node was spilled (the exporter read it off the NVMe tier — a migration
+    bills that leg).  Artifact payloads travel by reference, like every
+    other sharing path in the cache.
     """
 
     token_ids: np.ndarray
@@ -190,26 +189,15 @@ class ExportedChainNode:
     acc_scores: "list | None" = None
     pq_snapshots: dict = field(default_factory=dict)
 
-    @property
-    def wire_nbytes(self) -> int:
-        """Encoded KV bytes this node puts on the wire."""
-        return self.keys.wire_nbytes + self.values.wire_nbytes
-
-    @property
-    def logical_nbytes(self) -> int:
-        """Modelled raw KV bytes of this node (pre-codec size)."""
-        return self.keys.logical_nbytes + self.values.logical_nbytes
-
 
 @dataclass
 class ExportedChain:
     """A prefix chain packaged for migration to another worker's cache.
 
     Produced by :meth:`PrefixCache.export_chain` on the owning worker and
-    consumed by :meth:`PrefixCache.import_chain` on the target; under a
-    lossless codec the contents decode to exact copies, so an import
-    followed by a match reproduces the source chain bitwise (a lossy codec
-    restores within its declared per-element error bound instead).
+    consumed by :meth:`PrefixCache.import_chain` on the target.  The
+    contents are exact copies, so an import followed by a match reproduces
+    the source chain bitwise.
     """
 
     block_size: int
@@ -227,47 +215,6 @@ class ExportedChain:
     def disk_blocks(self) -> int:
         """Blocks the exporter read from the source's disk spill tier."""
         return sum(1 for node in self.nodes if node.from_disk)
-
-    @property
-    def kv_wire_nbytes(self) -> int:
-        """Encoded KV bytes the chain puts on the wire (all nodes)."""
-        return sum(node.wire_nbytes for node in self.nodes)
-
-    @property
-    def kv_logical_nbytes(self) -> int:
-        """Modelled raw KV bytes of the chain (what raw tiers would move)."""
-        return sum(node.logical_nbytes for node in self.nodes)
-
-    @property
-    def disk_wire_nbytes(self) -> int:
-        """Encoded KV bytes read off the source's NVMe tier."""
-        return sum(node.wire_nbytes for node in self.nodes if node.from_disk)
-
-    @property
-    def resident_logical_nbytes(self) -> int:
-        """Raw bytes of GPU-resident nodes the exporter encoded on the fly.
-
-        Spilled nodes travel in their parked encoded form — only these
-        resident nodes cost an encode pass on the source worker's CPU.
-        """
-        return sum(
-            node.logical_nbytes for node in self.nodes if not node.from_disk
-        )
-
-    def decode_flops(self) -> float:
-        """CPU FLOPs the importer spends decoding every node exactly once.
-
-        Each payload knows the codec that produced it (spilled nodes may
-        carry a different codec than resident ones), so the estimate sums
-        per-node decode rates rather than assuming one codec chain-wide.
-        """
-        flops = 0.0
-        for node in self.nodes:
-            flops += node.keys.decoder.decode_flops(node.keys.logical_nbytes)
-            flops += node.values.decoder.decode_flops(
-                node.values.logical_nbytes
-            )
-        return flops
 
     def payload_nbytes(self) -> int:
         """Modelled artifact-payload bytes riding along (acc + PQ, deduped)."""
@@ -320,11 +267,6 @@ class PrefixCacheStats:
     #: residency transition)
     spilled_payload_bytes: int = 0
     restored_payload_bytes: int = 0
-    #: encoded (wire) KV bytes spilled to / restored from the disk tier —
-    #: the logical counterpart is ``spilled/restored_blocks * block bytes``;
-    #: the quotient is the spill codec's achieved ratio
-    spilled_wire_bytes: int = 0
-    restored_wire_bytes: int = 0
     #: cross-worker migration traffic: blocks copied out of this cache for
     #: another worker, and blocks written into this cache from another
     #: worker's exported chain (new nodes + healed spilled nodes)
@@ -364,12 +306,6 @@ class PrefixCache:
             set, eviction spills cold chains to its disk tier (contents
             preserved, pool block freed) and later matches restore them.
             Without it eviction frees cold chains permanently, as before.
-        spill_codec: :class:`~repro.llm.kvcodec.KVBlockCodec` applied to
-            spilled chains on the way down (``None`` parks them raw).
-            Spilled prefix chains are the one downward path where *lossy*
-            codecs are permitted: a restore then differs from the original
-            within the codec's declared per-element error bound, trading
-            exact byte identity on cache hits for NVMe bandwidth.
 
     Attributes:
         observer: optional residency-event subscriber (duck-typed; the
@@ -387,7 +323,6 @@ class PrefixCache:
         allocator: BlockAllocator,
         hash_fn: "Callable[[bytes, np.ndarray], bytes] | None" = None,
         spill_store: SwapSpace | None = None,
-        spill_codec: "KVBlockCodec | None" = None,
     ) -> None:
         self.allocator = allocator
         self.block_size = allocator.block_size
@@ -396,10 +331,6 @@ class PrefixCache:
         self._tick = 0
         self.stats = PrefixCacheStats()
         self.spill_store = spill_store
-        self.spill_codec: KVBlockCodec = (
-            spill_codec if spill_codec is not None
-            else RawCodec(allocator.dtype_bytes)
-        )
         self.observer = None
         #: ids of PQSnapshots whose payload is currently accounted as
         #: disk-resident (so a snapshot shared by many spilled nodes is
@@ -561,7 +492,6 @@ class PrefixCache:
                     restored_upto = index
                     break
                 if node.spilled:
-                    restored_wire = node.spill_handle.stored_wire_nbytes
                     try:
                         new_ids = self.spill_store.swap_in(
                             node.spill_handle, self.allocator
@@ -572,7 +502,6 @@ class PrefixCache:
                     node.block_id = new_ids[0]
                     node.spill_handle = None
                     self.stats.restored_blocks += 1
-                    self.stats.restored_wire_bytes += restored_wire
                     self._account_payload(node, spilled=False)
                     self._notify("restore", node.key)
                 self.allocator.incref(node.block_id)
@@ -731,24 +660,19 @@ class PrefixCache:
 
     # ----------------------------------------------------------- migration
 
-    def export_chain(
-        self,
-        token_ids: Sequence[int],
-        codec: "KVBlockCodec | None" = None,
-    ) -> "ExportedChain | None":
+    def export_chain(self, token_ids: Sequence[int]) -> "ExportedChain | None":
         """Package this cache's longest chain matching a prompt for migration.
 
-        A pure read: resident blocks are encoded through ``codec`` (``None``
-        means the raw identity codec), spilled blocks ship their *parked
-        encoded payload* as-is through
-        :meth:`~repro.llm.kvcache.SwapSpace.peek_encoded` — no decode on the
+        A pure read: resident blocks are copied, spilled blocks ship their
+        *parked copy* as-is through
+        :meth:`~repro.llm.kvcache.SwapSpace.peek_encoded` — no restore on the
         export side, and the parked copy stays valid, so a later local
         restore of the same chain is billed independently by its own
         swap-in; the export itself never touches the restore counters.
         Artifact payloads travel by reference.  The caller bills the
-        transfer: ``disk_wire_nbytes`` of the result crossed the source's
-        NVMe, ``kv_wire_nbytes`` cross PCIe into the importing worker's
-        pool, and the importer decodes each block exactly once.
+        transfer: the result's ``disk_blocks`` crossed the source's NVMe,
+        all its blocks cross PCIe into the importing worker's pool, and the
+        importer copies each block in exactly once.
 
         Returns ``None`` when the prompt matches nothing.
         """
@@ -756,8 +680,7 @@ class PrefixCache:
         nodes = self._walk(token_ids)
         if not nodes:
             return None
-        if codec is None:
-            codec = RawCodec(self.allocator.dtype_bytes)
+        codec = KVBlockCodec(self.allocator.dtype_bytes)
         exported = ExportedChain(block_size=self.block_size)
         for node in nodes:
             if node.spilled:
@@ -765,12 +688,8 @@ class PrefixCache:
                 keys, values = self.spill_store.peek_encoded(node.spill_handle)
                 key_block, value_block = keys[0], values[0]
             else:
-                key_block = codec.encode(
-                    self.allocator.block_keys(node.block_id)
-                )
-                value_block = codec.encode(
-                    self.allocator.block_values(node.block_id)
-                )
+                key_block = codec.encode(self.allocator.block_keys(node.block_id))
+                value_block = codec.encode(self.allocator.block_values(node.block_id))
             exported.nodes.append(
                 ExportedChainNode(
                     token_ids=node.token_ids.copy(),
@@ -788,9 +707,8 @@ class PrefixCache:
         """Adopt another worker's exported chain into this cache.
 
         Walks the chain like :meth:`insert`, but the blocks are allocated
-        *here* and written from the decoded exported payloads — bitwise for
-        lossless codecs, within the declared per-element error bound for
-        lossy ones; each block decodes exactly once: missing nodes
+        *here* and written bitwise from the exported payloads, each block
+        exactly once: missing nodes
         are created, locally *spilled* nodes are healed with the migrated
         bytes (cheaper than a local disk read that the caller would have to
         bill separately), and already-resident nodes are left untouched.
@@ -933,14 +851,12 @@ class PrefixCache:
         """Demote one resident node's block content to the disk tier."""
         assert self.spill_store is not None
         handle = self.spill_store.swap_out(
-            self.allocator, [node.block_id], tier="disk",
-            codec=self.spill_codec,
+            self.allocator, [node.block_id], tier="disk"
         )
         self.allocator.decref(node.block_id)
         node.block_id = -1
         node.spill_handle = handle
         self.stats.spilled_blocks += 1
-        self.stats.spilled_wire_bytes += handle.stored_wire_nbytes
         self._account_payload(node, spilled=True)
         self._notify("spill", node.key)
 

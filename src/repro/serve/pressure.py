@@ -60,10 +60,10 @@ class PoolPressure:
         default=None, init=False
     )
     #: prefix-cache spill counters already charged to the clock (blocks,
-    #: payload bytes, wire bytes; out then in) — the spill/restore work
-    #: happens inside eviction hooks and lookups, so its transfer time
-    #: is settled from stat deltas
-    _spill_settled: tuple = field(default=(0, 0, 0, 0, 0, 0), init=False)
+    #: then payload bytes; out then in) — the spill/restore work happens
+    #: inside eviction hooks and lookups, so its transfer time is settled
+    #: from stat deltas
+    _spill_settled: tuple = field(default=(0, 0, 0, 0), init=False)
 
     # ------------------------------------------------------ QoS ordering
 
@@ -113,35 +113,27 @@ class PoolPressure:
         self,
         state: "RequestState | None",
         blocks: int,
-        wire: float,
-        demoted_wire: float,
+        demoted: float,
     ) -> None:
         """The downward bill of the swap path: ``blocks`` freshly stored
-        positions left the GPU as ``wire`` bytes and forced ``demoted_wire``
-        bytes of CPU→disk demotion writes.
+        positions left the GPU and forced ``demoted`` bytes of CPU→disk
+        demotion writes.
 
-        Swapped chains are parked raw, so there is no codec stage: the clock
-        is charged the D2H leg and the disk write.  ``state`` is the request
-        whose chain moved (``None`` when only demotions landed).
+        The clock is charged the D2H leg and the disk write.  ``state`` is
+        the request whose chain moved (``None`` when only demotions landed).
         """
         nbytes = float(blocks * self.block_nbytes())
-        self._charge(self.latency.swap_out_seconds(wire, demoted_wire), state)
+        self._charge(self.latency.swap_out_seconds(nbytes, demoted), state)
         self.metrics.swap_out_blocks += blocks
         self.metrics.swap_out_bytes += nbytes
-        self.metrics.swap_out_wire_bytes += wire
         if state is not None:
             state.metrics.swap_out_bytes += nbytes
 
-    def bill_migration(
-        self, kv_wire: float, disk_wire: float, encode_flops: float,
-        decode_flops: float,
-    ) -> float:
+    def bill_migration(self, kv_bytes: float, disk_bytes: float) -> float:
         """The cluster frontend's bill for a chain imported from another
-        worker: encode ∥ NVMe-read → PCIe-H2D → decode lands on this (the
-        importing) engine's clock.  Returns the seconds charged."""
-        seconds = self.latency.migration_seconds(
-            kv_wire, disk_wire, encode_flops, decode_flops
-        )
+        worker: NVMe-read → PCIe-H2D lands on this (the importing) engine's
+        clock.  Returns the seconds charged."""
+        seconds = self.latency.migration_seconds(kv_bytes, disk_bytes)
         self._charge(seconds)
         return seconds
 
@@ -152,18 +144,14 @@ class PoolPressure:
         inside prefix lookups, so their PCIe/NVMe time is settled from the
         cache's stat deltas: spilled KV crosses D2H then the disk write;
         restored KV is read from disk and crosses H2D; artifact payloads
-        (accumulated scores, PQ snapshots) ride the disk leg only.  The
-        links carry the spill codec's wire bytes, and its encode / decode
-        of the logical KV bytes are CPU stages on the same timelines, also
-        booked as ``codec_*_seconds`` (zero for raw).
+        (accumulated scores, PQ snapshots) ride the disk leg only.
         """
         stats = self.prefix_cache.stats
         now = (
             stats.spilled_blocks, stats.restored_blocks,
             stats.spilled_payload_bytes, stats.restored_payload_bytes,
-            stats.spilled_wire_bytes, stats.restored_wire_bytes,
         )
-        out_blocks, in_blocks, out_payload, in_payload, out_wire, in_wire = (
+        out_blocks, in_blocks, out_payload, in_payload = (
             current - settled
             for current, settled in zip(now, self._spill_settled)
         )
@@ -171,29 +159,20 @@ class PoolPressure:
             return
         self._spill_settled = now
         block_bytes = self.block_nbytes()
-        codec = self.prefix_cache.spill_codec
         # Both directions land on the clock as *one* addition.
         seconds = 0.0
         if out_blocks or out_payload:
             kv_bytes = float(out_blocks * block_bytes)
-            kv_wire = float(out_wire)
-            flops = codec.encode_flops(kv_bytes)
             seconds += self.latency.swap_out_seconds(
-                kv_wire, kv_wire + float(out_payload), flops
+                kv_bytes, kv_bytes + float(out_payload)
             )
-            self.metrics.codec_encode_seconds += self.latency.codec_seconds(flops)
             self.metrics.spill_out_bytes += kv_bytes + float(out_payload)
-            self.metrics.spill_out_wire_bytes += kv_wire + float(out_payload)
         if in_blocks or in_payload:
             kv_bytes = float(in_blocks * block_bytes)
-            kv_wire = float(in_wire)
-            flops = codec.decode_flops(kv_bytes)
             seconds += self.latency.swap_in_seconds(
-                kv_wire, kv_wire + float(in_payload), flops
+                kv_bytes, kv_bytes + float(in_payload)
             )
-            self.metrics.codec_decode_seconds += self.latency.codec_seconds(flops)
             self.metrics.spill_in_bytes += kv_bytes + float(in_payload)
-            self.metrics.spill_in_wire_bytes += kv_wire + float(in_payload)
         self._charge(seconds)
 
     # --------------------------------------------------- pool pressure
@@ -381,23 +360,17 @@ class PoolPressure:
             if handle is None or not handle.pinned_blocks:
                 continue
             stats = self.swap_space.stats
-            wire_before = stats.swapped_out_wire_bytes
-            demoted_wire_before = stats.demoted_wire_bytes
+            demoted_before = stats.demoted_logical_bytes
             moved = self.swap_space.materialize_pins(handle)
-            wire = float(stats.swapped_out_wire_bytes - wire_before)
-            demoted_wire = float(
-                stats.demoted_wire_bytes - demoted_wire_before
-            )
+            demoted = float(stats.demoted_logical_bytes - demoted_before)
             if handle.tier == "disk":
-                demoted_wire += wire
-            if wire > 0.0 or demoted_wire > 0.0:
+                demoted += float(moved * self.block_nbytes())
+            if moved or demoted > 0.0:
                 # Bill every transfer that actually landed — including
                 # demotions a materialisation forced before running out of
                 # tier room (moved can be 0 with demoted bytes > 0; those
                 # are on the clock but not on this request).
-                self._bill_swap_out(
-                    state if moved else None, moved, wire, demoted_wire
-                )
+                self._bill_swap_out(state if moved else None, moved, demoted)
             if moved:
                 return True
         return False
@@ -441,19 +414,17 @@ class PoolPressure:
         """
         assert victim.paged is not None
         stats = self.swap_space.stats
-        demoted_wire_before = stats.demoted_wire_bytes
+        demoted_before = stats.demoted_logical_bytes
         try:
             handle = self.swap_space.swap_out(
                 self.allocator, victim.paged.table.block_ids, tier="cpu"
             )
         except CapacityError:
-            demoted_wire = float(
-                stats.demoted_wire_bytes - demoted_wire_before
-            )
-            if demoted_wire > 0.0:
+            demoted = float(stats.demoted_logical_bytes - demoted_before)
+            if demoted > 0.0:
                 # Demotions that did land before the failure really moved
                 # bytes to disk; bill them even though the swap-out aborted.
-                self._bill_swap_out(None, 0, 0.0, demoted_wire)
+                self._bill_swap_out(None, 0, demoted)
             return False
         victim.paged.table.release()
         victim.swap_handle = handle
@@ -466,8 +437,7 @@ class PoolPressure:
         self._bill_swap_out(
             victim,
             handle.stored_blocks,
-            float(handle.stored_wire_nbytes),
-            float(stats.demoted_wire_bytes - demoted_wire_before),
+            float(stats.demoted_logical_bytes - demoted_before),
         )
         self.metrics.count("preemptions", victim.priority, victim.tenant)
         self.metrics.preemptions_swap += 1
@@ -589,18 +559,16 @@ class PoolPressure:
             self.scheduler.preempt(state, requeue_front=False)
             return False
         stored = handle.stored_blocks
-        wire = float(handle.stored_wire_nbytes)
-        disk_wire = wire if handle.tier == "disk" else 0.0
+        nbytes = float(stored * self.block_nbytes())
+        disk_bytes = nbytes if handle.tier == "disk" else 0.0
         new_ids = self.swap_space.swap_in(handle, self.allocator)
         state.paged.table = BlockTable(self.allocator, new_ids)
         state.swap_handle = None
         state.status = state.resume_status
 
-        # The upward bill: disk read → H2D (raw chains need no decode stage).
-        nbytes = float(stored * self.block_nbytes())
-        self._charge(self.latency.swap_in_seconds(wire, disk_wire), state)
+        # The upward bill: disk read → H2D.
+        self._charge(self.latency.swap_in_seconds(nbytes, disk_bytes), state)
         self.metrics.swap_in_blocks += stored
         self.metrics.swap_in_bytes += nbytes
-        self.metrics.swap_in_wire_bytes += wire
         state.metrics.swap_in_bytes += nbytes
         return True

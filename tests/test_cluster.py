@@ -451,67 +451,73 @@ class TestChainExportImport:
 # ---------------------------------------------------------------------------
 
 
-class TestLossyChainTransfer:
-    """Lossy codecs on the opt-in surfaces: chain export and migration.
+class TestRawChainTransfer:
+    """Migration ships parked copies as they lie and bills the modelled
+    bytes of the transfer once, on the target's clock."""
 
-    No byte-identity claim here — lossy restores are bound-accurate only,
-    and the bound is declared on every encoded tensor."""
-
-    def test_lossy_export_decodes_within_declared_bound(
-        self, model, tiny_config
+    def test_mixed_chain_ships_parked_payloads_and_bills_the_transfer(
+        self, model, tiny_config, monkeypatch
     ):
-        from repro.llm.kvcodec import IntQuantCodec
+        from repro.llm.kvcodec import KVBlockCodec
 
-        prompt = make_prompts(tiny_config, (200,))[0]
-        engine = InferenceEngine(model, enable_prefix_caching=True)
-        engine.run(make_requests([prompt], None, prefix="w"))
-        engine.release("w0")
-        exact = engine.prefix_cache.export_chain(prompt)  # raw reference
-        lossy = engine.prefix_cache.export_chain(
-            prompt, codec=IntQuantCodec(4, model.config.dtype_bytes)
-        )
-        assert lossy.kv_wire_nbytes < exact.kv_wire_nbytes // 2
-        for ref_node, node in zip(exact.nodes, lossy.nodes):
-            for ref_enc, enc in ((ref_node.keys, node.keys),
-                                 (ref_node.values, node.values)):
-                assert enc.error_bound is not None
-                err = np.max(np.abs(enc.decode() - ref_enc.decode()))
-                assert 0.0 < err <= enc.error_bound
-
-    def test_lossy_spilled_chain_migrates_compressed(self, model, tiny_config):
-        """int4 spill tier + migration: the shipped chain rides the wire in
-        its parked quantised form and still serves the follow-up request."""
         prompt = make_prompts(tiny_config, (200,))[0]
         followup = prompt + list(range(4, 74))
         cluster = ClusterFrontend(model, num_workers=2,
                                   placement="cache_aware",
-                                  migrate_on_miss=True,
-                                  kv_spill_codec="int4")
+                                  migrate_on_miss=True)
         cluster.run(make_requests([prompt], None, prefix="warm"))
         cluster.release("warm0")
-        owner = cluster.workers[0]
-        owner.prefix_cache.evict(owner.prefix_cache.num_resident)
-        assert owner.prefix_cache.num_spilled > 0
+        owner, target = cluster.workers
+        cache = owner.prefix_cache
+        cache.evict(1)  # the head spills; the rest of the chain stays resident
+        assert 0 < cache.num_spilled < len(cache)
         owner.submit(make_requests(
             [make_prompts(tiny_config, (150,), seed=3)[0]], None,
             max_new_tokens=48, prefix="fill")[0])
 
+        parked = {
+            id(payload)
+            for node in cache._nodes.values() if node.spilled
+            for payload in (node.spill_handle.keys[0], node.spill_handle.values[0])
+        }
+        shipped, encodes = [], []
+        import_chain, encode = target.prefix_cache.import_chain, KVBlockCodec.encode
+
+        def recording_import(chain):
+            shipped.append(chain)
+            return import_chain(chain)
+
+        def counting_encode(codec, array):
+            encodes.append(array)
+            return encode(codec, array)
+
+        monkeypatch.setattr(target.prefix_cache, "import_chain", recording_import)
+        monkeypatch.setattr(KVBlockCodec, "encode", counting_encode)
+        clock = target.metrics.clock
         cluster.submit(make_requests([followup], None, prefix="f")[0])
         assert cluster.placements[-1].migrate_from == 0
-        outputs = cluster.run()
-        assert cluster.metrics.migrations == 1
-        # The parked int4 payloads are what crossed the links.
-        metrics = cluster.metrics
-        assert metrics.migrated_kv_wire_bytes < metrics.migrated_kv_bytes / 2
-        assert metrics.migration_compression_ratio > 2.0
-        assert outputs["f0"].finished
-        assert outputs["f0"].metrics.cached_prefix_tokens > 0
 
-    def test_lossy_migration_codec_accepted(self, model, tiny_config):
-        cluster = ClusterFrontend(model, num_workers=2,
-                                  migration_codec="int4-outlier")
-        assert cluster.migration_codec.name == "int4-outlier"
-        assert not cluster.migration_codec.lossless
+        (chain,) = shipped
+        assert 0 < chain.disk_blocks < chain.num_blocks
+        for node in chain.nodes:
+            # Spilled nodes ship the parked objects themselves; only the
+            # resident nodes are copied on export.
+            assert (id(node.keys) in parked) == node.from_disk
+            assert (id(node.values) in parked) == node.from_disk
+        assert len(encodes) == 2 * (chain.num_blocks - chain.disk_blocks)
+
+        block = target.pressure.block_nbytes()
+        kv_bytes = float(chain.num_blocks * block)
+        disk_bytes = float(chain.disk_blocks * block) + float(chain.payload_nbytes())
+        seconds = target.latency.migration_seconds(kv_bytes, disk_bytes)
+        assert target.metrics.clock == clock + seconds
+        metrics = cluster.metrics
+        assert metrics.migration_seconds == seconds
+        assert (metrics.migrated_kv_bytes, metrics.migrated_disk_bytes) == (
+            kv_bytes, disk_bytes)
+        assert (metrics.migrated_kv_wire_bytes, metrics.migrated_disk_wire_bytes) == (
+            kv_bytes, disk_bytes)
+        assert cluster.run()["f0"].metrics.cached_prefix_tokens > 0
 
 
 def _reference_outputs(model, tiny_config, policy_name):
@@ -572,11 +578,9 @@ class TestClusterByteIdentity:
         assert cluster.metrics.migrations == 1
         assert cluster.metrics.migrated_blocks > 0
         assert cluster.metrics.migration_seconds > 0
-        # wire accounting: the default raw codec ships logical bytes
-        assert cluster.metrics.migrated_kv_wire_bytes > 0
-        assert cluster.metrics.migration_compression_ratio == 1.0
-        assert cluster.metrics.as_dict()["migrated_kv_wire_bytes"] == (
-            cluster.metrics.migrated_kv_wire_bytes
+        assert cluster.metrics.migrated_kv_bytes > 0
+        assert cluster.metrics.as_dict()["migrated_kv_bytes"] == (
+            cluster.metrics.migrated_kv_bytes
         )
         # the migrated chain actually served the request on the target
         assert outputs["f0"].metrics.cached_prefix_tokens > 0
@@ -967,11 +971,7 @@ AS_DICT_KEYS = {
         "preemptions_swap", "preemptions_recompute", "requests_shed",
         "deadline_misses", "slo_tunings", "proactive_swap_outs", "per_class",
         "per_tenant", "swap_out_blocks", "swap_in_blocks", "swap_out_bytes",
-        "swap_in_bytes", "spill_out_bytes", "spill_in_bytes",
-        "swap_out_wire_bytes", "swap_in_wire_bytes", "spill_out_wire_bytes",
-        "spill_in_wire_bytes", "swap_compression_ratio",
-        "spill_compression_ratio", "codec_encode_seconds",
-        "codec_decode_seconds", "swap_seconds", "decode_batch_rounds",
+        "swap_in_bytes", "spill_out_bytes", "spill_in_bytes", "swap_seconds", "decode_batch_rounds",
         "decode_batch_requests", "mean_decode_batch_size",
         "decode_batch_size_histogram", "decode_select_seconds",
         "decode_score_seconds", "decode_topk_seconds",

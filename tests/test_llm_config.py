@@ -67,7 +67,7 @@ class TestFlopAccounting:
         f2 = cfg.attention_flops_prefill(2048)
         assert f2 > 2 * f1  # super-linear growth
 
-    def test_decode_flops_drop_with_selective_attention(self):
+    def test_selective_attention_cuts_decode_layer_flops(self):
         cfg = ModelConfig.llama3_8b()
         full = cfg.layer_flops_decode(65536)
         selective = cfg.layer_flops_decode(65536, attended_tokens=65536 // 5)

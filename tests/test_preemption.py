@@ -15,8 +15,7 @@ recompute preemption — and asserts after every engine step:
   (some request always progresses);
 * **byte-identity**: every finished request's tokens *and* per-step logits
   are bitwise equal to the same request served by an uncontended
-  (unbounded-pool) engine, under both preemption modes — unless the seed
-  spills through a lossy codec and restores from it;
+  (unbounded-pool) engine, under both preemption modes;
 * **QoS order**: requests carry random priority/tenant tags; the waiting
   queue stays priority-sorted, and the engine's victim log shows no
   cross-class priority inversion (a victim never outranks its claimant) and
@@ -91,8 +90,7 @@ def _policy_spec(name):
 
 
 def _make_engine(model, pool_blocks, mode, chunk, block_size=8,
-                 spill_codec=None, proactive=None, shed_deadlines=True,
-                 batch=4):
+                 proactive=None, shed_deadlines=True, batch=4):
     return InferenceEngine(
         model,
         scheduler_config=SchedulerConfig(
@@ -106,7 +104,6 @@ def _make_engine(model, pool_blocks, mode, chunk, block_size=8,
         kv_block_size=block_size,
         kv_pool_blocks=pool_blocks,
         max_retained_outputs=0,
-        kv_spill_codec=spill_codec,
     )
 
 
@@ -285,11 +282,6 @@ def run_fuzz_seed(model, seed):
     requests = _random_requests(model, rng)
     mode = "swap" if rng.random() < 0.5 else "recompute"
     chunk = [None, 24, 40][int(rng.integers(0, 3))]
-    # Spill cold chains raw, or (swap mode) through a lossy codec: the
-    # audits must hold either way.  A recompute replay that re-attaches a
-    # lossy-restored prefix re-derives other tokens than it emitted, which
-    # the engine refuses, so recompute mode spills raw.
-    spill_codec = "int4" if mode == "swap" and rng.random() < 0.4 else None
     # Randomly arm proactive swap-out: another ordering-only knob that must
     # never move the bytes.
     proactive = [None, 0.5][int(rng.integers(0, 2))]
@@ -300,7 +292,7 @@ def run_fuzz_seed(model, seed):
     pool = floor + int(rng.integers(0, 6))
     context = (
         f"seed={seed} mode={mode} chunk={chunk} pool={pool} batch={batch} "
-        f"spill={spill_codec} proactive={proactive}"
+        f"proactive={proactive}"
     )
 
     # Uncontended ground truth: same engine configuration, unbounded pool.
@@ -312,8 +304,7 @@ def run_fuzz_seed(model, seed):
     refs = reference.run(list(requests))
 
     engine = _make_engine(model, pool, mode, chunk, block_size,
-                          spill_codec=spill_codec, proactive=proactive,
-                          batch=batch)
+                          proactive=proactive, batch=batch)
     engine.pressure.victim_log = []
     # Stagger submissions and plan a few aborts at random step indices.
     submit_at = {0: requests[:2]}
@@ -347,8 +338,6 @@ def run_fuzz_seed(model, seed):
     else:
         pytest.fail(f"{context}: engine made no progress within {step_cap} steps")
 
-    # Byte-identity holds wherever no lossy restore could feed a request.
-    exact = spill_codec is None or engine.prefix_cache.stats.restored_blocks == 0
     for request in requests:
         rid = request.request_id
         if rid in aborted:
@@ -373,8 +362,7 @@ def run_fuzz_seed(model, seed):
                 f"before its deadline {out.metrics.deadline}"
             )
             continue
-        if exact:
-            _outputs_equal(out, refs[rid])
+        _outputs_equal(out, refs[rid])
     return engine
 
 
@@ -648,25 +636,21 @@ class TestDirectedPreemption:
             assert snap.hold_count == holders
 
 
-# --------------------------------------------------------- codec config
+# ------------------------------------------------------------ raw parking
 
 
-class TestCodecToggles:
-    """Codec configs on the preemption path (see also the fuzz harness,
-    which spills raw or through a lossy codec per seed)."""
+class TestRawParking:
+    """Every tier parks raw, and every transfer is counted once."""
 
-    def _swap_heavy(self, rng):
-        return [
+    def test_defaults_move_raw_bytes_and_bill_no_codec_time(self, fuzz_model):
+        """Swap-out / swap-in and spill / restore move whole blocks: the
+        engine bills exactly the bytes the tiers stored and handed back,
+        and the pre-raw wire names read the same numbers."""
+        rng = np.random.default_rng(21)
+        requests = [
             _long_request(f"c{i}", rng, 100, _policy_spec(p))
             for i, p in enumerate([None, "pqcache", None, "snapkv"])
         ]
-
-    def test_defaults_move_raw_bytes_and_bill_no_codec_time(self, fuzz_model):
-        """Under the engine defaults every tier transition is raw: swap-out /
-        swap-in and spill / restore bill wire bytes equal to logical bytes,
-        and no codec stage reaches the clock."""
-        rng = np.random.default_rng(21)
-        requests = self._swap_heavy(rng)
         engine = _make_engine(fuzz_model, 28, "swap", 32)
         finals = engine.run(list(requests))
         # The first prompt again: its chain was spilled under the pressure
@@ -676,37 +660,31 @@ class TestCodecToggles:
         finals.update(engine.run([again]))
         assert all(f.finished for f in finals.values())
         audit_engine(engine, "defaults")
-        metrics = engine.metrics
+        metrics, block = engine.metrics, engine.pressure.block_nbytes()
+        tiers, cache = engine.swap_space.stats, engine.prefix_cache.stats
         assert metrics.swap_out_bytes > 0 and metrics.swap_in_bytes > 0
-        assert metrics.spill_out_bytes > 0 and metrics.spill_in_bytes > 0
-        assert metrics.swap_out_wire_bytes == metrics.swap_out_bytes
-        assert metrics.swap_in_wire_bytes == metrics.swap_in_bytes
-        assert metrics.spill_out_wire_bytes == metrics.spill_out_bytes
-        assert metrics.spill_in_wire_bytes == metrics.spill_in_bytes
-        assert metrics.codec_encode_seconds == metrics.codec_decode_seconds == 0.0
-
-    def test_wire_metrics_surface_in_as_dict(self, fuzz_model):
-        rng = np.random.default_rng(22)
-        engine = _make_engine(fuzz_model, 28, "swap", 32)
-        engine.run(self._swap_heavy(rng))
-        report = engine.metrics.as_dict()
-        assert report["swap_out_wire_bytes"] == engine.metrics.swap_out_wire_bytes
-        assert report["swap_compression_ratio"] > 0.0
-        assert report["codec_encode_seconds"] >= 0.0
-
-    def test_lossy_spill_codec_keeps_engine_coherent(self, fuzz_model):
-        """int4 on the spill tier: audits hold, requests finish, the spill
-        wire bytes shrink below logical.  (No byte-identity claim — lossy
-        restores are only bound-accurate, which the codec tests cover.)"""
-        rng = np.random.default_rng(23)
-        engine = _make_engine(fuzz_model, 24, "swap", 32, spill_codec="int4")
-        requests = self._swap_heavy(rng)
-        finals = engine.run(list(requests))
-        audit_engine(engine, "lossy spill")
-        assert all(f.finished for f in finals.values())
-        metrics = engine.metrics
-        if metrics.spill_out_bytes > 0:
-            assert metrics.spill_out_wire_bytes < metrics.spill_out_bytes
+        assert cache.spilled_blocks > 0 and cache.restored_blocks > 0
+        assert metrics.swap_out_bytes == metrics.swap_out_blocks * block
+        assert metrics.swap_in_bytes == metrics.swap_in_blocks * block
+        assert metrics.spill_out_bytes == (
+            cache.spilled_blocks * block + cache.spilled_payload_bytes
+        )
+        assert metrics.spill_in_bytes == (
+            cache.restored_blocks * block + cache.restored_payload_bytes
+        )
+        assert tiers.swapped_out_logical_bytes == (
+            metrics.swap_out_bytes + cache.spilled_blocks * block
+        )
+        assert tiers.swapped_in_logical_bytes == (
+            metrics.swap_in_bytes + cache.restored_blocks * block
+        )
+        assert (
+            metrics.swap_out_wire_bytes, metrics.swap_in_wire_bytes,
+            metrics.spill_out_wire_bytes, metrics.spill_in_wire_bytes,
+        ) == (
+            metrics.swap_out_bytes, metrics.swap_in_bytes,
+            metrics.spill_out_bytes, metrics.spill_in_bytes,
+        )
 
 
 # ------------------------------------------------- the component, standalone
@@ -838,13 +816,11 @@ def test_failed_swap_out_still_bills_the_demotions_that_landed(fuzz_model):
     assert pressure.preempt_victim(three)
     assert three.status is RequestStatus.PREEMPTED and three.swap_handle is None
     assert stats.demoted == 1 and one.swap_handle.tier == "disk"
-    seconds = parts.latency.swap_out_seconds(0.0, float(stats.demoted_wire_bytes))
+    seconds = parts.latency.swap_out_seconds(0.0, float(stats.demoted_logical_bytes))
     assert seconds > 0.0
     assert metrics.clock == before.clock + seconds
     assert metrics.swap_seconds == before.swap_seconds + seconds
-    assert metrics.codec_encode_seconds == before.codec_encode_seconds
     assert metrics.swap_out_blocks == before.swap_out_blocks == 3
     assert metrics.swap_out_bytes == before.swap_out_bytes
-    assert metrics.swap_out_wire_bytes == before.swap_out_wire_bytes
     assert (metrics.preemptions_swap, metrics.preemptions_recompute) == (2, 1)
     assert three.metrics.swap_seconds == 0.0

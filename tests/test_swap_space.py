@@ -12,7 +12,7 @@ from repro.core.pqcache import PQSnapshot
 from repro.errors import CapacityError, ConfigurationError
 from repro.llm import ModelConfig
 from repro.llm.kvcache import BlockAllocator, PagedKVCache, SwapSpace
-from repro.llm.kvcodec import IntQuantCodec, RawCodec
+from repro.llm.kvcodec import KVBlockCodec
 from repro.memory import HardwareSpec, LatencyModel, Resource
 from repro.serve import PrefixCache, chain_block_keys
 
@@ -168,77 +168,38 @@ class TestSwapSpace:
             SwapSpace(cpu_capacity_blocks=-1)
 
 
-# ------------------------------------------------------- codec wire billing
+# ------------------------------------------------------------ byte billing
 
 
 class TestSwapSpaceCodec:
-    def test_wire_and_logical_counters(self):
-        alloc = make_allocator()
-        space = SwapSpace()
-        handle = space.swap_out(alloc, fill_blocks(alloc, 2), codec=IntQuantCodec(8))
-        stats = space.stats
-        logical = handle.stored_logical_nbytes
-        wire = handle.stored_wire_nbytes
-        assert logical == 2 * alloc.block_nbytes()  # keys+values, 2 blocks
-        assert stats.swapped_out_logical_bytes == logical
-        assert stats.swapped_out_wire_bytes == wire
-        assert wire != logical  # int8 codes plus channel params
-        space.swap_in(handle, alloc)
-        assert stats.swapped_in_logical_bytes == logical
-        assert stats.swapped_in_wire_bytes == wire
-
-    def test_raw_default_wire_equals_logical(self):
+    def test_logical_counters(self):
         alloc = make_allocator()
         space = SwapSpace()
         handle = space.swap_out(alloc, fill_blocks(alloc, 2))
-        assert isinstance(handle.codec, RawCodec)  # no codec given: raw
-        assert handle.codec.dtype_bytes == alloc.dtype_bytes
-        assert handle.stored_wire_nbytes == handle.stored_logical_nbytes
-        assert (
-            space.stats.swapped_out_wire_bytes
-            == space.stats.swapped_out_logical_bytes
-        )
+        stats = space.stats
+        logical = handle.stored_logical_nbytes
+        assert logical == 2 * alloc.block_nbytes()  # keys+values, 2 blocks
+        assert stats.swapped_out_logical_bytes == logical
+        space.swap_in(handle, alloc)
+        assert stats.swapped_in_logical_bytes == logical
 
-    def test_demotion_tracks_wire_bytes(self):
+    def test_raw_default_wire_equals_logical(self):
+        # Parking sizes every copy at the pool's modelled width.
+        alloc = BlockAllocator(2, 2, 8, block_size=4, dtype_bytes=4)
+        space = SwapSpace()
+        handle = space.swap_out(alloc, fill_blocks(alloc, 2))
+        assert handle.stored_logical_nbytes == 2 * alloc.block_nbytes()
+        for encoded in (*handle.keys, *handle.values):
+            assert encoded.wire_nbytes == encoded.logical_nbytes
+            assert encoded.logical_nbytes == alloc.block_keys(0).size * 4
+
+    def test_demotion_tracks_bytes(self):
         alloc = make_allocator()
         space = SwapSpace(cpu_capacity_blocks=2)
-        first = space.swap_out(
-            alloc, fill_blocks(alloc, 2, seed=1), codec=IntQuantCodec(8)
-        )
-        first_wire = first.stored_wire_nbytes
+        first = space.swap_out(alloc, fill_blocks(alloc, 2, seed=1))
         space.swap_out(alloc, fill_blocks(alloc, 2, seed=2))
         assert first.tier == "disk"
-        assert space.stats.demoted_wire_bytes == first_wire
-        assert first_wire != first.stored_logical_nbytes
         assert space.stats.demoted_logical_bytes == first.stored_logical_nbytes
-
-    def test_per_call_codec_overrides_default(self):
-        # 32-token blocks: enough tokens per channel for int4's per-channel
-        # (min, scale) params to amortise into a real compression win.
-        alloc = make_allocator(block_size=32)
-        space = SwapSpace()  # raw default
-        handle = space.swap_out(
-            alloc, fill_blocks(alloc, 1), tier="disk",
-            codec=IntQuantCodec(4),
-        )
-        assert handle.codec.name == "int4"
-        assert handle.stored_wire_nbytes < handle.stored_logical_nbytes // 2
-
-    def test_lossy_swap_restores_within_bound(self):
-        alloc = make_allocator()
-        ids = fill_blocks(alloc, 1)
-        keys = alloc.block_keys(ids[0]).copy()
-        space = SwapSpace()
-        handle = space.swap_out(alloc, ids, codec=IntQuantCodec(8))
-        bound = max(
-            enc.error_bound
-            for pos in (handle.keys, handle.values)
-            for enc in pos
-            if enc is not None
-        )
-        alloc.decref(ids[0])
-        new_ids = space.swap_in(handle, alloc)
-        assert np.max(np.abs(alloc.block_keys(new_ids[0]) - keys)) <= bound
 
     def test_peek_encoded_returns_parked_objects(self):
         alloc = make_allocator()
@@ -258,27 +219,26 @@ class TestSwapSpaceCodec:
         handle = space.swap_out(alloc, [shared])
         assert handle.pinned_blocks == 1
         enc_keys, _ = space.peek_encoded(handle)
-        assert enc_keys[0].codec == "raw"
         assert np.array_equal(enc_keys[0].decode(), alloc.block_keys(shared))
 
-    def test_materialize_pins_bills_wire_bytes(self):
+    def test_materialize_pins_bills_bytes(self):
         alloc = make_allocator()
         (shared,) = fill_blocks(alloc, 1)
         alloc.incref(shared)
         space = SwapSpace()
         handle = space.swap_out(alloc, [shared])
-        assert space.stats.swapped_out_wire_bytes == 0  # pin moved nothing
+        assert space.stats.swapped_out_logical_bytes == 0  # pin moved nothing
         alloc.decref(shared)
         space.materialize_pins(handle)
-        assert space.stats.swapped_out_wire_bytes == handle.stored_wire_nbytes
-        assert handle.stored_wire_nbytes > 0
+        assert space.stats.swapped_out_logical_bytes == alloc.block_nbytes()
+        assert handle.stored_logical_nbytes == alloc.block_nbytes()
 
     def test_describe_reports_bytes(self):
         alloc = make_allocator()
         space = SwapSpace()
         space.swap_out(alloc, fill_blocks(alloc, 1))
         info = space.describe()
-        assert info["swapped_out_wire_bytes"] == info["swapped_out_logical_bytes"] > 0
+        assert info["swapped_out_logical_bytes"] == alloc.block_nbytes()
 
 
 # ---------------------------------------------------------- latency model
@@ -319,48 +279,11 @@ class TestSwapLatency:
         with pytest.raises(ConfigurationError):
             latency.swap_in_timeline(1.0, disk_bytes=-1.0)
 
-    def test_zero_flops_emit_no_codec_stage(self, latency):
-        out = latency.swap_out_timeline(1e6, disk_bytes=5e5)
-        assert "swap-encode" not in out
-        back = latency.swap_in_timeline(1e6)
-        assert "swap-decode" not in back
-
-    def test_encode_stage_gates_the_d2h_leg(self, latency):
-        timeline = latency.swap_out_timeline(1e6, encode_flops=6e6)
-        encode, d2h = timeline["swap-encode"], timeline["swap-d2h"]
-        assert encode.resource == Resource.CPU
-        assert d2h.depends_on == ("swap-encode",)
-        assert d2h.start >= encode.finish
-        assert encode.duration == pytest.approx(latency.codec_seconds(6e6))
-        # The codec stage lengthens the swap: its cost is real.
-        assert timeline.makespan > latency.swap_out_timeline(1e6).makespan
-
-    def test_decode_stage_follows_the_h2d_leg(self, latency):
-        timeline = latency.swap_in_timeline(1e6, decode_flops=3e6)
-        h2d, decode = timeline["swap-h2d"], timeline["swap-decode"]
-        assert decode.resource == Resource.CPU
-        assert decode.depends_on == ("swap-h2d",)
-        assert decode.start >= h2d.finish
-
-    def test_migration_encode_overlaps_disk_read(self, latency):
-        timeline = latency.migration_timeline(
-            1e6, disk_bytes=5e5, encode_flops=6e6, decode_flops=3e6
-        )
-        encode = timeline["migrate-encode"]
-        read = timeline["swap-disk-read"]
-        h2d = timeline["swap-h2d"]
-        assert encode.resource == Resource.CPU
-        # Source-side encode and owner NVMe read proceed in parallel; the
-        # PCIe leg waits on both.
-        assert set(h2d.depends_on) == {"migrate-encode", "swap-disk-read"}
-        assert encode.start == read.start == 0.0
-        assert timeline["swap-decode"].depends_on == ("swap-h2d",)
-
-    def test_codec_seconds_validated(self, latency):
-        assert latency.codec_seconds(0.0) == 0.0
-        assert latency.codec_seconds(1e6) > 0.0
-        with pytest.raises(ConfigurationError):
-            latency.codec_seconds(-1.0)
+    def test_migration_links_disk_then_pcie(self, latency):
+        timeline = latency.migration_timeline(1e6, disk_bytes=5e5)
+        assert len(timeline) == 2  # no CPU stage: the disk read, then PCIe
+        assert timeline["swap-h2d"].depends_on == ("swap-disk-read",)
+        assert latency.migration_seconds(1e6, 5e5) == latency.swap_in_seconds(1e6, 5e5)
 
 
 # ------------------------------------------------------- prefix-cache spill
@@ -589,24 +512,25 @@ class TestEvictWalkAgainstOracle:
 # ----------------------------------- export / restore double-billing guard
 
 
-class CountingCodec(RawCodec):
-    """Raw codec that counts decode calls (double-read regression)."""
+@pytest.fixture()
+def decodes(monkeypatch):
+    """Every parked payload handed back, in order (double-read regression)."""
+    calls = []
+    decode = KVBlockCodec.decode
 
-    def __init__(self, dtype_bytes=2):
-        super().__init__(dtype_bytes)
-        self.decodes = 0
+    def counting(codec, encoded):
+        calls.append(encoded)
+        return decode(codec, encoded)
 
-    def decode(self, encoded):
-        self.decodes += 1
-        return super().decode(encoded)
+    monkeypatch.setattr(KVBlockCodec, "decode", counting)
+    return calls
 
 
 class TestExportedSpillBilling:
-    def _spilled_cache(self, codec=None, capacity=8, tokens=128):
-        # 32-token blocks so lossy codecs amortise their channel params.
+    def _spilled_cache(self, capacity=8, tokens=128):
         alloc = make_allocator(capacity=capacity, block_size=32)
         space = SwapSpace()
-        cache = PrefixCache(alloc, spill_store=space, spill_codec=codec)
+        cache = PrefixCache(alloc, spill_store=space)
         token_ids = list(range(tokens))
         paged = fill_chain(alloc, token_ids)
         cache.insert(token_ids, paged.table.block_ids)
@@ -614,75 +538,34 @@ class TestExportedSpillBilling:
         cache.evict(tokens // alloc.block_size)
         return alloc, space, cache, token_ids
 
-    def test_export_ships_parked_form_without_restore(self):
+    def test_export_ships_parked_form_without_restore(self, decodes):
         """Exporting a spilled chain must not read it back through NVMe.
 
-        The exported nodes carry the parked encoded payloads themselves —
-        no decode on the owner, no restore-counter mutation — so a later
+        The exported nodes carry the parked payloads themselves — no
+        restore on the owner, no restore-counter mutation — so a later
         local restore of the same chain bills its disk read exactly once.
         """
-        codec = CountingCodec()
-        alloc, space, cache, tokens = self._spilled_cache(codec=codec)
+        alloc, space, cache, tokens = self._spilled_cache()
         assert cache.num_spilled == 4
         exported = cache.export_chain(tokens)
         assert exported is not None and exported.disk_blocks == 4
         # The parked objects travelled as-is: zero decodes, zero restores.
-        assert codec.decodes == 0
+        assert decodes == []
         assert cache.stats.restored_blocks == 0
-        assert cache.stats.restored_wire_bytes == 0
         assert space.disk_blocks == 4  # owner copy still parked
         # A later local restore of the very same chain bills once, normally.
         match = cache.match(tokens)
         assert match is not None and match.matched_tokens == len(tokens)
         assert cache.stats.restored_blocks == 4
-        assert cache.stats.restored_wire_bytes > 0
 
-    def test_import_decodes_each_block_exactly_once(self):
-        codec = CountingCodec()
-        alloc, space, cache, tokens = self._spilled_cache(codec=codec)
+    def test_import_decodes_each_block_exactly_once(self, decodes):
+        alloc, space, cache, tokens = self._spilled_cache()
         exported = cache.export_chain(tokens)
         target_alloc = make_allocator(capacity=8, block_size=32)
         target = PrefixCache(target_alloc)
         written = target.import_chain(exported)
         assert written == 4
-        assert codec.decodes == 2 * written  # keys + values per block
-
-    def test_exported_wire_bytes_reflect_spill_codec(self):
-        _, _, cache, tokens = self._spilled_cache(codec=IntQuantCodec(4))
-        exported = cache.export_chain(tokens)
-        assert exported.disk_blocks == 4
-        assert exported.kv_wire_nbytes < exported.kv_logical_nbytes // 2
-        assert exported.disk_wire_nbytes == exported.kv_wire_nbytes
-
-    def test_lossy_spill_restores_within_bound(self):
-        alloc = make_allocator(capacity=8)
-        space = SwapSpace()
-        cache = PrefixCache(alloc, spill_store=space,
-                            spill_codec=IntQuantCodec(8))
-        tokens = list(range(16))
-        paged = fill_chain(alloc, tokens)
-        originals = [
-            alloc.block_keys(b).copy() for b in paged.table.block_ids
-        ]
-        cache.insert(tokens, paged.table.block_ids)
-        paged.release()
-        cache.evict(4)
-        bound = max(
-            enc.error_bound
-            for node in cache._nodes.values()
-            for enc in (*node.spill_handle.keys, *node.spill_handle.values)
-            if enc is not None
-        )
-        match = cache.match(tokens)
-        assert match is not None and match.matched_tokens == 16
-        for new_id, original in zip(match.block_ids, originals):
-            err = np.max(np.abs(alloc.block_keys(new_id) - original))
-            assert 0.0 < err <= bound  # genuinely lossy, within declaration
-
-    def test_spill_wire_counter_tracks_codec(self):
-        alloc, _, cache, _ = self._spilled_cache(codec=IntQuantCodec(4))
-        logical = cache.stats.spilled_blocks * alloc.block_nbytes()
-        assert 0 < cache.stats.spilled_wire_bytes < logical // 2
+        assert len(decodes) == 2 * written  # keys + values per block
 
 
 # --------------------------------------------- snapshot hold refcounting
