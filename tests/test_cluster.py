@@ -29,6 +29,7 @@ from repro.serve import (
 from repro.serve.cluster import (
     ROUTING_POLICIES,
     ClusterFrontend,
+    ClusterMetrics,
     FingerprintDirectory,
     Router,
     Worker,
@@ -454,6 +455,24 @@ class TestChainExportImport:
 class TestRawChainTransfer:
     """Migration ships parked copies as they lie and bills the modelled
     bytes of the transfer once, on the target's clock."""
+
+    def test_export_decodes_to_the_source_blocks_bitwise(self, model, tiny_config):
+        prompt = make_prompts(tiny_config, (200,))[0]
+        engine = InferenceEngine(model, enable_prefix_caching=True)
+        engine.run(make_requests([prompt], None, prefix="w"))
+        engine.release("w0")
+        cache, alloc = engine.prefix_cache, engine.block_allocator
+        exported = cache.export_chain(prompt)
+        match = cache.match(prompt)
+        assert exported.num_blocks == len(match.block_ids) > 0
+        half_block = alloc.block_nbytes() // 2  # keys or values of one block
+        for node, block_id in zip(exported.nodes, match.block_ids):
+            assert node.keys.decode().tobytes() == alloc.block_keys(block_id).tobytes()
+            assert node.values.decode().tobytes() == (
+                alloc.block_values(block_id).tobytes()
+            )
+            for encoded in (node.keys, node.values):
+                assert encoded.wire_nbytes == encoded.logical_nbytes == half_block
 
     def test_mixed_chain_ships_parked_payloads_and_bills_the_transfer(
         self, model, tiny_config, monkeypatch
@@ -944,6 +963,38 @@ class TestEngineMetricsOps:
         assert metrics.generated_tokens == 0
         assert metrics.clock == 0.0
 
+    @pytest.mark.parametrize("alias, twin", [
+        ("swap_out_wire_bytes", "swap_out_bytes"),
+        ("swap_in_wire_bytes", "swap_in_bytes"),
+        ("spill_out_wire_bytes", "spill_out_bytes"),
+        ("spill_in_wire_bytes", "spill_in_bytes"),
+    ])
+    def test_wire_aliases_read_their_logical_twins(self, alias, twin):
+        """The pre-raw byte names stay readable and follow their twin
+        through merge, snapshot and reset; they are never set, stored or
+        reported on their own."""
+        metrics = EngineMetrics(**{twin: 123})
+        assert getattr(metrics, alias) == 123
+        metrics.merge(EngineMetrics(**{twin: 7}))
+        assert getattr(metrics, alias) == getattr(metrics.snapshot(), alias) == 130
+        with pytest.raises(AttributeError):
+            setattr(metrics, alias, 1)
+        assert alias not in metrics.as_dict()
+        metrics.reset()
+        assert getattr(metrics, alias) == 0
+
+    @pytest.mark.parametrize("alias, twin", [
+        ("migrated_kv_wire_bytes", "migrated_kv_bytes"),
+        ("migrated_disk_wire_bytes", "migrated_disk_bytes"),
+    ])
+    def test_migration_wire_aliases_read_their_logical_twins(self, alias, twin):
+        metrics = ClusterMetrics(**{twin: 4096.0})
+        assert getattr(metrics, alias) == 4096.0
+        with pytest.raises(AttributeError):
+            setattr(metrics, alias, 1.0)
+        report = metrics.as_dict()
+        assert alias not in report and report[twin] == 4096.0
+
 
 #: the ``as_dict`` reports as they were spelled by hand (key sets frozen at
 #: PR 17); a field added since is expected to appear under its own name
@@ -971,8 +1022,8 @@ AS_DICT_KEYS = {
         "preemptions_swap", "preemptions_recompute", "requests_shed",
         "deadline_misses", "slo_tunings", "proactive_swap_outs", "per_class",
         "per_tenant", "swap_out_blocks", "swap_in_blocks", "swap_out_bytes",
-        "swap_in_bytes", "spill_out_bytes", "spill_in_bytes", "swap_seconds", "decode_batch_rounds",
-        "decode_batch_requests", "mean_decode_batch_size",
+        "swap_in_bytes", "spill_out_bytes", "spill_in_bytes", "swap_seconds",
+        "decode_batch_rounds", "decode_batch_requests", "mean_decode_batch_size",
         "decode_batch_size_histogram", "decode_select_seconds",
         "decode_score_seconds", "decode_topk_seconds",
         "decode_assemble_seconds", "decode_gather_seconds",

@@ -42,6 +42,10 @@ def adversarial_blocks():
     )
 
 
+#: the adversarial inputs by label, for per-case parametrisation
+ADVERSARIAL = dict(adversarial_blocks())
+
+
 # ------------------------------------------------------------------ parking
 
 
@@ -74,6 +78,15 @@ class TestLosslessCodecs:
         block[...] = -1.0
         assert np.array_equal(encoded.decode(), original)
 
+    @pytest.mark.parametrize("label", sorted(ADVERSARIAL))
+    def test_adversarial_block_restores_bitwise_at_every_width(self, label):
+        block = ADVERSARIAL[label]
+        for dtype_bytes in WIDTHS:
+            encoded = KVBlockCodec(dtype_bytes).encode(block)
+            assert encoded.wire_nbytes == encoded.logical_nbytes
+            assert encoded.logical_nbytes == block.size * dtype_bytes
+            assert encoded.decode().tobytes() == block.tobytes(), dtype_bytes
+
 
 WIDTHS = [1, 2, 4, 8]
 
@@ -84,7 +97,15 @@ RAW_SHAPES = {
     "empty": (2, 0, 8),
     "matrix": (5, 7),
     "vector": (9,),
+    "odd-count": (1, 3, 5),
+    "5-d": (2, 2, 1, 9, 3),
 }
+
+#: substrate dtypes a parked block may hold; none of them sizes the wire
+SUBSTRATE_DTYPES = [
+    np.float16, np.float32, np.float64, np.int8, np.int32, np.bool_,
+    np.complex64,
+]
 
 
 def _read_only(block):
@@ -159,3 +180,65 @@ class TestParkingContract:
         block = random_block()
         assert KVBlockCodec(dtype_bytes=4).encode(block).logical_nbytes == block.size * 4
         assert KVBlockCodec().dtype_bytes == 2
+
+    @pytest.mark.parametrize("dtype_bytes", [0, 3, 5, 6, 16, -2])
+    def test_unmodelled_widths_rejected(self, dtype_bytes):
+        with pytest.raises(ConfigurationError):
+            KVBlockCodec(dtype_bytes=dtype_bytes)
+
+    @pytest.mark.parametrize("label", sorted(RAW_SHAPES))
+    def test_encode_is_deterministic(self, label):
+        # The same block parks as the same bytes, in two private copies.
+        codec = KVBlockCodec()
+        block = random_block(11, shape=RAW_SHAPES[label])
+        a, b = codec.encode(block), codec.encode(block.copy())
+        assert a.payload.tobytes() == b.payload.tobytes()
+        assert a.logical_nbytes == b.logical_nbytes
+        assert not np.shares_memory(a.payload, b.payload)
+
+    @pytest.mark.parametrize("label", sorted(RAW_SHAPES))
+    def test_restore_unaffected_by_source_mutation_on_any_shape(self, label):
+        block = random_block(29, shape=RAW_SHAPES[label])
+        original = block.copy()
+        encoded = KVBlockCodec().encode(block)
+        block[...] = -1.0
+        assert encoded.decode().tobytes() == original.tobytes()
+
+    @pytest.mark.parametrize("label", sorted(RAW_SHAPES))
+    def test_reparking_a_restore_is_a_fixed_point(self, label):
+        # A migrated block is restored on one worker and may be parked again
+        # on the next: same bytes, same size, and a copy of its own — decode
+        # hands back the parked array itself, so the re-park must not alias it.
+        codec = KVBlockCodec()
+        block = random_block(13, shape=RAW_SHAPES[label])
+        once = codec.encode(block)
+        twice = codec.encode(once.decode())
+        assert twice.decode().tobytes() == block.tobytes()
+        assert twice.logical_nbytes == once.logical_nbytes
+        if block.size:
+            assert not np.shares_memory(twice.payload, once.payload)
+
+    @pytest.mark.parametrize(
+        "dtype", SUBSTRATE_DTYPES, ids=lambda d: np.dtype(d).name
+    )
+    def test_substrate_dtype_survives_and_never_sizes_the_wire(self, dtype):
+        block = (random_block(17) * 50.0).astype(dtype)
+        for dtype_bytes in WIDTHS:
+            encoded = KVBlockCodec(dtype_bytes).encode(block)
+            assert encoded.logical_nbytes == block.size * dtype_bytes
+            restored = encoded.decode()
+            assert restored.dtype == block.dtype
+            assert restored.tobytes() == block.tobytes()
+
+    def test_decode_hands_back_the_parked_copy(self):
+        # Restore writes into a pool block, so decode itself copies nothing.
+        codec = KVBlockCodec()
+        encoded = codec.encode(random_block())
+        assert encoded.decode() is encoded.payload
+        assert codec.decode(encoded) is encoded.payload
+
+    def test_wire_nbytes_is_read_only(self):
+        encoded = KVBlockCodec().encode(random_block())
+        with pytest.raises(AttributeError):
+            encoded.wire_nbytes = 0
+        assert encoded.wire_nbytes == encoded.logical_nbytes

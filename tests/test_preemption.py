@@ -686,6 +686,32 @@ class TestRawParking:
             metrics.spill_out_bytes, metrics.spill_in_bytes,
         )
 
+    @pytest.mark.parametrize("mode", ["swap", "recompute"])
+    def test_spill_tier_keeps_engine_coherent_and_exact(self, fuzz_model, mode):
+        """A pool tight enough to spill cold chains: audits hold, every
+        request finishes byte-identical to an uncontended engine, and the
+        spill traffic is billed at the blocks' modelled size."""
+        rng = np.random.default_rng(23)
+        requests = [
+            _long_request(f"c{i}", rng, 100, _policy_spec(p))
+            for i, p in enumerate([None, "pqcache", None, "snapkv"])
+        ]
+        refs = _make_engine(fuzz_model, None, mode, 32).run(list(requests))
+        engine = _make_engine(fuzz_model, 24, mode, 32)
+        finals = engine.run(list(requests))
+        audit_engine(engine, f"spill tier {mode}")
+        for request in requests:
+            _outputs_equal(finals[request.request_id], refs[request.request_id])
+        metrics, cache = engine.metrics, engine.prefix_cache.stats
+        block = engine.pressure.block_nbytes()
+        assert cache.spilled_blocks > 0
+        assert metrics.spill_out_bytes == (
+            cache.spilled_blocks * block + cache.spilled_payload_bytes
+        )
+        assert metrics.spill_in_bytes == (
+            cache.restored_blocks * block + cache.restored_payload_bytes
+        )
+
 
 # ------------------------------------------------- the component, standalone
 

@@ -17,9 +17,14 @@ from repro.memory import HardwareSpec, LatencyModel, Resource
 from repro.serve import PrefixCache, chain_block_keys
 
 
-def make_allocator(capacity=None, block_size=4, num_layers=2, h_kv=2, d_h=8):
+WIDTHS = [1, 2, 4, 8]
+
+
+def make_allocator(capacity=None, block_size=4, num_layers=2, h_kv=2, d_h=8,
+                   dtype_bytes=2):
     return BlockAllocator(
-        num_layers, h_kv, d_h, block_size=block_size, capacity_blocks=capacity
+        num_layers, h_kv, d_h, block_size=block_size, capacity_blocks=capacity,
+        dtype_bytes=dtype_bytes,
     )
 
 
@@ -167,6 +172,76 @@ class TestSwapSpace:
         with pytest.raises(ConfigurationError):
             SwapSpace(cpu_capacity_blocks=-1)
 
+    @pytest.mark.parametrize("tier", ["cpu", "disk"])
+    def test_negative_capacity_rejected(self, tier):
+        with pytest.raises(ConfigurationError):
+            SwapSpace(**{f"{tier}_capacity_blocks": -1})
+
+    @pytest.mark.parametrize("dtype_bytes", WIDTHS)
+    def test_round_trip_at_every_width(self, dtype_bytes):
+        # The pool's modelled width sizes the transfer, never the contents.
+        alloc = make_allocator(dtype_bytes=dtype_bytes)
+        ids = fill_blocks(alloc, 2, seed=dtype_bytes)
+        keys = [alloc.block_keys(b).copy() for b in ids]
+        values = [alloc.block_values(b).copy() for b in ids]
+        space = SwapSpace()
+        handle = space.swap_out(alloc, ids)
+        assert handle.stored_logical_nbytes == 2 * alloc.block_nbytes()
+        for bid in ids:
+            alloc.decref(bid)
+        new_ids = space.swap_in(handle, alloc)
+        for new_id, k, v in zip(new_ids, keys, values):
+            assert alloc.block_keys(new_id).tobytes() == k.tobytes()
+            assert alloc.block_values(new_id).tobytes() == v.tobytes()
+        stats = space.stats
+        assert stats.swapped_out_logical_bytes == stats.swapped_in_logical_bytes
+        # keys + values x 2 layers x 2 heads x 4 tokens x 8 dims, 2 blocks
+        assert stats.swapped_in_logical_bytes == 2 * 2 * 2 * 2 * 4 * 8 * dtype_bytes
+
+    @pytest.mark.parametrize("tier", ["cpu", "disk"])
+    def test_round_trip_from_either_tier(self, tier):
+        alloc = make_allocator()
+        ids = fill_blocks(alloc, 2, seed=4)
+        keys = [alloc.block_keys(b).copy() for b in ids]
+        space = SwapSpace()
+        handle = space.swap_out(alloc, ids, tier=tier)
+        assert handle.tier == tier
+        assert (space.cpu_blocks, space.disk_blocks) == (
+            (2, 0) if tier == "cpu" else (0, 2)
+        )
+        for bid in ids:
+            alloc.decref(bid)
+        new_ids = space.swap_in(handle, alloc)
+        assert space.cpu_blocks == space.disk_blocks == 0
+        for new_id, k in zip(new_ids, keys):
+            assert np.array_equal(alloc.block_keys(new_id), k)
+
+    def test_demoted_handle_restores_bitwise(self):
+        # CPU→disk demotion relabels the parked copy; it never re-parks it.
+        alloc = make_allocator()
+        ids = fill_blocks(alloc, 2, seed=5)
+        keys = [alloc.block_keys(b).copy() for b in ids]
+        space = SwapSpace(cpu_capacity_blocks=2)
+        first = space.swap_out(alloc, ids)
+        parked = list(first.keys)
+        space.swap_out(alloc, fill_blocks(alloc, 2, seed=6))
+        assert first.tier == "disk"
+        assert all(a is b for a, b in zip(first.keys, parked))
+        for bid in ids:
+            alloc.decref(bid)
+        new_ids = space.swap_in(first, alloc)
+        for new_id, k in zip(new_ids, keys):
+            assert np.array_equal(alloc.block_keys(new_id), k)
+        assert space.stats.swapped_in_logical_bytes == first.stored_logical_nbytes
+
+    def test_nbytes_counts_both_tiers(self):
+        alloc = make_allocator()
+        space = SwapSpace(cpu_capacity_blocks=2)
+        space.swap_out(alloc, fill_blocks(alloc, 2, seed=1))
+        space.swap_out(alloc, fill_blocks(alloc, 1, seed=2), tier="disk")
+        assert space.nbytes(alloc.block_nbytes()) == 3 * alloc.block_nbytes()
+        assert space.nbytes(alloc.block_nbytes()) == space.stats.swapped_out_logical_bytes
+
 
 # ------------------------------------------------------------ byte billing
 
@@ -240,6 +315,21 @@ class TestSwapSpaceCodec:
         info = space.describe()
         assert info["swapped_out_logical_bytes"] == alloc.block_nbytes()
 
+    def test_stored_bytes_count_only_stored_positions(self):
+        # A pinned shared block moves nothing, so it bills nothing.
+        alloc = make_allocator()
+        own, shared = fill_blocks(alloc, 2)
+        alloc.incref(shared)
+        space = SwapSpace()
+        handle = space.swap_out(alloc, [own, shared])
+        assert handle.values[1] is None and handle.pinned_ids[1] == shared
+        assert handle.stored_logical_nbytes == alloc.block_nbytes()
+        assert space.stats.swapped_out_logical_bytes == alloc.block_nbytes()
+        alloc.decref(own)
+        alloc.decref(shared)
+        space.swap_in(handle, alloc)
+        assert space.stats.swapped_in_logical_bytes == alloc.block_nbytes()
+
 
 # ---------------------------------------------------------- latency model
 
@@ -284,6 +374,35 @@ class TestSwapLatency:
         assert len(timeline) == 2  # no CPU stage: the disk read, then PCIe
         assert timeline["swap-h2d"].depends_on == ("swap-disk-read",)
         assert latency.migration_seconds(1e6, 5e5) == latency.swap_in_seconds(1e6, 5e5)
+
+    @pytest.mark.parametrize("kv_bytes, disk_bytes", [
+        (1e6, 0.0), (1e6, 5e5), (0.0, 5e5), (0.0, 0.0),
+    ])
+    @pytest.mark.parametrize("kind", ["swap_out", "swap_in", "migration"])
+    def test_parking_timelines_are_serial_links_only(
+        self, latency, kind, kv_bytes, disk_bytes
+    ):
+        """Parking is a copy: every tier transition is its PCIe leg and its
+        NVMe leg in series, with no compute stage on either end."""
+        timeline = getattr(latency, f"{kind}_timeline")(kv_bytes, disk_bytes)
+        links = {Resource.D2H, Resource.H2D, Resource.DISK}
+        assert {task.resource for task in timeline.tasks} <= links
+        assert len(timeline) == (kv_bytes > 0) + (disk_bytes > 0)
+        hardware = latency.hardware
+        pcie = hardware.interconnect.transfer_seconds(kv_bytes) if kv_bytes else 0.0
+        storage = hardware.storage
+        disk_leg = storage.write_seconds if kind == "swap_out" else storage.read_seconds
+        disk = disk_leg(disk_bytes) if disk_bytes else 0.0
+        assert timeline.makespan == pytest.approx(pcie + disk)
+        seconds = getattr(latency, f"{kind}_seconds")(kv_bytes, disk_bytes)
+        assert seconds == timeline.makespan
+
+    @pytest.mark.parametrize("leg", ["kv", "disk"])
+    @pytest.mark.parametrize("kind", ["swap_out", "swap_in", "migration"])
+    def test_negative_bytes_rejected(self, latency, kind, leg):
+        kv_bytes, disk_bytes = (-1.0, 0.0) if leg == "kv" else (1.0, -1.0)
+        with pytest.raises(ConfigurationError):
+            getattr(latency, f"{kind}_timeline")(kv_bytes, disk_bytes)
 
 
 # ------------------------------------------------------- prefix-cache spill
@@ -343,6 +462,31 @@ class TestPrefixCacheSpill:
         assert space.disk_blocks == 0
         for new_id, old_id in zip(match.block_ids, order):
             assert np.array_equal(alloc.block_keys(new_id), originals[old_id])
+
+    @pytest.mark.parametrize("dtype_bytes", WIDTHS)
+    def test_spill_restore_is_bitwise_and_billed_at_every_width(self, dtype_bytes):
+        alloc = make_allocator(capacity=8, dtype_bytes=dtype_bytes)
+        space = SwapSpace()
+        cache = PrefixCache(alloc, spill_store=space)
+        tokens = list(range(16))
+        paged = fill_chain(alloc, tokens, seed=dtype_bytes)
+        originals = [
+            (alloc.block_keys(b).copy(), alloc.block_values(b).copy())
+            for b in paged.table.block_ids
+        ]
+        cache.insert(tokens, paged.table.block_ids)
+        paged.release()
+        assert cache.evict(4) == 4
+        block = alloc.block_nbytes()
+        assert cache.stats.spilled_blocks == 4
+        assert space.stats.swapped_out_logical_bytes == 4 * block
+        match = cache.match(tokens)
+        assert match is not None and match.matched_tokens == 16
+        assert cache.stats.restored_blocks == 4
+        assert space.stats.swapped_in_logical_bytes == 4 * block
+        for new_id, (keys, values) in zip(match.block_ids, originals):
+            assert alloc.block_keys(new_id).tobytes() == keys.tobytes()
+            assert alloc.block_values(new_id).tobytes() == values.tobytes()
 
     def test_reinsert_readopts_spilled_nodes_without_disk_read(self):
         alloc = make_allocator(capacity=8)
@@ -566,6 +710,48 @@ class TestExportedSpillBilling:
         written = target.import_chain(exported)
         assert written == 4
         assert len(decodes) == 2 * written  # keys + values per block
+
+    @pytest.mark.parametrize("spilled", range(5))
+    def test_mixed_chain_exports_parked_copies_and_imports_bitwise(
+        self, spilled, decodes
+    ):
+        """Whatever share of the chain is spilled, export ships the parked
+        copies as they lie, copies the resident blocks, sizes every tensor
+        at the pool's width, and the importer reproduces the chain."""
+        alloc = make_allocator(capacity=8, block_size=32)
+        cache = PrefixCache(alloc, spill_store=SwapSpace())
+        tokens = list(range(128))
+        paged = fill_chain(alloc, tokens)
+        contents = [
+            (alloc.block_keys(b).copy(), alloc.block_values(b).copy())
+            for b in paged.table.block_ids
+        ]
+        cache.insert(tokens, paged.table.block_ids)
+        paged.release()
+        assert cache.evict(spilled) == spilled
+        parked = {
+            id(payload)
+            for node in cache._nodes.values() if node.spilled
+            for payload in (node.spill_handle.keys[0], node.spill_handle.values[0])
+        }
+
+        exported = cache.export_chain(tokens)
+        assert (exported.num_blocks, exported.disk_blocks) == (4, spilled)
+        assert decodes == [] and cache.stats.restored_blocks == 0
+        for node in exported.nodes:
+            assert (id(node.keys) in parked) == node.from_disk
+            assert (id(node.values) in parked) == node.from_disk
+            assert node.keys.logical_nbytes == alloc.block_nbytes() // 2
+            assert node.values.wire_nbytes == node.values.logical_nbytes
+
+        target_alloc = make_allocator(capacity=8, block_size=32)
+        target = PrefixCache(target_alloc)
+        assert target.import_chain(exported) == 4
+        match = target.match(tokens)
+        assert match is not None and match.matched_tokens == len(tokens)
+        for new_id, (keys, values) in zip(match.block_ids, contents):
+            assert target_alloc.block_keys(new_id).tobytes() == keys.tobytes()
+            assert target_alloc.block_values(new_id).tobytes() == values.tobytes()
 
 
 # --------------------------------------------- snapshot hold refcounting
