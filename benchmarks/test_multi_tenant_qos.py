@@ -111,24 +111,14 @@ def make_request(event, index: int, rng: np.random.Generator) -> Request:
 def replay(engine: InferenceEngine, events) -> dict:
     """Serve the trace on the engine's simulated clock.
 
-    The clock fast-forwards over idle gaps; an event is submitted as soon
-    as the clock passes its arrival time, so queueing delay shows up in
-    the per-request TTFT.
+    Each request arrives at its event's time: the engine holds it until its
+    clock gets there and idles over gaps, and TTFT counts from the arrival,
+    so queueing delay shows up in it.
     """
     rng = np.random.default_rng(11)
-    requests = [make_request(event, i, rng) for i, event in enumerate(events)]
-    finals: dict[str, object] = {}
-    i = 0
-    while i < len(events) or engine.has_unfinished:
-        if not engine.has_unfinished and i < len(events):
-            engine.metrics.clock = max(engine.metrics.clock, events[i].time)
-        while i < len(events) and events[i].time <= engine.metrics.clock:
-            engine.submit(requests[i])
-            i += 1
-        for output in engine.step():
-            if output.finished:
-                finals[output.request_id] = output
-    return finals
+    for i, event in enumerate(events):
+        engine.submit(make_request(event, i, rng), arrival_time=event.time)
+    return engine.run()
 
 
 def ttfts(finals, tenant: str) -> np.ndarray:

@@ -42,6 +42,7 @@ from .prefix_cache import (
     chain_block_keys,
 )
 from .pressure import PoolPressure
+from .replay import Replay, replay
 from .request import (
     PolicySpec,
     Request,
@@ -67,6 +68,8 @@ __all__ = [
     "QuantileDigest",
     "RequestMetrics",
     "SLOTuner",
+    "Replay",
+    "replay",
     "PoolPressure",
     "PrefixCache",
     "PrefixCacheStats",

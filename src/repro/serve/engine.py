@@ -94,11 +94,16 @@ with every other request preempted and every cold chain spilled.
 Wall-clock is *simulated*: the engine advances a clock using the analytical
 :class:`~repro.memory.LatencyModel` (prefill makespans and per-step TPOT for
 the request's method profile), so TTFT/TPOT/throughput come out in the
-paper's hardware terms even though the substrate runs in NumPy.
+paper's hardware terms even though the substrate runs in NumPy.  The engine
+also owns arrival time: ``submit(request, arrival_time=t)`` holds a request
+whose ``t`` lies ahead of the clock until a step reaches it, and a step with
+nothing runnable idles the clock to the next held arrival.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -248,29 +253,58 @@ class InferenceEngine:
                 self.block_allocator, self.swap_space, self.prefix_cache,
                 self._states, self._final_outputs,
             )
-        #: shed-at-submit finals awaiting delivery through the next step()
+        #: shed-on-arrival finals awaiting delivery through the next step()
         #: (so run()/stream() observe them like any other finished output)
         self._pending_shed_outputs: list[RequestOutput] = []
+        #: submitted requests whose arrival time the clock has not reached,
+        #: a heap of ``(arrival_time, submission order, state)``
+        self._held: list[tuple[float, int, RequestState]] = []
+        self._num_released = 0
 
     # ------------------------------------------------------------- intake
 
-    def submit(self, request: Request) -> str:
-        """Queue a request for admission; returns its id."""
+    def submit(self, request: Request, arrival_time: float | None = None) -> str:
+        """Queue a request for admission; returns its id.
+
+        ``arrival_time`` is the simulated instant the request arrives; TTFT
+        and the QoS deadline count from it.  ``None`` stamps the current
+        clock.  A time at or before the clock enters the scheduler now; a
+        later one is held until the first :meth:`step` whose clock reaches
+        it.  Arrivals enter the scheduler in order of time, then submission.
+        """
         if request.request_id in self._seen_ids:
             raise ConfigurationError(
                 f"duplicate request id {request.request_id!r}"
             )
-        state = RequestState(
-            request,
-            arrival_time=self.metrics.clock,
-            seq=self.metrics.requests_submitted,
-        )
+        if arrival_time is None:
+            arrival_time = self.metrics.clock
+        elif not (math.isfinite(arrival_time) and arrival_time >= 0):
+            raise ConfigurationError(
+                f"arrival_time must be finite and >= 0, got {arrival_time!r}"
+            )
+        state = RequestState(request, arrival_time=float(arrival_time))
         self._seen_ids.add(request.request_id)
         self._states[request.request_id] = state
-        self.scheduler.submit(state)
+        heapq.heappush(
+            self._held, (state.metrics.arrival_time, self.metrics.requests_submitted, state)
+        )
         self.metrics.count("requests_submitted", state.priority, state.tenant)
-        self._admission_control(state)
+        self._release_arrivals()
         return request.request_id
+
+    def _release_arrivals(self) -> None:
+        """Move every held arrival the clock has reached into the scheduler.
+
+        Each released request gets the next preemption rank (``seq``) and
+        passes admission control.
+        """
+        held = self._held
+        while held and held[0][0] <= self.metrics.clock:
+            state = heapq.heappop(held)[-1]
+            state.seq = self._num_released
+            self._num_released += 1
+            self.scheduler.submit(state)
+            self._admission_control(state)
 
     #: never-admitted predicate for shed-victim ranking — re-queued
     #: preemption victims already hold generated tokens and are never shed
@@ -299,7 +333,7 @@ class InferenceEngine:
         )
 
     def _admission_control(self, state: RequestState) -> None:
-        """Apply the opt-in load-shedding rules to a just-submitted request.
+        """Apply the opt-in load-shedding rules to a just-arrived request.
 
         ``shed_missed_deadlines`` sheds a deadline-tagged request whose
         deadline is *provably* unmeetable — :meth:`min_ttft_lower_bound` of
@@ -386,7 +420,7 @@ class InferenceEngine:
 
     @property
     def has_unfinished(self) -> bool:
-        return self.scheduler.has_work or bool(self._pending_shed_outputs)
+        return bool(self.scheduler.has_work or self._pending_shed_outputs or self._held)
 
     @property
     def num_waiting(self) -> int:
@@ -407,9 +441,16 @@ class InferenceEngine:
         one chunk.  Either way, every fully-prefilled running request then
         gets a decode round.
 
+        A step with nothing runnable first idles: the clock jumps to the
+        earliest held arrival.  Held arrivals the clock has reached are then
+        released into the scheduler.
+
         Returns one :class:`RequestOutput` per touched request, carrying the
         tokens that became available during this step (streaming deltas).
         """
+        if self._held and not (self.scheduler.has_work or self._pending_shed_outputs):
+            self.metrics.clock = max(self.metrics.clock, self._held[0][0])
+        self._release_arrivals()
         self._shed_missed_deadlines()
         if self.pressure is not None:
             self.pressure.proactive_swap_out(self.proactive_swap_free_fraction)
@@ -600,7 +641,10 @@ class InferenceEngine:
             raise ConfigurationError(
                 f"request {request_id!r} was never submitted"
             )
-        self.scheduler.discard(state)
+        if not self.scheduler.discard(state):
+            # Aborted while held: it never reached the scheduler.
+            self._held = [entry for entry in self._held if entry[-1] is not state]
+            heapq.heapify(self._held)
         if state.swap_handle is not None:
             # Aborted while swapped out: the parked chain will never be
             # restored, so drop it from the swap space.

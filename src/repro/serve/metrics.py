@@ -241,7 +241,8 @@ class RequestMetrics:
     """Serving metrics of one request (simulated seconds, modelled bytes).
 
     Attributes:
-        arrival_time: simulated clock when the request was submitted.
+        arrival_time: simulated instant the request arrived (``submit``'s
+            ``arrival_time``, else the clock at submit).
         prefill_start: clock when prefill began (admission).
         first_token_time: clock when the first token became available.
         finish_time: clock when the request finished.

@@ -96,10 +96,10 @@ class RequestQoS:
             split (> 0); requests of one tenant should declare the same
             weight (the largest declared weight wins per step).
         deadline: optional completion deadline in *relative* simulated
-            seconds from submit (> 0), resolved against the engine's clock
-            at submit time.  Within a priority class, deadline-tagged
-            requests are admitted earliest-deadline-first ahead of the
-            FCFS tail of untagged requests; when the scheduler's
+            seconds from the request's arrival (> 0).  Within a priority
+            class, deadline-tagged requests are admitted
+            earliest-deadline-first ahead of the FCFS tail of untagged
+            requests; when the scheduler's
             ``shed_missed_deadlines`` knob is on, a request still waiting
             past its deadline (or provably unable to meet it) is shed with
             ``finish_reason="deadline"``.

@@ -108,7 +108,7 @@ class SchedulerConfig:
             the queue sheds the lowest-ranked never-admitted waiting request
             (lowest priority class, newest within it) with
             ``finish_reason="shed"``.
-        shed_infeasible: shed a request at submit when it is *provably*
+        shed_infeasible: shed a request on arrival when it is *provably*
             infeasible — its prompt alone needs more KV blocks than the
             whole pool holds, so no schedule could ever complete it.  Off by
             default: the pre-QoS contract is a ``CapacityError`` when such a
@@ -123,7 +123,7 @@ class SchedulerConfig:
             ``proactive_swap_free_fraction`` attribute that the opt-in SLO
             tuner (:class:`~repro.serve.SLOTuner`) may move at runtime.
         shed_missed_deadlines: shed deadline-tagged requests that cannot
-            meet their deadline — at submit when the deadline is *provably*
+            meet their deadline — on arrival when the deadline is *provably*
             unmeetable (the prefill-compute lower bound of the prompt alone
             exceeds the relative deadline) and mid-wait when the simulated
             clock passes the resolved deadline while the request is still

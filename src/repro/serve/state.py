@@ -28,9 +28,10 @@ class RequestState:
 
     def __init__(self, request: Request, arrival_time: float, seq: int = 0) -> None:
         self.request = request
-        #: submission order — the engine's preemption priority: a request may
-        #: only victimise requests submitted after it, which guarantees the
-        #: oldest active request always progresses (no preemption livelock).
+        #: order of entry into the scheduler, set as the engine releases the
+        #: arrival — the preemption priority: a request may only victimise
+        #: requests that entered after it, which guarantees the oldest
+        #: active request always progresses (no preemption livelock).
         self.seq = seq
         self.status = RequestStatus.WAITING
         self.policy: KVCachePolicy | None = None
@@ -58,9 +59,9 @@ class RequestState:
         self.num_decoded = 0
         self.finish_reason: str | None = None
         qos_deadline = request.qos.deadline
-        #: absolute deadline on the engine's simulated clock, resolved at
-        #: submit (arrival + the QoS-relative deadline); ``None`` when the
-        #: request carries no deadline.  Part of the scheduler's
+        #: absolute deadline on the engine's simulated clock (arrival time +
+        #: the QoS-relative deadline); ``None`` when the request carries no
+        #: deadline.  Part of the scheduler's
         #: ``Schedulable`` protocol (EDF ordering / miss shedding key off it).
         self.deadline_time: float | None = (
             None if qos_deadline is None else arrival_time + float(qos_deadline)

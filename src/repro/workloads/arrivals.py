@@ -1,10 +1,11 @@
 """Request arrival traces for multi-user serving workloads.
 
 Seeded Poisson and bursty multi-user generators (:func:`poisson_arrivals`,
-:func:`bursty_arrivals`) emitting :class:`ArrivalEvent` streams that the
-cluster benchmark and example replay against a
-:class:`~repro.serve.cluster.ClusterFrontend`, plus the tagging and merging
-helpers that compose per-tenant traces into one timeline.
+:func:`bursty_arrivals`) emitting :class:`ArrivalEvent` streams that
+:func:`repro.serve.replay` serves on an engine (and the cluster benchmark and
+example replay against a :class:`~repro.serve.cluster.ClusterFrontend`),
+plus the tagging and merging helpers that compose per-tenant traces into one
+timeline.
 """
 
 from __future__ import annotations
@@ -37,14 +38,20 @@ class ArrivalEvent:
         deadline: *relative* completion deadline in seconds from this
             event's arrival (maps to ``RequestQoS.deadline``), or ``None``
             for best-effort events without one.
+        key: name another event's ``after`` can refer to, or ``None``.
+        after: ``key`` of the event whose request must finish before this
+            one is sent (a chat turn waits for the previous answer); the
+            event is then due at the later of ``time`` and that finish.
     """
 
     time: float
-    user: int
-    turn: int
+    user: int = 0
+    turn: int = 0
     tenant: str = "default"
     priority: int = 0
     deadline: "float | None" = None
+    key: "str | None" = None
+    after: "str | None" = None
 
 
 def tag_arrivals(

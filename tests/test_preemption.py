@@ -276,7 +276,8 @@ def _min_pool_blocks(request, block_size):
     return -(-tokens // block_size) + 1
 
 
-def run_fuzz_seed(model, seed):
+def run_fuzz_seed(model, seed, stamp_clock=False):
+    """One fuzz seed; ``stamp_clock`` passes the clock as ``arrival_time``."""
     rng = np.random.default_rng(seed)
     block_size = 8
     requests = _random_requests(model, rng)
@@ -320,7 +321,9 @@ def run_fuzz_seed(model, seed):
     step_cap = 400 + 100 * len(requests)
     for step_index in range(step_cap):
         for request in submit_at.pop(step_index, []):
-            engine.submit(request)
+            engine.submit(
+                request, arrival_time=engine.metrics.clock if stamp_clock else None
+            )
         rid = abort_at.get(step_index)
         if rid is not None and rid in engine._states:
             engine.abort(rid)
