@@ -77,7 +77,7 @@ import numpy as np
 from ..errors import ConfigurationError, NotFittedError
 from ..llm.config import ModelConfig
 from ..llm.kvcache import KVCache, TokenSegments
-from ..utils import as_rng, topk_indices
+from ..utils import as_rng, modelled_nbytes, topk_indices
 from .gpu_cache import BlockGpuCache
 from .pq import PQConfig, ProductQuantizer
 
@@ -263,16 +263,15 @@ class PQSnapshot:
             raise ConfigurationError("PQSnapshot.release_hold without matching retain")
         self.hold_count -= 1
 
-    def nbytes(self) -> int:
+    def nbytes(self, dtype_bytes: int) -> int:
         """Modelled storage cost of the shareable payload (codes + codebooks).
 
-        PQ codes are ~1/64th of the raw KV bytes they index, which is what
-        makes spilling snapshots alongside a cold chain nearly free.
+        Codebooks are billed at ``dtype_bytes`` per element, codes at their
+        integer width.  PQ codes are ~1/64th of the raw KV bytes they index,
+        which is what makes spilling snapshots alongside a cold chain nearly
+        free.
         """
-        return int(
-            sum(np.asarray(c).nbytes for c in self.codes)
-            + sum(np.asarray(c).nbytes for c in self.codebooks)
-        )
+        return modelled_nbytes([*self.codes, *self.codebooks], dtype_bytes)
 
     def truncated(self, num_tokens: int) -> "PQSnapshot":
         """A view of this snapshot covering only its first ``num_tokens``.

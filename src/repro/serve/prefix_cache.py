@@ -48,6 +48,7 @@ import numpy as np
 from ..errors import CapacityError, ConfigurationError
 from ..llm.kvcache import BlockAllocator, SwapSpace
 from ..llm.kvcodec import EncodedKV, KVBlockCodec
+from ..utils import modelled_nbytes
 
 __all__ = [
     "PrefixCache",
@@ -197,10 +198,12 @@ class ExportedChain:
     Produced by :meth:`PrefixCache.export_chain` on the owning worker and
     consumed by :meth:`PrefixCache.import_chain` on the target.  The
     contents are exact copies, so an import followed by a match reproduces
-    the source chain bitwise.
+    the source chain bitwise.  ``dtype_bytes`` is the exporter's modelled
+    element width, at which the artifact payloads are billed.
     """
 
     block_size: int
+    dtype_bytes: int
     nodes: "list[ExportedChainNode]" = field(default_factory=list)
 
     @property
@@ -222,13 +225,11 @@ class ExportedChain:
         seen: set[int] = set()
         for node in self.nodes:
             if node.acc_scores is not None:
-                nbytes += int(
-                    sum(np.asarray(a).nbytes for a in node.acc_scores)
-                )
+                nbytes += modelled_nbytes(node.acc_scores, self.dtype_bytes)
             for snap in node.pq_snapshots.values():
                 if id(snap) not in seen:
                     seen.add(id(snap))
-                    nbytes += snap.nbytes()
+                    nbytes += snap.nbytes(self.dtype_bytes)
         return nbytes
 
 
@@ -520,17 +521,19 @@ class PrefixCache:
         per transition of the *snapshot* (tracked by identity), which models
         spilling the artifact file once per chain rather than per block —
         PQ codes being ~1/64th of the KV bytes, this rides along nearly free.
+        Float payloads are billed at the allocator's ``dtype_bytes``.
         """
+        dtype_bytes = self.allocator.dtype_bytes
         nbytes = 0
         if node.acc_scores is not None:
-            nbytes += int(sum(np.asarray(a).nbytes for a in node.acc_scores))
+            nbytes += modelled_nbytes(node.acc_scores, dtype_bytes)
         for snap in node.pq_snapshots.values():
             if spilled and id(snap) not in self._spilled_snapshot_ids:
                 self._spilled_snapshot_ids.add(id(snap))
-                nbytes += snap.nbytes()
+                nbytes += snap.nbytes(dtype_bytes)
             elif not spilled and id(snap) in self._spilled_snapshot_ids:
                 self._spilled_snapshot_ids.discard(id(snap))
-                nbytes += snap.nbytes()
+                nbytes += snap.nbytes(dtype_bytes)
         if spilled:
             self.stats.spilled_payload_bytes += nbytes
         else:
@@ -681,7 +684,9 @@ class PrefixCache:
         if not nodes:
             return None
         codec = KVBlockCodec(self.allocator.dtype_bytes)
-        exported = ExportedChain(block_size=self.block_size)
+        exported = ExportedChain(
+            block_size=self.block_size, dtype_bytes=self.allocator.dtype_bytes
+        )
         for node in nodes:
             if node.spilled:
                 assert self.spill_store is not None

@@ -14,6 +14,7 @@ from .errors import DimensionError
 __all__ = [
     "as_rng",
     "check_2d",
+    "modelled_nbytes",
     "softmax",
     "topk_indices",
     "sizeof_fmt",
@@ -40,6 +41,20 @@ def check_2d(array: np.ndarray, name: str = "array") -> np.ndarray:
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise DimensionError(f"{name} must be non-empty, got shape {arr.shape}")
     return arr
+
+
+def modelled_nbytes(arrays, dtype_bytes: int) -> int:
+    """Bytes a transfer of ``arrays`` moves on the modelled hardware.
+
+    Floating-point elements are billed at ``dtype_bytes`` each whatever the
+    host dtype; integer arrays (PQ codes, token ids) keep their own width.
+    """
+    total = 0
+    for array in arrays:
+        array = np.asarray(array)
+        width = dtype_bytes if array.dtype.kind == "f" else array.itemsize
+        total += int(array.size) * width
+    return total
 
 
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:

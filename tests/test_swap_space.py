@@ -453,7 +453,7 @@ class TestPrefixCacheSpill:
         assert freed == 4
         assert cache.num_spilled == 4 and cache.num_resident == 0
         assert space.disk_blocks == 4
-        assert cache.stats.spilled_payload_bytes >= snap.nbytes()
+        assert cache.stats.spilled_payload_bytes >= snap.nbytes(alloc.dtype_bytes)
 
         match = cache.match(tokens, fingerprint="fp")
         assert match is not None and match.matched_tokens == 16
@@ -752,6 +752,60 @@ class TestExportedSpillBilling:
         for new_id, (keys, values) in zip(match.block_ids, contents):
             assert target_alloc.block_keys(new_id).tobytes() == keys.tobytes()
             assert target_alloc.block_values(new_id).tobytes() == values.tobytes()
+
+
+class TestPayloadBilledAtModelledWidth:
+    """Artifact payloads (accumulated scores, PQ codebooks) are billed at
+    the allocator's ``dtype_bytes`` per float element and PQ codes at their
+    integer width — never at the host array's dtype."""
+
+    FLOATS = [np.float64, np.float32, np.float16]
+
+    def _payload(self, float_dtype, tokens=16):
+        acc = [np.ones((2, tokens), dtype=float_dtype) for _ in range(2)]
+        snap = PQSnapshot(
+            codebooks=[np.zeros((2, 2, 4, 4), dtype=float_dtype)] * 2,
+            codes=[np.zeros((tokens, 2, 2), dtype=np.uint8)] * 2,
+            num_tokens=tokens, sketch_upto=tokens, fingerprint="fp",
+        )
+        return acc, snap
+
+    @staticmethod
+    def _expected(dtype_bytes, tokens=16):
+        acc = 2 * (2 * tokens) * dtype_bytes
+        codebooks = 2 * (2 * 2 * 4 * 4) * dtype_bytes
+        codes = 2 * (tokens * 2 * 2)
+        return acc, codebooks + codes
+
+    @pytest.mark.parametrize("dtype_bytes", WIDTHS)
+    @pytest.mark.parametrize("float_dtype", FLOATS)
+    def test_snapshot_nbytes(self, dtype_bytes, float_dtype):
+        _, snap = self._payload(float_dtype)
+        assert snap.nbytes(dtype_bytes) == self._expected(dtype_bytes)[1]
+
+    @pytest.mark.parametrize("dtype_bytes", WIDTHS)
+    @pytest.mark.parametrize("float_dtype", FLOATS)
+    def test_spill_restore_and_export_bill_modelled_width(
+        self, dtype_bytes, float_dtype
+    ):
+        alloc = make_allocator(capacity=8, dtype_bytes=dtype_bytes)
+        cache = PrefixCache(alloc, spill_store=SwapSpace())
+        alloc.eviction_hook = cache.evict
+        tokens = list(range(16))
+        paged = fill_chain(alloc, tokens)
+        acc, snap = self._payload(float_dtype)
+        cache.insert(tokens, paged.table.block_ids, acc_boundary=16,
+                     acc_scores=acc, pq_fingerprint="fp", pq_snapshot=snap)
+        paged.release()
+        acc_bytes, snap_bytes = self._expected(dtype_bytes)
+
+        exported = cache.export_chain(tokens)
+        assert exported.payload_nbytes() == acc_bytes + snap_bytes
+
+        assert cache.evict(4) == 4
+        assert cache.stats.spilled_payload_bytes == acc_bytes + snap_bytes
+        assert cache.match(tokens, fingerprint="fp").matched_tokens == 16
+        assert cache.stats.restored_payload_bytes == acc_bytes + snap_bytes
 
 
 # --------------------------------------------- snapshot hold refcounting
