@@ -20,6 +20,7 @@ from ..errors import ConfigurationError
 from ..llm.config import ModelConfig
 from ..llm.kvcache import KVCache
 from ..llm.model import PrefillResult
+from ..utils import DTYPE
 from .base import KVCachePolicy, SelectionBudget
 
 __all__ = [
@@ -132,14 +133,14 @@ class H2OPolicy(_DroppingPolicy):
             for head in range(config.num_kv_heads):
                 if middle.size == 0:
                     per_head_idx.append(np.empty(0, dtype=np.int64))
-                    per_head_score.append(np.empty(0, dtype=np.float64))
+                    per_head_score.append(np.empty(0, dtype=DTYPE))
                     continue
                 acc = aggregates.accumulated_scores[head, middle]
                 keep = self._topk(acc, middle, k)
                 per_head_idx.append(np.sort(keep))
                 score_map = dict(zip(middle.tolist(), acc.tolist()))
                 per_head_score.append(
-                    np.array([score_map[i] for i in np.sort(keep).tolist()])
+                    np.array([score_map[i] for i in np.sort(keep).tolist()], dtype=DTYPE)
                 )
             self._retained.append(per_head_idx)
             self._scores.append(per_head_score)

@@ -22,7 +22,7 @@ from ..errors import ConfigurationError
 from ..llm.config import ModelConfig
 from ..llm.kvcache import KVCache
 from ..llm.model import PrefillResult
-from ..utils import topk_indices
+from ..utils import DTYPE, topk_indices
 from .base import KVCachePolicy, SelectionBudget
 
 __all__ = ["SparqPolicy", "InfLLMPolicy"]
@@ -148,7 +148,7 @@ class InfLLMPolicy(KVCachePolicy):
             if not blocks:
                 selected.append(np.empty(0, dtype=np.int64))
                 continue
-            block_scores = np.empty(len(blocks), dtype=np.float64)
+            block_scores = np.empty(len(blocks), dtype=DTYPE)
             for b, block in enumerate(blocks):
                 rep_idx = block["representatives"]
                 if rep_idx.size == 0:

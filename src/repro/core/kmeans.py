@@ -40,10 +40,11 @@ Implementation notes
   no sample and is seeded from all its points.  The constant's comment has
   the inertia table that fixes it at 32.
 * Lloyd iterations with a row-blocked assignment (:func:`nearest_centroid`),
-  ``bincount`` centroid sums, empty-cluster re-seeding from the points
-  furthest from their centroid (distances taken against the *updated*
-  centroids of the same iteration, not the stale pre-update ones), and a
-  per-problem convergence mask: a converged problem drops out of the batch.
+  centroid sums as one membership GEMM per problem, empty-cluster
+  re-seeding from the points furthest from their centroid (distances taken
+  against the *updated* centroids of the same iteration, not the stale
+  pre-update ones), and a per-problem convergence mask: a converged problem
+  drops out of the batch.
 * Convergence is declared only on stable labels or a *non-negative* inertia
   improvement below ``tol`` — a transient inertia increase (possible right
   after reseeding) keeps iterating instead of freezing a worse solution.
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, DimensionError
-from ..utils import as_rng
+from ..utils import DTYPE, as_rng
 
 __all__ = [
     "KMeansResult",
@@ -70,10 +71,12 @@ __all__ = [
     "nearest_centroid",
 ]
 
-#: float64 elements of the assignment's ``(problems, rows, clusters)`` distance
-#: block — 512 KiB, so a block is produced, reduced and overwritten inside L2
-#: instead of streaming ``n * 2**b`` distances through memory three times.
-_BLOCK_ELEMS = 1 << 16
+#: elements of the assignment's ``(problems, rows, clusters)`` distance block —
+#: 512 KiB of float32, so a block is produced, reduced and overwritten inside
+#: L2 instead of streaming ``n * 2**b`` distances through memory three times.
+#: At 8 problems x 2-16k keys x 64 clusters it measured 3-5 % faster than
+#: ``1 << 16`` and as fast as ``1 << 18`` (one BLAS thread, 2 MiB L2 per core).
+_BLOCK_ELEMS = 1 << 17
 #: points per cluster that k-means++ picks its centres among: a problem longer
 #: than ``SEED_POINTS_PER_CLUSTER * n_clusters`` is seeded from a sample of that
 #: size.  A cluster holding a share ``w`` of the points has no point in the
@@ -97,11 +100,8 @@ _BLOCK_ELEMS = 1 << 16
 #: Seeding 8 x 16k keys takes 176 ms from every point, 33 ms at 32 and 13 ms
 #: at 16, of a ``T = 2`` fit of 310 / 167 / 148 ms: 32 is the largest sample
 #: that leaves Lloyd the dominant cost and the smallest that never dropped a
-#: blob.
+#: blob.  (Timings and inertias from the float64 substrate.)
 SEED_POINTS_PER_CLUSTER = 32
-#: (point, coordinate) pairs one centroid-sum ``bincount`` takes at a time: its
-#: int64 bin-index temporary stays at 4 MiB however long the sequence is.
-_SCATTER_ELEMS = 1 << 19
 
 
 def _converged(labels_stable, improved, inertia, tol):
@@ -172,9 +172,10 @@ class KMeansResult:
 
 
 def _as_batch(array: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
-    """``(J, n, d)`` float64 view of a 2-D or 3-D operand, and whether it was
-    a single 2-D problem (whose result the caller unwraps again)."""
-    arr = np.asarray(array, dtype=np.float64)
+    """``(J, n, d)`` view of a 2-D or 3-D operand in the substrate dtype, and
+    whether it was a single 2-D problem (whose result the caller unwraps
+    again)."""
+    arr = np.asarray(array, dtype=DTYPE)
     if arr.ndim not in (2, 3):
         raise DimensionError(f"{name} must be 2-D or 3-D, got shape {arr.shape}")
     if 0 in arr.shape:
@@ -215,8 +216,8 @@ def nearest_centroid(
     :func:`kmeans_assign` and ``ProductQuantizer.encode_batch`` all call it.
 
     Args:
-        points: ``(J, n, d)`` float64.
-        centroids: ``(J, k, d)`` float64.
+        points: ``(J, n, d)`` in the substrate dtype.
+        centroids: ``(J, k, d)`` in the substrate dtype.
 
     Returns:
         ``(labels, partial)``: ``(J, n)`` int64 argmin over centroids (lowest
@@ -234,10 +235,10 @@ def nearest_centroid(
     scaled_t = (-2.0 * centroids).transpose(0, 2, 1)  # exact: a power of two
     c_sq = np.einsum("jkd,jkd->jk", centroids, centroids)[:, None, :]
     labels = np.empty((num, n), dtype=np.int64)
-    partial = np.empty((num, n), dtype=np.float64)
+    partial = np.empty((num, n), dtype=DTYPE)
     rows = max(1, min(n, _BLOCK_ELEMS // k))
     group = min(num, max(1, _BLOCK_ELEMS // (rows * k)))
-    block = np.empty((group, rows, k), dtype=np.float64)
+    block = np.empty((group, rows, k), dtype=DTYPE)
     flat = block.reshape(-1)
     row_start = np.arange(group * rows).reshape(group, rows) * k
     for j0 in range(0, num, group):
@@ -273,8 +274,9 @@ def _draw(rng: np.random.Generator, closest_sq: np.ndarray) -> int:
         # No centre yet, or every point coincides with one: uniform choice.
         return int(rng.integers(closest_sq.size))
     # rng.choice(n, p=closest_sq / total) spelled out — same single uniform,
-    # same arithmetic, so the generator and the pick match a scalar run.
-    cdf = np.cumsum(closest_sq / total)
+    # same arithmetic (it sums p in float64), so the generator and the pick
+    # match a scalar run.
+    cdf = np.cumsum(closest_sq / total, dtype=np.float64)
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
 
@@ -305,7 +307,7 @@ def kmeans_plus_plus_init(
     cap = SEED_POINTS_PER_CLUSTER * n_clusters
     groups = np.arange(len(rngs))
 
-    centroids = np.empty((num, n_clusters, dim), dtype=np.float64)
+    centroids = np.empty((num, n_clusters, dim), dtype=DTYPE)
     for turn in range(per_group):
         # One problem of every group: (G, n, d) views, no copies.
         pts = points[turn::per_group]
@@ -431,27 +433,25 @@ def _update_centroids(
     mean of the assigned points; empty clusters re-seeded from the points
     currently worst represented.
 
-    Cluster sums are one ``bincount`` over (problem, cluster, coordinate)
-    bins for as many problems as fit ``_SCATTER_ELEMS``; ``bincount`` adds in
-    point order, exactly like the ``np.add.at`` scatter it replaces.
+    A problem's cluster sums are one GEMM in the substrate dtype: its
+    ``(k, n)`` 0/1 membership matrix times its points.  (A weighted
+    ``bincount`` converts its weights to float64 and took longer than the
+    float32 assignment step.)  The GEMM's shape is the problem's own, so
+    its sums do not depend on batch-mates.
     """
-    num, n_points, dim = points.shape
+    num, n_points, _ = points.shape
     k = centroids.shape[1]
-    counts = np.empty((num, k), dtype=np.int64)
-    sums = np.empty((num, k, dim), dtype=np.float64)
-    group = max(1, _SCATTER_ELEMS // (n_points * dim))
-    for j0 in range(0, num, group):
-        j1 = min(j0 + group, num)
-        size = (j1 - j0) * k
-        bins = labels[j0:j1] + (np.arange(j1 - j0) * k)[:, None]
-        counts[j0:j1] = np.bincount(bins.ravel(), minlength=size).reshape(-1, k)
-        sums[j0:j1] = np.bincount(
-            (bins[:, :, None] * dim + np.arange(dim)).ravel(),
-            weights=points[j0:j1].ravel(),
-            minlength=size * dim,
-        ).reshape(-1, k, dim)
+    bins = labels + (np.arange(num) * k)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=num * k).reshape(num, k)
+    sums = np.empty(centroids.shape, dtype=points.dtype)
+    members = np.zeros((k, n_points), dtype=points.dtype)
+    rows = np.arange(n_points)
+    for j in range(num):
+        members[labels[j], rows] = 1.0
+        np.matmul(members, points[j], out=sums[j])
+        members[labels[j], rows] = 0.0
     nonempty = counts > 0
-    centroids[nonempty] = sums[nonempty] / counts[nonempty][:, None]
+    centroids[nonempty] = sums[nonempty] / counts[nonempty].astype(points.dtype)[:, None]
     for j in np.flatnonzero(~nonempty.all(axis=1)):
         empty = np.flatnonzero(~nonempty[j])
         worst = _reseed_targets(points[j], centroids[j], labels[j], empty.size)
@@ -474,7 +474,9 @@ def _lloyd(
         labels, partial = nearest_centroid(pts, cents)
         partial += pts_sq
         np.maximum(partial, 0.0, out=partial)
-        return labels, partial.sum(axis=1)
+        # inertia sums in float64, so ``tol`` keeps its meaning below the
+        # substrate's epsilon
+        return labels, partial.sum(axis=1, dtype=np.float64)
 
     labels, inertia = assign(points, centroids, x_sq)
     n_iter = np.zeros(num, dtype=np.int64)

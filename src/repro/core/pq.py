@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, DimensionError, NotFittedError
-from ..utils import as_rng, check_2d
+from ..utils import DTYPE, as_rng, check_2d
 from .kmeans import KMeansResult, kmeans_fit, kmeans_refine, nearest_centroid
 
 __all__ = ["PQConfig", "ProductQuantizer"]
@@ -137,7 +137,8 @@ class ProductQuantizer:
         return self._centroids
 
     def _check_keys(self, keys: np.ndarray) -> np.ndarray:
-        """``(n, dim)`` float64 vectors of this quantizer's dimensionality."""
+        """``(n, dim)`` vectors of this quantizer's dimensionality, in the
+        substrate dtype."""
         keys = check_2d(keys, "vectors")
         if keys.shape[1] != self.config.dim:
             raise DimensionError(
@@ -207,7 +208,7 @@ class ProductQuantizer:
 
     @staticmethod
     def _check_codebooks(codebooks: np.ndarray) -> np.ndarray:
-        codebooks = np.asarray(codebooks, dtype=np.float64)
+        codebooks = np.asarray(codebooks, dtype=DTYPE)
         if codebooks.ndim != 4:
             raise DimensionError(
                 "codebooks must have shape (h, m, num_centroids, sub_dim), "
@@ -231,7 +232,7 @@ class ProductQuantizer:
         """
         codebooks = ProductQuantizer._check_codebooks(codebooks)
         h, m, _, sub_dim = codebooks.shape
-        queries = np.asarray(queries, dtype=np.float64)
+        queries = np.asarray(queries, dtype=DTYPE)
         if queries.shape != (h, m * sub_dim):
             raise DimensionError(
                 f"queries must have shape ({h}, {m * sub_dim}), "
@@ -271,7 +272,7 @@ class ProductQuantizer:
         # ``sum`` reduction to keep exact equality.
         n = codes.shape[1]
         if m < 8:
-            scores = np.empty((h, n), dtype=np.float64)
+            scores = np.empty((h, n), dtype=DTYPE)
             for head in range(h):
                 head_table = tables[head]
                 head_codes = codes[head]
@@ -280,7 +281,7 @@ class ProductQuantizer:
                     acc += head_table[part].take(head_codes[:, part])
                 scores[head] = acc
             return scores
-        gathered = np.empty((h, n, m), dtype=np.float64)
+        gathered = np.empty((h, n, m), dtype=DTYPE)
         for head in range(h):
             head_table = tables[head]
             head_codes = codes[head]
@@ -294,7 +295,7 @@ class ProductQuantizer:
     def _split_batch(vectors: np.ndarray, h: int, m: int, sub_dim: int) -> np.ndarray:
         """``(h, n, dim)`` vectors as the ``(h * m, n, sub_dim)`` stack of
         (head, sub-space) problems the K-Means kernels take (a copy)."""
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors, dtype=DTYPE)
         if vectors.ndim != 3 or vectors.shape[0] != h or vectors.shape[2] != m * sub_dim:
             raise DimensionError(
                 f"vectors must have shape ({h}, n, {m * sub_dim}), "
@@ -435,7 +436,7 @@ class ProductQuantizer:
         :meth:`lookup_table_batch`.
         """
         cfg = self.config
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
+        query = np.asarray(query, dtype=DTYPE).reshape(-1)
         if query.shape[0] != cfg.dim:
             raise DimensionError(
                 f"query must have dim {cfg.dim}, got {query.shape[0]}"
@@ -455,7 +456,7 @@ class ProductQuantizer:
             ``(n,)`` approximate scores.
         """
         cfg = self.config
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
+        query = np.asarray(query, dtype=DTYPE).reshape(-1)
         codes = np.asarray(codes)
         if codes.ndim != 2 or codes.shape[1] != cfg.num_partitions:
             raise DimensionError(

@@ -77,7 +77,7 @@ import numpy as np
 from ..errors import ConfigurationError, NotFittedError
 from ..llm.config import ModelConfig
 from ..llm.kvcache import KVCache, TokenSegments
-from ..utils import as_rng, modelled_nbytes, topk_indices
+from ..utils import DTYPE, as_rng, modelled_nbytes, topk_indices
 from .gpu_cache import BlockGpuCache
 from .pq import PQConfig, ProductQuantizer
 
@@ -599,7 +599,7 @@ class PQCacheManager:
             kv_queries: ``(num_kv_heads, head_dim)`` group-mean queries.
         """
         self._require_built()
-        kv_queries = np.asarray(kv_queries, dtype=np.float64)
+        kv_queries = np.asarray(kv_queries, dtype=DTYPE)
         codes = self._codes[layer_index].view()  # (n, h_kv, m)
         return ProductQuantizer.score_batch(
             self._codebooks[layer_index], kv_queries, codes.transpose(1, 0, 2)
@@ -762,7 +762,7 @@ def topk_middle_grouped(
         score_start = perf_counter()
         scores = ProductQuantizer.score_batch(
             manager._codebooks[layer_index],
-            np.asarray(kv_queries, dtype=np.float64),
+            np.asarray(kv_queries, dtype=DTYPE),
             codes[start:stop].transpose(1, 0, 2),
         )  # (h_kv, stop - start)
         topk_start = perf_counter()
@@ -799,7 +799,7 @@ def append_tokens_grouped(
     groups: dict = {}
     for manager, layer_index, keys in items:
         manager._require_built()
-        keys = np.asarray(keys, dtype=np.float64)
+        keys = np.asarray(keys, dtype=DTYPE)
         h_kv = manager.model_config.num_kv_heads
         if keys.ndim != 3 or keys.shape[0] != h_kv:
             raise ConfigurationError(

@@ -75,9 +75,11 @@ class StepObservation:
 
 
 def _full_attention_probs(obs: StepObservation) -> np.ndarray:
-    """Exact softmax of each KV-head query over all keys: ``(h_kv, s)``."""
-    d_h = obs.keys.shape[-1]
-    logits = np.einsum("hd,hsd->hs", obs.kv_queries, obs.keys) / np.sqrt(d_h)
+    """Exact softmax of each KV-head query over all keys: ``(h_kv, s)``,
+    computed in float64 whatever the substrate dtype."""
+    queries = np.asarray(obs.kv_queries, dtype=np.float64)
+    keys = np.asarray(obs.keys, dtype=np.float64)
+    logits = np.einsum("hd,hsd->hs", queries, keys) / np.sqrt(keys.shape[-1])
     return softmax(logits, axis=-1)
 
 

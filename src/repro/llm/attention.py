@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import DimensionError
-from ..utils import softmax
+from ..utils import DTYPE, softmax
 
 __all__ = [
     "GroupedDecodeAttention",
@@ -45,6 +45,8 @@ __all__ = [
 #: chunks: T = 8 0.14 / 0.19 / 0.12 s per layer, 16 0.14 / 0.18 / 0.16 s,
 #: 32 0.14 / 0.27 / 0.26 s, 64 0.13 / 0.40 / 0.47 s — long chunks are
 #: elementwise-bound and barely care, short ones pay the padding in full.
+#: (Measured on the float64 substrate; float32 halves the bytes per tile but
+#: not the padding argument.)
 PREFILL_TILE = 16
 
 #: ``_FUTURE[j, c]``: key ``c`` of a diagonal tile lies after query row ``j``.
@@ -105,21 +107,21 @@ def prefill_attention(
     padded = -(-n // tile) * tile
     # One contiguous K-transpose and one V per chunk, zero-padded to the grid
     # (a GEMM against the strided transpose view runs at half the speed).
-    keys_t = np.zeros((h_kv, d_h, padded))
+    keys_t = np.zeros((h_kv, d_h, padded), dtype=DTYPE)
     keys_t[:, :, :n] = keys.transpose(0, 2, 1)
-    values_p = np.zeros((h_kv, padded, d_h))
+    values_p = np.zeros((h_kv, padded, d_h), dtype=DTYPE)
     values_p[:, :n] = values
     # GQA folds into the GEMM's row dimension: row ``g * T + j`` of a KV
     # head's operand is query head ``kv * group + g`` at tile row ``j``.
-    grouped = (queries / np.sqrt(d_h)).reshape(h_kv, group, t, d_h)
-    outputs = np.empty((h_kv, group, t, d_h))
-    buffer = np.empty(h * tile * padded)
+    grouped = (queries / float(np.sqrt(d_h))).reshape(h_kv, group, t, d_h)
+    outputs = np.empty((h_kv, group, t, d_h), dtype=DTYPE)
+    buffer = np.empty(h * tile * padded, dtype=DTYPE)
     for base in range(start - start % tile, n, tile):
         width = base + tile
         lo, hi = max(base, start), min(width, n)  # the chunk's rows of the tile
         covered = slice(lo - base, hi - base)     # ... as tile rows
         chunk = slice(lo - start, hi - start)     # ... as chunk rows
-        q_tile = np.zeros((h_kv, group, tile, d_h))
+        q_tile = np.zeros((h_kv, group, tile, d_h), dtype=DTYPE)
         q_tile[:, :, covered] = grouped[:, :, chunk]
         scores = buffer[: h * tile * width].reshape(h_kv, group * tile, width)
         np.matmul(q_tile.reshape(h_kv, group * tile, d_h),
@@ -153,8 +155,8 @@ def attention_scores_single_query(
     Returns:
         ``(h, s)`` scaled logits.
     """
-    query = np.asarray(query, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
+    query = np.asarray(query, dtype=DTYPE)
+    keys = np.asarray(keys, dtype=DTYPE)
     h, d_h = query.shape
     h_kv = keys.shape[0]
     if h % h_kv != 0:
@@ -166,7 +168,7 @@ def attention_scores_single_query(
         raise DimensionError(
             f"expanded kv heads {k_exp.shape[0]} do not match query heads {h}"
         )
-    return np.einsum("hd,hsd->hs", query, k_exp) / np.sqrt(d_h)
+    return np.einsum("hd,hsd->hs", query, k_exp) / float(np.sqrt(d_h))
 
 
 def _per_head_indices(selected, h_kv: int, length: int) -> list[np.ndarray]:
@@ -215,7 +217,7 @@ class GroupedDecodeAttention:
 
     def __init__(self) -> None:
         #: gathered keys (row 0) and values (row 1) of the group in flight
-        self._workspace = np.empty((2, 0), dtype=np.float64)
+        self._workspace = np.empty((2, 0), dtype=DTYPE)
 
     def _buffers(self, shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
         """C-contiguous key and value buffers of ``shape`` over the workspace."""
@@ -223,7 +225,7 @@ class GroupedDecodeAttention:
         if self._workspace.shape[1] < need:
             # Head-room so a selection that grows by a token per step does
             # not reallocate per step.
-            self._workspace = np.empty((2, need + need // 2), dtype=np.float64)
+            self._workspace = np.empty((2, need + need // 2), dtype=DTYPE)
         keys, values = self._workspace[:, :need]
         return keys.reshape(shape), values.reshape(shape)
 
@@ -255,16 +257,16 @@ class GroupedDecodeAttention:
         # into ``outputs``), its query group, key rows, value rows, indices.
         entries: list[tuple[np.ndarray, ...]] = []
         for query, k_all, v_all, selected in zip(queries, keys, values, selections):
-            query = np.asarray(query, dtype=np.float64)
-            k_all = np.asarray(k_all, dtype=np.float64)
-            v_all = np.asarray(v_all, dtype=np.float64)
+            query = np.asarray(query, dtype=DTYPE)
+            k_all = np.asarray(k_all, dtype=DTYPE)
+            v_all = np.asarray(v_all, dtype=DTYPE)
             h, d_h = query.shape
             h_kv, s, _ = k_all.shape
             if h % h_kv != 0:
                 raise DimensionError(
                     f"query heads ({h}) must be a multiple of kv heads ({h_kv})"
                 )
-            output = np.zeros((h, d_h), dtype=np.float64)
+            output = np.zeros((h, d_h), dtype=DTYPE)
             outputs.append(output)
             per_head = _per_head_indices(selected, h_kv, s)
             for kv, (out_rows, q_group) in enumerate(zip(
@@ -288,7 +290,7 @@ class GroupedDecodeAttention:
                 np.take(k_rows, idx, axis=0, out=k_sel[slot], mode="wrap")
                 np.take(v_rows, idx, axis=0, out=v_sel[slot], mode="wrap")
             attn_start = perf_counter()
-            logits = np.einsum("ngd,ntd->ngt", q_sel, k_sel) / np.sqrt(d_h)
+            logits = np.einsum("ngd,ntd->ngt", q_sel, k_sel) / float(np.sqrt(d_h))
             weights = softmax(logits, axis=-1)
             out = np.einsum("ngt,ntd->ngd", weights, v_sel)  # (n, group, d_h)
             for (out_rows, *_), rows in zip(members, out):

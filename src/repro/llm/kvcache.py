@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import CapacityError, ConfigurationError, DimensionError
+from ..utils import DTYPE
 from .kvcodec import EncodedKV, KVBlockCodec
 
 __all__ = [
@@ -130,8 +131,8 @@ class LayerKVCache:
         self.head_dim = head_dim
         #: modelled element width the byte accounting defaults to
         self.dtype_bytes = dtype_bytes
-        self._keys = np.zeros((num_kv_heads, 0, head_dim), dtype=np.float64)
-        self._values = np.zeros((num_kv_heads, 0, head_dim), dtype=np.float64)
+        self._keys = np.zeros((num_kv_heads, 0, head_dim), dtype=DTYPE)
+        self._values = np.zeros((num_kv_heads, 0, head_dim), dtype=DTYPE)
         self._length = 0
 
     # ------------------------------------------------------------ capacity
@@ -167,7 +168,7 @@ class LayerKVCache:
 
     def _regrown(self, buffer: np.ndarray, capacity: int) -> np.ndarray:
         grown = np.empty(
-            (self.num_kv_heads, capacity, self.head_dim), dtype=np.float64
+            (self.num_kv_heads, capacity, self.head_dim), dtype=DTYPE
         )
         grown[:, : self._length] = buffer[:, : self._length]
         return grown
@@ -178,8 +179,8 @@ class LayerKVCache:
         self, keys: np.ndarray, values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Normalise append operands to ``(h_kv, t, d_h)`` and check shapes."""
-        keys = np.asarray(keys, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
+        keys = np.asarray(keys, dtype=DTYPE)
+        values = np.asarray(values, dtype=DTYPE)
         if keys.ndim == 2:
             keys = keys[:, None, :]
         if values.ndim == 2:
@@ -398,8 +399,8 @@ class BlockAllocator:
         elif self.capacity_blocks is None or self._next_id < self.capacity_blocks:
             block_id = self._next_id
             self._next_id += 1
-            self._keys[block_id] = np.zeros(self._block_shape())
-            self._values[block_id] = np.zeros(self._block_shape())
+            self._keys[block_id] = np.zeros(self._block_shape(), dtype=DTYPE)
+            self._values[block_id] = np.zeros(self._block_shape(), dtype=DTYPE)
         else:
             return None
         self._refcounts[block_id] = 1

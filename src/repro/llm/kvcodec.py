@@ -5,7 +5,8 @@ spill, cross-worker migration — is parked through :class:`KVBlockCodec`,
 which copies the tensor (so the pool may recycle the block) and hands the
 very bytes back on restore.  Parking is exact, and every transfer is billed
 at the tensor's modelled size (``ModelConfig.dtype_bytes`` per element): the
-NumPy substrate keeps float64 values, but the links carry the modelled width.
+NumPy substrate keeps :data:`~repro.utils.DTYPE` values, but the links carry
+the modelled width.
 """
 
 from __future__ import annotations

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError
-from ..utils import as_rng
+from ..utils import DTYPE, as_rng
 
 __all__ = ["rms_norm", "Linear", "RMSNorm", "SwiGLU"]
 
 
 def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Root-mean-square layer normalisation (no mean subtraction)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=DTYPE)
     variance = np.mean(x * x, axis=-1, keepdims=True)
     return x / np.sqrt(variance + eps) * weight
 
@@ -43,10 +43,10 @@ class Linear:
     ) -> "Linear":
         scale = scale if scale is not None else 1.0 / np.sqrt(in_features)
         weight = rng.normal(0.0, scale, size=(out_features, in_features))
-        return cls(weight=weight)
+        return cls(weight=weight.astype(DTYPE))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=DTYPE)
         if x.shape[-1] != self.weight.shape[1]:
             raise DimensionError(
                 f"expected input dim {self.weight.shape[1]}, got {x.shape[-1]}"
@@ -69,7 +69,7 @@ class RMSNorm:
     def init(cls, dim: int, rng: np.random.Generator) -> "RMSNorm":
         # Gains near 1.0 keep activations well-scaled in the random model.
         weight = 1.0 + 0.01 * rng.normal(size=dim)
-        return cls(weight=weight)
+        return cls(weight=weight.astype(DTYPE))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return rms_norm(x, self.weight, self.eps)

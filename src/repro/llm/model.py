@@ -76,7 +76,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, DimensionError
-from ..utils import as_rng
+from ..utils import DTYPE, as_rng
 from .attention import GroupedDecodeAttention, prefill_attention
 from .config import ModelConfig
 from .kvcache import KVCache
@@ -127,7 +127,7 @@ def _blocked_rows(fn, rows: np.ndarray, global_start: int) -> np.ndarray:
         if offset == 0 and take == block:
             pieces.append(fn(rows[pos: pos + block]))
         else:
-            padded = np.zeros((block, rows.shape[1]), dtype=np.float64)
+            padded = np.zeros((block, rows.shape[1]), dtype=DTYPE)
             padded[offset: offset + take] = rows[pos: pos + take]
             pieces.append(fn(padded)[offset: offset + take])
         pos += take
@@ -159,7 +159,7 @@ def _decode_rows(fn, rows: np.ndarray) -> np.ndarray:
         if take == block:
             pieces.append(fn(rows[pos: pos + block]))
         else:
-            padded = np.zeros((block, rows.shape[1]), dtype=np.float64)
+            padded = np.zeros((block, rows.shape[1]), dtype=DTYPE)
             padded[:take] = rows[pos: pos + take]
             pieces.append(fn(padded)[:take])
     if len(pieces) == 1:
@@ -370,10 +370,12 @@ class TransformerLM:
         rng = as_rng(seed)
         d = config.hidden_dim
         scale = 1.0 / np.sqrt(d)
-        self.embedding = rng.normal(0.0, scale, size=(config.vocab_size, d))
+        self.embedding = rng.normal(
+            0.0, scale, size=(config.vocab_size, d)
+        ).astype(DTYPE)
         if embedding_overrides:
             for token_id, vector in embedding_overrides.items():
-                vector = np.asarray(vector, dtype=np.float64).reshape(-1)
+                vector = np.asarray(vector, dtype=DTYPE).reshape(-1)
                 if vector.shape[0] != d:
                     raise DimensionError(
                         f"embedding override for token {token_id} must have dim {d}"
@@ -520,7 +522,9 @@ class TransformerLM:
                 cfg.num_layers, cfg.num_kv_heads, cfg.head_dim, cfg.dtype_bytes
             )
 
-        acc_scores = [np.zeros((cfg.num_heads, s)) for _ in range(cfg.num_layers)]
+        acc_scores = [
+            np.zeros((cfg.num_heads, s), dtype=DTYPE) for _ in range(cfg.num_layers)
+        ]
         if prefix_acc_scores is not None:
             if prefix_len == 0:
                 raise ConfigurationError(
@@ -532,7 +536,7 @@ class TransformerLM:
                     f"entries, got {len(prefix_acc_scores)}"
                 )
             for layer_index, snapshot in enumerate(prefix_acc_scores):
-                snapshot = np.asarray(snapshot, dtype=np.float64)
+                snapshot = np.asarray(snapshot, dtype=DTYPE)
                 if snapshot.shape != (cfg.num_heads, prefix_len):
                     raise DimensionError(
                         f"prefix_acc_scores[{layer_index}] must have shape "
@@ -556,7 +560,8 @@ class TransformerLM:
             kvcache=kvcache,
             acc_scores=acc_scores,
             window_scores=[
-                np.zeros((cfg.num_heads, s)) for _ in range(cfg.num_layers)
+                np.zeros((cfg.num_heads, s), dtype=DTYPE)
+                for _ in range(cfg.num_layers)
             ],
             chunk_queries=(
                 [[] for _ in range(cfg.num_layers)] if collect_queries else None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DimensionError
+from ..utils import DTYPE
 
 __all__ = ["rope_frequencies", "apply_rope", "rope_rotate", "rotate_half"]
 
@@ -22,7 +23,9 @@ def rope_frequencies(head_dim: int, positions: np.ndarray, base: float = 10000.0
 
     Returns ``(cos, sin)`` arrays of shape ``(len(positions), head_dim)``
     where the tables are duplicated across the two halves of the head
-    dimension, matching the Llama "rotate-half" formulation.
+    dimension, matching the Llama "rotate-half" formulation.  The angles are
+    formed in float64 (a position times a frequency loses digits fast) and
+    the tables rounded to the substrate dtype.
     """
     if head_dim % 2 != 0:
         raise DimensionError("head_dim must be even for RoPE")
@@ -30,7 +33,7 @@ def rope_frequencies(head_dim: int, positions: np.ndarray, base: float = 10000.0
     inv_freq = 1.0 / (base ** (np.arange(0, head_dim, 2, dtype=np.float64) / head_dim))
     angles = np.outer(positions, inv_freq)  # (n, head_dim / 2)
     angles = np.concatenate([angles, angles], axis=-1)  # (n, head_dim)
-    return np.cos(angles), np.sin(angles)
+    return np.cos(angles).astype(DTYPE), np.sin(angles).astype(DTYPE)
 
 
 def rotate_half(x: np.ndarray) -> np.ndarray:
@@ -61,7 +64,7 @@ def apply_rope(
     Returns:
         Rotated vectors of the same shape.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.asarray(vectors, dtype=DTYPE)
     head_dim = vectors.shape[-1]
     seq = vectors.shape[-2]
     positions = np.asarray(positions).reshape(-1)

@@ -17,6 +17,7 @@ from ..baselines.base import KVCachePolicy
 from ..llm.generation import StepSelections
 from ..llm.kvcache import PagedKVCache, SwappedBlocks
 from ..llm.model import PrefillResult, PrefillState
+from ..utils import DTYPE
 from .metrics import RequestMetrics
 from .request import Request, RequestStatus
 
@@ -137,5 +138,5 @@ class RequestState:
 
     def stacked_logits(self, vocab_size: int) -> np.ndarray:
         if not self.step_logits:
-            return np.zeros((0, vocab_size))
+            return np.zeros((0, vocab_size), dtype=DTYPE)
         return np.stack(self.step_logits, axis=0)

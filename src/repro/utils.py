@@ -11,7 +11,15 @@ import numpy as np
 
 from .errors import DimensionError
 
+#: The one float dtype of the NumPy substrate: weights, activations, KV,
+#: attention tiles, PQ codebooks and k-means all compute in it.  Analysis
+#: (``repro.eval`` metrics, ``LatencyModel``, workload statistics) stays in
+#: float64.  The modelled hardware's width is ``ModelConfig.dtype_bytes``,
+#: which is what every transfer is billed at whatever this is.
+DTYPE = np.float32
+
 __all__ = [
+    "DTYPE",
     "as_rng",
     "check_2d",
     "modelled_nbytes",
@@ -34,8 +42,9 @@ def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
 
 
 def check_2d(array: np.ndarray, name: str = "array") -> np.ndarray:
-    """Validate that ``array`` is a 2-D float array and return it as float64."""
-    arr = np.asarray(array, dtype=np.float64)
+    """Validate that ``array`` is a 2-D float array and return it in the
+    substrate dtype (:data:`DTYPE`)."""
+    arr = np.asarray(array, dtype=DTYPE)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -58,8 +67,11 @@ def modelled_nbytes(arrays, dtype_bytes: int) -> int:
 
 
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    scores = np.asarray(scores, dtype=np.float64)
+    """Numerically stable softmax along ``axis``, in the scores' float dtype
+    (integer scores compute in float64)."""
+    scores = np.asarray(scores)
+    if scores.dtype.kind != "f":
+        scores = scores.astype(np.float64)
     shifted = scores - np.max(scores, axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / np.sum(exp, axis=axis, keepdims=True)

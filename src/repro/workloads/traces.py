@@ -55,7 +55,7 @@ def collect_decode_attention(
         last_query = queries[:, -1, :]                   # (h, d_h)
         keys = result.kvcache[layer].keys                # (h_kv, s, d_h)
         logits = attention_scores_single_query(last_query, keys, config.gqa_group_size)
-        probs = softmax(logits, axis=-1)                 # (h, s)
+        probs = softmax(logits.astype(np.float64), axis=-1)  # (h, s)
         grouped = probs.reshape(config.num_kv_heads, config.gqa_group_size, -1).mean(axis=1)
         for kv_head in range(config.num_kv_heads):
             traces.append(AttentionTrace(layer=layer, kv_head=kv_head,

@@ -10,7 +10,8 @@ replaced, kept with their arithmetic as it was.
 * :func:`decode_attention_grouped` — fancy index per ``(request, kv_head)``
   then ``np.stack``: every selected row copied twice.
 
-The production code must return the same tokens, counters and bits.
+The production code must return the same tokens, counters and bits.  The
+oracles compute in the substrate dtype (``repro.utils.DTYPE``).
 """
 
 from collections import OrderedDict
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.core.gpu_cache import CacheStats
 from repro.core.pq import ProductQuantizer
-from repro.utils import softmax, topk_indices
+from repro.utils import DTYPE, softmax, topk_indices
 
 
 def topk_middle(manager, layer_index, kv_queries, segments, k):
@@ -35,7 +36,7 @@ def topk_middle(manager, layer_index, kv_queries, segments, k):
         return empty
     scores = ProductQuantizer.score_batch(
         manager.codebooks(layer_index),
-        np.asarray(kv_queries, dtype=np.float64),
+        np.asarray(kv_queries, dtype=DTYPE),
         codes[valid].transpose(1, 0, 2),
     )
     k_eff = min(int(k), valid.size)
@@ -144,14 +145,14 @@ def decode_attention_grouped(queries, keys, values, selections):
     h, d_h = queries[0].shape
     h_kv = keys[0].shape[0]
     group = h // h_kv
-    scale = np.sqrt(d_h)
+    scale = float(np.sqrt(d_h))
     per_request = [
         per_head_indices(selections[i], h_kv, keys[i].shape[1]) for i in range(n)
     ]
-    outputs = [np.zeros((h, d_h), dtype=np.float64) for _ in range(n)]
+    outputs = [np.zeros((h, d_h), dtype=DTYPE) for _ in range(n)]
     entries = [(i, kv) for i in range(n) for kv in range(h_kv)]
     lengths = np.array([per_request[i][kv].size for i, kv in entries], dtype=np.int64)
-    q_grouped = [np.asarray(q, dtype=np.float64).reshape(h_kv, group, d_h) for q in queries]
+    q_grouped = [np.asarray(q, dtype=DTYPE).reshape(h_kv, group, d_h) for q in queries]
     for t in np.unique(lengths):
         if t == 0:
             continue

@@ -5,7 +5,9 @@ Its arithmetic is kept as it was (difference-form k-means++ distances,
 ``rng.choice`` picks, the ``x_sq - 2 x.c + c_sq`` expansion over the whole
 ``(n, 2**b)`` matrix, ``np.add.at`` centroid sums) as the reference the batched kernel is compared
 against: identical draws and update order, so labels, iteration counts and
-convergence flags must match exactly and centroids to rounding.
+convergence flags must match exactly and centroids to rounding.  It computes
+in the substrate dtype (``repro.utils.DTYPE``) and sums inertia in float64,
+as the kernel does.
 
 The one thing it takes from the kernel is the seeding sample: a problem longer
 than ``cap * n_clusters`` points picks its centres among a sorted sample of
@@ -20,6 +22,7 @@ import numpy as np
 
 from repro.core import kmeans as kernel
 from repro.core.kmeans import KMeansResult
+from repro.utils import DTYPE
 
 LIFTED = math.inf
 
@@ -37,13 +40,14 @@ def assign(points, centroids):
 
 
 def plus_plus_init(points, n_clusters, rng, cap=None):
+    points = np.asarray(points, dtype=DTYPE)
     n_clusters = min(n_clusters, points.shape[0])
     sample_size = (kernel.SEED_POINTS_PER_CLUSTER if cap is None else cap) * n_clusters
     if points.shape[0] > sample_size:
         points = points[np.sort(rng.choice(
             points.shape[0], size=sample_size, replace=False, shuffle=False))]
     n_points = points.shape[0]
-    centroids = np.empty((n_clusters, points.shape[1]), dtype=np.float64)
+    centroids = np.empty((n_clusters, points.shape[1]), dtype=DTYPE)
     centroids[0] = points[int(rng.integers(n_points))]
     closest_sq = np.einsum("ij,ij->i", points - centroids[0], points - centroids[0])
     for idx in range(1, n_clusters):
@@ -60,16 +64,17 @@ def plus_plus_init(points, n_clusters, rng, cap=None):
 
 def lloyd(points, centroids, max_iter, tol=1e-6):
     """Lloyd iterations from ``centroids`` (not mutated)."""
-    centroids = np.array(centroids, dtype=np.float64)
+    points = np.asarray(points, dtype=DTYPE)
+    centroids = np.array(centroids, dtype=DTYPE)
     n_points, n_clusters = points.shape[0], centroids.shape[0]
     dists = pairwise_sq_dists(points, centroids)
     labels = np.argmin(dists, axis=1)
-    inertia = float(dists[np.arange(n_points), labels].sum())
+    inertia = float(dists[np.arange(n_points), labels].sum(dtype=np.float64))
 
     n_iter = 0
     converged = max_iter == 0
     for n_iter in range(1, max_iter + 1):
-        counts = np.bincount(labels, minlength=n_clusters).astype(np.float64)
+        counts = np.bincount(labels, minlength=n_clusters).astype(DTYPE)
         sums = np.zeros_like(centroids)
         np.add.at(sums, labels, points)
         nonempty = counts > 0
@@ -83,7 +88,7 @@ def lloyd(points, centroids, max_iter, tol=1e-6):
 
         dists = pairwise_sq_dists(points, centroids)
         new_labels = np.argmin(dists, axis=1)
-        new_inertia = float(dists[np.arange(n_points), new_labels].sum())
+        new_inertia = float(dists[np.arange(n_points), new_labels].sum(dtype=np.float64))
         labels_stable = bool(np.array_equal(new_labels, labels))
         labels = new_labels
         improved = inertia - new_inertia
@@ -98,6 +103,7 @@ def fit(points, n_clusters, max_iter, seed, cap=None):
     """``seed`` may be a generator shared by consecutive calls, as
     ``ProductQuantizer.fit`` shares one across a head's sub-spaces."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    points = np.asarray(points, dtype=DTYPE)
     n_points = points.shape[0]
     if n_points <= n_clusters:
         reps = int(np.ceil(n_clusters / n_points))
@@ -107,10 +113,32 @@ def fit(points, n_clusters, max_iter, seed, cap=None):
     return lloyd(points, plus_plus_init(points, n_clusters, rng, cap), max_iter)
 
 
+#: How far apart, in ``DTYPE`` epsilons of the magnitudes involved, the kernel
+#: and the oracle may land.  Both round the same terms in a different order
+#: (centroid sums as a membership GEMM against ``np.add.at``; a distance as
+#: ``||c||^2 - 2 x.c + ||x||^2`` against ``||x||^2 - 2 x.c + ||c||^2``), so they
+#: differ by a few epsilons: at most 6.6 of the largest centroid coordinate
+#: and 0.12 of the inertia's magnitude over the suite.
+ROUNDING_EPS = 16
+EPS = float(np.finfo(DTYPE).eps)
+
+
+def assert_centroids_close(got, want):
+    """Kernel centroids within rounding of the oracle's."""
+    scale = max(1.0, float(np.abs(want).max()))
+    np.testing.assert_allclose(got, want, rtol=0, atol=ROUNDING_EPS * EPS * scale)
+
+
 def assert_same(result, oracle):
     """The equivalence the batched kernel owes the oracle."""
     assert np.array_equal(result.labels, oracle.labels)
     assert result.n_iter == oracle.n_iter
     assert result.converged == oracle.converged
-    np.testing.assert_allclose(result.centroids, oracle.centroids, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(result.inertia, oracle.inertia, rtol=1e-9, atol=1e-9)
+    assert_centroids_close(result.centroids, oracle.centroids)
+    centroids = np.asarray(oracle.centroids, dtype=np.float64)
+    # a distance is rounded at the size of ||x||^2 + ||c||^2 ~ 2 ||c||^2 + d,
+    # which for tight clusters far from the origin dwarfs the distance itself
+    assigned = centroids[oracle.labels]
+    magnitude = float(oracle.inertia) + 2.0 * float(np.einsum("nd,nd->", assigned, assigned))
+    np.testing.assert_allclose(result.inertia, oracle.inertia, rtol=0,
+                               atol=ROUNDING_EPS * EPS * magnitude)

@@ -1,5 +1,6 @@
 """Oracle for :func:`repro.llm.attention.prefill_attention`: full causal
-self-attention written the obvious way (one einsum, one mask, one softmax).
+self-attention written the obvious way (one einsum, one mask, one softmax),
+in the substrate dtype.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ import numpy as np
 
 from repro.errors import DimensionError
 from repro.llm.attention import expand_kv_heads
-from repro.utils import softmax
+from repro.utils import DTYPE, softmax
 
 
 def causal_attention(
@@ -29,9 +30,9 @@ def causal_attention(
     Returns:
         ``(h, s, d_h)`` attention output, optionally with the score tensor.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
+    queries = np.asarray(queries, dtype=DTYPE)
+    keys = np.asarray(keys, dtype=DTYPE)
+    values = np.asarray(values, dtype=DTYPE)
     h, s, d_h = queries.shape
     h_kv = keys.shape[0]
     if h % h_kv != 0:
@@ -40,7 +41,7 @@ def causal_attention(
     k_exp = expand_kv_heads(keys, group)
     v_exp = expand_kv_heads(values, group)
 
-    logits = np.einsum("hqd,hkd->hqk", queries, k_exp) / np.sqrt(d_h)
+    logits = np.einsum("hqd,hkd->hqk", queries, k_exp) / float(np.sqrt(d_h))
     mask = np.triu(np.ones((s, s), dtype=bool), k=1)
     logits = np.where(mask[None, :, :], -np.inf, logits)
     scores = softmax(logits, axis=-1)

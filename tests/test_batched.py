@@ -4,7 +4,8 @@ Every batched kernel introduced by the decode-path vectorization must be
 *exactly* equal — ``np.array_equal`` / ``assert_allclose(rtol=0, atol=0)`` —
 to the legacy per-head Python loops it replaced.  The reference
 implementations below replicate the legacy loops' structure (one head at a
-time, true-length reductions); where the old code used BLAS ``@`` for a
+time, true-length reductions) in the substrate dtype; where the old code used
+BLAS ``@`` for a
 mat-vec, the reference uses the einsum equivalent so the comparison stays
 bitwise-stable across BLAS builds (the batched kernels use the same einsum
 contractions, and numpy's einsum reduces each output element over identical
@@ -22,7 +23,7 @@ from repro.core.pq import PQConfig, ProductQuantizer
 from repro.errors import DimensionError
 from repro.llm import KVCache, ModelConfig
 from repro.llm.attention import decode_attention
-from repro.utils import softmax, topk_indices
+from repro.utils import DTYPE, softmax, topk_indices
 
 SHAPES = [
     # (h, m, bits, sub_dim, n_codes)
@@ -54,7 +55,7 @@ def _fit_quantizers(rng, h, m, bits, sub_dim, n):
 
 def _legacy_lookup_table(pq, query):
     cfg = pq.config
-    sub_queries = np.asarray(query, dtype=np.float64).reshape(
+    sub_queries = np.asarray(query, dtype=DTYPE).reshape(
         cfg.num_partitions, cfg.sub_dim
     )
     return np.einsum("md,mcd->mc", sub_queries, pq.centroids)
@@ -80,13 +81,13 @@ def _legacy_encode(pq, vectors):
 
 def _legacy_decode_attention(query, keys, values, per_head_indices):
     """The pre-vectorization nested ``kv_head x group`` loop."""
-    query = np.asarray(query, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
+    query = np.asarray(query, dtype=DTYPE)
+    keys = np.asarray(keys, dtype=DTYPE)
+    values = np.asarray(values, dtype=DTYPE)
     h, d_h = query.shape
     h_kv = keys.shape[0]
     group = h // h_kv
-    output = np.zeros((h, d_h), dtype=np.float64)
+    output = np.zeros((h, d_h), dtype=DTYPE)
     for kv_head, indices in enumerate(per_head_indices):
         if indices.size == 0:
             continue
@@ -94,7 +95,7 @@ def _legacy_decode_attention(query, keys, values, per_head_indices):
         v = values[kv_head, indices, :]
         for g in range(group):
             q_head = kv_head * group + g
-            logits = np.einsum("td,d->t", k, query[q_head]) / np.sqrt(d_h)
+            logits = np.einsum("td,d->t", k, query[q_head]) / float(np.sqrt(d_h))
             weights = softmax(logits)
             output[q_head] = np.einsum("t,td->d", weights, v)
     return output
@@ -176,8 +177,7 @@ class TestBatchedKernelsMatchPerHeadLoops:
                 want = oracle.fit(sub, 1 << bits, 4, seed=shared)
                 assert np.array_equal(codes[head][:, part], want.labels)
                 assert n_iter[head, part] == want.n_iter
-                assert_allclose(codebooks[head, part], want.centroids,
-                                rtol=0, atol=1e-12)
+                oracle.assert_centroids_close(codebooks[head, part], want.centroids)
             assert np.array_equal(pq.refine(more[head], max_iters=3),
                                   refined[1][head])
             assert np.array_equal(pq.centroids, refined[0][head])

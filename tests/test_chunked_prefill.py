@@ -31,13 +31,30 @@ from repro.llm import (
     prefill_attention,
 )
 from repro.llm.rope import apply_rope
-from repro.utils import softmax
+from repro.utils import DTYPE, softmax
 
 PROMPT_LEN = 48
 CHUNK_SIZES = (1, 7, None)  # None = the whole prompt in one chunk
 
 BUDGET = SelectionBudget(token_ratio=0.3, comm_ratio=1.0 / 64.0,
                          num_initial=2, num_local=8)
+
+EPS = float(np.finfo(DTYPE).eps)
+#: The kernel computes in the substrate dtype; the seed's copy below sums its
+#: attention and aggregates in float64 over the same float32 weights.  Over
+#: the cases here they agree within 9.3 epsilons of each array's largest
+#: entry (logits, keys, both aggregates).
+SEED_EPS = 32
+#: ``prefill_attention`` against the einsum oracle, both in the substrate
+#: dtype: 6 epsilons of the largest output at most, 1.5 for the scores.
+ORACLE_EPS = 16
+
+
+def assert_within_eps(got, want, multiple):
+    """``got`` within ``multiple`` epsilons of ``want``'s largest magnitude
+    (or of 1, if that is larger)."""
+    scale = max(1.0, float(np.abs(want).max()))
+    np.testing.assert_allclose(got, want, rtol=0, atol=multiple * EPS * scale)
 
 
 @pytest.fixture(scope="module")
@@ -180,25 +197,18 @@ class TestAgainstSeedImplementation:
     def test_matches_seed_monolithic_to_tolerance(self, chunk_model, chunk_prompt,
                                                   prefill_variants):
         """The chunk-invariant kernel only reorders float reductions, so it
-        agrees with the seed's original implementation to ~1e-12."""
+        agrees with the seed's original implementation to rounding."""
         cache, logits, aggregates = seed_monolithic_prefill(
             chunk_model, chunk_prompt, observation_window=16
         )
         for chunked in prefill_variants.values():
-            np.testing.assert_allclose(chunked.logits, logits, rtol=1e-10, atol=1e-12)
+            assert_within_eps(chunked.logits, logits, SEED_EPS)
             assert int(np.argmax(chunked.logits)) == int(np.argmax(logits))
             for layer in range(chunk_model.config.num_layers):
-                np.testing.assert_allclose(
-                    chunked.kvcache[layer].keys, cache[layer].keys,
-                    rtol=1e-10, atol=1e-12,
-                )
+                assert_within_eps(chunked.kvcache[layer].keys, cache[layer].keys, SEED_EPS)
             for chunk_agg, (acc, win) in zip(chunked.aggregates, aggregates):
-                np.testing.assert_allclose(
-                    chunk_agg.accumulated_scores, acc, rtol=1e-9, atol=1e-12
-                )
-                np.testing.assert_allclose(
-                    chunk_agg.window_scores, win, rtol=1e-9, atol=1e-12
-                )
+                assert_within_eps(chunk_agg.accumulated_scores, acc, SEED_EPS)
+                assert_within_eps(chunk_agg.window_scores, win, SEED_EPS)
 
 
 # ------------------------------------------------------------ the tile grid
@@ -271,17 +281,12 @@ class TestTileGrid:
         cache, logits, aggregates = seed_monolithic_prefill(
             model, prompt, observation_window=WINDOW
         )
-        np.testing.assert_allclose(reference.logits, logits, rtol=1e-10, atol=1e-12)
+        assert_within_eps(reference.logits, logits, SEED_EPS)
         for layer, (acc, win) in enumerate(aggregates):
-            np.testing.assert_allclose(
-                reference.kvcache[layer].keys, cache[layer].keys,
-                rtol=1e-10, atol=1e-12,
-            )
+            assert_within_eps(reference.kvcache[layer].keys, cache[layer].keys, SEED_EPS)
             got = reference.aggregates[layer]
-            np.testing.assert_allclose(got.accumulated_scores, acc,
-                                       rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(got.window_scores, win,
-                                       rtol=1e-9, atol=1e-12)
+            assert_within_eps(got.accumulated_scores, acc, SEED_EPS)
+            assert_within_eps(got.window_scores, win, SEED_EPS)
 
     @pytest.mark.parametrize("boundary", (2 * T + 5, 3 * T), ids=("mid", "edge"))
     @pytest.mark.parametrize("chunk_size", (7, LONG_LEN))
@@ -362,11 +367,9 @@ class TestPrefillAttentionKernel:
         n = qkv[0].shape[1]
         want, want_scores = causal_attention(*qkv, return_scores=True)
         got, rows = self._chunked(qkv, (0, n))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert_within_eps(got, want, ORACLE_EPS)
         for position, row in rows.items():
-            np.testing.assert_allclose(
-                row, want_scores[:, position, : position + 1], rtol=0, atol=1e-12
-            )
+            assert_within_eps(row, want_scores[:, position, : position + 1], ORACLE_EPS)
 
     @pytest.mark.parametrize(
         "bounds",

@@ -19,7 +19,7 @@ from repro.errors import DimensionError
 from repro.eval import clone_prefill
 from repro.llm import KVCache, TokenSegments
 from repro.llm.attention import GroupedDecodeAttention, decode_attention
-from repro.utils import topk_indices
+from repro.utils import DTYPE, topk_indices
 
 NUM_INITIAL, NUM_LOCAL, SEQ = 4, 16, 150
 
@@ -293,9 +293,10 @@ class TestGatherKernel:
     H, H_KV, D = 4, 2, 8
 
     def _request(self, rng, seq):
-        return (rng.normal(size=(self.H, self.D)),
-                rng.normal(size=(self.H_KV, seq, self.D)),
-                rng.normal(size=(self.H_KV, seq, self.D)))
+        """One request's query, keys and values, as the model holds them."""
+        return (rng.normal(size=(self.H, self.D)).astype(DTYPE),
+                rng.normal(size=(self.H_KV, seq, self.D)).astype(DTYPE),
+                rng.normal(size=(self.H_KV, seq, self.D)).astype(DTYPE))
 
     def _assert_equal(self, kernel, requests, selections):
         queries, keys, values = (list(x) for x in zip(*requests))

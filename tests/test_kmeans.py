@@ -18,6 +18,7 @@ from repro.core.kmeans import (
     kmeans_refine,
 )
 from repro.errors import ConfigurationError, DimensionError
+from repro.utils import DTYPE
 
 
 def _blobs(rng, centers, points_per_center=30, scale=0.05):
@@ -244,7 +245,7 @@ class TestKMeansRefine:
         points = rng.normal(size=(50, 3))
         centroids = rng.normal(size=(4, 3))
         result = kmeans_refine(points, centroids, max_iter=0)
-        assert np.array_equal(result.centroids, centroids)
+        assert np.array_equal(result.centroids, centroids.astype(DTYPE))
         assert result.converged and result.n_iter == 0
         assert np.array_equal(result.labels, kmeans_assign(points, centroids))
 
@@ -383,7 +384,6 @@ class TestBatchInvariance:
         points = np.random.default_rng(0).normal(size=(3, 1000, 8))
         want = kmeans_fit(points, 16, max_iter=5, seed=[0, 1, 2])
         monkeypatch.setattr(kmeans_module, "_BLOCK_ELEMS", 16 * 37)
-        monkeypatch.setattr(kmeans_module, "_SCATTER_ELEMS", 1)
         got = kmeans_fit(points, 16, max_iter=5, seed=[0, 1, 2])
         assert np.array_equal(got.labels, want.labels)
         assert np.array_equal(got.n_iter, want.n_iter)
@@ -439,7 +439,7 @@ class TestSampledSeeding:
         assert not result.n_iter.any() and result.converged.all()
         for j in range(2):
             for centroid in result.centroids[j]:
-                assert (points[j] == centroid).all(axis=1).any()
+                assert (points[j].astype(DTYPE) == centroid).all(axis=1).any()
             assert np.array_equal(result.labels[j], oracle.assign(points[j], result.centroids[j]))
             assert set(result.labels[j].tolist()) == set(range(32))
 
@@ -469,7 +469,8 @@ class TestHeterogeneousBatches:
         real = kmeans_module._reseed_targets
 
         def spy(pts, centroids, labels, num_empty):
-            reseeded.append(int(np.flatnonzero((points == pts).all(axis=(1, 2)))[0]))
+            reseeded.append(int(np.flatnonzero(
+                (points.astype(DTYPE) == pts).all(axis=(1, 2)))[0]))
             return real(pts, centroids, labels, num_empty)
 
         monkeypatch.setattr(kmeans_module, "_reseed_targets", spy)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DimensionError
 from repro.llm import KVCache, LayerKVCache, TokenSegments
+from repro.utils import DTYPE
 
 
 class TestLayerKVCache:
@@ -42,7 +43,8 @@ class TestLayerKVCache:
         # single tokens, a chunk that overshoots the doubling rule, an exact
         # fill to the new capacity, then one more token
         for t in (1, 1, 300, 1, 700, 45, 1):
-            k, v = rng.normal(size=(2, t, 4)), rng.normal(size=(2, t, 4))
+            k = rng.normal(size=(2, t, 4)).astype(DTYPE)
+            v = rng.normal(size=(2, t, 4)).astype(DTYPE)
             cache.append(k, v)
             keys.append(k)
             values.append(v)

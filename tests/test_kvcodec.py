@@ -140,8 +140,8 @@ class TestParkingContract:
     @pytest.mark.parametrize("dtype_bytes", WIDTHS)
     def test_non_finite_and_out_of_range_restore_bit_for_bit(self, dtype_bytes):
         # The modelled width only sizes the wire: values no fp16/fp32 could
-        # hold, infinities, signed zeros and NaN payloads park as the
-        # substrate's float64 and come back unchanged.
+        # hold, infinities, signed zeros and NaN payloads park in the host
+        # array's own dtype (float64 here) and come back unchanged.
         block = random_block(5)
         block[0, 0, :4] = [1e6, -1e39, np.inf, -np.inf]
         block[1, 3, :2] = [np.nan, -0.0]

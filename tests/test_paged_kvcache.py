@@ -8,6 +8,7 @@ import pytest
 from repro.errors import CapacityError, ConfigurationError
 from repro.llm import KVCache
 from repro.llm.kvcache import BlockAllocator, BlockTable, PagedKVCache
+from repro.utils import DTYPE
 
 
 def make_allocator(capacity=None, block_size=4, num_layers=2, h_kv=2, d_h=8):
@@ -17,7 +18,9 @@ def make_allocator(capacity=None, block_size=4, num_layers=2, h_kv=2, d_h=8):
 
 
 def random_kv(rng, h_kv=2, t=1, d_h=8):
-    return rng.normal(size=(h_kv, t, d_h)), rng.normal(size=(h_kv, t, d_h))
+    """Keys and values in the substrate dtype, as the model appends them."""
+    return (rng.normal(size=(h_kv, t, d_h)).astype(DTYPE),
+            rng.normal(size=(h_kv, t, d_h)).astype(DTYPE))
 
 
 # ----------------------------------------------------------------- allocator

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import DimensionError
 from repro.llm.layers import Linear, RMSNorm, SwiGLU, rms_norm, silu
 from repro.llm.rope import apply_rope, rope_frequencies, rope_rotate, rotate_half
+from repro.utils import DTYPE
 
 
 class TestRope:
@@ -31,8 +32,11 @@ class TestRope:
             rq = apply_rope(q, np.array([pos_q]))[0, 0]
             rk = apply_rope(k, np.array([pos_k]))[0, 0]
             return float(rq @ rk)
-        assert scored(5, 3) == pytest.approx(scored(105, 103), rel=1e-9)
-        assert scored(7, 0) == pytest.approx(scored(1007, 1000), rel=1e-9)
+        # float32 tables and rotations: within 4 epsilons of |q| |k| (0.62
+        # at most, measured over 200 seeds)
+        tol = 4 * np.finfo(DTYPE).eps * np.linalg.norm(q) * np.linalg.norm(k)
+        assert scored(5, 3) == pytest.approx(scored(105, 103), rel=0, abs=tol)
+        assert scored(7, 0) == pytest.approx(scored(1007, 1000), rel=0, abs=tol)
 
     def test_tables_built_once_rotate_exactly_like_apply_rope(self, rng):
         """The model builds one ``(cos, sin)`` pair per prefill chunk or decode
@@ -42,12 +46,12 @@ class TestRope:
         positions = [5, 16383, 0, 977, 65535, 16384, 12]
         cos, sin = rope_frequencies(32, positions, base=5e5)
         for i, position in enumerate(positions):
-            query = rng.normal(size=(8, 1, 32))
+            query = rng.normal(size=(8, 1, 32)).astype(DTYPE)
             assert np.array_equal(
                 rope_rotate(query, cos[i : i + 1], sin[i : i + 1]),
                 apply_rope(query, [position], base=5e5),
             )
-        chunk = rng.normal(size=(4, len(positions), 32))
+        chunk = rng.normal(size=(4, len(positions), 32)).astype(DTYPE)
         assert np.array_equal(rope_rotate(chunk, cos, sin),
                               apply_rope(chunk, positions, base=5e5))
 
@@ -106,7 +110,11 @@ class TestLinear:
         layer = Linear.init(cols, 4, rng)
         a = rng.normal(size=(rows, cols))
         b = rng.normal(size=(rows, cols))
-        assert np.allclose(layer(a + b), layer(a) + layer(b))
+        # float32 dot products of cols terms, plus rounding a + b and the
+        # final add: within cols + 2 epsilons of (|a| + |b|) |W| (1.07 measured)
+        bound = (np.abs(a) + np.abs(b)) @ np.abs(layer.weight).T
+        error = np.abs(layer(a + b) - (layer(a) + layer(b)))
+        assert (error <= (cols + 2) * np.finfo(DTYPE).eps * bound).all()
 
 
 class TestSwiGLU:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DimensionError
 from repro.utils import (
+    DTYPE,
     as_rng,
     check_2d,
     sizeof_fmt,
@@ -31,7 +32,7 @@ class TestCheck2d:
     def test_accepts_2d(self):
         arr = check_2d([[1.0, 2.0], [3.0, 4.0]])
         assert arr.shape == (2, 2)
-        assert arr.dtype == np.float64
+        assert arr.dtype == DTYPE
 
     def test_rejects_1d(self):
         with pytest.raises(DimensionError):
@@ -55,6 +56,14 @@ class TestSoftmax:
     def test_axis_argument(self):
         probs = softmax(np.ones((3, 4)), axis=0)
         assert np.allclose(probs.sum(axis=0), 1.0)
+
+    @pytest.mark.parametrize("dtype,want", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64),
+    ])
+    def test_keeps_the_float_dtype_of_its_scores(self, dtype, want):
+        """The substrate's float32 attention stays float32; analysis callers
+        pass float64 and get float64 back."""
+        assert softmax(np.arange(4).astype(dtype)).dtype == want
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=30))
     @settings(max_examples=30, deadline=None)
