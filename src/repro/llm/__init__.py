@@ -21,7 +21,6 @@ from .kvcache import (
     TokenSegments,
 )
 from .model import (
-    DECODE_ROW_BLOCK,
     PREFILL_ROW_BLOCK,
     BatchSelector,
     PrefillAggregates,
@@ -51,7 +50,6 @@ __all__ = [
     "SwappedBlocks",
     "SwapSpace",
     "TokenSegments",
-    "DECODE_ROW_BLOCK",
     "PREFILL_ROW_BLOCK",
     "BatchSelector",
     "PrefillAggregates",

@@ -29,9 +29,18 @@ def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray
 
 @dataclass
 class Linear:
-    """Bias-free linear projection ``y = x @ W.T`` (Llama convention)."""
+    """Bias-free linear projection ``y = x @ W.T`` (Llama convention).
 
-    weight: np.ndarray  # (out_features, in_features)
+    ``weight`` is ``(out_features, in_features)`` stored Fortran-ordered, so
+    ``weight.T`` is a C-contiguous ``(in, out)`` view and ``x @ weight.T``
+    runs BLAS GEMV/GEMM without a transposed operand.  Construction is the
+    one place the layout is fixed: replace a weight with a new ``Linear``.
+    """
+
+    weight: np.ndarray  # (out_features, in_features), Fortran-ordered
+
+    def __post_init__(self) -> None:
+        self.weight = np.asfortranarray(self.weight, dtype=DTYPE)
 
     @classmethod
     def init(
@@ -42,8 +51,7 @@ class Linear:
         scale: float | None = None,
     ) -> "Linear":
         scale = scale if scale is not None else 1.0 / np.sqrt(in_features)
-        weight = rng.normal(0.0, scale, size=(out_features, in_features))
-        return cls(weight=weight.astype(DTYPE))
+        return cls(weight=rng.normal(0.0, scale, size=(out_features, in_features)))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=DTYPE)

@@ -55,8 +55,7 @@ position; only the aggregate fold is sequential.*
 Row-wise operations (RMSNorm, SiLU, RoPE, residual adds) only reduce along
 the fixed feature axis and are invariant as-is.
 
-Decode rounds get the same treatment at request granularity: decode-time
-dense ops run on fixed ``(DECODE_ROW_BLOCK, d)`` zero-padded operands (see
+Decode rounds need no grid: each decode row is its own GEMV (see
 :func:`_decode_rows`), so a request's decode step is bitwise identical
 whether it runs in a :meth:`TransformerLM.decode_step_batch` round of one or
 packed with other requests.
@@ -85,7 +84,6 @@ from .rope import rope_frequencies, rope_rotate
 
 __all__ = [
     "BatchSelector",
-    "DECODE_ROW_BLOCK",
     "LayerWeights",
     "PrefillAggregates",
     "PrefillResult",
@@ -100,11 +98,6 @@ __all__ = [
 #: to exactly this many rows, so a token's projection is computed from an
 #: identically-shaped ``matmul`` regardless of chunk boundaries.
 PREFILL_ROW_BLOCK = 256
-
-#: Row-block size of the fixed-shape dense operands used during decoding.
-#: Every decode-time projection/FFN ``matmul`` runs on exactly this many rows
-#: (zero-padded), whatever the size of the round — see :func:`_decode_rows`.
-DECODE_ROW_BLOCK = 8
 
 
 def _blocked_rows(fn, rows: np.ndarray, global_start: int) -> np.ndarray:
@@ -137,34 +130,14 @@ def _blocked_rows(fn, rows: np.ndarray, global_start: int) -> np.ndarray:
 
 
 def _decode_rows(fn, rows: np.ndarray) -> np.ndarray:
-    """Apply a row-wise dense op on fixed ``(DECODE_ROW_BLOCK, d)`` operands.
+    """Apply a row-wise dense op to each decode row as its own GEMV.
 
-    BLAS ``matmul`` results for one row change with the operand's row count
-    (the reason prefill projections run on the :data:`PREFILL_ROW_BLOCK`
-    grid), but within a *fixed* operand shape each row's result is bitwise
-    independent of both its offset in the block and the other rows' contents
-    — GEMM computes every output row from its own input row only, with a
-    per-element accumulation order fixed by the operand shapes.  Decode
-    rounds rely on exactly that: a round of one runs its token's row alone in
-    a zero-padded block, a larger round packs up to :data:`DECODE_ROW_BLOCK`
-    requests' rows into the same shape (streaming each weight matrix once per
-    round instead of once per request), and both see identical per-row
-    results.
+    ``rows`` is ``(b, d_in)``; the op runs once on the stacked ``(b, 1,
+    d_in)`` operand, and NumPy hands each ``(1, d_in)`` item to BLAS on its
+    own.  A row's result therefore depends on that row alone, so a round of
+    one and a row packed into a fused round of any size agree bit for bit.
     """
-    block = DECODE_ROW_BLOCK
-    b = rows.shape[0]
-    pieces: list[np.ndarray] = []
-    for pos in range(0, b, block):
-        take = min(block, b - pos)
-        if take == block:
-            pieces.append(fn(rows[pos: pos + block]))
-        else:
-            padded = np.zeros((block, rows.shape[1]), dtype=DTYPE)
-            padded[:take] = rows[pos: pos + take]
-            pieces.append(fn(padded)[:take])
-    if len(pieces) == 1:
-        return pieces[0]
-    return np.concatenate(pieces, axis=0)
+    return fn(rows[:, None, :])[:, 0, :]
 
 
 @dataclass
@@ -404,7 +377,9 @@ class TransformerLM:
             for kv_head in range(cfg.num_kv_heads):
                 q_head = kv_head * cfg.gqa_group_size
                 k_w[kv_head] = coupling * q_w[q_head] + mix * k_w[kv_head]
-            layer.k_proj.weight = k_w.reshape(cfg.num_kv_heads * cfg.head_dim, cfg.hidden_dim)
+            layer.k_proj = Linear(
+                k_w.reshape(cfg.num_kv_heads * cfg.head_dim, cfg.hidden_dim)
+            )
 
     @property
     def num_parameters(self) -> int:
@@ -418,15 +393,15 @@ class TransformerLM:
         hidden_rows: np.ndarray,
         rope: "tuple[np.ndarray, np.ndarray]",
     ) -> "list[tuple[np.ndarray, np.ndarray, np.ndarray]]":
-        """Per-request Q/K/V for a decode round, on the fixed decode block.
+        """Per-request Q/K/V for a decode round, one GEMV per row.
 
         ``hidden_rows`` stacks one ``(d,)`` last-token hidden state per
         request and ``rope`` holds the ``(cos, sin)`` tables of the requests'
         positions, row for row, built once per round.  Projections run
-        through :func:`_decode_rows`, so a row's results are bitwise
-        identical whether it is projected alone (a round of one) or
-        alongside the rest of a fused batch.  RMSNorm and RoPE reduce along
-        per-row axes only and are batch-invariant as-is.
+        through :func:`_decode_rows`, where each row is its own GEMV, so a
+        row's results are bitwise identical whether it is projected alone (a
+        round of one) or alongside the rest of a fused batch.  RMSNorm and
+        RoPE reduce along per-row axes only and are batch-invariant as-is.
 
         Returns one ``(q, k, v)`` triple per request, each head-major with a
         single token: ``q`` is ``(num_heads, 1, head_dim)``, ``k``/``v`` are
@@ -819,18 +794,15 @@ class TransformerLM:
     ) -> "list[np.ndarray]":
         """Process one generated token for *each* request in one fused round.
 
-        Bitwise identical to one round per request, in order: every dense
-        op (projections, o_proj, FFN) packs the requests' rows into the same
-        fixed-shape :func:`_decode_rows` blocks a round of one pads with
-        zeros — each row's result is independent of its block-mates —
-        norms/RoPE/lm_head reduce along per-request axes only, and the
-        :class:`~repro.llm.attention.GroupedDecodeAttention` kernel's
-        length-grouping across ``(request, kv_head)`` entries makes each
-        entry's result independent of which other entries share its group.
-        The win is weight reuse: one padded GEMM per dense op per
-        layer streams each weight matrix once per *round* instead of once per
-        request, plus one einsum per distinct selection length per layer
-        instead of one per request per layer.
+        Bitwise identical to one round per request, in order: each decode
+        row of every dense op (projections, o_proj, FFN) is its own GEMV
+        (:func:`_decode_rows`), norms/RoPE/lm_head reduce along per-request
+        axes only, and the :class:`~repro.llm.attention.GroupedDecodeAttention`
+        kernel's length-grouping across ``(request, kv_head)`` entries makes
+        each entry's result independent of which other entries share its
+        group.  The win is grouped selection and attention: one batch
+        selector call per layer, and one einsum per distinct selection length
+        per layer instead of one per request per layer.
 
         Args:
             token_ids: last generated token id of each request.

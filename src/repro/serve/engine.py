@@ -16,8 +16,8 @@ a one-request engine).
 
 There is one decode round (:meth:`InferenceEngine._run_decode_batch`, planned
 by :class:`~repro.serve.decode_batch.DecodeBatch`): one
-:meth:`TransformerLM.decode_step_batch` call over its members — dense ops on
-the model's fixed-shape decode blocks, policy selection and maintenance
+:meth:`TransformerLM.decode_step_batch` call over its members — dense ops as
+one GEMV per decode row, policy selection and maintenance
 through the per-class grouped kernels — then a member-by-member billing
 tail.  A step walks its ``RUNNING`` requests once, gathering members whose
 appends the free list covers into one round; a member that needs the

@@ -10,10 +10,11 @@ per-request metrics, and the engine's simulated clock and counters.
 
 Four layers of assertion:
 
-* a directed property test of the load-bearing numerical contract — within
-  the fixed-shape :data:`~repro.llm.DECODE_ROW_BLOCK` dense operands, a
-  row's projection is bitwise independent of its offset in the block and of
-  the other rows' contents (zero padding or other requests' live rows);
+* a directed property test of the load-bearing numerical contract — each
+  decode row of a dense op is its own GEMV, so a row's result in a round of
+  any size (1-8 rows, random batch-mates) is bitwise equal to its solo
+  call, for :class:`~repro.llm.layers.Linear` and
+  :class:`~repro.llm.layers.SwiGLU` at every benchmark geometry;
 * a randomized engine fuzz, 200 seeds — mixed policies, shared prefixes,
   forced decodes, chunked and monolithic prefill, staggered
   ``max_new_tokens`` (members finish mid-round), mid-run submissions and
@@ -42,8 +43,9 @@ import pytest
 
 from repro.baselines import SelectionBudget
 from repro.core.pqcache import PQCacheConfig
-from repro.llm import DECODE_ROW_BLOCK, ModelConfig, TransformerLM
-from repro.llm.layers import Linear
+from repro.llm import ModelConfig, TransformerLM
+from repro.llm.layers import Linear, SwiGLU
+from repro.llm.model import _decode_rows
 from repro.serve import (
     InferenceEngine,
     PolicySpec,
@@ -53,6 +55,7 @@ from repro.serve import (
     SchedulerConfig,
 )
 from repro.serve.cluster import ClusterFrontend, Worker
+from repro.utils import DTYPE
 
 from decode_loop_oracle import LoopedDecodeEngine, LoopedDecodeWorker
 
@@ -86,27 +89,35 @@ def _policy_spec(name):
 # ------------------------------------------------ the numerical contract
 
 
-def test_decode_row_block_is_offset_and_content_independent():
+#: ``(hidden, ffn)`` of the fuzz model and of the chat, ``prefill_long`` and
+#: ``decode_long`` benchmark models
+DENSE_GEOMETRIES = [(32, 64), (64, 128), (256, 512), (512, 1024)]
+
+
+@pytest.mark.parametrize("hidden,ffn", DENSE_GEOMETRIES)
+def test_each_decode_row_is_its_own_gemv(hidden, ffn):
     """The dense-op contract the fused round is built on.
 
-    Within a fixed ``(DECODE_ROW_BLOCK, d)`` operand, each row's ``matmul``
-    result must be bitwise independent of (a) the row's offset inside the
-    block and (b) what the other rows contain — zero padding (the
-    per-request loop) or other requests' hidden states (the fused round).
+    ``_decode_rows(op, rows)[r]`` must be bitwise equal to the solo call
+    ``_decode_rows(op, rows[r:r+1])[0]`` whatever the round's size and
+    whatever its other rows hold: the round of one (the per-request loop)
+    and the fused round see the same bits.
     """
-    rng = np.random.default_rng(0)
-    for d_in, d_out in [(32, 64), (64, 128), (64, 32), (48, 96)]:
-        proj = Linear.init(d_in, d_out, rng)
-        row = rng.normal(size=d_in)
-        alone = np.zeros((DECODE_ROW_BLOCK, d_in))
-        alone[0] = row
-        reference = proj(alone)[0]
-        for offset in range(DECODE_ROW_BLOCK):
-            packed = rng.normal(size=(DECODE_ROW_BLOCK, d_in))
-            packed[offset] = row
-            assert np.array_equal(proj(packed)[offset], reference), (
-                f"({d_in},{d_out}) row at offset {offset} diverged"
-            )
+    rng = np.random.default_rng(hidden)
+    ops = {
+        "q_proj": Linear.init(hidden, hidden, rng),
+        "k_proj": Linear.init(hidden, hidden // 2, rng),
+        "ffn": SwiGLU.init(hidden, ffn, rng),
+    }
+    for name, op in ops.items():
+        for b in range(1, 9):
+            rows = rng.normal(size=(b, hidden)).astype(DTYPE)
+            packed = _decode_rows(op, rows)
+            for r in range(b):
+                alone = _decode_rows(op, rows[r: r + 1])[0]
+                assert np.array_equal(packed[r], alone), (
+                    f"{name} ({hidden}, {ffn}) row {r} of {b} diverged"
+                )
 
 
 # ------------------------------------------------------ comparison helpers
