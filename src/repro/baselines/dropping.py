@@ -168,7 +168,7 @@ class H2OPolicy(_DroppingPolicy):
             return
         newly_middle = middle[-1]
         for layer_index in range(config.num_layers):
-            layer_cache = cache[layer_index]
+            key = cache[layer_index].read(newly_middle, newly_middle + 1)[0]
             for head in range(config.num_kv_heads):
                 retained = self._retained[layer_index][head]
                 scores = self._scores[layer_index][head]
@@ -178,7 +178,7 @@ class H2OPolicy(_DroppingPolicy):
                 # accumulated attention (no additional attention passes are
                 # available to a dropping method after prefill).
                 candidate_score = float(
-                    np.linalg.norm(layer_cache.keys[head, newly_middle, :])
+                    np.linalg.norm(key[head, 0])
                 )
                 retained = np.append(retained, newly_middle)
                 scores = np.append(scores, candidate_score)

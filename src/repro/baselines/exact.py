@@ -49,12 +49,12 @@ class OracleTopKPolicy(KVCachePolicy):
         k = self.budget.middle_budget(self.prompt_len)
 
         kv_queries = self._kv_queries(query)
+        middle_keys = layer_cache.read(*segments.middle_range)[0]
         selected = []
         for head in range(config.num_kv_heads):
             if middle.size == 0:
                 selected.append(np.empty(0, dtype=np.int64))
                 continue
-            keys = layer_cache.keys[head, middle, :]
-            scores = keys @ kv_queries[head]
+            scores = middle_keys[head] @ kv_queries[head]
             selected.append(self._topk(scores, middle, k))
         return self._assemble(selected, segments)

@@ -56,6 +56,7 @@ class SparqPolicy(KVCachePolicy):
         r = self._effective_rank()
 
         kv_queries = self._kv_queries(query)
+        middle_keys = layer_cache.read(*segments.middle_range)[0]
         selected = []
         for head in range(config.num_kv_heads):
             if middle.size == 0:
@@ -63,7 +64,7 @@ class SparqPolicy(KVCachePolicy):
                 continue
             q_head = kv_queries[head]
             dims = topk_indices(np.abs(q_head), r)
-            keys_partial = layer_cache.keys[head][np.ix_(middle, dims)]
+            keys_partial = np.take(middle_keys[head], dims, axis=1)
             scores = keys_partial @ q_head[dims]
             selected.append(self._topk(scores, middle, k))
         return self._assemble(selected, segments)
@@ -154,7 +155,7 @@ class InfLLMPolicy(KVCachePolicy):
                 if rep_idx.size == 0:
                     block_scores[b] = -np.inf
                     continue
-                rep_keys = layer_cache.keys[head, rep_idx, :]
+                rep_keys = layer_cache.gather(rep_idx)[0][head]
                 block_scores[b] = float(np.max(rep_keys @ kv_queries[head]))
             # Fetch whole blocks in score order until the token budget fills.
             order = np.argsort(-block_scores, kind="stable")

@@ -140,18 +140,16 @@ class PQCachePolicy(KVCachePolicy):
                 self.manager.build_incremental(
                     kvcache, upto=target, sample_tokens=self.sketch_tokens
                 )
-                self._encoded_until = target
-                if stop > target:
-                    for layer_index in range(config.num_layers):
-                        keys = kvcache[layer_index].keys[:, target:stop, :]
-                        self.manager.append_tokens(layer_index, keys)
-                    self._encoded_until = stop
+                self._stream_encode(kvcache, target, stop)
             return
-        # Codebooks exist: stream-encode the chunk with the current
-        # centroids, one batched call per layer (no re-clustering).
-        for layer_index in range(config.num_layers):
-            keys = kvcache[layer_index].keys[:, start:stop, :]
-            self.manager.append_tokens(layer_index, keys)
+        self._stream_encode(kvcache, start, stop)
+
+    def _stream_encode(self, kvcache: KVCache, start: int, stop: int) -> None:
+        """Encode tokens ``[start, stop)`` with the current centroids, one
+        batched call per layer (no re-clustering)."""
+        if start < stop:
+            for layer_index in range(kvcache.num_layers):
+                self.manager.append_tokens(layer_index, kvcache[layer_index].read(start, stop)[0])
         self._encoded_until = stop
 
     # -------------------------------------------------------- prefix reuse
@@ -202,11 +200,7 @@ class PQCachePolicy(KVCachePolicy):
         self.manager = PQCacheManager(config, self.pq_config)
         self.manager.attach(snapshot, upto)
         self._attached_snapshot = snapshot
-        if upto < prefix_len:
-            for layer_index in range(config.num_layers):
-                keys = kvcache[layer_index].keys[:, upto:prefix_len, :]
-                self.manager.append_tokens(layer_index, keys)
-        self._encoded_until = prefix_len
+        self._stream_encode(kvcache, upto, prefix_len)
         return True
 
     def prefix_snapshot(self) -> PQSnapshot | None:
@@ -346,7 +340,7 @@ class PQCachePolicy(KVCachePolicy):
                 append_tokens_grouped(
                     [
                         (policy.manager, layer_index,
-                         cache[layer_index].keys[:, start:middle_end, :])
+                         cache[layer_index].read(start, middle_end)[0])
                         for policy, cache, start, middle_end, layers in pending
                         if layer_index < layers
                     ]

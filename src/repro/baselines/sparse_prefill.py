@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..llm.kvcache import LayerKVCache
 from ..llm.model import PrefillResult, TransformerLM
 from ..utils import as_rng
 
@@ -104,7 +105,9 @@ def sparse_prefill(
 
     if config.key_noise_scale > 0:
         for layer_cache in result.kvcache.layers:
-            keys = layer_cache.keys
+            # Prefill's cache is monolithic: its reads are views, so the noise lands in place.
+            assert isinstance(layer_cache, LayerKVCache)
+            keys = layer_cache.read()[0]
             scale = config.key_noise_scale * np.std(keys)
             noise = rng.normal(0.0, scale, size=keys.shape)
             # Positions inside the pattern are computed exactly; only the

@@ -414,7 +414,7 @@ class PQCacheManager:
             sketch = np.sort(rng.choice(upto, size=int(sample_tokens), replace=False))
 
         for layer_index in range(self.model_config.num_layers):
-            keys = kvcache[layer_index].keys[:, :upto, :]
+            keys = kvcache[layer_index].read(0, upto)[0]
             codebooks, _, n_iter = ProductQuantizer.fit_batch(
                 self._pq_config,
                 keys if sketch is None else keys[:, sketch],
@@ -462,7 +462,7 @@ class PQCacheManager:
         for layer_index, n in enumerate(counts):
             self._adopt(
                 *ProductQuantizer.refine_batch(
-                    previous[layer_index], kvcache[layer_index].keys[:, :n, :], iters, tol
+                    previous[layer_index], kvcache[layer_index].read(0, n)[0], iters, tol
                 )
             )
 

@@ -56,7 +56,7 @@ def clone_prefill(prefill: PrefillResult, config: ModelConfig) -> PrefillResult:
     )
     for layer_index in range(config.num_layers):
         source = prefill.kvcache[layer_index]
-        cache[layer_index].append(source.keys.copy(), source.values.copy())
+        cache[layer_index].append(*source.read())
     return PrefillResult(
         kvcache=cache,
         last_hidden=prefill.last_hidden,

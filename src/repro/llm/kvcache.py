@@ -14,10 +14,10 @@ coexist:
   increfs them), and writes into a shared block copy it first
   (copy-on-write) — which is what lets the serving engine's prefix cache
   reuse a common prompt prefix across requests without ever letting one
-  request corrupt another's view.  Each layer additionally keeps a
-  contiguous *assembled mirror* of its tokens so the NumPy attention kernels
-  read the exact same ``(h_kv, s, d_h)`` views as the monolithic cache —
-  paged and monolithic storage are bitwise interchangeable for compute.
+  request corrupt another's view.  One store, read through the table: the
+  blocks are the only copy of a paged request's KV, read through the same
+  ``read`` / ``gather`` / ``decode_view`` as the monolithic buffer, so the
+  two designs are bitwise interchangeable for compute.
 
 Both designs share the three-way segmentation the paper uses (initial
 tokens, middle tokens, local tokens — §3.4) via :class:`TokenSegments`.
@@ -111,8 +111,69 @@ class TokenSegments:
         }
 
 
-class LayerKVCache:
-    """Keys and values of one layer: ``(num_kv_heads, seq, head_dim)``.
+class _LayerKV:
+    """What both layer designs share: a length, the append checks and the
+    reads built on ``read`` / ``decode_view``, ``(num_kv_heads, seq, head_dim)``."""
+
+    def __len__(self) -> int:
+        return self._length
+
+    def _validate_append(
+        self, keys: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Normalise append operands to ``(h_kv, t, d_h)`` and check shapes."""
+        keys = np.asarray(keys, dtype=DTYPE)
+        values = np.asarray(values, dtype=DTYPE)
+        if keys.ndim == 2:
+            keys = keys[:, None, :]
+        if values.ndim == 2:
+            values = values[:, None, :]
+        if keys.shape != values.shape:
+            raise DimensionError("keys and values must have identical shapes")
+        if keys.shape[0] != self.num_kv_heads or keys.shape[2] != self.head_dim:
+            raise DimensionError(
+                f"expected (h_kv={self.num_kv_heads}, t, d_h={self.head_dim}), "
+                f"got {keys.shape}"
+            )
+        return keys, values
+
+    def _checked_stop(self, start: int, stop: "int | None") -> int:
+        """``stop`` (default: the length) of a token range inside the cache."""
+        stop = self._length if stop is None else stop
+        if not 0 <= start <= stop <= self._length:
+            raise DimensionError(f"token range [{start}, {stop}) outside [0, {self._length})")
+        return stop
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The stored keys, ``(h_kv, len(self), d_h)`` (see ``read``)."""
+        return self.read()[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The stored values, ``(h_kv, len(self), d_h)`` (see ``read``)."""
+        return self.read()[1]
+
+    def gather(self, token_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values of the given token indices: ``(h_kv, k, d_h)``."""
+        token_indices = np.asarray(token_indices, dtype=np.int64)
+        if token_indices.size and (
+            token_indices.min() < 0 or token_indices.max() >= self._length
+        ):
+            raise DimensionError("token index out of range")
+        keys, values, rows = self.decode_view(token_indices)
+        return np.take(keys, rows, axis=1), np.take(values, rows, axis=1)
+
+    def nbytes(self, dtype_bytes: "int | None" = None) -> int:
+        """Modelled storage cost at ``dtype_bytes`` per element; defaults to
+        the width configured at construction (the model config's), not fp16."""
+        if dtype_bytes is None:
+            dtype_bytes = self.dtype_bytes
+        return 2 * self.num_kv_heads * self._length * self.head_dim * dtype_bytes
+
+
+class LayerKVCache(_LayerKV):
+    """Keys and values of one layer in one contiguous buffer per tensor.
 
     Storage grows by chunked re-allocation, which keeps the append path cheap
     enough for NumPy-based decoding loops.
@@ -135,21 +196,6 @@ class LayerKVCache:
         self._values = np.zeros((num_kv_heads, 0, head_dim), dtype=DTYPE)
         self._length = 0
 
-    # ------------------------------------------------------------ capacity
-
-    def __len__(self) -> int:
-        return self._length
-
-    @property
-    def keys(self) -> np.ndarray:
-        """View of the stored keys, shape ``(h_kv, len(self), d_h)``."""
-        return self._keys[:, : self._length, :]
-
-    @property
-    def values(self) -> np.ndarray:
-        """View of the stored values, shape ``(h_kv, len(self), d_h)``."""
-        return self._values[:, : self._length, :]
-
     def _ensure_capacity(self, extra: int) -> None:
         needed = self._length + extra
         capacity = self._keys.shape[1]
@@ -160,47 +206,13 @@ class LayerKVCache:
         # and copy itself whole for the first decoded token.
         new_capacity = max(needed + self._GROWTH, capacity * 2)
         # Uninitialised storage, live rows copied: rows past ``_length`` are
-        # never read (``keys`` / ``values`` slice to it) and, never touched,
-        # cost address space only; zero-filling them would touch every page
-        # of a buffer twice the live size.
-        self._keys = self._regrown(self._keys, new_capacity)
-        self._values = self._regrown(self._values, new_capacity)
-
-    def _regrown(self, buffer: np.ndarray, capacity: int) -> np.ndarray:
-        grown = np.empty(
-            (self.num_kv_heads, capacity, self.head_dim), dtype=DTYPE
-        )
-        grown[:, : self._length] = buffer[:, : self._length]
-        return grown
-
-    # -------------------------------------------------------------- append
-
-    def _validate_append(
-        self, keys: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Normalise append operands to ``(h_kv, t, d_h)`` and check shapes."""
-        keys = np.asarray(keys, dtype=DTYPE)
-        values = np.asarray(values, dtype=DTYPE)
-        if keys.ndim == 2:
-            keys = keys[:, None, :]
-        if values.ndim == 2:
-            values = values[:, None, :]
-        if keys.shape != values.shape:
-            raise DimensionError("keys and values must have identical shapes")
-        if keys.shape[0] != self.num_kv_heads or keys.shape[2] != self.head_dim:
-            raise DimensionError(
-                f"expected (h_kv={self.num_kv_heads}, t, d_h={self.head_dim}), "
-                f"got {keys.shape}"
-            )
-        return keys, values
-
-    def _store(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Write already-validated ``(h_kv, t, d_h)`` operands."""
-        t = keys.shape[1]
-        self._ensure_capacity(t)
-        self._keys[:, self._length: self._length + t, :] = keys
-        self._values[:, self._length: self._length + t, :] = values
-        self._length += t
+        # never read (every read is bounded by it) and, never touched, cost
+        # address space only; zero-filling them would touch every page of a
+        # buffer twice the live size.
+        shape = (self.num_kv_heads, new_capacity, self.head_dim)
+        keys, values = np.empty(shape, dtype=DTYPE), np.empty(shape, dtype=DTYPE)
+        keys[:, : self._length], values[:, : self._length] = self.read()
+        self._keys, self._values = keys, values
 
     def append(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Append one or more tokens' keys and values.
@@ -208,30 +220,24 @@ class LayerKVCache:
         Accepts ``(h_kv, t, d_h)`` or ``(h_kv, d_h)`` (single token).
         """
         keys, values = self._validate_append(keys, values)
-        self._store(keys, values)
+        t = keys.shape[1]
+        self._ensure_capacity(t)
+        self._keys[:, self._length: self._length + t, :] = keys
+        self._values[:, self._length: self._length + t, :] = values
+        self._length += t
 
-    def gather(self, token_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and values of the given token indices: ``(h_kv, k, d_h)``."""
-        token_indices = np.asarray(token_indices, dtype=np.int64)
-        if token_indices.size and (
-            token_indices.min() < 0 or token_indices.max() >= self._length
-        ):
-            raise DimensionError("token index out of range")
-        return (
-            self.keys[:, token_indices, :],
-            self.values[:, token_indices, :],
-        )
+    def read(self, start: int = 0, stop: "int | None" = None) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values of tokens ``[start, stop)`` (default: all), each
+        ``(h_kv, t, d_h)`` of C-contiguous ``(t, d_h)`` rows per head: views
+        of the buffers, good until the next append."""
+        stop = self._checked_stop(start, stop)
+        return self._keys[:, start:stop], self._values[:, start:stop]
 
-    def nbytes(self, dtype_bytes: "int | None" = None) -> int:
-        """Modelled storage cost at the given element width.
-
-        Defaults to the width configured at construction (the model
-        config's ``dtype_bytes``), so byte accounting follows the modelled
-        storage dtype instead of assuming fp16.
-        """
-        if dtype_bytes is None:
-            dtype_bytes = self.dtype_bytes
-        return 2 * self.num_kv_heads * self._length * self.head_dim * dtype_bytes
+    def decode_view(self, selected):
+        """``(keys, values, selection)`` operands of
+        :class:`~repro.llm.attention.GroupedDecodeAttention`: the stored tokens
+        and ``selected`` (any form the kernel accepts) as is."""
+        return self._keys[:, : self._length], self._values[:, : self._length], selected
 
 
 class KVCache:
@@ -249,7 +255,7 @@ class KVCache:
             for _ in range(num_layers)
         ]
 
-    def __getitem__(self, layer: int) -> LayerKVCache:
+    def __getitem__(self, layer: int) -> _LayerKV:
         return self.layers[layer]
 
     def __len__(self) -> int:
@@ -281,6 +287,10 @@ class BlockAllocator:
     request wholesale.  Blocks are allocated with refcount 1; sharing
     (:meth:`BlockTable.fork`, the prefix cache) increfs, releases decref, and
     a block whose refcount reaches zero returns to the free list for reuse.
+
+    Block ``b`` is rows ``[b * block_size, (b + 1) * block_size)`` of one
+    plane per tensor, ``(num_layers, h_kv, rows, d_h)``; growth doubles the
+    planes, so a view of them is only good until the next allocation.
 
     Attributes:
         eviction_hook: optional callable ``(num_blocks) -> int`` invoked when
@@ -322,8 +332,7 @@ class BlockAllocator:
         self.block_size = block_size
         self.capacity_blocks = capacity_blocks
         self.eviction_hook = None
-        self._keys: dict[int, np.ndarray] = {}
-        self._values: dict[int, np.ndarray] = {}
+        self._planes = [self._plane(0), self._plane(0)]  # keys, values
         self._refcounts: dict[int, int] = {}
         self._free: list[int] = []
         self._next_id = 0
@@ -365,8 +374,9 @@ class BlockAllocator:
 
     # ---------------------------------------------------------- allocation
 
-    def _block_shape(self) -> tuple[int, int, int, int]:
-        return (self.num_layers, self.num_kv_heads, self.block_size, self.head_dim)
+    def _plane(self, blocks: int) -> np.ndarray:
+        return np.zeros((self.num_layers, self.num_kv_heads,
+                         blocks * self.block_size, self.head_dim), dtype=DTYPE)
 
     #: blocks requested from the eviction hook per exhaustion event; freeing
     #: a small batch amortises the hook's scan over the next allocations (a
@@ -394,13 +404,15 @@ class BlockAllocator:
     def _try_allocate(self) -> int | None:
         if self._free:
             block_id = self._free.pop()
-            self._keys[block_id].fill(0.0)
-            self._values[block_id].fill(0.0)
+            for plane in self._planes:
+                plane[:, :, self._rows(block_id)] = 0.0
         elif self.capacity_blocks is None or self._next_id < self.capacity_blocks:
             block_id = self._next_id
             self._next_id += 1
-            self._keys[block_id] = np.zeros(self._block_shape(), dtype=DTYPE)
-            self._values[block_id] = np.zeros(self._block_shape(), dtype=DTYPE)
+            if block_id * self.block_size == self._planes[0].shape[2]:  # full: double
+                extra = min(block_id or 1, (self.capacity_blocks or 2 * block_id or 1) - block_id)
+                self._planes = [np.concatenate([plane, self._plane(extra)], axis=2)
+                                for plane in self._planes]
         else:
             return None
         self._refcounts[block_id] = 1
@@ -445,22 +457,29 @@ class BlockAllocator:
         """
         self._require_live(block_id)
         new_id = self.allocate()
-        self._keys[new_id][...] = self._keys[block_id]
-        self._values[new_id][...] = self._values[block_id]
+        for plane in self._planes:
+            plane[:, :, self._rows(new_id)] = plane[:, :, self._rows(block_id)]
         self.cow_copies += 1
         return new_id
 
     # ------------------------------------------------------------- storage
 
+    def _rows(self, block_id: int) -> slice:
+        return slice(block_id * self.block_size, (block_id + 1) * self.block_size)
+
     def block_keys(self, block_id: int) -> np.ndarray:
         """Key storage of a block: ``(num_layers, h_kv, block_size, d_h)``."""
         self._require_live(block_id)
-        return self._keys[block_id]
+        return self._planes[0][:, :, self._rows(block_id)]
 
     def block_values(self, block_id: int) -> np.ndarray:
         """Value storage of a block: ``(num_layers, h_kv, block_size, d_h)``."""
         self._require_live(block_id)
-        return self._values[block_id]
+        return self._planes[1][:, :, self._rows(block_id)]
+
+    def layer_planes(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """One layer's key and value planes, ``(h_kv, rows, d_h)`` each."""
+        return self._planes[0][layer], self._planes[1][layer]
 
 
 class BlockTable:
@@ -535,48 +554,76 @@ class BlockTable:
             raise ConfigurationError("BlockTable has been released")
 
 
-class PagedLayerKVCache(LayerKVCache):
-    """One layer of a :class:`PagedKVCache`.
+class PagedLayerKVCache(_LayerKV):
+    """One layer of a :class:`PagedKVCache`: a length, read and written
+    through the owning cache's block table (it owns no KV array).  Token
+    ``i`` is row ``table[i // block_size] * block_size + i % block_size``
+    of the allocator's planes for this layer."""
 
-    Behaves exactly like :class:`LayerKVCache` for readers (``keys`` /
-    ``values`` / ``gather`` are contiguous assembled views), but every append
-    is also written through to the owning cache's shared block storage, where
-    copy-on-write protects blocks shared with other requests.
-    """
+    def __init__(self, owner: "PagedKVCache", layer_index: int, length: int) -> None:
+        allocator = owner.allocator
+        self.num_kv_heads, self.head_dim = allocator.num_kv_heads, allocator.head_dim
+        self.dtype_bytes = allocator.dtype_bytes
+        self._owner, self._layer_index, self._length = owner, layer_index, length
 
-    def __init__(self, owner: "PagedKVCache", layer_index: int) -> None:
-        super().__init__(owner.allocator.num_kv_heads, owner.allocator.head_dim,
-                         owner.allocator.dtype_bytes)
-        self._owner = owner
-        self._layer_index = layer_index
+    def _layer_planes(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._owner.released:
+            raise ConfigurationError("PagedKVCache has been released")
+        return self._owner.allocator.layer_planes(self._layer_index)
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        """Plane rows of the tokens ``[start, stop)``, mapped through only the
+        table entries the range spans."""
+        block_size = self._owner.allocator.block_size
+        first = start // block_size
+        ids = self._owner.table.block_ids[first: -(-stop // block_size)]
+        rows = np.asarray(ids, dtype=np.int64)[:, None] * block_size + np.arange(block_size)
+        return rows.ravel()[start - first * block_size: stop - first * block_size]
 
     def append(self, keys: np.ndarray, values: np.ndarray) -> None:
         keys, values = self._validate_append(keys, values)
-        # Blocks first: allocation can fail on a bounded pool, and in that
-        # case the assembled mirror must not have advanced.
-        self._owner._write_blocks(self._layer_index, self._length, keys, values)
-        self._store(keys, values)
+        stop = self._length + keys.shape[1]
+        self._owner._reserve(self._length, stop)
+        rows = self._rows(self._length, stop)
+        for plane, new in zip(self._layer_planes(), (keys, values)):
+            plane[:, rows] = new
+        self._length = stop
 
-    def _mirror_append(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Append to the assembled mirror only (prefix attach path)."""
-        super().append(keys, values)
+    def read(self, start: int = 0, stop: "int | None" = None) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values of tokens ``[start, stop)`` (default: all), each
+        ``(h_kv, t, d_h)`` of C-contiguous ``(t, d_h)`` rows per head: always
+        a copy, taken through the table."""
+        rows = self._rows(start, self._checked_stop(start, stop))
+        return tuple(np.take(plane, rows, axis=1) for plane in self._layer_planes())
+
+    def decode_view(self, selected):
+        """``(keys, values, selection)`` operands of
+        :class:`~repro.llm.attention.GroupedDecodeAttention`: the layer's planes,
+        ``selected`` (any form the kernel accepts) mapped to their rows.  The
+        mapping checks the token indices (``[-len, len)``, negatives from the
+        end, else :class:`IndexError`), the kernel the rows."""
+        keys, values = self._layer_planes()
+        rows = self._rows(0, self._length)
+        if selected is None:
+            return keys, values, rows
+        if isinstance(selected, (list, tuple)):
+            return keys, values, [rows[np.asarray(s, dtype=np.int64)] for s in selected]
+        return keys, values, rows[np.asarray(selected, dtype=np.int64)]
 
 
 class PagedKVCache(KVCache):
     """Block-based KVCache drawing storage from a shared allocator.
 
-    All layers share one :class:`BlockTable`: a physical block holds the
-    keys/values of its token range for every layer, so a cached prefix chain
-    attaches in one step.  Construction with ``prefix_table`` /
-    ``prefix_len`` starts the cache pre-filled with the first ``prefix_len``
-    tokens read out of the shared blocks (the prefix-cache hit path); the
-    table passed in must already own its block references (e.g. via
+    One store, read through the table: the allocator's blocks are the only
+    copy of the cache's keys and values, and all layers share one
+    :class:`BlockTable`.  A physical block holds its token range for every
+    layer, so a cached prefix chain attaches in one step: construction with
+    ``prefix_table`` / ``prefix_len`` starts the cache ``prefix_len`` tokens
+    long on the shared blocks, copying nothing (the prefix-cache hit path).
+    The table passed in must already own its block references (e.g. via
     :meth:`BlockTable.fork_from`) and is owned by this cache from then on.
-
-    Call :meth:`release` when the request no longer needs the shared storage:
-    the block references are dropped (blocks whose refcount reaches zero
-    return to the allocator's free list) while the assembled per-layer
-    mirrors stay readable, so retained outputs keep working after release.
+    :meth:`release` drops the block references: the cache keeps its length,
+    and reading it raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -598,71 +645,30 @@ class PagedKVCache(KVCache):
                     f"prefix_len={prefix_len} requested"
                 )
         self.table = prefix_table if prefix_table is not None else BlockTable(allocator)
-        self.cached_prefix_len = prefix_len
         self.layers = [
-            PagedLayerKVCache(self, layer) for layer in range(self.num_layers)
+            PagedLayerKVCache(self, layer, prefix_len) for layer in range(self.num_layers)
         ]
-        if prefix_len > 0:
-            self._attach_prefix(prefix_len)
 
-    # ------------------------------------------------------------- prefix
-
-    def _attach_prefix(self, prefix_len: int) -> None:
-        """Assemble the first ``prefix_len`` tokens from the shared blocks.
-
-        Appends block slices straight into each layer's mirror — one copy
-        per element, no concatenated all-layers temporary — since this runs
-        on every prefix-cache hit.
-        """
+    def _reserve(self, start: int, stop: int) -> None:
+        """Own the blocks of tokens ``[start, stop)``: copy the shared ones
+        (copy-on-write), append fresh ones — handed back if the pool runs dry,
+        so the table keeps matching the length."""
         block_size = self.allocator.block_size
-        num_blocks = -(-prefix_len // block_size)
-        for layer_index, layer in enumerate(self.layers):
-            remaining = prefix_len
-            for block_id in self.table.block_ids[:num_blocks]:
-                take = min(block_size, remaining)
-                layer._mirror_append(
-                    self.allocator.block_keys(block_id)[layer_index, :, :take, :],
-                    self.allocator.block_values(block_id)[layer_index, :, :take, :],
-                )
-                remaining -= take
-
-    # ------------------------------------------------------------- writes
-
-    def _write_blocks(
-        self, layer_index: int, start: int, keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Write one layer's token span ``[start, start+t)`` into the blocks.
-
-        Extends the shared table as the leading layer crosses block
-        boundaries and performs copy-on-write on any block that is shared
-        with another holder (refcount > 1).
-        """
-        block_size = self.allocator.block_size
-        t = keys.shape[1]
-        pos = start
-        while pos < start + t:
-            block_index = pos // block_size
-            offset = pos % block_size
-            take = min(block_size - offset, start + t - pos)
-            if block_index >= len(self.table.block_ids):
-                self.table.append_new()
-            block_id = self.table.block_ids[block_index]
-            if self.allocator.refcount(block_id) > 1:
-                block_id = self.allocator.copy_block(block_id)
-                self.table.replace(block_index, block_id)
-            rel = pos - start
-            self.allocator.block_keys(block_id)[
-                layer_index, :, offset: offset + take, :
-            ] = keys[:, rel: rel + take, :]
-            self.allocator.block_values(block_id)[
-                layer_index, :, offset: offset + take, :
-            ] = values[:, rel: rel + take, :]
-            pos += take
-
-    # ------------------------------------------------------------ release
+        table = self.table
+        for index in range(start // block_size, min(len(table), -(-stop // block_size))):
+            if start < stop and self.allocator.refcount(table.block_ids[index]) > 1:
+                table.replace(index, self.allocator.copy_block(table.block_ids[index]))
+        had = len(table)
+        try:
+            while table.capacity_tokens < stop:
+                table.append_new()
+        except CapacityError:
+            while len(table) > had:
+                self.allocator.decref(table.block_ids.pop())
+            raise
 
     def release(self) -> None:
-        """Drop the shared block references (mirrors remain readable)."""
+        """Drop the shared block references; the cache becomes unreadable."""
         self.table.release()
 
     @property

@@ -611,9 +611,7 @@ class TransformerLM:
                 stages["aggregates"] += perf_counter() - began
 
             tick = perf_counter()
-            outputs = prefill_attention(
-                q, layer_cache.keys, layer_cache.values, on_scores=fold
-            )
+            outputs = prefill_attention(q, *layer_cache.read(), on_scores=fold)
             stages["attention"] += perf_counter() - tick  # folds taken out below
 
             tick = perf_counter()
@@ -832,15 +830,10 @@ class TransformerLM:
 
         for layer_index, layer in enumerate(self.layers):
             queries: list[np.ndarray] = []
-            keys_all: list[np.ndarray] = []
-            values_all: list[np.ndarray] = []
             triples = self._decode_project_qkv(layer, hidden_rows, rope)
-            for i, (q, k, v) in enumerate(triples):
-                layer_cache = caches[i][layer_index]
-                layer_cache.append(k[:, 0, :], v[:, 0, :])
+            for cache, (q, k, v) in zip(caches, triples):
+                cache[layer_index].append(k[:, 0, :], v[:, 0, :])
                 queries.append(q[:, 0, :])
-                keys_all.append(layer_cache.keys)
-                values_all.append(layer_cache.values)
 
             if selector is not None:
                 selections = selector(layer_index, queries, list(caches))
@@ -852,9 +845,10 @@ class TransformerLM:
             else:
                 selections = [None] * n
 
-            attn_outs = self._decode_attention(
-                queries, keys_all, values_all, selections, timings
-            )
+            # Read only once every append is in: an append may grow, and so
+            # move, the block pool's planes.
+            views = [cache[layer_index].decode_view(s) for cache, s in zip(caches, selections)]
+            attn_outs = self._decode_attention(queries, *zip(*views), timings)
             attn_rows = np.stack(
                 [attn_outs[i].reshape(cfg.hidden_dim) for i in range(n)]
             )

@@ -217,7 +217,7 @@ class InferenceEngine:
         #: serving loops or call :meth:`release` per request.  Under a
         #: *bounded* pool, retained outputs do not block progress either
         #: way: their pool references are reclaimed automatically under
-        #: pressure (the outputs stay readable via the assembled mirrors).
+        #: pressure (one store, read through the table: the KVCache goes).
         self.max_retained_outputs = max_retained_outputs
         self.block_allocator: BlockAllocator | None = None
         self.prefix_cache: PrefixCache | None = None
@@ -559,9 +559,9 @@ class InferenceEngine:
     def _release_blocks(output: RequestOutput | None) -> None:
         """Return a retained output's shared KV blocks to the pool.
 
-        The assembled per-layer mirrors stay readable, so the output itself
-        remains fully usable; only the refcounts on the shared block pool are
-        dropped (cached prefix entries keep their own references).
+        They are its KVCache's one store, read through the table: the output
+        keeps its tokens and logits, its KVCache refuses reads from now on
+        (cached prefix entries keep their own references).
         """
         if output is None or output.prefill is None:
             return

@@ -181,7 +181,7 @@ class PoolPressure:
     def append_blocks_needed(state: RequestState, num_tokens: int) -> int:
         """Pool blocks an append of ``num_tokens`` will allocate.
 
-        Mirrors :meth:`PagedKVCache._write_blocks` exactly: new tail blocks
+        Mirrors :meth:`PagedKVCache._reserve` exactly: new tail blocks
         as the write range crosses block boundaries, plus one copy-on-write
         clone when the partially-filled tail block is shared with another
         holder (the prefix cache or a forked request).
@@ -202,8 +202,8 @@ class PoolPressure:
 
         Escalation order under pressure: (1) evict/spill cold prefix-cache
         chains, (2) release the pool references of retained *finished*
-        outputs, oldest first (their assembled mirrors stay readable, and
-        blocks the prefix cache shares become evictable on the next pass),
+        outputs, oldest first (one store, read through the table: their KV
+        goes, and blocks the prefix cache shares become evictable next pass),
         (3) preempt victim requests submitted *after* ``state``
         (``victim_policy`` order among them, skipping requests that hold no
         pool blocks).  Victim eligibility is :meth:`_may_preempt`:
@@ -322,9 +322,9 @@ class PoolPressure:
         """Release one retained finished output's pool references.
 
         Finished work is the cheapest thing to reclaim under pressure: the
-        output's assembled per-layer mirrors stay fully readable (the same
-        contract as :meth:`InferenceEngine.release`), only the shared pool
-        references are dropped.  Oldest retained output first; one at a time
+        output keeps its tokens and logits; its KVCache (one store, read
+        through the table) goes, as in :meth:`InferenceEngine.release`.
+        Oldest retained output first; one at a time
         so the caller re-checks availability (a released block shared with
         the prefix cache merely becomes evictable/spillable on the next
         pass).

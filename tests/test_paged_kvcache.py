@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,7 +139,7 @@ class TestPagedKVCache:
             assert np.array_equal(got_k, exp_k)
             assert np.array_equal(got_v, exp_v)
 
-    def test_blocks_mirror_assembled_content(self, rng):
+    def test_attached_prefix_reads_the_same_content(self, rng):
         alloc = make_allocator()
         paged = PagedKVCache(alloc)
         k, v = random_kv(rng, t=6)
@@ -184,7 +186,7 @@ class TestPagedKVCache:
         for layer in range(2):
             assert np.array_equal(reread[layer].keys, snapshot[layer])
 
-    def test_release_keeps_mirror_readable(self, rng):
+    def test_released_cache_refuses_reads(self, rng):
         alloc = make_allocator()
         paged = PagedKVCache(alloc)
         k, v = random_kv(rng, t=5)
@@ -193,20 +195,29 @@ class TestPagedKVCache:
         paged.release()
         assert paged.released
         assert alloc.num_allocated == 0
+        assert len(paged) == paged.seq_len == 5
         for layer in range(2):
-            assert np.array_equal(paged[layer].keys, k if layer >= 0 else None)
+            assert len(paged[layer]) == 5
+            with pytest.raises(ConfigurationError):
+                paged[layer].read()
+            with pytest.raises(ConfigurationError):
+                paged[layer].gather(np.array([0]))
 
-    def test_capacity_failure_leaves_mirror_consistent(self, rng):
-        alloc = make_allocator(capacity=1, block_size=4)
+    def test_capacity_failure_leaves_length_and_table_unchanged(self, rng):
+        alloc = make_allocator(capacity=2, block_size=4)
         paged = PagedKVCache(alloc)
-        k, v = random_kv(rng, t=4)
+        k, v = random_kv(rng, t=3)
         for layer in range(2):
             paged[layer].append(k, v)
-        k2, v2 = random_kv(rng, t=1)
+        table = list(paged.table.block_ids)
+        # Six more tokens need two new blocks; the pool has one.
+        k2, v2 = random_kv(rng, t=6)
         with pytest.raises(CapacityError):
             paged[0].append(k2, v2)
-        # The failed append must not have advanced the mirror.
-        assert len(paged[0]) == 4
+        assert len(paged[0]) == len(paged[1]) == 3
+        assert paged.table.block_ids == table
+        assert alloc.num_allocated == 1
+        assert np.array_equal(paged[0].keys, k)
 
     def test_prefix_len_validation(self):
         alloc = make_allocator()
@@ -216,3 +227,94 @@ class TestPagedKVCache:
         table.append_new()
         with pytest.raises(ConfigurationError):
             PagedKVCache(alloc, prefix_table=table, prefix_len=99)
+
+    def test_reads_follow_the_blocks(self, rng):
+        """The blocks are the only copy: a write into a block's storage is
+        what ``read``, ``gather`` and the decode operands return."""
+        alloc = make_allocator(block_size=4)
+        paged = PagedKVCache(alloc)
+        k, v = random_kv(rng, t=6)
+        for layer in range(2):
+            paged[layer].append(k, v)
+        second = paged.table.block_ids[1]
+        alloc.block_keys(second)[1, 0, 1, :] = 42.0   # layer 1, head 0, token 5
+        alloc.block_values(second)[0, 1, 0, :] = -7.0  # layer 0, head 1, token 4
+        keys, values = paged[1].read()
+        assert np.all(keys[0, 5] == 42.0)
+        assert np.array_equal(keys[1], k[1])
+        assert np.all(paged[0].read(4, 5)[1][1, 0] == -7.0)
+        got_k, got_v = paged[1].gather(np.array([5, 0]))
+        assert np.all(got_k[0, 0] == 42.0)
+        assert np.array_equal(got_k[:, 1], k[:, 0])
+        plane_k, _, rows = paged[1].decode_view(np.array([-1]))
+        assert np.all(plane_k[0, rows[0]] == 42.0)
+
+    def test_decode_rows_check_the_logical_length(self, rng):
+        alloc = make_allocator(block_size=4)
+        paged = PagedKVCache(alloc)
+        k, v = random_kv(rng, t=6)
+        for layer in range(2):
+            paged[layer].append(k, v)
+        plane_k, plane_v, rows = paged[0].decode_view([np.array([-1, 0]), np.array([2])])
+        assert np.array_equal(plane_k[0, rows[0]], k[0, [5, 0]])
+        assert np.array_equal(plane_v[1, rows[1]], v[1, [2]])
+        for bad in (6, 7, -7):  # 6 and 7 are rows of the last block, past the length
+            with pytest.raises(IndexError):
+                paged[0].decode_view(np.array([bad]))
+
+    def test_reads_through_scattered_blocks(self, rng):
+        """Blocks out of plane order read back in token order."""
+        alloc = make_allocator(block_size=4)
+        filler = PagedKVCache(alloc)
+        for layer in range(2):
+            filler[layer].append(*random_kv(rng, t=12))  # blocks 0, 1, 2
+        filler.table.replace(1, alloc.allocate())       # frees block 1 ...
+        paged = PagedKVCache(alloc)
+        k, v = random_kv(rng, t=9)
+        for layer in range(2):
+            paged[layer].append(k, v)
+        assert paged.table.block_ids[0] == 1             # ... reused first
+        assert paged.table.block_ids[1:] != [2, 3]
+        for layer in range(2):
+            assert np.array_equal(paged[layer].keys, k)
+            assert np.array_equal(paged[layer].read(3, 7)[1], v[:, 3:7])
+            plane_k, plane_v, rows = paged[layer].decode_view(None)
+            assert np.array_equal(plane_v[:, rows], v)
+
+    def test_prefix_attach_copies_no_kv(self, rng):
+        """A prefix hit is a table fork: constructing the attached cache
+        allocates nothing near one layer's worth of KV."""
+        alloc = make_allocator(block_size=64, h_kv=4, d_h=64)
+        base = PagedKVCache(alloc)
+        t = 1024
+        k, v = random_kv(rng, h_kv=4, t=t, d_h=64)
+        for layer in range(2):
+            base[layer].append(k, v)
+        layer_bytes = k.nbytes + v.nbytes
+        fork = base.table.fork()
+        tracemalloc.start()
+        try:
+            attached = PagedKVCache(alloc, prefix_table=fork, prefix_len=t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < layer_bytes // 16
+        assert np.array_equal(attached[1].keys, k)
+
+    def test_pool_growth_preserves_live_blocks(self, rng):
+        alloc = make_allocator()  # unbounded: the planes double as it grows
+        contents = {}
+        for _ in range(20):
+            block_id = alloc.allocate()
+            if not contents:
+                first_plane = alloc.block_keys(block_id).base
+            contents[block_id] = rng.normal(size=alloc.block_keys(block_id).shape)
+            alloc.block_keys(block_id)[...] = contents[block_id]
+            alloc.block_values(block_id)[...] = -contents[block_id]
+        assert alloc.block_keys(0).base is not first_plane
+        for block_id, expected in contents.items():
+            assert np.array_equal(alloc.block_keys(block_id), expected.astype(DTYPE))
+            assert np.array_equal(alloc.block_values(block_id), -expected.astype(DTYPE))
+        # a view fetched after growth writes into the live plane
+        alloc.block_keys(0)[...] = 3.0
+        assert np.all(alloc.layer_planes(1)[0][:, :4] == 3.0)

@@ -140,6 +140,7 @@ def audit_engine(engine, context=""):
     for node in engine.prefix_cache._nodes.values():
         if not node.spilled:
             expected[node.block_id] += 1
+    audit_tables(engine, context)
     assert dict(expected) == alloc._refcounts, (
         f"{context}: refcount imbalance — expected {dict(expected)}, "
         f"allocator holds {alloc._refcounts}"
@@ -184,6 +185,36 @@ def audit_engine(engine, context=""):
         metrics.requests_finished + metrics.requests_aborted
         + metrics.requests_shed + len(engine._states)
     ), context
+
+
+def audit_tables(engine, context=""):
+    """Every live, unreleased paged cache is as long in every layer, and its
+    table holds exactly the blocks that length needs.
+
+    Attention reads through the table, so a table out of step with the
+    length would hand it another request's rows, or none.  Between steps no
+    legitimate state breaks this: a write appends blocks for its whole span
+    or, when the pool runs dry, none; a prefix attach forks exactly the
+    blocks its length covers; swap-in restores the chain that was swapped
+    out.  A swapped-out request's table is released and is skipped.
+    """
+    block_size = engine.block_allocator.block_size
+    caches = [state.paged for state in engine._states.values()]
+    caches += [
+        output.prefill.kvcache for output in engine._final_outputs.values()
+        if output.prefill is not None
+    ]
+    for cache in caches:
+        if not isinstance(cache, PagedKVCache) or cache.released:
+            continue
+        lengths = [len(layer) for layer in cache.layers]
+        assert len(set(lengths)) == 1, (
+            f"{context}: layers of one cache disagree on length: {lengths}"
+        )
+        assert len(cache.table.block_ids) == -(-lengths[0] // block_size), (
+            f"{context}: {len(cache.table.block_ids)} blocks for "
+            f"{lengths[0]} tokens of {block_size}"
+        )
 
 
 def audit_victim_log(log, context=""):
@@ -387,14 +418,18 @@ def _long_request(rid, rng, plen, policy=None, max_new=5):
     )
 
 
+def _swap_scenario_requests():
+    rng = np.random.default_rng(1)
+    return [
+        _long_request(f"s{i}", rng, 100, _policy_spec(p))
+        for i, p in enumerate([None, "pqcache", None, "snapkv"])
+    ]
+
+
 class TestDirectedPreemption:
     def test_swap_preemption_bytes_visible_and_identical(self, fuzz_model):
         """Half-working-set pool: everything completes, swap bytes surface."""
-        rng = np.random.default_rng(1)
-        requests = [
-            _long_request(f"s{i}", rng, 100, _policy_spec(p))
-            for i, p in enumerate([None, "pqcache", None, "snapkv"])
-        ]
+        requests = _swap_scenario_requests()
         refs = _make_engine(fuzz_model, None, "swap", 32).run(list(requests))
         # Working set: 4 requests x ~14 blocks; give roughly half.
         engine = _make_engine(fuzz_model, 28, "swap", 32)
@@ -409,6 +444,30 @@ class TestDirectedPreemption:
         assert metrics.swap_seconds > 0
         assert metrics.as_dict()["swap_out_bytes"] == metrics.swap_out_bytes
         audit_engine(engine, "swap directed")
+
+    def test_swap_in_corruption_reaches_the_logits(self, fuzz_model, monkeypatch):
+        """Attention reads the restored blocks themselves: a swap-in that
+        restores one element wrong (layer 0, head 0, first row of the first
+        stored block) changes some request's logits."""
+        requests = _swap_scenario_requests()
+        refs = _make_engine(fuzz_model, None, "swap", 32).run(list(requests))
+        swap_in = SwapSpace.swap_in
+
+        def corrupting_swap_in(self, handle, allocator):
+            stored = [i for i, k in enumerate(handle.keys) if k is not None]
+            block_ids = swap_in(self, handle, allocator)
+            if stored:
+                allocator.block_keys(block_ids[stored[0]])[0, 0, 0, 0] += 1.0
+            return block_ids
+
+        monkeypatch.setattr(SwapSpace, "swap_in", corrupting_swap_in)
+        engine = _make_engine(fuzz_model, 28, "swap", 32)
+        finals = engine.run(list(requests))
+        assert engine.metrics.swap_in_blocks > 0
+        assert any(
+            not np.array_equal(finals[r.request_id].logits, refs[r.request_id].logits)
+            for r in requests
+        )
 
     def test_recompute_preemption_replays_identically(self, fuzz_model):
         rng = np.random.default_rng(2)

@@ -160,7 +160,7 @@ def test_engine_paths_keep_the_substrate_dtype(small_model, seen):
     assert finals["again"].metrics.cached_prefix_tokens > 0
     _cached_payloads(seen, engine.prefix_cache)
     allocator = engine.block_allocator
-    seen.add("pool", *allocator._keys.values(), *allocator._values.values())
+    seen.add("pool", *allocator.layer_planes(0))
     for output in finals.values():
         seen.add("logits", output.logits)
     assert {"parked", "restored", "logits", "hidden", "aggregate", "kv",
