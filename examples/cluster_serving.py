@@ -7,7 +7,8 @@ seeded Poisson trace.  Because every turn embeds the full history, a turn's
 prefix lives in exactly one worker's cache — cache-aware routing lands
 follow-up turns there (warm TTFT), while round-robin would scatter them into
 cold prefills.  The script reports the routing decisions, per-worker
-prefix-cache hit rates, and the fleet's p50/p99 TTFT.
+prefix-cache hit rates and cached chain blocks, and the fleet's p50/p99
+TTFT.
 
 Run with::
 
@@ -112,8 +113,10 @@ def main() -> None:
     print(f"\nfleet: {fleet.requests_finished} requests, "
           f"{fleet.generated_tokens} tokens, makespan {fleet.clock:.6f}s")
     print(f"fleet TTFT: p50 {p50:.6f}s, p99 {p99:.6f}s")
-    print(f"directory: {len(cluster.directory)} fingerprints, "
-          f"events {cluster.directory.events}")
+    print("cached chain blocks: " + ", ".join(
+        f"w{worker.worker_id} {worker.prefix_cache.num_resident} resident"
+        f" / {worker.prefix_cache.num_spilled} spilled"
+        for worker in cluster.workers))
 
     # Fused decode-round shape + host wall-time breakdown across the fleet:
     # every worker batches its RUNNING requests into one model round per

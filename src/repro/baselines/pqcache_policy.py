@@ -61,9 +61,6 @@ class PQCachePolicy(KVCachePolicy):
         budget: shared token/communication budget.
         pq_config: PQ hyper-parameters, the K-Means iteration budget
             (``max_kmeans_iters``) among them.
-        incremental: build the PQ index chunk by chunk when the engine runs
-            chunked prefill (sketch fit → stream encode → refine).  With
-            monolithic prefill this flag has no effect.
         sketch_tokens: prompt tokens to wait for (and sample size used)
             before fitting the sketch codebooks.
         refresh_every: ParisKV-style drift handling — every ``N`` decode
@@ -87,7 +84,6 @@ class PQCachePolicy(KVCachePolicy):
         self,
         budget: SelectionBudget,
         pq_config: PQCacheConfig | None = None,
-        incremental: bool = True,
         sketch_tokens: int = 256,
         refresh_every: int | None = None,
     ) -> None:
@@ -95,7 +91,6 @@ class PQCachePolicy(KVCachePolicy):
         if refresh_every is not None and int(refresh_every) <= 0:
             raise ConfigurationError("refresh_every must be a positive integer")
         self.pq_config = pq_config or PQCacheConfig()
-        self.incremental = incremental
         self.sketch_tokens = int(sketch_tokens)
         self.refresh_every = None if refresh_every is None else int(refresh_every)
         self.manager: PQCacheManager | None = None
@@ -120,8 +115,6 @@ class PQCachePolicy(KVCachePolicy):
         total_len: int,
     ) -> None:
         """Incremental construction step for one arrived prefill chunk."""
-        if not self.incremental:
-            return
         self.config = config
         if self.manager is None:
             self.manager = PQCacheManager(config, self.pq_config)
@@ -158,12 +151,8 @@ class PQCachePolicy(KVCachePolicy):
         """Key under which this policy's PQ artifacts are shareable.
 
         Reuse requires the consumer's cold pipeline to be a deterministic
-        function of the shared prefix, which incremental construction is;
-        the one-shot build clusters the whole (request-specific) prompt, so
-        it opts out.
+        function of the shared prefix, which incremental construction is.
         """
-        if not self.incremental:
-            return None
         return ("pqcache", self.pq_config, self.sketch_tokens)
 
     def attach_prefix(
@@ -180,10 +169,9 @@ class PQCachePolicy(KVCachePolicy):
         reused keys.  Afterwards the policy state equals what its own cold
         pipeline would hold after ``prefix_len`` prompt tokens.
         """
-        fingerprint = self.prefix_fingerprint()
-        if fingerprint is None or not isinstance(snapshot, PQSnapshot):
+        if not isinstance(snapshot, PQSnapshot):
             return False
-        if snapshot.fingerprint != fingerprint:
+        if snapshot.fingerprint != self.prefix_fingerprint():
             return False
         # Soundness gate: this request's own cold pipeline fits its sketch
         # at min(sketch_tokens, total_len) tokens.  Reuse is exact only when
@@ -225,9 +213,7 @@ class PQCachePolicy(KVCachePolicy):
         # Capture the pre-refine state for prefix reuse *before* refine
         # mutates it: this is the stage that is a pure function of the
         # prompt prefix (copy-on-write, so the capture is free).
-        fingerprint = self.prefix_fingerprint()
-        if fingerprint is not None:
-            self._prefix_snapshot = self.manager.snapshot(fingerprint)
+        self._prefix_snapshot = self.manager.snapshot(self.prefix_fingerprint())
         self.manager.refine(prefill.kvcache)
         self._encoded_until = prefill.seq_len
 

@@ -26,7 +26,6 @@ from ..llm.generation import StepSelections
 from .cluster import (
     ClusterFrontend,
     ClusterMetrics,
-    FingerprintDirectory,
     Placement,
     Router,
     Worker,
@@ -38,6 +37,7 @@ from .prefix_cache import (
     ExportedChainNode,
     PrefixCache,
     PrefixCacheStats,
+    PrefixCoverage,
     PrefixMatch,
     chain_block_keys,
 )
@@ -59,7 +59,6 @@ __all__ = [
     "InferenceEngine",
     "ClusterFrontend",
     "ClusterMetrics",
-    "FingerprintDirectory",
     "Placement",
     "Router",
     "Worker",
@@ -73,6 +72,7 @@ __all__ = [
     "PoolPressure",
     "PrefixCache",
     "PrefixCacheStats",
+    "PrefixCoverage",
     "PrefixMatch",
     "ExportedChain",
     "ExportedChainNode",

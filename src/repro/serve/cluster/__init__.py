@@ -4,10 +4,10 @@ PR 1–5 built one engine; this package scales it out: ``N``
 :class:`Worker` replicas (each a full
 :class:`~repro.serve.InferenceEngine`) behind a :class:`ClusterFrontend`,
 with a :class:`Router` choosing placements (``round_robin`` /
-``least_loaded`` / ``cache_aware``) and a shared
-:class:`FingerprintDirectory` that workers publish their prefix-chain
-residency into.  Cache-aware routing lands conversation turns on the
-worker already holding their prefix; ``migrate_on_miss`` ships spilled
+``least_loaded`` / ``cache_aware`` / ``edf_aware``).  Cache-aware routing
+hashes a prompt once and asks every worker's own prefix cache how much of
+it is resident or spilled there, so conversation turns land on the worker
+already holding their prefix; ``migrate_on_miss`` ships spilled
 chains between workers' tiers, billed as NVMe+PCIe timeline traffic.
 Placement changes only the simulated clock — tokens and logits are
 byte-identical to a single-worker run for every policy and worker count.
@@ -22,7 +22,6 @@ Typical use::
     print(cluster.fleet_metrics().as_dict())
 """
 
-from .directory import DirectoryPublisher, FingerprintDirectory, PrefixCoverage
 from .frontend import ClusterFrontend, ClusterMetrics
 from .router import ROUTING_POLICIES, Placement, Router
 from .worker import Worker
@@ -30,10 +29,7 @@ from .worker import Worker
 __all__ = [
     "ClusterFrontend",
     "ClusterMetrics",
-    "DirectoryPublisher",
-    "FingerprintDirectory",
     "Placement",
-    "PrefixCoverage",
     "ROUTING_POLICIES",
     "Router",
     "Worker",

@@ -1,4 +1,4 @@
-"""Cluster frontend: N workers, one router, one fingerprint directory.
+"""Cluster frontend: N workers and one router.
 
 :class:`ClusterFrontend` is the fleet-level serving surface: it owns ``N``
 :class:`~repro.serve.cluster.Worker` replicas (each a full
@@ -39,7 +39,6 @@ from ...errors import ConfigurationError
 from ...llm.model import TransformerLM
 from ..metrics import EngineMetrics
 from ..request import Request, RequestOutput
-from .directory import FingerprintDirectory
 from .router import Placement, Router
 from .worker import Worker
 
@@ -113,10 +112,9 @@ class ClusterFrontend:
             raise ConfigurationError("num_workers must be >= 1")
         worker_kwargs.setdefault("enable_prefix_caching", True)
         self.model = model
-        self.directory = FingerprintDirectory()
         self.router = Router(placement, migrate_on_miss=migrate_on_miss)
         self.workers: list[Worker] = [
-            Worker(index, model, directory=self.directory, **worker_kwargs)
+            Worker(index, model, **worker_kwargs)
             for index in range(num_workers)
         ]
         self.metrics = ClusterMetrics()
@@ -145,7 +143,6 @@ class ClusterFrontend:
         placement = self.router.place(
             request.prompt_ids,
             self.workers,
-            directory=self.directory,
             block_size=self.block_size,
             priority=request.qos.priority,
             deadline=request.qos.deadline,
@@ -182,15 +179,12 @@ class ClusterFrontend:
         parked copy stays valid); import writes each block exactly once
         into the target's pool, truncating gracefully under capacity
         pressure.  The transfer is billed to the *target* clock as an
-        NVMe-read → PCIe-H2D timeline.
+        NVMe-read → PCIe-H2D timeline.  The router set ``migrate_from``
+        from the owner's own cache a moment ago, so the chain is there.
         """
         source = self.workers[placement.migrate_from]
         target = self.workers[placement.worker_id]
-        if source.prefix_cache is None or target.prefix_cache is None:
-            return
         exported = source.prefix_cache.export_chain(prompt_ids)
-        if exported is None or not exported.nodes:
-            return  # the directory was stale; nothing to ship
         target.prefix_cache.import_chain(exported)
         block_bytes = target.pressure.block_nbytes()
         kv_bytes = float(exported.num_blocks * block_bytes)
@@ -266,6 +260,5 @@ class ClusterFrontend:
             "migrate_on_miss": self.router.migrate_on_miss,
             "fleet": self.fleet_metrics().as_dict(),
             "migration": self.metrics.as_dict(),
-            "directory": self.directory.describe(),
             "workers": [worker.describe() for worker in self.workers],
         }

@@ -1,10 +1,10 @@
 """Placement policies: which worker serves an incoming request.
 
-The router is pure decision logic: given a prompt, the fleet's load
-signals, and the shared :class:`~repro.serve.cluster.FingerprintDirectory`,
-it returns a :class:`Placement` — it never touches a worker's internals and
-never affects *what* a request computes, only *where* (and therefore on
-whose simulated clock) it runs.
+The router is pure decision logic: given a prompt and the fleet's live
+signals — load, deadline backlog, and each worker's prefix-cache coverage of
+the prompt — it returns a :class:`Placement`.  It never affects *what* a
+request computes, only *where* (and therefore on whose simulated clock) it
+runs.
 
 Policies:
 
@@ -14,7 +14,7 @@ Policies:
 * ``least_loaded`` — the worker with the fewest queued + active requests
   (ties to the lowest id).
 * ``cache_aware`` — the worker whose cache holds the longest *resident*
-  leading prefix of the prompt (by directory coverage); ties break toward
+  leading prefix of the prompt (by cache coverage); ties break toward
   the least-loaded worker, then the lowest id.  On a full resident miss it
   falls back to least-loaded; with ``migrate_on_miss``, a spilled chain on
   some worker's disk tier is shipped to the fallback target first (unless
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from ...errors import ConfigurationError
-from ..prefix_cache import chain_block_keys
-from .directory import FingerprintDirectory
+from ..prefix_cache import PrefixCoverage, chain_block_keys
 
 __all__ = ["Router", "Placement", "RoutableWorker", "ROUTING_POLICIES"]
 
@@ -42,7 +41,7 @@ ROUTING_POLICIES = ("round_robin", "least_loaded", "cache_aware", "edf_aware")
 
 
 class RoutableWorker(Protocol):
-    """The load signals the router reads of a fleet member — documented on
+    """The signals the router reads of a fleet member — documented on
     :class:`~repro.serve.cluster.Worker`, which implements them."""
 
     @property
@@ -53,6 +52,7 @@ class RoutableWorker(Protocol):
     def nearest_deadline_slack(self) -> float: ...
     def load_at_or_above(self, priority: int) -> int: ...
     def deadline_backlog(self, before_slack: "float | None" = None) -> int: ...
+    def prefix_coverage(self, keys: Sequence[bytes]) -> PrefixCoverage: ...
 
 
 @dataclass
@@ -62,8 +62,8 @@ class Placement:
     Attributes:
         worker_id: the chosen worker.
         policy: the policy that produced the decision.
-        matched_tokens: directory-resident leading-prefix tokens on the
-            chosen worker at decision time (0 for load-only placements).
+        matched_tokens: resident leading-prefix tokens on the chosen
+            worker at decision time (0 for load-only placements).
         migrate_from: owner of a spilled chain to ship to ``worker_id``
             before submission, or ``None``.
         migrate_tokens: leading-prefix tokens the migration would cover.
@@ -84,16 +84,10 @@ class Router:
         migrate_on_miss: under ``cache_aware``, ship a spilled matching
             chain from its owning worker to the fallback target instead of
             ignoring it (the frontend executes and bills the transfer).
-        hash_fn: chain hash used to fingerprint prompts; must equal the
-            workers' :class:`~repro.serve.PrefixCache` hash so router keys
-            and published keys agree.  ``None`` uses the default hash.
     """
 
     def __init__(
-        self,
-        policy: str = "cache_aware",
-        migrate_on_miss: bool = False,
-        hash_fn=None,
+        self, policy: str = "cache_aware", migrate_on_miss: bool = False
     ) -> None:
         if policy not in ROUTING_POLICIES:
             raise ConfigurationError(
@@ -102,7 +96,6 @@ class Router:
             )
         self.policy = policy
         self.migrate_on_miss = migrate_on_miss
-        self.hash_fn = hash_fn
         self._next = 0
 
     # ------------------------------------------------------------- placing
@@ -111,7 +104,6 @@ class Router:
         self,
         prompt_ids: Sequence[int],
         workers: "Sequence[RoutableWorker]",
-        directory: "FingerprintDirectory | None" = None,
         block_size: "int | None" = None,
         priority: "int | None" = None,
         deadline: "float | None" = None,
@@ -121,8 +113,6 @@ class Router:
         Args:
             prompt_ids: the request's prompt tokens.
             workers: the fleet.
-            directory: the fleet fingerprint directory (``cache_aware``
-                treats ``None`` as an empty directory).
             block_size: the workers' KV block size, needed to fingerprint
                 the prompt; ``None`` disables coverage scoring (cache-aware
                 degrades to least-loaded).
@@ -155,7 +145,7 @@ class Router:
                 self.policy,
             )
         return self._place_cache_aware(
-            prompt_ids, workers, directory, block_size, priority
+            prompt_ids, workers, block_size, priority
         )
 
     @staticmethod
@@ -196,34 +186,35 @@ class Router:
         self,
         prompt_ids: Sequence[int],
         workers: "Sequence[RoutableWorker]",
-        directory: "FingerprintDirectory | None",
         block_size: "int | None",
         priority: "int | None" = None,
     ) -> Placement:
-        covered = {}
-        if directory is not None and block_size is not None:
-            keys = chain_block_keys(prompt_ids, block_size, self.hash_fn)
-            if keys:
-                covered = directory.coverage(keys)
-        by_id = {worker.worker_id: worker for worker in workers}
+        # Hash the prompt once; every worker walks its own index for it.
+        keys = (
+            chain_block_keys(prompt_ids, block_size)
+            if block_size is not None else []
+        )
+        covered = (
+            [(worker, worker.prefix_coverage(keys)) for worker in workers]
+            if keys else []
+        )
         # Rank candidates that hold a resident prefix: longest match first,
         # then lightest load, then lowest id (the deterministic tie-break).
-        best = None
-        best_rank = None
-        for worker_id, coverage in covered.items():
-            worker = by_id.get(worker_id)
-            if worker is None or coverage.resident_blocks == 0:
-                continue
-            rank = (
-                -coverage.resident_blocks,
-                self._load(worker, priority),
-                worker.worker_id,
+        resident = [item for item in covered if item[1].resident_blocks]
+        if resident:
+            worker, coverage = min(
+                resident,
+                key=lambda item: (
+                    -item[1].resident_blocks,
+                    self._load(item[0], priority),
+                    item[0].worker_id,
+                ),
             )
-            if best_rank is None or rank < best_rank:
-                best, best_rank = worker, rank
-        if best is not None:
-            matched = covered[best.worker_id].resident_blocks * block_size
-            return Placement(best.worker_id, self.policy, matched_tokens=matched)
+            return Placement(
+                worker.worker_id,
+                self.policy,
+                matched_tokens=coverage.resident_blocks * block_size,
+            )
 
         # Resident miss: fall back to least-loaded.  A *spilled* chain on
         # some worker's disk tier can still be put to work: with
@@ -233,19 +224,13 @@ class Router:
         target = self._least_loaded(workers, priority)
         placement = Placement(target.worker_id, self.policy)
         if self.migrate_on_miss and covered:
-            owner_id, coverage = min(
-                covered.items(),
+            owner, coverage = min(
+                covered,
                 key=lambda item: (
-                    -item[1].known_blocks,
-                    by_id[item[0]].load if item[0] in by_id else 0,
-                    item[0],
+                    -item[1].known_blocks, item[0].load, item[0].worker_id
                 ),
             )
-            if (
-                coverage.known_blocks > 0
-                and owner_id in by_id
-                and owner_id != target.worker_id
-            ):
-                placement.migrate_from = owner_id
+            if coverage.known_blocks > 0 and owner.worker_id != target.worker_id:
+                placement.migrate_from = owner.worker_id
                 placement.migrate_tokens = coverage.known_blocks * block_size
         return placement

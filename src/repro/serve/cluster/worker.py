@@ -1,51 +1,42 @@
-"""One serving replica of the cluster: an engine wired into the directory.
+"""One serving replica of the cluster: an engine with routing signals.
 
 A :class:`Worker` *is* an :class:`~repro.serve.InferenceEngine` — same
 pool/scheduler/clock/prefix-cache core, same byte-identical admit → prefill
-→ decode loop — plus a worker id, a fingerprint-directory publisher hooked
-onto its prefix cache, and the load signal the router balances on.  Keeping
-the worker a plain engine subclass is what makes the cluster's byte-identity
-invariant structural: placement decides *which* engine runs a request, and
-every engine runs it identically.
+→ decode loop — plus a worker id and the signals the router reads live: its
+load, its deadline backlog, and its prefix cache's coverage of a prompt.
+Keeping the worker a plain engine subclass is what makes the cluster's
+byte-identity invariant structural: placement decides *which* engine runs a
+request, and every engine runs it identically.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from ...llm.model import TransformerLM
 from ..engine import InferenceEngine
-from .directory import FingerprintDirectory
+from ..prefix_cache import PrefixCoverage
 
 __all__ = ["Worker"]
 
 
 class Worker(InferenceEngine):
-    """A cluster replica: one engine publishing its prefix residency.
+    """A cluster replica: one engine plus the signals the router reads.
 
     Args:
         worker_id: stable index of this replica in the fleet.
         model: shared transformer substrate (weights are read-only, so all
             workers can share one instance).
-        directory: fleet fingerprint directory to publish prefix-cache
-            residency events into; ``None`` runs the worker unpublished
-            (the router then sees it as always-cold).
         **engine_kwargs: forwarded to :class:`~repro.serve.InferenceEngine`
             (scheduler config, pool bounds, prefix caching, swap tiers...).
     """
 
     def __init__(
-        self,
-        worker_id: int,
-        model: TransformerLM,
-        directory: "FingerprintDirectory | None" = None,
-        **engine_kwargs,
+        self, worker_id: int, model: TransformerLM, **engine_kwargs
     ) -> None:
         super().__init__(model, **engine_kwargs)
         self.worker_id = worker_id
-        self.directory = directory
-        if directory is not None and self.prefix_cache is not None:
-            self.prefix_cache.observer = directory.publisher(worker_id)
 
     @property
     def load(self) -> int:
@@ -105,6 +96,13 @@ class Worker(InferenceEngine):
         if not deadlines:
             return math.inf
         return min(deadlines) - self.metrics.clock
+
+    def prefix_coverage(self, keys: Sequence[bytes]) -> PrefixCoverage:
+        """This worker's leading-prefix coverage of a prompt's chain keys —
+        the router's cache signal (zero without a prefix cache)."""
+        if self.prefix_cache is None:
+            return PrefixCoverage()
+        return self.prefix_cache.coverage(keys)
 
     def describe(self) -> dict:
         """Per-worker reporting row (hit rates, load, clock)."""

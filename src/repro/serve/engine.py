@@ -145,6 +145,10 @@ class InferenceEngine:
         enable_prefix_caching: allocate every request's KVCache from a shared
             paged block pool and reuse matching prompt prefixes (KV blocks,
             accumulated-score snapshots, PQ artifacts) across requests.
+            Without it there is no pool: setting ``kv_pool_blocks``,
+            ``swap_cpu_blocks``, ``swap_disk_blocks`` or
+            ``cache_decoded_blocks`` then raises
+            :class:`~repro.errors.ConfigurationError`.
         kv_block_size: tokens per KV block (prefix granularity).
         kv_pool_blocks: bound on the block pool; ``None`` grows on demand.
             When the pool runs dry the engine first evicts/spills cold
@@ -192,6 +196,19 @@ class InferenceEngine:
         swap_disk_blocks: int | None = None,
         slo_tuner: "SLOTuner | None" = None,
     ) -> None:
+        if not enable_prefix_caching:
+            pool_only = {
+                "kv_pool_blocks": kv_pool_blocks is not None,
+                "swap_cpu_blocks": swap_cpu_blocks is not None,
+                "swap_disk_blocks": swap_disk_blocks is not None,
+                "cache_decoded_blocks": cache_decoded_blocks,
+            }
+            ignored = [name for name, given in pool_only.items() if given]
+            if ignored:
+                raise ConfigurationError(
+                    f"pool options {', '.join(ignored)} need "
+                    "enable_prefix_caching=True: without it there is no pool"
+                )
         self.model = model
         self.scheduler: ContinuousBatchingScheduler[RequestState] = (
             ContinuousBatchingScheduler(scheduler_config)

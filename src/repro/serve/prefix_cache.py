@@ -54,6 +54,7 @@ __all__ = [
     "PrefixCache",
     "PrefixCacheStats",
     "PrefixMatch",
+    "PrefixCoverage",
     "ExportedChain",
     "ExportedChainNode",
     "chain_block_keys",
@@ -84,22 +85,16 @@ def _chain(
         yield key, tokens
 
 
-def chain_block_keys(
-    token_ids: Sequence[int],
-    block_size: int,
-    hash_fn: "Callable[[bytes, np.ndarray], bytes] | None" = None,
-) -> list[bytes]:
+def chain_block_keys(token_ids: Sequence[int], block_size: int) -> list[bytes]:
     """Chain keys of a prompt's full blocks, in order.
 
-    This is the *public* form of the cache's internal hashing, so the
-    returned keys are exactly the ones :class:`PrefixCache` publishes through
-    its observer events.  A router can therefore score candidate workers'
-    prefix coverage against a shared fingerprint directory without touching
-    any worker's cache internals.
+    This is the *public* form of the cache's default hashing, so the
+    returned keys are exactly the ones a :class:`PrefixCache` indexes on.  A
+    router hashes a prompt once and asks every worker's cache for its
+    :meth:`PrefixCache.coverage` of the result.
     """
     token_ids = np.asarray(list(token_ids), dtype=np.int64)
-    hash_fn = hash_fn or _default_hash
-    return [key for key, _ in _chain(token_ids, block_size, hash_fn)]
+    return [key for key, _ in _chain(token_ids, block_size, _default_hash)]
 
 
 class _Node:
@@ -167,6 +162,22 @@ class PrefixMatch:
     block_ids: list[int]
     acc_boundaries: dict[int, list] = field(default_factory=dict)
     pq_snapshot: object = None
+
+
+@dataclass
+class PrefixCoverage:
+    """One cache's leading-prefix coverage of a prompt's chain keys.
+
+    Attributes:
+        resident_blocks: consecutive leading blocks resident in the pool —
+            the reuse a request attaches at zero cost.
+        known_blocks: consecutive leading blocks held in *any* tier
+            (resident or spilled); the excess over ``resident_blocks``
+            would come back through a disk restore or a migration.
+    """
+
+    resident_blocks: int = 0
+    known_blocks: int = 0
 
 
 @dataclass
@@ -307,16 +318,6 @@ class PrefixCache:
             set, eviction spills cold chains to its disk tier (contents
             preserved, pool block freed) and later matches restore them.
             Without it eviction frees cold chains permanently, as before.
-
-    Attributes:
-        observer: optional residency-event subscriber (duck-typed; the
-            cluster layer's fingerprint directory is the canonical one).
-            Called with the node's chain key on every residency transition:
-            ``on_insert(key)`` when a block enters the index resident,
-            ``on_spill(key)`` when its content demotes to the disk tier,
-            ``on_restore(key)`` when a spilled block becomes resident again
-            (disk restore, re-adoption, or migration import), and
-            ``on_evict(key)`` when the node leaves the index entirely.
     """
 
     def __init__(
@@ -332,7 +333,6 @@ class PrefixCache:
         self._tick = 0
         self.stats = PrefixCacheStats()
         self.spill_store = spill_store
-        self.observer = None
         #: ids of PQSnapshots whose payload is currently accounted as
         #: disk-resident (so a snapshot shared by many spilled nodes is
         #: charged once per residency transition, not once per node)
@@ -356,11 +356,6 @@ class PrefixCache:
         """Cached blocks currently parked on the disk spill tier."""
         return len(self._nodes) - self.num_resident
 
-    def _notify(self, event: str, key: bytes) -> None:
-        """Publish one residency event to the observer (if any)."""
-        if self.observer is not None:
-            getattr(self.observer, "on_" + event)(key)
-
     # --------------------------------------------------------------- match
 
     def _collides(self, node: "_Node | None", tokens: np.ndarray) -> bool:
@@ -380,6 +375,30 @@ class PrefixCache:
                 break
             nodes.append(node)
         return nodes
+
+    def coverage(self, keys: Sequence[bytes]) -> PrefixCoverage:
+        """Leading-prefix coverage of an ordered chain-key list.
+
+        Counts the *consecutive leading* keys held in any tier and, of
+        those, the leading run that is resident.  Consecutive matters: a
+        cache holding blocks {0, 2} of a prompt covers one block, since
+        prefill must resume at the missing block 1 anyway.  A spilled block
+        ends the resident run but not the known run (the chain is still
+        whole on this cache's tiers).  A pure read: it touches neither LRU
+        order nor ``stats``, which count the lookups requests make, not the
+        router asking every worker.
+        """
+        coverage = PrefixCoverage()
+        resident = True
+        for key in keys:
+            node = self._nodes.get(key)
+            if node is None:
+                break
+            coverage.known_blocks += 1
+            resident = resident and not node.spilled
+            if resident:
+                coverage.resident_blocks += 1
+        return coverage
 
     def match(
         self,
@@ -504,7 +523,6 @@ class PrefixCache:
                     node.spill_handle = None
                     self.stats.restored_blocks += 1
                     self._account_payload(node, spilled=False)
-                    self._notify("restore", node.key)
                 self.allocator.incref(node.block_id)
                 pinned.append(node.block_id)
         finally:
@@ -632,7 +650,6 @@ class PrefixCache:
             if parent is not None:
                 parent.children += 1
             self.stats.inserted_blocks += 1
-            self._notify("insert", key)
         else:
             assert self.spill_store is not None
             self.spill_store.discard(node.spill_handle)
@@ -640,7 +657,6 @@ class PrefixCache:
             node.block_id = block_id
             for snap in node.pq_snapshots.values():
                 self._spilled_snapshot_ids.discard(id(snap))
-            self._notify("restore", key)
         return node
 
     def _hold_snapshot(self, node: _Node, fingerprint: object, snapshot) -> None:
@@ -863,7 +879,6 @@ class PrefixCache:
         node.spill_handle = handle
         self.stats.spilled_blocks += 1
         self._account_payload(node, spilled=True)
-        self._notify("spill", node.key)
 
     def clear(self) -> int:
         """Drop every cached node (releases all cache-held block refs)."""
@@ -893,7 +908,6 @@ class PrefixCache:
             if snap.hold_count == 0:
                 self._spilled_snapshot_ids.discard(id(snap))
         node.pq_snapshots = {}
-        self._notify("evict", node.key)
 
     # ----------------------------------------------------------- reporting
 

@@ -161,24 +161,6 @@ class TestChunkedEngineEquivalence:
             assert np.array_equal(chunked.logits, reference.logits)
             assert chunked.metrics.prefill_chunks > 1
 
-    def test_pqcache_non_incremental_matches_unchunked(self, model, tiny_config):
-        prompt = make_prompts(tiny_config, (128,))[0]
-        outputs = {}
-        for chunk_tokens in (None, 48):
-            engine = InferenceEngine(
-                model,
-                scheduler_config=SchedulerConfig(
-                    max_batch_size=1, max_prefill_chunk_tokens=chunk_tokens
-                ),
-            )
-            request = Request(prompt_ids=prompt,
-                              sampling=SamplingParams(max_new_tokens=3),
-                              policy_spec=PolicySpec.named(
-                                  "pqcache", BUDGET, incremental=False))
-            outputs[chunk_tokens] = engine.run([request])[request.request_id]
-        assert outputs[48].token_ids == outputs[None].token_ids
-        assert np.array_equal(outputs[48].logits, outputs[None].logits)
-
 
 class TestIncrementalPqServing:
     def test_incremental_pqcache_builds_from_chunks(self, model, tiny_config):

@@ -3,11 +3,11 @@
 The load-bearing contract is **byte-identity**: for any placement policy and
 worker count, every request's tokens AND logits equal a single-worker run —
 placement (and migration) move only the simulated clock.  Around it:
-fingerprint-directory coverage semantics, router scoring/tie-breaking/
-fallback, spilled-chain export/import round-trips, and fleet metric
+prefix-cache coverage semantics, router scoring/tie-breaking/fallback, spilled-chain export/import round-trips, and fleet metric
 aggregation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,10 +15,13 @@ import pytest
 
 from repro.baselines import SelectionBudget
 from repro.errors import ConfigurationError
+from repro.llm.kvcache import BlockAllocator, SwapSpace
 from repro.serve import (
     EngineMetrics,
     InferenceEngine,
     PolicySpec,
+    PrefixCache,
+    PrefixCoverage,
     QoSClassMetrics,
     Request,
     RequestMetrics,
@@ -30,11 +33,9 @@ from repro.serve.cluster import (
     ROUTING_POLICIES,
     ClusterFrontend,
     ClusterMetrics,
-    FingerprintDirectory,
     Router,
     Worker,
 )
-from repro.serve.cluster.directory import RESIDENT, SPILLED
 
 BUDGET = SelectionBudget(token_ratio=0.2, comm_ratio=1.0 / 64.0,
                          num_initial=4, num_local=16)
@@ -64,100 +65,101 @@ def make_requests(prompts, policy_name, max_new_tokens=3, prefix="r"):
 
 
 # ---------------------------------------------------------------------------
-# Fingerprint directory
+# Prefix-cache coverage
 # ---------------------------------------------------------------------------
 
 
-class TestFingerprintDirectory:
-    KEYS = [b"k0", b"k1", b"k2", b"k3"]
+def cached_chain(num_blocks=4, block_size=4):
+    """A spill-capable cache holding one ``num_blocks`` chain, all resident;
+    returns the cache and the chain's keys."""
+    allocator = BlockAllocator(1, 1, 2, block_size=block_size)
+    cache = PrefixCache(allocator, spill_store=SwapSpace())
+    tokens = list(range(num_blocks * block_size))
+    blocks = [allocator.allocate() for _ in range(num_blocks)]
+    cache.insert(tokens, blocks)
+    for block in blocks:
+        allocator.decref(block)  # the cache's reference is the only one
+    return cache, chain_block_keys(tokens, block_size)
 
+
+class TestPrefixCoverage:
     def test_coverage_counts_consecutive_leading_blocks_only(self):
-        directory = FingerprintDirectory()
-        for key in (self.KEYS[0], self.KEYS[2]):  # hole at block 1
-            directory.record(key, worker_id=0, status=RESIDENT)
-        coverage = directory.coverage(self.KEYS)
-        assert coverage[0].resident_blocks == 1
-        assert coverage[0].known_blocks == 1
+        cache, keys = cached_chain()
+        assert cache.coverage(keys) == PrefixCoverage(4, 4)
+        holed = [keys[0], b"absent", keys[2], keys[3]]  # hole at block 1
+        assert cache.coverage(holed) == PrefixCoverage(1, 1)
 
-    def test_spilled_block_ends_resident_streak_not_known_streak(self):
-        directory = FingerprintDirectory()
-        directory.record(self.KEYS[0], 1, RESIDENT)
-        directory.record(self.KEYS[1], 1, SPILLED)
-        directory.record(self.KEYS[2], 1, RESIDENT)
-        coverage = directory.coverage(self.KEYS)
-        assert coverage[1].resident_blocks == 1
-        assert coverage[1].known_blocks == 3
+    def test_spilled_block_ends_resident_run_not_known_run(self):
+        cache, keys = cached_chain()
+        cache._spill(cache._nodes[keys[1]])
+        assert cache.coverage(keys) == PrefixCoverage(1, 4)
 
-    def test_missing_block_ends_both_streaks(self):
-        directory = FingerprintDirectory()
-        directory.record(self.KEYS[0], 0, RESIDENT)
-        directory.record(self.KEYS[1], 0, SPILLED)
-        # KEYS[2] unheld; KEYS[3] held again but unreachable
-        directory.record(self.KEYS[3], 0, RESIDENT)
-        coverage = directory.coverage(self.KEYS)
-        assert coverage[0].resident_blocks == 1
-        assert coverage[0].known_blocks == 2
+    def test_missing_block_ends_both_runs(self):
+        cache, keys = cached_chain()
+        cache._spill(cache._nodes[keys[1]])
+        # block 2 is unheld; block 3 is held again but unreachable
+        assert cache.coverage([*keys[:2], b"absent", keys[3]]) == (
+            PrefixCoverage(1, 2)
+        )
 
-    def test_coverage_is_per_worker(self):
-        directory = FingerprintDirectory()
-        for key in self.KEYS[:3]:
-            directory.record(key, 0, RESIDENT)
-        directory.record(self.KEYS[0], 1, RESIDENT)
-        coverage = directory.coverage(self.KEYS)
-        assert coverage[0].resident_blocks == 3
-        assert coverage[1].resident_blocks == 1
+    def test_coverage_is_per_worker(self, model):
+        workers = [Worker(i, model, enable_prefix_caching=True, kv_block_size=4)
+                   for i in range(2)]
+        tokens = list(range(12))
+        allocator = workers[0].prefix_cache.allocator
+        blocks = [allocator.allocate() for _ in range(3)]
+        workers[0].prefix_cache.insert(tokens, blocks)
+        keys = chain_block_keys(tokens, 4)
+        assert workers[0].prefix_coverage(keys) == PrefixCoverage(3, 3)
+        assert workers[1].prefix_coverage(keys) == PrefixCoverage()
+        uncached = Worker(2, model)
+        assert uncached.prefix_coverage(keys) == PrefixCoverage()
 
-    def test_drop_removes_holder_and_empty_entries(self):
-        directory = FingerprintDirectory()
-        directory.record(self.KEYS[0], 0, RESIDENT)
-        directory.record(self.KEYS[0], 1, RESIDENT)
-        directory.drop(self.KEYS[0], 0)
-        assert directory.holders(self.KEYS[0]) == {1: RESIDENT}
-        directory.drop(self.KEYS[0], 1)
-        assert len(directory) == 0
-        # dropping an unknown key is a no-op, not an error
-        directory.drop(b"nope", 3)
-
-    def test_publisher_translates_observer_events(self):
-        directory = FingerprintDirectory()
-        publisher = directory.publisher(worker_id=5)
-        publisher.on_insert(b"a")
-        assert directory.status(b"a", 5) == RESIDENT
-        publisher.on_spill(b"a")
-        assert directory.status(b"a", 5) == SPILLED
-        publisher.on_restore(b"a")
-        assert directory.status(b"a", 5) == RESIDENT
-        publisher.on_evict(b"a")
-        assert directory.status(b"a", 5) is None
-        assert directory.events["insert"] == 1
-        assert directory.events["evict"] == 1
+    def test_coverage_is_a_pure_read(self):
+        cache, keys = cached_chain()
+        stamps = [node.last_used for node in cache._nodes.values()]
+        before = dataclasses.replace(cache.stats)
+        cache.coverage(keys)
+        assert cache.stats == before
+        assert [node.last_used for node in cache._nodes.values()] == stamps
 
 
-class TestDirectoryTracksEngine:
-    def test_worker_publishes_inserts_spills_restores(self, model, tiny_config):
-        directory = FingerprintDirectory()
-        worker = Worker(0, model, directory=directory,
-                        enable_prefix_caching=True)
+class TestCoverageTracksEngine:
+    def test_coverage_follows_insert_spill_restore_evict(self, model, tiny_config):
+        worker = Worker(0, model, enable_prefix_caching=True)
         prompt = make_prompts(tiny_config, (200,))[0]
+        keys = chain_block_keys(prompt, worker.block_allocator.block_size)
+        assert worker.prefix_coverage(keys) == PrefixCoverage()
         worker.run(make_requests([prompt], None, prefix="a"))
         worker.release("a0")
-        assert directory.events["insert"] > 0
-        resident = [k for k in list(directory._entries)
-                    if directory.status(k, 0) == RESIDENT]
-        assert len(resident) == len(directory)
+        cached = worker.prefix_coverage(keys).known_blocks
+        assert cached > 0
+        assert worker.prefix_coverage(keys) == PrefixCoverage(cached, cached)
 
         cache = worker.prefix_cache
-        freed = cache.evict(cache.num_resident)
-        assert freed > 0 and cache.num_spilled == freed
-        assert directory.events["spill"] == freed
-        spilled = [k for k in list(directory._entries)
-                   if directory.status(k, 0) == SPILLED]
-        assert len(spilled) == freed
+        assert cache.evict(cache.num_resident) == cached == cache.num_spilled
+        assert worker.prefix_coverage(keys) == PrefixCoverage(0, cached)
 
-        # a fresh match restores the chain → restore events flip it back
+        # a fresh match restores the chain
         worker.run(make_requests([prompt], None, prefix="b"))
-        assert directory.events["restore"] == freed
+        worker.release("b0")
         assert cache.num_spilled == 0
+        assert worker.prefix_coverage(keys) == PrefixCoverage(cached, cached)
+
+        cache.clear()
+        assert worker.prefix_coverage(keys) == PrefixCoverage()
+
+    def test_hard_eviction_shortens_the_known_run(self, model, tiny_config):
+        worker = Worker(0, model, enable_prefix_caching=True,
+                        swap_disk_blocks=0)
+        prompt = make_prompts(tiny_config, (200,))[0]
+        keys = chain_block_keys(prompt, worker.block_allocator.block_size)
+        worker.run(make_requests([prompt], None))
+        worker.release("r0")
+        cached = worker.prefix_coverage(keys).known_blocks
+        assert cached > 1
+        assert worker.prefix_cache.evict(1) == 1  # no disk room: drop the tail
+        assert worker.prefix_coverage(keys) == PrefixCoverage(cached - 1, cached - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +169,29 @@ class TestDirectoryTracksEngine:
 
 class _FakeWorker:
     """A ``RoutableWorker`` with one QoS class and no deadline-tagged work:
-    per-class load is the total load, zero backlog, infinite slack."""
+    per-class load is the total load, zero backlog, infinite slack.  It
+    holds the first ``resident`` blocks of any prompt resident and the
+    first ``known`` in some tier, and records the keys it is asked about."""
 
     nearest_deadline_slack = math.inf
 
-    def __init__(self, worker_id, load=0):
+    def __init__(self, worker_id, load=0, resident=0, known=None):
         self.worker_id = worker_id
         self.load = load
+        self.resident = resident
+        self.known = resident if known is None else known
+        self.asked = []
 
     def load_at_or_above(self, priority):
         return self.load
 
     def deadline_backlog(self, before_slack=None):
         return 0
+
+    def prefix_coverage(self, keys):
+        self.asked.append(keys)
+        return PrefixCoverage(min(self.resident, len(keys)),
+                              min(self.known, len(keys)))
 
 
 class TestRouterPlacement:
@@ -203,80 +215,69 @@ class TestRouterPlacement:
         placement = Router("least_loaded").place([1], workers)
         assert placement.worker_id == 1
 
-    def _directory_with_chain(self, prompt, block_size, worker_blocks):
-        """Directory where worker w holds the first n leading blocks
-        (worker_blocks: {worker_id: (n, status)})."""
-        keys = chain_block_keys(prompt, block_size, None)
-        directory = FingerprintDirectory()
-        for worker_id, (n, status) in worker_blocks.items():
-            for key in keys[:n]:
-                directory.record(key, worker_id, status)
-        return directory
+    def test_cache_aware_hashes_the_prompt_once_for_every_worker(self):
+        prompt = list(range(4, 260))
+        workers = [_FakeWorker(i) for i in range(3)]
+        Router("cache_aware").place(prompt, workers, block_size=64)
+        keys = chain_block_keys(prompt, 64)
+        assert len(keys) == 4
+        for worker in workers:
+            assert worker.asked == [keys]
+            assert worker.asked[0] is workers[0].asked[0]
 
     def test_cache_aware_prefers_longest_resident_prefix(self):
         prompt = list(range(4, 260))
-        directory = self._directory_with_chain(
-            prompt, 64, {0: (1, RESIDENT), 1: (3, RESIDENT)})
-        workers = [_FakeWorker(0, load=0), _FakeWorker(1, load=5),
-                   _FakeWorker(2, load=0)]
-        placement = Router("cache_aware").place(
-            prompt, workers, directory=directory, block_size=64)
+        workers = [_FakeWorker(0, load=0, resident=1),
+                   _FakeWorker(1, load=5, resident=3), _FakeWorker(2, load=0)]
+        placement = Router("cache_aware").place(prompt, workers, block_size=64)
         assert placement.worker_id == 1  # longest match beats lighter load
         assert placement.matched_tokens == 3 * 64
 
     def test_cache_aware_tie_breaks_toward_least_loaded(self):
         prompt = list(range(4, 260))
-        directory = self._directory_with_chain(
-            prompt, 64, {0: (2, RESIDENT), 2: (2, RESIDENT)})
-        workers = [_FakeWorker(0, load=4), _FakeWorker(1, load=0),
-                   _FakeWorker(2, load=1)]
-        placement = Router("cache_aware").place(
-            prompt, workers, directory=directory, block_size=64)
+        workers = [_FakeWorker(0, load=4, resident=2), _FakeWorker(1, load=0),
+                   _FakeWorker(2, load=1, resident=2)]
+        placement = Router("cache_aware").place(prompt, workers, block_size=64)
         assert placement.worker_id == 2
 
     def test_cache_aware_falls_back_to_least_loaded_on_miss(self):
         prompt = list(range(4, 260))
         workers = [_FakeWorker(0, load=3), _FakeWorker(1, load=1)]
-        placement = Router("cache_aware").place(
-            prompt, workers, directory=FingerprintDirectory(), block_size=64)
+        placement = Router("cache_aware").place(prompt, workers, block_size=64)
         assert placement.worker_id == 1
         assert placement.matched_tokens == 0
         assert placement.migrate_from is None
 
     def test_cache_aware_spilled_only_falls_back_without_migration(self):
         prompt = list(range(4, 260))
-        directory = self._directory_with_chain(prompt, 64, {0: (3, SPILLED)})
-        workers = [_FakeWorker(0, load=5), _FakeWorker(1, load=0)]
-        placement = Router("cache_aware").place(
-            prompt, workers, directory=directory, block_size=64)
+        workers = [_FakeWorker(0, load=5, known=3), _FakeWorker(1, load=0)]
+        placement = Router("cache_aware").place(prompt, workers, block_size=64)
         assert placement.worker_id == 1
         assert placement.migrate_from is None
 
     def test_migrate_on_miss_targets_spilled_owner(self):
         prompt = list(range(4, 260))
-        directory = self._directory_with_chain(prompt, 64, {0: (3, SPILLED)})
-        workers = [_FakeWorker(0, load=5), _FakeWorker(1, load=0)]
+        workers = [_FakeWorker(0, load=5, known=3), _FakeWorker(1, load=0)]
         placement = Router("cache_aware", migrate_on_miss=True).place(
-            prompt, workers, directory=directory, block_size=64)
+            prompt, workers, block_size=64)
         assert placement.worker_id == 1
         assert placement.migrate_from == 0
         assert placement.migrate_tokens == 3 * 64
 
     def test_no_migration_when_owner_is_the_fallback_target(self):
         prompt = list(range(4, 260))
-        directory = self._directory_with_chain(prompt, 64, {1: (2, SPILLED)})
-        workers = [_FakeWorker(0, load=5), _FakeWorker(1, load=0)]
+        workers = [_FakeWorker(0, load=5), _FakeWorker(1, load=0, known=2)]
         placement = Router("cache_aware", migrate_on_miss=True).place(
-            prompt, workers, directory=directory, block_size=64)
+            prompt, workers, block_size=64)
         assert placement.worker_id == 1
         assert placement.migrate_from is None  # local restore is cheaper
 
     def test_cache_aware_without_block_size_degrades_to_least_loaded(self):
-        workers = [_FakeWorker(0, load=1), _FakeWorker(1, load=0)]
+        workers = [_FakeWorker(0, load=1, resident=1), _FakeWorker(1, load=0)]
         placement = Router("cache_aware").place(
-            [1, 2, 3], workers, directory=FingerprintDirectory(),
-            block_size=None)
+            list(range(4, 260)), workers, block_size=None)
         assert placement.worker_id == 1
+        assert all(worker.asked == [] for worker in workers)
 
 
 class _FakeEDFWorker(_FakeWorker):
@@ -734,12 +735,12 @@ class TestClusterFrontend:
         assert report["num_workers"] == 2
         assert report["placement"] == "cache_aware"
         assert len(report["workers"]) == 2
-        assert {"fleet", "migration", "directory"} <= report.keys()
+        assert {"fleet", "migration"} <= report.keys()
 
     def test_caching_disabled_fleet_degrades_to_load_balancing(
         self, model, tiny_config
     ):
-        """cache_aware without prefix caching has no directory signal or
+        """cache_aware without prefix caching has no coverage signal or
         block size — it degrades to least-loaded and stays byte-identical."""
         cluster = ClusterFrontend(model, num_workers=2,
                                   enable_prefix_caching=False)
@@ -750,13 +751,14 @@ class TestClusterFrontend:
         for request_id, ref in reference.items():
             assert outputs[request_id].token_ids == ref.token_ids
             assert np.array_equal(outputs[request_id].logits, ref.logits)
-        assert len(cluster.directory) == 0
+        keys = chain_block_keys(prompts[0], 64)
+        assert all(worker.prefix_coverage(keys) == PrefixCoverage()
+                   for worker in cluster.workers)
 
-    def test_unpublished_worker_runs_standalone(self, model, tiny_config):
-        """A Worker without a directory is a plain engine (always-cold to
-        any router, but fully functional)."""
+    def test_standalone_worker_is_a_plain_engine(self, model, tiny_config):
+        """A Worker outside any frontend is a plain, fully functional
+        engine."""
         worker = Worker(7, model, enable_prefix_caching=True)
-        assert worker.directory is None
         outputs = worker.run(make_requests(make_prompts(tiny_config, (120,)),
                                            None))
         assert worker.load == 0

@@ -246,33 +246,6 @@ class TestEngineByteIdentity:
         assert warm.token_ids == cold.token_ids
         assert np.array_equal(warm.logits, cold.logits)
 
-    def test_one_shot_policy_gets_kv_only_reuse(self, small_model, prompt):
-        """``incremental=False``: PQ artifact reuse is refused (fingerprint
-        None), KV-block reuse still applies, and outputs match even an
-        engine with no prefix cache at all (one-shot build everywhere)."""
-        engine = _engine(small_model, chunk=None)
-        _serve_opts = dict(max_new_tokens=6)
-        budget = SelectionBudget(token_ratio=0.25, num_initial=4, num_local=16)
-
-        def run(eng, prompt_ids):
-            rid = eng.submit(
-                Request(
-                    prompt_ids=list(prompt_ids),
-                    sampling=SamplingParams(**_serve_opts),
-                    policy_spec=PolicySpec.named(
-                        "pqcache", budget, incremental=False
-                    ),
-                )
-            )
-            return eng.run()[rid]
-
-        run(engine, prompt)
-        warm = run(engine, prompt)
-        plain = run(_engine(small_model, caching=False, chunk=None), prompt)
-        assert warm.metrics.cached_prefix_tokens > 0
-        assert warm.token_ids == plain.token_ids
-        assert np.array_equal(warm.logits, plain.logits)
-
     def test_partially_shared_prompt(self, small_model, prompt):
         """Divergence mid-prompt: reuse covers only the shared blocks."""
         engine = _engine(small_model)

@@ -265,6 +265,20 @@ class TestSchedulerAndSpecs:
         with pytest.raises(ConfigurationError):
             SchedulerConfig(max_prefills_per_step=0)
 
+    @pytest.mark.parametrize("option", [
+        {"kv_pool_blocks": 8},
+        {"swap_cpu_blocks": 4},
+        {"swap_disk_blocks": 4},
+        {"cache_decoded_blocks": True},
+    ], ids=lambda option: next(iter(option)))
+    def test_pool_option_without_pool_rejected(self, model, option):
+        """Only ``enable_prefix_caching=True`` builds the block pool, so a
+        pool option set without it would silently do nothing."""
+        with pytest.raises(ConfigurationError, match=next(iter(option))):
+            InferenceEngine(model, **option)
+        engine = InferenceEngine(model, enable_prefix_caching=True, **option)
+        assert engine.block_allocator is not None
+
     def test_policy_spec_from_instance_is_single_use(self, budget):
         spec = PolicySpec.from_instance(build_policy("full", budget))
         spec.build()

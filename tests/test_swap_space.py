@@ -14,7 +14,7 @@ from repro.llm import ModelConfig
 from repro.llm.kvcache import BlockAllocator, PagedKVCache, SwapSpace
 from repro.llm.kvcodec import KVBlockCodec
 from repro.memory import HardwareSpec, LatencyModel, Resource
-from repro.serve import PrefixCache, chain_block_keys
+from repro.serve import PrefixCache, PrefixCoverage, chain_block_keys
 
 
 WIDTHS = [1, 2, 4, 8]
@@ -581,37 +581,49 @@ class TestPrefixCacheSpill:
 # ------------------------------------------- evict walk against its oracle
 
 
-class EventLog:
-    """Residency observer recording every ``_notify`` as ``(event, key)``."""
+def residency(cache):
+    """The index as ``((key, spilled), ...)`` in insertion order."""
+    return tuple((key, node.spilled) for key, node in cache._nodes.items())
 
-    def __init__(self):
-        self.events = []
 
-    def __getattr__(self, name):
-        if not name.startswith("on_"):
-            raise AttributeError(name)
-        return lambda key: self.events.append((name[3:], key))
+def transitions(before, after):
+    """Residency transitions between two :func:`residency` snapshots."""
+    old, new = dict(before), dict(after)
+    kinds = {"evict"} if old.keys() - new.keys() else set()
+    for key, spilled in new.items():
+        if key not in old:
+            kinds.add("insert")
+        elif spilled != old[key]:
+            kinds.add("spill" if spilled else "restore")
+    return kinds
 
 
 def churn(evict_of, seed, steps=400):
-    """Seeded insert/match/evict churn; returns the cache and its event log.
+    """Seeded insert/match/evict churn; returns the cache, the residency
+    after every operation, and every victim the walk took, in order.
 
     ``evict_of(cache)`` supplies the walk under test — it serves both the
     explicit evictions and the allocator's eviction hook, so the re-entrant
     calls a restore's own allocation fires go through it too.  A 6-block disk
     tier under a 24-block pool makes spill, hard eviction and the stuck
-    "drop the coldest spilled leaf" branch all fire.
+    "drop the coldest spilled leaf" branch all fire.  Victims are recorded by
+    wrapping this cache's own ``_spill`` / ``_remove``, which both walks call.
     """
     rng = np.random.default_rng(seed)
     alloc = make_allocator(capacity=24)
     space = SwapSpace(disk_capacity_blocks=6)
     cache = PrefixCache(alloc, spill_store=space)
-    cache.observer = log = EventLog()
+    victims = []
+    for name in ("_spill", "_remove"):
+        def record(node, _step=getattr(cache, name), _name=name):
+            victims.append((_name, node.key))
+            return _step(node)
+        setattr(cache, name, record)
     evict = evict_of(cache)
     alloc.eviction_hook = evict
     block = alloc.block_size
     roots = [rng.integers(0, 50, size=2 * block).tolist() for _ in range(3)]
-    prompts, held = [], []
+    prompts, held, states = [], [], []
     for _ in range(steps):
         op = rng.choice(["insert", "insert", "match", "evict", "release"])
         if op == "insert":
@@ -633,22 +645,25 @@ def churn(evict_of, seed, steps=400):
             evict(int(rng.integers(1, 5)))
         elif op == "release" and held:
             held.pop(int(rng.integers(len(held)))).release()
-    return cache, log
+        states.append(residency(cache))
+    return cache, states, victims
 
 
 class TestEvictWalkAgainstOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_same_victims_same_order_same_counters(self, seed):
-        cache, log = churn(lambda cache: cache.evict, seed)
-        ref_cache, ref_log = churn(
+        cache, states, victims = churn(lambda cache: cache.evict, seed)
+        ref_cache, ref_states, ref_victims = churn(
             lambda cache: lambda n=1: evict_walk_oracle.evict(cache, n), seed
         )
         stats = cache.stats
         # The churn must reach every branch of the walk, or it proves nothing.
         assert stats.spilled_blocks > 0 and stats.restored_blocks > 0
         assert stats.evicted_blocks > 0 and stats.dropped_spilled_blocks > 0
-        assert log.events == ref_log.events
-        assert {e for e, _ in log.events} == {"insert", "spill", "restore", "evict"}
+        assert victims == ref_victims
+        assert states == ref_states
+        seen = set().union(*map(transitions, [()] + states, states))
+        assert seen == {"insert", "spill", "restore", "evict"}
         assert stats == ref_cache.stats
         assert list(cache._nodes) == list(ref_cache._nodes)
 
@@ -876,25 +891,6 @@ class TestSnapshotHoldRefcounts:
         deepest-snapshot-wins step: alternate them over the same chain with
         a spill in between and a deeper snapshot arriving each time."""
 
-        class Events:
-            def __init__(self):
-                self.log = []
-
-            def on_insert(self, key):
-                self.log.append(("insert", key))
-
-            def on_spill(self, key):
-                self.log.append(("spill", key))
-
-            def on_restore(self, key):
-                self.log.append(("restore", key))
-
-            def on_evict(self, key):
-                self.log.append(("evict", key))
-
-            def keys(self, kind):
-                return [key for event, key in self.log if event == kind]
-
         tokens = list(range(16))  # 4 blocks
         shallow, deep, deepest = (make_snapshot(num_tokens=n) for n in (8, 12, 16))
 
@@ -908,7 +904,6 @@ class TestSnapshotHoldRefcounts:
 
         alloc = make_allocator(capacity=8)
         cache = PrefixCache(alloc, spill_store=SwapSpace())
-        cache.observer = events = Events()
         chain_keys = chain_block_keys(tokens, alloc.block_size)
 
         # insert (shallow) -> spill -> import (deep) heals all four nodes.
@@ -916,25 +911,29 @@ class TestSnapshotHoldRefcounts:
         assert cache.insert(tokens, paged.table.block_ids,
                             pq_fingerprint="fp", pq_snapshot=shallow) == 4
         paged.release()
+        nodes = [cache._nodes[key] for key in chain_keys]
         assert cache.evict(4) == 4 and cache.num_spilled == 4
+        assert cache.coverage(chain_keys) == PrefixCoverage(0, 4)
         assert cache._spilled_snapshot_ids == {id(shallow)}
         assert cache.import_chain(exported) == 4
         assert cache.num_spilled == 0 and cache.spill_store.disk_blocks == 0
         assert (cache.stats.imported_blocks, cache.stats.readopted_blocks) == (4, 0)
-        assert events.keys("restore") == chain_keys
+        assert cache.coverage(chain_keys) == PrefixCoverage(4, 4)
+        assert [cache._nodes[key] for key in chain_keys] == nodes  # healed
         assert shallow.hold_count == 0 and deep.hold_count == 4 + 4
         assert cache._spilled_snapshot_ids == set()
 
         # spill -> insert (deepest) re-adopts the same four nodes.
         assert cache.evict(4) == 4 and cache.num_spilled == 4
+        assert cache.coverage(chain_keys) == PrefixCoverage(0, 4)
         assert cache._spilled_snapshot_ids == {id(deep)}
         paged = fill_chain(alloc, tokens, seed=1)
         assert cache.insert(tokens, paged.table.block_ids,
                             pq_fingerprint="fp", pq_snapshot=deepest) == 0
         assert cache.num_spilled == 0 and cache.spill_store.disk_blocks == 0
         assert (cache.stats.imported_blocks, cache.stats.readopted_blocks) == (4, 4)
-        assert events.keys("restore") == chain_keys * 2
-        assert events.keys("insert") == chain_keys  # never re-created
+        assert cache.coverage(chain_keys) == PrefixCoverage(4, 4)
+        assert [cache._nodes[key] for key in chain_keys] == nodes  # never re-created
         assert deep.hold_count == 4 and deepest.hold_count == 4
         assert cache._spilled_snapshot_ids == set()
         assert cache.stats.inserted_blocks == 4 and cache.stats.restored_blocks == 0
