@@ -26,7 +26,9 @@ import pytest
 from repro.core import PQCacheConfig
 from repro.llm import ModelConfig, TransformerLM
 from repro.serve import (
+    EngineConfig,
     PolicySpec,
+    PoolConfig,
     Request,
     SamplingParams,
     SchedulerConfig,
@@ -76,13 +78,16 @@ def trace():
     return kept
 
 
-def make_cluster(substrate, placement, **kwargs) -> ClusterFrontend:
+def make_cluster(substrate, placement, migrate_on_miss=False) -> ClusterFrontend:
     return ClusterFrontend(
         substrate,
         num_workers=NUM_WORKERS,
         placement=placement,
-        scheduler_config=SchedulerConfig(max_prefill_chunk_tokens=512),
-        **kwargs,
+        migrate_on_miss=migrate_on_miss,
+        config=EngineConfig(
+            scheduler=SchedulerConfig(max_prefill_chunk_tokens=512),
+            pool=PoolConfig(),
+        ),
     )
 
 

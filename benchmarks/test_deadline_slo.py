@@ -26,7 +26,9 @@ import pytest
 
 from repro.llm import ModelConfig, TransformerLM
 from repro.serve import (
+    EngineConfig,
     InferenceEngine,
+    PoolConfig,
     Request,
     RequestQoS,
     SamplingParams,
@@ -52,20 +54,17 @@ def substrate() -> TransformerLM:
 
 
 def make_engine(substrate) -> InferenceEngine:
-    return InferenceEngine(
-        substrate,
+    return InferenceEngine(substrate, EngineConfig(
         # the batch ceiling is wide enough that the *pool* binds: 8 resident
         # requests want ~104 blocks against the ~2x-oversubscribed pool, so
         # decode growth preempts while the rest of the burst queues
-        scheduler_config=SchedulerConfig(
+        scheduler=SchedulerConfig(
             max_batch_size=8,
             max_prefill_chunk_tokens=256,
             shed_missed_deadlines=False,
         ),
-        enable_prefix_caching=True,
-        kv_block_size=BLOCK_SIZE,
-        kv_pool_blocks=POOL_BLOCKS,
-    )
+        pool=PoolConfig(block_size=BLOCK_SIZE, blocks=POOL_BLOCKS),
+    ))
 
 
 def make_requests(deadlines: "list[float | None]") -> list[Request]:

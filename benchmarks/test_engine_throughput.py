@@ -30,6 +30,7 @@ from conftest import make_budget, print_series
 
 from repro.llm import ModelConfig, TransformerLM
 from repro.serve import (
+    EngineConfig,
     InferenceEngine,
     PolicySpec,
     Request,
@@ -67,10 +68,9 @@ def test_engine_throughput(benchmark, substrate):
     def serve_all():
         rows = {}
         for batch_size in BATCH_SIZES:
-            engine = InferenceEngine(
-                substrate,
-                scheduler_config=SchedulerConfig(max_batch_size=batch_size),
-            )
+            engine = InferenceEngine(substrate, EngineConfig(
+                scheduler=SchedulerConfig(max_batch_size=batch_size),
+            ))
             outputs = engine.run(_make_requests(substrate.config, budget))
             tpots = [out.metrics.tpot for out in outputs.values()]
             rows[batch_size] = {
@@ -123,12 +123,11 @@ def test_chunked_prefill_ttft(benchmark):
     baseline_prefill = model.prefill(long_prompt)
 
     def serve(chunk_tokens, reuse_prefill):
-        engine = InferenceEngine(
-            model,
-            scheduler_config=SchedulerConfig(
+        engine = InferenceEngine(model, EngineConfig(
+            scheduler=SchedulerConfig(
                 max_batch_size=2, max_prefill_chunk_tokens=chunk_tokens
             ),
-        )
+        ))
         long_request = Request(
             prompt_ids=long_prompt,
             sampling=SamplingParams(max_new_tokens=1),

@@ -27,7 +27,9 @@ import pytest
 
 from repro.llm import ModelConfig, TransformerLM
 from repro.serve import (
+    EngineConfig,
     InferenceEngine,
+    PoolConfig,
     Request,
     RequestQoS,
     SamplingParams,
@@ -63,18 +65,15 @@ def substrate() -> TransformerLM:
 
 
 def make_engine(substrate) -> InferenceEngine:
-    return InferenceEngine(
-        substrate,
-        scheduler_config=SchedulerConfig(
+    return InferenceEngine(substrate, EngineConfig(
+        scheduler=SchedulerConfig(
             max_batch_size=3,
             max_prefill_chunk_tokens=512,
             proactive_swap_free_fraction=1.0,
         ),
-        enable_prefix_caching=True,
-        kv_block_size=BLOCK_SIZE,
-        kv_pool_blocks=POOL_BLOCKS,
+        pool=PoolConfig(block_size=BLOCK_SIZE, blocks=POOL_BLOCKS),
         max_retained_outputs=0,
-    )
+    ))
 
 
 def fg_trace():

@@ -24,7 +24,9 @@ import pytest
 from repro.core import PQCacheConfig
 from repro.llm import ModelConfig, TransformerLM
 from repro.serve import (
+    EngineConfig,
     InferenceEngine,
+    PoolConfig,
     PolicySpec,
     Request,
     SamplingParams,
@@ -73,18 +75,15 @@ def make_requests(substrate: TransformerLM) -> "list[Request]":
 
 
 def run_schedule(substrate, pool_blocks, mode):
-    engine = InferenceEngine(
-        substrate,
-        scheduler_config=SchedulerConfig(
+    engine = InferenceEngine(substrate, EngineConfig(
+        scheduler=SchedulerConfig(
             max_batch_size=NUM_REQUESTS,
             max_prefill_chunk_tokens=128,
             preemption_mode=mode,
         ),
-        enable_prefix_caching=True,
-        kv_block_size=BLOCK_SIZE,
-        kv_pool_blocks=pool_blocks,
+        pool=PoolConfig(block_size=BLOCK_SIZE, blocks=pool_blocks),
         max_retained_outputs=0,
-    )
+    ))
     finals = engine.run(make_requests(substrate))
     return finals, engine
 

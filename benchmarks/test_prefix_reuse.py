@@ -19,8 +19,10 @@ import pytest
 from repro.core import PQCacheConfig
 from repro.llm import ModelConfig, TransformerLM
 from repro.serve import (
+    EngineConfig,
     InferenceEngine,
     PolicySpec,
+    PoolConfig,
     Request,
     SamplingParams,
     SchedulerConfig,
@@ -46,11 +48,10 @@ def substrate() -> TransformerLM:
 
 
 def make_engine(substrate: TransformerLM, caching: bool) -> InferenceEngine:
-    return InferenceEngine(
-        substrate,
-        scheduler_config=SchedulerConfig(max_prefill_chunk_tokens=512),
-        enable_prefix_caching=caching,
-    )
+    return InferenceEngine(substrate, EngineConfig(
+        scheduler=SchedulerConfig(max_prefill_chunk_tokens=512),
+        pool=PoolConfig() if caching else None,
+    ))
 
 
 def serve_turn(engine: InferenceEngine, prompt: "list[int]",

@@ -20,7 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.llm import ModelConfig, TransformerLM
-from repro.serve import Request, SamplingParams, SchedulerConfig
+from repro.serve import (
+    EngineConfig,
+    PoolConfig,
+    Request,
+    SamplingParams,
+    SchedulerConfig,
+)
 from repro.serve.cluster import ClusterFrontend
 from repro.workloads import multi_turn_conversation, poisson_arrivals
 
@@ -41,7 +47,10 @@ def main() -> None:
         model,
         num_workers=NUM_WORKERS,
         placement="cache_aware",
-        scheduler_config=SchedulerConfig(max_prefill_chunk_tokens=512),
+        config=EngineConfig(
+            scheduler=SchedulerConfig(max_prefill_chunk_tokens=512),
+            pool=PoolConfig(),
+        ),
     )
 
     conversations = {

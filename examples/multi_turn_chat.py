@@ -2,10 +2,11 @@
 """Multi-turn chat demo: shared-prefix caching across conversation turns.
 
 Three user turns share one system prompt; each turn's prompt embeds the full
-conversation so far.  With ``enable_prefix_caching=True`` the engine serves
-turn 2 and 3 from cached KV blocks (and reuses the PQ codebooks/codes built
-for the shared prefix), so only each turn's new tokens are prefilled — the
-per-turn TTFT and the prefix-cache hit rate printed below show the effect.
+conversation so far.  With a paged pool (``EngineConfig(pool=PoolConfig())``)
+the engine serves turns 2 and 3 from cached KV blocks (and reuses the PQ
+codebooks/codes built for the shared prefix), so only each turn's new tokens
+are prefilled — the per-turn TTFT and the prefix-cache hit rate printed below
+show the effect.
 
 Run with::
 
@@ -18,8 +19,10 @@ from repro.baselines import SelectionBudget
 from repro.core import PQCacheConfig
 from repro.llm import ModelConfig, TransformerLM
 from repro.serve import (
+    EngineConfig,
     InferenceEngine,
     PolicySpec,
+    PoolConfig,
     Request,
     SamplingParams,
     SchedulerConfig,
@@ -38,11 +41,10 @@ def main() -> None:
         ffn_dim=128, vocab_size=512, name="chat-demo",
     )
     model = TransformerLM(config, seed=0)
-    engine = InferenceEngine(
-        model,
-        scheduler_config=SchedulerConfig(max_prefill_chunk_tokens=512),
-        enable_prefix_caching=True,
-    )
+    engine = InferenceEngine(model, EngineConfig(
+        scheduler=SchedulerConfig(max_prefill_chunk_tokens=512),
+        pool=PoolConfig(),
+    ))
     budget = SelectionBudget(token_ratio=0.2, num_initial=4, num_local=16)
     pq_config = PQCacheConfig(max_kmeans_iters=8, gpu_cache_tokens=512)
 

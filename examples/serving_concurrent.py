@@ -24,6 +24,7 @@ import numpy as np
 from repro.baselines import SelectionBudget
 from repro.llm import ModelConfig, TransformerLM
 from repro.serve import (
+    EngineConfig,
     InferenceEngine,
     PolicySpec,
     Request,
@@ -53,10 +54,9 @@ TRAFFIC = [
 def main() -> None:
     config = ModelConfig.tiny()
     model = TransformerLM(config, seed=0)
-    engine = InferenceEngine(
-        model,
-        scheduler_config=SchedulerConfig(max_batch_size=4, max_prefills_per_step=2),
-    )
+    engine = InferenceEngine(model, EngineConfig(
+        scheduler=SchedulerConfig(max_batch_size=4, max_prefills_per_step=2),
+    ))
     budget = SelectionBudget(token_ratio=0.2, comm_ratio=1 / 128,
                              num_initial=4, num_local=32)
 

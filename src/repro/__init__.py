@@ -9,6 +9,8 @@ Public API highlights
   continuous-batched decoding with incrementally streamed
   :class:`repro.serve.RequestOutput` tokens and per-request serving metrics
   (TTFT, TPOT, tokens attended, communication bytes) on a simulated clock.
+  One frozen :class:`repro.serve.EngineConfig` configures an engine, a
+  cluster worker and a fleet alike.
 * :class:`repro.core.PQCacheManager` / :class:`repro.core.PQCacheConfig` —
   the PQ-based KVCache index.
 * :class:`repro.baselines.PQCachePolicy` and the baseline policies —
@@ -16,8 +18,6 @@ Public API highlights
   :func:`repro.baselines.build_policy` / :class:`repro.serve.PolicySpec`.
 * :class:`repro.llm.TransformerLM` — the NumPy decoder-only substrate
   (stateless across requests; one KVCache per request).
-  :func:`repro.llm.greedy_generate` remains as a thin single-request
-  compatibility wrapper over the engine.
 * :mod:`repro.workloads` — synthetic long-context task generators.
 * :mod:`repro.eval` — quality evaluation harness (drives the engine in
   teacher-forcing mode).

@@ -32,6 +32,7 @@ from ..llm.kvcache import KVCache
 from ..llm.model import PrefillResult, TransformerLM
 from ..memory.devices import HardwareSpec
 from ..memory.latency import LatencyModel
+from ..serve.config import EngineConfig
 from ..serve.engine import InferenceEngine
 from ..serve.request import PolicySpec, Request
 from ..serve.scheduler import SchedulerConfig
@@ -109,10 +110,11 @@ class EvaluationHarness:
         self.prefill_fn = prefill_fn
         self._prefill_cache: dict[int, PrefillResult] = {}
         self._max_cached_prefills = 256
-        #: shared latency model for the per-sample engines (cheap to build,
-        #: but sharing keeps the simulated-clock assumptions identical).
-        self._latency_model = LatencyModel(
-            HardwareSpec.paper_testbed(), self.model_config
+        #: the single-slot per-sample engines share one latency model (cheap
+        #: to build, but sharing keeps the simulated-clock assumptions identical)
+        self._engine_config = EngineConfig(
+            scheduler=SchedulerConfig(max_batch_size=1),
+            latency_model=LatencyModel(HardwareSpec.paper_testbed(), self.model_config),
         )
 
     # -------------------------------------------------------------- prefill
@@ -179,12 +181,7 @@ class EvaluationHarness:
             prefill=prefill,
             selection_hook=record,
         )
-        engine = InferenceEngine(
-            self.model,
-            scheduler_config=SchedulerConfig(max_batch_size=1),
-            latency_model=self._latency_model,
-        )
-        engine.run([request])
+        InferenceEngine(self.model, self._engine_config).run([request])
         return observations
 
     def evaluate(

@@ -1,5 +1,5 @@
-"""Transformer inference substrate: configs, layers, KVCache, model,
-generation loop and tokenizer."""
+"""Transformer inference substrate: configs, layers, KVCache, model and
+tokenizer.  Generation runs through :class:`repro.serve.InferenceEngine`."""
 
 from .attention import (
     PREFILL_TILE,
@@ -8,7 +8,6 @@ from .attention import (
     prefill_attention,
 )
 from .config import ModelConfig
-from .generation import GenerationResult, StepSelections, greedy_generate
 from .kvcache import (
     BlockAllocator,
     BlockTable,
@@ -38,9 +37,6 @@ __all__ = [
     "expand_kv_heads",
     "prefill_attention",
     "ModelConfig",
-    "GenerationResult",
-    "StepSelections",
-    "greedy_generate",
     "BlockAllocator",
     "BlockTable",
     "KVCache",

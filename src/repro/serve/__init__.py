@@ -4,17 +4,18 @@ This package is the serving front-end of the reproduction: it turns the
 single-sequence policy stack (model substrate + KVCache policies) into an
 engine that admits concurrent :class:`Request` objects, interleaves their
 decode rounds, streams tokens incrementally, and accounts simulated
-wall-clock through the analytical latency models.  With
-``enable_prefix_caching=True`` requests draw their KVCache from a shared
-paged block pool and the :class:`PrefixCache` reuses common prompt prefixes
-— KV blocks, accumulated-score snapshots and PQ artifacts — across requests
-(see ``docs/architecture.md``).
+wall-clock through the analytical latency models.  With a
+:class:`PoolConfig` requests draw their KVCache from a shared paged block
+pool and the :class:`PrefixCache` reuses common prompt prefixes — KV blocks,
+accumulated-score snapshots and PQ artifacts — across requests (see
+``docs/architecture.md``).
 
 Typical use::
 
-    from repro.serve import InferenceEngine, PolicySpec, Request, SamplingParams
+    from repro.serve import (EngineConfig, InferenceEngine, PolicySpec,
+                             PoolConfig, Request, SamplingParams)
 
-    engine = InferenceEngine(model, enable_prefix_caching=True)
+    engine = InferenceEngine(model, EngineConfig(pool=PoolConfig()))
     engine.submit(Request(prompt_ids=prompt,
                           sampling=SamplingParams(max_new_tokens=16),
                           policy_spec=PolicySpec.named("pqcache", budget)))
@@ -22,7 +23,6 @@ Typical use::
         ...  # output.new_token_ids arrive as they are generated
 """
 
-from ..llm.generation import StepSelections
 from .cluster import (
     ClusterFrontend,
     ClusterMetrics,
@@ -30,6 +30,7 @@ from .cluster import (
     Router,
     Worker,
 )
+from .config import EngineConfig, PoolConfig
 from .engine import InferenceEngine
 from .metrics import EngineMetrics, QoSClassMetrics, QuantileDigest, RequestMetrics
 from .prefix_cache import (
@@ -51,12 +52,15 @@ from .request import (
     RequestStatus,
     SamplingParams,
     SelectionHook,
+    StepSelections,
 )
 from .scheduler import ContinuousBatchingScheduler, SchedulerConfig, SchedulingDecision
 from .slo import SLOTuner
 
 __all__ = [
     "InferenceEngine",
+    "EngineConfig",
+    "PoolConfig",
     "ClusterFrontend",
     "ClusterMetrics",
     "Placement",

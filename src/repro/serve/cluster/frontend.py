@@ -37,6 +37,7 @@ from typing import Iterable
 
 from ...errors import ConfigurationError
 from ...llm.model import TransformerLM
+from ..config import EngineConfig, PoolConfig, resolve_config
 from ..metrics import EngineMetrics
 from ..request import Request, RequestOutput
 from .router import Placement, Router
@@ -93,11 +94,12 @@ class ClusterFrontend:
             :data:`~repro.serve.cluster.ROUTING_POLICIES`).
         migrate_on_miss: ship spilled matching chains to the routed worker
             under cache-aware placement (billed, see module docstring).
-        **worker_kwargs: forwarded to every
-            :class:`~repro.serve.InferenceEngine` (scheduler config, pool
-            bounds, swap tiers...).  ``enable_prefix_caching`` defaults to
-            ``True`` here — cache-aware routing is the cluster's point —
-            but can be passed explicitly to turn it off.
+        config: the :class:`~repro.serve.EngineConfig` every worker builds
+            its own pool, swap tiers, prefix cache and clock from; by
+            default one with a pool (cache-aware routing needs one).
+        **keywords: shim — the pre-config options, with
+            ``enable_prefix_caching`` defaulting to ``True``; not with
+            ``config``.  ``slo_tuner`` is per-engine state and is rejected.
     """
 
     def __init__(
@@ -106,15 +108,21 @@ class ClusterFrontend:
         num_workers: int = 2,
         placement: str = "cache_aware",
         migrate_on_miss: bool = False,
-        **worker_kwargs,
+        config: EngineConfig | None = None,
+        **keywords,
     ) -> None:
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
-        worker_kwargs.setdefault("enable_prefix_caching", True)
+        if "slo_tuner" in keywords:
+            raise ConfigurationError("a fleet cannot share one SLOTuner: its "
+                                     "window would mix every worker's requests")
+        if keywords:
+            keywords = {"enable_prefix_caching": True, **keywords}
+        config = resolve_config(config, keywords, EngineConfig(pool=PoolConfig()))
         self.model = model
         self.router = Router(placement, migrate_on_miss=migrate_on_miss)
         self.workers: list[Worker] = [
-            Worker(index, model, **worker_kwargs)
+            Worker(index, model, config)
             for index in range(num_workers)
         ]
         self.metrics = ClusterMetrics()

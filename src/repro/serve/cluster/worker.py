@@ -15,6 +15,7 @@ import math
 from typing import Sequence
 
 from ...llm.model import TransformerLM
+from ..config import EngineConfig
 from ..engine import InferenceEngine
 from ..prefix_cache import PrefixCoverage
 
@@ -28,14 +29,14 @@ class Worker(InferenceEngine):
         worker_id: stable index of this replica in the fleet.
         model: shared transformer substrate (weights are read-only, so all
             workers can share one instance).
-        **engine_kwargs: forwarded to :class:`~repro.serve.InferenceEngine`
-            (scheduler config, pool bounds, prefix caching, swap tiers...).
+        config: this replica's :class:`~repro.serve.EngineConfig`; the
+            worker builds its own pool, swap tiers and prefix cache from it.
     """
 
     def __init__(
-        self, worker_id: int, model: TransformerLM, **engine_kwargs
+        self, worker_id: int, model: TransformerLM, config: EngineConfig
     ) -> None:
-        super().__init__(model, **engine_kwargs)
+        super().__init__(model, config)
         self.worker_id = worker_id
 
     @property

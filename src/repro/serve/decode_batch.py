@@ -34,9 +34,9 @@ from time import perf_counter
 import numpy as np
 
 from ..baselines.base import KVCachePolicy
-from ..llm.generation import StepSelections
 from ..llm.kvcache import KVCache
 from ..llm.model import BatchSelector
+from .request import StepSelections
 from .state import RequestState
 
 __all__ = ["DecodeBatch", "DecodeMember"]

@@ -8,11 +8,10 @@ request from its :class:`~repro.serve.PolicySpec`, and emits
 :class:`~repro.serve.RequestOutput` objects with incrementally streamed
 tokens plus per-request serving metrics.
 
-Decode math is *identical* to the legacy single-sequence loop: each request
-owns its prefill/KVCache and its policy, and tokens are picked by masked
-argmax — so a batched run produces byte-identical tokens to sequential
-:func:`repro.llm.greedy_generate` calls (which is itself a thin wrapper over
-a one-request engine).
+Batching is transparent: each request owns its prefill/KVCache and its
+policy, and tokens are picked by masked argmax — so a batched run produces
+byte-identical tokens to the same requests run one at a time on a
+single-slot engine.
 
 There is one decode round (:meth:`InferenceEngine._run_decode_batch`, planned
 by :class:`~repro.serve.decode_batch.DecodeBatch`): one
@@ -42,7 +41,7 @@ Chunked and monolithic prefill produce bitwise-identical model outputs.
 
 Paged KV and the shared-prefix cache
 ------------------------------------
-With ``enable_prefix_caching=True`` every request's KVCache is a
+With a pool (``EngineConfig(pool=PoolConfig())``) every request's KVCache is a
 :class:`~repro.llm.kvcache.PagedKVCache` drawing fixed-size token blocks from
 a shared refcounted :class:`~repro.llm.kvcache.BlockAllocator`, and a
 :class:`~repro.serve.PrefixCache` hash-matches each incoming prompt against
@@ -61,7 +60,7 @@ those aggregates were snapshotted exactly
 
 Preemption and tiered KV under pool pressure
 --------------------------------------------
-With a *bounded* block pool (``kv_pool_blocks``) the engine degrades
+With a *bounded* block pool (``PoolConfig.blocks``) the engine degrades
 gracefully instead of failing: before any allocation-bearing step (a prefill
 chunk, a decode append, a swap-in) it reserves the blocks that step will
 write.  When the pool cannot supply them it first asks the prefix cache to
@@ -119,12 +118,13 @@ from ..llm.kvcache import (
 from ..llm.model import PrefillResult, PrefillState, TransformerLM
 from ..memory.devices import HardwareSpec
 from ..memory.latency import LatencyModel, resolve_method
+from .config import EngineConfig, resolve_config
 from .decode_batch import DecodeBatch
 from .metrics import EngineMetrics
 from .prefix_cache import PrefixCache
 from .pressure import PoolPressure
 from .request import Request, RequestOutput, RequestStatus
-from .scheduler import ContinuousBatchingScheduler, SchedulerConfig
+from .scheduler import ContinuousBatchingScheduler
 from .slo import SLOTuner
 from .state import RequestState
 
@@ -137,83 +137,35 @@ class InferenceEngine:
     Args:
         model: shared transformer substrate (stateless across requests —
             every request owns its KVCache through its prefill result).
-        scheduler_config: batching knobs; defaults to an 8-slot batch.
-        latency_model: analytical model driving the simulated clock; when
-            ``None`` one is built from the paper's RTX 4090 + PCIe 1.0
-            testbed and the substrate's geometry.
-        max_retained_outputs: retention bound on finished outputs.
-        enable_prefix_caching: allocate every request's KVCache from a shared
-            paged block pool and reuse matching prompt prefixes (KV blocks,
-            accumulated-score snapshots, PQ artifacts) across requests.
-            Without it there is no pool: setting ``kv_pool_blocks``,
-            ``swap_cpu_blocks``, ``swap_disk_blocks`` or
-            ``cache_decoded_blocks`` then raises
-            :class:`~repro.errors.ConfigurationError`.
-        kv_block_size: tokens per KV block (prefix granularity).
-        kv_pool_blocks: bound on the block pool; ``None`` grows on demand.
-            When the pool runs dry the engine first evicts/spills cold
-            prefix-cache chains, then preempts running requests
-            (``SchedulerConfig.preemption_mode``); a pool that cannot serve
-            a request even with everything else preempted raises
-            :class:`~repro.errors.CapacityError`.
-        swap_cpu_blocks: capacity (in blocks) of the CPU swap tier backing
-            swap-preemption; ``None`` (default) is unbounded.  When the CPU
-            tier fills, its oldest parked chains demote to the disk tier.
-        swap_disk_blocks: capacity of the disk tier (swap overflow + prefix
-            spill); ``None`` is unbounded.  Cold evicted prefix-cache chains
-            (KV blocks plus their PQ-snapshot/aggregate payloads) spill here
-            instead of being freed and restore bitwise on later hits — PQ
-            codes are ~1/64th the KV bytes, so snapshot spill is nearly free.
-            Every tier parks KV raw, so swapped and spilled chains restore
-            bitwise and every transfer is billed at its modelled size.
-        cache_decoded_blocks: also cache the blocks a request fills while
-            *decoding*, so a follow-up turn embedding the answer reuses them.
-            **Approximate reuse — off by default**: decoded tokens' KV was
-            computed through the decode kernel under the request's (possibly
-            sparse) attention policy, so it is not bitwise equal to what a
-            cold full-attention prefill of the same tokens would produce;
-            enabling this trades the byte-identity guarantee on the decoded
-            region for a higher hit rate (prompt-region reuse stays exact).
+        config: scheduler, paged pool, clock model and retention bound
+            (:class:`~repro.serve.EngineConfig`); the default is an 8-slot
+            batch without a paged pool.
         slo_tuner: opt-in SLO feedback loop (:class:`~repro.serve.SLOTuner`).
             The tuner observes finished requests and, every few steps,
             compares each targeted class's windowed TTFT quantile against
             its target, nudging the live proactive swap-out threshold and
             the scheduler's tenant-weight overrides.  Scheduling-only, like
-            every QoS knob: tokens and logits stay byte-identical.
+            every QoS knob: tokens and logits stay byte-identical.  It is
+            per-engine state, not configuration: one tuner serves one engine.
+        **keywords: shim — the pre-config options (``scheduler_config=``,
+            ``enable_prefix_caching=``, …), read by
+            :func:`~repro.serve.config.config_from_keywords`; not with ``config``.
     """
 
     def __init__(
         self,
         model: TransformerLM,
-        scheduler_config: SchedulerConfig | None = None,
-        latency_model: LatencyModel | None = None,
-        max_retained_outputs: int | None = None,
-        enable_prefix_caching: bool = False,
-        kv_block_size: int = 64,
-        kv_pool_blocks: int | None = None,
-        cache_decoded_blocks: bool = False,
-        swap_cpu_blocks: int | None = None,
-        swap_disk_blocks: int | None = None,
+        config: EngineConfig | None = None,
+        *,
         slo_tuner: "SLOTuner | None" = None,
+        **keywords,
     ) -> None:
-        if not enable_prefix_caching:
-            pool_only = {
-                "kv_pool_blocks": kv_pool_blocks is not None,
-                "swap_cpu_blocks": swap_cpu_blocks is not None,
-                "swap_disk_blocks": swap_disk_blocks is not None,
-                "cache_decoded_blocks": cache_decoded_blocks,
-            }
-            ignored = [name for name, given in pool_only.items() if given]
-            if ignored:
-                raise ConfigurationError(
-                    f"pool options {', '.join(ignored)} need "
-                    "enable_prefix_caching=True: without it there is no pool"
-                )
+        self.config = config = resolve_config(config, keywords, EngineConfig())
         self.model = model
         self.scheduler: ContinuousBatchingScheduler[RequestState] = (
-            ContinuousBatchingScheduler(scheduler_config)
+            ContinuousBatchingScheduler(config.scheduler)
         )
-        self.latency = latency_model or LatencyModel(
+        self.latency = config.latency_model or LatencyModel(
             HardwareSpec.paper_testbed(), model.config
         )
         self.metrics = EngineMetrics()
@@ -222,24 +174,15 @@ class InferenceEngine:
         #: runtime without thawing the frozen config (scheduling-only: it
         #: never changes what any request computes)
         self.proactive_swap_free_fraction = (
-            self.scheduler.config.proactive_swap_free_fraction
+            config.scheduler.proactive_swap_free_fraction
         )
         #: opt-in SLO feedback loop (see :class:`~repro.serve.SLOTuner`):
         #: observes finished requests and nudges the proactive threshold /
         #: tenant weights toward the configured per-class TTFT targets
         self.slo_tuner = slo_tuner
-        #: oldest finished outputs (which pin their request's KVCache and
-        #: per-step logits) are evicted beyond this count; ``None`` retains
-        #: everything — fine for batch jobs, set a bound for long-lived
-        #: serving loops or call :meth:`release` per request.  Under a
-        #: *bounded* pool, retained outputs do not block progress either
-        #: way: their pool references are reclaimed automatically under
-        #: pressure (one store, read through the table: the KVCache goes).
-        self.max_retained_outputs = max_retained_outputs
         self.block_allocator: BlockAllocator | None = None
         self.prefix_cache: PrefixCache | None = None
         self.swap_space: SwapSpace | None = None
-        self.cache_decoded_blocks = cache_decoded_blocks
         #: the pool-pressure ladder and transfer ledger over the three
         #: attributes above; ``None`` exactly when they are (no paged pool,
         #: so nothing to reserve, preempt, swap or spill)
@@ -247,19 +190,20 @@ class InferenceEngine:
         self._states: dict[str, RequestState] = {}
         self._seen_ids: set[str] = set()
         self._final_outputs: dict[str, RequestOutput] = {}
-        if enable_prefix_caching:
-            config = model.config
+        pool = config.pool
+        if pool is not None:
+            geometry = model.config
             self.block_allocator = BlockAllocator(
-                config.num_layers,
-                config.num_kv_heads,
-                config.head_dim,
-                block_size=kv_block_size,
-                capacity_blocks=kv_pool_blocks,
-                dtype_bytes=config.dtype_bytes,
+                geometry.num_layers,
+                geometry.num_kv_heads,
+                geometry.head_dim,
+                block_size=pool.block_size,
+                capacity_blocks=pool.blocks,
+                dtype_bytes=geometry.dtype_bytes,
             )
             self.swap_space = SwapSpace(
-                cpu_capacity_blocks=swap_cpu_blocks,
-                disk_capacity_blocks=swap_disk_blocks,
+                cpu_capacity_blocks=pool.cpu_blocks,
+                disk_capacity_blocks=pool.disk_blocks,
             )
             self.prefix_cache = PrefixCache(
                 self.block_allocator, spill_store=self.swap_space
@@ -565,10 +509,16 @@ class InferenceEngine:
         return output
 
     def _trim_retained_outputs(self) -> None:
-        """Evict the oldest retained finals beyond the retention bound."""
-        if self.max_retained_outputs is None:
+        """Evict the oldest retained finals beyond the retention bound.
+
+        Under a *bounded* pool, retained outputs do not block progress
+        either way: their pool references are reclaimed automatically under
+        pressure (one store, read through the table: the KVCache goes).
+        """
+        bound = self.config.max_retained_outputs
+        if bound is None:
             return
-        while len(self._final_outputs) > self.max_retained_outputs:
+        while len(self._final_outputs) > bound:
             output = self._final_outputs.pop(next(iter(self._final_outputs)))
             self._release_blocks(output)
 
@@ -598,7 +548,7 @@ class InferenceEngine:
 
         Returns a mapping ``request_id -> final RequestOutput`` for every
         request that finished during this call (independently of the
-        ``max_retained_outputs`` bound, which only governs what the engine
+        ``EngineConfig.max_retained_outputs`` bound, which only governs what the engine
         keeps pinned afterwards).
         """
         if requests is not None:
@@ -1192,7 +1142,7 @@ class InferenceEngine:
     def _cache_decoded_blocks(self, state: RequestState) -> None:
         """Extend the request's cached chain with its decoded tokens.
 
-        Opt-in (``cache_decoded_blocks``): a follow-up turn's prompt usually
+        Opt-in (``PoolConfig.cache_decoded_blocks``): a follow-up turn's prompt usually
         embeds this request's answer, so the blocks filled during decoding
         are prefix material too — but only *approximately*.  Decoded tokens'
         KV went through the decode kernel under this request's attention
@@ -1202,8 +1152,8 @@ class InferenceEngine:
         or PQ payloads — those are prompt-prefix artifacts).
         """
         if (
-            not self.cache_decoded_blocks
-            or self.prefix_cache is None
+            self.prefix_cache is None
+            or not self.config.pool.cache_decoded_blocks
             or state.paged is None
             or state.prefill is None
             or state.num_decoded == 0

@@ -416,7 +416,7 @@ class EngineMetrics:
     """Aggregate counters of one :class:`~repro.serve.InferenceEngine`.
 
     The ``prefix_cache_*`` counters cover the shared-prefix cache (all zero
-    when ``enable_prefix_caching`` is off) at the *reuse* level: lookups
+    without a ``PoolConfig``) at the *reuse* level: lookups
     performed, lookups whose match was actually attached, prompt tokens
     actually served from cached blocks, and total prompt tokens that went
     through the lookup path.  The cache's own

@@ -5,8 +5,7 @@ the engine: the prompt, the sampling parameters, and a :class:`PolicySpec`
 describing which KVCache policy to instantiate for it.  The engine answers
 with :class:`RequestOutput` objects — one per engine step that touched the
 request — carrying the newly streamed tokens and, once the request finishes,
-the full per-step logits/selections payload that the legacy
-:func:`repro.llm.greedy_generate` wrapper repackages.
+the full per-step logits/selections payload.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 from ..baselines.base import KVCachePolicy, SelectionBudget
 from ..baselines.registry import POLICY_NAMES, build_policy
 from ..errors import ConfigurationError
-from ..llm.generation import StepSelections
 from ..llm.model import PrefillResult
 from .metrics import RequestMetrics
 
@@ -33,7 +31,12 @@ __all__ = [
     "RequestStatus",
     "RequestOutput",
     "SelectionHook",
+    "StepSelections",
 ]
+
+#: Selection record of ONE decode step: per transformer layer, ``None`` (all
+#: attended) or the list of per-KV-head selected token index arrays.
+StepSelections = list[list[np.ndarray] | None]
 
 #: called from inside the per-layer selector with
 #: ``(layer_index, query, cache, selected)`` where ``selected`` is already
@@ -124,13 +127,12 @@ class PolicySpec:
 
     Policies are stateful (PQ codebooks, retained sets, GPU-cache stats), so
     requests must never share an instance; the engine calls :meth:`build`
-    exactly once per request.  Three construction styles are supported:
+    exactly once per request.  Two construction styles are supported:
 
     * :meth:`named` — canonical registry name + budget + options (the normal
       serving path, e.g. ``PolicySpec.named("pqcache", budget)``),
-    * :meth:`from_factory` — an arbitrary zero-arg callable,
-    * :meth:`from_instance` — wrap an already-built policy (single use; this
-      is what the legacy ``greedy_generate(policy=...)`` signature needs).
+    * :meth:`from_instance` — wrap an already-built policy (single use; for
+      a hand-built or instrumented policy).
     """
 
     def __init__(
@@ -138,10 +140,7 @@ class PolicySpec:
         name: str | None = None,
         budget: SelectionBudget | None = None,
         options: dict | None = None,
-        factory: Callable[[], KVCachePolicy] | None = None,
     ) -> None:
-        if name is not None and factory is not None:
-            raise ConfigurationError("PolicySpec takes a name or a factory, not both")
         if name is not None and budget is None:
             raise ConfigurationError("a named PolicySpec requires a budget")
         # Fail at request-creation time, not mid-serving after the request
@@ -153,7 +152,6 @@ class PolicySpec:
         self.name = name
         self.budget = budget
         self.options = dict(options or {})
-        self._factory = factory
         self._instance: KVCachePolicy | None = None
         self._instance_used = False
 
@@ -163,11 +161,6 @@ class PolicySpec:
     def named(cls, name: str, budget: SelectionBudget, **options) -> "PolicySpec":
         """Spec resolved through :func:`repro.baselines.build_policy`."""
         return cls(name=name, budget=budget, options=options)
-
-    @classmethod
-    def from_factory(cls, factory: Callable[[], KVCachePolicy]) -> "PolicySpec":
-        """Spec around an arbitrary policy factory."""
-        return cls(factory=factory)
 
     @classmethod
     def from_instance(cls, policy: KVCachePolicy) -> "PolicySpec":
@@ -181,7 +174,7 @@ class PolicySpec:
         """Whether :meth:`build` can be called again for the *same* request.
 
         Recompute-preemption discards a request's policy state and rebuilds
-        it from the spec on resume.  Named and factory specs produce a fresh
+        it from the spec on resume.  A named spec produces a fresh
         equivalent policy every time; an instance-wrapping spec cannot (the
         instance is stateful and single-use), so the engine swaps such
         requests instead of recomputing them.
@@ -198,8 +191,6 @@ class PolicySpec:
                 )
             self._instance_used = True
             return self._instance
-        if self._factory is not None:
-            return self._factory()
         if self.name is not None:
             assert self.budget is not None
             return build_policy(self.name, self.budget, **self.options)
@@ -291,7 +282,7 @@ class RequestOutput:
             provably-unmeetable deadline) or ``None`` while running.
         metrics: per-request serving metrics (TTFT, TPOT, bytes moved, ...).
         logits: ``(steps, vocab)`` per-decode-step logits (final output only).
-        selections: per-step :data:`~repro.llm.StepSelections` (final only).
+        selections: per-step :data:`StepSelections` (final only).
         prefill: the request's prefill result (final output only).
     """
 

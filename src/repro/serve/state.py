@@ -14,12 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..baselines.base import KVCachePolicy
-from ..llm.generation import StepSelections
 from ..llm.kvcache import PagedKVCache, SwappedBlocks
 from ..llm.model import PrefillResult, PrefillState
 from ..utils import DTYPE
 from .metrics import RequestMetrics
-from .request import Request, RequestStatus
+from .request import Request, RequestStatus, StepSelections
 
 __all__ = ["RequestState"]
 
@@ -121,7 +120,7 @@ class RequestState:
         return len(self.request.prompt_ids) - self.cached_prefix
 
     def pick_token(self, logits: np.ndarray) -> int:
-        """Masked greedy argmax — the same rule the legacy loop used."""
+        """Masked greedy argmax."""
         if self._forbidden.size:
             logits = logits.copy()
             logits[self._forbidden] = -np.inf

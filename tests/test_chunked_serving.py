@@ -241,8 +241,7 @@ class TestIncrementalPqServing:
         )
         request = Request(prompt_ids=prompt,
                           sampling=SamplingParams(max_new_tokens=2),
-                          policy_spec=PolicySpec.from_factory(
-                              lambda: Recording(BUDGET)))
+                          policy_spec=PolicySpec.from_instance(Recording(BUDGET)))
         out = engine.run([request])[request.request_id]
         assert len(out.token_ids) == 2
         assert chunks == [(0, 48, 100), (48, 96, 100), (96, 100, 100)]

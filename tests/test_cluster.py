@@ -17,9 +17,11 @@ from repro.baselines import SelectionBudget
 from repro.errors import ConfigurationError
 from repro.llm.kvcache import BlockAllocator, SwapSpace
 from repro.serve import (
+    EngineConfig,
     EngineMetrics,
     InferenceEngine,
     PolicySpec,
+    PoolConfig,
     PrefixCache,
     PrefixCoverage,
     QoSClassMetrics,
@@ -39,6 +41,9 @@ from repro.serve.cluster import (
 
 BUDGET = SelectionBudget(token_ratio=0.2, comm_ratio=1.0 / 64.0,
                          num_initial=4, num_local=16)
+
+#: a worker with a default-geometry paged pool (the fleet's default config)
+POOLED = EngineConfig(pool=PoolConfig())
 
 #: policy matrix from the issue: dense baseline + the paper's method + three
 #: published baselines (None means no policy_spec — full attention).
@@ -103,8 +108,8 @@ class TestPrefixCoverage:
         )
 
     def test_coverage_is_per_worker(self, model):
-        workers = [Worker(i, model, enable_prefix_caching=True, kv_block_size=4)
-                   for i in range(2)]
+        config = EngineConfig(pool=PoolConfig(block_size=4))
+        workers = [Worker(i, model, config) for i in range(2)]
         tokens = list(range(12))
         allocator = workers[0].prefix_cache.allocator
         blocks = [allocator.allocate() for _ in range(3)]
@@ -112,7 +117,7 @@ class TestPrefixCoverage:
         keys = chain_block_keys(tokens, 4)
         assert workers[0].prefix_coverage(keys) == PrefixCoverage(3, 3)
         assert workers[1].prefix_coverage(keys) == PrefixCoverage()
-        uncached = Worker(2, model)
+        uncached = Worker(2, model, EngineConfig())
         assert uncached.prefix_coverage(keys) == PrefixCoverage()
 
     def test_coverage_is_a_pure_read(self):
@@ -126,7 +131,7 @@ class TestPrefixCoverage:
 
 class TestCoverageTracksEngine:
     def test_coverage_follows_insert_spill_restore_evict(self, model, tiny_config):
-        worker = Worker(0, model, enable_prefix_caching=True)
+        worker = Worker(0, model, POOLED)
         prompt = make_prompts(tiny_config, (200,))[0]
         keys = chain_block_keys(prompt, worker.block_allocator.block_size)
         assert worker.prefix_coverage(keys) == PrefixCoverage()
@@ -150,8 +155,7 @@ class TestCoverageTracksEngine:
         assert worker.prefix_coverage(keys) == PrefixCoverage()
 
     def test_hard_eviction_shortens_the_known_run(self, model, tiny_config):
-        worker = Worker(0, model, enable_prefix_caching=True,
-                        swap_disk_blocks=0)
+        worker = Worker(0, model, EngineConfig(pool=PoolConfig(disk_blocks=0)))
         prompt = make_prompts(tiny_config, (200,))[0]
         keys = chain_block_keys(prompt, worker.block_allocator.block_size)
         worker.run(make_requests([prompt], None))
@@ -758,7 +762,7 @@ class TestClusterFrontend:
     def test_standalone_worker_is_a_plain_engine(self, model, tiny_config):
         """A Worker outside any frontend is a plain, fully functional
         engine."""
-        worker = Worker(7, model, enable_prefix_caching=True)
+        worker = Worker(7, model, POOLED)
         outputs = worker.run(make_requests(make_prompts(tiny_config, (120,)),
                                            None))
         assert worker.load == 0
@@ -891,7 +895,7 @@ class TestClusterQoS:
         assert np.array_equal(outputs["f0"].logits, ref.logits)
 
     def test_worker_reports_per_class_load(self, model, tiny_config):
-        worker = Worker(0, model, enable_prefix_caching=True)
+        worker = Worker(0, model, POOLED)
         requests = make_tagged_requests(make_prompts(tiny_config))
         for request in requests:
             worker.submit(request)

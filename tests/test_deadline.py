@@ -32,8 +32,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.serve import (
+    EngineConfig,
     EngineMetrics,
     InferenceEngine,
+    PoolConfig,
     QuantileDigest,
     Request,
     RequestQoS,
@@ -678,7 +680,7 @@ class TestSLOTuner:
 
 class TestWorkerDeadlineSignals:
     def test_backlog_and_slack_track_scheduled_deadlines(self, model, rng):
-        worker = Worker(0, model, enable_prefix_caching=True)
+        worker = Worker(0, model, EngineConfig(pool=PoolConfig()))
         worker.submit(make_request("a", make_prompt(rng), deadline=5.0))
         worker.submit(make_request("b", make_prompt(rng), deadline=1.0))
         worker.submit(make_request("c", make_prompt(rng)))  # untagged

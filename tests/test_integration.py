@@ -16,7 +16,8 @@ import pytest
 from repro.baselines import SelectionBudget, build_policy, default_policy_suite
 from repro.core import PQCacheConfig
 from repro.eval import EvaluationHarness
-from repro.llm import ModelConfig, TransformerLM, greedy_generate
+from repro.llm import ModelConfig, TransformerLM
+from repro.serve import InferenceEngine, PolicySpec, Request, SamplingParams
 from repro.workloads import kv_retrieval, single_fact_qa
 
 BUDGET = SelectionBudget(token_ratio=0.2, comm_ratio=1.0 / 64.0,
@@ -131,12 +132,17 @@ class TestEndToEndGeneration:
         model = TransformerLM(tiny_config, seed=0)
         rng = np.random.default_rng(5)
         prompt = rng.integers(4, tiny_config.vocab_size, size=200).tolist()
-        suite = default_policy_suite(BUDGET)
+        requests = {
+            name: Request(prompt_ids=prompt,
+                          sampling=SamplingParams(max_new_tokens=3),
+                          policy_spec=PolicySpec.from_instance(policy))
+            for name, policy in default_policy_suite(BUDGET).items()
+        }
+        finals = InferenceEngine(model).run(requests.values())
         outputs = {}
-        for name, policy in suite.items():
-            result = greedy_generate(model, prompt, max_new_tokens=3, policy=policy)
-            assert len(result.token_ids) == 3
-            outputs[name] = result.token_ids
+        for name, request in requests.items():
+            outputs[name] = finals[request.request_id].token_ids
+            assert len(outputs[name]) == 3
         # Full attention and the (exact) oracle agree on the first token at least.
         assert outputs["full"][0] == outputs["oracle"][0]
 
@@ -149,12 +155,13 @@ class TestEndToEndGeneration:
         prompt = rng.integers(4, tiny_config.vocab_size, size=160).tolist()
         generous = SelectionBudget(token_ratio=0.5, comm_ratio=1 / 64,
                                    num_initial=4, num_local=16)
-        full = greedy_generate(model, prompt, max_new_tokens=2,
-                               policy=build_policy("full", generous))
-        pqc = greedy_generate(model, prompt, max_new_tokens=2,
-                              policy=build_policy("pqcache", generous))
-        streaming = greedy_generate(model, prompt, max_new_tokens=2,
-                                    policy=build_policy("streaming-llm", generous))
+        requests = [
+            Request(prompt_ids=prompt, sampling=SamplingParams(max_new_tokens=2),
+                    policy_spec=PolicySpec.named(name, generous))
+            for name in ("full", "pqcache", "streaming-llm")
+        ]
+        finals = InferenceEngine(model).run(requests)
+        full, pqc, streaming = (finals[r.request_id] for r in requests)
         kl_pqc = logit_divergence(pqc.logits[0], full.logits[0])
         kl_streaming = logit_divergence(streaming.logits[0], full.logits[0])
         assert kl_pqc < kl_streaming

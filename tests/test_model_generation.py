@@ -1,11 +1,13 @@
-"""Tests for the transformer substrate, tokenizer and generation loop."""
+"""Tests for the transformer substrate, tokenizer and generation through the
+serving engine."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import FullAttentionPolicy, OracleTopKPolicy, SelectionBudget
 from repro.errors import ConfigurationError
-from repro.llm import ModelConfig, SimpleTokenizer, TransformerLM, greedy_generate
+from repro.llm import ModelConfig, SimpleTokenizer, TransformerLM
+from repro.serve import InferenceEngine, PolicySpec, Request, SamplingParams
 
 
 class TestPrefill:
@@ -119,33 +121,44 @@ class TestQkCoupling:
         assert np.allclose(model.embedding[7], override)
 
 
-class TestGreedyGenerate:
+def generate(model, prompt_ids, max_new_tokens, policy=None, forbidden_ids=()):
+    """One request alone on a fresh engine; its final output."""
+    request = Request(
+        prompt_ids=list(prompt_ids),
+        sampling=SamplingParams(max_new_tokens=max_new_tokens,
+                                forbidden_ids=tuple(forbidden_ids)),
+        policy_spec=None if policy is None else PolicySpec.from_instance(policy),
+    )
+    return InferenceEngine(model).run([request])[request.request_id]
+
+
+class TestEngineGeneration:
     def test_generates_requested_tokens(self, model, prompt_ids):
-        result = greedy_generate(model, prompt_ids[:40], max_new_tokens=4)
+        result = generate(model, prompt_ids[:40], max_new_tokens=4)
         assert len(result.token_ids) == 4
         assert result.logits.shape[0] == 4
 
     def test_policy_receives_selections(self, model, prompt_ids, budget, tiny_config):
         policy = OracleTopKPolicy(budget)
-        result = greedy_generate(model, prompt_ids[:80], max_new_tokens=2, policy=policy)
+        result = generate(model, prompt_ids[:80], max_new_tokens=2, policy=policy)
         assert len(result.selections) == 2
         assert len(result.selections[0]) == tiny_config.num_layers
 
     def test_full_policy_matches_no_policy(self, model, prompt_ids, budget):
-        without = greedy_generate(model, prompt_ids[:40], max_new_tokens=3)
-        with_full = greedy_generate(model, prompt_ids[:40], max_new_tokens=3,
-                                    policy=FullAttentionPolicy(budget))
+        without = generate(model, prompt_ids[:40], max_new_tokens=3)
+        with_full = generate(model, prompt_ids[:40], max_new_tokens=3,
+                             policy=FullAttentionPolicy(budget))
         assert without.token_ids == with_full.token_ids
 
     def test_forbidden_ids_never_emitted(self, model, prompt_ids):
         forbidden = list(range(0, 256))
-        result = greedy_generate(model, prompt_ids[:40], max_new_tokens=5,
-                                 forbidden_ids=forbidden)
+        result = generate(model, prompt_ids[:40], max_new_tokens=5,
+                          forbidden_ids=forbidden)
         assert all(t >= 256 for t in result.token_ids)
 
     def test_zero_tokens_rejected(self, model, prompt_ids):
         with pytest.raises(ConfigurationError):
-            greedy_generate(model, prompt_ids[:10], max_new_tokens=0)
+            generate(model, prompt_ids[:10], max_new_tokens=0)
 
 
 class TestTokenizer:

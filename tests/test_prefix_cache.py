@@ -196,25 +196,16 @@ class TestEngineByteIdentity:
     ):
         engine = _engine(small_model)
         _serve(engine, prompt, "pqcache")
-        state_probe = {}
-
-        def factory():
-            budget = SelectionBudget(
-                token_ratio=0.25, num_initial=4, num_local=16
-            )
-            policy = PQCachePolicy(budget, PQCacheConfig())
-            state_probe["policy"] = policy
-            return policy
-
-        rid = engine.submit(
+        budget = SelectionBudget(token_ratio=0.25, num_initial=4, num_local=16)
+        policy = PQCachePolicy(budget, PQCacheConfig())
+        engine.submit(
             Request(
                 prompt_ids=list(prompt),
                 sampling=SamplingParams(max_new_tokens=4),
-                policy_spec=PolicySpec.from_factory(factory),
+                policy_spec=PolicySpec.from_instance(policy),
             )
         )
         engine.run()
-        policy = state_probe["policy"]
         # The warm policy attached the producer's snapshot: the sketch fit
         # was skipped, so no from-scratch k-means iterations were spent
         # before the final refinement.

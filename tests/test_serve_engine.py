@@ -12,16 +12,17 @@ import pytest
 from repro.baselines import POLICY_NAMES, SelectionBudget, build_policy
 from repro.core import PQCacheConfig
 from repro.errors import ConfigurationError
-from repro.llm import StepSelections, greedy_generate
 from repro.memory import resolve_method
 from repro.serve import (
     ContinuousBatchingScheduler,
+    EngineConfig,
     InferenceEngine,
     PolicySpec,
     Request,
     RequestStatus,
     SamplingParams,
     SchedulerConfig,
+    StepSelections,
 )
 
 from test_qos import _Item
@@ -40,17 +41,27 @@ def make_prompts(tiny_config, lengths, seed=9):
             for n in lengths]
 
 
-class TestEngineLegacyEquivalence:
+def run_alone(model, prompt, max_new_tokens, policy=None):
+    """One request on a fresh single-slot engine: the sequential reference."""
+    request = Request(
+        prompt_ids=prompt,
+        sampling=SamplingParams(max_new_tokens=max_new_tokens),
+        policy_spec=None if policy is None else PolicySpec.from_instance(policy),
+    )
+    engine = InferenceEngine(model, EngineConfig(SchedulerConfig(max_batch_size=1)))
+    return engine.run([request])[request.request_id]
+
+
+class TestSequentialEquivalence:
     @pytest.mark.parametrize("policy_name", POLICY_NAMES)
     def test_batched_engine_matches_sequential_greedy(
         self, model, tiny_config, policy_name
     ):
-        """3 concurrent requests == 3 sequential greedy_generate calls,
+        """3 concurrent requests == the same 3 requests run one at a time,
         byte-identical tokens, for every registered policy."""
         prompts = make_prompts(tiny_config, PROMPT_LENS)
         sequential = [
-            greedy_generate(model, prompt, max_new_tokens=3,
-                            policy=build_policy(policy_name, BUDGET))
+            run_alone(model, prompt, 3, build_policy(policy_name, BUDGET))
             for prompt in prompts
         ]
 
@@ -69,15 +80,18 @@ class TestEngineLegacyEquivalence:
             assert out.finish_reason == "length"
             assert np.array_equal(out.logits, reference.logits)
 
-    def test_no_policy_matches_legacy_full_attention(self, model, tiny_config):
-        prompt = make_prompts(tiny_config, (100,))[0]
-        reference = greedy_generate(model, prompt, max_new_tokens=4)
-        engine = InferenceEngine(model)
-        request = Request(prompt_ids=prompt,
-                          sampling=SamplingParams(max_new_tokens=4))
-        out = engine.run([request])[request.request_id]
-        assert out.token_ids == reference.token_ids
-        assert np.array_equal(out.logits, reference.logits)
+    def test_no_policy_batched_matches_alone(self, model, tiny_config):
+        """Requests without a policy (full attention) batch transparently."""
+        prompts = make_prompts(tiny_config, PROMPT_LENS)
+        requests = [Request(prompt_ids=prompt,
+                            sampling=SamplingParams(max_new_tokens=4))
+                    for prompt in prompts]
+        outputs = InferenceEngine(model).run(requests)
+        for request, prompt in zip(requests, prompts):
+            reference = run_alone(model, prompt, 4)
+            out = outputs[request.request_id]
+            assert out.token_ids == reference.token_ids
+            assert np.array_equal(out.logits, reference.logits)
 
 
 class TestConcurrentServing:
@@ -207,7 +221,7 @@ class TestConcurrentServing:
 
     def test_stop_token_finishes_early(self, model, tiny_config):
         prompt = make_prompts(tiny_config, (100,))[0]
-        reference = greedy_generate(model, prompt, max_new_tokens=4)
+        reference = run_alone(model, prompt, 4)
         stop = reference.token_ids[1]
         engine = InferenceEngine(model)
         request = Request(
@@ -272,8 +286,9 @@ class TestSchedulerAndSpecs:
         {"cache_decoded_blocks": True},
     ], ids=lambda option: next(iter(option)))
     def test_pool_option_without_pool_rejected(self, model, option):
-        """Only ``enable_prefix_caching=True`` builds the block pool, so a
-        pool option set without it would silently do nothing."""
+        """Through the keyword shim only ``enable_prefix_caching=True``
+        builds the block pool, so a pool option set without it would
+        silently do nothing (an ``EngineConfig`` cannot spell it)."""
         with pytest.raises(ConfigurationError, match=next(iter(option))):
             InferenceEngine(model, **option)
         engine = InferenceEngine(model, enable_prefix_caching=True, **option)
@@ -318,11 +333,10 @@ class TestSchedulerAndSpecs:
         assert resolve_method("custom-dropper", is_dropping=True) == "snapkv"
         assert resolve_method("custom-offloader") == "sparq"
 
-    def test_step_selections_type_shared(self, model, tiny_config):
-        """Engine outputs and the legacy wrapper share StepSelections."""
+    def test_step_selections_type(self, model, tiny_config):
+        """Engine outputs report one StepSelections per decode step."""
         prompt = make_prompts(tiny_config, (100,))[0]
-        result = greedy_generate(model, prompt, max_new_tokens=2,
-                                 policy=build_policy("pqcache", BUDGET))
+        result = run_alone(model, prompt, 2, build_policy("pqcache", BUDGET))
         step = result.selections[0]
         assert isinstance(step, list) and len(step) == tiny_config.num_layers
         for layer_selection in step:
