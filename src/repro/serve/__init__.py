@@ -55,7 +55,6 @@ from .request import (
     StepSelections,
 )
 from .scheduler import ContinuousBatchingScheduler, SchedulerConfig, SchedulingDecision
-from .slo import SLOTuner
 
 __all__ = [
     "InferenceEngine",
@@ -70,7 +69,6 @@ __all__ = [
     "QoSClassMetrics",
     "QuantileDigest",
     "RequestMetrics",
-    "SLOTuner",
     "Replay",
     "replay",
     "PoolPressure",

@@ -4,7 +4,7 @@ PR 1–5 built one engine; this package scales it out: ``N``
 :class:`Worker` replicas (each a full
 :class:`~repro.serve.InferenceEngine`) behind a :class:`ClusterFrontend`,
 with a :class:`Router` choosing placements (``round_robin`` /
-``least_loaded`` / ``cache_aware`` / ``edf_aware``).  Cache-aware routing
+``least_loaded`` / ``cache_aware``).  Cache-aware routing
 hashes a prompt once and asks every worker's own prefix cache how much of
 it is resident or spilled there, so conversation turns land on the worker
 already holding their prefix; ``migrate_on_miss`` ships spilled

@@ -99,7 +99,7 @@ class ClusterFrontend:
             default one with a pool (cache-aware routing needs one).
         **keywords: shim — the pre-config options, with
             ``enable_prefix_caching`` defaulting to ``True``; not with
-            ``config``.  ``slo_tuner`` is per-engine state and is rejected.
+            ``config``.
     """
 
     def __init__(
@@ -113,9 +113,6 @@ class ClusterFrontend:
     ) -> None:
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
-        if "slo_tuner" in keywords:
-            raise ConfigurationError("a fleet cannot share one SLOTuner: its "
-                                     "window would mix every worker's requests")
         if keywords:
             keywords = {"enable_prefix_caching": True, **keywords}
         config = resolve_config(config, keywords, EngineConfig(pool=PoolConfig()))
@@ -153,7 +150,6 @@ class ClusterFrontend:
             self.workers,
             block_size=self.block_size,
             priority=request.qos.priority,
-            deadline=request.qos.deadline,
         )
         self.placements.append(placement)
         self.metrics.routed_by_class[request.qos.priority] = (

@@ -1,8 +1,8 @@
 """Placement policies: which worker serves an incoming request.
 
 The router is pure decision logic: given a prompt and the fleet's live
-signals — load, deadline backlog, and each worker's prefix-cache coverage of
-the prompt — it returns a :class:`Placement`.  It never affects *what* a
+signals — load and each worker's prefix-cache coverage of the prompt — it
+returns a :class:`Placement`.  It never affects *what* a
 request computes, only *where* (and therefore on whose simulated clock) it
 runs.
 
@@ -19,12 +19,6 @@ Policies:
   falls back to least-loaded; with ``migrate_on_miss``, a spilled chain on
   some worker's disk tier is shipped to the fallback target first (unless
   the owner *is* the target — restoring locally is strictly cheaper).
-* ``edf_aware`` — deadline-pressure balancing for EDF fleets: the worker
-  holding the fewest deadline-tagged requests the incoming one would queue
-  behind (its *nearest-deadline backlog*), then the worker with the most
-  slack to its own most urgent deadline, then per-class load, then the
-  lowest id.  A fleet without deadline-tagged work is all zero-backlog /
-  infinite-slack, which degrades to least-loaded.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from ..prefix_cache import PrefixCoverage, chain_block_keys
 
 __all__ = ["Router", "Placement", "RoutableWorker", "ROUTING_POLICIES"]
 
-ROUTING_POLICIES = ("round_robin", "least_loaded", "cache_aware", "edf_aware")
+ROUTING_POLICIES = ("round_robin", "least_loaded", "cache_aware")
 
 
 class RoutableWorker(Protocol):
@@ -48,10 +42,7 @@ class RoutableWorker(Protocol):
     def worker_id(self) -> int: ...
     @property
     def load(self) -> int: ...
-    @property
-    def nearest_deadline_slack(self) -> float: ...
     def load_at_or_above(self, priority: int) -> int: ...
-    def deadline_backlog(self, before_slack: "float | None" = None) -> int: ...
     def prefix_coverage(self, keys: Sequence[bytes]) -> PrefixCoverage: ...
 
 
@@ -106,7 +97,6 @@ class Router:
         workers: "Sequence[RoutableWorker]",
         block_size: "int | None" = None,
         priority: "int | None" = None,
-        deadline: "float | None" = None,
     ) -> Placement:
         """Choose a worker for one request.
 
@@ -121,11 +111,6 @@ class Router:
                 lower-class work does not delay a tagged request, so it
                 should not repel it either.  ``None`` keeps the total-load
                 signal.
-            deadline: the request's *relative* deadline in seconds, if any.
-                ``edf_aware`` uses it to count only the scheduled requests
-                the incoming one would actually queue behind under EDF
-                (those with less remaining slack); ``None`` counts every
-                deadline-tagged request.
         """
         if not workers:
             raise ConfigurationError("cannot place a request on zero workers")
@@ -136,13 +121,6 @@ class Router:
         if self.policy == "least_loaded":
             return Placement(
                 self._least_loaded(workers, priority).worker_id, self.policy
-            )
-        if self.policy == "edf_aware":
-            return Placement(
-                self._least_deadline_pressed(
-                    workers, priority, deadline
-                ).worker_id,
-                self.policy,
             )
         return self._place_cache_aware(
             prompt_ids, workers, block_size, priority
@@ -160,27 +138,6 @@ class Router:
         cls, workers: "Sequence[RoutableWorker]", priority: "int | None" = None
     ) -> RoutableWorker:
         return min(workers, key=lambda w: (cls._load(w, priority), w.worker_id))
-
-    @classmethod
-    def _least_deadline_pressed(
-        cls,
-        workers: "Sequence[RoutableWorker]",
-        priority: "int | None",
-        deadline: "float | None",
-    ) -> RoutableWorker:
-        """EDF-pressure balancing: fewest deadline-tagged requests ahead of
-        the incoming one, then most slack to the worker's nearest deadline,
-        then per-class load, then the lowest id."""
-
-        def rank(worker: RoutableWorker):
-            return (
-                worker.deadline_backlog(before_slack=deadline),
-                -worker.nearest_deadline_slack,
-                cls._load(worker, priority),
-                worker.worker_id,
-            )
-
-        return min(workers, key=rank)
 
     def _place_cache_aware(
         self,

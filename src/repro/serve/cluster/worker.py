@@ -3,7 +3,7 @@
 A :class:`Worker` *is* an :class:`~repro.serve.InferenceEngine` — same
 pool/scheduler/clock/prefix-cache core, same byte-identical admit → prefill
 → decode loop — plus a worker id and the signals the router reads live: its
-load, its deadline backlog, and its prefix cache's coverage of a prompt.
+load and its prefix cache's coverage of a prompt.
 Keeping the worker a plain engine subclass is what makes the cluster's
 byte-identity invariant structural: placement decides *which* engine runs a
 request, and every engine runs it identically.
@@ -11,7 +11,6 @@ request, and every engine runs it identically.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from ...llm.model import TransformerLM
@@ -59,44 +58,6 @@ class Worker(InferenceEngine):
             )
             if item.priority >= priority
         )
-
-    def _scheduled_deadlines(self) -> "list[float]":
-        """Absolute deadlines of every scheduled (waiting or running) request."""
-        return [
-            item.deadline_time
-            for item in (
-                self.scheduler.waiting_items() + self.scheduler.running_items()
-            )
-            if item.deadline_time is not None
-        ]
-
-    def deadline_backlog(self, before_slack: "float | None" = None) -> int:
-        """Scheduled deadline-tagged requests — the router's EDF signal.
-
-        With ``before_slack`` (an incoming request's *relative* deadline),
-        count only those whose remaining slack is strictly smaller: the
-        requests EDF would order ahead of the incoming one on this worker.
-        ``None`` counts every deadline-tagged scheduled request.
-        """
-        clock = self.metrics.clock
-        return sum(
-            1
-            for deadline_time in self._scheduled_deadlines()
-            if before_slack is None or deadline_time - clock < before_slack
-        )
-
-    @property
-    def nearest_deadline_slack(self) -> float:
-        """Seconds until this worker's most urgent scheduled deadline.
-
-        ``inf`` when no scheduled request carries a deadline (negative when
-        a scheduled deadline has already passed) — the router's slack
-        tie-break prefers the worker that can best absorb urgent work.
-        """
-        deadlines = self._scheduled_deadlines()
-        if not deadlines:
-            return math.inf
-        return min(deadlines) - self.metrics.clock
 
     def prefix_coverage(self, keys: Sequence[bytes]) -> PrefixCoverage:
         """This worker's leading-prefix coverage of a prompt's chain keys —

@@ -37,16 +37,12 @@ class PoolConfig:
             its oldest parked chains demote to disk.
         disk_blocks: disk-tier capacity for swap overflow and spilled prefix
             chains (``None``: unbounded).
-        cache_decoded_blocks: also cache the blocks filled while *decoding*.
-            Approximate reuse, off by default: decoded KV depends on the
-            request's attention policy, so it is not bitwise a cold prefill.
     """
 
     block_size: int = 64
     blocks: int | None = None
     cpu_blocks: int | None = None
     disk_blocks: int | None = None
-    cache_decoded_blocks: bool = False
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:
@@ -56,8 +52,6 @@ class PoolConfig:
         for name in ("cpu_blocks", "disk_blocks"):
             if getattr(self, name) is not None and getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0 or None")
-        if not isinstance(self.cache_decoded_blocks, bool):
-            raise ConfigurationError("cache_decoded_blocks must be a bool")
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,6 @@ def config_from_keywords(
     enable_prefix_caching: bool = False,
     kv_block_size: int = 64,
     kv_pool_blocks: int | None = None,
-    cache_decoded_blocks: bool = False,
     swap_cpu_blocks: int | None = None,
     swap_disk_blocks: int | None = None,
 ) -> EngineConfig:
@@ -111,11 +104,10 @@ def config_from_keywords(
     pool = None
     if enable_prefix_caching:
         pool = PoolConfig(kv_block_size, kv_pool_blocks, swap_cpu_blocks,
-                          swap_disk_blocks, cache_decoded_blocks)
+                          swap_disk_blocks)
     else:
         given = {"kv_pool_blocks": kv_pool_blocks, "swap_cpu_blocks": swap_cpu_blocks,
-                 "swap_disk_blocks": swap_disk_blocks,
-                 "cache_decoded_blocks": cache_decoded_blocks or None}
+                 "swap_disk_blocks": swap_disk_blocks}
         ignored = [name for name, value in given.items() if value is not None]
         if ignored:
             raise ConfigurationError(

@@ -66,7 +66,7 @@ chunk, a decode append, a swap-in) it reserves the blocks that step will
 write.  When the pool cannot supply them it first asks the prefix cache to
 evict — which, with the disk spill tier, demotes cold chains to NVMe instead
 of dropping them — and then *preempts* a victim request
-(``SchedulerConfig.victim_policy``, LIFO by default).  Two victim fates
+(the most recently admitted of the lowest running class).  Two victim fates
 exist (``SchedulerConfig.preemption_mode``):
 
 * ``"swap"`` — the victim's blocks are copied to the CPU tier of the
@@ -125,7 +125,6 @@ from .prefix_cache import PrefixCache
 from .pressure import PoolPressure
 from .request import Request, RequestOutput, RequestStatus
 from .scheduler import ContinuousBatchingScheduler
-from .slo import SLOTuner
 from .state import RequestState
 
 __all__ = ["InferenceEngine"]
@@ -140,13 +139,6 @@ class InferenceEngine:
         config: scheduler, paged pool, clock model and retention bound
             (:class:`~repro.serve.EngineConfig`); the default is an 8-slot
             batch without a paged pool.
-        slo_tuner: opt-in SLO feedback loop (:class:`~repro.serve.SLOTuner`).
-            The tuner observes finished requests and, every few steps,
-            compares each targeted class's windowed TTFT quantile against
-            its target, nudging the live proactive swap-out threshold and
-            the scheduler's tenant-weight overrides.  Scheduling-only, like
-            every QoS knob: tokens and logits stay byte-identical.  It is
-            per-engine state, not configuration: one tuner serves one engine.
         **keywords: shim — the pre-config options (``scheduler_config=``,
             ``enable_prefix_caching=``, …), read by
             :func:`~repro.serve.config.config_from_keywords`; not with ``config``.
@@ -156,8 +148,6 @@ class InferenceEngine:
         self,
         model: TransformerLM,
         config: EngineConfig | None = None,
-        *,
-        slo_tuner: "SLOTuner | None" = None,
         **keywords,
     ) -> None:
         self.config = config = resolve_config(config, keywords, EngineConfig())
@@ -169,17 +159,6 @@ class InferenceEngine:
             HardwareSpec.paper_testbed(), model.config
         )
         self.metrics = EngineMetrics()
-        #: live proactive swap-out threshold, seeded from the scheduler
-        #: config; mutable so the opt-in SLO feedback loop can move it at
-        #: runtime without thawing the frozen config (scheduling-only: it
-        #: never changes what any request computes)
-        self.proactive_swap_free_fraction = (
-            config.scheduler.proactive_swap_free_fraction
-        )
-        #: opt-in SLO feedback loop (see :class:`~repro.serve.SLOTuner`):
-        #: observes finished requests and nudges the proactive threshold /
-        #: tenant weights toward the configured per-class TTFT targets
-        self.slo_tuner = slo_tuner
         self.block_allocator: BlockAllocator | None = None
         self.prefix_cache: PrefixCache | None = None
         self.swap_space: SwapSpace | None = None
@@ -267,12 +246,6 @@ class InferenceEngine:
             self.scheduler.submit(state)
             self._admission_control(state)
 
-    #: never-admitted predicate for shed-victim ranking — re-queued
-    #: preemption victims already hold generated tokens and are never shed
-    @staticmethod
-    def _never_admitted(item: RequestState) -> bool:
-        return item.status is RequestStatus.WAITING
-
     def min_ttft_lower_bound(self, num_prompt_tokens: int) -> float:
         """Provable lower bound on the uncontended TTFT of a prompt.
 
@@ -294,48 +267,20 @@ class InferenceEngine:
         )
 
     def _admission_control(self, state: RequestState) -> None:
-        """Apply the opt-in load-shedding rules to a just-arrived request.
+        """Shed a just-arrived request whose deadline is provably unmeetable.
 
-        ``shed_missed_deadlines`` sheds a deadline-tagged request whose
-        deadline is *provably* unmeetable — :meth:`min_ttft_lower_bound` of
-        its prompt alone exceeds the relative deadline, so even an idle
-        engine could not produce the first token in time
-        (``finish_reason="deadline"``).  ``shed_infeasible`` sheds a
-        request whose *prompt alone* needs more
-        pool blocks than the whole pool holds — no schedule could ever
-        complete it, so failing fast beats a guaranteed
-        :class:`CapacityError` later.  ``max_waiting`` bounds the waiting
-        queue: on overflow the lowest-ranked *never-admitted* waiting
-        request (lowest priority class, newest within it — possibly the
-        incoming one itself) is shed; preemption victims re-queued for
-        resume are never shed, they already hold generated tokens.
+        With ``shed_missed_deadlines``, a deadline-tagged request whose
+        :meth:`min_ttft_lower_bound` alone exceeds its relative deadline is
+        shed on arrival: even an idle engine could not produce its first
+        token in time.
         """
-        config = self.scheduler.config
         if (
-            config.shed_missed_deadlines
+            self.scheduler.config.shed_missed_deadlines
             and state.request.qos.deadline is not None
             and self.min_ttft_lower_bound(len(state.request.prompt_ids))
             > state.request.qos.deadline
         ):
-            self._shed(state, reason="deadline")
-            return
-        if (
-            config.shed_infeasible
-            and self.block_allocator is not None
-            and self.block_allocator.capacity_blocks is not None
-        ):
-            block = self.block_allocator.block_size
-            needed = -(-len(state.request.prompt_ids) // block)
-            if needed > self.block_allocator.capacity_blocks:
-                self._shed(state)
-                return
-        if (
-            config.max_waiting is not None
-            and self.scheduler.num_waiting > config.max_waiting
-        ):
-            victim = self.scheduler.lowest_ranked_waiting(self._never_admitted)
-            if victim is not None:
-                self._shed(victim)
+            self._shed(state)
 
     def _shed_missed_deadlines(self) -> int:
         """Shed never-admitted waiting requests whose deadline has passed.
@@ -353,17 +298,17 @@ class InferenceEngine:
         expired = [
             item
             for item in self.scheduler.waiting_items()
-            if self._never_admitted(item)
+            if item.status is RequestStatus.WAITING
             and item.deadline_time is not None
             and clock > item.deadline_time
         ]
         for state in expired:
-            self._shed(state, reason="deadline")
+            self._shed(state)
         return len(expired)
 
-    def _shed(self, state: RequestState, reason: str = "shed") -> RequestOutput:
-        """Refuse a waiting request (``finish_reason="shed"`` for load
-        shedding, ``"deadline"`` for a missed or unmeetable deadline).
+    def _shed(self, state: RequestState) -> RequestOutput:
+        """Refuse a waiting request for a missed or unmeetable deadline
+        (``finish_reason="deadline"``).
 
         Shed requests have never been admitted, so they hold no pool blocks,
         swap handles, or policy state — only their queue slot and state
@@ -371,10 +316,9 @@ class InferenceEngine:
         :meth:`step` so streaming consumers observe it.
         """
         self.scheduler.remove(state)
-        self._finish(state, reason)
+        self._finish(state, "deadline")
         output = self._retire(state, self._make_output(state, []), "requests_shed")
-        if reason == "deadline":
-            self.metrics.count("deadline_misses", state.priority, state.tenant)
+        self.metrics.count("deadline_misses", state.priority, state.tenant)
         self._pending_shed_outputs.append(output)
         self._trim_retained_outputs()
         return output
@@ -414,7 +358,7 @@ class InferenceEngine:
         self._release_arrivals()
         self._shed_missed_deadlines()
         if self.pressure is not None:
-            self.pressure.proactive_swap_out(self.proactive_swap_free_fraction)
+            self.pressure.proactive_swap_out()
         shed_outputs = self._pending_shed_outputs
         self._pending_shed_outputs = []
         decision = self.scheduler.schedule()
@@ -484,16 +428,11 @@ class InferenceEngine:
             output = self._make_output(state, new_tokens.get(state.request.request_id, []))
             outputs.append(output)
             if state.finished:
-                self._cache_decoded_blocks(state)
                 self.scheduler.finish(state)
                 self._retire(state, output, "requests_finished")
                 self.metrics.class_bucket(state.priority).observe_finish(state.metrics)
                 self.metrics.tenant_bucket(state.tenant).observe_finish(state.metrics)
-                if self.slo_tuner is not None:
-                    self.slo_tuner.observe(state)
         self._trim_retained_outputs()
-        if self.slo_tuner is not None:
-            self.slo_tuner.on_step(self)
         return shed_outputs + outputs
 
     def _retire(
@@ -1138,32 +1077,6 @@ class InferenceEngine:
         self.metrics.pq_refresh_seconds += seconds
 
     # ------------------------------------------------------------- finish
-
-    def _cache_decoded_blocks(self, state: RequestState) -> None:
-        """Extend the request's cached chain with its decoded tokens.
-
-        Opt-in (``PoolConfig.cache_decoded_blocks``): a follow-up turn's prompt usually
-        embeds this request's answer, so the blocks filled during decoding
-        are prefix material too — but only *approximately*.  Decoded tokens'
-        KV went through the decode kernel under this request's attention
-        policy, so reusing it is not bitwise equal to a cold prefill of the
-        same tokens; the engine therefore never caches the decoded region
-        unless explicitly asked to.  Only KV content is cached (no aggregate
-        or PQ payloads — those are prompt-prefix artifacts).
-        """
-        if (
-            self.prefix_cache is None
-            or not self.config.pool.cache_decoded_blocks
-            or state.paged is None
-            or state.prefill is None
-            or state.num_decoded == 0
-        ):
-            return
-        decoded = (
-            state.forced if state.forced is not None else state.generated
-        )[: state.num_decoded]
-        chain_ids = list(state.request.prompt_ids) + [int(t) for t in decoded]
-        self.prefix_cache.insert(chain_ids, state.paged.table.block_ids)
 
     def _finish(self, state: RequestState, reason: str) -> None:
         state.status = RequestStatus.FINISHED

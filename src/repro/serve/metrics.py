@@ -31,9 +31,7 @@ class QuantileDigest:
       engine counters give);
     * :meth:`snapshot` returns a detached copy safe to retain while the
       live digest keeps observing;
-    * :meth:`reset` zeroes in place for windowed reporting, and
-      :meth:`delta` subtracts an earlier snapshot bucket-by-bucket to read
-      a window's quantiles without resetting the cumulative stream.
+    * :meth:`reset` zeroes in place for windowed reporting.
 
     Memory is bounded by ``max_buckets``: under pressure the lowest two
     buckets collapse (DDSketch's policy), degrading only the extreme low
@@ -171,32 +169,6 @@ class QuantileDigest:
         while len(self._counts) > self.max_buckets:
             self._collapse()
         return self
-
-    def delta(self, earlier: "QuantileDigest | None") -> "QuantileDigest":
-        """The window since an ``earlier`` snapshot of *this* stream.
-
-        Bucket counts subtract exactly (they are additive), so windowed
-        quantiles carry the same error bound as cumulative ones; the
-        window inherits the cumulative stream's min/max (clamp bounds
-        only).  ``None`` returns a snapshot of the full stream.
-        """
-        if earlier is None:
-            return self.snapshot()
-        if earlier.relative_error != self.relative_error:
-            raise ConfigurationError(
-                "delta requires snapshots of the same digest stream"
-            )
-        window = QuantileDigest(self.relative_error, self.max_buckets)
-        for index, count in self._counts.items():
-            remaining = count - earlier._counts.get(index, 0)
-            if remaining > 0:
-                window._counts[index] = remaining
-        window._zero = max(self._zero - earlier._zero, 0)
-        window.count = max(self.count - earlier.count, 0)
-        window.total = self.total - earlier.total
-        window._min = self._min
-        window._max = self._max
-        return window
 
     def reset(self) -> None:
         """Zero in place (windowed-reporting support)."""
@@ -478,15 +450,14 @@ class EngineMetrics:
     preemptions_swap: int = 0
     preemptions_recompute: int = 0
     #: QoS accounting (all zero/empty without tagged traffic): requests
-    #: refused by admission control, the subset of those shed for a missed
-    #: or provably-unmeetable deadline (``finish_reason="deadline"``; every
-    #: deadline miss also counts in ``requests_shed``), proactive swap-outs
-    #: of idle low-priority work, SLO-tuner knob adjustments, and
-    #: per-priority-class / per-tenant counter buckets (see
-    #: :class:`QoSClassMetrics`; dict values merge per key, counters sum).
+    #: shed before admission, all of them for a missed or
+    #: provably-unmeetable deadline (``finish_reason="deadline"``, so
+    #: ``deadline_misses`` equals ``requests_shed``), proactive swap-outs
+    #: of idle low-priority work, and per-priority-class / per-tenant
+    #: counter buckets (see :class:`QoSClassMetrics`; dict values merge per
+    #: key, counters sum).
     requests_shed: int = 0
     deadline_misses: int = 0
-    slo_tunings: int = 0
     proactive_swap_outs: int = 0
     per_class: dict = field(default_factory=dict)
     per_tenant: dict = field(default_factory=dict)

@@ -205,14 +205,14 @@ class PoolPressure:
         outputs, oldest first (one store, read through the table: their KV
         goes, and blocks the prefix cache shares become evictable next pass),
         (3) preempt victim requests submitted *after* ``state``
-        (``victim_policy`` order among them, skipping requests that hold no
-        pool blocks).  Victim eligibility is :meth:`_may_preempt`:
-        strictly lower priority classes first, then same-class requests
-        submitted after ``state`` — the per-class age restriction is the
-        progress guarantee: the top-ranked active request can take blocks
-        from everyone, so it always completes, then the next, and so on —
-        two requests can never preempt each other back and forth without
-        anybody finishing.
+        (:meth:`~repro.serve.ContinuousBatchingScheduler.pick_victim` order
+        among them, skipping requests that hold no pool blocks).  Victim
+        eligibility is :meth:`_may_preempt`: strictly lower priority classes
+        first, then same-class requests submitted after ``state`` — the
+        per-class age restriction is the progress guarantee: the top-ranked
+        active request can take blocks from everyone, so it always
+        completes, then the next, and so on — two requests can never preempt
+        each other back and forth without anybody finishing.
 
         Returns ``False`` when the demand cannot be met but an *outranking*
         request (higher class, or older in the same class) is still active
@@ -271,14 +271,12 @@ class PoolPressure:
                     (state.priority, state.seq, victim.priority, victim.seq)
                 )
 
-    def proactive_swap_out(self, threshold: "float | None") -> int:
+    def proactive_swap_out(self) -> int:
         """Swap out low-priority running requests ahead of waiting work.
 
         Runs at the start of a step, before admission: when the pool's free
-        fraction has dropped below ``threshold`` (the engine's live
-        ``proactive_swap_free_fraction``, seeded from
-        :attr:`SchedulerConfig.proactive_swap_free_fraction`; the opt-in
-        SLO tuner may move it at runtime) and the waiting
+        fraction has dropped below
+        :attr:`SchedulerConfig.proactive_swap_free_fraction` and the waiting
         queue holds *strictly higher-priority* work than some running
         request, the lowest-priority (then youngest) block-holding running
         request is swap-preempted — idle-but-unfinished background work
@@ -289,6 +287,7 @@ class PoolPressure:
         tiers are full.  Returns the number of requests swapped out.
         """
         allocator = self.allocator
+        threshold = self.scheduler.config.proactive_swap_free_fraction
         if threshold is None or allocator.capacity_blocks is None:
             return 0
         swapped = 0

@@ -277,9 +277,9 @@ class RequestOutput:
         new_token_ids: tokens first emitted during this engine step.
         token_ids: all tokens emitted so far (prompt excluded).
         finished: whether the request completed this step.
-        finish_reason: ``"length"``, ``"stop"``, ``"aborted"``, ``"shed"``
-            (refused by admission control), ``"deadline"`` (missed or
-            provably-unmeetable deadline) or ``None`` while running.
+        finish_reason: ``"length"``, ``"stop"``, ``"aborted"``,
+            ``"deadline"`` (shed for a missed or provably-unmeetable
+            deadline) or ``None`` while running.
         metrics: per-request serving metrics (TTFT, TPOT, bytes moved, ...).
         logits: ``(steps, vocab)`` per-decode-step logits (final output only).
         selections: per-step :data:`StepSelections` (final only).

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Generic, List, Optional, Protocol, Tuple, TypeVar
+from typing import Generic, List, Protocol, Tuple, TypeVar
 
 from ..errors import ConfigurationError
 
@@ -42,7 +42,7 @@ __all__ = [
 
 
 class Schedulable(Protocol):
-    """What the scheduler (and the SLO tuner) read of a scheduled item.
+    """What the scheduler reads of a scheduled item.
 
     With one best-effort deadline-less class (``priority`` 0, one ``tenant``,
     ``deadline_time`` ``None``) every code path is the pre-QoS FCFS one.
@@ -51,7 +51,7 @@ class Schedulable(Protocol):
         priority: QoS class; higher admits first and is preempted last.
         tenant: weighted-fair grouping of the chunked-prefill budget.
         weight: the tenant's declared share of that budget.
-        seq: submission order (newest is shed first within a class).
+        seq: release order (newest is preempted first within a class).
         deadline_time: absolute simulated-clock deadline (EDF ordering
             within the class), or ``None``.
         remaining_prefill_tokens: prompt tokens still to prefill — the
@@ -97,31 +97,12 @@ class SchedulerConfig:
             traffic, more compute).  Requests whose policy cannot be rebuilt
             deterministically (``PolicySpec.from_instance``) are swapped
             even in recompute mode.
-        victim_policy: which running request is preempted first.  ``"lifo"``
-            (default) picks the most recently admitted — the one that has
-            wasted the least work, vLLM's default; ``"fifo"`` picks the
-            oldest.  With QoS-tagged traffic the policy only breaks ties
-            *within* a priority class: victims always come from the lowest
-            running class first.
-        max_waiting: admission-control cap on the waiting queue.  ``None``
-            (default) never sheds; with a cap, a submit that would overflow
-            the queue sheds the lowest-ranked never-admitted waiting request
-            (lowest priority class, newest within it) with
-            ``finish_reason="shed"``.
-        shed_infeasible: shed a request on arrival when it is *provably*
-            infeasible — its prompt alone needs more KV blocks than the
-            whole pool holds, so no schedule could ever complete it.  Off by
-            default: the pre-QoS contract is a ``CapacityError`` when such a
-            request reaches the head of the queue.
         proactive_swap_free_fraction: when the free fraction of the block
             pool drops below this threshold at the start of a step and
             higher-priority work is waiting, the engine proactively swaps
             out the lowest-priority running requests before admission
             instead of waiting for a reactive preemption mid-allocation.
-            ``None`` (default) disables proactive swap-out.  This value is
-            the *baseline*: the engine copies it to a mutable
-            ``proactive_swap_free_fraction`` attribute that the opt-in SLO
-            tuner (:class:`~repro.serve.SLOTuner`) may move at runtime.
+            ``None`` (default) disables proactive swap-out.
         shed_missed_deadlines: shed deadline-tagged requests that cannot
             meet their deadline — on arrival when the deadline is *provably*
             unmeetable (the prefill-compute lower bound of the prompt alone
@@ -137,9 +118,6 @@ class SchedulerConfig:
     max_prefills_per_step: int = 2
     max_prefill_chunk_tokens: int | None = None
     preemption_mode: str = "swap"
-    victim_policy: str = "lifo"
-    max_waiting: int | None = None
-    shed_infeasible: bool = False
     proactive_swap_free_fraction: float | None = None
     shed_missed_deadlines: bool = True
 
@@ -155,12 +133,6 @@ class SchedulerConfig:
         if self.preemption_mode not in ("swap", "recompute"):
             raise ConfigurationError(
                 "preemption_mode must be 'swap' or 'recompute'"
-            )
-        if self.victim_policy not in ("lifo", "fifo"):
-            raise ConfigurationError("victim_policy must be 'lifo' or 'fifo'")
-        if self.max_waiting is not None and self.max_waiting <= 0:
-            raise ConfigurationError(
-                "max_waiting must be positive (or None to disable shedding)"
             )
         if self.proactive_swap_free_fraction is not None and not (
             0.0 < self.proactive_swap_free_fraction <= 1.0
@@ -202,14 +174,6 @@ class ContinuousBatchingScheduler(Generic[T]):
         self.config = config or SchedulerConfig()
         self._waiting: List[T] = []
         self._running: List[T] = []
-        #: per-tenant weight overrides consulted ahead of the items' own
-        #: declared weights — the SLO tuner's handle on the weighted-fair
-        #: chunk split (requests' frozen QoS declarations stay untouched)
-        self.tenant_weights: dict[str, float] = {}
-
-    def _weight(self, item: T) -> float:
-        """The item's chunk-budget weight: the tuner's override, else its own."""
-        return float(self.tenant_weights.get(item.tenant, item.weight))
 
     # ------------------------------------------------------------- queues
 
@@ -273,27 +237,6 @@ class ContinuousBatchingScheduler(Generic[T]):
         within the class)."""
         self._insert_waiting(item, front_of_class=False)
 
-    def lowest_ranked_waiting(
-        self, eligible: "Optional[Callable[[T], bool]]" = None
-    ) -> T | None:
-        """The waiting item admission values *least* — the shedding victim.
-
-        Lowest priority class; newest (highest ``seq``) within it.  This is
-        the single shed-victim ranking shared by every shed path: the
-        engine's ``max_waiting`` overflow and deadline sweeps both rank
-        through here.  ``eligible`` filters the candidates — the engine
-        passes a never-admitted predicate so re-queued preemption victims
-        (which already hold generated tokens) are never chosen.
-        """
-        candidates = (
-            self._waiting
-            if eligible is None
-            else [item for item in self._waiting if eligible(item)]
-        )
-        if not candidates:
-            return None
-        return min(candidates, key=lambda it: (it.priority, -it.seq))
-
     def finish(self, item: T) -> None:
         """Release the batch slot of a finished request."""
         self._running.remove(item)
@@ -341,20 +284,14 @@ class ContinuousBatchingScheduler(Generic[T]):
         """Choose the running request to preempt under pool pressure.
 
         Victims come from the lowest running priority class first (no
-        cross-class inversion: a class never bleeds for a lower one); the
-        configured ``victim_policy`` breaks ties within the class —
-        ``"lifo"`` prefers the most recently admitted (least sunk work,
-        vLLM's default), ``"fifo"`` the oldest.  Items in ``exclude``
-        (typically the request that needs the memory) are never chosen.
-        Returns ``None`` when no running request is eligible.
+        cross-class inversion: a class never bleeds for a lower one); within
+        the class the most recently admitted goes first (LIFO: the least
+        sunk work, vLLM's default).  Items in ``exclude`` (typically the
+        request that needs the memory) are never chosen.  Returns ``None``
+        when no running request is eligible.
         """
-        order = (
-            reversed(self._running)
-            if self.config.victim_policy == "lifo"
-            else iter(self._running)
-        )
         best: T | None = None
-        for item in order:
+        for item in reversed(self._running):
             if any(item is excluded for excluded in exclude):
                 continue
             if best is None or item.priority < best.priority:
@@ -432,7 +369,7 @@ class ContinuousBatchingScheduler(Generic[T]):
             # the remaining budget; a tenant that cannot use its share rolls
             # the leftover over to the hungrier tenants.
             weights = {
-                name: max(self._weight(item) for item in members)
+                name: max(float(item.weight) for item in members)
                 for name, members in tenants.items()
             }
             demands = {

@@ -3,8 +3,8 @@
 * ``InferenceEngine.submit(request, arrival_time=)``: a past time is stamped
   as given, a future one is held outside the scheduler until a step's clock
   reaches it, and a step with nothing runnable idles to the next arrival;
-  every outcome of a held request (abort, drain, admission control, deadline
-  shedding, duplicate ids, bad times) is defined;
+  every outcome of a held request (abort, drain, deadline shedding,
+  duplicate ids, bad times) is defined;
 * equivalence with the hand-clock loop it replaced
   (:mod:`replay_oracle`), and of ``submit(r)`` with
   ``submit(r, arrival_time=clock)`` on preemption-fuzz seeds;
@@ -161,34 +161,6 @@ class TestHeldArrivals:
         assert engine.num_waiting == 1
         assert engine.has_unfinished
 
-    def test_max_waiting_acts_at_release(self, model, rng):
-        engine = InferenceEngine(
-            model,
-            scheduler_config=SchedulerConfig(max_batch_size=1, max_waiting=1),
-        )
-        for rid in ("a", "b", "c"):
-            engine.submit(make_request(rid, rng, vocab=512), arrival_time=0.2)
-        assert engine.metrics.requests_shed == 0
-        finals = engine.run()
-        assert finals["a"].finish_reason == "length"
-        for rid in ("b", "c"):  # the newest waiting request overflows
-            assert finals[rid].finish_reason == "shed"
-            assert finals[rid].metrics.finish_time == 0.2
-        assert engine.metrics.requests_shed == 2
-
-    def test_shed_infeasible_acts_at_release(self, model, rng):
-        engine = InferenceEngine(
-            model,
-            scheduler_config=SchedulerConfig(shed_infeasible=True),
-            enable_prefix_caching=True, kv_block_size=16, kv_pool_blocks=4,
-        )
-        engine.submit(make_request("big", rng, plen=100, vocab=512), arrival_time=0.3)
-        assert engine.metrics.requests_shed == 0
-        assert engine.has_unfinished
-        output = engine.run()["big"]
-        assert output.finish_reason == "shed"
-        assert output.metrics.finish_time == 0.3
-
     def test_deadline_counts_from_the_arrival_time(self, model, rng):
         engine = InferenceEngine(model)
         engine.submit(make_request("r", rng, vocab=512, deadline=0.1), arrival_time=0.25)
@@ -243,13 +215,13 @@ class TestHeldArrivals:
 # ---------------------------------------------------------------------------
 
 
-def qos_engine(model, max_waiting=6) -> InferenceEngine:
+def qos_engine(model) -> InferenceEngine:
     """Two tenants on a pool that holds about half of a burst."""
     return InferenceEngine(
         model,
         scheduler_config=SchedulerConfig(
             max_batch_size=3, max_prefill_chunk_tokens=64,
-            proactive_swap_free_fraction=1.0, max_waiting=max_waiting,
+            proactive_swap_free_fraction=1.0,
         ),
         enable_prefix_caching=True, kv_block_size=8, kv_pool_blocks=16,
         max_retained_outputs=0,
@@ -306,7 +278,7 @@ class TestOracleEquivalence:
         for name in ("preemptions_swap", "preemptions_recompute",
                      "proactive_swap_outs", "requests_shed", "steps", "clock"):
             assert getattr(engine.metrics, name) == getattr(oracle.metrics, name), name
-        assert oracle.metrics.preemptions > 0 and oracle.metrics.requests_shed > 0
+        assert oracle.metrics.preemptions > 0
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 11])
     def test_clock_as_arrival_time_is_the_none_path(self, fuzz_model, seed):

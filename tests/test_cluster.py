@@ -8,7 +8,6 @@ aggregation.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -172,12 +171,10 @@ class TestCoverageTracksEngine:
 
 
 class _FakeWorker:
-    """A ``RoutableWorker`` with one QoS class and no deadline-tagged work:
-    per-class load is the total load, zero backlog, infinite slack.  It
-    holds the first ``resident`` blocks of any prompt resident and the
-    first ``known`` in some tier, and records the keys it is asked about."""
-
-    nearest_deadline_slack = math.inf
+    """A ``RoutableWorker`` with one QoS class: per-class load is the total
+    load.  It holds the first ``resident`` blocks of any prompt resident and
+    the first ``known`` in some tier, and records the keys it is asked
+    about."""
 
     def __init__(self, worker_id, load=0, resident=0, known=None):
         self.worker_id = worker_id
@@ -189,9 +186,6 @@ class _FakeWorker:
     def load_at_or_above(self, priority):
         return self.load
 
-    def deadline_backlog(self, before_slack=None):
-        return 0
-
     def prefix_coverage(self, keys):
         self.asked.append(keys)
         return PrefixCoverage(min(self.resident, len(keys)),
@@ -199,9 +193,10 @@ class _FakeWorker:
 
 
 class TestRouterPlacement:
-    def test_rejects_unknown_policy(self):
+    @pytest.mark.parametrize("policy", ["fastest", "edf_aware"])
+    def test_rejects_unknown_policy(self, policy):
         with pytest.raises(ConfigurationError):
-            Router("fastest")
+            Router(policy)
 
     def test_rejects_empty_fleet(self):
         with pytest.raises(ConfigurationError):
@@ -282,73 +277,6 @@ class TestRouterPlacement:
             list(range(4, 260)), workers, block_size=None)
         assert placement.worker_id == 1
         assert all(worker.asked == [] for worker in workers)
-
-
-class _FakeEDFWorker(_FakeWorker):
-    """Fake worker that also reports the EDF load signals (the real
-    Worker API: nearest-deadline backlog and slack)."""
-
-    def __init__(self, worker_id, load=0, backlog=0, slack=math.inf):
-        super().__init__(worker_id, load)
-        self._backlog = backlog
-        self.nearest_deadline_slack = slack
-        self.backlog_queries = []
-
-    def deadline_backlog(self, before_slack=None):
-        self.backlog_queries.append(before_slack)
-        return self._backlog
-
-
-class TestEDFRouting:
-    def test_fewest_deadline_backlog_wins_over_load(self):
-        # worker 0 is idle but holds two urgent deadlines; worker 1 is
-        # busier but deadline-free — the tagged request goes to 1.
-        workers = [_FakeEDFWorker(0, load=0, backlog=2, slack=0.1),
-                   _FakeEDFWorker(1, load=4, backlog=0)]
-        placement = Router("edf_aware").place([1], workers, deadline=0.5)
-        assert placement.worker_id == 1
-        assert placement.policy == "edf_aware"
-        # the incoming relative deadline was threaded into the query
-        assert workers[0].backlog_queries == [0.5]
-
-    def test_backlog_tie_breaks_toward_most_slack(self):
-        workers = [_FakeEDFWorker(0, load=0, backlog=1, slack=0.01),
-                   _FakeEDFWorker(1, load=0, backlog=1, slack=2.0)]
-        assert Router("edf_aware").place([1], workers).worker_id == 1
-
-    def test_slack_tie_breaks_toward_least_loaded_then_lowest_id(self):
-        workers = [_FakeEDFWorker(0, load=3, backlog=1, slack=1.0),
-                   _FakeEDFWorker(1, load=1, backlog=1, slack=1.0),
-                   _FakeEDFWorker(2, load=1, backlog=1, slack=1.0)]
-        assert Router("edf_aware").place([1], workers).worker_id == 1
-
-    def test_plain_workers_degrade_to_least_loaded(self):
-        # no deadline-tagged work anywhere: zero backlog / infinite slack
-        # for everyone, so the ranking reduces to (load, id)
-        workers = [_FakeWorker(0, load=2), _FakeWorker(1, load=1)]
-        assert Router("edf_aware").place([1], workers).worker_id == 1
-
-    def test_cluster_routes_away_from_deadline_pressed_worker(
-        self, model, tiny_config
-    ):
-        """End to end: deadlines thread frontend → router → worker signals.
-
-        The first urgent request lands on worker 0; the second, with a
-        looser deadline, would queue behind it there, so edf_aware sends it
-        to worker 1; an untagged third balances on slack toward worker 1's
-        roomier deadline."""
-        cluster = ClusterFrontend(model, num_workers=2,
-                                  placement="edf_aware")
-        prompts = make_prompts(tiny_config)
-        deadlines = (5.0, 10.0, None)
-        for i, (prompt, deadline) in enumerate(zip(prompts, deadlines)):
-            cluster.submit(Request(
-                request_id=f"e{i}", prompt_ids=prompt,
-                sampling=SamplingParams(max_new_tokens=2),
-                qos=RequestQoS(deadline=deadline)))
-        assert [p.worker_id for p in cluster.placements] == [0, 1, 1]
-        finals = cluster.run()
-        assert all(out.finish_reason == "length" for out in finals.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1026,7 +954,7 @@ AS_DICT_KEYS = {
         "prefix_cache_queries", "prefix_cache_hits", "prefix_cache_hit_tokens",
         "prefix_cache_hit_rate", "prefix_token_hit_rate", "preemptions",
         "preemptions_swap", "preemptions_recompute", "requests_shed",
-        "deadline_misses", "slo_tunings", "proactive_swap_outs", "per_class",
+        "deadline_misses", "proactive_swap_outs", "per_class",
         "per_tenant", "swap_out_blocks", "swap_in_blocks", "swap_out_bytes",
         "swap_in_bytes", "spill_out_bytes", "spill_in_bytes", "swap_seconds",
         "decode_batch_rounds", "decode_batch_requests", "mean_decode_batch_size",

@@ -1,9 +1,8 @@
-"""Deadline-aware EDF scheduling, deadline shedding, quantile digests, and
-the SLO feedback loop.
+"""Deadline-aware EDF scheduling, deadline shedding and quantile digests.
 
 Directed companions to the randomized coverage in ``test_preemption.py``
 (per-step EDF waiting-order oracle, genuine-miss shed audit) and
-``test_cluster.py`` (edf_aware routing, cluster deadline fuzz):
+``test_cluster.py`` (cluster deadline fuzz):
 
 * :class:`~repro.serve.RequestQoS` deadline validation and resolution
   against the simulated clock;
@@ -11,20 +10,15 @@ Directed companions to the randomized coverage in ``test_preemption.py``
   class, deadline-tagged items in earliest-deadline order ahead of the
   untagged FCFS tail, preemption victims re-entering at the front of their
   rank;
-* the unified shed-victim ranking (``lowest_ranked_waiting``) and its
-  never-shed-preemption-victims filter;
 * deadline-miss shedding, at admission (provably unmeetable) and mid-wait
   (clock passed the deadline), with ``finish_reason="deadline"`` and the
   miss counters;
-* :class:`~repro.serve.QuantileDigest` accuracy/merge/delta/bound
-  semantics;
-* :class:`~repro.serve.SLOTuner` control moves (tighten/relax/hysteresis)
-  and the engine integration's byte-identity.
+* :class:`~repro.serve.QuantileDigest` accuracy/merge/snapshot/bound
+  semantics.
 """
 
 from __future__ import annotations
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +27,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.serve import (
     EngineConfig,
-    EngineMetrics,
     InferenceEngine,
     PoolConfig,
     QuantileDigest,
@@ -41,9 +34,7 @@ from repro.serve import (
     RequestQoS,
     SamplingParams,
     SchedulerConfig,
-    SLOTuner,
 )
-from repro.serve.cluster import Worker
 from repro.serve.scheduler import ContinuousBatchingScheduler
 
 
@@ -178,80 +169,6 @@ class TestEDFOrdering:
 
 
 # ---------------------------------------------------------------------------
-# Unified shed-victim ranking (satellite 1)
-# ---------------------------------------------------------------------------
-
-
-class TestShedVictimRanking:
-    def test_lowest_class_newest_within_it(self):
-        scheduler = ContinuousBatchingScheduler()
-        items = [
-            _Item("hi-old", priority=2, seq=0),
-            _Item("lo-old", priority=0, seq=1),
-            _Item("lo-new", priority=0, seq=2),
-            _Item("mid", priority=1, seq=3),
-        ]
-        for item in items:
-            scheduler.submit(item)
-        victim = scheduler.lowest_ranked_waiting()
-        assert victim.name == "lo-new"
-
-    def test_eligibility_filter_excludes_and_may_empty(self):
-        scheduler = ContinuousBatchingScheduler()
-        protected = _Item("protected", priority=0, seq=5)
-        other = _Item("other", priority=1, seq=1)
-        scheduler.submit(protected)
-        scheduler.submit(other)
-        victim = scheduler.lowest_ranked_waiting(
-            lambda item: item is not protected
-        )
-        assert victim is other
-        assert scheduler.lowest_ranked_waiting(lambda item: False) is None
-        assert ContinuousBatchingScheduler().lowest_ranked_waiting() is None
-
-    def test_overflow_never_sheds_a_requeued_preemption_victim(self, model):
-        """Regression: the ``max_waiting`` overflow path ranks victims
-        through the same never-admitted filter as the deadline sweep, so a
-        preemption victim parked in the waiting queue — lowest class,
-        newest seq, exactly what the dead ``lowest_ranked_waiting`` helper
-        used to return — is never shed."""
-        rng = np.random.default_rng(3)
-        engine = InferenceEngine(
-            model,
-            scheduler_config=SchedulerConfig(
-                max_batch_size=1, preemption_mode="swap", max_waiting=1,
-            ),
-            enable_prefix_caching=True,
-            kv_block_size=16,
-            kv_pool_blocks=12,
-            max_retained_outputs=0,
-        )
-        victim = make_request("victim", make_prompt(rng, 100), max_new=6)
-        engine.submit(victim)
-        for _ in range(200):
-            engine.step()
-            if engine._states["victim"].status.name in ("RUNNING",
-                                                        "PREFILLING"):
-                break
-        claimant = make_request("claimant", make_prompt(rng, 100),
-                                priority=1, max_new=6)
-        engine.submit(claimant)
-        # force the victim out: it re-enters the waiting queue as a
-        # re-queued preemption victim (lowest class, newest-looking rank)
-        state = engine._states["victim"]
-        assert engine.pressure.preempt_victim(state)
-        assert not engine._never_admitted(state)
-        # overflow the waiting queue with fresh lowest-class arrivals: the
-        # shed victim must be one of them, never the preemption victim
-        engine.submit(make_request("fresh-a", make_prompt(rng, 30)))
-        engine.submit(make_request("fresh-b", make_prompt(rng, 30)))
-        assert engine.metrics.requests_shed >= 1
-        assert "victim" in engine._states
-        finals = engine.run()
-        assert finals["victim"].finish_reason == "length"
-
-
-# ---------------------------------------------------------------------------
 # Deadline shedding
 # ---------------------------------------------------------------------------
 
@@ -287,6 +204,28 @@ class TestDeadlineShedding:
         assert engine.metrics.per_class[1].deadline_misses == 1
         assert engine.metrics.per_tenant["chat"].deadline_misses == 1
         assert engine.metrics.as_dict()["deadline_misses"] == 1
+
+    def test_requeued_preemption_victim_is_never_shed(self, model, rng):
+        """The mid-wait sweep sheds only never-admitted requests: a
+        preemption victim back in the waiting queue past its deadline
+        already holds generated tokens, so it resumes and completes."""
+        engine = InferenceEngine(
+            model,
+            EngineConfig(SchedulerConfig(max_batch_size=1),
+                         pool=PoolConfig(block_size=16, blocks=12)),
+        )
+        deadline = 4.0 * engine.min_ttft_lower_bound(100)
+        engine.submit(make_request("victim", make_prompt(rng, 100),
+                                   deadline=deadline, max_new=6))
+        state = engine._states["victim"]
+        while not state.generated:
+            engine.step()
+        assert engine.pressure.preempt_victim(state)
+        assert state in engine.scheduler.waiting_items()
+        assert engine.metrics.clock > state.deadline_time
+        finals = engine.run()
+        assert finals["victim"].finish_reason == "length"
+        assert engine.metrics.requests_shed == 0
 
     def test_admission_shed_when_provably_unmeetable(self, model, rng):
         """Without prefix caching the TTFT lower bound covers the whole
@@ -468,19 +407,6 @@ class TestQuantileDigest:
         digest.reset()
         assert digest.count == 0 and digest.quantile(0.5) is None
 
-    def test_delta_reads_a_window_without_reset(self):
-        digest = QuantileDigest()
-        for value in (0.001, 0.002, 0.003):
-            digest.observe(value)
-        mark = digest.snapshot()
-        for value in (1.0, 2.0, 3.0):
-            digest.observe(value)
-        window = digest.delta(mark)
-        assert window.count == 3
-        # the window holds only the post-mark samples
-        assert window.quantile(0.0) == pytest.approx(1.0, rel=0.011)
-        assert digest.delta(None).count == digest.count == 6
-
     def test_memory_bound_collapses_low_buckets(self):
         rng = np.random.default_rng(13)
         samples = 10.0 ** rng.uniform(-9, 2, size=2000)
@@ -509,189 +435,3 @@ class TestQuantileDigest:
         assert digest.count == 3
         assert digest.quantile(0.0) == 0.0
         assert digest.quantile(1.0) == pytest.approx(5.0, rel=0.011)
-
-
-# ---------------------------------------------------------------------------
-# SLOTuner
-# ---------------------------------------------------------------------------
-
-
-def _fake_engine(baseline=None):
-    """The slice of the engine surface the tuner touches."""
-    scheduler = ContinuousBatchingScheduler(
-        SchedulerConfig(proactive_swap_free_fraction=baseline)
-    )
-    return SimpleNamespace(
-        metrics=EngineMetrics(),
-        scheduler=scheduler,
-        proactive_swap_free_fraction=baseline,
-    )
-
-
-def _feed(engine, priority, tenant, ttft, count):
-    bucket = engine.metrics.class_bucket(priority)
-    for _ in range(count):
-        bucket.ttft.observe(ttft)
-
-
-class TestSLOTuner:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SLOTuner({})
-        with pytest.raises(ConfigurationError):
-            SLOTuner({2: 0.0})
-        with pytest.raises(ConfigurationError):
-            SLOTuner({2: 0.01}, quantile=0.0)
-        with pytest.raises(ConfigurationError):
-            SLOTuner({2: 0.01}, weight_gain=1.0)
-        with pytest.raises(ConfigurationError):
-            SLOTuner({2: 0.01}, weight_gain=2.0, max_weight_gain=1.5)
-
-    def _tick(self, tuner, engine, times):
-        for _ in range(times):
-            tuner.on_step(engine)
-
-    def test_tighten_raises_threshold_and_boosts_tenants(self):
-        tuner = SLOTuner({2: 0.001}, adjust_every=4, min_samples=2,
-                         fraction_step=0.2, weight_gain=2.0)
-        engine = _fake_engine(baseline=None)
-        tuner.observe(SimpleNamespace(priority=2, tenant="chat", weight=4.0))
-        _feed(engine, 2, "chat", ttft=0.01, count=3)  # p90 over target
-        self._tick(tuner, engine, 4)
-        assert engine.proactive_swap_free_fraction == pytest.approx(0.2)
-        assert engine.scheduler.tenant_weights["chat"] == pytest.approx(8.0)
-        assert engine.metrics.slo_tunings == 1
-        assert tuner.history[-1]["action"] == "tighten"
-        # the scheduler's weight lookup now sees the boosted override
-        item = SimpleNamespace(tenant="chat", weight=4.0)
-        assert engine.scheduler._weight(item) == pytest.approx(8.0)
-
-    def test_tighten_caps_threshold_and_boost(self):
-        tuner = SLOTuner({0: 0.001}, adjust_every=1, min_samples=1,
-                         fraction_step=0.6, max_free_fraction=0.9,
-                         weight_gain=4.0, max_weight_gain=6.0)
-        engine = _fake_engine()
-        tuner.observe(SimpleNamespace(priority=0, tenant="t", weight=1.0))
-        for _ in range(3):
-            _feed(engine, 0, "t", ttft=1.0, count=1)
-            self._tick(tuner, engine, 1)
-        assert engine.proactive_swap_free_fraction == pytest.approx(0.9)
-        assert engine.scheduler.tenant_weights["t"] == pytest.approx(6.0)
-
-    def test_relax_walks_back_to_baseline_and_removes_boosts(self):
-        tuner = SLOTuner({2: 1.0}, adjust_every=1, min_samples=1,
-                         fraction_step=0.25, weight_gain=2.0,
-                         relax_margin=0.5)
-        engine = _fake_engine(baseline=0.3)
-        tuner.observe(SimpleNamespace(priority=2, tenant="chat", weight=1.0))
-        # one violation arms the knobs
-        _feed(engine, 2, "chat", ttft=5.0, count=1)
-        self._tick(tuner, engine, 1)
-        assert engine.proactive_swap_free_fraction == pytest.approx(0.55)
-        assert "chat" in engine.scheduler.tenant_weights
-        # two comfortable windows walk everything back
-        for _ in range(2):
-            _feed(engine, 2, "chat", ttft=0.01, count=1)
-            self._tick(tuner, engine, 1)
-        assert engine.proactive_swap_free_fraction == pytest.approx(0.3)
-        assert engine.scheduler.tenant_weights == {}
-        assert engine.metrics.slo_tunings >= 2
-        assert tuner.history[-1]["action"] == "relax"
-
-    def test_relax_restores_none_when_unconfigured(self):
-        tuner = SLOTuner({0: 1.0}, adjust_every=1, min_samples=1,
-                         fraction_step=0.2, relax_margin=0.5)
-        engine = _fake_engine(baseline=None)
-        _feed(engine, 0, "default", ttft=5.0, count=1)
-        self._tick(tuner, engine, 1)
-        assert engine.proactive_swap_free_fraction == pytest.approx(0.2)
-        _feed(engine, 0, "default", ttft=0.01, count=1)
-        self._tick(tuner, engine, 1)
-        assert engine.proactive_swap_free_fraction is None
-
-    def test_hysteresis_holds_between_margin_and_target(self):
-        """Measured between relax_margin*target and target: neither move."""
-        tuner = SLOTuner({0: 1.0}, adjust_every=1, min_samples=1,
-                         relax_margin=0.5)
-        engine = _fake_engine()
-        _feed(engine, 0, "default", ttft=0.8, count=1)  # under target,
-        self._tick(tuner, engine, 1)                    # over the margin
-        assert engine.proactive_swap_free_fraction is None
-        assert tuner.history == []
-
-    def test_small_windows_are_not_trusted(self):
-        tuner = SLOTuner({0: 0.001}, adjust_every=1, min_samples=10)
-        engine = _fake_engine()
-        _feed(engine, 0, "default", ttft=5.0, count=9)
-        self._tick(tuner, engine, 1)
-        assert engine.proactive_swap_free_fraction is None
-        assert tuner.history == []
-
-    def test_windows_are_deltas_not_cumulative(self):
-        """A consumed violation window does not re-trigger: the next tick
-        reads only post-mark samples."""
-        tuner = SLOTuner({0: 0.1}, adjust_every=1, min_samples=1,
-                         fraction_step=0.1)
-        engine = _fake_engine()
-        _feed(engine, 0, "default", ttft=5.0, count=4)
-        self._tick(tuner, engine, 1)
-        assert engine.proactive_swap_free_fraction == pytest.approx(0.1)
-        # no new finishes: the window is empty, nothing moves
-        self._tick(tuner, engine, 1)
-        assert engine.proactive_swap_free_fraction == pytest.approx(0.1)
-        assert len(tuner.history) == 1
-
-    def test_engine_integration_tunes_without_touching_bytes(self, model, rng):
-        """Wired into a real contended engine: the tuner fires (slo_tunings
-        advances, the live threshold moves) and the run stays byte-identical
-        to the same schedule without a tuner."""
-        prompts = [make_prompt(rng, 80 + 10 * i) for i in range(4)]
-
-        def requests():
-            return [
-                make_request(f"q{i}", p, priority=2, tenant="chat",
-                             max_new=4)
-                for i, p in enumerate(prompts)
-            ]
-
-        config = SchedulerConfig(max_batch_size=2,
-                                 max_prefill_chunk_tokens=32)
-        refs = InferenceEngine(model, scheduler_config=config,
-                               enable_prefix_caching=True,
-                               kv_block_size=16).run(requests())
-        tuner = SLOTuner({2: 1e-9}, adjust_every=2, min_samples=1)
-        engine = InferenceEngine(model, scheduler_config=config,
-                                 enable_prefix_caching=True,
-                                 kv_block_size=16, slo_tuner=tuner)
-        finals = engine.run(requests())
-        assert engine.metrics.slo_tunings > 0
-        assert engine.metrics.as_dict()["slo_tunings"] > 0
-        assert engine.proactive_swap_free_fraction is not None
-        assert engine.scheduler.tenant_weights.get("chat", 1.0) > 1.0
-        for rid, ref in refs.items():
-            assert finals[rid].token_ids == ref.token_ids
-            assert np.array_equal(finals[rid].logits, ref.logits)
-
-
-# ---------------------------------------------------------------------------
-# Worker deadline signals (router inputs)
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerDeadlineSignals:
-    def test_backlog_and_slack_track_scheduled_deadlines(self, model, rng):
-        worker = Worker(0, model, EngineConfig(pool=PoolConfig()))
-        worker.submit(make_request("a", make_prompt(rng), deadline=5.0))
-        worker.submit(make_request("b", make_prompt(rng), deadline=1.0))
-        worker.submit(make_request("c", make_prompt(rng)))  # untagged
-        assert worker.deadline_backlog() == 2
-        # an incoming request with 3s of slack queues behind only the
-        # 1s-deadline request
-        assert worker.deadline_backlog(before_slack=3.0) == 1
-        assert worker.deadline_backlog(before_slack=0.5) == 0
-        assert worker.nearest_deadline_slack == pytest.approx(
-            1.0 - worker.metrics.clock
-        )
-        worker.run()
-        assert worker.deadline_backlog() == 0
-        assert worker.nearest_deadline_slack == math.inf

@@ -5,8 +5,7 @@ and fleet, and the keyword shim that still builds it.
   pool fields reject exactly what ``BlockAllocator`` / ``SwapSpace`` reject;
 * the keyword spelling and the config give the same engine: scheduler
   config, pool geometry and tokens;
-* a fleet builds every worker from one config, each with its own pool;
-* a stateful ``SLOTuner`` is per-engine state, so a fleet refuses it.
+* a fleet builds every worker from one config, each with its own pool.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.serve import (
     Request,
     SamplingParams,
     SchedulerConfig,
-    SLOTuner,
 )
 from repro.serve.config import config_from_keywords
 
@@ -50,8 +48,6 @@ POOL_INVALID = [
     ("blocks", -1, lambda v: _allocator(capacity_blocks=v)),
     ("cpu_blocks", -1, lambda v: SwapSpace(cpu_capacity_blocks=v)),
     ("disk_blocks", -1, lambda v: SwapSpace(disk_capacity_blocks=v)),
-    ("cache_decoded_blocks", 1, None),
-    ("cache_decoded_blocks", "yes", None),
 ]
 
 
@@ -62,14 +58,13 @@ POOL_INVALID = [
 def test_pool_config_rejects(field, value, mirror):
     with pytest.raises(ConfigurationError, match=field):
         PoolConfig(**{field: value})
-    if mirror is not None:
-        with pytest.raises(ConfigurationError):
-            mirror(value)
+    with pytest.raises(ConfigurationError):
+        mirror(value)
 
 
 @pytest.mark.parametrize("options", [
     {"blocks": 1}, {"cpu_blocks": 0}, {"disk_blocks": 0},
-    {"block_size": 1, "blocks": None, "cache_decoded_blocks": True},
+    {"block_size": 1, "blocks": None},
 ], ids=lambda options: ",".join(options))
 def test_pool_config_accepts_boundaries(options):
     PoolConfig(**options)
@@ -143,12 +138,6 @@ def test_latency_model_and_retention_are_used(model, tiny_config):
     engine.run([request])
     with pytest.raises(ConfigurationError):
         engine.final_output(request.request_id)  # retention 0: not kept
-
-
-def test_slo_tuner_is_an_engine_keyword(model):
-    tuner = SLOTuner({2: 0.002})
-    engine = InferenceEngine(model, EngineConfig(), slo_tuner=tuner)
-    assert engine.slo_tuner is tuner
 
 
 # ----------------------------------------------------- keywords vs config
@@ -259,10 +248,3 @@ def test_fleet_default_has_a_pool(model):
     uncached = ClusterFrontend(model, enable_prefix_caching=False)
     assert uncached.workers[0].block_allocator is None
     assert uncached.block_size is None
-
-
-def test_fleet_rejects_a_shared_slo_tuner(model):
-    """One tuner would mix every worker's window and step counter, and each
-    knob move would land on whichever worker stepped last."""
-    with pytest.raises(ConfigurationError, match="SLOTuner"):
-        ClusterFrontend(model, slo_tuner=SLOTuner({2: 0.002}))

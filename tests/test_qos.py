@@ -4,12 +4,10 @@ Companions to the randomized fuzz in ``test_preemption.py``:
 
 * **liveness** — the highest class's oldest request always completes under
   2x oversubscription, and priority buys latency (class TTFT ordering);
-* **starvation bound** — with shedding off, every submitted request of the
+* **starvation bound** — without deadlines, every submitted request of the
   lowest class still finishes (priority reorders, it never starves);
 * **weighted fairness** — the chunked-prefill budget splits across tenants
   in proportion to their declared weights;
-* **shedding** — ``max_waiting`` / ``shed_infeasible`` refuse work with
-  ``finish_reason="shed"`` and leave zero pool/swap references behind;
 * **metrics plumbing** — per-class/per-tenant buckets survive
   ``snapshot()/merge()/reset()`` and fleet aggregation (the regression for
   dict-valued EngineMetrics fields).
@@ -20,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.serve import (
     ContinuousBatchingScheduler,
     EngineMetrics,
@@ -77,8 +75,6 @@ class TestRequestQoS:
             RequestQoS(weight=-1.0)
 
     def test_scheduler_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(max_waiting=0)
         with pytest.raises(ConfigurationError):
             SchedulerConfig(proactive_swap_free_fraction=0.0)
         with pytest.raises(ConfigurationError):
@@ -147,21 +143,20 @@ class TestSchedulerOrdering:
             ["hi", "victim", "peer"]
 
     def test_victims_come_from_the_lowest_class_first(self):
-        for policy, expected in (("lifo", "lo-young"), ("fifo", "lo-old")):
-            sched = ContinuousBatchingScheduler(
-                SchedulerConfig(max_batch_size=8, max_prefills_per_step=8,
-                                victim_policy=policy)
-            )
-            items = [
-                _Item("lo-old", priority=0, seq=0),
-                _Item("hi", priority=2, seq=1),
-                _Item("lo-young", priority=0, seq=2),
-                _Item("mid", priority=1, seq=3),
-            ]
-            for item in items:
-                sched.submit(item)
-            sched.schedule()
-            assert sched.pick_victim().name == expected
+        sched = ContinuousBatchingScheduler(
+            SchedulerConfig(max_batch_size=8, max_prefills_per_step=8)
+        )
+        items = [
+            _Item("lo-old", priority=0, seq=0),
+            _Item("hi", priority=2, seq=1),
+            _Item("lo-young", priority=0, seq=2),
+            _Item("mid", priority=1, seq=3),
+        ]
+        for item in items:
+            sched.submit(item)
+        sched.schedule()
+        # Lowest class first, and within it the most recently admitted.
+        assert sched.pick_victim().name == "lo-young"
 
     def test_weighted_fair_split_matches_tenant_weights(self):
         sched = ContinuousBatchingScheduler(
@@ -266,75 +261,11 @@ class TestQoSLiveness:
         for high in highs:
             engine.submit(high)
         finals = engine.run()
-        # The burst of higher-class work reorders the low request but — with
-        # admission control off — can never shed or starve it.
+        # The burst of higher-class work reorders the low request but — it
+        # carries no deadline — can never shed or starve it.
         assert finals["low"].finish_reason in ("length", "stop")
         assert engine.metrics.requests_shed == 0
         assert engine.metrics.per_class[0].requests_finished == 1
-
-
-class TestShedding:
-    def test_max_waiting_sheds_lowest_ranked(self, fuzz_model):
-        rng = np.random.default_rng(32)
-        engine = _qos_engine(fuzz_model, 30, max_batch_size=1,
-                             max_prefills_per_step=1, max_waiting=1)
-        engine.submit(_request("a", rng, priority=1))
-        engine.step()  # "a" takes the only batch slot
-        engine.submit(_request("b", rng, priority=0))   # waits
-        engine.submit(_request("c", rng, priority=2))   # overflows the queue
-        finals = engine.run()
-        # The running request is untouchable by admission control; "b"
-        # (lowest waiting class) was shed when "c" overflowed the 1-deep
-        # waiting queue, even though "b" arrived first.
-        assert finals["b"].finish_reason == "shed"
-        assert finals["b"].token_ids == []
-        assert finals["a"].finish_reason in ("length", "stop")
-        assert finals["c"].finish_reason in ("length", "stop")
-        assert engine.metrics.requests_shed == 1
-        assert engine.metrics.per_class[0].requests_shed == 1
-        assert engine.metrics.per_tenant["default"].requests_shed == 1
-        audit_engine(engine, "overflow shed")
-
-    def test_shed_frees_all_references(self, fuzz_model):
-        rng = np.random.default_rng(33)
-        engine = _qos_engine(fuzz_model, 30, max_batch_size=1,
-                             max_prefills_per_step=1, max_waiting=1)
-        engine.submit(_request("r0", rng, priority=1))
-        engine.submit(_request("r1", rng, priority=0))
-        engine.submit(_request("r2", rng, priority=0))
-        # Both overflow submits shed immediately (r0 stays, each new p0
-        # arrival is the lowest-ranked waiting item); the books must balance
-        # before any step runs and after the drain.
-        assert engine.metrics.requests_shed == 2
-        audit_engine(engine, "post-shed, pre-run")
-        finals = engine.run()
-        shed_ids = {rid for rid, out in finals.items()
-                    if out.finish_reason == "shed"}
-        assert shed_ids == {"r1", "r2"}
-        assert finals["r0"].finish_reason in ("length", "stop")
-        audit_engine(engine, "post-shed, drained")
-
-    def test_shed_infeasible_replaces_capacity_error(self, fuzz_model):
-        rng = np.random.default_rng(34)
-        # 4-block pool x 8-token blocks = 32 tokens; a 120-token prompt is
-        # provably infeasible.
-        engine = _qos_engine(fuzz_model, 4, shed_infeasible=True)
-        engine.submit(_request("big", rng, plen=120))
-        finals = engine.run()
-        assert finals["big"].finish_reason == "shed"
-        assert engine.metrics.requests_shed == 1
-        # Without the opt-in the same demand still raises (pre-QoS contract).
-        strict = _qos_engine(fuzz_model, 4)
-        strict.submit(_request("big", rng, plen=120))
-        with pytest.raises(CapacityError):
-            strict.run()
-
-    def test_shed_output_flows_through_stream(self, fuzz_model):
-        rng = np.random.default_rng(35)
-        engine = _qos_engine(fuzz_model, 4, shed_infeasible=True)
-        engine.submit(_request("big", rng, plen=120))
-        outputs = list(engine.stream())
-        assert [o.finish_reason for o in outputs if o.finished] == ["shed"]
 
 
 class TestProactiveSwap:

@@ -283,7 +283,6 @@ class TestSchedulerAndSpecs:
         {"kv_pool_blocks": 8},
         {"swap_cpu_blocks": 4},
         {"swap_disk_blocks": 4},
-        {"cache_decoded_blocks": True},
     ], ids=lambda option: next(iter(option)))
     def test_pool_option_without_pool_rejected(self, model, option):
         """Through the keyword shim only ``enable_prefix_caching=True``
