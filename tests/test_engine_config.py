@@ -5,7 +5,8 @@ and fleet, and the keyword shim that still builds it.
   pool fields reject exactly what ``BlockAllocator`` / ``SwapSpace`` reject;
 * the keyword spelling and the config give the same engine: scheduler
   config, pool geometry and tokens;
-* a fleet builds every worker from one config, each with its own pool.
+* a fleet builds every worker from one config, each with its own pool;
+* a deleted option fails loudly, as a field or as a shim keyword.
 """
 
 from __future__ import annotations
@@ -248,3 +249,33 @@ def test_fleet_default_has_a_pool(model):
     uncached = ClusterFrontend(model, enable_prefix_caching=False)
     assert uncached.workers[0].block_allocator is None
     assert uncached.block_size is None
+
+
+# ------------------------------------------------------- deleted options
+
+#: (config class, field) of options that no longer exist
+DELETED_FIELDS = [
+    (SchedulerConfig, "victim_policy", "fifo"),
+    (SchedulerConfig, "max_waiting", 4),
+    (SchedulerConfig, "shed_infeasible", True),
+    (PoolConfig, "cache_decoded_blocks", True),
+]
+
+
+@pytest.mark.parametrize(
+    "config, name, value", DELETED_FIELDS,
+    ids=[f"{config.__name__}.{name}" for config, name, _ in DELETED_FIELDS],
+)
+def test_deleted_field_rejected(config, name, value):
+    with pytest.raises(TypeError, match=name):
+        config(**{name: value})
+
+
+@pytest.mark.parametrize("build", [InferenceEngine, ClusterFrontend],
+                         ids=lambda build: build.__name__)
+@pytest.mark.parametrize("name", ["cache_decoded_blocks", "slo_tuner"])
+def test_deleted_keyword_rejected(model, build, name):
+    """The shim forwards only the keywords it knows, so a deleted one
+    raises instead of building an engine that silently ignores it."""
+    with pytest.raises(TypeError, match=name):
+        build(model, **{name: True})

@@ -185,6 +185,8 @@ def audit_engine(engine, context=""):
         metrics.requests_finished + metrics.requests_aborted
         + metrics.requests_shed + len(engine._states)
     ), context
+    # Deadlines are the only reason to shed.
+    assert metrics.requests_shed == metrics.deadline_misses, context
 
 
 def audit_tables(engine, context=""):
@@ -782,7 +784,7 @@ class _Parts:
     """A ``PoolPressure`` over real parts and *no engine*: a scheduler, a
     latency model, a metrics object, the three tiers and two plain dicts."""
 
-    def __init__(self, config, pool_blocks, swap_space, batch=4):
+    def __init__(self, config, pool_blocks, swap_space, batch=4, proactive=None):
         self.config = config
         self.allocator = BlockAllocator(
             config.num_layers, config.num_kv_heads, config.head_dim,
@@ -793,7 +795,8 @@ class _Parts:
         self.prefix_cache = PrefixCache(self.allocator, spill_store=swap_space)
         self.allocator.eviction_hook = self.prefix_cache.evict
         self.scheduler = ContinuousBatchingScheduler(
-            SchedulerConfig(max_batch_size=batch, max_prefills_per_step=batch)
+            SchedulerConfig(max_batch_size=batch, max_prefills_per_step=batch,
+                            proactive_swap_free_fraction=proactive)
         )
         self.latency = LatencyModel(HardwareSpec.paper_testbed(), config)
         self.metrics = EngineMetrics()
@@ -810,10 +813,11 @@ class _Parts:
             kv = self.rng.normal(size=shape)
             paged[layer].append(kv, kv)
 
-    def running(self, rid, seq, num_tokens):
+    def running(self, rid, seq, num_tokens, priority=0):
         """A RUNNING request holding ``num_tokens`` of KV in the pool."""
         state = RequestState(
-            Request(prompt_ids=[4] * num_tokens, request_id=rid),
+            Request(prompt_ids=[4] * num_tokens, request_id=rid,
+                    qos=RequestQoS(priority=priority)),
             arrival_time=0.0, seq=seq,
         )
         state.paged = PagedKVCache(self.allocator)

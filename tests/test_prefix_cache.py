@@ -256,6 +256,29 @@ class TestEngineByteIdentity:
 
 
 class TestMultiTurnServing:
+    @pytest.mark.parametrize("policy_name", ["pqcache", "snapkv", None])
+    def test_turns_reuse_prompt_blocks_only(self, small_model, policy_name):
+        """Each turn reuses blocks of the previous turn's prompt and nothing
+        past it: the previous answer's decoded KV is never cached.  An
+        aggregate-free policy (PQCache) reuses every full prompt block; the
+        others resume at an accumulated-score boundary at or before it."""
+        rng = np.random.default_rng(21)
+        engine = _engine(small_model, kv_block_size=16)
+        history = rng.integers(4, 256, size=640).tolist()
+        prompts, hit_tokens = [], []
+        for _ in range(3):
+            prompt = history + rng.integers(4, 256, size=40).tolist()
+            out = _serve(engine, prompt, policy_name, max_new_tokens=20)
+            prompts.append(prompt)
+            hit_tokens.append(out.metrics.cached_prefix_tokens)
+            history = prompt + out.token_ids
+        assert hit_tokens[0] == 0
+        for previous, hit in zip(prompts, hit_tokens[1:]):
+            assert hit % 16 == 0 and 0 < hit <= len(previous)
+            if policy_name == "pqcache":
+                assert hit == len(previous) // 16 * 16
+        assert engine.metrics.prefix_cache_hit_tokens == sum(hit_tokens)
+
     @pytest.mark.parametrize("policy_name", ["pqcache", "snapkv"])
     def test_default_multiturn_stays_byte_identical(
         self, small_model, policy_name

@@ -8,6 +8,11 @@ Companions to the randomized fuzz in ``test_preemption.py``:
   lowest class still finishes (priority reorders, it never starves);
 * **weighted fairness** — the chunked-prefill budget splits across tenants
   in proportion to their declared weights;
+* **victim order** — pool pressure takes the lowest running class first and
+  within it the most recently admitted request, reactively and proactively;
+* **shedding** — only a missed or unmeetable deadline sheds: the waiting
+  queue is unbounded, a prompt larger than the pool raises
+  ``CapacityError``, and a shed leaves zero pool/swap references behind;
 * **metrics plumbing** — per-class/per-tenant buckets survive
   ``snapshot()/merge()/reset()`` and fleet aggregation (the regression for
   dict-valued EngineMetrics fields).
@@ -18,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
+from repro.llm.kvcache import SwapSpace
 from repro.serve import (
     ContinuousBatchingScheduler,
     EngineMetrics,
@@ -26,21 +32,30 @@ from repro.serve import (
     QoSClassMetrics,
     Request,
     RequestQoS,
+    RequestStatus,
     SamplingParams,
     SchedulerConfig,
 )
-from test_preemption import _make_engine, _outputs_equal, audit_engine, fuzz_model
+from repro.serve.state import RequestState
+from test_preemption import (
+    _make_engine,
+    _outputs_equal,
+    _Parts,
+    audit_engine,
+    fuzz_model,
+)
 
 assert fuzz_model is not None  # re-exported fixture (quiet the linter)
 
 
 def _request(rid, rng, plen=60, priority=0, tenant="default", weight=1.0,
-             max_new=4):
+             max_new=4, deadline=None):
     return Request(
         prompt_ids=rng.integers(4, 128, size=plen).tolist(),
         request_id=rid,
         sampling=SamplingParams(max_new_tokens=max_new, observation_window=8),
-        qos=RequestQoS(priority=priority, tenant=tenant, weight=weight),
+        qos=RequestQoS(priority=priority, tenant=tenant, weight=weight,
+                       deadline=deadline),
     )
 
 
@@ -158,6 +173,69 @@ class TestSchedulerOrdering:
         # Lowest class first, and within it the most recently admitted.
         assert sched.pick_victim().name == "lo-young"
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pick_victim_matches_the_lifo_oracle(self, seed):
+        """Random submit/schedule/preempt/finish sequences against an oracle
+        that tracks admission order itself: the victim is from the lowest
+        running class, within it the latest admitted, never excluded."""
+        rng = np.random.default_rng(seed)
+        sched = ContinuousBatchingScheduler(
+            SchedulerConfig(max_batch_size=int(rng.integers(2, 7)),
+                            max_prefills_per_step=int(rng.integers(1, 4)))
+        )
+        admitted = []  # running items, earliest admission first
+        for seq in range(80):
+            draw = rng.random()
+            if draw < 0.35:
+                sched.submit(_Item(f"r{seq}", priority=int(rng.integers(0, 3)),
+                                   seq=seq))
+            elif draw < 0.65:
+                admitted.extend(sched.schedule().admitted)
+            elif admitted:
+                item = admitted.pop(int(rng.integers(len(admitted))))
+                if draw < 0.8:
+                    sched.preempt(item)
+                else:
+                    sched.finish(item)
+            assert list(sched.running_items()) == admitted
+            excluded = [item for item in admitted if rng.random() < 0.3]
+            eligible = [item for item in admitted if item not in excluded]
+            expected = None
+            if eligible:
+                lowest = min(item.priority for item in eligible)
+                expected = [item for item in eligible
+                            if item.priority == lowest][-1]
+            assert sched.pick_victim(excluded) is expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_saturated_tenants_split_by_declared_weight(self, seed):
+        """Every tenant wants more than the whole budget, so nothing rolls
+        over: the budget is spent, and each tenant's grant is its declared
+        weight's share of it.  Each tenant served before the last rounds its
+        share up by under one token, so no grant is off by a token per
+        tenant."""
+        rng = np.random.default_rng(seed)
+        budget = int(rng.integers(40, 200))
+        weights = {f"t{i}": float(rng.integers(1, 5))
+                   for i in range(int(rng.integers(2, 5)))}
+        sched = ContinuousBatchingScheduler(
+            SchedulerConfig(max_batch_size=16, max_prefills_per_step=16,
+                            max_prefill_chunk_tokens=budget)
+        )
+        seq = 0
+        for tenant, weight in weights.items():
+            for _ in range(int(rng.integers(1, 4))):
+                sched.submit(_Item(f"{tenant}-{seq}", remaining=budget + 1,
+                                   tenant=tenant, weight=weight, seq=seq))
+                seq += 1
+        grants = dict.fromkeys(weights, 0)
+        for item, tokens in sched.schedule().prefill_chunks:
+            grants[item.tenant] += tokens
+        assert sum(grants.values()) == budget
+        total = sum(weights.values())
+        for tenant, weight in weights.items():
+            assert abs(grants[tenant] - budget * weight / total) < len(weights), grants
+
     def test_weighted_fair_split_matches_tenant_weights(self):
         sched = ContinuousBatchingScheduler(
             SchedulerConfig(max_batch_size=8, max_prefills_per_step=8,
@@ -268,7 +346,189 @@ class TestQoSLiveness:
         assert engine.metrics.per_class[0].requests_finished == 1
 
 
+class TestShedding:
+    """Only a missed or unmeetable deadline sheds a request."""
+
+    @pytest.mark.parametrize("path", ["run", "stream", "held"])
+    @pytest.mark.parametrize("mode", ["swap", "recompute"])
+    def test_oversized_prompt_raises_and_engine_recovers(
+        self, fuzz_model, mode, path
+    ):
+        """A prompt larger than the bounded pool is accepted at submit and
+        raises ``CapacityError`` when it is prefilled — after a held arrival
+        too — and is never shed; aborting it leaves the engine serviceable."""
+        rng = np.random.default_rng(34)
+        # 4-block pool x 8-token blocks = 32 tokens; 120 can never fit.
+        engine = _qos_engine(fuzz_model, 4, preemption_mode=mode)
+        engine.submit(_request("big", rng, plen=120),
+                      arrival_time=0.3 if path == "held" else None)
+        with pytest.raises(CapacityError):
+            if path == "stream":
+                list(engine.stream())
+            else:
+                engine.run()
+        assert engine.metrics.requests_shed == 0
+        engine.abort("big")
+        audit_engine(engine, f"{mode}/{path} post-capacity-error")
+        finals = engine.run([_request("small", rng, plen=20, max_new=2)])
+        assert finals["small"].finish_reason == "length"
+        audit_engine(engine, f"{mode}/{path} post-recovery")
+
+    @pytest.mark.parametrize("mode", ["swap", "recompute"])
+    def test_waiting_queue_is_unbounded(self, fuzz_model, mode):
+        """Eight requests queue behind one batch slot on a tight pool: none
+        is shed, and every one finishes byte-identical to an uncontended
+        engine."""
+        rng = np.random.default_rng(35)
+        requests = [_request(f"r{i}", rng, plen=40, priority=i % 3)
+                    for i in range(8)]
+        refs = _make_engine(fuzz_model, None, mode, 32).run(
+            [Request(prompt_ids=list(r.prompt_ids), request_id=r.request_id,
+                     sampling=r.sampling, qos=r.qos) for r in requests]
+        )
+        engine = _qos_engine(fuzz_model, 12, max_batch_size=1,
+                             max_prefills_per_step=1, preemption_mode=mode)
+        for request in requests:
+            engine.submit(request)
+        assert engine.num_waiting == len(requests)
+        finals = engine.run()
+        for request in requests:
+            _outputs_equal(finals[request.request_id], refs[request.request_id])
+        assert engine.metrics.requests_shed == 0
+        audit_engine(engine, f"{mode} unbounded queue")
+
+    @staticmethod
+    def _doomed_behind_a_blocker(model, scenario):
+        """One batch slot held by a class-3 blocker, and a class-1 request
+        whose deadline fails: provably unmeetable at submit
+        (``admission``) or at its held arrival (``held``), or passed while
+        it waits (``mid_wait``)."""
+        rng = np.random.default_rng(36)
+        engine = _qos_engine(model, 30, max_batch_size=1,
+                             max_prefills_per_step=1)
+        engine.submit(_request("blocker", rng, plen=80, priority=3,
+                               max_new=6))
+        bound = engine.min_ttft_lower_bound(60)
+        deadline = 4.0 * bound if scenario == "mid_wait" else bound / 2
+        engine.submit(
+            _request("doomed", rng, priority=1, tenant="chat",
+                     deadline=deadline),
+            arrival_time=bound if scenario == "held" else None,
+        )
+        return engine
+
+    @pytest.mark.parametrize("scenario", ["admission", "held", "mid_wait"])
+    def test_deadline_shed_releases_everything(self, fuzz_model, scenario):
+        engine = self._doomed_behind_a_blocker(fuzz_model, scenario)
+        finals = {}
+        while engine.has_unfinished:
+            for output in engine.step():
+                if output.finished:
+                    finals[output.request_id] = output
+            audit_engine(engine, f"{scenario} step")
+        assert finals["blocker"].finish_reason == "length"
+        doomed = finals["doomed"]
+        assert doomed.finish_reason == "deadline" and doomed.token_ids == []
+        assert "doomed" not in engine._states
+        metrics = engine.metrics
+        assert metrics.requests_shed == metrics.deadline_misses == 1
+        assert metrics.per_class[1].requests_shed == 1
+        assert metrics.per_tenant["chat"].requests_shed == 1
+
+    @pytest.mark.parametrize("scenario", ["admission", "held", "mid_wait"])
+    def test_deadline_shed_flows_through_stream(self, fuzz_model, scenario):
+        engine = self._doomed_behind_a_blocker(fuzz_model, scenario)
+        finished = [(output.request_id, output.finish_reason)
+                    for output in engine.stream() if output.finished]
+        assert sorted(finished) == [("blocker", "length"),
+                                    ("doomed", "deadline")]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_held_arrivals_shed_only_for_deadlines(self, fuzz_model, seed):
+        """Random future arrivals, about half with deadlines, on a one- or
+        two-slot engine: after every step the books balance, and at the end
+        every shed request carried a deadline it had missed or could never
+        meet, got no tokens, and everything else completed."""
+        rng = np.random.default_rng(200 + seed)
+        engine = _qos_engine(
+            fuzz_model, 12, max_batch_size=int(rng.integers(1, 3)),
+            preemption_mode=["swap", "recompute"][int(rng.integers(0, 2))],
+        )
+        # A run lasts about 10^6 one-token prefills of simulated time, so
+        # deadlines of 10^3-10^6 of them mix met and missed ones.
+        token = engine.min_ttft_lower_bound(1)
+        requests = []
+        for index in range(6):
+            deadline = None
+            if rng.random() < 0.5:
+                deadline = float(token * 10.0 ** rng.uniform(3.0, 6.0))
+            request = _request(
+                f"r{index}", rng, plen=int(rng.integers(20, 70)),
+                priority=int(rng.integers(0, 3)),
+                tenant=["alpha", "beta"][int(rng.integers(0, 2))],
+                deadline=deadline,
+            )
+            engine.submit(request,
+                          arrival_time=float(rng.uniform(0.0, 5e5 * token)))
+            requests.append(request)
+        finals = {}
+        for step_index in range(500):
+            for output in engine.step():
+                if output.finished:
+                    finals[output.request_id] = output
+            audit_engine(engine, f"seed={seed} step={step_index}")
+            if not engine.has_unfinished:
+                break
+        else:
+            pytest.fail(f"seed={seed}: no progress within 500 steps")
+        shed = 0
+        for request in requests:
+            output = finals[request.request_id]
+            if output.finish_reason != "deadline":
+                assert output.finish_reason == "length"
+                continue
+            shed += 1
+            assert request.qos.deadline is not None and output.token_ids == []
+            missed = output.metrics.finish_time > output.metrics.deadline
+            unmeetable = (engine.min_ttft_lower_bound(len(request.prompt_ids))
+                          > request.qos.deadline)
+            assert missed or unmeetable
+        assert engine.metrics.requests_shed == shed
+
+
 class TestProactiveSwap:
+    @pytest.mark.parametrize("threshold, swapped", [
+        (None, []),
+        (0.25, []),
+        (0.5, ["young"]),
+        (0.75, ["young", "old"]),
+        (1.0, ["young", "old", "mid"]),
+    ])
+    def test_threshold_comes_from_the_scheduler_config(
+        self, fuzz_model, threshold, swapped
+    ):
+        """Two of eight blocks free and class-2 work waiting: each swap-out
+        frees two blocks, taking the lowest class first and the youngest
+        within it, until the configured free fraction is met."""
+        parts = _Parts(fuzz_model.config, pool_blocks=8,
+                       swap_space=SwapSpace(), proactive=threshold)
+        running = {
+            "old": parts.running("old", 0, 8),
+            "young": parts.running("young", 1, 8),
+            "mid": parts.running("mid", 2, 8, priority=1),
+        }
+        parts.scheduler.submit(RequestState(
+            Request(prompt_ids=[4] * 8, request_id="top",
+                    qos=RequestQoS(priority=2)),
+            arrival_time=0.0, seq=3,
+        ))
+        assert parts.allocator.num_available == 2
+        assert parts.pressure.proactive_swap_out() == len(swapped)
+        assert sorted(rid for rid, state in running.items()
+                      if state.status is RequestStatus.SWAPPED) == sorted(swapped)
+        assert parts.metrics.proactive_swap_outs == len(swapped)
+        assert parts.allocator.num_available == 2 + 2 * len(swapped)
+
     def test_pool_pressure_swaps_low_priority_for_waiting_high(
         self, fuzz_model
     ):
