@@ -289,8 +289,9 @@ class BlockAllocator:
     a block whose refcount reaches zero returns to the free list for reuse.
 
     Block ``b`` is rows ``[b * block_size, (b + 1) * block_size)`` of one
-    plane per tensor, ``(num_layers, h_kv, rows, d_h)``; growth doubles the
-    planes, so a view of them is only good until the next allocation.
+    plane per tensor, ``(num_layers, h_kv, rows, d_h)``.  Growth copies the
+    live rows into new planes, so a view of them is only good until the next
+    allocation; :meth:`reserve` sizes one growth to a whole step's demand.
 
     Attributes:
         eviction_hook: optional callable ``(num_blocks) -> int`` invoked when
@@ -378,6 +379,40 @@ class BlockAllocator:
         return np.zeros((self.num_layers, self.num_kv_heads,
                          blocks * self.block_size, self.head_dim), dtype=DTYPE)
 
+    @property
+    def _plane_blocks(self) -> int:
+        return self._planes[0].shape[2] // self.block_size
+
+    def reserve(self, blocks: int) -> None:
+        """Make room for ``blocks`` more allocations in at most one growth.
+
+        A growth copies every live row, so a caller that knows a step's
+        whole demand (the engine, for the prefills it imports) reserves it
+        once instead of letting block-by-block allocation grow the planes
+        repeatedly.  Capacity is not checked here: allocation still refuses
+        blocks past ``capacity_blocks``.
+        """
+        fresh = blocks - len(self._free)
+        if fresh > 0:
+            self._grow(self._next_id + fresh)
+
+    def _grow(self, blocks: int) -> None:
+        """Planes for at least ``blocks`` blocks: the demand plus a quarter of
+        headroom, at least double the current size, at most the capacity.
+        The new planes are ``np.zeros`` (untouched pages cost no memory) and
+        only the live rows are copied."""
+        have = self._plane_blocks
+        if blocks <= have:
+            return
+        size = max(blocks + blocks // 4, 2 * have)
+        if self.capacity_blocks is not None:
+            size = min(size, self.capacity_blocks)
+        rows = have * self.block_size
+        planes = [self._plane(size), self._plane(size)]
+        for new, old in zip(planes, self._planes):
+            new[:, :, :rows] = old
+        self._planes = planes
+
     #: blocks requested from the eviction hook per exhaustion event; freeing
     #: a small batch amortises the hook's scan over the next allocations (a
     #: multi-block admission would otherwise fire it once per block).
@@ -409,10 +444,7 @@ class BlockAllocator:
         elif self.capacity_blocks is None or self._next_id < self.capacity_blocks:
             block_id = self._next_id
             self._next_id += 1
-            if block_id * self.block_size == self._planes[0].shape[2]:  # full: double
-                extra = min(block_id or 1, (self.capacity_blocks or 2 * block_id or 1) - block_id)
-                self._planes = [np.concatenate([plane, self._plane(extra)], axis=2)
-                                for plane in self._planes]
+            self._grow(self._next_id)
         else:
             return None
         self._refcounts[block_id] = 1
@@ -487,7 +519,9 @@ class BlockTable:
 
     The table *owns* one allocator reference per listed block; :meth:`fork`
     produces a copy-on-write shallow copy (increfs every block), and
-    :meth:`release` drops all references exactly once (idempotent).
+    :meth:`release` drops all references exactly once (idempotent).  Its
+    plane-row map (:meth:`rows`) is cached: extended by :meth:`append_new`,
+    dropped by every other change of the entries.
     """
 
     def __init__(
@@ -496,6 +530,7 @@ class BlockTable:
         self.allocator = allocator
         self.block_ids: list[int] = list(block_ids or [])
         self._released = False
+        self._rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.block_ids)
@@ -518,12 +553,33 @@ class BlockTable:
         self._require_live()
         return BlockTable.fork_from(self.allocator, self.block_ids)
 
+    def rows(self) -> np.ndarray:
+        """Plane row of every token slot the table spans, in token order:
+        ``(len(self) * block_size,)``, slot ``i`` of block ``b`` at row
+        ``b * block_size + i``."""
+        if self._rows is None:
+            block_size = self.allocator.block_size
+            ids = np.asarray(self.block_ids, dtype=np.int64)
+            self._rows = (ids[:, None] * block_size + np.arange(block_size)).ravel()
+        return self._rows
+
     def append_new(self) -> int:
         """Allocate and append a fresh block; returns its id."""
         self._require_live()
         block_id = self.allocator.allocate()
         self.block_ids.append(block_id)
+        if self._rows is not None:
+            first = block_id * self.allocator.block_size
+            self._rows = np.concatenate(
+                [self._rows, np.arange(first, first + self.allocator.block_size)]
+            )
         return block_id
+
+    def truncate(self, length: int) -> None:
+        """Drop the entries past ``length`` and their references."""
+        while len(self.block_ids) > length:
+            self.allocator.decref(self.block_ids.pop())
+        self._rows = None
 
     def replace(self, index: int, new_block_id: int) -> None:
         """Swap entry ``index`` for an already-owned block (COW bookkeeping).
@@ -534,6 +590,7 @@ class BlockTable:
         self._require_live()
         old = self.block_ids[index]
         self.block_ids[index] = new_block_id
+        self._rows = None
         self.allocator.decref(old)
 
     def release(self) -> None:
@@ -544,6 +601,7 @@ class BlockTable:
         for block_id in self.block_ids:
             self.allocator.decref(block_id)
         self.block_ids = []
+        self._rows = None
 
     @property
     def released(self) -> bool:
@@ -558,7 +616,8 @@ class PagedLayerKVCache(_LayerKV):
     """One layer of a :class:`PagedKVCache`: a length, read and written
     through the owning cache's block table (it owns no KV array).  Token
     ``i`` is row ``table[i // block_size] * block_size + i % block_size``
-    of the allocator's planes for this layer."""
+    of the allocator's planes for this layer; a token range over blocks
+    with consecutive ids is one slice of those planes."""
 
     def __init__(self, owner: "PagedKVCache", layer_index: int, length: int) -> None:
         allocator = owner.allocator
@@ -571,30 +630,43 @@ class PagedLayerKVCache(_LayerKV):
             raise ConfigurationError("PagedKVCache has been released")
         return self._owner.allocator.layer_planes(self._layer_index)
 
-    def _rows(self, start: int, stop: int) -> np.ndarray:
-        """Plane rows of the tokens ``[start, stop)``, mapped through only the
-        table entries the range spans."""
-        block_size = self._owner.allocator.block_size
-        first = start // block_size
-        ids = self._owner.table.block_ids[first: -(-stop // block_size)]
-        rows = np.asarray(ids, dtype=np.int64)[:, None] * block_size + np.arange(block_size)
-        return rows.ravel()[start - first * block_size: stop - first * block_size]
+    def _row_runs(self, start: int, stop: int) -> list[slice]:
+        """Plane rows of the tokens ``[start, stop)`` as slices, one per run
+        of consecutive rows (blocks with consecutive ids)."""
+        rows = self._owner.table.rows()[start:stop]
+        if not rows.size:
+            return [slice(0, 0)]
+        bounds = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
+        return [
+            slice(int(rows[lo]), int(rows[lo]) + hi - lo)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
 
     def append(self, keys: np.ndarray, values: np.ndarray) -> None:
         keys, values = self._validate_append(keys, values)
         stop = self._length + keys.shape[1]
         self._owner._reserve(self._length, stop)
-        rows = self._rows(self._length, stop)
-        for plane, new in zip(self._layer_planes(), (keys, values)):
-            plane[:, rows] = new
+        planes = self._layer_planes()
+        offset = 0
+        for rows in self._row_runs(self._length, stop):
+            width = rows.stop - rows.start
+            for plane, new in zip(planes, (keys, values)):
+                plane[:, rows] = new[:, offset: offset + width]
+            offset += width
         self._length = stop
 
     def read(self, start: int = 0, stop: "int | None" = None) -> tuple[np.ndarray, np.ndarray]:
         """Keys and values of tokens ``[start, stop)`` (default: all), each
-        ``(h_kv, t, d_h)`` of C-contiguous ``(t, d_h)`` rows per head: always
-        a copy, taken through the table."""
-        rows = self._rows(start, self._checked_stop(start, stop))
-        return tuple(np.take(plane, rows, axis=1) for plane in self._layer_planes())
+        ``(h_kv, t, d_h)`` of C-contiguous ``(t, d_h)`` rows per head: views
+        of the planes when the range lies in consecutive blocks, good until
+        the next allocation; else a copy, taken through the table."""
+        runs = self._row_runs(start, self._checked_stop(start, stop))
+        planes = self._layer_planes()
+        if len(runs) == 1:
+            return tuple(plane[:, runs[0]] for plane in planes)
+        return tuple(
+            np.concatenate([plane[:, rows] for rows in runs], axis=1) for plane in planes
+        )
 
     def decode_view(self, selected):
         """``(keys, values, selection)`` operands of
@@ -603,7 +675,7 @@ class PagedLayerKVCache(_LayerKV):
         mapping checks the token indices (``[-len, len)``, negatives from the
         end, else :class:`IndexError`), the kernel the rows."""
         keys, values = self._layer_planes()
-        rows = self._rows(0, self._length)
+        rows = self._owner.table.rows()[: self._length]
         if selected is None:
             return keys, values, rows
         if isinstance(selected, (list, tuple)):
@@ -663,8 +735,7 @@ class PagedKVCache(KVCache):
             while table.capacity_tokens < stop:
                 table.append_new()
         except CapacityError:
-            while len(table) > had:
-                self.allocator.decref(table.block_ids.pop())
+            table.truncate(had)
             raise
 
     def release(self) -> None:

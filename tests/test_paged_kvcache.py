@@ -318,3 +318,61 @@ class TestPagedKVCache:
         # a view fetched after growth writes into the live plane
         alloc.block_keys(0)[...] = 3.0
         assert np.all(alloc.layer_planes(1)[0][:, :4] == 3.0)
+
+    def test_reserve_grows_once_for_the_whole_demand(self, rng):
+        """Importing a long chain after ``reserve`` never re-copies the
+        planes, and the chain reads back as one view of them."""
+        alloc = make_allocator(block_size=4)
+        alloc.reserve(10)
+        planes = alloc.layer_planes(0)[0].base
+        paged = PagedKVCache(alloc)
+        k, v = random_kv(rng, t=40)
+        for layer in range(2):
+            paged[layer].append(k, v)
+        assert alloc.layer_planes(0)[0].base is planes
+        keys, values = paged[1].read()
+        assert keys.base is planes and np.array_equal(keys, k)
+        assert np.array_equal(values, v)
+        bounded = make_allocator(capacity=3)
+        bounded.reserve(10)  # capped at the capacity; allocation still refuses
+        assert bounded.layer_planes(0)[0].shape[1] == 3 * 4
+
+    def test_row_map_is_extended_and_invalidated(self, rng):
+        """The table's cached row map follows appends, a copy-on-write
+        ``replace`` and ``release``."""
+        alloc = make_allocator(block_size=4)
+        paged = PagedKVCache(alloc)
+        k, v = random_kv(rng, t=6)
+        for layer in range(2):
+            paged[layer].append(k, v)
+        rows = paged.table.rows()
+        assert paged.table.rows() is rows  # cached
+        k2, v2 = random_kv(rng, t=4)
+        for layer in range(2):
+            paged[layer].append(k2, v2)  # crosses into a third block
+        assert len(paged.table.rows()) == 12
+        plane_k, _, picked = paged[0].decode_view(np.array([9]))
+        assert np.array_equal(plane_k[:, picked], k2[:, [3]])
+        paged.table.release()
+        assert len(paged.table.rows()) == 0
+
+    def test_view_after_cow_replace_reads_the_new_block(self, rng):
+        """A decode view taken after a copy-on-write ``replace`` maps the
+        replaced block's tokens to the copy, not to the shared original."""
+        alloc = make_allocator(block_size=4)
+        base = PagedKVCache(alloc)
+        k, v = random_kv(rng, t=6)
+        for layer in range(2):
+            base[layer].append(k, v)
+        fork = PagedKVCache(alloc, prefix_table=base.table.fork(), prefix_len=6)
+        fork.table.rows()  # cache the map over the shared blocks
+        shared = fork.table.block_ids[1]
+        k2, v2 = random_kv(rng, t=1)
+        for layer in range(2):
+            fork[layer].append(k2, v2)  # COW-copies the half-full block
+        copy = fork.table.block_ids[1]
+        assert copy != shared
+        alloc.block_keys(shared)[...] = 7.0  # the original moves on
+        plane_k, _, rows = fork[0].decode_view(np.array([4, 6]))
+        assert np.all(rows // 4 == copy)
+        assert np.array_equal(plane_k[:, rows], np.concatenate([k[:, [4]], k2], axis=1))
