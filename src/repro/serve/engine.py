@@ -703,28 +703,15 @@ class InferenceEngine:
     def _run_monolithic_prefill(
         self, state: RequestState, new_tokens: dict[str, list[int]]
     ) -> None:
-        """Legacy unchunked path: the whole prompt in the admission step."""
-        request = state.request
-        if request.prefill is not None:
-            prefill = request.prefill
-        elif state.paged is not None:
-            # Paged/prefix-cached requests always run through the resumable
-            # API so cache-hit tokens are skipped; without chunking the whole
-            # remainder is one chunk (charged through the chunk clock, which
-            # telescopes to the monolithic charge on a cold cache).
+        """Unchunked path: the whole prompt in the admission step, as one
+        chunk (charged through the chunk clock, which telescopes to the
+        monolithic charge on a cold cache)."""
+        if state.request.prefill is not None:
+            self._complete_prefill(state, state.request.prefill, new_tokens)
+        else:
             self._run_prefill_chunk(
                 state, state.remaining_prefill_tokens, new_tokens
             )
-            return
-        else:
-            timings: dict[str, float] = {}
-            prefill = self.model.prefill(
-                request.prompt_ids,
-                observation_window=request.sampling.observation_window,
-                timings=timings,
-            )
-            self._record_prefill_timings(timings)
-        self._complete_prefill(state, prefill, new_tokens)
 
     def _record_prefill_timings(self, timings: dict[str, float]) -> None:
         """Sum one prefill call's host wall-clock stage seconds into the metrics."""
