@@ -47,10 +47,12 @@ def substrate() -> TransformerLM:
     return TransformerLM(config, seed=0)
 
 
-def make_engine(substrate: TransformerLM, caching: bool) -> InferenceEngine:
+def make_engine(substrate: TransformerLM) -> InferenceEngine:
+    """A fresh engine: its prefix cache holds nothing yet, so its first
+    request is served cold."""
     return InferenceEngine(substrate, EngineConfig(
         scheduler=SchedulerConfig(max_prefill_chunk_tokens=512),
-        pool=PoolConfig() if caching else None,
+        pool=PoolConfig(),
     ))
 
 
@@ -80,7 +82,7 @@ def test_prefix_reuse_ttft_multiturn(substrate):
         turn_tokens=TURN_TOKENS, seed=4,
     )
 
-    warm_engine = make_engine(substrate, caching=True)
+    warm_engine = make_engine(substrate)
 
     # Turn 1: cold by construction — it pays the full prefill + clustering.
     history = conversation.initial_history()
@@ -95,7 +97,7 @@ def test_prefix_reuse_ttft_multiturn(substrate):
     assert warm.metrics.cached_prefix_tokens >= SHARED_PREFIX_TOKENS
 
     # The same turn-2 prompt served cold (fresh engine, no cache to hit).
-    cold = serve_turn(make_engine(substrate, caching=False), prompt_2)
+    cold = serve_turn(make_engine(substrate), prompt_2)
 
     # Byte-identical decode output between hit and cold paths.
     assert warm.token_ids == cold.token_ids
@@ -140,13 +142,19 @@ def test_prefix_reuse_throughput_batch(substrate):
         for t in range(4)
     ]
 
-    def drive(caching: bool, policy: "str | None") -> tuple[float, float]:
-        engine = make_engine(substrate, caching)
-        prefill_seconds = 0.0
+    def drive(shared: bool, policy: "str | None") -> tuple[float, float]:
+        """Serve the prompts in turn on one engine (``shared``: later ones
+        hit the system prompt's cached chain), or each on a fresh engine
+        (cold); returns the prefill seconds and the clock, summed."""
+        prefill_seconds = clock = 0.0
+        engine = make_engine(substrate)
         for prompt in prompts:
+            if not shared:
+                clock += engine.metrics.clock
+                engine = make_engine(substrate)
             out = serve_turn(engine, prompt, policy)
             prefill_seconds += out.metrics.prefill_seconds
-        return prefill_seconds, engine.metrics.clock
+        return prefill_seconds, clock + engine.metrics.clock
 
     cold_full, cold_full_clock = drive(False, None)
     warm_full, warm_full_clock = drive(True, None)

@@ -2,8 +2,9 @@
 """Multi-turn chat demo: shared-prefix caching across conversation turns.
 
 Three user turns share one system prompt; each turn's prompt embeds the full
-conversation so far.  With a paged pool (``EngineConfig(pool=PoolConfig())``)
-the engine serves turns 2 and 3 from cached KV blocks (and reuses the PQ
+conversation so far.  Every engine keeps each request's KV in its paged
+pool (``EngineConfig(pool=PoolConfig())``, unbounded) with a prefix cache
+over it, so the engine serves turns 2 and 3 from cached KV blocks (and reuses the PQ
 codebooks/codes built for the shared prefix), so only each turn's new tokens
 are prefilled — the per-turn TTFT and the prefix-cache hit rate printed below
 show the effect.

@@ -9,7 +9,7 @@ from .metrics import (
     logit_divergence,
     score_step,
 )
-from .runner import DatasetScore, EvaluationHarness, clone_prefill
+from .runner import DatasetScore, EvaluationHarness
 
 __all__ = [
     "StepObservation",
@@ -21,5 +21,4 @@ __all__ = [
     "score_step",
     "DatasetScore",
     "EvaluationHarness",
-    "clone_prefill",
 ]

@@ -4,8 +4,9 @@ The harness reproduces the paper's quality-evaluation loop:
 
 1. build (or reuse) the substrate model,
 2. prefill each sample's prompt once,
-3. for every policy, clone the prefilled KVCache, let the policy build its
-   state (PQ codebooks, retained sets, block representatives, ...),
+3. for every policy, hand the prefill to an engine, which copies its KV into
+   the engine's block pool and lets the policy build its state (PQ
+   codebooks, retained sets, block representatives, ...) from it,
 4. feed the sample's probe tokens as teacher-forced decode steps through the
    serving engine (:class:`repro.serve.InferenceEngine` in
    ``forced_decode_ids`` mode), recording every per-layer selection decision
@@ -39,33 +40,9 @@ from ..serve.scheduler import SchedulerConfig
 from ..workloads.base import Sample, TaskDataset
 from .metrics import StepObservation, attention_recall_at_k, score_step
 
-__all__ = ["DatasetScore", "EvaluationHarness", "clone_prefill"]
+__all__ = ["DatasetScore", "EvaluationHarness"]
 
 PolicyFactory = Callable[[], KVCachePolicy]
-
-
-def clone_prefill(prefill: PrefillResult, config: ModelConfig) -> PrefillResult:
-    """Deep-copy the mutable parts of a prefill result (the KVCache).
-
-    Decode steps append to the cache and PQCache/H2O mutate derived state, so
-    every policy gets its own cache copy; the immutable aggregates and logits
-    are shared.
-    """
-    cache = KVCache(
-        config.num_layers, config.num_kv_heads, config.head_dim,
-        config.dtype_bytes,
-    )
-    for layer_index in range(config.num_layers):
-        source = prefill.kvcache[layer_index]
-        cache[layer_index].append(*source.read())
-    return PrefillResult(
-        kvcache=cache,
-        last_hidden=prefill.last_hidden,
-        logits=prefill.logits,
-        aggregates=prefill.aggregates,
-        prompt_queries=prefill.prompt_queries,
-        seq_len=prefill.seq_len,
-    )
 
 
 @dataclass
@@ -152,8 +129,9 @@ class EvaluationHarness:
         layer per step.
         """
         config = self.model_config
-        shared = self._prefill(sample)
-        prefill = clone_prefill(shared, config)
+        # The engine imports the prefill into its pool and decodes there, so
+        # the cached prefill is shared, never written.
+        prefill = self._prefill(sample)
 
         observations: list[StepObservation] = []
 

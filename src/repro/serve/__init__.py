@@ -4,9 +4,9 @@ This package is the serving front-end of the reproduction: it turns the
 single-sequence policy stack (model substrate + KVCache policies) into an
 engine that admits concurrent :class:`Request` objects, interleaves their
 decode rounds, streams tokens incrementally, and accounts simulated
-wall-clock through the analytical latency models.  With a
-:class:`PoolConfig` requests draw their KVCache from a shared paged block
-pool and the :class:`PrefixCache` reuses common prompt prefixes — KV blocks,
+wall-clock through the analytical latency models.  Every request's KVCache
+lives in the engine's paged block pool (:class:`PoolConfig`, unbounded by
+default) and the :class:`PrefixCache` reuses common prompt prefixes — KV blocks,
 accumulated-score snapshots and PQ artifacts — across requests (see
 ``docs/architecture.md``).
 

@@ -37,7 +37,7 @@ from typing import Iterable
 
 from ...errors import ConfigurationError
 from ...llm.model import TransformerLM
-from ..config import EngineConfig, PoolConfig, resolve_config
+from ..config import EngineConfig, resolve_config
 from ..metrics import EngineMetrics
 from ..request import Request, RequestOutput
 from .router import Placement, Router
@@ -96,7 +96,7 @@ class ClusterFrontend:
             under cache-aware placement (billed, see module docstring).
         config: the :class:`~repro.serve.EngineConfig` every worker builds
             its own pool, swap tiers, prefix cache and clock from; by
-            default one with a pool (cache-aware routing needs one).
+            default ``EngineConfig()``, an unbounded pool.
         **keywords: shim — the pre-config options, with
             ``enable_prefix_caching`` defaulting to ``True``; not with
             ``config``.
@@ -115,7 +115,7 @@ class ClusterFrontend:
             raise ConfigurationError("num_workers must be >= 1")
         if keywords:
             keywords = {"enable_prefix_caching": True, **keywords}
-        config = resolve_config(config, keywords, EngineConfig(pool=PoolConfig()))
+        config = resolve_config(config, keywords, EngineConfig())
         self.model = model
         self.router = Router(placement, migrate_on_miss=migrate_on_miss)
         self.workers: list[Worker] = [
@@ -135,9 +135,8 @@ class ClusterFrontend:
         return len(self.workers)
 
     @property
-    def block_size(self) -> "int | None":
-        allocator = self.workers[0].block_allocator
-        return allocator.block_size if allocator is not None else None
+    def block_size(self) -> int:
+        return self.workers[0].block_allocator.block_size
 
     def submit(self, request: Request) -> str:
         """Route and enqueue one request; returns its id."""

@@ -61,9 +61,7 @@ class Worker(InferenceEngine):
 
     def prefix_coverage(self, keys: Sequence[bytes]) -> PrefixCoverage:
         """This worker's leading-prefix coverage of a prompt's chain keys —
-        the router's cache signal (zero without a prefix cache)."""
-        if self.prefix_cache is None:
-            return PrefixCoverage()
+        the router's cache signal."""
         return self.prefix_cache.coverage(keys)
 
     def describe(self) -> dict:

@@ -3,10 +3,11 @@
 PQCache's serving state is one storage hierarchy (paper §3.1): a GPU block
 pool, a CPU tier that holds the full KV, and a disk tier.  :class:`PoolConfig`
 spells it as one value; :class:`EngineConfig` adds the scheduler, the clock
-model and the retention bound.  ``pool=None`` (the default) means no paged
-pool, so a pool option without a pool cannot be written down.  Both are
-frozen and validate at construction; one config may back many engines, each
-building its own allocator, swap tiers and prefix cache from it.
+model and the retention bound.  Every engine has a pool: the default
+``PoolConfig()`` is unbounded, and every request's KV — computed or brought
+as a precomputed prefill — lives in its blocks.  Both are frozen and
+validate at construction; one config may back many engines, each building
+its own allocator, swap tiers and prefix cache from it.
 
 :func:`config_from_keywords` is a shim: the pre-config keyword spelling that
 ``bench/adapters.py`` still passes to ``InferenceEngine`` and
@@ -61,8 +62,8 @@ class EngineConfig:
 
     Attributes:
         scheduler: batching, prefill-chunking, preemption and QoS knobs.
-        pool: paged pool and swap tiers; ``None`` gives every request a
-            private contiguous KVCache (no prefix reuse, no preemption).
+        pool: paged pool, swap tiers and the prefix cache over them; the
+            default is unbounded (nothing is ever preempted or evicted).
         latency_model: the simulated clock's model; ``None`` builds one per
             engine from the paper's testbed and the model's geometry.
         max_retained_outputs: finished outputs kept beyond this count are
@@ -70,15 +71,15 @@ class EngineConfig:
     """
 
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    pool: PoolConfig | None = None
+    pool: PoolConfig = field(default_factory=PoolConfig)
     latency_model: LatencyModel | None = None
     max_retained_outputs: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.scheduler, SchedulerConfig):
             raise ConfigurationError("scheduler must be a SchedulerConfig")
-        if not isinstance(self.pool, (PoolConfig, type(None))):
-            raise ConfigurationError("pool must be a PoolConfig or None")
+        if not isinstance(self.pool, PoolConfig):
+            raise ConfigurationError("pool must be a PoolConfig")
         if not isinstance(self.latency_model, (LatencyModel, type(None))):
             raise ConfigurationError("latency_model must be a LatencyModel or None")
         if self.max_retained_outputs is not None and self.max_retained_outputs < 0:
@@ -98,10 +99,11 @@ def config_from_keywords(
 ) -> EngineConfig:
     """Shim: the pre-config keywords as an :class:`EngineConfig`.
 
-    ``enable_prefix_caching`` becomes ``pool``.  Without it ``kv_block_size``
-    is ignored and any other pool option raises.
+    ``enable_prefix_caching`` sizes ``pool`` from the other options.  Without
+    it the pool is the default ``PoolConfig()``: ``kv_block_size`` is
+    ignored and any other pool option raises.
     """
-    pool = None
+    pool = PoolConfig()
     if enable_prefix_caching:
         pool = PoolConfig(kv_block_size, kv_pool_blocks, swap_cpu_blocks,
                           swap_disk_blocks)

@@ -27,7 +27,7 @@ where consecutive rounds of one would, so any grouping yields the same
 tokens, logits, selections, simulated clock and counters.
 
 Prefilling runs in one of two modes.  By default an admitted request
-prefills its whole prompt during the admission step (monolithic).  With
+prefills its whole prompt during the admission step, as one chunk.  With
 ``SchedulerConfig.max_prefill_chunk_tokens`` set, prefill is *chunked*: each
 step processes at most that many prompt tokens, split fairly across the
 batch's ``PREFILLING`` requests via :meth:`TransformerLM.prefill_chunk`, so a
@@ -36,16 +36,18 @@ clock is charged per chunk (GPU compute of the chunk), with the residual of
 the overlapped construction timeline
 (:meth:`~repro.memory.LatencyModel.chunked_prefill_timeline`) settled at
 completion; policies that support it (PQCache) build their state
-incrementally from the same chunks (sketch fit → stream encode → refine).
-Chunked and monolithic prefill produce bitwise-identical model outputs.
+incrementally from the same chunks (sketch fit → stream encode → refine),
+whatever the chunk size.
 
 Paged KV and the shared-prefix cache
 ------------------------------------
-With a pool (``EngineConfig(pool=PoolConfig())``) every request's KVCache is a
-:class:`~repro.llm.kvcache.PagedKVCache` drawing fixed-size token blocks from
-a shared refcounted :class:`~repro.llm.kvcache.BlockAllocator`, and a
-:class:`~repro.serve.PrefixCache` hash-matches each incoming prompt against
-previously served block chains.  On a hit the matched blocks are attached
+Every request's KVCache is a :class:`~repro.llm.kvcache.PagedKVCache` drawing
+fixed-size token blocks from the engine's refcounted
+:class:`~repro.llm.kvcache.BlockAllocator` (``EngineConfig.pool``, unbounded
+by default), and a :class:`~repro.serve.PrefixCache` hash-matches each
+incoming prompt against previously served block chains.  A precomputed
+``Request.prefill`` is imported into fresh blocks at admission instead: it
+counts against the pool like any request, but never meets the prefix cache.  On a hit the matched blocks are attached
 copy-on-write, prefill resumes from the first divergent token
 (:meth:`TransformerLM.begin_prefill` with ``prefix_len``), reusable PQ
 artifacts (sketch codebooks + codes) are adopted by reference through the
@@ -103,18 +105,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from ..baselines.base import KVCachePolicy
 from ..errors import ConfigurationError
-from ..llm.kvcache import (
-    BlockAllocator,
-    BlockTable,
-    PagedKVCache,
-    SwapSpace,
-)
+from ..llm.kvcache import BlockAllocator, BlockTable, PagedKVCache, SwapSpace
 from ..llm.model import PrefillResult, PrefillState, TransformerLM
 from ..memory.devices import HardwareSpec
 from ..memory.latency import LatencyModel, resolve_method
@@ -138,7 +136,7 @@ class InferenceEngine:
             every request owns its KVCache through its prefill result).
         config: scheduler, paged pool, clock model and retention bound
             (:class:`~repro.serve.EngineConfig`); the default is an 8-slot
-            batch without a paged pool.
+            batch over an unbounded pool.
         **keywords: shim — the pre-config options (``scheduler_config=``,
             ``enable_prefix_caching=``, …), read by
             :func:`~repro.serve.config.config_from_keywords`; not with ``config``.
@@ -159,40 +157,33 @@ class InferenceEngine:
             HardwareSpec.paper_testbed(), model.config
         )
         self.metrics = EngineMetrics()
-        self.block_allocator: BlockAllocator | None = None
-        self.prefix_cache: PrefixCache | None = None
-        self.swap_space: SwapSpace | None = None
-        #: the pool-pressure ladder and transfer ledger over the three
-        #: attributes above; ``None`` exactly when they are (no paged pool,
-        #: so nothing to reserve, preempt, swap or spill)
-        self.pressure: PoolPressure | None = None
         self._states: dict[str, RequestState] = {}
         self._seen_ids: set[str] = set()
         self._final_outputs: dict[str, RequestOutput] = {}
-        pool = config.pool
-        if pool is not None:
-            geometry = model.config
-            self.block_allocator = BlockAllocator(
-                geometry.num_layers,
-                geometry.num_kv_heads,
-                geometry.head_dim,
-                block_size=pool.block_size,
-                capacity_blocks=pool.blocks,
-                dtype_bytes=geometry.dtype_bytes,
-            )
-            self.swap_space = SwapSpace(
-                cpu_capacity_blocks=pool.cpu_blocks,
-                disk_capacity_blocks=pool.disk_blocks,
-            )
-            self.prefix_cache = PrefixCache(
-                self.block_allocator, spill_store=self.swap_space
-            )
-            self.block_allocator.eviction_hook = self.prefix_cache.evict
-            self.pressure = PoolPressure(
-                self.scheduler, self.latency, self.metrics,
-                self.block_allocator, self.swap_space, self.prefix_cache,
-                self._states, self._final_outputs,
-            )
+        pool, geometry = config.pool, model.config
+        self.block_allocator = BlockAllocator(
+            geometry.num_layers,
+            geometry.num_kv_heads,
+            geometry.head_dim,
+            block_size=pool.block_size,
+            capacity_blocks=pool.blocks,
+            dtype_bytes=geometry.dtype_bytes,
+        )
+        self.swap_space = SwapSpace(
+            cpu_capacity_blocks=pool.cpu_blocks,
+            disk_capacity_blocks=pool.disk_blocks,
+        )
+        self.prefix_cache = PrefixCache(
+            self.block_allocator, spill_store=self.swap_space
+        )
+        self.block_allocator.eviction_hook = self.prefix_cache.evict
+        #: the pool-pressure ladder and transfer ledger over the three
+        #: attributes above
+        self.pressure = PoolPressure(
+            self.scheduler, self.latency, self.metrics,
+            self.block_allocator, self.swap_space, self.prefix_cache,
+            self._states, self._final_outputs,
+        )
         #: shed-on-arrival finals awaiting delivery through the next step()
         #: (so run()/stream() observe them like any other finished output)
         self._pending_shed_outputs: list[RequestOutput] = []
@@ -250,19 +241,16 @@ class InferenceEngine:
         """Provable lower bound on the uncontended TTFT of a prompt.
 
         The bound is the GPU prefill compute alone: every serving method
-        must run the prompt through all layers before the first token, the
-        layers chain sequentially on the prefill timeline, and chunked
-        prefill's per-chunk FLOPs telescope to at least the monolithic
-        total — offload, clustering, and queueing only add to it.  With
-        prefix caching enabled a full-prefix hit could serve all but one
-        token from cached blocks, so the provable bound shrinks to the
-        one-token suffix and admission-time deadline shedding effectively
-        defers to the mid-wait clock sweep.
+        must run the prompt through all layers before the first token, and
+        offload, clustering and queueing only add to it.  A full-prefix hit
+        in the engine's prefix cache could serve all but one token from
+        cached blocks, so the provable bound is the one-token suffix's,
+        whatever ``num_prompt_tokens`` is, and admission-time deadline
+        shedding effectively defers to the mid-wait clock sweep.
         """
-        if self.prefix_cache is not None:
-            num_prompt_tokens = 1
+        del num_prompt_tokens  # a full-prefix hit leaves one token to prefill
         return (
-            self.latency.layer_prefill_compute_seconds(num_prompt_tokens)
+            self.latency.layer_prefill_compute_seconds(1)
             * self.model.config.num_layers
         )
 
@@ -340,11 +328,12 @@ class InferenceEngine:
     def step(self) -> list[RequestOutput]:
         """Run one engine step: admissions + prefill work + one decode round.
 
-        Unchunked: admitted requests prefill their whole prompt.  Chunked:
-        the scheduler's per-step token budget is spread over the batch's
-        ``PREFILLING`` requests and each allocation advances that request by
-        one chunk.  Either way, every fully-prefilled running request then
-        gets a decode round.
+        Admitted requests that bring a precomputed prefill import it into
+        the pool.  Unchunked: the others prefill their whole prompt as one
+        chunk.  Chunked: the scheduler's per-step token budget is spread
+        over the batch's ``PREFILLING`` requests and each allocation
+        advances that request by one chunk.  Either way, every
+        fully-prefilled running request then gets a decode round.
 
         A step with nothing runnable first idles: the clock jumps to the
         earliest held arrival.  Held arrivals the clock has reached are then
@@ -357,8 +346,7 @@ class InferenceEngine:
             self.metrics.clock = max(self.metrics.clock, self._held[0][0])
         self._release_arrivals()
         self._shed_missed_deadlines()
-        if self.pressure is not None:
-            self.pressure.proactive_swap_out()
+        self.pressure.proactive_swap_out()
         shed_outputs = self._pending_shed_outputs
         self._pending_shed_outputs = []
         decision = self.scheduler.schedule()
@@ -374,6 +362,15 @@ class InferenceEngine:
             if state not in touched:
                 touched.append(state)
 
+        # One pool growth for the step's imports, instead of one per request.
+        block = self.block_allocator.block_size
+        self.block_allocator.reserve(sum(
+            -(-state.request.prefill.seq_len // block)
+            for state in decision.admitted
+            if state.request.prefill is not None
+            and state.status is not RequestStatus.SWAPPED
+        ))
+
         for state in decision.admitted:
             if not self.scheduler.contains_running(state):
                 # An earlier admission's memory reservation preempted this
@@ -385,11 +382,13 @@ class InferenceEngine:
                 # chain first, then let the chunk/decode phases pick it up.
                 # A request parked mid-prefill resumes as PREFILLING; without
                 # chunking no later phase would prefill it, so finish its
-                # monolithic prefill here.
+                # prefill here, as one chunk.
                 if self.pressure.resume_swapped(state):
                     touch(state)
                     if not chunked and state.status is RequestStatus.PREFILLING:
-                        self._run_monolithic_prefill(state, new_tokens)
+                        self._run_prefill_chunk(
+                            state, state.remaining_prefill_tokens, new_tokens
+                        )
                 continue
             if state.status is RequestStatus.PREEMPTED:
                 # Recompute-preempted: restart through the normal admission
@@ -398,12 +397,12 @@ class InferenceEngine:
                 state.status = RequestStatus.WAITING
             self._begin_prefill(state)
             touch(state)
-            if not chunked:
-                self._run_monolithic_prefill(state, new_tokens)
-            elif state.remaining_prefill_tokens == 0 and state.prefill is None:
-                # Precomputed prefill (e.g. the eval harness): nothing to
-                # chunk, the request completes its prefill phase immediately.
-                self._complete_prefill(state, state.request.prefill, new_tokens)
+            if state.request.prefill is not None:
+                self._import_prefill(state, new_tokens)
+            elif not chunked:
+                self._run_prefill_chunk(
+                    state, state.remaining_prefill_tokens, new_tokens
+                )
 
         for state, num_tokens in decision.prefill_chunks:
             if state.status is not RequestStatus.PREFILLING:
@@ -420,8 +419,7 @@ class InferenceEngine:
 
         # Backstop settlement: spills triggered by allocation hooks inside
         # the model's own appends (rare — reservations normally cover them).
-        if self.pressure is not None:
-            self.pressure.settle_spill_traffic()
+        self.pressure.settle_spill_traffic()
 
         outputs: list[RequestOutput] = []
         for state in touched:
@@ -469,11 +467,8 @@ class InferenceEngine:
         keeps its tokens and logits, its KVCache refuses reads from now on
         (cached prefix entries keep their own references).
         """
-        if output is None or output.prefill is None:
-            return
-        kvcache = output.prefill.kvcache
-        if isinstance(kvcache, PagedKVCache):
-            kvcache.release()
+        if output is not None and output.prefill is not None:
+            output.prefill.kvcache.release()
 
     def stream(self) -> Iterator[RequestOutput]:
         """Drive the engine to completion, yielding every streamed output."""
@@ -554,7 +549,6 @@ class InferenceEngine:
         if state.swap_handle is not None:
             # Aborted while swapped out: the parked chain will never be
             # restored, so drop it from the swap space.
-            assert self.swap_space is not None
             self.swap_space.discard(state.swap_handle)
             state.swap_handle = None
         state.prefill_state = None  # drop the partial KVCache
@@ -575,7 +569,8 @@ class InferenceEngine:
         Also the re-entry point after recompute-preemption: the policy is
         rebuilt from its spec (deterministically equal to the original) and
         the prefix lookup runs again, typically hitting the chain this
-        request itself inserted before being preempted.
+        request itself inserted before being preempted.  A precomputed
+        prefill skips the lookup: its KV is not a function of its prompt ids.
         """
         state.status = RequestStatus.PREFILLING
         if state.metrics.prefill_start is None:
@@ -586,7 +581,7 @@ class InferenceEngine:
             state.policy.name if state.policy is not None else None,
             is_dropping=state.policy.is_dropping if state.policy is not None else False,
         )
-        if self.prefix_cache is not None and state.request.prefill is None:
+        if state.request.prefill is None:
             self._setup_prefix(state)
 
     def _setup_prefix(self, state: RequestState) -> None:
@@ -607,7 +602,6 @@ class InferenceEngine:
         Then forks the matched block chain copy-on-write and, when the
         policy can, attaches the cached PQ artifacts.
         """
-        assert self.prefix_cache is not None and self.block_allocator is not None
         request = state.request
         policy = state.policy
         prompt_len = len(request.prompt_ids)
@@ -686,32 +680,40 @@ class InferenceEngine:
     def _make_prefill_state(self, state: RequestState) -> PrefillState:
         """Begin the model-side prefill, resuming from a cached prefix."""
         request = state.request
-        kwargs: dict = {}
-        if state.paged is not None:
-            kwargs["kvcache"] = state.paged
-            if state.cached_prefix > 0:
-                kwargs["prefix_len"] = state.cached_prefix
-                kwargs["prefix_acc_scores"] = state.prefix_acc
-            if state.acc_capture:
-                kwargs["acc_snapshot_boundaries"] = [state.acc_capture]
         return self.model.begin_prefill(
             request.prompt_ids,
             observation_window=request.sampling.observation_window,
-            **kwargs,
+            kvcache=state.paged,
+            prefix_len=state.cached_prefix,
+            prefix_acc_scores=state.prefix_acc,
+            acc_snapshot_boundaries=[state.acc_capture] if state.acc_capture else None,
         )
 
-    def _run_monolithic_prefill(
+    def _import_prefill(
         self, state: RequestState, new_tokens: dict[str, list[int]]
     ) -> None:
-        """Unchunked path: the whole prompt in the admission step, as one
-        chunk (charged through the chunk clock, which telescopes to the
-        monolithic charge on a cold cache)."""
-        if state.request.prefill is not None:
-            self._complete_prefill(state, state.request.prefill, new_tokens)
-        else:
-            self._run_prefill_chunk(
-                state, state.remaining_prefill_tokens, new_tokens
-            )
+        """Copy a precomputed prefill's KV into fresh pool blocks.
+
+        It reserves first, like a prefill chunk: a pool too small for it
+        raises :class:`~repro.errors.CapacityError`, and a request outranked
+        for the blocks goes back to waiting, holding none.  It is never
+        matched against or inserted into the prefix cache (its KV is not a
+        function of its prompt ids), and the copy is not billed on the
+        simulated clock.  ``Request.prefill`` itself is never written, so a
+        recompute-preempted request re-imports it.
+        """
+        arrived = state.request.prefill
+        state.paged = PagedKVCache(self.block_allocator)
+        if not self.pressure.ensure_blocks(
+            state, self.pressure.append_blocks_needed(state, arrived.seq_len)
+        ):
+            state.paged = None
+            state.status = RequestStatus.WAITING
+            self.scheduler.preempt(state, requeue_front=False)
+            return
+        for layer, source in zip(state.paged.layers, arrived.kvcache.layers):
+            layer.append(*source.read())
+        self._complete_prefill(state, replace(arrived, kvcache=state.paged), new_tokens)
 
     def _record_prefill_timings(self, timings: dict[str, float]) -> None:
         """Sum one prefill call's host wall-clock stage seconds into the metrics."""
@@ -728,18 +730,17 @@ class InferenceEngine:
         if state.prefill_state is None:
             state.prefill_state = self._make_prefill_state(state)
         prefix = state.prefill_state.num_processed
-        if state.paged is not None:
-            # Reserve the blocks this chunk will write before the model
-            # starts appending — under pool pressure this evicts/spills cold
-            # prefix chains and preempts younger victims, so the chunk
-            # itself can never fail half-written.  When an older request
-            # needs the pool more, this request parks itself instead.
-            take = min(num_tokens, state.prefill_state.remaining_tokens)
-            if not self.pressure.ensure_blocks(
-                state, self.pressure.append_blocks_needed(state, take)
-            ):
-                self.pressure.preempt_victim(state)
-                return
+        # Reserve the blocks this chunk will write before the model starts
+        # appending — under pool pressure this evicts/spills cold prefix
+        # chains and preempts younger victims, so the chunk itself can never
+        # fail half-written.  When an older request needs the pool more,
+        # this request parks itself instead.
+        take = min(num_tokens, state.prefill_state.remaining_tokens)
+        if not self.pressure.ensure_blocks(
+            state, self.pressure.append_blocks_needed(state, take)
+        ):
+            self.pressure.preempt_victim(state)
+            return
         timings: dict[str, float] = {}
         processed = self.model.prefill_chunk(
             state.prefill_state, num_tokens, timings
@@ -799,17 +800,22 @@ class InferenceEngine:
         prefill: PrefillResult,
         new_tokens: dict[str, list[int]],
     ) -> None:
-        """Shared tail of both prefill modes: policy state, clock, first token."""
+        """Shared tail of a computed and an imported prefill: policy state,
+        clock, first token."""
         request = state.request
         state.prefill = prefill
         state.status = RequestStatus.RUNNING
 
         if state.policy is not None:
-            # finish_prefill refines incrementally-built state (PQCache under
-            # chunked prefill) and defers to on_prefill for everything else.
-            state.policy.finish_prefill(self.model.config, prefill)
+            # finish_prefill refines incrementally-built state (PQCache's
+            # chunk hooks) and defers to on_prefill for everything else.  An
+            # imported prefill's state is built from the arrays it arrived
+            # with, not gathered back out of the pool.
+            state.policy.finish_prefill(
+                self.model.config, request.prefill or prefill
+            )
 
-        if self.prefix_cache is not None and state.paged is not None:
+        if request.prefill is None:
             # Cache the prompt's full blocks plus the reusable artifacts:
             # the accumulated-score snapshot at its capture boundary and the
             # policy's pre-refine PQ state (both shared by reference).
@@ -838,7 +844,8 @@ class InferenceEngine:
             )
 
         if not state.chunk_lens:
-            # Monolithic prefill charges the whole overlapped makespan once.
+            # An imported prefill is charged the overlapped makespan of the
+            # monolithic prefill it stands for, once.
             seconds = self.latency.prefill_timeline(
                 prefill.seq_len, state.method
             ).makespan
@@ -924,12 +931,7 @@ class InferenceEngine:
             if state.finished or state.status is not RequestStatus.RUNNING:
                 continue
             touch(state)
-            if (
-                allocator is not None
-                and allocator.capacity_blocks is not None
-                and state.paged is not None
-                and not state.paged.released
-            ):
+            if allocator.capacity_blocks is not None and not state.paged.released:
                 needed = self.pressure.append_blocks_needed(state, 1)
                 if reserved + needed > allocator.num_available:
                     flush()

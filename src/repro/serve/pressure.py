@@ -9,7 +9,7 @@ traffic all of that causes: each transfer kind (swap-out, swap-in, spill
 settlement, cross-worker migration) is billed by exactly one method, and
 :meth:`PoolPressure._charge` is the only place their time reaches the
 simulated clock.  The behaviour is documented in detail on
-:class:`~repro.serve.InferenceEngine`, which builds one per paged engine and
+:class:`~repro.serve.InferenceEngine`, which builds one per engine and
 reaches it through ``append_blocks_needed``, ``ensure_blocks``,
 ``preempt_victim``, ``resume_swapped``, ``proactive_swap_out``,
 ``settle_spill_traffic`` and (the cluster frontend) ``block_nbytes`` /
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import CapacityError
-from ..llm.kvcache import BlockAllocator, BlockTable, PagedKVCache, SwapSpace
+from ..llm.kvcache import BlockAllocator, BlockTable, SwapSpace
 from ..memory.latency import LatencyModel
 from .metrics import EngineMetrics
 from .prefix_cache import PrefixCache
@@ -329,9 +329,8 @@ class PoolPressure:
         pass).
         """
         for output in self.final_outputs.values():
-            kvcache = output.prefill.kvcache if output.prefill is not None else None
-            if isinstance(kvcache, PagedKVCache) and not kvcache.released:
-                kvcache.release()
+            if output.prefill is not None and not output.prefill.kvcache.released:
+                output.prefill.kvcache.release()
                 return True
         return False
 
@@ -378,10 +377,9 @@ class PoolPressure:
         """Preempt one running request according to the configured mode.
 
         Recompute requires the victim's policy to be rebuildable from its
-        spec and its prompt to be re-runnable through the model; victims
-        that fail either condition (instance-wrapped policies, precomputed
-        prefills, selection-hook observers that must not fire twice) are
-        swapped instead.  When the swap tiers cannot absorb the chain the
+        spec (a precomputed prefill is re-imported from ``Request.prefill``);
+        victims that fail it (instance-wrapped policies, selection-hook
+        observers that must not fire twice) are swapped instead.  When the swap tiers cannot absorb the chain the
         victim falls back to recompute if it can; a victim that can be
         neither swapped nor recomputed right now is left running and
         ``False`` is returned (the caller tries another victim).
@@ -449,7 +447,6 @@ class PoolPressure:
         spec = state.request.policy_spec
         return (
             (spec is None or spec.supports_rebuild)
-            and state.request.prefill is None
             and state.request.selection_hook is None
         )
 

@@ -40,7 +40,7 @@ class RequestState:
         self.chunk_lens: list[int] = []
         self.chunk_seconds: float = 0.0
         self.method: str = "full"
-        #: paged-KV state (prefix caching only)
+        #: the request's KV in the engine's pool, from admission on
         self.paged: PagedKVCache | None = None
         self.cached_prefix = 0
         self.prefix_acc: list[np.ndarray] | None = None

@@ -16,6 +16,8 @@ tight floating-point tolerance rather than bitwise — while remaining
 prompts long enough to leave the first attention tile and projection block.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -400,12 +402,10 @@ class TestDownstreamDecodePerPolicy:
     ):
         """Policies built on any chunking's prefill pick byte-identical
         tokens and per-layer selections for several decode steps."""
-        from repro.eval.runner import clone_prefill
-
         config = chunk_model.config
         runs = []
         for size in CHUNK_SIZES:
-            prefill = clone_prefill(prefill_variants[size], config)
+            prefill = copy.deepcopy(prefill_variants[size])
             policy = build_policy(policy_name, BUDGET)
             policy.on_prefill(config, prefill)
             tokens = [int(np.argmax(prefill.logits))]

@@ -669,24 +669,6 @@ class TestClusterFrontend:
         assert len(report["workers"]) == 2
         assert {"fleet", "migration"} <= report.keys()
 
-    def test_caching_disabled_fleet_degrades_to_load_balancing(
-        self, model, tiny_config
-    ):
-        """cache_aware without prefix caching has no coverage signal or
-        block size — it degrades to least-loaded and stays byte-identical."""
-        cluster = ClusterFrontend(model, num_workers=2,
-                                  enable_prefix_caching=False)
-        assert cluster.block_size is None
-        prompts = make_prompts(tiny_config)
-        outputs = cluster.run(make_requests(prompts, None))
-        reference = InferenceEngine(model).run(make_requests(prompts, None))
-        for request_id, ref in reference.items():
-            assert outputs[request_id].token_ids == ref.token_ids
-            assert np.array_equal(outputs[request_id].logits, ref.logits)
-        keys = chain_block_keys(prompts[0], 64)
-        assert all(worker.prefix_coverage(keys) == PrefixCoverage()
-                   for worker in cluster.workers)
-
     def test_standalone_worker_is_a_plain_engine(self, model, tiny_config):
         """A Worker outside any frontend is a plain, fully functional
         engine."""

@@ -228,10 +228,10 @@ class TestDeadlineShedding:
         assert engine.metrics.requests_shed == 0
 
     def test_admission_shed_when_provably_unmeetable(self, model, rng):
-        """Without prefix caching the TTFT lower bound covers the whole
-        prompt's prefill compute; a deadline below it is shed at submit,
-        before any other request even runs."""
-        engine = InferenceEngine(model, enable_prefix_caching=False)
+        """A deadline below the TTFT lower bound (the one-token prefill a
+        full prefix hit would leave) is shed at submit, before any other
+        request even runs."""
+        engine = InferenceEngine(model)
         prompt = make_prompt(rng, 200)
         bound = engine.min_ttft_lower_bound(len(prompt))
         assert bound > 0.0
@@ -242,17 +242,18 @@ class TestDeadlineShedding:
         assert engine.metrics.deadline_misses == 1
 
     def test_prefix_caching_weakens_bound_to_one_token(self, model):
-        """With prefix caching a full-prefix hit could serve all but one
-        token, so the admission bound must not assume cold prefill."""
-        cached = InferenceEngine(model, enable_prefix_caching=True)
-        cold = InferenceEngine(model, enable_prefix_caching=False)
-        assert cached.min_ttft_lower_bound(200) == (
-            cached.min_ttft_lower_bound(999)
-        )
-        assert cold.min_ttft_lower_bound(200) > cached.min_ttft_lower_bound(200)
+        """Every engine's prefix cache could serve all but one token of a
+        full-prefix hit, so the admission bound never assumes cold prefill:
+        it is one token's prefill compute, whatever the prompt length."""
+        for engine in (InferenceEngine(model, enable_prefix_caching=True),
+                       InferenceEngine(model)):
+            one_token = (engine.latency.layer_prefill_compute_seconds(1)
+                         * model.config.num_layers)
+            assert engine.min_ttft_lower_bound(200) == one_token
+            assert engine.min_ttft_lower_bound(999) == one_token
 
     def test_meetable_deadline_is_not_shed_at_admission(self, model, rng):
-        engine = InferenceEngine(model, enable_prefix_caching=False)
+        engine = InferenceEngine(model)
         prompt = make_prompt(rng, 60)
         engine.submit(make_request("fine", prompt, deadline=10.0))
         finals = engine.run()

@@ -6,6 +6,7 @@ copies each selected row once, into a workspace it reuses.  Each piece must
 return exactly what its oracle in ``tests/decode_read_oracle.py`` returns.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -16,7 +17,6 @@ from repro.baselines import PQCachePolicy, SelectionBudget
 from repro.core import PQCacheConfig, PQCacheManager, ProductQuantizer
 from repro.core.gpu_cache import BlockGpuCache
 from repro.errors import DimensionError
-from repro.eval import clone_prefill
 from repro.llm import KVCache, TokenSegments
 from repro.llm.attention import GroupedDecodeAttention, decode_attention
 from repro.utils import DTYPE, topk_indices
@@ -150,7 +150,7 @@ class TestSelectBatch:
                                     gpu_cache_tokens=gpu_cache_tokens,
                                     gpu_cache_block=16),
         )
-        owned = clone_prefill(prefill, tiny_config)
+        owned = copy.deepcopy(prefill)
         policy.on_prefill(tiny_config, owned)
         return policy, owned.kvcache
 

@@ -107,12 +107,18 @@ def test_engine_rejects_a_non_config(model):
 # ------------------------------------------------------------ the engine
 
 
-def test_default_config_has_no_pool(model):
+def test_default_config_has_an_unbounded_pool(model):
+    """Every engine owns its pool, swap tiers, prefix cache and pressure
+    ladder; there is no pool-less engine to configure."""
     engine = InferenceEngine(model, EngineConfig())
-    assert engine.block_allocator is None
-    assert engine.prefix_cache is None
-    assert engine.swap_space is None
-    assert engine.pressure is None
+    assert EngineConfig().pool == PoolConfig()
+    assert engine.block_allocator.capacity_blocks is None
+    assert engine.block_allocator.block_size == PoolConfig().block_size
+    assert engine.swap_space.cpu_capacity_blocks is None
+    assert engine.prefix_cache.allocator is engine.block_allocator
+    assert engine.pressure.allocator is engine.block_allocator
+    with pytest.raises(ConfigurationError, match="PoolConfig"):
+        EngineConfig(pool=None)
 
 
 def test_pool_config_sets_pool_geometry(model):
@@ -246,9 +252,11 @@ def test_fleet_default_has_a_pool(model):
     # the keyword shim keeps the old default, and can still turn it off
     keyworded = ClusterFrontend(model, scheduler_config=SchedulerConfig())
     assert keyworded.workers[0].config == EngineConfig(pool=PoolConfig())
-    uncached = ClusterFrontend(model, enable_prefix_caching=False)
-    assert uncached.workers[0].block_allocator is None
-    assert uncached.block_size is None
+    # without it the workers get the default pool, not its keyword sizes
+    uncached = ClusterFrontend(model, enable_prefix_caching=False,
+                               kv_block_size=16)
+    assert uncached.workers[0].config == EngineConfig()
+    assert uncached.block_size == PoolConfig().block_size
 
 
 # ------------------------------------------------------- deleted options

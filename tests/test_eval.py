@@ -9,7 +9,6 @@ from repro.eval import (
     EvaluationHarness,
     StepObservation,
     attention_recall_at_k,
-    clone_prefill,
     evidence_coverage,
     evidence_exact,
     evidence_recovery,
@@ -95,13 +94,6 @@ def qa_dataset():
 
 
 class TestHarness:
-    def test_clone_prefill_isolates_cache(self, model, prompt_ids, tiny_config):
-        original = model.prefill(prompt_ids[:40])
-        cloned = clone_prefill(original, tiny_config)
-        model.decode_step(5, cloned.kvcache)
-        assert cloned.kvcache.seq_len == 41
-        assert original.kvcache.seq_len == 40
-
     def test_full_policy_scores_100(self, harness, qa_dataset, budget):
         result = harness.evaluate(lambda: build_policy("full", budget), qa_dataset)
         assert result.score == pytest.approx(100.0)

@@ -1,5 +1,7 @@
 """Tests for the selective-attention policies (base machinery + baselines)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from repro.baselines import (
 )
 from repro.core import PQCacheConfig
 from repro.errors import ConfigurationError
-from repro.eval import clone_prefill
 
 
 @pytest.fixture()
@@ -31,7 +32,7 @@ def decode_query(tiny_config, rng):
 
 def _prepare(policy, tiny_config, prefill):
     """Give the policy its own cache copy and run on_prefill."""
-    owned = clone_prefill(prefill, tiny_config)
+    owned = copy.deepcopy(prefill)
     policy.on_prefill(tiny_config, owned)
     return owned
 
@@ -71,7 +72,7 @@ class TestCommonBehaviour:
                                                   prefill, decode_query):
         _prepare(policy, tiny_config, prefill)
         owned = policy  # policy now holds per-layer state
-        cloned = clone_prefill(prefill, tiny_config)
+        cloned = copy.deepcopy(prefill)
         # re-prepare on the clone we will query against
         policy.on_prefill(tiny_config, cloned)
         selected = policy.select(0, decode_query, cloned.kvcache)
@@ -91,7 +92,7 @@ class TestCommonBehaviour:
 
     def test_select_before_prefill_raises(self, policy, decode_query, prefill,
                                           tiny_config):
-        cloned = clone_prefill(prefill, tiny_config)
+        cloned = copy.deepcopy(prefill)
         with pytest.raises(Exception):
             policy.select(0, decode_query, cloned.kvcache)
 

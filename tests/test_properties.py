@@ -13,6 +13,8 @@ invariants the system design relies on:
   access pattern.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import SelectionBudget, build_policy
 from repro.core import BlockGpuCache, PQConfig, ProductQuantizer
-from repro.eval import clone_prefill
 from repro.llm import ModelConfig, TransformerLM
 from repro.utils import DTYPE
 
@@ -100,7 +101,7 @@ class TestPolicySelectionInvariants:
         budget = SelectionBudget(token_ratio=ratio, comm_ratio=1 / 64,
                                  num_initial=4, num_local=8)
         policy = build_policy(name, budget)
-        owned = clone_prefill(prefill, config)
+        owned = copy.deepcopy(prefill)
         policy.on_prefill(config, owned)
         query = np.random.default_rng(qseed).normal(
             size=(config.num_heads, config.head_dim))
