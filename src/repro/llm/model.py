@@ -720,7 +720,6 @@ class TransformerLM:
         observation_window: int = 32,
         collect_queries: bool = False,
         chunk_size: int | None = None,
-        timings: "dict[str, float] | None" = None,
     ) -> PrefillResult:
         """Run the prompt through the model and fill the KVCache.
 
@@ -735,8 +734,6 @@ class TransformerLM:
             collect_queries: also return per-layer prompt queries (needed by
                 the Oracle policy's offline analysis and by tests).
             chunk_size: tokens per prefill chunk.
-            timings: optional host wall-clock stage accumulator, passed to
-                every :meth:`prefill_chunk` call.
 
         Returns:
             A :class:`PrefillResult`.
@@ -748,7 +745,7 @@ class TransformerLM:
         )
         step = state.seq_len if chunk_size is None else int(chunk_size)
         while not state.is_complete:
-            self.prefill_chunk(state, step, timings)
+            self.prefill_chunk(state, step)
         return self.finish_prefill(state)
 
     # -------------------------------------------------------------- decode

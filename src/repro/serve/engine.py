@@ -380,26 +380,18 @@ class InferenceEngine:
             if state.status is RequestStatus.SWAPPED:
                 # Re-admission of a swap-preempted request: restore its block
                 # chain first, then let the chunk/decode phases pick it up.
-                # A request parked mid-prefill resumes as PREFILLING; without
-                # chunking no later phase would prefill it, so finish its
-                # prefill here, as one chunk.
-                if self.pressure.resume_swapped(state):
-                    touch(state)
-                    if not chunked and state.status is RequestStatus.PREFILLING:
-                        self._run_prefill_chunk(
-                            state, state.remaining_prefill_tokens, new_tokens
-                        )
-                continue
-            if state.status is RequestStatus.PREEMPTED:
-                # Recompute-preempted: restart through the normal admission
-                # path (fresh policy, fresh prefill, possibly a prefix-cache
+                if not self.pressure.resume_swapped(state):
+                    continue
+            else:
+                # A recompute-preempted request restarts here too (fresh
+                # policy, fresh prefill or import, possibly a prefix-cache
                 # hit on its own earlier chain); generated tokens replay.
-                state.status = RequestStatus.WAITING
-            self._begin_prefill(state)
+                self._begin_prefill(state)
+                if state.request.prefill is not None:
+                    self._import_prefill(state, new_tokens)
             touch(state)
-            if state.request.prefill is not None:
-                self._import_prefill(state, new_tokens)
-            elif not chunked:
+            if not chunked and state.status is RequestStatus.PREFILLING:
+                # Unchunked: the whole remaining prompt is one chunk, now.
                 self._run_prefill_chunk(
                     state, state.remaining_prefill_tokens, new_tokens
                 )
@@ -715,13 +707,6 @@ class InferenceEngine:
             layer.append(*source.read())
         self._complete_prefill(state, replace(arrived, kvcache=state.paged), new_tokens)
 
-    def _record_prefill_timings(self, timings: dict[str, float]) -> None:
-        """Sum one prefill call's host wall-clock stage seconds into the metrics."""
-        self.metrics.prefill_projection_seconds += timings.get("projection", 0.0)
-        self.metrics.prefill_attention_seconds += timings.get("attention", 0.0)
-        self.metrics.prefill_aggregates_seconds += timings.get("aggregates", 0.0)
-        self.metrics.prefill_ffn_seconds += timings.get("ffn", 0.0)
-
     def _run_prefill_chunk(
         self, state: RequestState, num_tokens: int, new_tokens: dict[str, list[int]]
     ) -> None:
@@ -745,7 +730,10 @@ class InferenceEngine:
         processed = self.model.prefill_chunk(
             state.prefill_state, num_tokens, timings
         )
-        self._record_prefill_timings(timings)
+        self.metrics.prefill_projection_seconds += timings["projection"]
+        self.metrics.prefill_attention_seconds += timings["attention"]
+        self.metrics.prefill_aggregates_seconds += timings["aggregates"]
+        self.metrics.prefill_ffn_seconds += timings["ffn"]
         state.chunk_lens.append(processed)
         state.metrics.prefill_chunks += 1
         self.metrics.prefill_chunks += 1
