@@ -379,19 +379,10 @@ class BlockAllocator:
         return np.zeros((self.num_layers, self.num_kv_heads,
                          blocks * self.block_size, self.head_dim), dtype=DTYPE)
 
-    @property
-    def _plane_blocks(self) -> int:
-        return self._planes[0].shape[2] // self.block_size
-
     def reserve(self, blocks: int) -> None:
-        """Make room for ``blocks`` more allocations in at most one growth.
-
-        A growth copies every live row, so a caller that knows a step's
-        whole demand (the engine, for the prefills it imports) reserves it
-        once instead of letting block-by-block allocation grow the planes
-        repeatedly.  Capacity is not checked here: allocation still refuses
-        blocks past ``capacity_blocks``.
-        """
+        """Make room for ``blocks`` more allocations in at most one growth
+        (each growth copies every live row).  Capacity is not checked here:
+        allocation still refuses blocks past ``capacity_blocks``."""
         fresh = blocks - len(self._free)
         if fresh > 0:
             self._grow(self._next_id + fresh)
@@ -401,7 +392,7 @@ class BlockAllocator:
         headroom, at least double the current size, at most the capacity.
         The new planes are ``np.zeros`` (untouched pages cost no memory) and
         only the live rows are copied."""
-        have = self._plane_blocks
+        have = self._planes[0].shape[2] // self.block_size
         if blocks <= have:
             return
         size = max(blocks + blocks // 4, 2 * have)
@@ -632,15 +623,19 @@ class PagedLayerKVCache(_LayerKV):
 
     def _row_runs(self, start: int, stop: int) -> list[slice]:
         """Plane rows of the tokens ``[start, stop)`` as slices, one per run
-        of consecutive rows (blocks with consecutive ids)."""
-        rows = self._owner.table.rows()[start:stop]
-        if not rows.size:
-            return [slice(0, 0)]
-        bounds = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
-        return [
-            slice(int(rows[lo]), int(rows[lo]) + hi - lo)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
+        of table entries with consecutive block ids."""
+        block_size = self._owner.allocator.block_size
+        ids = self._owner.table.block_ids
+        runs = []
+        while start < stop:
+            first = end = start // block_size
+            while (end + 1) * block_size < stop and ids[end + 1] == ids[end] + 1:
+                end += 1
+            row = ids[first] * block_size + start % block_size
+            width = min(stop, (end + 1) * block_size) - start
+            runs.append(slice(row, row + width))
+            start += width
+        return runs or [slice(0, 0)]
 
     def append(self, keys: np.ndarray, values: np.ndarray) -> None:
         keys, values = self._validate_append(keys, values)
@@ -660,8 +655,8 @@ class PagedLayerKVCache(_LayerKV):
         ``(h_kv, t, d_h)`` of C-contiguous ``(t, d_h)`` rows per head: views
         of the planes when the range lies in consecutive blocks, good until
         the next allocation; else a copy, taken through the table."""
-        runs = self._row_runs(start, self._checked_stop(start, stop))
         planes = self._layer_planes()
+        runs = self._row_runs(start, self._checked_stop(start, stop))
         if len(runs) == 1:
             return tuple(plane[:, runs[0]] for plane in planes)
         return tuple(

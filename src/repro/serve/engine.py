@@ -807,28 +807,15 @@ class InferenceEngine:
             # Cache the prompt's full blocks plus the reusable artifacts:
             # the accumulated-score snapshot at its capture boundary and the
             # policy's pre-refine PQ state (both shared by reference).
-            acc_scores = (
-                prefill.acc_snapshots.get(state.acc_capture)
-                if state.acc_capture
-                else None
-            )
-            fingerprint = (
-                state.policy.prefix_fingerprint()
-                if state.policy is not None
-                else None
-            )
-            snapshot = (
-                state.policy.prefix_snapshot()
-                if state.policy is not None
-                else None
-            )
+            acc_scores = prefill.acc_snapshots.get(state.acc_capture)
+            policy = state.policy
             self.prefix_cache.insert(
                 request.prompt_ids,
                 state.paged.table.block_ids,
                 acc_boundary=state.acc_capture if acc_scores is not None else 0,
                 acc_scores=acc_scores,
-                pq_fingerprint=fingerprint,
-                pq_snapshot=snapshot,
+                pq_fingerprint=policy.prefix_fingerprint() if policy else None,
+                pq_snapshot=policy.prefix_snapshot() if policy else None,
             )
 
         if not state.chunk_lens:

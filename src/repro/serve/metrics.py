@@ -223,7 +223,7 @@ class RequestMetrics:
         decode_seconds: simulated decode service time accumulated so far.
         num_prompt_tokens: prompt length.
         num_generated_tokens: tokens emitted (0 in teacher-forcing mode).
-        prefill_chunks: prefill chunks executed (1 for monolithic prefill).
+        prefill_chunks: prefill chunks executed (1 unchunked or imported).
         decode_steps: decode rounds executed.
         attended_tokens: sum over decode steps of the mean number of cache
             tokens attended per layer/head — divide by ``decode_steps`` for

@@ -467,13 +467,12 @@ class PoolPressure:
         if state.swap_handle is not None:
             self.swap_space.discard(state.swap_handle)
             state.swap_handle = None
-        thrown_away = len(state.paged) if state.paged is not None else 0
+        thrown_away = len(state.paged)
         if state.policy is not None:
             state.policy.release_prefix()
             state.policy = None
-        if state.paged is not None:
-            state.paged.release()
-            state.paged = None
+        state.paged.release()
+        state.paged = None
         state.prefill = None
         state.prefill_state = None
         state.cached_prefix = 0

@@ -204,7 +204,7 @@ class RequestStatus(Enum):
     """Lifecycle of a request inside the engine.
 
     ``WAITING → PREFILLING → RUNNING → FINISHED``: a request admitted into a
-    batch slot first prefills its prompt (one monolithic step, or several
+    batch slot first prefills its prompt (in one step, or several
     chunks under chunked prefill — it stays ``PREFILLING`` between chunks),
     then decodes (``RUNNING``) until it finishes.  Under KV-pool pressure
     the engine may *preempt* a prefilling or running request: ``SWAPPED``
@@ -237,8 +237,9 @@ class Request:
         forced_decode_ids: teacher-forcing mode — decode exactly these tokens
             instead of sampling (the evaluation harness feeds probe tokens
             this way); no tokens are *generated* in this mode.
-        prefill: optional precomputed prefill result (e.g. a clone of a
-            shared prefill); the engine skips its own prefill when set.
+        prefill: optional precomputed prefill result; the engine imports its
+            KV into the pool at admission instead of prefilling, and never
+            writes it (so one prefill may back many requests).
         selection_hook: optional observer called at every per-layer selection.
         qos: priority/tenant tags (see :class:`RequestQoS`); the default is
             a single best-effort class, which reproduces the pre-QoS FCFS
