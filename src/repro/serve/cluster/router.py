@@ -103,9 +103,8 @@ class Router:
         Args:
             prompt_ids: the request's prompt tokens.
             workers: the fleet.
-            block_size: the workers' KV block size, needed to fingerprint
-                the prompt; ``None`` disables coverage scoring (cache-aware
-                degrades to least-loaded).
+            block_size: the workers' KV block size, which cache-aware
+                placement needs to fingerprint the prompt.
             priority: the request's QoS priority class.  When set, load
                 comparisons count only same-or-higher-class occupancy —
                 lower-class work does not delay a tagged request, so it
@@ -143,18 +142,12 @@ class Router:
         self,
         prompt_ids: Sequence[int],
         workers: "Sequence[RoutableWorker]",
-        block_size: "int | None",
+        block_size: int,
         priority: "int | None" = None,
     ) -> Placement:
         # Hash the prompt once; every worker walks its own index for it.
-        keys = (
-            chain_block_keys(prompt_ids, block_size)
-            if block_size is not None else []
-        )
-        covered = (
-            [(worker, worker.prefix_coverage(keys)) for worker in workers]
-            if keys else []
-        )
+        keys = chain_block_keys(prompt_ids, block_size)
+        covered = [(worker, worker.prefix_coverage(keys)) for worker in workers]
         # Rank candidates that hold a resident prefix: longest match first,
         # then lightest load, then lowest id (the deterministic tie-break).
         resident = [item for item in covered if item[1].resident_blocks]
@@ -180,7 +173,7 @@ class Router:
         # the chain locally, skipping the PCIe round trip).
         target = self._least_loaded(workers, priority)
         placement = Placement(target.worker_id, self.policy)
-        if self.migrate_on_miss and covered:
+        if self.migrate_on_miss:
             owner, coverage = min(
                 covered,
                 key=lambda item: (

@@ -248,7 +248,6 @@ class InferenceEngine:
         whatever ``num_prompt_tokens`` is, and admission-time deadline
         shedding effectively defers to the mid-wait clock sweep.
         """
-        del num_prompt_tokens  # a full-prefix hit leaves one token to prefill
         return (
             self.latency.layer_prefill_compute_seconds(1)
             * self.model.config.num_layers

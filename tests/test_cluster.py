@@ -271,13 +271,6 @@ class TestRouterPlacement:
         assert placement.worker_id == 1
         assert placement.migrate_from is None  # local restore is cheaper
 
-    def test_cache_aware_without_block_size_degrades_to_least_loaded(self):
-        workers = [_FakeWorker(0, load=1, resident=1), _FakeWorker(1, load=0)]
-        placement = Router("cache_aware").place(
-            list(range(4, 260)), workers, block_size=None)
-        assert placement.worker_id == 1
-        assert all(worker.asked == [] for worker in workers)
-
 
 # ---------------------------------------------------------------------------
 # Chain export / import
