@@ -44,10 +44,11 @@ Paged KV and the shared-prefix cache
 Every request's KVCache is a :class:`~repro.llm.kvcache.PagedKVCache` drawing
 fixed-size token blocks from the engine's refcounted
 :class:`~repro.llm.kvcache.BlockAllocator` (``EngineConfig.pool``, unbounded
-by default), and a :class:`~repro.serve.PrefixCache` hash-matches each
-incoming prompt against previously served block chains.  A precomputed
-``Request.prefill`` is imported into fresh blocks at admission instead: it
-counts against the pool like any request, but never meets the prefix cache.  On a hit the matched blocks are attached
+by default).  A precomputed ``Request.prefill`` is imported into fresh blocks
+at admission: it counts against the pool like any request, but never meets
+the prefix cache.  For every other request a
+:class:`~repro.serve.PrefixCache` hash-matches the prompt against previously
+served block chains.  On a hit the matched blocks are attached
 copy-on-write, prefill resumes from the first divergent token
 (:meth:`TransformerLM.begin_prefill` with ``prefix_len``), reusable PQ
 artifacts (sketch codebooks + codes) are adopted by reference through the

@@ -379,8 +379,9 @@ class PoolPressure:
         Recompute requires the victim's policy to be rebuildable from its
         spec (a precomputed prefill is re-imported from ``Request.prefill``);
         victims that fail it (instance-wrapped policies, selection-hook
-        observers that must not fire twice) are swapped instead.  When the swap tiers cannot absorb the chain the
-        victim falls back to recompute if it can; a victim that can be
+        observers that must not fire twice) are swapped instead.  When the
+        swap tiers cannot absorb the chain the victim falls back to
+        recompute if it can; a victim that can be
         neither swapped nor recomputed right now is left running and
         ``False`` is returned (the caller tries another victim).
         """

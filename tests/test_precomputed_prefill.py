@@ -107,6 +107,23 @@ class TestPrecomputedPrefillInThePool:
         assert len(prefill.kvcache) == 100
         assert np.array_equal(prefill.kvcache[0].keys, keys)
 
+    def test_outranked_import_waits_holding_nothing(self, model):
+        """An import the pool cannot take while an older request holds it
+        goes back to waiting with no block, and runs once that one is done."""
+        prefills = [synth_prefill(model.config, length, seed)
+                    for length, seed in ((150, 6), (100, 7))]
+        references = [alone(model, prefill, max_new=20) for prefill in prefills]
+        engine = bounded_engine(model, blocks=12)  # 192 tokens
+        for index, prefill in enumerate(prefills):
+            engine.submit(precomputed(f"r{index}", prefill, max_new=20))
+        engine.step()
+        waiting = engine._states["r1"]
+        assert waiting.status is RequestStatus.WAITING and waiting.paged is None
+        assert engine.block_allocator.num_allocated == -(-151 // BLOCK)
+        finals = engine.run()
+        assert [finals[f"r{i}"].token_ids for i in range(2)] == references
+        assert engine.metrics.preemptions == 0
+
     @pytest.mark.parametrize("mode", ["swap", "recompute"])
     def test_preempted_resumes_byte_identically(self, model, rng, mode):
         """A higher class that needs the pool preempts the imported request;
