@@ -17,16 +17,18 @@ those codebooks as they arrive, and ``finish_prefill`` re-runs Lloyd
 iterations over the full key set (:meth:`PQCacheManager.refine`) and
 re-encodes — mirroring how the paper overlaps K-Means with prefill compute.
 
-The overlap holds on the *simulated* clock only
+The overlap holds on the *simulated* clock
 (:meth:`~repro.memory.LatencyModel.chunked_prefill_timeline` runs each
 layer's refine on the CPU lane while later chunks compute).  On the host the
-refine runs inline in ``finish_prefill``, inside the step that produces the
-first token, so it sits on the measured TTFT: on the ``prefill_long`` bench
-workload (``BENCH_33.json``: 2 vCPUs, one BLAS thread, OpenBLAS 0.3.31)
-``core.kmeans.refine_s`` is 0.35 s over four prompts against a
-``wall_ttft_p50_ms`` of about 375 ms.  The two clocks also refine different
-token sets: the timeline bills a refine over the tokens up to the
-second-to-last chunk, while the host refines the full prompt.
+sketch fit and the refine run where the paper runs them, on a CPU core the
+model is not using: :class:`~repro.core.pqcache.PQCacheManager` hands every
+other layer to one helper interpreter (:mod:`repro.core.cpu_lane`) and runs
+the rest in the caller, with the bits of an inline run.  They still run
+inside the step that calls them, so the refine in ``finish_prefill`` sits on
+the measured TTFT, at a little over half its one-core wall on the benchmark's
+2-layer model.  The two clocks also refine different token sets: the
+timeline bills a refine over the tokens up to the second-to-last chunk,
+while the host refines the full prompt.
 
 Prefix reuse
 ------------

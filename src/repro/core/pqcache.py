@@ -18,6 +18,11 @@ against the *middle* tokens during decoding (paper §3.1 steps ❷-❺):
   scoring of a decode query against the PQ codes and selection of the top-k
   candidate tokens per head, as an ascending token index set.
 
+The three construction methods hand their per-layer K-Means jobs to
+:func:`repro.core.cpu_lane.map_layers`, which runs every other layer in a
+helper interpreter on a second core beside the caller (paper §3.3's K-Means
+on idle CPU cores); the index is bit for bit the one an inline build makes.
+
 Batched decode-path layout
 --------------------------
 The decode hot path is fully vectorized across KV heads (paper §3.2's
@@ -78,6 +83,7 @@ from ..errors import ConfigurationError, NotFittedError
 from ..llm.config import ModelConfig
 from ..llm.kvcache import KVCache, TokenSegments
 from ..utils import DTYPE, as_rng, modelled_nbytes, topk_indices
+from .cpu_lane import map_layers
 from .gpu_cache import BlockGpuCache
 from .pq import PQConfig, ProductQuantizer
 
@@ -138,6 +144,21 @@ class PQCacheConfig:
         (InfiniteBench) — see §4.1.3.
         """
         return self.code_bytes_per_token_per_head() / (dtype_bytes * head_dim)
+
+
+def _fit_sketch(
+    config: PQConfig,
+    keys: np.ndarray,
+    sketch: "np.ndarray | None",
+    max_iters: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One layer of :meth:`PQCacheManager.build_incremental`: codebooks fitted
+    on the ``sketch`` token sample of ``keys`` (all of them when ``None``),
+    then every key encoded with them."""
+    codebooks, _, n_iter = ProductQuantizer.fit_batch(
+        config, keys if sketch is None else keys[:, sketch], max_iters
+    )
+    return codebooks, ProductQuantizer.encode_batch(codebooks, keys), n_iter
 
 
 class _LayerCodeBuffer:
@@ -366,14 +387,16 @@ class PQCacheManager:
                 planner); defaults to the config's ``max_kmeans_iters``.
         """
         self._reset(sketch_upto=0)
-        for layer_index in range(self.model_config.num_layers):
-            # One K-Means call over the layer's h_kv * m (head, sub-space)
-            # problems; its outputs are already in the batched decode layout.
-            self._adopt(
-                *ProductQuantizer.fit_batch(
-                    self._pq_config, kvcache[layer_index].keys, max_iters
-                )
-            )
+        # One K-Means call per layer over its h_kv * m (head, sub-space)
+        # problems; its outputs are already in the batched decode layout.
+        for trained in map_layers(
+            ProductQuantizer.fit_batch,
+            [
+                (self._pq_config, kvcache[layer_index].keys, max_iters)
+                for layer_index in range(self.model_config.num_layers)
+            ],
+        ):
+            self._adopt(*trained)
         self._built = True
 
     def build_incremental(
@@ -413,16 +436,14 @@ class PQCacheManager:
             rng = as_rng(self.config.seed)
             sketch = np.sort(rng.choice(upto, size=int(sample_tokens), replace=False))
 
-        for layer_index in range(self.model_config.num_layers):
-            keys = kvcache[layer_index].read(0, upto)[0]
-            codebooks, _, n_iter = ProductQuantizer.fit_batch(
-                self._pq_config,
-                keys if sketch is None else keys[:, sketch],
-                max_iters,
-            )
-            self._adopt(
-                codebooks, ProductQuantizer.encode_batch(codebooks, keys), n_iter
-            )
+        for trained in map_layers(
+            _fit_sketch,
+            [
+                (self._pq_config, kvcache[layer_index].read(0, upto)[0], sketch, max_iters)
+                for layer_index in range(self.model_config.num_layers)
+            ],
+        ):
+            self._adopt(*trained)
         self._built = True
 
     def refine(
@@ -459,12 +480,14 @@ class PQCacheManager:
         # codebooks or codes keeps seeing exactly what it captured.
         previous = self._codebooks
         self._codebooks, self._codes = [], []
-        for layer_index, n in enumerate(counts):
-            self._adopt(
-                *ProductQuantizer.refine_batch(
-                    previous[layer_index], kvcache[layer_index].read(0, n)[0], iters, tol
-                )
-            )
+        for trained in map_layers(
+            ProductQuantizer.refine_batch,
+            [
+                (previous[layer_index], kvcache[layer_index].read(0, n)[0], iters, tol)
+                for layer_index, n in enumerate(counts)
+            ],
+        ):
+            self._adopt(*trained)
 
     # ------------------------------------------------------- prefix reuse
 

@@ -112,6 +112,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from ..baselines.base import KVCachePolicy
+from ..core import cpu_lane
 from ..errors import ConfigurationError
 from ..llm.kvcache import BlockAllocator, BlockTable, PagedKVCache, SwapSpace
 from ..llm.model import PrefillResult, PrefillState, TransformerLM
@@ -150,6 +151,9 @@ class InferenceEngine:
         **keywords,
     ) -> None:
         self.config = config = resolve_config(config, keywords, EngineConfig())
+        # PQ construction splits its layers with the process's helper; start
+        # it now so that its imports are done before the first prefill.
+        cpu_lane.start()
         self.model = model
         self.scheduler: ContinuousBatchingScheduler[RequestState] = (
             ContinuousBatchingScheduler(config.scheduler)
