@@ -149,7 +149,8 @@ class KVCachePolicy(abc.ABC):
         """Finalise policy state once the whole prompt has been prefilled.
 
         The engine calls this exactly once per request, after the last chunk
-        (or the single monolithic prefill).  The default defers to
+        of a computed prompt (or the import of a precomputed
+        ``Request.prefill``).  The default defers to
         :meth:`on_prefill`, which is the correct one-shot behaviour for
         policies without incremental construction; incremental policies
         override it to refine the state they built chunk by chunk.

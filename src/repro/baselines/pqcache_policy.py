@@ -1,11 +1,13 @@
 """PQCache expressed as a :class:`~repro.baselines.base.KVCachePolicy`.
 
 This is the glue between the algorithmic core (:class:`PQCacheManager`) and
-the generation loop: PQ construction happens in ``on_prefill`` (paper
-Algorithm 1) — or incrementally across prefill chunks when the serving
-engine runs chunked prefill — approximate top-k retrieval plus GPU-cache
-bookkeeping happens in ``select`` (Algorithm 2), and tokens leaving the
-local window receive PQ codes in ``on_decode_step``.
+the generation loop: PQ construction (paper Algorithm 1) happens
+incrementally across the prefill chunks the serving engine runs every
+computed prompt as, approximate top-k retrieval plus GPU-cache bookkeeping
+happens in ``select`` (Algorithm 2), and tokens leaving the local window
+receive PQ codes in ``on_decode_step``.  The one-shot build of
+``on_prefill`` serves a prefill the policy saw no chunk of: in the engine,
+only an imported ``Request.prefill``.
 
 Incremental construction (chunked prefill)
 ------------------------------------------
@@ -216,8 +218,9 @@ class PQCachePolicy(KVCachePolicy):
     def finish_prefill(self, config: ModelConfig, prefill: PrefillResult) -> None:
         """Refine the incrementally-built index, or fall back to one-shot."""
         if self.manager is None or not self.manager.is_built:
-            # No chunks were observed (monolithic prefill) or the prompt was
-            # too short to sketch: build from scratch like the legacy path.
+            # No chunk was observed, so this is an imported prefill: the
+            # last chunk of a computed prompt always reaches the sketch
+            # boundary min(sketch_tokens, total_len).  Build in one shot.
             self.on_prefill(config, prefill)
             return
         self.config = config

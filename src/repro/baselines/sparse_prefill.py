@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..llm.kvcache import LayerKVCache
+from ..llm.kvcache import KVCache
 from ..llm.model import PrefillResult, TransformerLM
 from ..utils import as_rng
 
@@ -104,13 +104,18 @@ def sparse_prefill(
         aggregates.window_scores[:, ~mask] = 0.0
 
     if config.key_noise_scale > 0:
-        for layer_cache in result.kvcache.layers:
-            # Prefill's cache is monolithic: its reads are views, so the noise lands in place.
-            assert isinstance(layer_cache, LayerKVCache)
-            keys = layer_cache.read()[0]
+        dense = result.kvcache
+        result.kvcache = KVCache(
+            dense.num_layers, model.config.num_kv_heads, model.config.head_dim,
+            model.config.dtype_bytes,
+        )
+        for layer_cache, dense_layer in zip(result.kvcache.layers, dense.layers):
+            keys, values = dense_layer.read()
             scale = config.key_noise_scale * np.std(keys)
             noise = rng.normal(0.0, scale, size=keys.shape)
             # Positions inside the pattern are computed exactly; only the
             # remaining keys drift.
+            keys = keys.copy()
             keys[:, ~mask, :] += noise[:, ~mask, :]
+            layer_cache.append(keys, values)
     return result

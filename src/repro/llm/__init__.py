@@ -14,7 +14,6 @@ from .kvcache import (
     KVCache,
     LayerKVCache,
     PagedKVCache,
-    PagedLayerKVCache,
     SwappedBlocks,
     SwapSpace,
     TokenSegments,
@@ -42,7 +41,6 @@ __all__ = [
     "KVCache",
     "LayerKVCache",
     "PagedKVCache",
-    "PagedLayerKVCache",
     "SwappedBlocks",
     "SwapSpace",
     "TokenSegments",

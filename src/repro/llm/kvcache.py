@@ -1,26 +1,24 @@
-"""Key-Value cache data structures: monolithic and paged (block-based).
+"""Key-Value cache: token blocks drawn from a refcounted pool.
 
-The KVCache is the central object that PQCache manages.  Two storage designs
-coexist:
+The KVCache is the central object that PQCache manages.  Its storage is
+fixed-size token *blocks* drawn from a refcounted :class:`BlockAllocator`
+(vLLM-style).  A :class:`BlockTable` maps logical token positions to
+physical blocks, blocks can be shared between caches (a forked table increfs
+them), and writes into a shared block copy it first (copy-on-write) — which
+is what lets the serving engine's prefix cache reuse a common prompt prefix
+across requests without ever letting one request corrupt another's view.
+One store, read through the table: the blocks are the only copy of a
+cache's KV.
 
-* **Monolithic** — one :class:`LayerKVCache` per transformer layer holding
-  ``(h_kv, s, d_h)`` arrays of keys and values with amortised-growth append
-  semantics.  This is the default for standalone generation: the cache is
-  private to one sequence and freed with it.
-* **Paged** — a :class:`PagedKVCache` whose physical storage is fixed-size
-  token *blocks* drawn from a shared, refcounted :class:`BlockAllocator`
-  (vLLM-style).  A :class:`BlockTable` maps logical token positions to
-  physical blocks, blocks can be shared between requests (a forked table
-  increfs them), and writes into a shared block copy it first
-  (copy-on-write) — which is what lets the serving engine's prefix cache
-  reuse a common prompt prefix across requests without ever letting one
-  request corrupt another's view.  One store, read through the table: the
-  blocks are the only copy of a paged request's KV, read through the same
-  ``read`` / ``gather`` / ``decode_view`` as the monolithic buffer, so the
-  two designs are bitwise interchangeable for compute.
+A :class:`KVCache` built from its geometry (``TransformerLM.prefill``'s
+result, a caller's own precomputed prefill) draws from a private, unbounded
+pool of its own, allocated in order, so its reads are views.  A
+:class:`PagedKVCache` is the same cache over a pool shared with other
+requests (the serving engine's).  Every layer of either is a
+:class:`LayerKVCache`.
 
-Both designs share the three-way segmentation the paper uses (initial
-tokens, middle tokens, local tokens — §3.4) via :class:`TokenSegments`.
+The paper's three-way segmentation of the token axis (initial tokens,
+middle tokens, local tokens — §3.4) is :class:`TokenSegments`.
 
 Tiered placement (GPU ↔ CPU pinned ↔ disk)
 ------------------------------------------
@@ -36,7 +34,7 @@ tier raises :class:`~repro.errors.CapacityError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,11 +44,10 @@ from .kvcodec import EncodedKV, KVBlockCodec
 
 __all__ = [
     "TokenSegments",
-    "LayerKVCache",
-    "KVCache",
     "BlockAllocator",
     "BlockTable",
-    "PagedLayerKVCache",
+    "LayerKVCache",
+    "KVCache",
     "PagedKVCache",
     "SwappedBlocks",
     "SwapSpace",
@@ -111,175 +108,9 @@ class TokenSegments:
         }
 
 
-class _LayerKV:
-    """What both layer designs share: a length, the append checks and the
-    reads built on ``read`` / ``decode_view``, ``(num_kv_heads, seq, head_dim)``."""
-
-    def __len__(self) -> int:
-        return self._length
-
-    def _validate_append(
-        self, keys: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Normalise append operands to ``(h_kv, t, d_h)`` and check shapes."""
-        keys = np.asarray(keys, dtype=DTYPE)
-        values = np.asarray(values, dtype=DTYPE)
-        if keys.ndim == 2:
-            keys = keys[:, None, :]
-        if values.ndim == 2:
-            values = values[:, None, :]
-        if keys.shape != values.shape:
-            raise DimensionError("keys and values must have identical shapes")
-        if keys.shape[0] != self.num_kv_heads or keys.shape[2] != self.head_dim:
-            raise DimensionError(
-                f"expected (h_kv={self.num_kv_heads}, t, d_h={self.head_dim}), "
-                f"got {keys.shape}"
-            )
-        return keys, values
-
-    def _checked_stop(self, start: int, stop: "int | None") -> int:
-        """``stop`` (default: the length) of a token range inside the cache."""
-        stop = self._length if stop is None else stop
-        if not 0 <= start <= stop <= self._length:
-            raise DimensionError(f"token range [{start}, {stop}) outside [0, {self._length})")
-        return stop
-
-    @property
-    def keys(self) -> np.ndarray:
-        """The stored keys, ``(h_kv, len(self), d_h)`` (see ``read``)."""
-        return self.read()[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        """The stored values, ``(h_kv, len(self), d_h)`` (see ``read``)."""
-        return self.read()[1]
-
-    def gather(self, token_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and values of the given token indices: ``(h_kv, k, d_h)``."""
-        token_indices = np.asarray(token_indices, dtype=np.int64)
-        if token_indices.size and (
-            token_indices.min() < 0 or token_indices.max() >= self._length
-        ):
-            raise DimensionError("token index out of range")
-        keys, values, rows = self.decode_view(token_indices)
-        return np.take(keys, rows, axis=1), np.take(values, rows, axis=1)
-
-    def nbytes(self, dtype_bytes: "int | None" = None) -> int:
-        """Modelled storage cost at ``dtype_bytes`` per element; defaults to
-        the width configured at construction (the model config's), not fp16."""
-        if dtype_bytes is None:
-            dtype_bytes = self.dtype_bytes
-        return 2 * self.num_kv_heads * self._length * self.head_dim * dtype_bytes
-
-
-class LayerKVCache(_LayerKV):
-    """Keys and values of one layer in one contiguous buffer per tensor.
-
-    Storage grows by chunked re-allocation, which keeps the append path cheap
-    enough for NumPy-based decoding loops.
-    """
-
-    _GROWTH = 256
-
-    def __init__(
-        self, num_kv_heads: int, head_dim: int, dtype_bytes: int = 2
-    ) -> None:
-        if num_kv_heads <= 0 or head_dim <= 0:
-            raise ConfigurationError("num_kv_heads and head_dim must be positive")
-        if dtype_bytes not in (1, 2, 4, 8):
-            raise ConfigurationError("dtype_bytes must be one of 1, 2, 4, 8")
-        self.num_kv_heads = num_kv_heads
-        self.head_dim = head_dim
-        #: modelled element width the byte accounting defaults to
-        self.dtype_bytes = dtype_bytes
-        self._keys = np.zeros((num_kv_heads, 0, head_dim), dtype=DTYPE)
-        self._values = np.zeros((num_kv_heads, 0, head_dim), dtype=DTYPE)
-        self._length = 0
-
-    def _ensure_capacity(self, extra: int) -> None:
-        needed = self._length + extra
-        capacity = self._keys.shape[1]
-        if needed <= capacity:
-            return
-        # Doubling, with ``_GROWTH`` rows to spare past what is asked for: a
-        # prefilled cache (one bulk append) would otherwise sit exactly full
-        # and copy itself whole for the first decoded token.
-        new_capacity = max(needed + self._GROWTH, capacity * 2)
-        # Uninitialised storage, live rows copied: rows past ``_length`` are
-        # never read (every read is bounded by it) and, never touched, cost
-        # address space only; zero-filling them would touch every page of a
-        # buffer twice the live size.
-        shape = (self.num_kv_heads, new_capacity, self.head_dim)
-        keys, values = np.empty(shape, dtype=DTYPE), np.empty(shape, dtype=DTYPE)
-        keys[:, : self._length], values[:, : self._length] = self.read()
-        self._keys, self._values = keys, values
-
-    def append(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Append one or more tokens' keys and values.
-
-        Accepts ``(h_kv, t, d_h)`` or ``(h_kv, d_h)`` (single token).
-        """
-        keys, values = self._validate_append(keys, values)
-        t = keys.shape[1]
-        self._ensure_capacity(t)
-        self._keys[:, self._length: self._length + t, :] = keys
-        self._values[:, self._length: self._length + t, :] = values
-        self._length += t
-
-    def read(self, start: int = 0, stop: "int | None" = None) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and values of tokens ``[start, stop)`` (default: all), each
-        ``(h_kv, t, d_h)`` of C-contiguous ``(t, d_h)`` rows per head: views
-        of the buffers, good until the next append."""
-        stop = self._checked_stop(start, stop)
-        return self._keys[:, start:stop], self._values[:, start:stop]
-
-    def decode_view(self, selected):
-        """``(keys, values, selection)`` operands of
-        :class:`~repro.llm.attention.GroupedDecodeAttention`: the stored tokens
-        and ``selected`` (any form the kernel accepts) as is."""
-        return self._keys[:, : self._length], self._values[:, : self._length], selected
-
-
-class KVCache:
-    """Per-layer collection of :class:`LayerKVCache` objects."""
-
-    def __init__(
-        self, num_layers: int, num_kv_heads: int, head_dim: int,
-        dtype_bytes: int = 2,
-    ) -> None:
-        if num_layers <= 0:
-            raise ConfigurationError("num_layers must be positive")
-        self.num_layers = num_layers
-        self.layers = [
-            LayerKVCache(num_kv_heads, head_dim, dtype_bytes)
-            for _ in range(num_layers)
-        ]
-
-    def __getitem__(self, layer: int) -> _LayerKV:
-        return self.layers[layer]
-
-    def __len__(self) -> int:
-        return len(self.layers[0]) if self.layers else 0
-
-    @property
-    def seq_len(self) -> int:
-        return len(self)
-
-    def segments(self, num_initial: int, num_local: int) -> TokenSegments:
-        """Current initial/middle/local partition of the token axis."""
-        return TokenSegments(
-            seq_len=self.seq_len, num_initial=num_initial, num_local=num_local
-        )
-
-    def nbytes(self, dtype_bytes: "int | None" = None) -> int:
-        return sum(layer.nbytes(dtype_bytes) for layer in self.layers)
-
-
-# --------------------------------------------------------------------- paged
-
-
 class BlockAllocator:
-    """Refcounted pool of fixed-size KV blocks shared by all requests.
+    """Refcounted pool of fixed-size KV blocks: the serving engine's, shared
+    by all its requests, or a standalone :class:`KVCache`'s own.
 
     One physical block stores ``block_size`` tokens' keys and values for
     *every* layer — shape ``(num_layers, h_kv, block_size, d_h)`` per tensor —
@@ -566,6 +397,29 @@ class BlockTable:
             )
         return block_id
 
+    def prepare_write(self, start: int, stop: int) -> None:
+        """Own the blocks of tokens ``[start, stop)``: copy the shared ones
+        (copy-on-write) and append fresh ones, all after at most one pool
+        growth.  Fresh blocks are handed back if the pool runs dry, so the
+        table keeps matching the length it had."""
+        allocator, block_size = self.allocator, self.allocator.block_size
+        end = -(-stop // block_size)
+        shared = [
+            index for index in range(start // block_size, min(len(self), end))
+            if start < stop and allocator.refcount(self.block_ids[index]) > 1
+        ]
+        fresh = end - len(self)
+        allocator.reserve(len(shared) + max(fresh, 0))
+        for index in shared:
+            self.replace(index, allocator.copy_block(self.block_ids[index]))
+        had = len(self)
+        try:
+            for _ in range(fresh):
+                self.append_new()
+        except CapacityError:
+            self.truncate(had)
+            raise
+
     def truncate(self, length: int) -> None:
         """Drop the entries past ``length`` and their references."""
         while len(self.block_ids) > length:
@@ -603,29 +457,33 @@ class BlockTable:
             raise ConfigurationError("BlockTable has been released")
 
 
-class PagedLayerKVCache(_LayerKV):
-    """One layer of a :class:`PagedKVCache`: a length, read and written
-    through the owning cache's block table (it owns no KV array).  Token
-    ``i`` is row ``table[i // block_size] * block_size + i % block_size``
-    of the allocator's planes for this layer; a token range over blocks
-    with consecutive ids is one slice of those planes."""
+class LayerKVCache:
+    """One layer of a :class:`KVCache`: a length, read and written through
+    the cache's block table (it owns no KV array), ``(num_kv_heads, seq,
+    head_dim)``.  Token ``i`` is row ``table[i // block_size] * block_size +
+    i % block_size`` of the allocator's planes for this layer; a token range
+    over blocks with consecutive ids is one slice of those planes."""
 
-    def __init__(self, owner: "PagedKVCache", layer_index: int, length: int) -> None:
-        allocator = owner.allocator
+    def __init__(self, table: BlockTable, layer_index: int, length: int) -> None:
+        allocator = table.allocator
         self.num_kv_heads, self.head_dim = allocator.num_kv_heads, allocator.head_dim
+        #: modelled element width the byte accounting defaults to
         self.dtype_bytes = allocator.dtype_bytes
-        self._owner, self._layer_index, self._length = owner, layer_index, length
+        self.table, self._layer_index, self._length = table, layer_index, length
+
+    def __len__(self) -> int:
+        return self._length
 
     def _layer_planes(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._owner.released:
-            raise ConfigurationError("PagedKVCache has been released")
-        return self._owner.allocator.layer_planes(self._layer_index)
+        if self.table.released:
+            raise ConfigurationError("KVCache has been released")
+        return self.table.allocator.layer_planes(self._layer_index)
 
     def _row_runs(self, start: int, stop: int) -> list[slice]:
         """Plane rows of the tokens ``[start, stop)`` as slices, one per run
         of table entries with consecutive block ids."""
-        block_size = self._owner.allocator.block_size
-        ids = self._owner.table.block_ids
+        block_size = self.table.allocator.block_size
+        ids = self.table.block_ids
         runs = []
         while start < stop:
             first = end = start // block_size
@@ -637,10 +495,33 @@ class PagedLayerKVCache(_LayerKV):
             start += width
         return runs or [slice(0, 0)]
 
+    def _checked_stop(self, start: int, stop: "int | None") -> int:
+        """``stop`` (default: the length) of a token range inside the cache."""
+        stop = self._length if stop is None else stop
+        if not 0 <= start <= stop <= self._length:
+            raise DimensionError(f"token range [{start}, {stop}) outside [0, {self._length})")
+        return stop
+
     def append(self, keys: np.ndarray, values: np.ndarray) -> None:
-        keys, values = self._validate_append(keys, values)
+        """Append one or more tokens' keys and values.
+
+        Accepts ``(h_kv, t, d_h)`` or ``(h_kv, d_h)`` (single token).
+        """
+        keys = np.asarray(keys, dtype=DTYPE)
+        values = np.asarray(values, dtype=DTYPE)
+        if keys.ndim == 2:
+            keys = keys[:, None, :]
+        if values.ndim == 2:
+            values = values[:, None, :]
+        if keys.shape != values.shape:
+            raise DimensionError("keys and values must have identical shapes")
+        if keys.shape[0] != self.num_kv_heads or keys.shape[2] != self.head_dim:
+            raise DimensionError(
+                f"expected (h_kv={self.num_kv_heads}, t, d_h={self.head_dim}), "
+                f"got {keys.shape}"
+            )
         stop = self._length + keys.shape[1]
-        self._owner._reserve(self._length, stop)
+        self.table.prepare_write(self._length, stop)
         planes = self._layer_planes()
         offset = 0
         for rows in self._row_runs(self._length, stop):
@@ -663,6 +544,16 @@ class PagedLayerKVCache(_LayerKV):
             np.concatenate([plane[:, rows] for rows in runs], axis=1) for plane in planes
         )
 
+    @property
+    def keys(self) -> np.ndarray:
+        """The stored keys, ``(h_kv, len(self), d_h)`` (see ``read``)."""
+        return self.read()[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The stored values, ``(h_kv, len(self), d_h)`` (see ``read``)."""
+        return self.read()[1]
+
     def decode_view(self, selected):
         """``(keys, values, selection)`` operands of
         :class:`~repro.llm.attention.GroupedDecodeAttention`: the layer's planes,
@@ -670,27 +561,108 @@ class PagedLayerKVCache(_LayerKV):
         mapping checks the token indices (``[-len, len)``, negatives from the
         end, else :class:`IndexError`), the kernel the rows."""
         keys, values = self._layer_planes()
-        rows = self._owner.table.rows()[: self._length]
+        rows = self.table.rows()[: self._length]
         if selected is None:
             return keys, values, rows
         if isinstance(selected, (list, tuple)):
             return keys, values, [rows[np.asarray(s, dtype=np.int64)] for s in selected]
         return keys, values, rows[np.asarray(selected, dtype=np.int64)]
 
+    def gather(self, token_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and values of the given token indices: ``(h_kv, k, d_h)``."""
+        token_indices = np.asarray(token_indices, dtype=np.int64)
+        if token_indices.size and (
+            token_indices.min() < 0 or token_indices.max() >= self._length
+        ):
+            raise DimensionError("token index out of range")
+        keys, values, rows = self.decode_view(token_indices)
+        return np.take(keys, rows, axis=1), np.take(values, rows, axis=1)
 
-class PagedKVCache(KVCache):
-    """Block-based KVCache drawing storage from a shared allocator.
+    def nbytes(self, dtype_bytes: "int | None" = None) -> int:
+        """Modelled storage cost at ``dtype_bytes`` per element; defaults to
+        the width configured at construction (the model config's), not fp16."""
+        if dtype_bytes is None:
+            dtype_bytes = self.dtype_bytes
+        return 2 * self.num_kv_heads * self._length * self.head_dim * dtype_bytes
+
+
+class KVCache:
+    """The keys and values of one sequence, every layer, in token blocks.
 
     One store, read through the table: the allocator's blocks are the only
     copy of the cache's keys and values, and all layers share one
-    :class:`BlockTable`.  A physical block holds its token range for every
-    layer, so a cached prefix chain attaches in one step: construction with
-    ``prefix_table`` / ``prefix_len`` starts the cache ``prefix_len`` tokens
-    long on the shared blocks, copying nothing (the prefix-cache hit path).
-    The table passed in must already own its block references (e.g. via
+    :class:`BlockTable`.  Built from its geometry, the cache draws its
+    blocks from a private, unbounded :class:`BlockAllocator` (default block
+    size) and is freed with its last reference.  :meth:`release` drops the
+    block references: the cache keeps its length, and reading it raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+
+    def __init__(
+        self, num_layers: int, num_kv_heads: int, head_dim: int,
+        dtype_bytes: int = 2,
+    ) -> None:
+        allocator = BlockAllocator(
+            num_layers, num_kv_heads, head_dim, dtype_bytes=dtype_bytes
+        )
+        self._attach(allocator, BlockTable(allocator), 0)
+
+    def _attach(self, allocator: BlockAllocator, table: BlockTable, length: int) -> None:
+        self.allocator = allocator
+        self.num_layers = allocator.num_layers
+        self.layers = [
+            LayerKVCache(table, layer, length) for layer in range(self.num_layers)
+        ]
+
+    @property
+    def table(self) -> BlockTable:
+        """The block table every layer reads through.  Assigning a table
+        (a swapped-out chain restored into fresh blocks) re-points every
+        layer at it; it must already own its block references."""
+        return self.layers[0].table
+
+    @table.setter
+    def table(self, table: BlockTable) -> None:
+        for layer in self.layers:
+            layer.table = table
+
+    def __getitem__(self, layer: int) -> LayerKVCache:
+        return self.layers[layer]
+
+    def __len__(self) -> int:
+        return len(self.layers[0])
+
+    @property
+    def seq_len(self) -> int:
+        return len(self)
+
+    def segments(self, num_initial: int, num_local: int) -> TokenSegments:
+        """Current initial/middle/local partition of the token axis."""
+        return TokenSegments(
+            seq_len=self.seq_len, num_initial=num_initial, num_local=num_local
+        )
+
+    def nbytes(self, dtype_bytes: "int | None" = None) -> int:
+        return sum(layer.nbytes(dtype_bytes) for layer in self.layers)
+
+    def release(self) -> None:
+        """Drop the block references; the cache becomes unreadable."""
+        self.table.release()
+
+    @property
+    def released(self) -> bool:
+        return self.table.released
+
+
+class PagedKVCache(KVCache):
+    """A :class:`KVCache` drawing its blocks from a shared allocator.
+
+    A physical block holds its token range for every layer, so a cached
+    prefix chain attaches in one step: construction with ``prefix_table`` /
+    ``prefix_len`` starts the cache ``prefix_len`` tokens long on the shared
+    blocks, copying nothing (the prefix-cache hit path).  The table passed
+    in must already own its block references (e.g. via
     :meth:`BlockTable.fork_from`) and is owned by this cache from then on.
-    :meth:`release` drops the block references: the cache keeps its length,
-    and reading it raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -699,8 +671,6 @@ class PagedKVCache(KVCache):
         prefix_table: BlockTable | None = None,
         prefix_len: int = 0,
     ) -> None:
-        self.allocator = allocator
-        self.num_layers = allocator.num_layers
         if prefix_len < 0:
             raise ConfigurationError("prefix_len must be >= 0")
         if prefix_len > 0:
@@ -711,35 +681,8 @@ class PagedKVCache(KVCache):
                     f"prefix_table holds {prefix_table.capacity_tokens} tokens, "
                     f"prefix_len={prefix_len} requested"
                 )
-        self.table = prefix_table if prefix_table is not None else BlockTable(allocator)
-        self.layers = [
-            PagedLayerKVCache(self, layer, prefix_len) for layer in range(self.num_layers)
-        ]
-
-    def _reserve(self, start: int, stop: int) -> None:
-        """Own the blocks of tokens ``[start, stop)``: copy the shared ones
-        (copy-on-write), append fresh ones — handed back if the pool runs dry,
-        so the table keeps matching the length."""
-        block_size = self.allocator.block_size
-        table = self.table
-        for index in range(start // block_size, min(len(table), -(-stop // block_size))):
-            if start < stop and self.allocator.refcount(table.block_ids[index]) > 1:
-                table.replace(index, self.allocator.copy_block(table.block_ids[index]))
-        had = len(table)
-        try:
-            while table.capacity_tokens < stop:
-                table.append_new()
-        except CapacityError:
-            table.truncate(had)
-            raise
-
-    def release(self) -> None:
-        """Drop the shared block references; the cache becomes unreadable."""
-        self.table.release()
-
-    @property
-    def released(self) -> bool:
-        return self.table.released
+        table = prefix_table if prefix_table is not None else BlockTable(allocator)
+        self._attach(allocator, table, prefix_len)
 
 
 # -------------------------------------------------------------------- tiers

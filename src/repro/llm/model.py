@@ -443,9 +443,11 @@ class TransformerLM:
                 window aggregate.
             collect_queries: also collect per-layer prompt queries (needed by
                 the Oracle policy's offline analysis and by tests).
-            kvcache: cache to fill; defaults to a fresh monolithic
-                :class:`~repro.llm.kvcache.KVCache`.  The serving engine
-                passes a :class:`~repro.llm.kvcache.PagedKVCache` here.
+            kvcache: cache to fill; defaults to a fresh
+                :class:`~repro.llm.kvcache.KVCache` over a private pool.
+                The serving engine passes a
+                :class:`~repro.llm.kvcache.PagedKVCache` over its shared
+                pool here.
             prefix_len: resume-from-offset — the first ``prefix_len`` prompt
                 tokens are already present in ``kvcache`` (a shared-prefix
                 hit) and are *not* re-processed.  Requires ``kvcache``.

@@ -181,7 +181,7 @@ class PoolPressure:
     def append_blocks_needed(state: RequestState, num_tokens: int) -> int:
         """Pool blocks an append of ``num_tokens`` will allocate.
 
-        Mirrors :meth:`PagedKVCache._reserve` exactly: new tail blocks
+        Mirrors :meth:`BlockTable.prepare_write` exactly: new tail blocks
         as the write range crosses block boundaries, plus one copy-on-write
         clone when the partially-filled tail block is shared with another
         holder (the prefix cache or a forked request).

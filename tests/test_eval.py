@@ -16,6 +16,7 @@ from repro.eval import (
     score_step,
 )
 from repro.llm import ModelConfig, TokenSegments
+from repro.utils import as_rng
 from repro.workloads import kv_retrieval, single_fact_qa
 
 
@@ -167,6 +168,34 @@ class TestSparsePrefill:
         zeros_sparse = (sparse.aggregates[0].window_scores == 0).sum()
         zeros_dense = (dense.aggregates[0].window_scores == 0).sum()
         assert zeros_sparse > zeros_dense
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_sparse_prefill_perturbs_keys_outside_the_pattern(
+        self, model, prompt_ids, noise
+    ):
+        """Against a dense prefill: values bitwise equal, keys equal inside
+        the sink, local and stripe pattern and moved outside it."""
+        config = SparsePrefillConfig(
+            sink_tokens=4, local_window=16, vertical_stripes=6,
+            key_noise_scale=noise, seed=3,
+        )
+        dense = model.prefill(prompt_ids)
+        sparse = sparse_prefill(model, prompt_ids, config)
+        seq_len = len(prompt_ids)
+        # The pattern, drawn as sparse_prefill draws it: sinks, the local
+        # band, then the stripes from the seed's first draw.
+        mask = np.zeros(seq_len, dtype=bool)
+        mask[:4] = mask[-16:] = True
+        mask[as_rng(3).choice(seq_len, size=6, replace=False)] = True
+        assert 20 < mask.sum() < seq_len
+        assert np.all(sparse.aggregates[0].window_scores[:, ~mask] == 0.0)
+        for layer in range(model.config.num_layers):
+            dense_k, dense_v = dense.kvcache[layer].read()
+            sparse_k, sparse_v = sparse.kvcache[layer].read()
+            assert np.array_equal(sparse_v, dense_v)
+            assert np.array_equal(sparse_k[:, mask], dense_k[:, mask])
+            moved = np.any(sparse_k != dense_k, axis=(0, 2))
+            assert np.array_equal(moved, ~mask if noise > 0 else np.zeros_like(mask))
 
     def test_harness_accepts_custom_prefill(self, tiny_config, budget):
         harness = EvaluationHarness(

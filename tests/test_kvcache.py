@@ -1,30 +1,38 @@
 """Tests for the KVCache data structures and token segmentation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DimensionError
-from repro.llm import KVCache, LayerKVCache, TokenSegments
+from repro.llm import BlockAllocator, KVCache, TokenSegments
 from repro.utils import DTYPE
+
+
+def layer_cache(num_kv_heads, head_dim):
+    """One layer of a standalone one-layer cache."""
+    return KVCache(1, num_kv_heads, head_dim)[0]
 
 
 class TestLayerKVCache:
     def test_append_single_token(self, rng):
-        cache = LayerKVCache(num_kv_heads=2, head_dim=8)
+        cache = layer_cache(num_kv_heads=2, head_dim=8)
         cache.append(rng.normal(size=(2, 8)), rng.normal(size=(2, 8)))
         assert len(cache) == 1
         assert cache.keys.shape == (2, 1, 8)
 
     def test_append_multiple_tokens(self, rng):
-        cache = LayerKVCache(2, 8)
+        cache = layer_cache(2, 8)
         cache.append(rng.normal(size=(2, 10, 8)), rng.normal(size=(2, 10, 8)))
         cache.append(rng.normal(size=(2, 8)), rng.normal(size=(2, 8)))
         assert len(cache) == 11
 
     def test_values_preserved_across_growth(self, rng):
-        cache = LayerKVCache(1, 4)
+        cache = layer_cache(1, 4)
         first_key = rng.normal(size=(1, 4))
         cache.append(first_key, first_key)
         # Force several re-allocations.
@@ -34,14 +42,14 @@ class TestLayerKVCache:
         assert len(cache) == 601
 
     def test_growth_is_bitwise_and_hides_uninitialised_rows(self, rng):
-        """Growth allocates without zero-filling and copies the live rows
-        only: what was appended must read back bit for bit through ``keys``,
-        ``values`` and ``gather``, and the uninitialised tail past
-        ``len(cache)`` must never be reachable through any of them."""
-        cache = LayerKVCache(2, 4)
+        """Growth copies the live rows into new planes: what was appended
+        must read back bit for bit through ``keys``, ``values`` and
+        ``gather``, and the spare rows past ``len(cache)`` must never be
+        reachable through any of them."""
+        cache = layer_cache(2, 4)
         keys, values = [], []
-        # single tokens, a chunk that overshoots the doubling rule, an exact
-        # fill to the new capacity, then one more token
+        # single tokens, a chunk over several blocks, a partial block's
+        # fill, then one more token
         for t in (1, 1, 300, 1, 700, 45, 1):
             k = rng.normal(size=(2, t, 4)).astype(DTYPE)
             v = rng.normal(size=(2, t, 4)).astype(DTYPE)
@@ -59,53 +67,38 @@ class TestLayerKVCache:
             with pytest.raises(DimensionError):
                 cache.gather(np.array([n]))  # first row of the spare capacity
 
-    def test_growth_stays_amortised(self, rng):
-        def token():
-            return rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
-
-        cache = LayerKVCache(1, 4)
-        cache.append(rng.normal(size=(1, 1000, 4)), rng.normal(size=(1, 1000, 4)))
-        prefilled = cache.keys.base
-        # a bulk append leaves room: decoding does not copy the prefill whole
-        # for its first token
-        for _ in range(LayerKVCache._GROWTH):
-            cache.append(*token())
-        assert cache.keys.base is prefilled
-        cache.append(*token())
-        doubled = cache.keys.base
-        assert doubled is not prefilled
-        for _ in range(2 * (1000 + LayerKVCache._GROWTH) - len(cache)):
-            cache.append(*token())  # up to twice the old buffer: no new one
-        assert cache.keys.base is doubled
-
     def test_shape_mismatch_rejected(self, rng):
-        cache = LayerKVCache(2, 8)
+        cache = layer_cache(2, 8)
         with pytest.raises(DimensionError):
             cache.append(rng.normal(size=(2, 8)), rng.normal(size=(2, 9)))
         with pytest.raises(DimensionError):
             cache.append(rng.normal(size=(3, 8)), rng.normal(size=(3, 8)))
 
     def test_gather(self, rng):
-        cache = LayerKVCache(2, 4)
+        cache = layer_cache(2, 4)
         keys = rng.normal(size=(2, 6, 4))
         cache.append(keys, keys)
         gathered_k, gathered_v = cache.gather(np.array([1, 3]))
         assert np.allclose(gathered_k, keys[:, [1, 3], :])
 
     def test_gather_out_of_range(self, rng):
-        cache = LayerKVCache(1, 4)
+        cache = layer_cache(1, 4)
         cache.append(rng.normal(size=(1, 3, 4)), rng.normal(size=(1, 3, 4)))
         with pytest.raises(DimensionError):
             cache.gather(np.array([5]))
 
     def test_nbytes(self, rng):
-        cache = LayerKVCache(2, 8)
+        cache = layer_cache(2, 8)
         cache.append(rng.normal(size=(2, 10, 8)), rng.normal(size=(2, 10, 8)))
         assert cache.nbytes(dtype_bytes=2) == 2 * 2 * 10 * 8 * 2
 
     def test_invalid_construction(self):
         with pytest.raises(ConfigurationError):
-            LayerKVCache(0, 8)
+            KVCache(1, 0, 8)
+        with pytest.raises(ConfigurationError):
+            KVCache(1, 2, 0)
+        with pytest.raises(ConfigurationError):
+            KVCache(1, 2, 8, dtype_bytes=3)
 
 
 class TestKVCache:
@@ -125,6 +118,51 @@ class TestKVCache:
     def test_invalid_layers(self):
         with pytest.raises(ConfigurationError):
             KVCache(0, 1, 4)
+
+    def test_freed_by_reference_counting(self, rng):
+        """No layer refers back to its cache: dropping the last reference
+        frees the cache and its private pool without the cyclic collector."""
+        gc.disable()
+        try:
+            cache = KVCache(2, 2, 4)
+            for layer in range(2):
+                cache[layer].append(rng.normal(size=(2, 70, 4)), rng.normal(size=(2, 70, 4)))
+            cache_ref, pool_ref = weakref.ref(cache), weakref.ref(cache.allocator)
+            del cache
+            assert cache_ref() is None
+            assert pool_ref() is None
+        finally:
+            gc.enable()
+
+    def test_reads_are_views(self, rng):
+        """A standalone cache allocates its blocks in order, so every read is
+        one slice of its planes."""
+        cache = KVCache(2, 2, 4)
+        for t in (100, 1, 64, 3):
+            for layer in range(2):
+                cache[layer].append(rng.normal(size=(2, t, 4)), rng.normal(size=(2, t, 4)))
+        for layer in range(2):
+            plane_k, plane_v = cache.allocator.layer_planes(layer)
+            for keys, values in (cache[layer].read(), cache[layer].read(50, 150)):
+                assert np.shares_memory(keys, plane_k)
+                assert np.shares_memory(values, plane_v)
+
+    def test_bulk_append_grows_the_planes_once(self, rng, monkeypatch):
+        """Appending a long token range reserves all its blocks first: one
+        growth for the first layer, none for the others."""
+        cache = KVCache(3, 2, 4)
+        planes = []
+        plane = BlockAllocator._plane
+        monkeypatch.setattr(
+            BlockAllocator, "_plane",
+            lambda self, blocks: planes.append(blocks) or plane(self, blocks),
+        )
+        keys = rng.normal(size=(2, 1000, 4)).astype(DTYPE)
+        for layer in range(3):
+            cache[layer].append(keys, -keys)
+        assert len(planes) == 2  # one growth: a keys and a values plane
+        for layer in range(3):
+            assert np.array_equal(cache[layer].keys, keys)
 
 
 class TestTokenSegments:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.llm import KVCache
 from repro.llm.kvcache import BlockAllocator, BlockTable, PagedKVCache
 from repro.utils import DTYPE
 
@@ -122,22 +121,24 @@ class TestBlockTable:
 
 class TestPagedKVCache:
     def test_matches_monolithic_bitwise(self, rng):
+        """Reads through the table equal the appended tokens concatenated."""
         alloc = make_allocator()
         paged = PagedKVCache(alloc)
-        mono = KVCache(2, 2, 8)
+        keys, values = [], []
         for t in (1, 3, 4, 9, 1):
             k, v = random_kv(rng, t=t)
             for layer in range(2):
                 paged[layer].append(k, v)
-                mono[layer].append(k, v)
-        assert len(paged) == len(mono)
+            keys.append(k)
+            values.append(v)
+        keys, values = np.concatenate(keys, axis=1), np.concatenate(values, axis=1)
+        assert len(paged) == keys.shape[1]
         for layer in range(2):
-            assert np.array_equal(paged[layer].keys, mono[layer].keys)
-            assert np.array_equal(paged[layer].values, mono[layer].values)
+            assert np.array_equal(paged[layer].keys, keys)
+            assert np.array_equal(paged[layer].values, values)
             got_k, got_v = paged[layer].gather(np.array([0, 5, 17]))
-            exp_k, exp_v = mono[layer].gather(np.array([0, 5, 17]))
-            assert np.array_equal(got_k, exp_k)
-            assert np.array_equal(got_v, exp_v)
+            assert np.array_equal(got_k, keys[:, [0, 5, 17]])
+            assert np.array_equal(got_v, values[:, [0, 5, 17]])
 
     def test_attached_prefix_reads_the_same_content(self, rng):
         alloc = make_allocator()
