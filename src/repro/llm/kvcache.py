@@ -402,11 +402,13 @@ class BlockTable:
         (copy-on-write) and append fresh ones, all after at most one pool
         growth.  Fresh blocks are handed back if the pool runs dry, so the
         table keeps matching the length it had."""
+        if start >= stop:
+            return
         allocator, block_size = self.allocator, self.allocator.block_size
         end = -(-stop // block_size)
         shared = [
             index for index in range(start // block_size, min(len(self), end))
-            if start < stop and allocator.refcount(self.block_ids[index]) > 1
+            if allocator.refcount(self.block_ids[index]) > 1
         ]
         fresh = end - len(self)
         allocator.reserve(len(shared) + max(fresh, 0))
@@ -507,8 +509,9 @@ class LayerKVCache:
 
         Accepts ``(h_kv, t, d_h)`` or ``(h_kv, d_h)`` (single token).
         """
-        keys = np.asarray(keys, dtype=DTYPE)
-        values = np.asarray(values, dtype=DTYPE)
+        # Cast by the write into the planes: a float64 operand (synthesized
+        # KV) then needs no float32 temporary.
+        keys, values = np.asarray(keys), np.asarray(values)
         if keys.ndim == 2:
             keys = keys[:, None, :]
         if values.ndim == 2:

@@ -153,10 +153,12 @@ class TestKVCache:
         cache = KVCache(3, 2, 4)
         planes = []
         plane = BlockAllocator._plane
-        monkeypatch.setattr(
-            BlockAllocator, "_plane",
-            lambda self, blocks: planes.append(blocks) or plane(self, blocks),
-        )
+
+        def counted_plane(allocator, blocks):
+            planes.append(blocks)
+            return plane(allocator, blocks)
+
+        monkeypatch.setattr(BlockAllocator, "_plane", counted_plane)
         keys = rng.normal(size=(2, 1000, 4)).astype(DTYPE)
         for layer in range(3):
             cache[layer].append(keys, -keys)
