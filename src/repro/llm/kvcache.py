@@ -518,7 +518,8 @@ class LayerKVCache:
             values = values[:, None, :]
         if keys.shape != values.shape:
             raise DimensionError("keys and values must have identical shapes")
-        if keys.shape[0] != self.num_kv_heads or keys.shape[2] != self.head_dim:
+        if (keys.ndim != 3 or keys.shape[0] != self.num_kv_heads
+                or keys.shape[2] != self.head_dim):
             raise DimensionError(
                 f"expected (h_kv={self.num_kv_heads}, t, d_h={self.head_dim}), "
                 f"got {keys.shape}"

@@ -73,6 +73,8 @@ class TestLayerKVCache:
             cache.append(rng.normal(size=(2, 8)), rng.normal(size=(2, 9)))
         with pytest.raises(DimensionError):
             cache.append(rng.normal(size=(3, 8)), rng.normal(size=(3, 8)))
+        with pytest.raises(DimensionError):
+            cache.append(rng.normal(size=2), rng.normal(size=2))
 
     def test_gather(self, rng):
         cache = layer_cache(2, 4)
