@@ -215,10 +215,12 @@ class KVCachePolicy(abc.ABC):
         return None
 
     def release_prefix(self) -> None:
-        """Drop references taken by :meth:`attach_prefix`.
+        """Drop references taken by :meth:`attach_prefix`, and work still
+        pending for the request.
 
-        Called by the engine exactly once when the request finishes (or is
-        aborted), so snapshot refcounts reflect live attachments.  Default:
+        Called by the engine exactly once per policy: when the request
+        finishes, is aborted, or is recompute-preempted (its policy is then
+        replaced), so snapshot refcounts reflect live attachments.  Default:
         nothing to release.
         """
 

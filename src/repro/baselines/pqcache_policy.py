@@ -23,14 +23,16 @@ The overlap holds on the *simulated* clock
 (:meth:`~repro.memory.LatencyModel.chunked_prefill_timeline` runs each
 layer's refine on the CPU lane while later chunks compute).  On the host the
 sketch fit and the refine run where the paper runs them, on a CPU core the
-model is not using: :class:`~repro.core.pqcache.PQCacheManager` hands every
-other layer to one helper interpreter (:mod:`repro.core.cpu_lane`) and runs
-the rest in the caller, with the bits of an inline run.  They still run
-inside the step that calls them, so the refine in ``finish_prefill`` sits on
-the measured TTFT, at a little over half its one-core wall on the benchmark's
-2-layer model.  The two clocks also refine different token sets: the
-timeline bills a refine over the tokens up to the second-to-last chunk,
-while the host refines the full prompt.
+model is not using: :class:`~repro.core.pqcache.PQCacheManager` hands its
+per-layer jobs to one helper interpreter (:mod:`repro.core.cpu_lane`), with
+the bits of an inline run.  The sketch fit is collected inside the chunk
+that starts it.  The refine is only submitted: ``finish_prefill`` returns
+and the first token leaves while the helper refines, and the first reader
+of the index (the first ``select``, the post-append encode or a refresh)
+collects it, running inline only the layers the helper has not started.
+The two clocks also refine different token sets: the timeline bills a
+refine over the tokens up to the second-to-last chunk, while the host
+refines the full prompt.
 
 Prefix reuse
 ------------
@@ -210,7 +212,11 @@ class PQCachePolicy(KVCachePolicy):
         return self._prefix_snapshot
 
     def release_prefix(self) -> None:
-        """Drop this request's reference on the attached snapshot."""
+        """Drop this request's reference on the attached snapshot, and
+        withdraw a refine nobody collected (the engine calls this when the
+        request finishes, aborts or restarts from scratch)."""
+        if self.manager is not None:
+            self.manager.cancel_refine()
         if self._attached_snapshot is not None:
             self._attached_snapshot.release()
             self._attached_snapshot = None

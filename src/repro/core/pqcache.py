@@ -18,10 +18,15 @@ against the *middle* tokens during decoding (paper §3.1 steps ❷-❺):
   scoring of a decode query against the PQ codes and selection of the top-k
   candidate tokens per head, as an ascending token index set.
 
-The three construction methods hand their per-layer K-Means jobs to
-:func:`repro.core.cpu_lane.map_layers`, which runs every other layer in a
-helper interpreter on a second core beside the caller (paper §3.3's K-Means
-on idle CPU cores); the index is bit for bit the one an inline build makes.
+The construction methods hand their per-layer K-Means jobs to
+:mod:`repro.core.cpu_lane`, which runs them in a helper interpreter on a
+second core beside the caller (paper §3.3's K-Means on idle CPU cores); the
+index is bit for bit the one an inline build makes.  :meth:`build` and
+:meth:`build_incremental` collect their jobs before they return.
+:meth:`refine` only submits its jobs: the first reader of the index (a
+query, an append, a snapshot, a code count, :attr:`total_kmeans_iterations`
+or the next refine) collects them, so the refine runs beside whatever the
+caller does in between.
 
 Batched decode-path layout
 --------------------------
@@ -83,7 +88,7 @@ from ..errors import ConfigurationError, NotFittedError
 from ..llm.config import ModelConfig
 from ..llm.kvcache import KVCache, TokenSegments
 from ..utils import DTYPE, as_rng, modelled_nbytes, topk_indices
-from .cpu_lane import map_layers
+from .cpu_lane import Ticket, map_layers, submit
 from .gpu_cache import BlockGpuCache
 from .pq import PQConfig, ProductQuantizer
 
@@ -340,7 +345,9 @@ class PQCacheManager:
         self._built = False
         #: prompt tokens the codebook fit saw (0 = one-shot full build)
         self.sketch_upto = 0
-        self.total_kmeans_iterations = 0
+        self._kmeans_iterations = 0
+        #: a submitted refine nobody has collected yet
+        self._refining: Ticket | None = None
         self.gpu_cache: BlockGpuCache | None = None
         if self.config.gpu_cache_tokens > 0:
             self.gpu_cache = BlockGpuCache(
@@ -359,14 +366,43 @@ class PQCacheManager:
     def _require_built(self) -> None:
         if not self._built:
             raise NotFittedError("PQCacheManager.build must be called first")
+        self._collect()
+
+    def _collect(self) -> None:
+        """Adopt a submitted refine's output, waiting for it if need be."""
+        if self._refining is not None:
+            trained = self._refining.result()
+            self._refining = None
+            self._codebooks, self._codes = [], []
+            for layer in trained:
+                self._adopt(*layer)
+
+    @property
+    def total_kmeans_iterations(self) -> int:
+        """Lloyd iterations of every K-Means problem since the last (re)build,
+        a submitted refine's included."""
+        self._collect()
+        return self._kmeans_iterations
+
+    def cancel_refine(self) -> None:
+        """Withdraw a submitted refine's jobs the helper has not started.
+
+        For an index nobody will read again (its request finished, was
+        aborted or restarts from scratch).  A later read still gets the
+        refined index: it runs the withdrawn jobs inline.
+        """
+        if self._refining is not None:
+            self._refining.cancel()
 
     def _reset(self, sketch_upto: int) -> None:
         """Drop any previous index ahead of a (re)build; the lists are
         rebound, never cleared — a snapshot may still hold the old ones."""
+        self.cancel_refine()
+        self._refining = None
         self._codebooks = []
         self._codes = []
         self.sketch_upto = sketch_upto
-        self.total_kmeans_iterations = 0
+        self._kmeans_iterations = 0
 
     def _adopt(
         self, codebooks: np.ndarray, codes: np.ndarray, n_iter: np.ndarray
@@ -376,7 +412,7 @@ class PQCacheManager:
         iterations — in the batched decode layout."""
         self._codebooks.append(codebooks)
         self._codes.append(_LayerCodeBuffer(codes.transpose(1, 0, 2)))
-        self.total_kmeans_iterations += int(n_iter.sum())
+        self._kmeans_iterations += int(n_iter.sum())
 
     def build(self, kvcache: KVCache, max_iters: int | None = None) -> None:
         """Train PQ codebooks on every layer/head's prefilled keys.
@@ -461,6 +497,10 @@ class PQCacheManager:
         a one-shot :meth:`build` within the tolerance of K-Means local
         optima (asserted by test).
 
+        Returns once the per-layer jobs are submitted to the CPU lane, with
+        copies of the keys they read; the first reader of the index collects
+        them.
+
         Args:
             kvcache: cache holding at least as many tokens as are encoded.
             max_iters: optional Lloyd iteration cap for the refinement.
@@ -475,19 +515,17 @@ class PQCacheManager:
                     f"{len(kvcache[layer_index])} tokens, {n} are encoded"
                 )
         iters = self.config.max_kmeans_iters if max_iters is None else int(max_iters)
-        # Nothing is refined in place — the per-layer lists are rebuilt from
-        # fresh arrays — so a prefix-cache snapshot that shares the old
-        # codebooks or codes keeps seeing exactly what it captured.
-        previous = self._codebooks
-        self._codebooks, self._codes = [], []
-        for trained in map_layers(
+        # Nothing is refined in place — the collect rebuilds the per-layer
+        # lists from fresh arrays — so a prefix-cache snapshot that shares
+        # the old codebooks or codes keeps seeing exactly what it captured.
+        self._refining = submit(
             ProductQuantizer.refine_batch,
             [
-                (previous[layer_index], kvcache[layer_index].read(0, n)[0], iters, tol)
+                (self._codebooks[layer_index], kvcache[layer_index].read(0, n)[0],
+                 iters, tol)
                 for layer_index, n in enumerate(counts)
             ],
-        ):
-            self._adopt(*trained)
+        )
 
     # ------------------------------------------------------- prefix reuse
 

@@ -346,6 +346,9 @@ class InferenceEngine:
         Returns one :class:`RequestOutput` per touched request, carrying the
         tokens that became available during this step (streaming deltas).
         """
+        # The CPU lane's helper takes its next queued k-means job, if idle
+        # (here, before each prefill chunk and before the decode round).
+        cpu_lane.pump()
         if self._held and not (self.scheduler.has_work or self._pending_shed_outputs):
             self.metrics.clock = max(self.metrics.clock, self._held[0][0])
         self._release_arrivals()
@@ -715,6 +718,7 @@ class InferenceEngine:
         self, state: RequestState, num_tokens: int, new_tokens: dict[str, list[int]]
     ) -> None:
         """Advance a chunked-prefill request by one scheduled chunk."""
+        cpu_lane.pump()
         request = state.request
         if state.prefill_state is None:
             state.prefill_state = self._make_prefill_state(state)
@@ -894,6 +898,7 @@ class InferenceEngine:
         the free list covers it, and ``append_blocks_needed`` only shrinks
         as earlier members' copy-on-write copies drop shared refcounts.
         """
+        cpu_lane.pump()
         allocator = self.block_allocator
         pending: list[RequestState] = []
         reserved = 0

@@ -467,6 +467,36 @@ class TestPQCachePolicy:
         assert isinstance(rate, float) and 0.0 < rate < 1.0
         assert rate == policy.manager.gpu_cache.stats.step_hit_rate
 
+    def test_refresh_bills_only_its_own_iterations(self, tiny_config, prefill):
+        """A refresh right after ``finish_prefill``, with no select between
+        them, bills the refresh's Lloyd iterations and none of the prefill
+        refine's, which nothing has collected when the refresh starts."""
+        budget = SelectionBudget(token_ratio=0.2, num_initial=4, num_local=4)
+        config = PQCacheConfig(num_bits=4, max_kmeans_iters=3, gpu_cache_tokens=0)
+
+        def prefilled(refresh_every):
+            policy = PQCachePolicy(budget, pq_config=config, sketch_tokens=64,
+                                   refresh_every=refresh_every)
+            owned = copy.deepcopy(prefill)
+            policy.on_prefill_chunk(tiny_config, owned.kvcache, 0, owned.seq_len,
+                                    owned.seq_len)
+            policy.finish_prefill(tiny_config, owned)
+            return policy, owned
+
+        reference, _ = prefilled(None)
+        prefill_iterations = reference.manager.total_kmeans_iterations
+        policy, owned = prefilled(1)
+        rng = np.random.default_rng(0)
+        shape = (tiny_config.num_kv_heads, 1, tiny_config.head_dim)
+        for layer in range(tiny_config.num_layers):
+            owned.kvcache[layer].append(rng.normal(size=shape), rng.normal(size=shape))
+        policy.on_decode_step(owned.kvcache)
+        billed = policy.consume_maintenance()
+        refresh_iterations = policy.manager.total_kmeans_iterations - prefill_iterations
+        jobs = tiny_config.num_layers * tiny_config.num_kv_heads * config.num_partitions
+        assert billed["kind"] == "pq_refresh" and refresh_iterations > 0
+        assert billed["iterations"] == refresh_iterations / jobs
+
     def test_describe_includes_pq_settings(self, budget):
         policy = PQCachePolicy(budget, pq_config=PQCacheConfig(num_partitions=4,
                                                                num_bits=8))
