@@ -399,7 +399,6 @@ class Ticket:
 def _submit(
     job: Callable, layer_args: Sequence[tuple], *, owned: bool, at_once: bool
 ) -> Ticket:
-    _adopt_fork()
     jobs = [_Job(job, tuple(args)) for args in layer_args]
     _stats.submitted += len(jobs)
     start()

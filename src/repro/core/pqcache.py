@@ -24,9 +24,9 @@ second core beside the caller (paper §3.3's K-Means on idle CPU cores); the
 index is bit for bit the one an inline build makes.  :meth:`build` and
 :meth:`build_incremental` collect their jobs before they return.
 :meth:`refine` only submits its jobs: the first reader of the index (a
-query, an append, a snapshot, a code count, :attr:`total_kmeans_iterations`
-or the next refine) collects them, so the refine runs beside whatever the
-caller does in between.
+query, an append, a snapshot, :attr:`total_kmeans_iterations` or the next
+refine) collects them, so the refine runs beside whatever the caller does
+in between.  A code count needs no collect: a refine keeps it.
 
 Batched decode-path layout
 --------------------------
@@ -612,8 +612,13 @@ class PQCacheManager:
         append_tokens_grouped([(self, layer_index, keys)])
 
     def num_codes(self, layer_index: int, head: int = 0) -> int:
-        """Number of tokens currently encoded for (layer, head)."""
-        self._require_built()
+        """Number of tokens currently encoded for (layer, head).
+
+        Does not collect a submitted refine: it re-encodes exactly the
+        tokens already encoded, so the count is known without it.
+        """
+        if not self._built:
+            raise NotFittedError("PQCacheManager.build must be called first")
         return len(self._codes[layer_index])
 
     # --------------------------------------------------------------- query

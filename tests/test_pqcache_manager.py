@@ -307,6 +307,23 @@ class TestIncrementalConstruction:
         for old, copy in zip(before, frozen):
             assert np.array_equal(old, copy)
 
+    def test_refine_is_collected_by_the_first_reader(self, tiny_config, kvcache):
+        """``refine`` leaves a pending ticket; a code count reads through it
+        (a refine keeps the count), the first index read collects it."""
+        mgr = PQCacheManager(tiny_config, self.CFG)
+        mgr.build_incremental(kvcache, upto=160, sample_tokens=64)
+        mgr.refine(kvcache, max_iters=4)
+        assert mgr._refining is not None
+        assert mgr.num_codes(0) == 160 and mgr._refining is not None
+        refined = mgr.codebooks(0)
+        assert mgr._refining is None
+        other = PQCacheManager(tiny_config, self.CFG)
+        other.build_incremental(kvcache, upto=160, sample_tokens=64)
+        other.refine(kvcache, max_iters=4)
+        assert other.total_kmeans_iterations == mgr.total_kmeans_iterations
+        assert other._refining is None
+        assert np.array_equal(other.codebooks(0), refined)
+
     def test_refine_leaves_a_snapshot_untouched(self, tiny_config, kvcache):
         mgr = self._incremental(tiny_config, kvcache)
         snap = mgr.snapshot()
