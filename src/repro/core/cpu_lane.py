@@ -17,13 +17,14 @@ bit for bit the inline results.  :func:`map_layers` is submit-then-collect.
   pipe.  :func:`pump` never blocks: it reads a finished reply and hands the
   next queued job to an idle helper.  :func:`submit` and
   :meth:`Ticket.result` pump, and the serving engine pumps at the top of
-  every step.
+  every step, before each prefill chunk and before each decode round.
 * A collect runs its ticket's still-queued jobs inline and waits only on a
   job the helper has already started, so it never takes longer than
   running the jobs it still needs.
 * A submitted ticket owns its inputs: its arrays are copied at submit, so
   the caller may overwrite or release what it passed (pool blocks reused,
   swapped out or copied on write) before a job is sent or re-run.
+  :func:`map_layers` collects before it returns and copies nothing.
 * :meth:`Ticket.cancel` takes the ticket's queued jobs out of the queue, so
   the helper never runs them; a later collect runs them inline.
 * With one usable CPU, or no helper, :func:`submit` runs the jobs inline at

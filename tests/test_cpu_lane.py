@@ -200,7 +200,7 @@ class TestTickets:
 
     def test_collect_runs_queued_jobs_inline_and_waits_only_on_started_ones(self):
         helper = wait_ready()
-        busy = cpu_lane.submit(time.sleep, [(0.3,)])  # the helper is busy
+        busy = cpu_lane.submit(time.sleep, [(1.0,)])  # the helper is busy
         queued = cpu_lane.submit(os.getpid, [(), ()])
         assert queued.result() == [os.getpid()] * 2
         assert busy.result() == [None]
@@ -208,7 +208,7 @@ class TestTickets:
 
     def test_cancelled_jobs_never_reach_the_helper(self):
         wait_ready()
-        busy = cpu_lane.submit(time.sleep, [(0.3,)])
+        busy = cpu_lane.submit(time.sleep, [(1.0,)])
         cancelled = cpu_lane.submit(os.getpid, [(), ()])
         cancelled.cancel()
         assert busy.result() == [None]
