@@ -22,14 +22,17 @@ middle tokens, local tokens — §3.4) is :class:`TokenSegments`.
 
 Tiered placement (GPU ↔ CPU pinned ↔ disk)
 ------------------------------------------
-The block pool models *GPU* residency.  Under pool pressure the serving
-engine moves whole block chains down the memory hierarchy through a
-:class:`SwapSpace`: swap-out copies a chain's block contents into a CPU
-tier (demoting cold entries onward to a disk tier when the CPU tier fills),
-frees the pool blocks, and returns a :class:`SwappedBlocks` handle; swap-in
-allocates fresh pool blocks and restores the contents bitwise.  The same
-store backs the prefix cache's disk spill of cold chains.  Exhausting every
-tier raises :class:`~repro.errors.CapacityError`.
+The block pool models *GPU* residency.  Below it, a :class:`SwapSpace` keeps
+one *host store*: a private, unbounded :class:`BlockAllocator` with the
+pool's plane geometry, whose blocks carry the parked KV of both lower tiers.
+Residency is an attribute, not a copy format: a parked chain is a
+:class:`SwappedBlocks` handle listing host block ids (and the pool blocks it
+pins), tagged ``cpu`` or ``disk``.  Swap-out copies a chain's rows from the
+pool planes into host blocks (demoting the oldest CPU handles to disk when
+the CPU tier fills) and the caller frees the pool blocks; swap-in copies the
+rows back into fresh pool blocks, bitwise.  The same store backs the prefix
+cache's disk spill of cold chains and the rows a migrated chain is copied
+off.  Exhausting every tier raises :class:`~repro.errors.CapacityError`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import numpy as np
 
 from ..errors import CapacityError, ConfigurationError, DimensionError
 from ..utils import DTYPE
-from .kvcodec import EncodedKV, KVBlockCodec
 
 __all__ = [
     "TokenSegments",
@@ -110,7 +112,8 @@ class TokenSegments:
 
 class BlockAllocator:
     """Refcounted pool of fixed-size KV blocks: the serving engine's, shared
-    by all its requests, or a standalone :class:`KVCache`'s own.
+    by all its requests, a standalone :class:`KVCache`'s own, or a
+    :class:`SwapSpace`'s host store.
 
     One physical block stores ``block_size`` tokens' keys and values for
     *every* layer — shape ``(num_layers, h_kv, block_size, d_h)`` per tensor —
@@ -311,15 +314,38 @@ class BlockAllocator:
         """
         self._require_live(block_id)
         new_id = self.allocate()
-        for plane in self._planes:
-            plane[:, :, self._rows(new_id)] = plane[:, :, self._rows(block_id)]
+        self.copy_blocks([new_id], self, [block_id])
         self.cow_copies += 1
         return new_id
+
+    def copy_blocks(
+        self, block_ids: "list[int]", source: "BlockAllocator", source_ids: "list[int]"
+    ) -> None:
+        """Write blocks ``source_ids`` of ``source`` (this pool, or one of
+        the same geometry) into ``block_ids``, in order: one slice copy per
+        plane where both lists are runs of consecutive ids, else one gather."""
+        if block_ids:
+            rows, source_rows = self._span(block_ids), source._span(source_ids)
+            for plane, other in zip(self._planes, source._planes):
+                plane[:, :, rows] = other[:, :, source_rows]
 
     # ------------------------------------------------------------- storage
 
     def _rows(self, block_id: int) -> slice:
         return slice(block_id * self.block_size, (block_id + 1) * self.block_size)
+
+    def rows(self, block_ids: "list[int]") -> np.ndarray:
+        """Plane row of every token slot of ``block_ids``, in order: slot
+        ``i`` of block ``b`` at row ``b * block_size + i``."""
+        ids = np.asarray(block_ids, dtype=np.int64)
+        return (ids[:, None] * self.block_size + np.arange(self.block_size)).ravel()
+
+    def _span(self, block_ids: "list[int]") -> "slice | np.ndarray":
+        """:meth:`rows`, as one slice when the ids are a consecutive run."""
+        first, size = block_ids[0], self.block_size
+        if block_ids == list(range(first, first + len(block_ids))):
+            return slice(first * size, (first + len(block_ids)) * size)
+        return self.rows(block_ids)
 
     def block_keys(self, block_id: int) -> np.ndarray:
         """Key storage of a block: ``(num_layers, h_kv, block_size, d_h)``."""
@@ -380,9 +406,7 @@ class BlockTable:
         ``(len(self) * block_size,)``, slot ``i`` of block ``b`` at row
         ``b * block_size + i``."""
         if self._rows is None:
-            block_size = self.allocator.block_size
-            ids = np.asarray(self.block_ids, dtype=np.int64)
-            self._rows = (ids[:, None] * block_size + np.arange(block_size)).ravel()
+            self._rows = self.allocator.rows(self.block_ids)
         return self._rows
 
     def append_new(self) -> int:
@@ -699,11 +723,9 @@ class SwappedBlocks:
     Two kinds of chain positions coexist:
 
     * **stored** — the block was exclusively owned by the swapped request
-      (refcount 1), so freeing it reclaims pool space; its contents are
-      parked raw in the handle (``keys[i]``/``values[i]`` hold
-      :class:`~repro.llm.kvcodec.EncodedKV` copies) and copied back into a
-      freshly allocated block on swap-in.  ``stored_logical_nbytes`` is
-      the transfer size the engine bills.
+      (refcount 1), so freeing it reclaims pool space; its rows were copied
+      into a block of the swap space's host store (``host_ids[i]``) and are
+      copied back into a freshly allocated pool block on swap-in.
     * **pinned** — the block is *shared* (prefix cache, a forked sibling, a
       retained output), so it stays GPU-resident regardless of this request;
       the handle takes one extra reference (``pinned_ids[i]``), no bytes
@@ -714,43 +736,32 @@ class SwappedBlocks:
     The handle is single-use: :meth:`SwapSpace.swap_in` consumes it.
 
     Attributes:
-        keys: per-position encoded key payloads (``None`` at pinned ones).
-        values: per-position encoded value payloads (``None`` at pinned ones).
-        pinned_ids: per-position pinned block id (``None`` at stored ones).
-        allocator: pool the pinned references live in.
-        tier: current residency of the stored copies — ``"cpu"`` or
-            ``"disk"``.  A handle created on the CPU tier may be demoted to
-            ``"disk"`` while parked.
+        host_ids: per-position host-store block id (``None`` at pinned ones).
+        pinned_ids: per-position pinned pool block id (``None`` at stored
+            ones).
+        tier: residency of the stored positions — ``"cpu"`` or ``"disk"``.
+            A handle created on the CPU tier may be demoted to ``"disk"``
+            while parked; demotion moves the whole handle.
     """
 
-    keys: "list[EncodedKV | None]"
-    values: "list[EncodedKV | None]"
+    host_ids: "list[int | None]"
     pinned_ids: "list[int | None]"
-    allocator: "BlockAllocator"
     tier: str
 
     @property
     def num_blocks(self) -> int:
         """Chain length (stored + pinned positions)."""
-        return len(self.keys)
+        return len(self.host_ids)
 
     @property
     def stored_blocks(self) -> int:
-        """Positions whose contents are parked in the swap space."""
-        return sum(1 for k in self.keys if k is not None)
+        """Positions whose contents are parked in the host store."""
+        return sum(1 for host_id in self.host_ids if host_id is not None)
 
     @property
     def pinned_blocks(self) -> int:
         """Positions held as extra references on GPU-resident shared blocks."""
-        return len(self.keys) - self.stored_blocks
-
-    @property
-    def stored_logical_nbytes(self) -> int:
-        """Modelled bytes of the stored positions (the transfer size)."""
-        return sum(
-            k.logical_nbytes + v.logical_nbytes
-            for k, v in zip(self.keys, self.values) if k is not None
-        )
+        return len(self.host_ids) - self.stored_blocks
 
 
 @dataclass
@@ -758,7 +769,8 @@ class SwapSpaceStats:
     """Lifetime transfer counters of one :class:`SwapSpace`.
 
     Block counters count chain positions; byte counters count the modelled
-    size of the stored copies, which is what crosses the links.
+    size of the stored blocks (``block_nbytes()`` each), which is what
+    crosses the links.
     """
 
     swapped_out: int = 0
@@ -772,29 +784,30 @@ class SwapSpaceStats:
 
 
 class SwapSpace:
-    """Two lower tiers of the KV hierarchy: CPU pinned memory and disk.
+    """Two lower tiers of the KV hierarchy, CPU pinned memory and disk, over
+    one host store bound to ``allocator`` (the GPU pool).
 
-    The GPU block pool (:class:`BlockAllocator`) is the top tier.  A chain
-    swapped out of it lands in the CPU tier when there is room; when the CPU
-    tier is full, the *oldest parked* CPU handle is demoted to disk to make
-    room (GPU → CPU → disk, strictly downward).  A chain may also be placed
-    directly on the disk tier (the prefix cache's cold-chain spill).  When
-    the target tier — after demotion — still cannot hold the chain,
-    :class:`~repro.errors.CapacityError` is raised and nothing is stored.
+    A chain swapped out of the pool lands in the CPU tier when there is
+    room; when the CPU tier is full, the *oldest parked* CPU handle is
+    demoted to disk to make room (GPU → CPU → disk, strictly downward).  A
+    chain may also be placed directly on the disk tier (the prefix cache's
+    cold-chain spill).  When the target tier — after demotion — still cannot
+    hold the chain, :class:`~repro.errors.CapacityError` is raised and
+    nothing is stored.
 
-    Capacities are expressed in blocks of the owning allocator's geometry;
-    ``None`` means unbounded (host memory and disk are both effectively
-    unbounded relative to a GPU pool, but tests and capacity planning can
-    bound them).  All arrays live in process memory either way — the *tier*
-    tag drives the byte accounting the latency model charges for PCIe and
-    NVMe traffic.
-
-    Stored block copies are parked raw through
-    :class:`~repro.llm.kvcodec.KVBlockCodec`, so every restore is exact.
+    Both tiers park rows in :attr:`host`, a private, unbounded
+    :class:`BlockAllocator` of the pool's geometry (its free list and growth
+    are the pool's code), so every move is a row copy between two sets of
+    planes and every restore is exact.  A handle's ``tier`` tag drives the
+    byte accounting the latency model charges for PCIe and NVMe traffic.
+    Capacities are in blocks; ``None`` means unbounded (host memory and disk
+    are both effectively unbounded relative to a GPU pool, but tests and
+    capacity planning can bound them).  Occupancy is one counter per tier.
     """
 
     def __init__(
         self,
+        allocator: BlockAllocator,
         cpu_capacity_blocks: int | None = None,
         disk_capacity_blocks: int | None = None,
     ) -> None:
@@ -802,48 +815,44 @@ class SwapSpace:
             raise ConfigurationError("cpu_capacity_blocks must be >= 0 or None")
         if disk_capacity_blocks is not None and disk_capacity_blocks < 0:
             raise ConfigurationError("disk_capacity_blocks must be >= 0 or None")
+        self.allocator = allocator
+        self.host = BlockAllocator(
+            allocator.num_layers, allocator.num_kv_heads, allocator.head_dim,
+            block_size=allocator.block_size, dtype_bytes=allocator.dtype_bytes,
+        )
         self.cpu_capacity_blocks = cpu_capacity_blocks
         self.disk_capacity_blocks = disk_capacity_blocks
+        self._blocks = {"cpu": 0, "disk": 0}
         #: parked handles in arrival order (oldest first) — demotion order
-        self._handles: list[SwappedBlocks] = []
+        self._handles: dict[SwappedBlocks, None] = {}
         self.stats = SwapSpaceStats()
 
     # ---------------------------------------------------------- accounting
 
-    def _tier_blocks(self, tier: str) -> int:
-        return sum(h.stored_blocks for h in self._handles if h.tier == tier)
-
     @property
     def cpu_blocks(self) -> int:
         """Blocks currently parked on the CPU tier."""
-        return self._tier_blocks("cpu")
+        return self._blocks["cpu"]
 
     @property
     def disk_blocks(self) -> int:
         """Blocks currently parked on the disk tier."""
-        return self._tier_blocks("disk")
+        return self._blocks["disk"]
 
-    def nbytes(self, block_nbytes: int) -> int:
-        """Modelled bytes parked across both tiers."""
-        return (self.cpu_blocks + self.disk_blocks) * block_nbytes
-
-    def _tier_room(self, tier: str, capacity: int | None) -> int | None:
-        if capacity is None:
-            return None
-        return capacity - self._tier_blocks(tier)
+    def _fits(self, tier: str, blocks: int) -> bool:
+        capacity = (self.cpu_capacity_blocks if tier == "cpu"
+                    else self.disk_capacity_blocks)
+        return capacity is None or self._blocks[tier] + blocks <= capacity
 
     # ------------------------------------------------------------ movement
 
-    def _make_room_on_cpu(self, needed: int) -> int:
+    def _make_room_on_cpu(self, needed: int) -> None:
         """Demote oldest CPU handles to disk until ``needed`` blocks fit.
 
-        Returns the number of blocks demoted.  Raises
-        :class:`~repro.errors.CapacityError` when demotion cannot create
-        enough room (the disk tier fills up first).
+        Raises :class:`~repro.errors.CapacityError` when demotion cannot
+        create enough room (the disk tier fills up first).
         """
-        demoted = 0
-        room = self._tier_room("cpu", self.cpu_capacity_blocks)
-        while room is not None and room < needed:
+        while not self._fits("cpu", needed):
             candidate = next(
                 (h for h in self._handles if h.tier == "cpu" and h.stored_blocks),
                 None,
@@ -853,30 +862,44 @@ class SwapSpace:
                     f"swap space exhausted: CPU tier holds {self.cpu_blocks}/"
                     f"{self.cpu_capacity_blocks} blocks and nothing is demotable"
                 )
-            disk_room = self._tier_room("disk", self.disk_capacity_blocks)
-            if disk_room is not None and disk_room < candidate.stored_blocks:
+            moved = candidate.stored_blocks
+            if not self._fits("disk", moved):
                 raise CapacityError(
                     f"swap space exhausted: disk tier holds {self.disk_blocks}/"
                     f"{self.disk_capacity_blocks} blocks, cannot absorb a "
-                    f"{candidate.stored_blocks}-block demotion"
+                    f"{moved}-block demotion"
                 )
             candidate.tier = "disk"
-            demoted += candidate.stored_blocks
-            self.stats.demoted += candidate.stored_blocks
-            self.stats.demoted_logical_bytes += candidate.stored_logical_nbytes
-            room = self._tier_room("cpu", self.cpu_capacity_blocks)
-        return demoted
+            self._blocks["cpu"] -= moved
+            self._blocks["disk"] += moved
+            self.stats.demoted += moved
+            self.stats.demoted_logical_bytes += moved * self.allocator.block_nbytes()
 
-    def swap_out(
-        self,
-        allocator: BlockAllocator,
-        block_ids: "list[int]",
-        tier: str = "cpu",
-    ) -> SwappedBlocks:
+    def _park(self, tier: str, pool_ids: "list[int]") -> "list[int]":
+        """Copy pool blocks into fresh host blocks on ``tier``; their ids."""
+        self.host.reserve(len(pool_ids))
+        host_ids = [self.host.allocate() for _ in pool_ids]
+        self.host.copy_blocks(host_ids, self.allocator, pool_ids)
+        self._blocks[tier] += len(pool_ids)
+        self.stats.swapped_out += len(pool_ids)
+        self.stats.swapped_out_logical_bytes += (
+            len(pool_ids) * self.allocator.block_nbytes()
+        )
+        return host_ids
+
+    def _unpark(self, handle: SwappedBlocks) -> None:
+        """Forget a handle and free its host blocks."""
+        del self._handles[handle]
+        for host_id in handle.host_ids:
+            if host_id is not None:
+                self.host.decref(host_id)
+        self._blocks[handle.tier] -= handle.stored_blocks
+
+    def swap_out(self, block_ids: "list[int]", tier: str = "cpu") -> SwappedBlocks:
         """Move a chain out of the pool into a lower tier.
 
-        Exclusively-owned blocks (refcount 1) are copied into the tier —
-        they are the ones whose release reclaims pool space.  *Shared*
+        Exclusively-owned blocks (refcount 1) are copied into the host store
+        — they are the ones whose release reclaims pool space.  *Shared*
         blocks (refcount > 1: the prefix cache or another request keeps
         them GPU-resident anyway) are pinned by reference instead: no bytes
         move and swap-in returns the very same block, preserving sharing.
@@ -886,7 +909,6 @@ class SwapSpace:
         handle exists, so a failed swap leaves the chain untouched.
 
         Args:
-            allocator: the pool the blocks live in.
             block_ids: chain to move, in order.
             tier: ``"cpu"`` (default; demotes older entries to disk under
                 pressure) or ``"disk"`` (direct cold spill).
@@ -895,46 +917,38 @@ class SwapSpace:
             A single-use :class:`SwappedBlocks` handle.
 
         Raises:
-            CapacityError: when neither tier can absorb the stored copies.
+            CapacityError: when neither tier can absorb the stored blocks.
         """
         if tier not in ("cpu", "disk"):
             raise ConfigurationError(f"unknown swap tier {tier!r}")
-        codec = KVBlockCodec(allocator.dtype_bytes)
-        shared = [allocator.refcount(b) > 1 for b in block_ids]
-        needed = sum(1 for s in shared if not s)
+        pool = self.allocator
+        pinned_ids = [b if pool.refcount(b) > 1 else None for b in block_ids]
+        stored = [b for b, pinned in zip(block_ids, pinned_ids) if pinned is None]
         if tier == "cpu":
-            self._make_room_on_cpu(needed)
-        room = self._tier_room(tier, self.cpu_capacity_blocks if tier == "cpu"
-                               else self.disk_capacity_blocks)
-        if room is not None and room < needed:
+            self._make_room_on_cpu(len(stored))
+        if not self._fits(tier, len(stored)):
             raise CapacityError(
-                f"swap space exhausted: {tier} tier cannot hold {needed} "
+                f"swap space exhausted: {tier} tier cannot hold {len(stored)} "
                 "more blocks"
             )
+        host_ids = iter(self._park(tier, stored))
         handle = SwappedBlocks(
-            keys=[None if s else codec.encode(allocator.block_keys(b))
-                  for b, s in zip(block_ids, shared)],
-            values=[None if s else codec.encode(allocator.block_values(b))
-                    for b, s in zip(block_ids, shared)],
-            pinned_ids=[b if s else None for b, s in zip(block_ids, shared)],
-            allocator=allocator,
+            host_ids=[None if pinned is not None else next(host_ids)
+                      for pinned in pinned_ids],
+            pinned_ids=pinned_ids,
             tier=tier,
         )
-        for block_id, is_shared in zip(block_ids, shared):
-            if is_shared:
-                allocator.incref(block_id)
-        self._handles.append(handle)
-        self.stats.swapped_out += needed
-        self.stats.swapped_out_logical_bytes += handle.stored_logical_nbytes
+        for pinned in pinned_ids:
+            if pinned is not None:
+                pool.incref(pinned)
+        self._handles[handle] = None
         return handle
 
-    def swap_in(
-        self, handle: SwappedBlocks, allocator: BlockAllocator
-    ) -> "list[int]":
+    def swap_in(self, handle: SwappedBlocks) -> "list[int]":
         """Restore a parked chain into the pool.
 
         Consumes the handle.  Stored positions get freshly allocated blocks
-        with the parked contents copied back; pinned positions hand their
+        with the parked rows copied back; pinned positions hand their
         (still GPU-resident) block reference straight to the caller.
         Allocation happens first and may raise
         :class:`~repro.errors.CapacityError` (pool full, nothing evictable);
@@ -947,33 +961,27 @@ class SwapSpace:
         """
         if handle not in self._handles:
             raise ConfigurationError("swap-in of an unknown or consumed handle")
+        pool = self.allocator
         fresh: list[int] = []
         try:
             for _ in range(handle.stored_blocks):
-                fresh.append(allocator.allocate())
+                fresh.append(pool.allocate())
         except CapacityError:
             for block_id in fresh:
-                allocator.decref(block_id)
+                pool.decref(block_id)
             raise
-        restored_logical = handle.stored_logical_nbytes
-        new_ids: list[int] = []
-        fresh_iter = iter(fresh)
-        for keys, values, pinned in zip(
-            handle.keys, handle.values, handle.pinned_ids
-        ):
-            if pinned is not None:
-                new_ids.append(pinned)  # the pin reference transfers over
-                continue
-            block_id = next(fresh_iter)
-            allocator.block_keys(block_id)[...] = keys.decode()
-            allocator.block_values(block_id)[...] = values.decode()
-            new_ids.append(block_id)
-        self._handles.remove(handle)
+        pool.copy_blocks(
+            fresh, self.host, [h for h in handle.host_ids if h is not None]
+        )
+        self._unpark(handle)
         self.stats.swapped_in += len(fresh)
-        self.stats.swapped_in_logical_bytes += restored_logical
-        return new_ids
+        self.stats.swapped_in_logical_bytes += len(fresh) * pool.block_nbytes()
+        fresh_ids = iter(fresh)
+        # A pinned position's reference transfers over.
+        return [next(fresh_ids) if pinned is None else pinned
+                for pinned in handle.pinned_ids]
 
-    def materialize_pins(self, handle: SwappedBlocks) -> int:
+    def materialize_pins(self, handle: SwappedBlocks) -> "tuple[int, int]":
         """Convert a parked handle's pinned positions into stored copies.
 
         Dropping a pin releases the handle's reference on a shared block so
@@ -981,12 +989,17 @@ class SwapSpace:
         evict or spill it — the engine calls this under extreme pool
         pressure, when keeping swapped requests' shared blocks GPU-resident
         would block an older request.  Positions are materialised one at a
-        time until the tier runs out of room; returns how many were copied.
+        time until the tier runs out of room.
+
+        Returns:
+            The blocks written straight to the CPU tier and straight to the
+            disk tier.  Making CPU room may demote this very handle midway,
+            so blocks written to the CPU tier can reach the disk through
+            that demotion (``stats.demoted``), never through this count.
         """
         if handle not in self._handles:
             raise ConfigurationError("unknown or consumed handle")
-        materialised = 0
-        codec = KVBlockCodec(handle.allocator.dtype_bytes)
+        written = {"cpu": 0, "disk": 0}
         for index, pinned in enumerate(handle.pinned_ids):
             if pinned is None:
                 continue
@@ -997,63 +1010,25 @@ class SwapSpace:
                     self._make_room_on_cpu(1)
                 except CapacityError:
                     break
-            capacity = (self.cpu_capacity_blocks if handle.tier == "cpu"
-                        else self.disk_capacity_blocks)
-            room = self._tier_room(handle.tier, capacity)
-            if room is not None and room < 1:
+            if not self._fits(handle.tier, 1):
                 break
-            enc_keys = codec.encode(handle.allocator.block_keys(pinned))
-            enc_values = codec.encode(handle.allocator.block_values(pinned))
-            handle.keys[index] = enc_keys
-            handle.values[index] = enc_values
+            (handle.host_ids[index],) = self._park(handle.tier, [pinned])
             handle.pinned_ids[index] = None
-            handle.allocator.decref(pinned)
-            materialised += 1
-            self.stats.swapped_out += 1
-            self.stats.swapped_out_logical_bytes += (
-                enc_keys.logical_nbytes + enc_values.logical_nbytes
-            )
-        return materialised
-
-    def peek_encoded(
-        self, handle: SwappedBlocks
-    ) -> "tuple[list[EncodedKV], list[EncodedKV]]":
-        """Read a parked chain's payloads without restoring it.
-
-        The migration path ships the parked copies as-is: the owning worker
-        reads them off its tier and the importer copies each one exactly
-        once — no restore/re-park round trip, and the parked copy stays
-        valid for a later local restore (which is billed independently by
-        its own swap-in).  Stored positions return the parked
-        :class:`~repro.llm.kvcodec.EncodedKV` objects themselves (they are
-        immutable-by-convention); pinned positions park a copy of the live
-        block on the fly.
-        """
-        if handle not in self._handles:
-            raise ConfigurationError("peek of an unknown or consumed handle")
-        codec = KVBlockCodec(handle.allocator.dtype_bytes)
-        keys: list[EncodedKV] = []
-        values: list[EncodedKV] = []
-        for k, v, pinned in zip(handle.keys, handle.values, handle.pinned_ids):
-            if pinned is not None:
-                keys.append(codec.encode(handle.allocator.block_keys(pinned)))
-                values.append(codec.encode(handle.allocator.block_values(pinned)))
-            else:
-                keys.append(k)
-                values.append(v)
-        return keys, values
+            self.allocator.decref(pinned)
+            written[handle.tier] += 1
+        return written["cpu"], written["disk"]
 
     def discard(self, handle: SwappedBlocks) -> None:
         """Drop a parked chain without restoring it (abort/teardown path).
 
         Pinned positions release their extra block reference back to the
-        pool; stored copies are simply forgotten.
+        pool; stored blocks go back to the host store's free list.
         """
         if handle in self._handles:
-            self._handles.remove(handle)
+            self._unpark(handle)
             for pinned in handle.pinned_ids:
                 if pinned is not None:
-                    handle.allocator.decref(pinned)
+                    self.allocator.decref(pinned)
             self.stats.discarded += handle.num_blocks
 
     def describe(self) -> dict:

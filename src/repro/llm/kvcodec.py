@@ -1,12 +1,11 @@
-"""How a KV block is parked on a lower tier: as a private raw copy.
+"""A raw per-tensor parking codec, defined but no longer called.
 
-Every block that leaves the GPU pool — preemption swap-out, cold prefix-chain
-spill, cross-worker migration — is parked through :class:`KVBlockCodec`,
-which copies the tensor (so the pool may recycle the block) and hands the
-very bytes back on restore.  Parking is exact, and every transfer is billed
-at the tensor's modelled size (``ModelConfig.dtype_bytes`` per element): the
-NumPy substrate keeps :data:`~repro.utils.DTYPE` values, but the links carry
-the modelled width.
+Parked KV is rows of :class:`~repro.llm.kvcache.SwapSpace`'s host store.
+This module stays only because ``bench/adapters.py`` names
+:meth:`KVBlockCodec.encode` / :meth:`KVBlockCodec.decode` as trace targets
+(their ``llm.kvcodec.*`` spans now read zero calls); it goes once the
+benchmark stops naming it.  :class:`KVBlockCodec` copies a tensor and hands
+the very bytes back, sized at ``dtype_bytes`` per element.
 """
 
 from __future__ import annotations

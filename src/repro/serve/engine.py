@@ -175,12 +175,11 @@ class InferenceEngine:
             dtype_bytes=geometry.dtype_bytes,
         )
         self.swap_space = SwapSpace(
+            self.block_allocator,
             cpu_capacity_blocks=pool.cpu_blocks,
             disk_capacity_blocks=pool.disk_blocks,
         )
-        self.prefix_cache = PrefixCache(
-            self.block_allocator, spill_store=self.swap_space
-        )
+        self.prefix_cache = PrefixCache(self.swap_space)
         self.block_allocator.eviction_hook = self.prefix_cache.evict
         #: the pool-pressure ladder and transfer ledger over the three
         #: attributes above

@@ -21,13 +21,15 @@ This module provides the engine-side index that makes that reuse safe:
 * Eviction is LRU over leaf nodes: when the block pool runs dry mid-admission
   the allocator calls :meth:`PrefixCache.evict`, which walks least-recently
   used chains tail-first and drops nodes whose blocks nobody else references.
-* With a *spill store* (:class:`~repro.llm.kvcache.SwapSpace`), eviction
-  demotes cold chains to the disk tier instead of freeing them: the block
-  contents (and, by reference, the attached artifact payloads) survive on
-  NVMe, the pool block is returned, and a later match restores the chain
-  into fresh pool blocks bitwise — or *re-adopts* the inserting request's
-  own blocks for free when the same prompt comes back through ``insert``.
-  PQ snapshots ride along nearly for free (codes are ~1/64th the KV bytes).
+* Eviction spills cold chains to the disk tier of the cache's *spill
+  store* (the pool's :class:`~repro.llm.kvcache.SwapSpace`) instead of
+  freeing them: the block's rows are copied into the host store (and, by
+  reference, the attached artifact payloads ride along), the pool block is
+  returned, and a later match copies the rows back into fresh pool blocks
+  bitwise — or *re-adopts* the inserting request's own blocks for free when
+  the same prompt comes back through ``insert``.  Only a full disk tier
+  makes eviction drop chains outright.  PQ snapshots ride along nearly for
+  free (codes are ~1/64th the KV bytes).
 * Artifact payloads are reference-counted symmetrically: every node that
   stores a :class:`~repro.core.pqcache.PQSnapshot` takes a storage hold
   (:meth:`~repro.core.pqcache.PQSnapshot.retain`) and releases it when the
@@ -46,8 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import CapacityError, ConfigurationError
-from ..llm.kvcache import BlockAllocator, SwapSpace
-from ..llm.kvcodec import EncodedKV, KVBlockCodec
+from ..llm.kvcache import SwapSpace
 from ..utils import modelled_nbytes
 
 __all__ = [
@@ -184,19 +185,18 @@ class PrefixCoverage:
 class ExportedChainNode:
     """One block of an exported chain: tokens, KV contents, payloads.
 
-    ``keys``/``values`` are the block's contents as parked raw copies — one
-    :class:`~repro.llm.kvcodec.EncodedKV` each (original shape
-    ``(num_layers, h_kv, block_size, d_h)``).  Spilled source nodes ship
-    their parked copy as-is (no restore on the export side); resident
-    nodes are copied on export.  ``from_disk`` records whether the source
-    node was spilled (the exporter read it off the NVMe tier — a migration
-    bills that leg).  Artifact payloads travel by reference, like every
-    other sharing path in the cache.
+    ``keys``/``values`` are the block's rows, ``(num_layers, h_kv,
+    block_size, d_h)`` arrays copied off the exporter's planes: off its host
+    store for a spilled node (no restore on the export side), off its pool
+    for a resident one.  ``from_disk`` records whether the source node was
+    spilled (the exporter read it off the NVMe tier — a migration bills that
+    leg).  Artifact payloads travel by reference, like every other sharing
+    path in the cache.
     """
 
     token_ids: np.ndarray
-    keys: EncodedKV
-    values: EncodedKV
+    keys: np.ndarray
+    values: np.ndarray
     from_disk: bool
     acc_scores: "list | None" = None
     pq_snapshots: dict = field(default_factory=dict)
@@ -308,26 +308,25 @@ class PrefixCache:
     """Hash-chained index of cached prompt-prefix blocks.
 
     Args:
-        allocator: the paged-KV block pool the cached chains live in; the
-            cache holds one reference per cached block.
+        spill_store: the :class:`~repro.llm.kvcache.SwapSpace` of the paged-KV
+            block pool the cached chains live in (its ``allocator``; the
+            cache holds one reference per cached block).  Eviction spills
+            cold chains to its disk tier (contents preserved, pool block
+            freed) and later matches restore them; a disk tier without room
+            (``disk_capacity_blocks=0``) makes eviction free them.
         hash_fn: ``(parent_key, tokens) -> bytes`` chain hash; injectable so
             tests can force collisions and exercise the verification
             fallback.  Collisions are detected by comparing stored token ids
             and resolved as misses (first chain wins the slot).
-        spill_store: optional :class:`~repro.llm.kvcache.SwapSpace`; when
-            set, eviction spills cold chains to its disk tier (contents
-            preserved, pool block freed) and later matches restore them.
-            Without it eviction frees cold chains permanently, as before.
     """
 
     def __init__(
         self,
-        allocator: BlockAllocator,
+        spill_store: SwapSpace,
         hash_fn: "Callable[[bytes, np.ndarray], bytes] | None" = None,
-        spill_store: SwapSpace | None = None,
     ) -> None:
-        self.allocator = allocator
-        self.block_size = allocator.block_size
+        self.allocator = spill_store.allocator
+        self.block_size = self.allocator.block_size
         self._hash = hash_fn or _default_hash
         self._nodes: dict[bytes, _Node] = {}
         self._tick = 0
@@ -497,7 +496,6 @@ class PrefixCache:
         """
         if all(not node.spilled for node in nodes):
             return nodes
-        assert self.spill_store is not None
         pinned: list[int] = []
         restored_upto = len(nodes)
         self._restoring = {node.key for node in nodes}
@@ -513,9 +511,7 @@ class PrefixCache:
                     break
                 if node.spilled:
                     try:
-                        new_ids = self.spill_store.swap_in(
-                            node.spill_handle, self.allocator
-                        )
+                        new_ids = self.spill_store.swap_in(node.spill_handle)
                     except CapacityError:
                         restored_upto = index
                         break
@@ -651,7 +647,6 @@ class PrefixCache:
                 parent.children += 1
             self.stats.inserted_blocks += 1
         else:
-            assert self.spill_store is not None
             self.spill_store.discard(node.spill_handle)
             node.spill_handle = None
             node.block_id = block_id
@@ -682,12 +677,11 @@ class PrefixCache:
     def export_chain(self, token_ids: Sequence[int]) -> "ExportedChain | None":
         """Package this cache's longest chain matching a prompt for migration.
 
-        A pure read: resident blocks are copied, spilled blocks ship their
-        *parked copy* as-is through
-        :meth:`~repro.llm.kvcache.SwapSpace.peek_encoded` — no restore on the
-        export side, and the parked copy stays valid, so a later local
-        restore of the same chain is billed independently by its own
-        swap-in; the export itself never touches the restore counters.
+        A pure read: each block's rows are copied off the pool (resident
+        nodes) or off the spill store's host store (spilled nodes) — no
+        restore on the export side, and the parked rows stay valid, so a
+        later local restore of the same chain is billed independently by its
+        own swap-in; the export itself never touches the restore counters.
         Artifact payloads travel by reference.  The caller bills the
         transfer: the result's ``disk_blocks`` crossed the source's NVMe,
         all its blocks cross PCIe into the importing worker's pool, and the
@@ -699,23 +693,20 @@ class PrefixCache:
         nodes = self._walk(token_ids)
         if not nodes:
             return None
-        codec = KVBlockCodec(self.allocator.dtype_bytes)
         exported = ExportedChain(
             block_size=self.block_size, dtype_bytes=self.allocator.dtype_bytes
         )
         for node in nodes:
-            if node.spilled:
-                assert self.spill_store is not None
-                keys, values = self.spill_store.peek_encoded(node.spill_handle)
-                key_block, value_block = keys[0], values[0]
-            else:
-                key_block = codec.encode(self.allocator.block_keys(node.block_id))
-                value_block = codec.encode(self.allocator.block_values(node.block_id))
+            # A spilled node's handle holds its one block in the host store.
+            store, block_id = (
+                (self.spill_store.host, node.spill_handle.host_ids[0])
+                if node.spilled else (self.allocator, node.block_id)
+            )
             exported.nodes.append(
                 ExportedChainNode(
                     token_ids=node.token_ids.copy(),
-                    keys=key_block,
-                    values=value_block,
+                    keys=store.block_keys(block_id).copy(),
+                    values=store.block_values(block_id).copy(),
                     from_disk=node.spilled,
                     acc_scores=node.acc_scores,
                     pq_snapshots=dict(node.pq_snapshots),
@@ -728,7 +719,7 @@ class PrefixCache:
         """Adopt another worker's exported chain into this cache.
 
         Walks the chain like :meth:`insert`, but the blocks are allocated
-        *here* and written bitwise from the exported payloads, each block
+        *here* and written bitwise from the exported rows, each block
         exactly once: missing nodes
         are created, locally *spilled* nodes are healed with the migrated
         bytes (cheaper than a local disk read that the caller would have to
@@ -771,10 +762,8 @@ class PrefixCache:
                     # unreachable index entries, so stop at the valid prefix.
                     self.allocator.decref(block_id)
                     break
-                self.allocator.block_keys(block_id)[...] = record.keys.decode()
-                self.allocator.block_values(block_id)[...] = (
-                    record.values.decode()
-                )
+                self.allocator.block_keys(block_id)[...] = record.keys
+                self.allocator.block_values(block_id)[...] = record.values
                 node = self._adopt(node, key, tokens, parent, block_id)
                 written += 1
                 self.stats.imported_blocks += 1
@@ -791,14 +780,14 @@ class PrefixCache:
     def evict(self, num_blocks: int = 1) -> int:
         """Free at least ``num_blocks`` pool blocks by demoting cold chains.
 
-        With a spill store, a cold node's block content moves to the disk
-        tier (the node stays in the index and a later match restores it);
-        the structural leaf-only constraint does not apply because nothing
-        is removed.  Without one — or when the disk tier is full — nodes are
-        dropped outright, and then only *leaf* nodes (no cached children)
-        are candidates, since dropping an interior node would orphan its
-        descendants' chain keys.  Either way only nodes whose block nobody
-        but the cache references actually free pool space.  Candidates are
+        A cold node's block content moves to the spill store's disk tier
+        (the node stays in the index and a later match restores it); the
+        structural leaf-only constraint does not apply because nothing is
+        removed.  When the disk tier is full, nodes are dropped outright,
+        and then only *leaf* nodes (no cached children) are candidates,
+        since dropping an interior node would orphan its descendants' chain
+        keys.  Either way only nodes whose block nobody but the cache
+        references actually free pool space.  Candidates are
         taken least-recently-used first; freeing a leaf may expose its
         parent, so the walk continues until the target is met or nothing
         evictable remains.
@@ -818,7 +807,7 @@ class PrefixCache:
         )
         whole_index = None
         progressed = True
-        spill_full = self.spill_store is None
+        spill_full = False
         while freed < num_blocks and progressed:
             progressed = False
             for node in candidates:
@@ -843,7 +832,7 @@ class PrefixCache:
                 freed += 1
                 self.stats.evicted_blocks += 1
                 progressed = True
-            if not progressed and self.spill_store is not None:
+            if not progressed:
                 # Stuck with a full disk tier: every resident candidate has a
                 # *spilled* descendant blocking its hard removal.  Drop the
                 # coldest spilled leaf permanently — that frees disk room
@@ -870,10 +859,7 @@ class PrefixCache:
 
     def _spill(self, node: _Node) -> None:
         """Demote one resident node's block content to the disk tier."""
-        assert self.spill_store is not None
-        handle = self.spill_store.swap_out(
-            self.allocator, [node.block_id], tier="disk"
-        )
+        handle = self.spill_store.swap_out([node.block_id], tier="disk")
         self.allocator.decref(node.block_id)
         node.block_id = -1
         node.spill_handle = handle
@@ -895,7 +881,6 @@ class PrefixCache:
         if node.parent is not None:
             node.parent.children -= 1
         if node.spilled:
-            assert self.spill_store is not None
             self.spill_store.discard(node.spill_handle)
             node.spill_handle = None
         else:

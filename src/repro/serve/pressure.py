@@ -113,17 +113,19 @@ class PoolPressure:
         self,
         state: "RequestState | None",
         blocks: int,
-        demoted: float,
+        disk_blocks: int,
     ) -> None:
         """The downward bill of the swap path: ``blocks`` freshly stored
-        positions left the GPU and forced ``demoted`` bytes of CPU→disk
-        demotion writes.
+        positions left the GPU, and ``disk_blocks`` blocks were written to
+        the disk tier (CPU→disk demotions plus blocks stored there
+        directly), each counted once.
 
         The clock is charged the D2H leg and the disk write.  ``state`` is
         the request whose chain moved (``None`` when only demotions landed).
         """
         nbytes = float(blocks * self.block_nbytes())
-        self._charge(self.latency.swap_out_seconds(nbytes, demoted), state)
+        disk_bytes = float(disk_blocks * self.block_nbytes())
+        self._charge(self.latency.swap_out_seconds(nbytes, disk_bytes), state)
         self.metrics.swap_out_blocks += blocks
         self.metrics.swap_out_bytes += nbytes
         if state is not None:
@@ -358,17 +360,16 @@ class PoolPressure:
             if handle is None or not handle.pinned_blocks:
                 continue
             stats = self.swap_space.stats
-            demoted_before = stats.demoted_logical_bytes
-            moved = self.swap_space.materialize_pins(handle)
-            demoted = float(stats.demoted_logical_bytes - demoted_before)
-            if handle.tier == "disk":
-                demoted += float(moved * self.block_nbytes())
-            if moved or demoted > 0.0:
+            demoted_before = stats.demoted
+            to_cpu, to_disk = self.swap_space.materialize_pins(handle)
+            moved = to_cpu + to_disk
+            disk_blocks = stats.demoted - demoted_before + to_disk
+            if moved or disk_blocks:
                 # Bill every transfer that actually landed — including
                 # demotions a materialisation forced before running out of
-                # tier room (moved can be 0 with demoted bytes > 0; those
-                # are on the clock but not on this request).
-                self._bill_swap_out(state if moved else None, moved, demoted)
+                # tier room (moved can be 0 with demoted blocks; those are
+                # on the clock but not on this request).
+                self._bill_swap_out(state if moved else None, moved, disk_blocks)
             if moved:
                 return True
         return False
@@ -412,17 +413,16 @@ class PoolPressure:
         """
         assert victim.paged is not None
         stats = self.swap_space.stats
-        demoted_before = stats.demoted_logical_bytes
+        demoted_before = stats.demoted
         try:
             handle = self.swap_space.swap_out(
-                self.allocator, victim.paged.table.block_ids, tier="cpu"
+                victim.paged.table.block_ids, tier="cpu"
             )
         except CapacityError:
-            demoted = float(stats.demoted_logical_bytes - demoted_before)
-            if demoted > 0.0:
+            if stats.demoted > demoted_before:
                 # Demotions that did land before the failure really moved
                 # bytes to disk; bill them even though the swap-out aborted.
-                self._bill_swap_out(None, 0, demoted)
+                self._bill_swap_out(None, 0, stats.demoted - demoted_before)
             return False
         victim.paged.table.release()
         victim.swap_handle = handle
@@ -433,9 +433,7 @@ class PoolPressure:
         # Only the *stored* positions moved bytes — shared blocks stayed
         # GPU-resident under their pins and cost nothing to park.
         self._bill_swap_out(
-            victim,
-            handle.stored_blocks,
-            float(stats.demoted_logical_bytes - demoted_before),
+            victim, handle.stored_blocks, stats.demoted - demoted_before
         )
         self.metrics.count("preemptions", victim.priority, victim.tenant)
         self.metrics.preemptions_swap += 1
@@ -557,7 +555,7 @@ class PoolPressure:
         stored = handle.stored_blocks
         nbytes = float(stored * self.block_nbytes())
         disk_bytes = nbytes if handle.tier == "disk" else 0.0
-        new_ids = self.swap_space.swap_in(handle, self.allocator)
+        new_ids = self.swap_space.swap_in(handle)
         state.paged.table = BlockTable(self.allocator, new_ids)
         state.swap_handle = None
         state.status = state.resume_status

@@ -15,7 +15,7 @@ def evict(cache, num_blocks=1):
     freed = 0
     candidates = sorted(cache._nodes.values(), key=lambda n: n.last_used)
     progressed = True
-    spill_full = cache.spill_store is None
+    spill_full = False
     while freed < num_blocks and progressed:
         progressed = False
         for node in candidates:
@@ -40,7 +40,7 @@ def evict(cache, num_blocks=1):
             freed += 1
             cache.stats.evicted_blocks += 1
             progressed = True
-        if not progressed and cache.spill_store is not None:
+        if not progressed:
             for node in candidates:
                 if (
                     node.key in cache._nodes

@@ -77,7 +77,7 @@ def cached_chain(num_blocks=4, block_size=4):
     """A spill-capable cache holding one ``num_blocks`` chain, all resident;
     returns the cache and the chain's keys."""
     allocator = BlockAllocator(1, 1, 2, block_size=block_size)
-    cache = PrefixCache(allocator, spill_store=SwapSpace())
+    cache = PrefixCache(SwapSpace(allocator))
     tokens = list(range(num_blocks * block_size))
     blocks = [allocator.allocate() for _ in range(num_blocks)]
     cache.insert(tokens, blocks)
@@ -302,8 +302,8 @@ class TestChainExportImport:
         assert back is not None and back.num_blocks == exported.num_blocks
         for a, b in zip(exported.nodes, back.nodes):
             assert np.array_equal(a.token_ids, b.token_ids)
-            assert np.array_equal(a.keys.decode(), b.keys.decode())
-            assert np.array_equal(a.values.decode(), b.values.decode())
+            assert np.array_equal(a.keys, b.keys)
+            assert np.array_equal(a.values, b.values)
 
     def test_export_of_spilled_chain_leaves_source_intact(
         self, model, tiny_config
@@ -324,12 +324,11 @@ class TestChainExportImport:
         assert exported.num_blocks >= 2
         # a hookless allocator exposes the raw CapacityError path
         config = tiny_config
-        from repro.llm.kvcache import BlockAllocator
         from repro.serve import PrefixCache
         allocator = BlockAllocator(config.num_layers, config.num_kv_heads,
                                    config.head_dim, block_size=64,
                                    capacity_blocks=1)
-        cache = PrefixCache(allocator)
+        cache = PrefixCache(SwapSpace(allocator))
         written = cache.import_chain(exported)
         assert written == 1  # a valid shorter prefix, not a failure
         assert len(cache) == 1
@@ -379,10 +378,10 @@ class TestChainExportImport:
 
 
 class TestRawChainTransfer:
-    """Migration ships parked copies as they lie and bills the modelled
+    """Migration copies parked rows as they lie and bills the modelled
     bytes of the transfer once, on the target's clock."""
 
-    def test_export_decodes_to_the_source_blocks_bitwise(self, model, tiny_config):
+    def test_export_copies_the_source_blocks_bitwise(self, model, tiny_config):
         prompt = make_prompts(tiny_config, (200,))[0]
         engine = InferenceEngine(model, enable_prefix_caching=True)
         engine.run(make_requests([prompt], None, prefix="w"))
@@ -391,20 +390,16 @@ class TestRawChainTransfer:
         exported = cache.export_chain(prompt)
         match = cache.match(prompt)
         assert exported.num_blocks == len(match.block_ids) > 0
-        half_block = alloc.block_nbytes() // 2  # keys or values of one block
         for node, block_id in zip(exported.nodes, match.block_ids):
-            assert node.keys.decode().tobytes() == alloc.block_keys(block_id).tobytes()
-            assert node.values.decode().tobytes() == (
-                alloc.block_values(block_id).tobytes()
-            )
-            for encoded in (node.keys, node.values):
-                assert encoded.wire_nbytes == encoded.logical_nbytes == half_block
+            for array, rows in ((node.keys, alloc.block_keys(block_id)),
+                                (node.values, alloc.block_values(block_id))):
+                assert array.shape == rows.shape  # (layers, h_kv, block, d_h)
+                assert array.tobytes() == rows.tobytes()
+                assert not np.shares_memory(array, rows)
 
-    def test_mixed_chain_ships_parked_payloads_and_bills_the_transfer(
+    def test_mixed_chain_ships_parked_rows_and_bills_the_transfer(
         self, model, tiny_config, monkeypatch
     ):
-        from repro.llm.kvcodec import KVBlockCodec
-
         prompt = make_prompts(tiny_config, (200,))[0]
         followup = prompt + list(range(4, 74))
         cluster = ClusterFrontend(model, num_workers=2,
@@ -421,35 +416,37 @@ class TestRawChainTransfer:
             max_new_tokens=48, prefix="fill")[0])
 
         parked = {
-            id(payload)
-            for node in cache._nodes.values() if node.spilled
-            for payload in (node.spill_handle.keys[0], node.spill_handle.values[0])
+            key: owner.swap_space.host.block_keys(node.spill_handle.host_ids[0]).copy()
+            for key, node in cache._nodes.items() if node.spilled
         }
-        shipped, encodes = [], []
-        import_chain, encode = target.prefix_cache.import_chain, KVBlockCodec.encode
+        disk_before = owner.swap_space.disk_blocks
+        shipped, restores = [], []
+        import_chain, swap_in = target.prefix_cache.import_chain, SwapSpace.swap_in
 
         def recording_import(chain):
             shipped.append(chain)
             return import_chain(chain)
 
-        def counting_encode(codec, array):
-            encodes.append(array)
-            return encode(codec, array)
+        def recording_swap_in(space, handle):
+            restores.append(handle)
+            return swap_in(space, handle)
 
         monkeypatch.setattr(target.prefix_cache, "import_chain", recording_import)
-        monkeypatch.setattr(KVBlockCodec, "encode", counting_encode)
+        monkeypatch.setattr(SwapSpace, "swap_in", recording_swap_in)
         clock = target.metrics.clock
         cluster.submit(make_requests([followup], None, prefix="f")[0])
         assert cluster.placements[-1].migrate_from == 0
 
         (chain,) = shipped
         assert 0 < chain.disk_blocks < chain.num_blocks
-        for node in chain.nodes:
-            # Spilled nodes ship the parked objects themselves; only the
-            # resident nodes are copied on export.
-            assert (id(node.keys) in parked) == node.from_disk
-            assert (id(node.values) in parked) == node.from_disk
-        assert len(encodes) == 2 * (chain.num_blocks - chain.disk_blocks)
+        keys = chain_block_keys(prompt, owner.block_allocator.block_size)
+        for key, node in zip(keys, chain.nodes):
+            # Spilled nodes ship copies of their parked host rows, read off
+            # the owner's host store without a restore.
+            assert node.from_disk == (key in parked)
+            if node.from_disk:
+                assert node.keys.tobytes() == parked[key].tobytes()
+        assert restores == [] and owner.swap_space.disk_blocks == disk_before
 
         block = target.pressure.block_nbytes()
         kv_bytes = float(chain.num_blocks * block)

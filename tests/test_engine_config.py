@@ -47,8 +47,8 @@ POOL_INVALID = [
     ("block_size", -16, lambda v: _allocator(block_size=v)),
     ("blocks", 0, lambda v: _allocator(capacity_blocks=v)),
     ("blocks", -1, lambda v: _allocator(capacity_blocks=v)),
-    ("cpu_blocks", -1, lambda v: SwapSpace(cpu_capacity_blocks=v)),
-    ("disk_blocks", -1, lambda v: SwapSpace(disk_capacity_blocks=v)),
+    ("cpu_blocks", -1, lambda v: SwapSpace(_allocator(), cpu_capacity_blocks=v)),
+    ("disk_blocks", -1, lambda v: SwapSpace(_allocator(), disk_capacity_blocks=v)),
 ]
 
 

@@ -82,6 +82,27 @@ class TestBlockAllocator:
         assert calls == [BlockAllocator._EVICTION_BATCH]
         assert third == first  # recycled via the hook
 
+    @pytest.mark.parametrize("source_ids, target_ids", [
+        ([2, 3, 4], [0, 1, 2]),   # both runs: one slice copy per plane
+        ([4, 0, 3], [2, 0, 1]),   # scattered: one gather per plane
+        ([1, 2, 3], [3, 0, 2]),   # a run into scattered blocks
+    ])
+    def test_copy_blocks_copies_each_block_in_order(self, source_ids, target_ids):
+        rng = np.random.default_rng(3)
+        source, target = make_allocator(), make_allocator()
+        for alloc in (source, target):
+            for bid in (alloc.allocate() for _ in range(5)):
+                for view in (alloc.block_keys(bid), alloc.block_values(bid)):
+                    view[...] = rng.normal(size=view.shape)
+        untouched = {b: target.block_keys(b).copy()
+                     for b in set(range(5)) - set(target_ids)}
+        target.copy_blocks(target_ids, source, source_ids)
+        for dst, src in zip(target_ids, source_ids):
+            assert np.array_equal(target.block_keys(dst), source.block_keys(src))
+            assert np.array_equal(target.block_values(dst), source.block_values(src))
+        for bid, keys in untouched.items():
+            assert np.array_equal(target.block_keys(bid), keys)
+
     def test_invalid_construction(self):
         with pytest.raises(ConfigurationError):
             make_allocator(block_size=0)

@@ -455,11 +455,11 @@ class TestDirectedPreemption:
         refs = _make_engine(fuzz_model, None, "swap", 32).run(list(requests))
         swap_in = SwapSpace.swap_in
 
-        def corrupting_swap_in(self, handle, allocator):
-            stored = [i for i, k in enumerate(handle.keys) if k is not None]
-            block_ids = swap_in(self, handle, allocator)
+        def corrupting_swap_in(self, handle):
+            stored = [i for i, h in enumerate(handle.host_ids) if h is not None]
+            block_ids = swap_in(self, handle)
             if stored:
-                allocator.block_keys(block_ids[stored[0]])[0, 0, 0, 0] += 1.0
+                self.allocator.block_keys(block_ids[stored[0]])[0, 0, 0, 0] += 1.0
             return block_ids
 
         monkeypatch.setattr(SwapSpace, "swap_in", corrupting_swap_in)
@@ -782,17 +782,19 @@ class TestRawParking:
 
 class _Parts:
     """A ``PoolPressure`` over real parts and *no engine*: a scheduler, a
-    latency model, a metrics object, the three tiers and two plain dicts."""
+    latency model, a metrics object, the three tiers and two plain dicts.
+    ``tiers`` are the swap space's capacities (``cpu_capacity_blocks``,
+    ``disk_capacity_blocks``)."""
 
-    def __init__(self, config, pool_blocks, swap_space, batch=4, proactive=None):
+    def __init__(self, config, pool_blocks, batch=4, proactive=None, **tiers):
         self.config = config
         self.allocator = BlockAllocator(
             config.num_layers, config.num_kv_heads, config.head_dim,
             block_size=4, capacity_blocks=pool_blocks,
             dtype_bytes=config.dtype_bytes,
         )
-        self.swap_space = swap_space
-        self.prefix_cache = PrefixCache(self.allocator, spill_store=swap_space)
+        self.swap_space = SwapSpace(self.allocator, **tiers)
+        self.prefix_cache = PrefixCache(self.swap_space)
         self.allocator.eviction_hook = self.prefix_cache.evict
         self.scheduler = ContinuousBatchingScheduler(
             SchedulerConfig(max_batch_size=batch, max_prefills_per_step=batch,
@@ -803,7 +805,7 @@ class _Parts:
         self.states = {}
         self.pressure = PoolPressure(
             self.scheduler, self.latency, self.metrics, self.allocator,
-            swap_space, self.prefix_cache, self.states, {},
+            self.swap_space, self.prefix_cache, self.states, {},
         )
         self.rng = np.random.default_rng(40)
 
@@ -832,7 +834,7 @@ def test_pool_pressure_ladder_runs_without_an_engine(fuzz_model):
     """The whole ladder — reserve, evict/spill, preempt, park, and
     CapacityError for the top-ranked claimant only — on a component that
     was never given an engine."""
-    parts = _Parts(fuzz_model.config, pool_blocks=6, swap_space=SwapSpace())
+    parts = _Parts(fuzz_model.config, pool_blocks=6)
     pressure, metrics, scheduler = parts.pressure, parts.metrics, parts.scheduler
     assert "engine" not in inspect.signature(PoolPressure).parameters
     assert not any(
@@ -892,7 +894,7 @@ def test_failed_swap_out_still_bills_the_demotions_that_landed(fuzz_model):
     their disk write is on the clock, and nothing else is counted."""
     parts = _Parts(
         fuzz_model.config, pool_blocks=8,
-        swap_space=SwapSpace(cpu_capacity_blocks=3, disk_capacity_blocks=1),
+        cpu_capacity_blocks=3, disk_capacity_blocks=1,
     )
     pressure, metrics, stats = parts.pressure, parts.metrics, parts.swap_space.stats
     one, two, three = (
@@ -916,3 +918,29 @@ def test_failed_swap_out_still_bills_the_demotions_that_landed(fuzz_model):
     assert metrics.swap_out_bytes == before.swap_out_bytes
     assert (metrics.preemptions_swap, metrics.preemptions_recompute) == (2, 1)
     assert three.metrics.swap_seconds == 0.0
+
+
+def test_materialized_pins_bill_each_disk_write_once(fuzz_model):
+    """Making CPU room for a pin can demote the very handle being
+    materialised: the pin already copied to the CPU tier then reaches the
+    disk through that demotion, and is billed for the disk write once.  A
+    1-stored + 2-pinned chain on a 2-block CPU tier moves two blocks D2H and
+    writes three to disk (two demoted, one stored there directly)."""
+    parts = _Parts(fuzz_model.config, pool_blocks=8, cpu_capacity_blocks=2)
+    pressure, metrics, space = parts.pressure, parts.metrics, parts.swap_space
+    state = parts.running("r", 0, 12)  # three blocks of four tokens
+    for block_id in state.paged.table.block_ids[1:]:
+        parts.allocator.incref(block_id)  # another holder shares the last two
+    assert pressure.preempt_victim(state)
+    handle = state.swap_handle
+    assert (handle.stored_blocks, handle.pinned_blocks, handle.tier) == (1, 2, "cpu")
+    before = metrics.snapshot()
+
+    assert pressure._materialize_swapped_pins()
+    assert (handle.pinned_blocks, handle.tier) == (0, "disk")
+    assert (space.cpu_blocks, space.disk_blocks, space.stats.demoted) == (0, 3, 2)
+    block = pressure.block_nbytes()
+    seconds = parts.latency.swap_out_seconds(2.0 * block, 3.0 * block)
+    assert metrics.swap_seconds == before.swap_seconds + seconds
+    assert metrics.clock == before.clock + seconds
+    assert metrics.swap_out_blocks == before.swap_out_blocks + 2

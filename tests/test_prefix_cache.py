@@ -16,7 +16,7 @@ from repro.baselines.pqcache_policy import PQCachePolicy
 from repro.core.pqcache import PQCacheConfig
 from repro.errors import CapacityError, ConfigurationError
 from repro.llm import ModelConfig, TransformerLM
-from repro.llm.kvcache import BlockAllocator, PagedKVCache
+from repro.llm.kvcache import BlockAllocator, PagedKVCache, SwapSpace
 from repro.serve import (
     InferenceEngine,
     PolicySpec,
@@ -81,7 +81,7 @@ class TestPrefixCacheUnit:
 
     def test_insert_then_match_longest_prefix(self):
         alloc = BlockAllocator(1, 1, 4, block_size=4)
-        cache = PrefixCache(alloc)
+        cache = PrefixCache(SwapSpace(alloc))
         tokens = list(range(100, 110))  # 2 full blocks + 2 spare tokens
         paged = self._fill(alloc, tokens)
         assert cache.insert(tokens, paged.table.block_ids) == 2
@@ -98,7 +98,7 @@ class TestPrefixCacheUnit:
 
     def test_hash_collision_falls_back_to_miss(self):
         alloc = BlockAllocator(1, 1, 4, block_size=4)
-        cache = PrefixCache(alloc, hash_fn=lambda parent, tokens: b"same")
+        cache = PrefixCache(SwapSpace(alloc), hash_fn=lambda parent, tokens: b"same")
         first = [1, 2, 3, 4]
         second = [9, 9, 9, 9]
         paged = self._fill(alloc, first)
@@ -113,7 +113,7 @@ class TestPrefixCacheUnit:
 
     def test_eviction_frees_lru_leaves_only(self):
         alloc = BlockAllocator(1, 1, 4, block_size=4)
-        cache = PrefixCache(alloc)
+        cache = PrefixCache(SwapSpace(alloc, disk_capacity_blocks=0))
         paged = self._fill(alloc, list(range(8)))
         cache.insert(list(range(8)), paged.table.block_ids)
         paged.release()  # only the cache references the chain now
@@ -127,7 +127,7 @@ class TestPrefixCacheUnit:
 
     def test_eviction_skips_blocks_held_by_requests(self):
         alloc = BlockAllocator(1, 1, 4, block_size=4)
-        cache = PrefixCache(alloc)
+        cache = PrefixCache(SwapSpace(alloc, disk_capacity_blocks=0))
         paged = self._fill(alloc, list(range(4)))
         cache.insert(list(range(4)), paged.table.block_ids)
         assert cache.evict(1) == 0  # the request still holds the block
@@ -161,7 +161,7 @@ class TestPrefixCacheUnit:
 
     def test_insert_rejects_misaligned_acc_boundary(self):
         alloc = BlockAllocator(1, 1, 4, block_size=4)
-        cache = PrefixCache(alloc)
+        cache = PrefixCache(SwapSpace(alloc))
         paged = self._fill(alloc, list(range(8)))
         with pytest.raises(ConfigurationError):
             cache.insert(

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.llm.kvcache import SwapSpace
 from repro.serve import (
     ContinuousBatchingScheduler,
     EngineMetrics,
@@ -510,8 +509,7 @@ class TestProactiveSwap:
         """Two of eight blocks free and class-2 work waiting: each swap-out
         frees two blocks, taking the lowest class first and the youngest
         within it, until the configured free fraction is met."""
-        parts = _Parts(fuzz_model.config, pool_blocks=8,
-                       swap_space=SwapSpace(), proactive=threshold)
+        parts = _Parts(fuzz_model.config, pool_blocks=8, proactive=threshold)
         running = {
             "old": parts.running("old", 0, 8),
             "young": parts.running("young", 1, 8),

@@ -23,8 +23,7 @@ from repro.eval.metrics import (
     logit_divergence,
 )
 from repro.llm import ModelConfig, TransformerLM
-from repro.llm.kvcache import TokenSegments
-from repro.llm.kvcodec import KVBlockCodec
+from repro.llm.kvcache import SwapSpace, TokenSegments
 from repro.memory import HardwareSpec, LatencyModel
 from repro.serve import (
     InferenceEngine,
@@ -70,19 +69,24 @@ class Seen:
 @pytest.fixture
 def seen(monkeypatch):
     record = Seen()
-    encode, decode = KVBlockCodec.encode, KVBlockCodec.decode
+    swap_out, swap_in = SwapSpace.swap_out, SwapSpace.swap_in
     finish, decode_round = TransformerLM.finish_prefill, TransformerLM.decode_step_batch
     import_chain = PrefixCache.import_chain
 
-    def parked(codec, array):
-        encoded = encode(codec, array)
-        record.add("parked", encoded.payload)
-        return encoded
+    def parked(space, block_ids, tier="cpu"):
+        handle = swap_out(space, block_ids, tier)
+        for host_id in handle.host_ids:
+            if host_id is not None:
+                record.add("parked", space.host.block_keys(host_id),
+                           space.host.block_values(host_id))
+        return handle
 
-    def restored(codec, encoded):
-        array = decode(codec, encoded)
-        record.add("restored", array)
-        return array
+    def restored(space, handle):
+        block_ids = swap_in(space, handle)
+        for block_id in block_ids:
+            record.add("restored", space.allocator.block_keys(block_id),
+                       space.allocator.block_values(block_id))
+        return block_ids
 
     def prefilled(model, state):
         result = finish(model, state)
@@ -106,15 +110,15 @@ def seen(monkeypatch):
 
     def imported(cache, chain):
         for node in chain.nodes:
-            record.add("migrated", node.keys.payload, node.values.payload)
+            record.add("migrated", node.keys, node.values)
             if node.acc_scores is not None:
                 record.add("acc snapshot", *node.acc_scores)
             for snapshot in node.pq_snapshots.values():
                 record.add("codebook", *snapshot.codebooks)
         return import_chain(cache, chain)
 
-    monkeypatch.setattr(KVBlockCodec, "encode", parked)
-    monkeypatch.setattr(KVBlockCodec, "decode", restored)
+    monkeypatch.setattr(SwapSpace, "swap_out", parked)
+    monkeypatch.setattr(SwapSpace, "swap_in", restored)
     monkeypatch.setattr(TransformerLM, "finish_prefill", prefilled)
     monkeypatch.setattr(TransformerLM, "decode_step_batch", decoded)
     monkeypatch.setattr(PrefixCache, "import_chain", imported)

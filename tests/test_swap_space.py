@@ -7,12 +7,13 @@ from __future__ import annotations
 import evict_walk_oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pqcache import PQSnapshot
 from repro.errors import CapacityError, ConfigurationError
 from repro.llm import ModelConfig
 from repro.llm.kvcache import BlockAllocator, PagedKVCache, SwapSpace
-from repro.llm.kvcodec import KVBlockCodec
 from repro.memory import HardwareSpec, LatencyModel, Resource
 from repro.serve import PrefixCache, PrefixCoverage, chain_block_keys
 
@@ -49,15 +50,15 @@ class TestSwapSpace:
         ids = fill_blocks(alloc, 3)
         keys = [alloc.block_keys(b).copy() for b in ids]
         values = [alloc.block_values(b).copy() for b in ids]
-        space = SwapSpace()
-        handle = space.swap_out(alloc, ids)
+        space = SwapSpace(alloc)
+        handle = space.swap_out(ids)
         for bid in ids:
             alloc.decref(bid)
         # Scribble over the recycled blocks to prove restore does not rely
         # on the pool still holding the old contents.
         for bid in fill_blocks(alloc, 3, seed=99):
             pass
-        new_ids = space.swap_in(handle, alloc)
+        new_ids = space.swap_in(handle)
         assert len(new_ids) == 3
         for new_id, k, v in zip(new_ids, keys, values):
             assert np.array_equal(alloc.block_keys(new_id), k)
@@ -66,20 +67,20 @@ class TestSwapSpace:
 
     def test_handle_is_single_use(self):
         alloc = make_allocator()
-        space = SwapSpace()
-        handle = space.swap_out(alloc, fill_blocks(alloc, 1))
-        space.swap_in(handle, alloc)
+        space = SwapSpace(alloc)
+        handle = space.swap_out(fill_blocks(alloc, 1))
+        space.swap_in(handle)
         with pytest.raises(ConfigurationError):
-            space.swap_in(handle, alloc)
+            space.swap_in(handle)
 
     def test_eviction_ordering_gpu_cpu_disk(self):
         """Overflowing the CPU tier demotes its *oldest* handle to disk."""
         alloc = make_allocator()
-        space = SwapSpace(cpu_capacity_blocks=3, disk_capacity_blocks=10)
-        first = space.swap_out(alloc, fill_blocks(alloc, 2, seed=1))
-        second = space.swap_out(alloc, fill_blocks(alloc, 1, seed=2))
+        space = SwapSpace(alloc, cpu_capacity_blocks=3, disk_capacity_blocks=10)
+        first = space.swap_out(fill_blocks(alloc, 2, seed=1))
+        second = space.swap_out(fill_blocks(alloc, 1, seed=2))
         assert (first.tier, second.tier) == ("cpu", "cpu")
-        third = space.swap_out(alloc, fill_blocks(alloc, 2, seed=3))
+        third = space.swap_out(fill_blocks(alloc, 2, seed=3))
         # first (oldest) demoted to make room; second stayed; third on CPU.
         assert first.tier == "disk"
         assert second.tier == "cpu"
@@ -89,56 +90,56 @@ class TestSwapSpace:
 
     def test_direct_disk_spill(self):
         alloc = make_allocator()
-        space = SwapSpace(cpu_capacity_blocks=0)
-        handle = space.swap_out(alloc, fill_blocks(alloc, 2), tier="disk")
+        space = SwapSpace(alloc, cpu_capacity_blocks=0)
+        handle = space.swap_out(fill_blocks(alloc, 2), tier="disk")
         assert handle.tier == "disk"
         assert space.cpu_blocks == 0 and space.disk_blocks == 2
 
     def test_all_tiers_exhausted_raises_cleanly(self):
         alloc = make_allocator()
-        space = SwapSpace(cpu_capacity_blocks=2, disk_capacity_blocks=2)
-        space.swap_out(alloc, fill_blocks(alloc, 2, seed=1))          # CPU full
-        space.swap_out(alloc, fill_blocks(alloc, 2, seed=2), tier="disk")
+        space = SwapSpace(alloc, cpu_capacity_blocks=2, disk_capacity_blocks=2)
+        space.swap_out(fill_blocks(alloc, 2, seed=1))          # CPU full
+        space.swap_out(fill_blocks(alloc, 2, seed=2), tier="disk")
         before = space.describe()
         with pytest.raises(CapacityError):
-            space.swap_out(alloc, fill_blocks(alloc, 1, seed=3))
+            space.swap_out(fill_blocks(alloc, 1, seed=3))
         # A failed swap-out stores nothing and demotes nothing it cannot fit.
         assert space.describe()["cpu_blocks"] == before["cpu_blocks"]
         assert space.describe()["disk_blocks"] == before["disk_blocks"]
 
     def test_swap_in_pool_exhaustion_keeps_handle(self):
         alloc = make_allocator(capacity=2)
-        space = SwapSpace()
-        handle = space.swap_out(alloc, fill_blocks(alloc, 2))
+        space = SwapSpace(alloc)
+        handle = space.swap_out(fill_blocks(alloc, 2))
         # Pool still full (refs not dropped): swap-in cannot allocate.
         with pytest.raises(CapacityError):
-            space.swap_in(handle, alloc)
+            space.swap_in(handle)
         assert space.cpu_blocks == 2  # handle still parked
         assert alloc.num_allocated == 2  # no leaked partial allocations
 
     def test_shared_blocks_are_pinned_not_copied(self):
         """Swap-out of a shared block keeps it GPU-resident by reference."""
         alloc = make_allocator()
-        space = SwapSpace(cpu_capacity_blocks=1)  # room for 1 stored block
+        space = SwapSpace(alloc, cpu_capacity_blocks=1)  # room for 1 stored block
         own, shared = fill_blocks(alloc, 2)
         alloc.incref(shared)  # someone else (a prefix cache) holds it too
-        handle = space.swap_out(alloc, [own, shared])
+        handle = space.swap_out([own, shared])
         assert handle.stored_blocks == 1 and handle.pinned_blocks == 1
         assert space.cpu_blocks == 1  # the pinned block occupies no tier room
         assert alloc.refcount(shared) == 3  # other holder + caller + pin
         alloc.decref(own)
         alloc.decref(shared)  # the caller releases its table
-        new_ids = space.swap_in(handle, alloc)
+        new_ids = space.swap_in(handle)
         assert new_ids[1] == shared  # the very same block comes back
         assert alloc.refcount(shared) == 2  # other holder + restored table
         assert alloc.refcount(new_ids[0]) == 1
 
     def test_discard_releases_pins(self):
         alloc = make_allocator()
-        space = SwapSpace()
+        space = SwapSpace(alloc)
         (shared,) = fill_blocks(alloc, 1)
         alloc.incref(shared)
-        handle = space.swap_out(alloc, [shared])
+        handle = space.swap_out([shared])
         alloc.decref(shared)  # caller's table reference
         assert alloc.refcount(shared) == 2  # other holder + pin
         space.discard(handle)
@@ -146,36 +147,36 @@ class TestSwapSpace:
 
     def test_materialize_pins_copies_and_unpins(self):
         alloc = make_allocator()
-        space = SwapSpace()
+        space = SwapSpace(alloc)
         (shared,) = fill_blocks(alloc, 1)
         keys = alloc.block_keys(shared).copy()
         alloc.incref(shared)
-        handle = space.swap_out(alloc, [shared])
+        handle = space.swap_out([shared])
         alloc.decref(shared)
-        assert space.materialize_pins(handle) == 1
+        assert space.materialize_pins(handle) == (1, 0)  # to cpu, to disk
         assert handle.pinned_blocks == 0 and handle.stored_blocks == 1
         assert alloc.refcount(shared) == 1  # pin gone; other holder remains
         alloc.decref(shared)  # other holder drops it; block id recycled
-        new_ids = space.swap_in(handle, alloc)
+        new_ids = space.swap_in(handle)
         assert np.array_equal(alloc.block_keys(new_ids[0]), keys)
 
     def test_discard_and_validation(self):
         alloc = make_allocator()
-        space = SwapSpace()
-        handle = space.swap_out(alloc, fill_blocks(alloc, 2))
+        space = SwapSpace(alloc)
+        handle = space.swap_out(fill_blocks(alloc, 2))
         space.discard(handle)
         assert space.cpu_blocks == 0
         assert space.stats.discarded == 2
         space.discard(handle)  # idempotent
         with pytest.raises(ConfigurationError):
-            space.swap_out(alloc, [], tier="tape")
+            space.swap_out([], tier="tape")
         with pytest.raises(ConfigurationError):
-            SwapSpace(cpu_capacity_blocks=-1)
+            SwapSpace(alloc, cpu_capacity_blocks=-1)
 
     @pytest.mark.parametrize("tier", ["cpu", "disk"])
     def test_negative_capacity_rejected(self, tier):
         with pytest.raises(ConfigurationError):
-            SwapSpace(**{f"{tier}_capacity_blocks": -1})
+            SwapSpace(make_allocator(), **{f"{tier}_capacity_blocks": -1})
 
     @pytest.mark.parametrize("dtype_bytes", WIDTHS)
     def test_round_trip_at_every_width(self, dtype_bytes):
@@ -184,12 +185,12 @@ class TestSwapSpace:
         ids = fill_blocks(alloc, 2, seed=dtype_bytes)
         keys = [alloc.block_keys(b).copy() for b in ids]
         values = [alloc.block_values(b).copy() for b in ids]
-        space = SwapSpace()
-        handle = space.swap_out(alloc, ids)
-        assert handle.stored_logical_nbytes == 2 * alloc.block_nbytes()
+        space = SwapSpace(alloc)
+        handle = space.swap_out(ids)
+        assert handle.stored_blocks * alloc.block_nbytes() == 2 * alloc.block_nbytes()
         for bid in ids:
             alloc.decref(bid)
-        new_ids = space.swap_in(handle, alloc)
+        new_ids = space.swap_in(handle)
         for new_id, k, v in zip(new_ids, keys, values):
             assert alloc.block_keys(new_id).tobytes() == k.tobytes()
             assert alloc.block_values(new_id).tobytes() == v.tobytes()
@@ -203,44 +204,37 @@ class TestSwapSpace:
         alloc = make_allocator()
         ids = fill_blocks(alloc, 2, seed=4)
         keys = [alloc.block_keys(b).copy() for b in ids]
-        space = SwapSpace()
-        handle = space.swap_out(alloc, ids, tier=tier)
+        space = SwapSpace(alloc)
+        handle = space.swap_out(ids, tier=tier)
         assert handle.tier == tier
         assert (space.cpu_blocks, space.disk_blocks) == (
             (2, 0) if tier == "cpu" else (0, 2)
         )
         for bid in ids:
             alloc.decref(bid)
-        new_ids = space.swap_in(handle, alloc)
+        new_ids = space.swap_in(handle)
         assert space.cpu_blocks == space.disk_blocks == 0
         for new_id, k in zip(new_ids, keys):
             assert np.array_equal(alloc.block_keys(new_id), k)
 
     def test_demoted_handle_restores_bitwise(self):
-        # CPU→disk demotion relabels the parked copy; it never re-parks it.
+        # CPU→disk demotion relabels the parked blocks; it never re-parks them.
         alloc = make_allocator()
         ids = fill_blocks(alloc, 2, seed=5)
         keys = [alloc.block_keys(b).copy() for b in ids]
-        space = SwapSpace(cpu_capacity_blocks=2)
-        first = space.swap_out(alloc, ids)
-        parked = list(first.keys)
-        space.swap_out(alloc, fill_blocks(alloc, 2, seed=6))
+        space = SwapSpace(alloc, cpu_capacity_blocks=2)
+        first = space.swap_out(ids)
+        parked = list(first.host_ids)
+        space.swap_out(fill_blocks(alloc, 2, seed=6))
         assert first.tier == "disk"
-        assert all(a is b for a, b in zip(first.keys, parked))
+        assert first.host_ids == parked
+        assert space.host.num_allocated == 4
         for bid in ids:
             alloc.decref(bid)
-        new_ids = space.swap_in(first, alloc)
+        new_ids = space.swap_in(first)
         for new_id, k in zip(new_ids, keys):
             assert np.array_equal(alloc.block_keys(new_id), k)
-        assert space.stats.swapped_in_logical_bytes == first.stored_logical_nbytes
-
-    def test_nbytes_counts_both_tiers(self):
-        alloc = make_allocator()
-        space = SwapSpace(cpu_capacity_blocks=2)
-        space.swap_out(alloc, fill_blocks(alloc, 2, seed=1))
-        space.swap_out(alloc, fill_blocks(alloc, 1, seed=2), tier="disk")
-        assert space.nbytes(alloc.block_nbytes()) == 3 * alloc.block_nbytes()
-        assert space.nbytes(alloc.block_nbytes()) == space.stats.swapped_out_logical_bytes
+        assert space.stats.swapped_in_logical_bytes == first.stored_blocks * alloc.block_nbytes()
 
 
 # ------------------------------------------------------------ byte billing
@@ -249,69 +243,53 @@ class TestSwapSpace:
 class TestSwapSpaceCodec:
     def test_logical_counters(self):
         alloc = make_allocator()
-        space = SwapSpace()
-        handle = space.swap_out(alloc, fill_blocks(alloc, 2))
+        space = SwapSpace(alloc)
+        handle = space.swap_out(fill_blocks(alloc, 2))
         stats = space.stats
-        logical = handle.stored_logical_nbytes
+        logical = handle.stored_blocks * alloc.block_nbytes()
         assert logical == 2 * alloc.block_nbytes()  # keys+values, 2 blocks
         assert stats.swapped_out_logical_bytes == logical
-        space.swap_in(handle, alloc)
+        space.swap_in(handle)
         assert stats.swapped_in_logical_bytes == logical
 
-    def test_raw_default_wire_equals_logical(self):
-        # Parking sizes every copy at the pool's modelled width.
+    def test_host_store_has_the_pool_geometry(self):
+        # A parked block is a host-store block of the pool's geometry and
+        # modelled width, billed at the pool's ``block_nbytes``.
         alloc = BlockAllocator(2, 2, 8, block_size=4, dtype_bytes=4)
-        space = SwapSpace()
-        handle = space.swap_out(alloc, fill_blocks(alloc, 2))
-        assert handle.stored_logical_nbytes == 2 * alloc.block_nbytes()
-        for encoded in (*handle.keys, *handle.values):
-            assert encoded.wire_nbytes == encoded.logical_nbytes
-            assert encoded.logical_nbytes == alloc.block_keys(0).size * 4
+        space = SwapSpace(alloc)
+        ids = fill_blocks(alloc, 2)
+        handle = space.swap_out(ids)
+        assert space.host.block_nbytes() == alloc.block_nbytes()
+        assert space.stats.swapped_out_logical_bytes == 2 * alloc.block_nbytes()
+        for host_id, block_id in zip(handle.host_ids, ids):
+            parked = space.host.block_keys(host_id)
+            assert parked.shape == alloc.block_keys(block_id).shape
+            assert parked.tobytes() == alloc.block_keys(block_id).tobytes()
 
     def test_demotion_tracks_bytes(self):
         alloc = make_allocator()
-        space = SwapSpace(cpu_capacity_blocks=2)
-        first = space.swap_out(alloc, fill_blocks(alloc, 2, seed=1))
-        space.swap_out(alloc, fill_blocks(alloc, 2, seed=2))
+        space = SwapSpace(alloc, cpu_capacity_blocks=2)
+        first = space.swap_out(fill_blocks(alloc, 2, seed=1))
+        space.swap_out(fill_blocks(alloc, 2, seed=2))
         assert first.tier == "disk"
-        assert space.stats.demoted_logical_bytes == first.stored_logical_nbytes
-
-    def test_peek_encoded_returns_parked_objects(self):
-        alloc = make_allocator()
-        space = SwapSpace()
-        handle = space.swap_out(alloc, fill_blocks(alloc, 2))
-        enc_keys, enc_values = space.peek_encoded(handle)
-        assert enc_keys[0] is handle.keys[0]  # no decode, no re-encode
-        assert enc_values[1] is handle.values[1]
-        # ... and the handle is still restorable afterwards.
-        space.swap_in(handle, alloc)
-
-    def test_peek_encoded_encodes_pinned_blocks_on_the_fly(self):
-        alloc = make_allocator()
-        (shared,) = fill_blocks(alloc, 1)
-        alloc.incref(shared)
-        space = SwapSpace()
-        handle = space.swap_out(alloc, [shared])
-        assert handle.pinned_blocks == 1
-        enc_keys, _ = space.peek_encoded(handle)
-        assert np.array_equal(enc_keys[0].decode(), alloc.block_keys(shared))
+        assert space.stats.demoted_logical_bytes == first.stored_blocks * alloc.block_nbytes()
 
     def test_materialize_pins_bills_bytes(self):
         alloc = make_allocator()
         (shared,) = fill_blocks(alloc, 1)
         alloc.incref(shared)
-        space = SwapSpace()
-        handle = space.swap_out(alloc, [shared])
+        space = SwapSpace(alloc)
+        handle = space.swap_out([shared])
         assert space.stats.swapped_out_logical_bytes == 0  # pin moved nothing
         alloc.decref(shared)
         space.materialize_pins(handle)
         assert space.stats.swapped_out_logical_bytes == alloc.block_nbytes()
-        assert handle.stored_logical_nbytes == alloc.block_nbytes()
+        assert handle.stored_blocks * alloc.block_nbytes() == alloc.block_nbytes()
 
     def test_describe_reports_bytes(self):
         alloc = make_allocator()
-        space = SwapSpace()
-        space.swap_out(alloc, fill_blocks(alloc, 1))
+        space = SwapSpace(alloc)
+        space.swap_out(fill_blocks(alloc, 1))
         info = space.describe()
         assert info["swapped_out_logical_bytes"] == alloc.block_nbytes()
 
@@ -320,15 +298,99 @@ class TestSwapSpaceCodec:
         alloc = make_allocator()
         own, shared = fill_blocks(alloc, 2)
         alloc.incref(shared)
-        space = SwapSpace()
-        handle = space.swap_out(alloc, [own, shared])
-        assert handle.values[1] is None and handle.pinned_ids[1] == shared
-        assert handle.stored_logical_nbytes == alloc.block_nbytes()
+        space = SwapSpace(alloc)
+        handle = space.swap_out([own, shared])
+        assert handle.host_ids[1] is None and handle.pinned_ids[1] == shared
+        assert handle.stored_blocks * alloc.block_nbytes() == alloc.block_nbytes()
         assert space.stats.swapped_out_logical_bytes == alloc.block_nbytes()
         alloc.decref(own)
         alloc.decref(shared)
-        space.swap_in(handle, alloc)
+        space.swap_in(handle)
         assert space.stats.swapped_in_logical_bytes == alloc.block_nbytes()
+
+
+# ------------------------------------------------- occupancy, by property
+
+
+def check_occupancy(space):
+    """Both tier counters equal a recount over the live handles, and
+    together they are the host store's live blocks."""
+    live = list(space._handles)
+    for tier, counted in (("cpu", space.cpu_blocks), ("disk", space.disk_blocks)):
+        assert counted == sum(h.stored_blocks for h in live if h.tier == tier)
+    assert space.cpu_blocks + space.disk_blocks == space.host.num_allocated
+
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["cpu", "disk", "demote", "materialize", "swap_in", "discard"]),
+        st.integers(0, 2**16),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=OPS)
+def test_tier_counters_follow_every_move(ops):
+    """Random swap-outs (either tier, chains mixing owned and shared
+    blocks), demotions, pin materialisations, swap-ins and discards: after
+    each step the counters match the handles, every swap-in restores the
+    rows parked, and once every handle is consumed the pool refcounts are
+    back where they started and the host store is empty."""
+    alloc = make_allocator()
+    space = SwapSpace(alloc, cpu_capacity_blocks=5, disk_capacity_blocks=9)
+    shared = fill_blocks(alloc, 4, seed=1)  # held by someone else throughout
+    start = {block_id: alloc.refcount(block_id) for block_id in shared}
+    parked = {}  # handle -> the rows of its chain when it was swapped out
+
+    def consume(handle, restore):
+        if restore:
+            new_ids = space.swap_in(handle)
+            for block_id, keys in zip(new_ids, parked.pop(handle)):
+                assert alloc.block_keys(block_id).tobytes() == keys
+                alloc.decref(block_id)  # the restored table is released
+        else:
+            parked.pop(handle)
+            space.discard(handle)
+
+    for op, draw in ops:
+        rng = np.random.default_rng(draw)
+        handles = list(parked)
+        if op in ("cpu", "disk"):
+            chain = fill_blocks(alloc, int(rng.integers(0, 4)), seed=draw)
+            for block_id in rng.choice(shared, int(rng.integers(0, 3)), replace=False):
+                alloc.incref(int(block_id))  # the caller's table shares it
+                chain.insert(int(rng.integers(len(chain) + 1)), int(block_id))
+            rows = [alloc.block_keys(b).tobytes() for b in chain]
+            try:
+                parked[space.swap_out(chain, tier=op)] = rows
+            except CapacityError:
+                pass
+            for block_id in chain:
+                alloc.decref(block_id)  # the caller releases its table
+        elif op == "demote":
+            try:
+                space._make_room_on_cpu(int(rng.integers(1, 6)))
+            except CapacityError:
+                pass
+        elif handles:
+            if op == "materialize":  # a handle with pins, if there is one
+                handles = [h for h in handles if h.pinned_blocks] or handles
+            handle = handles[int(rng.integers(len(handles)))]
+            if op == "materialize":
+                to_cpu, to_disk = space.materialize_pins(handle)
+                assert to_cpu + to_disk <= handle.stored_blocks
+            else:
+                consume(handle, restore=op == "swap_in")
+        check_occupancy(space)
+
+    for index, handle in enumerate(list(parked)):
+        consume(handle, restore=index % 2 == 0)
+        check_occupancy(space)
+    assert {b: alloc.refcount(b) for b in shared} == start
+    assert alloc.num_allocated == len(shared)
+    assert space.host.num_allocated == 0
 
 
 # ---------------------------------------------------------- latency model
@@ -435,8 +497,8 @@ def make_snapshot(fingerprint="fp", num_tokens=8):
 class TestPrefixCacheSpill:
     def test_spill_then_restore_is_bitwise(self):
         alloc = make_allocator(capacity=8)
-        space = SwapSpace()
-        cache = PrefixCache(alloc, spill_store=space)
+        space = SwapSpace(alloc)
+        cache = PrefixCache(space)
         alloc.eviction_hook = cache.evict
         tokens = list(range(16))
         paged = fill_chain(alloc, tokens)
@@ -466,8 +528,8 @@ class TestPrefixCacheSpill:
     @pytest.mark.parametrize("dtype_bytes", WIDTHS)
     def test_spill_restore_is_bitwise_and_billed_at_every_width(self, dtype_bytes):
         alloc = make_allocator(capacity=8, dtype_bytes=dtype_bytes)
-        space = SwapSpace()
-        cache = PrefixCache(alloc, spill_store=space)
+        space = SwapSpace(alloc)
+        cache = PrefixCache(space)
         tokens = list(range(16))
         paged = fill_chain(alloc, tokens, seed=dtype_bytes)
         originals = [
@@ -490,8 +552,8 @@ class TestPrefixCacheSpill:
 
     def test_reinsert_readopts_spilled_nodes_without_disk_read(self):
         alloc = make_allocator(capacity=8)
-        space = SwapSpace()
-        cache = PrefixCache(alloc, spill_store=space)
+        space = SwapSpace(alloc)
+        cache = PrefixCache(space)
         tokens = list(range(8))
         paged = fill_chain(alloc, tokens)
         cache.insert(tokens, paged.table.block_ids)
@@ -509,8 +571,8 @@ class TestPrefixCacheSpill:
 
     def test_disk_exhaustion_falls_back_to_hard_eviction(self):
         alloc = make_allocator(capacity=8)
-        space = SwapSpace(disk_capacity_blocks=1)
-        cache = PrefixCache(alloc, spill_store=space)
+        space = SwapSpace(alloc, disk_capacity_blocks=1)
+        cache = PrefixCache(space)
         tokens = list(range(16))
         paged = fill_chain(alloc, tokens)
         cache.insert(tokens, paged.table.block_ids)
@@ -533,8 +595,8 @@ class TestPrefixCacheSpill:
         bitwise once the pool has room again.
         """
         alloc = make_allocator(capacity=3)
-        space = SwapSpace(disk_capacity_blocks=1)
-        cache = PrefixCache(alloc, spill_store=space)
+        space = SwapSpace(alloc, disk_capacity_blocks=1)
+        cache = PrefixCache(space)
         alloc.eviction_hook = cache.evict
         tokens = list(range(8))  # 2 blocks
         paged = fill_chain(alloc, tokens)
@@ -561,8 +623,8 @@ class TestPrefixCacheSpill:
     def test_truncated_restore_degrades_to_shorter_match(self):
         """A pool too tight to restore the whole chain yields a shorter hit."""
         alloc = make_allocator(capacity=4)
-        space = SwapSpace()
-        cache = PrefixCache(alloc, spill_store=space)
+        space = SwapSpace(alloc)
+        cache = PrefixCache(space)
         tokens = list(range(16))
         paged = fill_chain(alloc, tokens)
         cache.insert(tokens, paged.table.block_ids)
@@ -611,8 +673,8 @@ def churn(evict_of, seed, steps=400):
     """
     rng = np.random.default_rng(seed)
     alloc = make_allocator(capacity=24)
-    space = SwapSpace(disk_capacity_blocks=6)
-    cache = PrefixCache(alloc, spill_store=space)
+    space = SwapSpace(alloc, disk_capacity_blocks=6)
+    cache = PrefixCache(space)
     victims = []
     for name in ("_spill", "_remove"):
         def record(node, _step=getattr(cache, name), _name=name):
@@ -672,24 +734,37 @@ class TestEvictWalkAgainstOracle:
 
 
 @pytest.fixture()
-def decodes(monkeypatch):
-    """Every parked payload handed back, in order (double-read regression)."""
+def restores(monkeypatch):
+    """Every handle a swap space brought back into a pool, in order."""
     calls = []
-    decode = KVBlockCodec.decode
+    swap_in = SwapSpace.swap_in
 
-    def counting(codec, encoded):
-        calls.append(encoded)
-        return decode(codec, encoded)
+    def recording(space, handle):
+        calls.append(handle)
+        return swap_in(space, handle)
 
-    monkeypatch.setattr(KVBlockCodec, "decode", counting)
+    monkeypatch.setattr(SwapSpace, "swap_in", recording)
     return calls
+
+
+def counting_allocations(alloc):
+    """Record every block ``alloc`` hands out from now on."""
+    handed_out = []
+    allocate = alloc.allocate
+
+    def counting():
+        handed_out.append(allocate())
+        return handed_out[-1]
+
+    alloc.allocate = counting
+    return handed_out
 
 
 class TestExportedSpillBilling:
     def _spilled_cache(self, capacity=8, tokens=128):
         alloc = make_allocator(capacity=capacity, block_size=32)
-        space = SwapSpace()
-        cache = PrefixCache(alloc, spill_store=space)
+        space = SwapSpace(alloc)
+        cache = PrefixCache(space)
         token_ids = list(range(tokens))
         paged = fill_chain(alloc, token_ids)
         cache.insert(token_ids, paged.table.block_ids)
@@ -697,10 +772,10 @@ class TestExportedSpillBilling:
         cache.evict(tokens // alloc.block_size)
         return alloc, space, cache, token_ids
 
-    def test_export_ships_parked_form_without_restore(self, decodes):
+    def test_export_ships_parked_form_without_restore(self, restores):
         """Exporting a spilled chain must not read it back through NVMe.
 
-        The exported nodes carry the parked payloads themselves — no
+        The exported nodes carry copies of the parked host rows — no
         restore on the owner, no restore-counter mutation — so a later
         local restore of the same chain bills its disk read exactly once.
         """
@@ -708,33 +783,37 @@ class TestExportedSpillBilling:
         assert cache.num_spilled == 4
         exported = cache.export_chain(tokens)
         assert exported is not None and exported.disk_blocks == 4
-        # The parked objects travelled as-is: zero decodes, zero restores.
-        assert decodes == []
+        # Read off the host store as they lie: zero swap-ins, zero restores.
+        assert restores == []
         assert cache.stats.restored_blocks == 0
         assert space.disk_blocks == 4  # owner copy still parked
         # A later local restore of the very same chain bills once, normally.
         match = cache.match(tokens)
         assert match is not None and match.matched_tokens == len(tokens)
         assert cache.stats.restored_blocks == 4
+        assert len(restores) == 4
 
-    def test_import_decodes_each_block_exactly_once(self, decodes):
+    def test_import_writes_each_block_exactly_once(self):
         alloc, space, cache, tokens = self._spilled_cache()
         exported = cache.export_chain(tokens)
         target_alloc = make_allocator(capacity=8, block_size=32)
-        target = PrefixCache(target_alloc)
+        target = PrefixCache(SwapSpace(target_alloc))
+        handed_out = counting_allocations(target_alloc)
         written = target.import_chain(exported)
         assert written == 4
-        assert len(decodes) == 2 * written  # keys + values per block
+        assert len(handed_out) == written  # one pool block per imported block
+        assert target.spill_store.host.num_allocated == 0  # nothing parked
 
     @pytest.mark.parametrize("spilled", range(5))
     def test_mixed_chain_exports_parked_copies_and_imports_bitwise(
-        self, spilled, decodes
+        self, spilled, restores
     ):
-        """Whatever share of the chain is spilled, export ships the parked
-        copies as they lie, copies the resident blocks, sizes every tensor
-        at the pool's width, and the importer reproduces the chain."""
+        """Whatever share of the chain is spilled, export copies the parked
+        host rows as they lie and the resident pool rows, each block at the
+        pool's geometry, and the importer reproduces the chain."""
         alloc = make_allocator(capacity=8, block_size=32)
-        cache = PrefixCache(alloc, spill_store=SwapSpace())
+        space = SwapSpace(alloc)
+        cache = PrefixCache(space)
         tokens = list(range(128))
         paged = fill_chain(alloc, tokens)
         contents = [
@@ -744,23 +823,25 @@ class TestExportedSpillBilling:
         cache.insert(tokens, paged.table.block_ids)
         paged.release()
         assert cache.evict(spilled) == spilled
-        parked = {
-            id(payload)
-            for node in cache._nodes.values() if node.spilled
-            for payload in (node.spill_handle.keys[0], node.spill_handle.values[0])
-        }
+        nodes = [cache._nodes[key] for key in chain_block_keys(tokens, 32)]
 
         exported = cache.export_chain(tokens)
         assert (exported.num_blocks, exported.disk_blocks) == (4, spilled)
-        assert decodes == [] and cache.stats.restored_blocks == 0
-        for node in exported.nodes:
-            assert (id(node.keys) in parked) == node.from_disk
-            assert (id(node.values) in parked) == node.from_disk
-            assert node.keys.logical_nbytes == alloc.block_nbytes() // 2
-            assert node.values.wire_nbytes == node.values.logical_nbytes
+        assert restores == [] and cache.stats.restored_blocks == 0
+        for node, record in zip(nodes, exported.nodes):
+            assert record.from_disk == node.spilled
+            store, block_id = (
+                (space.host, node.spill_handle.host_ids[0]) if node.spilled
+                else (alloc, node.block_id)
+            )
+            for array, rows in ((record.keys, store.block_keys(block_id)),
+                                (record.values, store.block_values(block_id))):
+                assert array.shape == (2, 2, 32, 8)  # (layers, h_kv, block, d_h)
+                assert array.tobytes() == rows.tobytes()
+                assert not np.shares_memory(array, rows)  # a copy, not a view
 
         target_alloc = make_allocator(capacity=8, block_size=32)
-        target = PrefixCache(target_alloc)
+        target = PrefixCache(SwapSpace(target_alloc))
         assert target.import_chain(exported) == 4
         match = target.match(tokens)
         assert match is not None and match.matched_tokens == len(tokens)
@@ -804,7 +885,7 @@ class TestPayloadBilledAtModelledWidth:
         self, dtype_bytes, float_dtype
     ):
         alloc = make_allocator(capacity=8, dtype_bytes=dtype_bytes)
-        cache = PrefixCache(alloc, spill_store=SwapSpace())
+        cache = PrefixCache(SwapSpace(alloc))
         alloc.eviction_hook = cache.evict
         tokens = list(range(16))
         paged = fill_chain(alloc, tokens)
@@ -836,7 +917,8 @@ class TestSnapshotHoldRefcounts:
         drifting upward (the pre-fix leak) or underflowing.
         """
         alloc = make_allocator(capacity=8)
-        cache = PrefixCache(alloc)  # no spill store: hard eviction path
+        # no disk room: the hard eviction path
+        cache = PrefixCache(SwapSpace(alloc, disk_capacity_blocks=0))
         tokens = list(range(8))     # 2 blocks
         snap = make_snapshot(num_tokens=8)
         for cycle in range(5):
@@ -851,7 +933,7 @@ class TestSnapshotHoldRefcounts:
 
     def test_replacement_releases_previous_hold(self):
         alloc = make_allocator(capacity=8)
-        cache = PrefixCache(alloc)
+        cache = PrefixCache(SwapSpace(alloc))
         tokens = list(range(8))
         shallow = make_snapshot(num_tokens=4)
         deep = make_snapshot(num_tokens=8)
@@ -873,7 +955,7 @@ class TestSnapshotHoldRefcounts:
 
     def test_spilled_nodes_keep_their_holds(self):
         alloc = make_allocator(capacity=8)
-        cache = PrefixCache(alloc, spill_store=SwapSpace())
+        cache = PrefixCache(SwapSpace(alloc))
         tokens = list(range(8))
         snap = make_snapshot(num_tokens=8)
         paged = fill_chain(alloc, tokens)
@@ -895,7 +977,7 @@ class TestSnapshotHoldRefcounts:
         shallow, deep, deepest = (make_snapshot(num_tokens=n) for n in (8, 12, 16))
 
         source_alloc = make_allocator(capacity=8)
-        source = PrefixCache(source_alloc)
+        source = PrefixCache(SwapSpace(source_alloc))
         source_chain = fill_chain(source_alloc, tokens, seed=1)
         source.insert(tokens, source_chain.table.block_ids,
                       pq_fingerprint="fp", pq_snapshot=deep)
@@ -903,7 +985,7 @@ class TestSnapshotHoldRefcounts:
         assert deep.hold_count == 4  # the source's own nodes, throughout
 
         alloc = make_allocator(capacity=8)
-        cache = PrefixCache(alloc, spill_store=SwapSpace())
+        cache = PrefixCache(SwapSpace(alloc))
         chain_keys = chain_block_keys(tokens, alloc.block_size)
 
         # insert (shallow) -> spill -> import (deep) heals all four nodes.
