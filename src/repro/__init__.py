@@ -25,7 +25,7 @@ Public API highlights
   engine's simulated wall-clock accounting.
 """
 
-from . import baselines, core, eval, llm, memory, serve, workloads
+from . import baselines, core, cpu_lane, eval, llm, memory, serve, workloads
 from .errors import (
     CapacityError,
     ConfigurationError,

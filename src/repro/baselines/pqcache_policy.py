@@ -24,7 +24,7 @@ The overlap holds on the *simulated* clock
 layer's refine on the CPU lane while later chunks compute).  On the host the
 sketch fit and the refine run where the paper runs them, on a CPU core the
 model is not using: :class:`~repro.core.pqcache.PQCacheManager` hands its
-per-layer jobs to one helper interpreter (:mod:`repro.core.cpu_lane`), with
+per-layer jobs to one helper interpreter (:mod:`repro.cpu_lane`), with
 the bits of an inline run.  The sketch fit is collected inside the chunk
 that starts it.  The refine is only submitted: ``finish_prefill`` returns
 and the first token leaves while the helper refines, and the first reader

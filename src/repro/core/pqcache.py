@@ -19,7 +19,7 @@ against the *middle* tokens during decoding (paper §3.1 steps ❷-❺):
   candidate tokens per head, as an ascending token index set.
 
 The construction methods hand their per-layer K-Means jobs to
-:mod:`repro.core.cpu_lane`, which runs them in a helper interpreter on a
+:mod:`repro.cpu_lane`, which runs them in a helper interpreter on a
 second core beside the caller (paper §3.3's K-Means on idle CPU cores); the
 index is bit for bit the one an inline build makes.  :meth:`build` and
 :meth:`build_incremental` collect their jobs before they return.
@@ -84,11 +84,11 @@ from time import perf_counter
 
 import numpy as np
 
+from ..cpu_lane import Ticket, map_layers, submit
 from ..errors import ConfigurationError, NotFittedError
 from ..llm.config import ModelConfig
 from ..llm.kvcache import KVCache, TokenSegments
 from ..utils import DTYPE, as_rng, modelled_nbytes, topk_indices
-from .cpu_lane import Ticket, map_layers, submit
 from .gpu_cache import BlockGpuCache
 from .pq import PQConfig, ProductQuantizer
 

@@ -1,10 +1,18 @@
-"""The CPU lane: per-layer PQ construction run beside the caller by one
-helper interpreter.
+"""The CPU lane: jobs run beside the caller by one helper interpreter.
 
 PQCache runs K-Means on otherwise idle CPU cores, beside the model's compute
 (paper §3.3).  On a host with a second usable core this module keeps one
 helper interpreter per process, shared by every engine, worker and fleet in
 it.  Threads cannot do this: the K-Means seeding loop holds the GIL.
+
+Two kinds of work use it.  :class:`~repro.core.pqcache.PQCacheManager`
+submits its per-layer K-Means jobs (a build's fits, a sketch fit and its
+encode, a refine).  :meth:`~repro.llm.model.TransformerLM.prefill_chunk`
+splits each layer's attention into :func:`width` KV-head groups
+(:func:`~repro.llm.attention.prefill_head_group`) and runs them as one
+:func:`map_layers` call: the helper takes one group while the caller runs
+the other, so a prompt's attention runs on both cores.  The lane imports
+nothing of ``repro``, so both layers may import it.
 
 Tickets
 -------
@@ -85,12 +93,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = ["LaneStats", "Ticket", "map_layers", "pump", "start", "stats", "submit",
-           "usable_cpus"]
+           "usable_cpus", "width"]
 
 #: the helper's whole program: the caller's import path, then the serve loop
 _BOOT = (
     "import sys; sys.path[:] = sys.argv[1:]; "
-    "from repro.core.cpu_lane import _serve; _serve()"
+    "from repro.cpu_lane import _serve; _serve()"
 )
 #: what the helper writes once its imports are done
 _READY = "ready"
@@ -439,14 +447,23 @@ def submit(job: Callable, layer_args: Sequence[tuple]) -> Ticket:
 
 def map_layers(job: Callable, layer_args: Sequence[tuple]) -> list:
     """``[job(*args) for args in layer_args]``, submitted and collected at
-    once: with an idle, ready helper one layer runs there while the caller
-    runs the others.  A single job runs inline, as nothing runs beside it.
-    The jobs read the caller's arrays in place (nothing outlives the call).
+    once: with an idle, ready helper the first job runs there while the
+    caller runs the others.  A job the helper cannot start before the
+    caller reaches it (the helper busy, other jobs queued first, no helper)
+    runs inline.  A single job runs inline, as nothing runs beside it.  The jobs (a model's layers, or one layer's head groups)
+    read the caller's arrays in place (nothing outlives the call).
     """
     layer_args = list(layer_args)
     return _submit(
         job, layer_args, owned=False, at_once=len(layer_args) < 2
     ).result()
+
+
+def width() -> int:
+    """How many jobs of one :func:`map_layers` call may run at once: the
+    caller plus one helper, or the caller alone where this process may have
+    no helper (one usable CPU, or a helper that died before it was ready)."""
+    return 1 if _disabled or usable_cpus() < 2 else 2
 
 
 def stats() -> LaneStats:

@@ -5,6 +5,9 @@ Two kernels mirror the paper's two phases:
 * :func:`prefill_attention` — causal attention of one prefill chunk's
   queries over every key cached so far, on a fixed global tile grid of BLAS
   GEMMs; the one prefill kernel :class:`~repro.llm.model.TransformerLM` runs.
+  :func:`prefill_head_group` runs it on a group of KV heads and folds the
+  group's per-key score statistics (:func:`fold_scores`): the job
+  :meth:`~repro.llm.model.TransformerLM.prefill_chunk` hands to the CPU lane.
 * :class:`GroupedDecodeAttention` — single-query attention for the decode
   steps of a batch of requests, each optionally restricted to a subset of
   token indices per key/value head; this is the "selective attention" kernel
@@ -19,7 +22,7 @@ of silently mis-grouping.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +35,10 @@ __all__ = [
     "decode_attention",
     "attention_scores_single_query",
     "expand_kv_heads",
+    "fold_scores",
+    "HeadGroupResult",
     "prefill_attention",
+    "prefill_head_group",
 ]
 
 #: Query rows per tile of :func:`prefill_attention`'s global grid.  Tiles are
@@ -138,6 +144,106 @@ def prefill_attention(
         if on_scores is not None:
             on_scores(lo, rows.reshape(h, hi - lo, width))
     return outputs.reshape(h, t, d_h)
+
+
+def fold_scores(
+    acc: np.ndarray,
+    win: "np.ndarray | None",
+    window_start: int,
+    boundaries: "Sequence[int]",
+    snapshots: "dict[int, np.ndarray]",
+    position: int,
+    scores: np.ndarray,
+) -> None:
+    """Fold consecutive queries' score rows into per-key score statistics.
+
+    ``scores`` is ``(h, rows, >= position + rows)``: the post-softmax rows of
+    the queries at ``position, position + 1, ...``.  Each total in ``acc``
+    (and, from query ``window_start`` on, in ``win``) is the strictly
+    sequential fold ``(...((acc + s_0) + s_1)...)`` over queries, one row at
+    a time.  A tile's column sum would not do: a tile can be split between
+    two chunks, and NumPy's pairwise ``sum`` of the two halves differs from
+    the sum of the whole.  Every add is elementwise, so each head's totals
+    depend on that head's rows alone.
+
+    Because the fold is sequential, the totals after query ``L - 1``
+    restricted to keys ``[0, L)`` are bitwise what a prefill that *stopped*
+    there would hold: at each ``L`` in ``boundaries`` a copy goes into
+    ``snapshots[L]``, which is what lets the prefix cache resume a prefill
+    mid-prompt without perturbing a single bit of the aggregates.  ``win``
+    may be ``None`` when no row lies in the window.
+    """
+    for j in range(scores.shape[1]):
+        seen = position + j + 1
+        row = scores[:, j, :seen]
+        acc[:, :seen] += row
+        if seen > window_start:
+            win[:, :seen] += row
+        if seen in boundaries:
+            snapshots[seen] = acc[:, :seen].copy()
+
+
+class HeadGroupResult(NamedTuple):
+    """What :func:`prefill_head_group` returns for one KV-head group."""
+
+    #: ``(h, t, d_h)`` attention outputs of the group's query heads
+    outputs: np.ndarray
+    #: the group's folded accumulated-score rows, ``(h, n)``
+    acc_scores: np.ndarray
+    #: the group's folded windowed rows, ``(h, n)``, or ``None`` if none was given
+    window_scores: "np.ndarray | None"
+    #: boundary ``L`` -> the group's ``(h, L)`` accumulated rows after query ``L - 1``
+    acc_snapshots: "dict[int, np.ndarray]"
+    #: seconds of the kernel outside the folds
+    attention_s: float
+    #: seconds of the folds
+    fold_s: float
+
+
+def prefill_head_group(
+    queries: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    acc_scores: np.ndarray,
+    window_scores: "np.ndarray | None",
+    window_start: int,
+    boundaries: "Sequence[int]",
+) -> HeadGroupResult:
+    """One layer of a prefill chunk for a group of KV heads: a CPU-lane job.
+
+    Runs :func:`prefill_attention` on the group's heads and folds their
+    post-softmax rows into copies of the group's score rows
+    (:func:`fold_scores`).  Every head's GEMMs, softmax and fold are
+    independent of the other heads', so a layer split into head groups
+    yields the bits of one group of all heads.
+
+    Args:
+        queries: ``(h, t, d_h)`` the chunk's queries of the group's heads.
+        keys: ``(h_kv, n, d_h)`` the group's cached keys, ``n >= t``.
+        values: ``(h_kv, n, d_h)`` the group's cached values.
+        acc_scores: ``(h, n)`` the group's accumulated-score rows over the
+            keys cached so far (left unchanged).
+        window_scores: ``(h, n)`` its windowed rows, or ``None`` when no
+            row of the chunk lies in the window (left unchanged).
+        window_start: the first prompt query the window counts.
+        boundaries: prompt lengths at which to snapshot the accumulated rows.
+    """
+    acc = np.array(acc_scores)
+    win = None if window_scores is None else np.array(window_scores)
+    snapshots: dict[int, np.ndarray] = {}
+    fold_s = 0.0
+
+    def fold(position: int, scores: np.ndarray) -> None:
+        nonlocal fold_s
+        began = perf_counter()
+        fold_scores(acc, win, window_start, boundaries, snapshots, position, scores)
+        fold_s += perf_counter() - began
+
+    began = perf_counter()
+    outputs = prefill_attention(queries, keys, values, on_scores=fold)
+    return HeadGroupResult(
+        outputs, acc, win, snapshots, perf_counter() - began - fold_s, fold_s
+    )
 
 
 def attention_scores_single_query(

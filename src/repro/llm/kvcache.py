@@ -243,17 +243,20 @@ class BlockAllocator:
     #: multi-block admission would otherwise fire it once per block).
     _EVICTION_BATCH = 8
 
-    def allocate(self) -> int:
+    def allocate(self, zeroed: bool = True) -> int:
         """Hand out one block with refcount 1.
 
         Reuses a freed block when possible; otherwise grows the pool up to
         ``capacity_blocks``.  On exhaustion the :attr:`eviction_hook` gets one
         chance to free blocks before :class:`~repro.errors.CapacityError`.
+        A block is all zeros, unless ``zeroed`` is false: then a recycled
+        block keeps its old rows, for a caller that writes the whole block
+        next (a block copy) rather than appending to it.
         """
-        block_id = self._try_allocate()
+        block_id = self._try_allocate(zeroed)
         if block_id is None and self.eviction_hook is not None:
             self.eviction_hook(self._EVICTION_BATCH)
-            block_id = self._try_allocate()
+            block_id = self._try_allocate(zeroed)
         if block_id is None:
             raise CapacityError(
                 f"KV block pool exhausted: {self.num_allocated}/"
@@ -261,11 +264,12 @@ class BlockAllocator:
             )
         return block_id
 
-    def _try_allocate(self) -> int | None:
+    def _try_allocate(self, zeroed: bool) -> int | None:
         if self._free:
             block_id = self._free.pop()
-            for plane in self._planes:
-                plane[:, :, self._rows(block_id)] = 0.0
+            if zeroed:
+                for plane in self._planes:
+                    plane[:, :, self._rows(block_id)] = 0.0
         elif self.capacity_blocks is None or self._next_id < self.capacity_blocks:
             block_id = self._next_id
             self._next_id += 1
@@ -275,6 +279,14 @@ class BlockAllocator:
         self._refcounts[block_id] = 1
         self.allocations += 1
         return block_id
+
+    def trim(self) -> None:
+        """Drop the planes back to zero rows if no block is live (the next
+        allocation grows them again); a no-op otherwise."""
+        if not self._refcounts:
+            self._planes = [self._plane(0), self._plane(0)]
+            self._free = []
+            self._next_id = 0
 
     def _require_live(self, block_id: int) -> None:
         if block_id not in self._refcounts:
@@ -313,7 +325,7 @@ class BlockAllocator:
         expected to :meth:`decref` it after swapping its table entry.
         """
         self._require_live(block_id)
-        new_id = self.allocate()
+        new_id = self.allocate(zeroed=False)
         self.copy_blocks([new_id], self, [block_id])
         self.cow_copies += 1
         return new_id
@@ -798,7 +810,8 @@ class SwapSpace:
     Both tiers park rows in :attr:`host`, a private, unbounded
     :class:`BlockAllocator` of the pool's geometry (its free list and growth
     are the pool's code), so every move is a row copy between two sets of
-    planes and every restore is exact.  A handle's ``tier`` tag drives the
+    planes and every restore is exact.  The store's planes drop back to zero
+    rows whenever it holds no parked block.  A handle's ``tier`` tag drives the
     byte accounting the latency model charges for PCIe and NVMe traffic.
     Capacities are in blocks; ``None`` means unbounded (host memory and disk
     are both effectively unbounded relative to a GPU pool, but tests and
@@ -878,7 +891,7 @@ class SwapSpace:
     def _park(self, tier: str, pool_ids: "list[int]") -> "list[int]":
         """Copy pool blocks into fresh host blocks on ``tier``; their ids."""
         self.host.reserve(len(pool_ids))
-        host_ids = [self.host.allocate() for _ in pool_ids]
+        host_ids = [self.host.allocate(zeroed=False) for _ in pool_ids]
         self.host.copy_blocks(host_ids, self.allocator, pool_ids)
         self._blocks[tier] += len(pool_ids)
         self.stats.swapped_out += len(pool_ids)
@@ -888,12 +901,14 @@ class SwapSpace:
         return host_ids
 
     def _unpark(self, handle: SwappedBlocks) -> None:
-        """Forget a handle and free its host blocks."""
+        """Forget a handle and free its host blocks; the host store's planes
+        go once it holds none (a peak of parked rows is not kept)."""
         del self._handles[handle]
         for host_id in handle.host_ids:
             if host_id is not None:
                 self.host.decref(host_id)
         self._blocks[handle.tier] -= handle.stored_blocks
+        self.host.trim()
 
     def swap_out(self, block_ids: "list[int]", tier: str = "cpu") -> SwappedBlocks:
         """Move a chain out of the pool into a lower tier.
@@ -965,7 +980,7 @@ class SwapSpace:
         fresh: list[int] = []
         try:
             for _ in range(handle.stored_blocks):
-                fresh.append(pool.allocate())
+                fresh.append(pool.allocate(zeroed=False))
         except CapacityError:
             for block_id in fresh:
                 pool.decref(block_id)

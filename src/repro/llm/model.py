@@ -49,8 +49,12 @@ position; only the aggregate fold is sequential.*
 * The accumulated/windowed per-key score statistics are the one reduction
   *across* queries, and a tile can be split between two chunks, so they fold
   strictly sequentially, one query row at a time
-  (:meth:`TransformerLM._fold_scores`); NumPy's pairwise ``sum`` over a
-  tile's rows would depend on where the chunk boundary fell.
+  (:func:`~repro.llm.attention.fold_scores`); NumPy's pairwise ``sum`` over
+  a tile's rows would depend on where the chunk boundary fell.
+* A layer's attention and folds run per KV-head group
+  (:func:`~repro.llm.attention.prefill_head_group`), one group on the CPU
+  lane's helper and one in the caller (:mod:`repro.cpu_lane`).  No GEMM,
+  softmax or fold mixes two KV heads, so the grouping changes no bit.
 
 Row-wise operations (RMSNorm, SiLU, RoPE, residual adds) only reduce along
 the fixed feature axis and are invariant as-is.
@@ -74,9 +78,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .. import cpu_lane
 from ..errors import ConfigurationError, DimensionError
 from ..utils import DTYPE, as_rng
-from .attention import GroupedDecodeAttention, prefill_attention
+from .attention import GroupedDecodeAttention, prefill_head_group
 from .config import ModelConfig
 from .kvcache import KVCache
 from .layers import Linear, RMSNorm, SwiGLU
@@ -127,6 +132,11 @@ def _blocked_rows(fn, rows: np.ndarray, global_start: int) -> np.ndarray:
     if len(pieces) == 1:
         return pieces[0]
     return np.concatenate(pieces, axis=0)
+
+
+def _stacked(parts: "list[np.ndarray]") -> np.ndarray:
+    """Head groups' arrays as one, heads first (one group: itself)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _decode_rows(fn, rows: np.ndarray) -> np.ndarray:
@@ -423,6 +433,21 @@ class TransformerLM:
             triples.append((q, k, v))
         return triples
 
+    def _head_groups(self) -> "list[tuple[slice, slice]]":
+        """The KV heads of each of a prefill layer's attention jobs and
+        their query heads: one contiguous group per job the CPU lane may run
+        at once (:func:`~repro.cpu_lane.width`), at most one per KV head.
+        The first group, the helper's, is the smaller when they differ: the
+        helper also pays for the pipe."""
+        cfg = self.config
+        count = min(cpu_lane.width(), cfg.num_kv_heads)
+        bounds = [cfg.num_kv_heads * i // count for i in range(count + 1)]
+        group = cfg.gqa_group_size
+        return [
+            (slice(lo, hi), slice(lo * group, hi * group))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
     # ------------------------------------------------------------- prefill
 
     def begin_prefill(
@@ -569,7 +594,9 @@ class TransformerLM:
                 ``"projection"`` (norm, Q/K/V/O projections, RoPE, cache
                 append), ``"attention"`` (the tiled GEMMs and softmax),
                 ``"aggregates"`` (the per-key score folds) and ``"ffn"`` are
-                added into it.
+                added into it.  The caller's wall time of the head groups'
+                jobs splits between ``"attention"`` and ``"aggregates"`` in
+                the proportion of the folds in both groups' work.
 
         Returns:
             The number of tokens actually processed.
@@ -586,6 +613,10 @@ class TransformerLM:
         cos, sin = rope_frequencies(cfg.head_dim, np.arange(start, stop), self.rope_base)
         hidden = self.embedding[state.token_ids[start:stop]]
         stages = dict.fromkeys(("projection", "attention", "aggregates", "ffn"), 0.0)
+        groups = self._head_groups()
+        # First prompt query that counts towards the windowed aggregate.
+        window_start = state.seq_len - state.observation_window
+        in_window = stop > window_start
 
         for layer_index, layer in enumerate(self.layers):
             tick = perf_counter()
@@ -605,16 +636,34 @@ class TransformerLM:
             stages["projection"] += perf_counter() - tick
 
             # Causal attention of the chunk's queries over every key cached
-            # so far (earlier chunks + this one); the per-key statistics the
-            # baselines need are folded in tile by tile.
-            def fold(position: int, scores: np.ndarray) -> None:
-                began = perf_counter()
-                self._fold_scores(state, layer_index, position, scores)
-                stages["aggregates"] += perf_counter() - began
-
+            # so far (earlier chunks + this one), with the per-key statistics
+            # the baselines need folded in tile by tile: one CPU-lane job per
+            # KV-head group, the helper's beside the caller's.
             tick = perf_counter()
-            outputs = prefill_attention(q, *layer_cache.read(), on_scores=fold)
-            stages["attention"] += perf_counter() - tick  # folds taken out below
+            keys, values = layer_cache.read()
+            acc = state.acc_scores[layer_index]
+            win = state.window_scores[layer_index]
+            results = cpu_lane.map_layers(prefill_head_group, [
+                (q[heads], keys[kv_heads], values[kv_heads], acc[heads, :stop],
+                 win[heads, :stop] if in_window else None, window_start,
+                 state.acc_snapshot_boundaries)
+                for kv_heads, heads in groups
+            ])
+            for (_, heads), result in zip(groups, results):
+                acc[heads, :stop] = result.acc_scores
+                if in_window:
+                    win[heads, :stop] = result.window_scores
+            for boundary in results[0].acc_snapshots:
+                sink = state.acc_snapshots.setdefault(boundary, [None] * cfg.num_layers)
+                sink[layer_index] = _stacked([r.acc_snapshots[boundary] for r in results])
+            outputs = _stacked([result.outputs for result in results])
+            # The caller's wall time of the layer's attention, split in the
+            # proportion of the folds in the work of both groups.
+            wall = perf_counter() - tick
+            work = sum(result.attention_s + result.fold_s for result in results)
+            folds = wall * sum(result.fold_s for result in results) / work if work else 0.0
+            stages["aggregates"] += folds
+            stages["attention"] += wall - folds
 
             tick = perf_counter()
             attn_out = outputs.transpose(1, 0, 2).reshape(t, cfg.hidden_dim)
@@ -631,49 +680,10 @@ class TransformerLM:
             state.last_hidden = hidden[-1]
             final = self.final_norm(hidden[-1])
             state.logits = self.lm_head @ final
-        stages["attention"] -= stages["aggregates"]
         if timings is not None:
             for stage, seconds in stages.items():
                 timings[stage] = timings.get(stage, 0.0) + seconds
         return t
-
-    def _fold_scores(
-        self,
-        state: PrefillState,
-        layer_index: int,
-        position: int,
-        scores: np.ndarray,
-    ) -> None:
-        """Fold consecutive queries' score rows into the per-key aggregates.
-
-        ``scores`` is ``(h, rows, >= position + rows)``: the post-softmax
-        rows of the queries at ``position, position + 1, ...``.  Each total is
-        the strictly sequential fold ``(...((acc + s_0) + s_1)...)`` over
-        queries, one row at a time.  A tile's column sum would not do: a tile
-        can be split between two chunks, and NumPy's pairwise ``sum`` of the
-        two halves differs from the sum of the whole.
-
-        Because the fold is sequential, the totals after query ``L - 1``
-        restricted to keys ``[0, L)`` are bitwise what a prefill that
-        *stopped* there would hold — captured at the requested snapshot
-        boundaries, that is what lets the prefix cache resume a prefill
-        mid-prompt without perturbing a single bit of the aggregates.
-        """
-        acc = state.acc_scores[layer_index]
-        win = state.window_scores[layer_index]
-        # First prompt query that counts towards the windowed aggregate.
-        window_start = state.seq_len - state.observation_window
-        for j in range(scores.shape[1]):
-            seen = position + j + 1
-            row = scores[:, j, :seen]
-            acc[:, :seen] += row
-            if seen > window_start:
-                win[:, :seen] += row
-            if seen in state.acc_snapshot_boundaries:
-                sink = state.acc_snapshots.setdefault(
-                    seen, [None] * self.config.num_layers
-                )
-                sink[layer_index] = acc[:, :seen].copy()
 
     def finish_prefill(self, state: PrefillState) -> PrefillResult:
         """Package a completed :class:`PrefillState` as a :class:`PrefillResult`."""

@@ -112,7 +112,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from ..baselines.base import KVCachePolicy
-from ..core import cpu_lane
+from .. import cpu_lane
 from ..errors import ConfigurationError
 from ..llm.kvcache import BlockAllocator, BlockTable, PagedKVCache, SwapSpace
 from ..llm.model import PrefillResult, PrefillState, TransformerLM

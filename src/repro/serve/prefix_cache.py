@@ -752,7 +752,7 @@ class PrefixCache:
                 break
             if node is None or node.spilled:
                 try:
-                    block_id = self.allocator.allocate()
+                    block_id = self.allocator.allocate(zeroed=False)
                 except CapacityError:
                     break  # a shorter imported prefix is still a valid chain
                 if parent is not None and parent.key not in self._nodes:

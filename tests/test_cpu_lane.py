@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import SelectionBudget
-from repro.core import PQCacheConfig, PQCacheManager, PQConfig, ProductQuantizer, cpu_lane
+from repro import cpu_lane
+from repro.core import PQCacheConfig, PQCacheManager, PQConfig, ProductQuantizer
 from repro.llm import BlockAllocator, KVCache, ModelConfig, PagedKVCache
 from repro.serve import (
     EngineConfig,
@@ -162,7 +163,7 @@ class TestFailures:
             f"""
             import os, sys, time
             sys.path[:0] = {sys.path!r}
-            from repro.core import cpu_lane
+            from repro import cpu_lane
             deadline = time.monotonic() + {READY_TIMEOUT_S}
             while time.monotonic() < deadline:
                 pids = cpu_lane.map_layers(os.getpid, [(), ()])

@@ -12,10 +12,20 @@ from hypothesis import strategies as st
 
 from repro.core.pqcache import PQSnapshot
 from repro.errors import CapacityError, ConfigurationError
-from repro.llm import ModelConfig
+from repro.llm import ModelConfig, TransformerLM
 from repro.llm.kvcache import BlockAllocator, PagedKVCache, SwapSpace
 from repro.memory import HardwareSpec, LatencyModel, Resource
-from repro.serve import PrefixCache, PrefixCoverage, chain_block_keys
+from repro.serve import (
+    EngineConfig,
+    InferenceEngine,
+    PoolConfig,
+    PrefixCache,
+    PrefixCoverage,
+    Request,
+    SamplingParams,
+    SchedulerConfig,
+    chain_block_keys,
+)
 
 
 WIDTHS = [1, 2, 4, 8]
@@ -238,6 +248,140 @@ class TestSwapSpace:
 
 
 # ------------------------------------------------------------ byte billing
+
+
+def dirty_free_blocks(alloc, n, seed=99):
+    """Put ``n`` blocks of garbage rows on ``alloc``'s free list."""
+    for block_id in fill_blocks(alloc, n, seed=seed):
+        alloc.decref(block_id)
+
+
+def block_rows(alloc, block_ids):
+    return [(alloc.block_keys(b).copy(), alloc.block_values(b).copy())
+            for b in block_ids]
+
+
+def assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for (keys, values), (want_keys, want_values) in zip(got, want):
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(values, want_values)
+
+
+class TestWholeBlockCopiesIntoRecycledIds:
+    """A copy that writes a whole block takes a recycled id without zeroing
+    it first; the block must hold exactly the source rows afterwards."""
+
+    def test_copy_on_write(self):
+        alloc = make_allocator()
+        (source,) = fill_blocks(alloc, 1)
+        dirty_free_blocks(alloc, 1)
+        free = alloc._free[-1]
+        copy = alloc.copy_block(source)
+        assert copy == free
+        assert_same_rows(block_rows(alloc, [copy]), block_rows(alloc, [source]))
+
+    def test_park_into_recycled_host_blocks(self):
+        alloc = make_allocator()
+        space = SwapSpace(alloc)
+        kept = space.swap_out(fill_blocks(alloc, 2, seed=1))  # keeps the host live
+        space.host.decref(space.host.allocate())              # one clean free block
+        dirty = space.swap_out(fill_blocks(alloc, 3, seed=2))
+        space.discard(dirty)                                  # three dirty ones
+        chain = fill_blocks(alloc, 3, seed=3)
+        want = block_rows(alloc, chain)
+        handle = space.swap_out(chain)
+        assert set(handle.host_ids) <= set(dirty.host_ids)
+        assert_same_rows(block_rows(space.host, handle.host_ids), want)
+        for block_id in chain:
+            alloc.decref(block_id)
+        assert_same_rows(block_rows(alloc, space.swap_in(handle)), want)
+        space.discard(kept)
+
+    def test_swap_in_into_recycled_pool_blocks(self):
+        alloc = make_allocator()
+        space = SwapSpace(alloc)
+        chain = fill_blocks(alloc, 3, seed=4)
+        want = block_rows(alloc, chain)
+        handle = space.swap_out(chain)
+        for block_id in chain:
+            alloc.decref(block_id)
+        dirty_free_blocks(alloc, 3)  # the same ids, now holding garbage
+        restored = space.swap_in(handle)
+        assert sorted(restored) == sorted(chain)
+        assert_same_rows(block_rows(alloc, restored), want)
+
+    def test_import_chain_into_recycled_pool_blocks(self):
+        source = make_allocator(block_size=32)
+        cache = PrefixCache(SwapSpace(source))
+        tokens = list(range(96))
+        paged = fill_chain(source, tokens)
+        cache.insert(tokens, paged.table.block_ids)
+        want = block_rows(source, paged.table.block_ids)
+        paged.release()
+        exported = cache.export_chain(tokens)
+        target_alloc = make_allocator(block_size=32)
+        target = PrefixCache(SwapSpace(target_alloc))
+        dirty_free_blocks(target_alloc, 3)
+        assert target.import_chain(exported) == 3
+        match = target.match(tokens)
+        assert target_alloc.num_free == 0  # every imported block was recycled
+        assert_same_rows(block_rows(target_alloc, match.block_ids), want)
+
+    def test_appends_still_get_zeroed_blocks(self):
+        alloc = make_allocator()
+        dirty_free_blocks(alloc, 2)
+        paged = PagedKVCache(alloc)
+        paged[0].append(np.ones((2, 1, 8)), np.ones((2, 1, 8)))
+        (block_id,) = paged.table.block_ids
+        assert np.all(alloc.block_keys(block_id)[:, :, 1:] == 0.0)
+        assert np.all(alloc.block_values(block_id)[1] == 0.0)
+
+
+class TestHostStoreShrinks:
+    def test_host_planes_drop_once_nothing_is_parked(self):
+        alloc = make_allocator()
+        space = SwapSpace(alloc)
+        first = space.swap_out(fill_blocks(alloc, 3, seed=1))
+        second = space.swap_out(fill_blocks(alloc, 2, seed=2))
+        space.discard(first)
+        assert space.host.layer_planes(0)[0].shape[1] >= 2 * alloc.block_size
+        space.swap_in(second)
+        assert space.host.num_allocated == 0
+        assert space.host.layer_planes(0)[0].shape[1] == 0
+        # and it grows again from nothing
+        chain = fill_blocks(alloc, 2, seed=3)
+        want = block_rows(alloc, chain)
+        handle = space.swap_out(chain)
+        assert handle.host_ids == [0, 1]
+        assert_same_rows(block_rows(space.host, handle.host_ids), want)
+
+    def test_engine_host_store_empties_after_prefix_cache_clear(self):
+        """Eight 100-token requests through a 28-block pool (block size 8)
+        with swap preemption park and spill rows in the host store; once the
+        prefix cache is cleared nothing is parked and its planes are gone."""
+        config = ModelConfig(num_layers=2, hidden_dim=32, num_heads=4,
+                             num_kv_heads=2, ffn_dim=64, vocab_size=128,
+                             name="host-shrink")
+        model = TransformerLM(config, seed=7)
+        rng = np.random.default_rng(21)
+        engine = InferenceEngine(model, EngineConfig(
+            scheduler=SchedulerConfig(max_batch_size=4, max_prefill_chunk_tokens=32,
+                                      preemption_mode="swap"),
+            pool=PoolConfig(block_size=8, blocks=28),
+            max_retained_outputs=0,
+        ))
+        engine.run([
+            Request(prompt_ids=rng.integers(4, 128, size=100).tolist(),
+                    sampling=SamplingParams(max_new_tokens=4))
+            for _ in range(8)
+        ])
+        host = engine.swap_space.host
+        assert engine.metrics.swap_out_blocks > 0
+        assert host.layer_planes(0)[0].shape[1] > 0
+        engine.prefix_cache.clear()
+        assert host.num_allocated == 0
+        assert host.layer_planes(0)[0].shape[1] == 0
 
 
 class TestSwapSpaceCodec:
@@ -752,8 +896,8 @@ def counting_allocations(alloc):
     handed_out = []
     allocate = alloc.allocate
 
-    def counting():
-        handed_out.append(allocate())
+    def counting(*args, **kwargs):
+        handed_out.append(allocate(*args, **kwargs))
         return handed_out[-1]
 
     alloc.allocate = counting
