@@ -8,11 +8,13 @@ it.  Threads cannot do this: the K-Means seeding loop holds the GIL.
 Two kinds of work use it.  :class:`~repro.core.pqcache.PQCacheManager`
 submits its per-layer K-Means jobs (a build's fits, a sketch fit and its
 encode, a refine).  :meth:`~repro.llm.model.TransformerLM.prefill_chunk`
-splits each layer's attention into :func:`width` KV-head groups
-(:func:`~repro.llm.attention.prefill_head_group`) and runs them as one
+splits each layer's attention of a long enough chunk into :func:`width`
+KV-head groups (:func:`~repro.llm.attention.prefill_head_group`) and runs
+them as one
 :func:`map_layers` call: the helper takes one group while the caller runs
-the other, so a prompt's attention runs on both cores.  The lane imports
-nothing of ``repro``, so both layers may import it.
+the other, so a prompt's attention runs on both cores.  The module
+imports nothing of ``repro`` (only the helper does, once started), so both
+layers import it without an import cycle.
 
 Tickets
 -------

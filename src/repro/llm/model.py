@@ -94,6 +94,7 @@ __all__ = [
     "PrefillResult",
     "PrefillState",
     "PREFILL_ROW_BLOCK",
+    "SPLIT_MIN_TOKENS",
     "Selector",
     "TransformerLM",
 ]
@@ -103,6 +104,16 @@ __all__ = [
 #: to exactly this many rows, so a token's projection is computed from an
 #: identically-shaped ``matmul`` regardless of chunk boundaries.
 PREFILL_ROW_BLOCK = 256
+
+#: Fewest query rows of a prefill chunk whose attention splits into KV-head
+#: groups on the CPU lane; a shorter chunk runs each layer as one inline job.
+#: Below it the helper's pipe round trip and copies cost more than half the
+#: attention: 64 rows over ~1k keys (4 heads, 2 KV heads, d_h 16) took
+#: 1.2-1.4 ms inline against 1.6-1.7 ms as a pair, 16 rows over 2 048 keys
+#: (8 heads, 4 KV heads, d_h 32) 1.7 against 3.2 ms.  With this floor six
+#: ``chat_pressure`` and six ``cluster_burst`` pairs against no floor read
+#: ``wall_tok_s`` +2.6 % and +5.3 %, 6 of 6 each.
+SPLIT_MIN_TOKENS = 128
 
 
 def _blocked_rows(fn, rows: np.ndarray, global_start: int) -> np.ndarray:
@@ -433,14 +444,16 @@ class TransformerLM:
             triples.append((q, k, v))
         return triples
 
-    def _head_groups(self) -> "list[tuple[slice, slice]]":
+    def _head_groups(self, rows: int) -> "list[tuple[slice, slice]]":
         """The KV heads of each of a prefill layer's attention jobs and
-        their query heads: one contiguous group per job the CPU lane may run
-        at once (:func:`~repro.cpu_lane.width`), at most one per KV head.
-        The first group, the helper's, is the smaller when they differ: the
-        helper also pays for the pipe."""
+        their query heads, for a chunk of ``rows`` queries: one contiguous
+        group per job the CPU lane may run at once
+        (:func:`~repro.cpu_lane.width`), at most one per KV head, and one
+        group below :data:`SPLIT_MIN_TOKENS` rows.  The first group, the
+        helper's, is the smaller when they differ: the helper also pays for
+        the pipe."""
         cfg = self.config
-        count = min(cpu_lane.width(), cfg.num_kv_heads)
+        count = 1 if rows < SPLIT_MIN_TOKENS else min(cpu_lane.width(), cfg.num_kv_heads)
         bounds = [cfg.num_kv_heads * i // count for i in range(count + 1)]
         group = cfg.gqa_group_size
         return [
@@ -613,7 +626,7 @@ class TransformerLM:
         cos, sin = rope_frequencies(cfg.head_dim, np.arange(start, stop), self.rope_base)
         hidden = self.embedding[state.token_ids[start:stop]]
         stages = dict.fromkeys(("projection", "attention", "aggregates", "ffn"), 0.0)
-        groups = self._head_groups()
+        groups = self._head_groups(t)
         # First prompt query that counts towards the windowed aggregate.
         window_start = state.seq_len - state.observation_window
         in_window = stop > window_start

@@ -2,10 +2,12 @@
 
 ``TransformerLM.prefill_chunk`` runs each layer's attention and score folds
 as one ``cpu_lane.map_layers`` call of ``prefill_head_group`` jobs, one per
-KV-head group (``cpu_lane.width()`` groups, at most one per KV head).  No
-GEMM, softmax or fold mixes two KV heads, so the split must equal the
-single-group path bit for bit: outputs, KV, both score aggregates, the
-accumulated-score snapshots and the logits.  Each case runs
+KV-head group (``cpu_lane.width()`` groups, at most one per KV head, one
+below ``SPLIT_MIN_TOKENS`` rows).  No GEMM, softmax or fold mixes two KV
+heads, so the split must equal the single-group path bit for bit: outputs,
+KV, both score aggregates, the accumulated-score snapshots and the logits.
+The split cases lower the floor to one row, so every chunk size splits.
+Each case runs
 
 * with a ready helper: the helper runs one group, the caller the other;
 * inline on one usable CPU, with two groups forced: both run in the caller;
@@ -25,7 +27,7 @@ import pytest
 
 import repro
 from repro import cpu_lane
-from repro.llm import ModelConfig, TransformerLM
+from repro.llm import ModelConfig, TransformerLM, model as model_module
 from repro.llm.attention import prefill_head_group
 
 PROMPT_LEN = 531  # past the 512-token chunk, off the tile grid
@@ -47,6 +49,12 @@ def wait_ready() -> None:
     while cpu_lane.map_layers(os.getpid, [(), ()])[0] == os.getpid():
         assert time.monotonic() < deadline, "the helper never became ready"
         time.sleep(0.01)
+
+
+@pytest.fixture
+def split_every_chunk(monkeypatch):
+    """Split chunks of any length, not only those of ``SPLIT_MIN_TOKENS``."""
+    monkeypatch.setattr(model_module, "SPLIT_MIN_TOKENS", 1)
 
 
 def split_inline(monkeypatch) -> None:
@@ -91,7 +99,8 @@ def case(request):
     prompt = np.random.default_rng(33).integers(4, 64, size=PROMPT_LEN).tolist()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cpu_lane, "width", lambda: 1)
-        assert len(model._head_groups()) == 1
+        patch.setattr(model_module, "SPLIT_MIN_TOKENS", 1)
+        assert len(model._head_groups(1)) == 1
         references = {chunk: prefill(model, prompt, chunk) for chunk in CHUNKS}
     return model, prompt, references
 
@@ -113,6 +122,7 @@ def chunk_count(chunk) -> int:
     return -(-PROMPT_LEN // (chunk or PROMPT_LEN))
 
 
+@pytest.mark.usefixtures("split_every_chunk")
 class TestSplitEqualsSingleGroup:
     @two_cpus
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -132,7 +142,7 @@ class TestSplitEqualsSingleGroup:
         model, prompt, references = case
         split_inline(monkeypatch)
         groups = min(2, model.config.num_kv_heads)
-        assert len(model._head_groups()) == groups
+        assert len(model._head_groups(1)) == groups
         state, (helper, inline, _) = lane_delta(lambda: prefill(model, prompt, chunk))
         assert_same_prefill(state, references[chunk])
         assert (helper, inline) == (0, groups * NUM_LAYERS * chunk_count(chunk))
@@ -141,7 +151,7 @@ class TestSplitEqualsSingleGroup:
         model = case[0]
         monkeypatch.setattr(cpu_lane, "usable_cpus", lambda: 1)
         assert cpu_lane.width() == 1
-        assert len(model._head_groups()) == 1
+        assert len(model._head_groups(PROMPT_LEN)) == 1
 
     @two_cpus
     def test_busy_helper_leaves_both_groups_to_the_caller(self, case):
@@ -156,6 +166,22 @@ class TestSplitEqualsSingleGroup:
         assert (helper, inline, waited) == (0, 2 * NUM_LAYERS, 0.0)
         assert busy.result() == [None]
         assert_same_prefill(state, references[None])
+
+
+@two_cpus
+def test_short_chunks_run_one_job_a_layer(case):
+    """Under the real floor a chunk shorter than ``SPLIT_MIN_TOKENS`` runs
+    each layer as one inline job; a longer one splits (one KV head never)."""
+    model, prompt, references = case
+    floor = model_module.SPLIT_MIN_TOKENS
+    wait_ready()
+    state, (helper, inline, _) = lane_delta(lambda: prefill(model, prompt, floor - 1))
+    assert_same_prefill(state, references[None])
+    full, rest = divmod(PROMPT_LEN, floor - 1)
+    assert full >= 1 and 0 < rest < floor  # the last chunk is short as well
+    assert (helper, inline) == (0, NUM_LAYERS * (full + 1))
+    split = model.config.num_kv_heads > 1
+    assert len(model._head_groups(floor)) == (2 if split else 1)
 
 
 @pytest.mark.parametrize("kv_heads", (2, 4))
