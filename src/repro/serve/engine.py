@@ -84,22 +84,18 @@ exist (``SchedulerConfig.preemption_mode``):
   selections and subsequent tokens are byte-identical to an uninterrupted
   run; replayed tokens are not re-emitted or re-counted.
 
-Swap and spill traffic is charged to the simulated clock as
-dependency-linked PCIe/NVMe transfers
-(:meth:`~repro.memory.LatencyModel.swap_out_timeline` /
-:meth:`~repro.memory.LatencyModel.swap_in_timeline`) and surfaces in
-:class:`~repro.serve.EngineMetrics` (``swap_*``/``spill_*`` counters), so
-TTFT/TPOT honestly reflect pool pressure.  A :class:`CapacityError` is
-raised only when a request's demand exceeds what the pool can offer even
-with every other request preempted and every cold chain spilled.
+A :class:`CapacityError` is raised only when a request's demand exceeds
+what the pool can offer even with every other request preempted and every
+cold chain spilled.
 
-Wall-clock is *simulated*: the engine advances a clock using the analytical
-:class:`~repro.memory.LatencyModel` (prefill makespans and per-step TPOT for
-the request's method profile), so TTFT/TPOT/throughput come out in the
-paper's hardware terms even though the substrate runs in NumPy.  The engine
-also owns arrival time: ``submit(request, arrival_time=t)`` holds a request
-whose ``t`` lies ahead of the clock until a step reaches it, and a step with
-nothing runnable idles the clock to the next held arrival.
+Wall-clock is *simulated*: prefill, decode, refresh and swap/spill transfer
+times come from the analytical :class:`~repro.memory.LatencyModel` and reach
+the clock through :meth:`InferenceEngine._bill`, so TTFT/TPOT/throughput,
+pool pressure included, come out in the paper's hardware terms even though
+the substrate runs in NumPy.  The engine also owns arrival time:
+``submit(request, arrival_time=t)`` holds a request whose ``t`` lies ahead
+of the clock until a step reaches it, and a step with nothing runnable idles
+the clock to the next held arrival.
 """
 
 from __future__ import annotations
@@ -186,7 +182,7 @@ class InferenceEngine:
         self.pressure = PoolPressure(
             self.scheduler, self.latency, self.metrics,
             self.block_allocator, self.swap_space, self.prefix_cache,
-            self._states, self._final_outputs,
+            self._states, self._final_outputs, self._bill,
         )
         #: shed-on-arrival finals awaiting delivery through the next step()
         #: (so run()/stream() observe them like any other finished output)
@@ -749,9 +745,8 @@ class InferenceEngine:
         # construction overlap on other resources; their non-hidable residual
         # is settled at completion from the overlapped chunk timeline.
         seconds = self.latency.prefill_chunk_seconds(processed, prefix, state.method)
-        self.metrics.clock += seconds
+        self._bill(state, "prefill", seconds)
         state.chunk_seconds += seconds
-        state.metrics.prefill_seconds += seconds
 
         if state.policy is not None:
             state.policy.on_prefill_chunk(
@@ -773,27 +768,23 @@ class InferenceEngine:
             # prompt's logits exist once the last GPU compute task ends, so
             # only the compute-side residual precedes TTFT; the construction
             # tail beyond it (offload/encode/refine that compute could not
-            # hide) gates the first *retrieval* and is charged after the
-            # first token is stamped (the paper's TT2T argument — this is
-            # also what makes a prefix-cache hit's TTFT reflect the skipped
-            # prefix compute rather than the full-prompt refine, which both
-            # hit and cold paths still pay before their first decode step).
-            gpu_ready = max(
-                timeline.resource_makespan("gpu"), state.chunk_seconds
-            )
+            # hide) gates the first *retrieval*, and _complete_prefill bills
+            # it after stamping the first token (the paper's TT2T argument,
+            # docs/serving.md § Clock accounting).
+            gpu_ready = max(timeline.resource_makespan("gpu"), state.chunk_seconds)
             compute_residual = gpu_ready - state.chunk_seconds
             if compute_residual > 0.0:
-                self.metrics.clock += compute_residual
-                state.metrics.prefill_seconds += compute_residual
-            state.construction_tail = max(timeline.makespan - gpu_ready, 0.0)
+                self._bill(state, "prefill", compute_residual)
             state.prefill_state = None
-            self._complete_prefill(state, prefill, new_tokens)
+            self._complete_prefill(state, prefill, new_tokens,
+                                   max(timeline.makespan - gpu_ready, 0.0))
 
     def _complete_prefill(
         self,
         state: RequestState,
         prefill: PrefillResult,
         new_tokens: dict[str, list[int]],
+        construction_tail: float = 0.0,
     ) -> None:
         """Shared tail of a computed and an imported prefill: policy state,
         clock, first token."""
@@ -827,13 +818,12 @@ class InferenceEngine:
 
         if not state.chunk_lens:
             # An imported prefill is charged the overlapped makespan of the
-            # monolithic prefill it stands for, once.
+            # monolithic prefill it stands for, once per import.
             seconds = self.latency.prefill_timeline(
                 prefill.seq_len, state.method
             ).makespan
-            self.metrics.clock += seconds
-            state.metrics.prefill_seconds = seconds
-            state.metrics.prefill_chunks = 1
+            self._bill(state, "prefill", seconds)
+            state.metrics.prefill_chunks += 1
         self.metrics.prefills += 1
 
         # The first token exists as soon as prefilling ends — for sampled
@@ -846,15 +836,11 @@ class InferenceEngine:
         if state.metrics.first_token_time is None:
             state.metrics.first_token_time = self.metrics.clock
 
-        if state.construction_tail > 0.0:
+        if construction_tail > 0.0:
             # The non-hidable construction tail (chiefly the full-prompt PQ
-            # refinement) completes after the first token exists but before
-            # the first retrieval, so it lands on the clock *after* TTFT was
-            # stamped and before any decode round — and before a stop-token
-            # finish stamps finish_time, keeping e2e >= prefill_seconds.
-            self.metrics.clock += state.construction_tail
-            state.metrics.prefill_seconds += state.construction_tail
-            state.construction_tail = 0.0
+            # refinement) lands after TTFT was stamped and before any decode
+            # round or a stop-token finish, keeping e2e >= prefill_seconds.
+            self._bill(state, "prefill", construction_tail)
 
         if state.forced is None:
             first = state.pick_token(prefill.logits)
@@ -982,8 +968,7 @@ class InferenceEngine:
                 state.metrics.comm_overlappable_bytes += comm.get("overlappable", 0.0)
                 state.metrics.comm_blocking_bytes += comm.get("blocking", 0.0)
             seconds = self.latency.tpot(seq_len, state.method, cache_hit_rate=hit_rate)
-            self.metrics.clock += seconds
-            state.metrics.decode_seconds += seconds
+            self._bill(state, "decode", seconds)
 
             if state.forced is not None:
                 if state.num_decoded >= len(state.forced):
@@ -1024,17 +1009,12 @@ class InferenceEngine:
     def _bill_maintenance(
         self, state: RequestState, policy: KVCachePolicy | None
     ) -> None:
-        """Bill a decode step's deferred index maintenance to the clock.
-
-        Policies report periodic maintenance (PQCache's ``refresh_every``
-        codebook refresh) through
-        :meth:`~repro.baselines.base.KVCachePolicy.consume_maintenance`; the
-        engine charges it as a clustering timeline task — the same
-        analytical cost model the prefill-time PQ build uses, once per layer
-        — so the refresh knob has an honest simulated-latency price.  Runs
-        immediately after the policy's post-append hook and before the
-        step's TPOT charge.
-        """
+        """Bill a decode step's deferred index maintenance (PQCache's
+        ``refresh_every`` codebook refresh, reported through
+        :meth:`~repro.baselines.base.KVCachePolicy.consume_maintenance`) as
+        one clustering task per layer — the prefill-time PQ build's cost
+        model — right after the policy's post-append hook and before the
+        step's TPOT."""
         if policy is None:
             return
         pending = policy.consume_maintenance()
@@ -1043,10 +1023,32 @@ class InferenceEngine:
         seconds = self.model.config.num_layers * self.latency.layer_clustering_seconds(
             int(pending["tokens"]), iterations=pending["iterations"]
         )
-        self.metrics.clock += seconds
-        state.metrics.decode_seconds += seconds
+        self._bill(state, "refresh", seconds)
         self.metrics.pq_refreshes += 1
-        self.metrics.pq_refresh_seconds += seconds
+
+    # ------------------------------------------------------------ billing
+
+    def _bill(self, state: RequestState | None, stage: str, seconds: float) -> None:
+        """Add ``seconds`` of ``stage`` work (``"prefill"``, ``"decode"``,
+        ``"refresh"`` or ``"swap"``) to the simulated clock and to the stage's
+        accumulators: the request's (``state``, ``None`` for traffic no
+        request moved) and, for a refresh or a transfer, the engine's.
+
+        The clock's one writer besides :meth:`step`'s idle jump (CI greps
+        for any other); the pressure ladder bills through it as
+        ``PoolPressure.bill``.
+        """
+        self.metrics.clock += seconds
+        if stage == "swap":
+            self.metrics.swap_seconds += seconds
+            if state is not None:
+                state.metrics.swap_seconds += seconds
+        elif stage == "prefill":
+            state.metrics.prefill_seconds += seconds
+        else:  # "decode", or its "refresh" maintenance
+            state.metrics.decode_seconds += seconds
+            if stage == "refresh":
+                self.metrics.pq_refresh_seconds += seconds
 
     # ------------------------------------------------------------- finish
 

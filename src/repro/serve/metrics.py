@@ -219,11 +219,14 @@ class RequestMetrics:
         first_token_time: clock when the first token became available.
         finish_time: clock when the request finished.
         prefill_seconds: simulated prefill makespan (the policy's method
-            profile decides whether PQ clustering / offload overlap it).
+            profile decides whether PQ clustering / offload overlap it),
+            summed over attempts: a recompute-preempted request prefills or
+            imports again.
         decode_seconds: simulated decode service time accumulated so far.
         num_prompt_tokens: prompt length.
         num_generated_tokens: tokens emitted (0 in teacher-forcing mode).
-        prefill_chunks: prefill chunks executed (1 unchunked or imported).
+        prefill_chunks: prefill chunks executed (1 unchunked; an imported
+            prefill counts 1 per attempt).
         decode_steps: decode rounds executed.
         attended_tokens: sum over decode steps of the mean number of cache
             tokens attended per layer/head — divide by ``decode_steps`` for

@@ -7,8 +7,9 @@ requests' pins, preempt younger victims (swap or recompute), degrade parked
 requests, resume swapped chains — and is the one ledger of the PCIe/NVMe
 traffic all of that causes: each transfer kind (swap-out, swap-in, spill
 settlement, cross-worker migration) is billed by exactly one method, and
-:meth:`PoolPressure._charge` is the only place their time reaches the
-simulated clock.  The behaviour is documented in detail on
+each bill reaches the simulated clock through ``PoolPressure.bill``, the
+engine's one clock writer (:meth:`InferenceEngine._bill`, stage
+``"swap"``).  The behaviour is documented in detail on
 :class:`~repro.serve.InferenceEngine`, which builds one per engine and
 reaches it through ``append_blocks_needed``, ``ensure_blocks``,
 ``preempt_victim``, ``resume_swapped``, ``proactive_swap_out``,
@@ -19,6 +20,7 @@ reaches it through ``append_blocks_needed``, ``ensure_blocks``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..errors import CapacityError
 from ..llm.kvcache import BlockAllocator, BlockTable, SwapSpace
@@ -42,6 +44,8 @@ class PoolPressure:
     pool), ``swap_space`` (the CPU/disk tiers) and ``prefix_cache``.
     ``states`` and ``final_outputs`` are the engine's *live* mappings of
     unfinished request states and retained finished outputs, by reference.
+    ``bill(state, "swap", seconds)`` puts transfer time on the clock and on
+    the request that moved (``None``: no request did).
     """
 
     scheduler: "ContinuousBatchingScheduler[RequestState]"
@@ -52,6 +56,7 @@ class PoolPressure:
     prefix_cache: PrefixCache
     states: "dict[str, RequestState]"
     final_outputs: "dict[str, RequestOutput]"
+    bill: "Callable[[RequestState | None, str, float], None]"
     #: opt-in preemption witness: assign a list and every successful
     #: claimant→victim preemption appends ``(claimant_priority,
     #: claimant_seq, victim_priority, victim_seq)`` — the QoS fuzz
@@ -102,13 +107,6 @@ class PoolPressure:
         """Modelled bytes of one pool block at the pool's dtype width."""
         return self.allocator.block_nbytes()
 
-    def _charge(self, seconds: float, state: "RequestState | None" = None) -> None:
-        """Put transfer time on the clock, and on the request that moved."""
-        self.metrics.clock += seconds
-        self.metrics.swap_seconds += seconds
-        if state is not None:
-            state.metrics.swap_seconds += seconds
-
     def _bill_swap_out(
         self,
         state: "RequestState | None",
@@ -125,7 +123,7 @@ class PoolPressure:
         """
         nbytes = float(blocks * self.block_nbytes())
         disk_bytes = float(disk_blocks * self.block_nbytes())
-        self._charge(self.latency.swap_out_seconds(nbytes, disk_bytes), state)
+        self.bill(state, "swap", self.latency.swap_out_seconds(nbytes, disk_bytes))
         self.metrics.swap_out_blocks += blocks
         self.metrics.swap_out_bytes += nbytes
         if state is not None:
@@ -136,7 +134,7 @@ class PoolPressure:
         worker: NVMe-read → PCIe-H2D lands on this (the importing) engine's
         clock.  Returns the seconds charged."""
         seconds = self.latency.migration_seconds(kv_bytes, disk_bytes)
-        self._charge(seconds)
+        self.bill(None, "swap", seconds)
         return seconds
 
     def settle_spill_traffic(self) -> None:
@@ -175,7 +173,7 @@ class PoolPressure:
                 kv_bytes, kv_bytes + float(in_payload)
             )
             self.metrics.spill_in_bytes += kv_bytes + float(in_payload)
-        self._charge(seconds)
+        self.bill(None, "swap", seconds)
 
     # --------------------------------------------------- pool pressure
 
@@ -477,7 +475,6 @@ class PoolPressure:
         state.cached_prefix = 0
         state.prefix_acc = None
         state.acc_capture = 0
-        state.construction_tail = 0.0
         state.chunk_lens = []
         state.chunk_seconds = 0.0
         state.num_decoded = 0
@@ -561,7 +558,7 @@ class PoolPressure:
         state.status = state.resume_status
 
         # The upward bill: disk read → H2D.
-        self._charge(self.latency.swap_in_seconds(nbytes, disk_bytes), state)
+        self.bill(state, "swap", self.latency.swap_in_seconds(nbytes, disk_bytes))
         self.metrics.swap_in_blocks += stored
         self.metrics.swap_in_bytes += nbytes
         state.metrics.swap_in_bytes += nbytes

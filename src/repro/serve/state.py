@@ -45,10 +45,6 @@ class RequestState:
         self.cached_prefix = 0
         self.prefix_acc: list[np.ndarray] | None = None
         self.acc_capture = 0
-        #: construction time (refine & friends) extending past the last
-        #: compute task — charged after the first token is stamped, since it
-        #: only gates the first retrieval (TT2T), not the first token.
-        self.construction_tail = 0.0
         #: swap-preemption state: the parked chain handle and the status to
         #: restore once the blocks are swapped back in
         self.swap_handle: SwappedBlocks | None = None

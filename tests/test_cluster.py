@@ -37,6 +37,7 @@ from repro.serve.cluster import (
     Router,
     Worker,
 )
+from test_preemption import assert_attribution_bounded
 
 BUDGET = SelectionBudget(token_ratio=0.2, comm_ratio=1.0 / 64.0,
                          num_initial=4, num_local=16)
@@ -539,8 +540,10 @@ class TestClusterByteIdentity:
         """Randomized interleaving: requests trickle in mid-run, a subset is
         aborted, and half carry random deadlines (spanning hopeless to
         generous); every surviving request stays byte-identical to a
-        sequential single-engine run, and every deadline shed was genuinely
-        past its deadline (or provably unmeetable) when dropped."""
+        sequential single-engine run, every deadline shed was genuinely
+        past its deadline (or provably unmeetable) when dropped, and no
+        finished request is billed more seconds than its end-to-end
+        latency."""
         rng = np.random.default_rng(42)
         lengths = rng.integers(100, 200, size=8).tolist()
         prompts = make_prompts(tiny_config, lengths, seed=21)
@@ -587,6 +590,7 @@ class TestClusterByteIdentity:
 
         shed = set()
         for request_id, out in finals.items():
+            assert_attribution_bounded(out.metrics, request_id)
             if out.finish_reason != "deadline":
                 continue
             shed.add(request_id)

@@ -25,7 +25,9 @@ recompute preemption — and asserts after every engine step:
   order ahead of the untagged FCFS tail, every ``finish_reason="deadline"``
   shed was genuinely past-deadline (or provably unmeetable) at shed time,
   and every request that *does* finish remains byte-identical to the
-  deadline-free uncontended reference.
+  deadline-free uncontended reference;
+* **attribution bound**: every finished request's billed prefill, decode
+  and swap seconds sum to at most its end-to-end latency.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from repro.serve import (
     SchedulerConfig,
 )
 from repro.serve.state import RequestState
+from test_precomputed_prefill import bounded_engine, precomputed, synth_prefill
 
 SEEDS_PER_CASE = 25
 FUZZ_CASES = 8  # 8 x 25 = 200 seeds
@@ -242,6 +245,16 @@ def _outputs_equal(out, ref):
         assert np.array_equal(out.logits, ref.logits)
 
 
+def assert_attribution_bounded(metrics, context):
+    """A request's billed seconds are additions to the clock between its
+    arrival and its finish that no other request shares, so their sum is at
+    most its end-to-end latency (within float rounding)."""
+    billed = metrics.prefill_seconds + metrics.decode_seconds + metrics.swap_seconds
+    assert billed <= metrics.e2e_seconds * (1.0 + 1e-9), (
+        f"{context}: billed {billed} > e2e {metrics.e2e_seconds}"
+    )
+
+
 # ------------------------------------------------------------ fuzz harness
 
 
@@ -380,6 +393,7 @@ def run_fuzz_seed(model, seed, stamp_clock=False):
             continue
         assert rid in finals, f"{context}: request {rid} never finished"
         out = finals[rid]
+        assert_attribution_bounded(out.metrics, f"{context} {rid}")
         if out.finish_reason == "deadline":
             # A deadline shed must be genuine: either the clock had already
             # passed the absolute deadline when the request was dropped, or
@@ -777,14 +791,37 @@ class TestRawParking:
         )
 
 
+def test_recompute_reimport_adds_both_imports(model, rng):
+    """A recompute-preempted imported prefill is imported again, and the
+    clock is billed for both imports: its ``prefill_seconds`` sum the two
+    makespans and it counts one prefill chunk per attempt."""
+    engine = bounded_engine(model, blocks=12, mode="recompute")  # 192 tokens
+    engine.submit(precomputed("low", synth_prefill(model.config, 100, 3), max_new=8))
+    engine.step()
+    engine.step()
+    method = engine._states["low"].method
+    engine.submit(Request(request_id="high",
+                          prompt_ids=rng.integers(4, 500, size=90).tolist(),
+                          sampling=SamplingParams(max_new_tokens=2),
+                          qos=RequestQoS(priority=1)))
+    low = engine.run()["low"].metrics
+    assert low.preemptions == engine.metrics.preemptions_recompute == 1
+    makespan = engine.latency.prefill_timeline(100, method).makespan
+    assert low.prefill_seconds == makespan + makespan
+    assert low.prefill_chunks == 2
+
+
 # ------------------------------------------------- the component, standalone
 
 
 class _Parts:
     """A ``PoolPressure`` over real parts and *no engine*: a scheduler, a
-    latency model, a metrics object, the three tiers and two plain dicts.
-    ``tiers`` are the swap space's capacities (``cpu_capacity_blocks``,
-    ``disk_capacity_blocks``)."""
+    latency model, a metrics object, the three tiers, two plain dicts and
+    the engine's clock writer over these parts' metrics (``_bill`` reads
+    nothing else of its owner).  ``tiers`` are the swap space's capacities
+    (``cpu_capacity_blocks``, ``disk_capacity_blocks``)."""
+
+    _bill = InferenceEngine._bill
 
     def __init__(self, config, pool_blocks, batch=4, proactive=None, **tiers):
         self.config = config
@@ -805,7 +842,7 @@ class _Parts:
         self.states = {}
         self.pressure = PoolPressure(
             self.scheduler, self.latency, self.metrics, self.allocator,
-            self.swap_space, self.prefix_cache, self.states, {},
+            self.swap_space, self.prefix_cache, self.states, {}, self._bill,
         )
         self.rng = np.random.default_rng(40)
 
